@@ -17,7 +17,7 @@ from .latp import (ArrivalSequence, LatpIntensity, SurvivalTable,
                    derivative_bound_check, omega_integral, sample_arrivals,
                    survival_series, survival_solve)
 from .flow import (BoundaryPoint, FlowGrid, LimitSolution, PhiEvaluator,
-                   boundary, gamma_compare, initial, phi_theta, solve_y_c,
+                   boundary, gamma_compare, initial, solve_y_c,
                    tagged_limit_path, tilde_w, verify_ode_form)
 from .srp import (CouplingRecord, EventLog, NaiveRankIndex, RankIndex,
                   simulate, simulate_coupled, simulate_flow_driven)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .intensity import PopulationSpec
-from .latp import LatpIntensity, SurvivalTable
+from .latp import LatpIntensity, _trapezoid_volterra
 
 log = logging.getLogger(__name__)
 
@@ -301,9 +301,14 @@ class PhiEvaluator:
     Position cells are the n_z flow cells; within a cell the survival
     probability is evaluated at the midpoint curve, and the class density
     contributes its exact cell mass, so the quadrature is exact at
-    histogram-cell resolution.  The boundary-row Volterra kernel is shared
-    across cells per class (it does not depend on the initial position);
-    only the pre-first-arrival row differs per cell.
+    histogram-cell resolution.  The pre-first-arrival survival ``s0`` differs
+    per cell and is kept per cell.  After an arrival the hazard follows a
+    boundary curve, which does not depend on the initial position, so every
+    cell of a class shares one renewal kernel.  The renewal equation and the
+    no-arrival formula are linear in the forcing, so the mass-weighted sum of
+    the per-cell survival tables is one Volterra solve per class, forced by
+    the mass-weighted first-arrival density and pre-arrival term.  That sum
+    is ``bdry_phi[k]``, the only form in which boundary points use it.
     """
 
     def __init__(self, flow: FlowGrid, spec: PopulationSpec):
@@ -312,7 +317,6 @@ class PhiEvaluator:
         self.flow = flow
         self.spec = spec
         n_c, n_tp = flow.n_z, flow.n_t + 1
-        h = flow.dt
         tn = flow.t_nodes
         K = spec.n_classes
 
@@ -325,47 +329,22 @@ class PhiEvaluator:
         # midpoint value the row average
         theta_mid = 0.5 * (flow.init_values[:-1] + flow.init_values[1:])
         tt_cells = np.broadcast_to(tn, theta_mid.shape)
+        tt_bdry = np.broadcast_to(tn, flow.bdry_values.shape)
 
-        diag = np.arange(n_tp)
         self.s0 = np.empty((K, n_c, n_tp))
-        self.p_tables = []
-        self.f = np.empty((K, n_c, n_tp))
+        self.bdry_phi = np.empty((K, n_tp, n_tp))
         for k, cls in enumerate(spec.classes):
             w_mid = cls.field._values(theta_mid, tt_cells)
-            inc0 = 0.5 * h * (w_mid[:, 1:] + w_mid[:, :-1])
+            inc0 = 0.5 * flow.dt * (w_mid[:, 1:] + w_mid[:, :-1])
             expo0 = np.concatenate([np.zeros((n_c, 1)), np.cumsum(inc0, axis=1)],
                                    axis=1)
             s0 = np.exp(-expo0)
             self.s0[k] = s0
-
-            w_b = cls.field._values(flow.bdry_values,
-                                    np.broadcast_to(tn, flow.bdry_values.shape))
-            incb = 0.5 * h * (w_b[:, 1:] + w_b[:, :-1])
-            expob = np.concatenate([np.zeros((n_tp, 1)), np.cumsum(incb, axis=1)],
-                                   axis=1)
-            expob -= expob[diag, diag][:, None]
-            e_b = np.exp(-np.triu(expob))
-            kern = w_b * e_b
-
-            b = w_mid * s0
-            f = np.zeros((n_c, n_tp))
-            f[:, 0] = b[:, 0]
-            denom = 1.0 - 0.5 * h * np.diag(kern)
-            for j in range(1, n_tp):
-                acc = 0.5 * f[:, 0] * kern[0, j]
-                if j > 1:
-                    acc = acc + f[:, 1:j] @ kern[1:j, j]
-                f[:, j] = (b[:, j] + h * acc) / denom[j]
-            self.f[k] = f
-
-            g = f[:, :, None] * e_b[None, :, :]
-            cum = np.cumsum(g, axis=1)
-            trap = h * (cum - 0.5 * (g + g[:, :1, :]))
-            p = s0[:, None, :] + trap
-            valid = np.triu(np.ones((n_tp, n_tp))) > 0
-            p = np.where(valid[None, :, :], np.clip(p, 0.0, 1.0), np.nan)
-            p[:, diag, diag] = 1.0
-            self.p_tables.append(p)
+            w_b = cls.field._values(flow.bdry_values, tt_bdry)
+            _, self.bdry_phi[k] = _trapezoid_volterra(
+                w_b, self.mass[k] @ (w_mid * s0), self.mass[k] @ s0, flow.dt,
+                total=float(np.sum(self.mass[k])))
+        self.bdry_phi.flags.writeable = False
 
     # -- grids for the solver ----------------------------------------------
 
@@ -373,21 +352,13 @@ class PhiEvaluator:
         """(init_phi, bdry_phi) per class, class weight included.
 
         init_phi[k, r, j] = phi(1_k, (z_r, 0), t_j); bdry_phi[k, l, j] for
-        j >= l is phi(1_k, (0, t_l), t_j).
+        j >= l is phi(1_k, (0, t_l), t_j), and 0 for j < l.
         """
-        K = self.spec.n_classes
-        n_zp = self.flow.n_z + 1
-        n_tp = self.flow.n_t + 1
-        init_phi = np.zeros((K, n_zp, n_tp))
-        bdry_phi = np.zeros((K, n_tp, n_tp))
-        for k in range(K):
-            weighted = self.mass[k][:, None] * self.s0[k]
-            suffix = np.zeros((n_zp, n_tp))
-            suffix[:-1] = np.cumsum(weighted[::-1], axis=0)[::-1]
-            init_phi[k] = suffix
-            bdry_phi[k] = np.einsum("c,cij->ij", self.mass[k],
-                                    np.nan_to_num(self.p_tables[k]))
-        return init_phi, bdry_phi
+        weighted = self.mass[:, :, None] * self.s0
+        init_phi = np.zeros((self.spec.n_classes, self.flow.n_z + 1,
+                             self.flow.n_t + 1))
+        init_phi[:, :-1] = np.cumsum(weighted[:, ::-1], axis=1)[:, ::-1]
+        return init_phi, self.bdry_phi
 
     def phi_grid(self, h=None):
         hv = _h_vector(h, self.spec)
@@ -430,42 +401,18 @@ class PhiEvaluator:
         l, lam = self._t_interp(t0)
         j, mu = self._t_interp(t)
 
-        def cell(k, li, ji):
-            # survival p(t_li, t_ji) summed over cells with masses
-            if ji < li:
-                ji = li
-            p = self.p_tables[k][:, li, ji]
-            return float(np.dot(self.mass[k], p))
+        def at(li, ji):
+            return float(hv @ self.bdry_phi[:, li, max(ji, li)])
 
-        total = 0.0
-        for k in range(self.spec.n_classes):
-            if l == j:
-                # same grid cell: interpolate from p = 1 on the diagonal
-                # (l + 1 <= n_t always, since _t_interp clips to n_t - 1)
-                base = cell(k, l, l + 1)
-                slope = (float(np.sum(self.mass[k])) - base) / h
-                val = float(np.sum(self.mass[k])) - slope * (t - t0)
-            else:
-                top = cell(k, l, j) * (1 - mu) + cell(k, l, j + 1) * mu
-                bot = cell(k, l + 1, j) * (1 - mu) + cell(k, l + 1, j + 1) * mu
-                val = top * (1 - lam) + bot * lam
-            total += hv[k] * val
-        return float(total)
-
-    def survival_table(self, class_k: int, cell: int) -> SurvivalTable:
-        """Per (class, cell) no-arrival table, as a latp SurvivalTable."""
-        p = self.p_tables[class_k][cell]
-        return SurvivalTable(grid=self.flow.t_nodes, p=p,
-                             f=self.f[class_k, cell],
-                             sup_norm=self.spec.classes[class_k].field.sup_norm,
-                             label=f"class{class_k}/cell{cell}")
-
-
-def phi_theta(flow: FlowGrid, spec: PopulationSpec, h, gamma: BoundaryPoint,
-              t: float) -> float:
-    """One-off phi_theta query; builds the evaluator, so prefer PhiEvaluator
-    when querying many points."""
-    return PhiEvaluator(flow, spec).phi(h, gamma, t)
+        if l == j:
+            # same grid cell: interpolate from the diagonal, where nothing
+            # has arrived yet (l + 1 <= n_t always, since _t_interp clips
+            # to n_t - 1)
+            slope = (at(l, l) - at(l, l + 1)) / h
+            return at(l, l) - slope * (t - t0)
+        top = at(l, j) * (1 - mu) + at(l, j + 1) * mu
+        bot = at(l + 1, j) * (1 - mu) + at(l + 1, j + 1) * mu
+        return float(top * (1 - lam) + bot * lam)
 
 
 def _project(horizon, init, bdry, n_z, n_t):
@@ -482,6 +429,8 @@ def _project(horizon, init, bdry, n_z, n_t):
     for l in range(n_t + 1):
         bdry[l, :l] = 0.0
     init = np.maximum.accumulate(init, axis=0)
+    # the corner (0, 0) is one point, tagged initial or boundary
+    bdry[0] = init[0]
     for j in range(n_t + 1):
         bdry[: j + 1, j] = np.minimum.accumulate(
             np.minimum(bdry[: j + 1, j], init[0, j]))
@@ -542,12 +491,11 @@ class LimitSolution:
 
 
 def _residual(flow: FlowGrid, upd_init, upd_bdry) -> float:
-    res = float(np.max(np.abs(flow.init_values - upd_init)))
-    for l in range(flow.n_t + 1):
-        row = np.abs(flow.bdry_values[l, l:] - upd_bdry[l, l:])
-        if len(row):
-            res = max(res, float(np.max(row)))
-    return res
+    """Largest admissible-node gap; NaN if any gap is NaN."""
+    upper = np.triu_indices(flow.n_t + 1)
+    return float(np.max(np.concatenate([
+        np.abs(flow.init_values - upd_init).ravel(),
+        np.abs(flow.bdry_values - upd_bdry)[upper]])))
 
 
 def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
@@ -557,7 +505,8 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
 
     Starts from the frozen flow theta_0(gamma, t) = y0(gamma).  On a
     residual increase the damping factor drops to 0.5 once.  Raises
-    ConvergenceError with the residual history when the budget runs out.
+    ConvergenceError with the residual history when the budget runs out or
+    at the first non-finite residual.
     """
     if not 0 < damping <= 1:
         raise ConfigError(f"damping must lie in (0,1], got {damping}")
@@ -572,6 +521,9 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
         res = _residual(flow, upd_init, upd_bdry)
         history.append(res)
         log.debug("picard iteration %d: residual %.3e (alpha=%.2f)", it, res, alpha)
+        if not np.isfinite(res):
+            raise ConvergenceError(
+                f"non-finite residual {res} at iteration {it}", history)
         if res < tol:
             flow._check()
             return LimitSolution(spec=spec, flow=flow, evaluator=ev,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,21 @@ from . import streams
 
 _DOMAIN_TOL = 1e-12
 _SUM_TOL = 1e-9
+
+
+def _number(x, name: str) -> float:
+    """x as a float; booleans, non-numbers and NaN/inf raise ConfigError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise ConfigError(f"{name}: must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    """``values`` as a float array, each entry checked by ``_number``."""
+    items = np.asarray(values, dtype=object)
+    for x in items.flat:
+        _number(x, name)
+    return items.astype(float)
 
 
 def _check_domain(y, t, horizon):
@@ -45,8 +62,8 @@ class IntensityField:
     kind = "abstract"
 
     def __init__(self, horizon: float):
-        if horizon <= 0:
-            raise ConfigError(f"horizon must be positive, got {horizon}")
+        if _number(horizon, "horizon") <= 0:
+            raise ConfigError(f"horizon: must be positive, got {horizon}")
         self.horizon = float(horizon)
         self.sup_norm = 0.0
         self.y_deriv_bound = 0.0
@@ -79,9 +96,9 @@ class ConstantField(IntensityField):
 
     def __init__(self, value: float, horizon: float):
         super().__init__(horizon)
+        self.value = _number(value, "value")
         if value < 0:
-            raise ConfigError(f"constant rate must be >= 0, got {value}")
-        self.value = float(value)
+            raise ConfigError(f"value: constant rate must be >= 0, got {value}")
         self.sup_norm = self.value
         self.y_deriv_bound = 0.0
 
@@ -99,11 +116,12 @@ class AffineField(IntensityField):
 
     def __init__(self, base: float, slope: float, horizon: float):
         super().__init__(horizon)
-        if base < 0 or base + slope < 0:
+        self.base, self.slope = _number(base, "base"), _number(slope, "slope")
+        if base < 0:
+            raise ConfigError(f"base: affine field negative at y=0, got {base}")
+        if base + slope < 0:
             raise ConfigError(
-                f"affine field negative on [0,1]: base={base}, slope={slope}")
-        self.base = float(base)
-        self.slope = float(slope)
+                f"slope: affine field negative at y=1: base={base}, slope={slope}")
         self.sup_norm = max(self.base, self.base + self.slope)
         self.y_deriv_bound = abs(self.slope)
 
@@ -125,14 +143,18 @@ class ProductField(IntensityField):
 
     def __init__(self, y_base, y_slope, t_base, t_slope, horizon):
         super().__init__(horizon)
-        if y_base < 0 or y_base + y_slope < 0:
+        self.y_base, self.y_slope = _number(y_base, "y_base"), _number(y_slope, "y_slope")
+        self.t_base, self.t_slope = _number(t_base, "t_base"), _number(t_slope, "t_slope")
+        if y_base < 0:
+            raise ConfigError(f"y_base: spatial factor negative at y=0, got {y_base}")
+        if y_base + y_slope < 0:
             raise ConfigError(
-                f"product field spatial factor negative: {y_base}+{y_slope}*y")
-        if t_base < 0 or t_base + t_slope * horizon < 0:
+                f"y_slope: spatial factor negative at y=1: {y_base}+{y_slope}*y")
+        if t_base < 0:
+            raise ConfigError(f"t_base: time factor negative at t=0, got {t_base}")
+        if t_base + t_slope * horizon < 0:
             raise ConfigError(
-                f"product field time factor negative: {t_base}+{t_slope}*t")
-        self.y_base, self.y_slope = float(y_base), float(y_slope)
-        self.t_base, self.t_slope = float(t_base), float(t_slope)
+                f"t_slope: time factor negative at the horizon: {t_base}+{t_slope}*t")
         fy = max(self.y_base, self.y_base + self.y_slope)
         ft = max(self.t_base, self.t_base + self.t_slope * horizon)
         self.sup_norm = fy * ft
@@ -158,11 +180,11 @@ class TableField(IntensityField):
 
     def __init__(self, values, horizon):
         super().__init__(horizon)
-        vals = np.asarray(values, dtype=float)
+        vals = _numbers(values, "values")
         if vals.ndim != 2 or vals.shape[0] < 2 or vals.shape[1] < 2:
-            raise ConfigError(f"table must be at least 2x2, got {vals.shape}")
+            raise ConfigError(f"values: table must be at least 2x2, got {vals.shape}")
         if np.any(vals < 0):
-            raise ConfigError("table values must be >= 0")
+            raise ConfigError("values: table values must be >= 0")
         self.values = vals.copy()
         self.values.flags.writeable = False
         ny, nt = vals.shape
@@ -204,7 +226,7 @@ def field_from_config(cfg: dict, horizon: float, where: str = "field") -> Intens
     except TypeError as exc:
         raise ConfigError(f"{where}: bad parameters for kind {kind!r}: {exc}") from exc
     except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def compute_bounds(field: IntensityField, refinement: int = 200):
@@ -226,8 +248,8 @@ class Histogram:
     values: tuple
 
     def __post_init__(self):
-        b = np.asarray(self.breaks, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        b = _numbers(self.breaks, "density.breaks")
+        v = _numbers(self.values, "density.values")
         if b.ndim != 1 or len(b) != len(v) + 1:
             raise ConfigError("density: need len(breaks) == len(values) + 1")
         if abs(b[0]) > _SUM_TOL or abs(b[-1] - 1.0) > _SUM_TOL:
@@ -308,11 +330,12 @@ class PopulationSpec:
     horizon: float
 
     def __post_init__(self):
+        _number(self.horizon, "horizon")
         if not self.classes:
             raise ConfigError("classes: at least one class required")
         wsum = 0.0
         for k, cls in enumerate(self.classes):
-            if cls.weight <= 0:
+            if not cls.weight > 0:
                 raise ConfigError(f"classes[{k}].weight: must be > 0, got {cls.weight}")
             if abs(cls.field.horizon - self.horizon) > _DOMAIN_TOL:
                 raise ConfigError(f"classes[{k}].field: horizon mismatch")
@@ -378,9 +401,9 @@ def spec_from_config(cfg: dict) -> PopulationSpec:
         raise ConfigError("spec: expected a JSON object")
     if "horizon" not in cfg:
         raise ConfigError("horizon: missing")
-    horizon = cfg["horizon"]
-    if not isinstance(horizon, (int, float)) or horizon <= 0:
-        raise ConfigError(f"horizon: must be a positive number, got {horizon!r}")
+    horizon = _number(cfg["horizon"], "horizon")
+    if horizon <= 0:
+        raise ConfigError(f"horizon: must be positive, got {horizon!r}")
     raw_classes = cfg.get("classes")
     if not isinstance(raw_classes, list) or not raw_classes:
         raise ConfigError("classes: expected a non-empty list")
@@ -391,8 +414,8 @@ def spec_from_config(cfg: dict) -> PopulationSpec:
             raise ConfigError(f"{where}: expected an object")
         if "weight" not in rc:
             raise ConfigError(f"{where}.weight: missing")
-        weight = rc["weight"]
-        if not isinstance(weight, (int, float)) or weight <= 0:
+        weight = _number(rc["weight"], f"{where}.weight")
+        if weight <= 0:
             raise ConfigError(f"{where}.weight: must be > 0, got {weight!r}")
         fld = field_from_config(rc.get("field"), horizon, where=f"{where}.field")
         dens_cfg = rc.get("density")
@@ -406,8 +429,8 @@ def spec_from_config(cfg: dict) -> PopulationSpec:
                 raise ConfigError(f"{where}.density: {exc}") from exc
             except ConfigError as exc:
                 raise ConfigError(f"{where}.{exc}") from exc
-        classes.append(PopulationClass(weight=float(weight), field=fld, density=dens))
-    return PopulationSpec(classes=tuple(classes), horizon=float(horizon))
+        classes.append(PopulationClass(weight=weight, field=fld, density=dens))
+    return PopulationSpec(classes=tuple(classes), horizon=horizon)
 
 
 def load_spec(path) -> PopulationSpec:

@@ -319,6 +319,39 @@ def _exposure_rows(row_vals: np.ndarray, h: float) -> np.ndarray:
     return omega
 
 
+def _trapezoid_volterra(w, b, pre, h, total=1.0):
+    """Trapezoid solve of the renewal equation and its no-arrival table.
+
+    ``w[v, j]`` is the hazard omega(t_v, t_j) after an arrival at t_v (row 0
+    the s->0+ limit), ``b`` the first-arrival density and ``pre`` the
+    probability of no arrival yet.  Solves
+    f(u) = b(u) + int_0^u f(v) K(v,u) dv with K(v,u) = w(v,u) e^{-Omega(v,u)},
+    then p(s,t) = pre(t) + int_0^s f(v) e^{-Omega(v,t)} dv.  Both are linear
+    in (b, pre), so a weighted sum of forcings yields the same weighted sum
+    of solutions.  Returns (f, p): p is clipped to [0, total] above the
+    diagonal, equals ``total`` (the forcing mass) on it and is 0 below it.
+    """
+    m = len(b) - 1
+    eker = np.exp(-np.triu(_exposure_rows(w, h)))
+    kern = w * eker  # K[v, j], valid v <= j
+
+    f = np.zeros(m + 1)
+    f[0] = b[0]
+    for j in range(1, m + 1):
+        acc = 0.5 * f[0] * kern[0, j]
+        if j > 1:
+            acc += float(np.dot(f[1:j], kern[1:j, j]))
+        f[j] = (b[j] + h * acc) / (1.0 - 0.5 * h * kern[j, j])
+
+    g = f[:, None] * eker                      # f(v) e^{-Omega(v,t_j)}
+    cum = np.cumsum(g, axis=0)
+    trap = h * (cum - 0.5 * (g + g[0][None, :]))   # int_0^{t_i} over v
+    p = pre[None, :] + trap
+    p = np.where(np.triu(np.ones_like(p)) > 0, np.clip(p, 0.0, total), 0.0)
+    np.fill_diagonal(p, total)
+    return f, p
+
+
 def survival_solve(omega: LatpIntensity, grid: np.ndarray) -> SurvivalTable:
     """Volterra solve for the arrival-rate density f and the table p.
 
@@ -348,27 +381,9 @@ def survival_solve(omega: LatpIntensity, grid: np.ndarray) -> SurvivalTable:
     # kernel rows: hazard after an arrival at t_v; v = 0 takes the limit
     w[0] = omega.kernel_s0(grid)
 
-    expo = _exposure_rows(w, h)
-    expo0 = np.concatenate([[0.0], np.cumsum(0.5 * h * (w0[1:] + w0[:-1]))])
-    eker = np.exp(-np.triu(expo))
-    e0 = np.exp(-expo0)
-    kern = w * eker  # K[v, j], valid v <= j
-    b = w0 * e0
-
-    f = np.zeros(m + 1)
-    f[0] = b[0]
-    for j in range(1, m + 1):
-        acc = 0.5 * f[0] * kern[0, j]
-        if j > 1:
-            acc += float(np.dot(f[1:j], kern[1:j, j]))
-        f[j] = (b[j] + h * acc) / (1.0 - 0.5 * h * kern[j, j])
-
-    g = f[:, None] * eker                      # f(v) e^{-Omega(v,t_j)}
-    cum = np.cumsum(g, axis=0)
-    trap = h * (cum - 0.5 * (g + g[0][None, :]))   # int_0^{t_i} over v
-    p = e0[None, :] + trap
-    p = np.where(np.triu(np.ones_like(p)) > 0, np.clip(p, 0.0, 1.0), np.nan)
-    np.fill_diagonal(p, 1.0)
+    e0 = np.exp(-np.concatenate([[0.0], np.cumsum(0.5 * h * (w0[1:] + w0[:-1]))]))
+    f, p = _trapezoid_volterra(w, w0 * e0, e0, h)
+    p[np.tril_indices(m + 1, -1)] = np.nan
     return SurvivalTable(grid=grid, p=p, f=f, sup_norm=omega.sup_norm,
                          label=omega.label)
 

@@ -44,6 +44,24 @@ def test_validate_bad_weights(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert run(["validate", "--config", str(path)]) == EXIT_INVALID
     assert "weights sum" in capsys.readouterr().err
+    # non-finite numbers and booleans fail fast in validate and solve alike
+    with open(f"{CONFIGS}/affine_two_class.json") as fh:
+        good = json.load(fh)
+    nan_base = json.loads(json.dumps(good))
+    nan_base["classes"][0]["field"]["base"] = float("nan")
+    nan_weight = json.loads(json.dumps(good))
+    nan_weight["classes"][1]["weight"] = float("nan")
+    bool_horizon = dict(good, horizon=True)
+    for bad, where in ((nan_base, "classes[0].field.base"),
+                       (nan_weight, "classes[1].weight"),
+                       (bool_horizon, "horizon")):
+        path.write_text(json.dumps(bad))
+        for cmd in ("validate", "solve"):
+            argv = [cmd, "--config", str(path)]
+            if cmd == "solve":
+                argv += ["--out", str(tmp_path), "--nz", "5", "--nt", "20"]
+            assert run(argv) == EXIT_INVALID
+            assert where in capsys.readouterr().err
 
 
 def test_solve_zero_rates_one_iteration(tmp_path, capsys):

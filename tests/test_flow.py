@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rankflow import (ConfigError, ConvergenceError, DomainError, FlowGrid,
                       PhiEvaluator, boundary, gamma_compare, initial,
-                      phi_theta, solve_y_c, tagged_limit_path, tilde_w,
-                      verify_ode_form)
+                      solve_y_c, tagged_limit_path, tilde_w, verify_ode_form)
 from rankflow.harness import (affine_two_class_spec, constant_mixture_spec,
                               constant_single_spec)
-from rankflow.intensity import AffineField, ConstantField
+from rankflow.flow import _project
+from rankflow.intensity import AffineField, ConstantField, uniform_single_class
 from rankflow import streams
 
 
@@ -94,7 +97,7 @@ def test_tilde_w_z_independent_for_positive_s():
 def test_phi_theta_at_start_is_initial_tail():
     fl = FlowGrid.identity(1.0, 20, 100)
     spec = affine_two_class_spec()
-    val = phi_theta(fl, spec, None, initial(0.3), 0.0)
+    val = PhiEvaluator(fl, spec).phi(None, initial(0.3), 0.0)
     assert val == pytest.approx(0.7, abs=1e-12)
 
 
@@ -216,6 +219,39 @@ def test_solver_nonconvergence_carries_history(spec_affine):
     assert len(err.value.residual_history) == 2
 
 
+def test_solver_stops_on_non_finite_residual():
+    class NanField(ConstantField):
+        def _values(self, y, t):
+            return np.full(np.broadcast_shapes(np.shape(y), np.shape(t)), np.nan)
+
+    spec = uniform_single_class(NanField(1.0, 1.0))
+    with pytest.raises(ConvergenceError) as err:
+        solve_y_c(spec, n_z=5, n_t=20)
+    history = err.value.residual_history
+    assert len(history) == 1 and math.isnan(history[0])
+
+
+@st.composite
+def flow_iterates(draw):
+    n_z = draw(st.integers(1, 5))
+    n_t = draw(st.integers(1, 6))
+    values = st.floats(-0.5, 1.5, allow_nan=False)
+    init = draw(arrays(float, (n_z + 1, n_t + 1), elements=values))
+    bdry = draw(arrays(float, (n_t + 1, n_t + 1), elements=values))
+    return n_z, n_t, init, bdry
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_iterates())
+def test_project_is_admissible_and_idempotent(case):
+    n_z, n_t, init, bdry = case
+    init1, bdry1, _ = _project(1.0, init, bdry, n_z, n_t)
+    FlowGrid(1.0, init1, bdry1)  # runs FlowGrid._check
+    init2, bdry2, moved = _project(1.0, init1, bdry1, n_z, n_t)
+    assert moved == 0.0
+    assert np.array_equal(init2, init1) and np.array_equal(bdry2, bdry1)
+
+
 def test_solution_cache_round_trip(tmp_path, sol_const1, spec_const1, spec_affine):
     path = tmp_path / "yc.npz"
     sol_const1.save(path)
@@ -244,18 +280,20 @@ def test_ode_form_refines(spec_affine):
 
 
 def test_evaluator_tables_match_direct_volterra(sol_affine, spec_affine):
-    # the evaluator shares one boundary kernel across position cells; a
-    # direct solve of the pulled-back kernel per cell must agree
+    # the evaluator solves one Volterra equation per class, forced by the
+    # mass-weighted cells; by linearity it must equal the mass-weighted sum
+    # of direct solves of each cell's pulled-back kernel
     from rankflow import survival_solve
     fl = sol_affine.flow
-    ev = sol_affine.evaluator
-    for k, cell in ((0, 0), (1, 7), (0, 19)):
-        z_mid = (cell + 0.5) / fl.n_z
-        om = tilde_w(fl, spec_affine.classes[k].field, z_mid)
-        direct = survival_solve(om, fl.t_nodes)
-        cached = ev.survival_table(k, cell)
-        iu = np.triu_indices(fl.n_t + 1)
-        assert np.max(np.abs(direct.p[iu] - cached.p[iu])) <= 1e-12
+    _, bdry_phi = sol_affine.evaluator.phi_grids_per_class()
+    iu = np.triu_indices(fl.n_t + 1)
+    for k, cls in enumerate(spec_affine.classes):
+        masses = cls.weight * cls.density.cell_masses(fl.z_nodes)
+        direct = np.zeros((fl.n_t + 1, fl.n_t + 1))
+        for cell, m in enumerate(masses):
+            om = tilde_w(fl, cls.field, (cell + 0.5) / fl.n_z)
+            direct += m * np.nan_to_num(survival_solve(om, fl.t_nodes).p)
+        assert np.max(np.abs(direct[iu] - bdry_phi[k][iu])) <= 1e-12
 
 
 def test_gridded_kernel_sampler_matches_solver(sol_affine, spec_affine):

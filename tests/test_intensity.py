@@ -98,6 +98,25 @@ def test_negative_field_rejected():
         AffineField(0.5, -1.0, 1.0)
     with pytest.raises(ConfigError):
         ConstantField(-0.1, 1.0)
+    # non-finite numbers and booleans are not rates
+    with pytest.raises(ConfigError, match="base"):
+        AffineField(float("nan"), 0.5, 1.0)
+    with pytest.raises(ConfigError, match="value"):
+        ConstantField(float("inf"), 1.0)
+    with pytest.raises(ConfigError, match="value"):
+        ConstantField(True, 1.0)
+    with pytest.raises(ConfigError, match="horizon"):
+        ConstantField(1.0, float("nan"))
+    with pytest.raises(ConfigError, match="t_slope"):
+        ProductField(0.0, 1.0, 0.0, float("-inf"), 1.0)
+    with pytest.raises(ConfigError, match="values"):
+        TableField([[0.0, 1.0], [float("nan"), 0.5]], 1.0)
+    with pytest.raises(ConfigError, match="values"):
+        TableField([[0.0, 1.0], [True, 0.5]], 1.0)
+    with pytest.raises(ConfigError, match=r"density\.values"):
+        Histogram(breaks=(0.0, 1.0), values=(float("nan"),))
+    with pytest.raises(ConfigError, match=r"density\.breaks"):
+        Histogram(breaks=(False, 1.0), values=(1.0,))
 
 
 def test_histogram_validation():
@@ -125,6 +144,20 @@ def test_spec_rejects_bad_weights():
     with pytest.raises(ConfigError):
         spec_from_config({"horizon": 1.0, "classes": [
             {"weight": 0.0, "field": {"kind": "constant", "value": 1.0}}]})
+    with pytest.raises(ConfigError, match=r"classes\[0\]\.weight"):
+        spec_from_config({"horizon": 1.0, "classes": [
+            {"weight": float("nan"), "field": {"kind": "constant", "value": 1.0}}]})
+    with pytest.raises(ConfigError, match=r"classes\[0\]\.weight"):
+        PopulationSpec(classes=(
+            PopulationClass(float("nan"), ConstantField(1.0, 1.0), Histogram.uniform()),
+        ), horizon=1.0)
+    with pytest.raises(ConfigError, match="horizon"):
+        spec_from_config({"horizon": True, "classes": [
+            {"weight": 1.0, "field": {"kind": "constant", "value": 1.0}}]})
+    with pytest.raises(ConfigError, match=r"classes\[0\]\.field\.base"):
+        spec_from_config({"horizon": 1.0, "classes": [
+            {"weight": 1.0, "field": {"kind": "affine", "base": float("nan"),
+                                      "slope": 0.5}}]})
 
 
 def test_c_w_m_w():
