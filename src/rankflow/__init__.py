@@ -11,18 +11,16 @@ from .errors import ConfigError, ConvergenceError, DomainError, EnvelopeBreach
 from .intensity import (AffineField, ConstantField, Histogram, IntensityField,
                         PopulationAssignment, PopulationClass, PopulationSpec,
                         ProductField, TableField, assign_population,
-                        compute_bounds, load_spec, m_w, pin_particles,
-                        spec_from_config)
+                        load_spec, pin_particles, spec_from_config)
 from .latp import (ArrivalSequence, LatpIntensity, SurvivalTable,
                    derivative_bound_check, omega_integral, sample_arrivals,
-                   survival_series, survival_solve)
+                   survival_series, survival_solve, thin_last_arrival)
 from .flow import (BoundaryPoint, FlowGrid, LimitSolution, PhiEvaluator,
                    boundary, gamma_compare, initial, solve_y_c,
                    tagged_limit_path, tilde_w, verify_ode_form)
-from .srp import (CouplingRecord, EventLog, NaiveRankIndex, RankIndex,
-                  simulate, simulate_coupled, simulate_flow_driven)
+from .srp import (CouplingRecord, EventLog, RankIndex, simulate,
+                  simulate_coupled, simulate_flow_driven)
 from .measure import (EvaluationLattice, LogEvaluator, TestFunction,
-                      char_curve, char_sup_distance, mu_query, phi_n,
-                      sup_distance)
+                      char_sup_distance, sup_distance)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .intensity import PopulationSpec
-from .latp import LatpIntensity, _trapezoid_volterra
+from .latp import LatpIntensity, _trapezoid_volterra, thin_last_arrival
 
 log = logging.getLogger(__name__)
 
@@ -154,7 +154,8 @@ class FlowGrid:
         return j, mu
 
     def _eval_initial(self, z, t):
-        iz = min(int(z * self.n_z), self.n_z - 1)
+        z = np.asarray(z, dtype=float)
+        iz = np.minimum((z * self.n_z).astype(int), self.n_z - 1)
         a = z * self.n_z - iz
         j, mu = self._t_weights(t)
         iv = self.init_values
@@ -164,7 +165,9 @@ class FlowGrid:
         return float(out) if np.ndim(out) == 0 else out
 
     def _eval_boundary(self, t0, t):
-        l = min(int(t0 / self.dt), self.n_t - 1)
+        """Boundary curves from start times t0 (zero-extended before t0)."""
+        t0 = np.asarray(t0, dtype=float)
+        l = np.clip((t0 / self.dt).astype(int), 0, self.n_t - 1)
         lam = np.clip(t0 / self.dt - l, 0.0, 1.0)
         j, mu = self._t_weights(t)
         bv = self.bdry_values
@@ -173,23 +176,16 @@ class FlowGrid:
         out = lo * (1 - lam) + hi * lam
         return float(out) if np.ndim(out) == 0 else out
 
-    def _eval_boundary_many(self, s, t):
-        """Boundary curves for vector start times s (zero-extended)."""
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        l = np.clip((s / self.dt).astype(int), 0, self.n_t - 1)
-        lam = np.clip(s / self.dt - l, 0.0, 1.0)
-        j, mu = self._t_weights(t)
-        bv = self.bdry_values
-        lo = bv[l, j] * (1 - mu) + bv[l, j + 1] * mu
-        hi = bv[l + 1, j] * (1 - mu) + bv[l + 1, j + 1] * mu
-        return lo * (1 - lam) + hi * lam
+    def _eval_from(self, y0, last, t):
+        """theta at t along the curve from a last reset time ``last``.
 
-    def eval_gamma(self, gamma: BoundaryPoint, t):
-        """Lenient vector evaluation along one curve."""
-        if gamma.kind == "initial":
-            return self._eval_initial(gamma.coord, t)
-        return self._eval_boundary(gamma.coord, t)
+        ``last == 0`` (no reset yet) follows the initial curve from y0;
+        ``last > 0`` follows the boundary curve started at last.
+        """
+        last = np.asarray(last, dtype=float)
+        out = np.where(last == 0.0, self._eval_initial(y0, t),
+                       self._eval_boundary(last, t))
+        return float(out) if out.ndim == 0 else out
 
     # -- constructors ------------------------------------------------------
 
@@ -265,20 +261,9 @@ def tilde_w(flow: FlowGrid, field, z: float) -> LatpIntensity:
     """
     if not 0.0 <= z <= 1.0 + _TOL:
         raise DomainError(f"z must lie in [0,1], got {z}")
-
-    def fn(s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        shape = np.broadcast_shapes(s.shape, t.shape)
-        s = np.broadcast_to(s, shape)
-        t = np.broadcast_to(t, shape)
-        y_init = flow._eval_initial(z, t)
-        y_bdry = flow._eval_boundary_many(s, t)
-        y = np.where(s == 0.0, y_init, y_bdry)
-        return field._values(y, t)
-
     return LatpIntensity(
-        fn, min(flow.horizon, field.horizon), sup_norm=field.sup_norm,
+        lambda s, t: field._values(flow._eval_from(z, s, t), t),
+        min(flow.horizon, field.horizon), sup_norm=field.sup_norm,
         s0_limit=lambda t: field._values(
             np.asarray(flow._eval_boundary(0.0, t)), np.asarray(t, dtype=float)),
         label=f"tilde[{field.kind},z={z:g}]")
@@ -385,16 +370,17 @@ class PhiEvaluator:
 
     def _phi_initial(self, hv, y0, t):
         j, mu = self._t_interp(t)
+        s0_t = self.s0[:, :, j] * (1 - mu) + self.s0[:, :, j + 1] * mu
+        # cells above the one holding y0 count whole; that one counts from y0
         edges = self.flow.z_nodes
-        total = 0.0
-        for k, cls in enumerate(self.spec.classes):
-            s0_t = self.s0[k][:, j] * (1 - mu) + self.s0[k][:, j + 1] * mu
-            for c in range(self.flow.n_z):
-                if edges[c + 1] <= y0 + 1e-15:
-                    continue
-                m = cls.weight * cls.density.mass(max(y0, edges[c]), edges[c + 1])
-                total += hv[k] * m * s0_t[c]
-        return float(total)
+        c = max(int(np.searchsorted(edges, y0 + 1e-15, side="right")) - 1, 0)
+        if c >= self.flow.n_z:
+            return 0.0
+        mass = self.mass[:, c:].copy()
+        lo = max(y0, edges[c])
+        mass[:, 0] = [cls.weight * cls.density.mass(lo, edges[c + 1])
+                      for cls in self.spec.classes]
+        return float(np.sum(hv[:, None] * mass * s0_t[:, c:]))
 
     def _phi_boundary(self, hv, t0, t):
         h = self.flow.dt
@@ -617,13 +603,13 @@ class TaggedPath:
 
     def value(self, t: float) -> float:
         """Right-continuous position at t."""
-        k = int(np.searchsorted(self.jump_times, t, side="right"))
-        if k == 0:
-            return self.flow._eval_initial(self.y_start, t)
-        return self.flow._eval_boundary(self.jump_times[k - 1], t)
+        return float(self.sample(t))
 
     def sample(self, ts) -> np.ndarray:
-        return np.array([self.value(float(t)) for t in np.asarray(ts)])
+        ts = np.asarray(ts, dtype=float)
+        resets = np.concatenate([[0.0], self.jump_times])
+        last = resets[np.searchsorted(self.jump_times, ts, side="right")]
+        return np.asarray(self.flow._eval_from(self.y_start, last, ts))
 
     def jump_count(self, t: float | None = None) -> int:
         if t is None:
@@ -640,17 +626,11 @@ def tagged_limit_path(sol: LimitSolution, field, y_start: float,
     couples the two paths.  Between jumps the particle rides the limit flow
     from its last reset point; a jump resets it to the boundary curve.
     """
-    times, marks = candidates
-    jumps = []
-    last = -1.0
-    fn = field._values
-    for t, xi in zip(np.asarray(times).tolist(), np.asarray(marks).tolist()):
-        if last < 0:
-            y = sol.flow._eval_initial(y_start, t)
-        else:
-            y = sol.flow._eval_boundary(last, t)
-        if xi < float(fn(np.float64(y), np.float64(t))):
-            jumps.append(t)
-            last = t
-    return TaggedPath(flow=sol.flow, y_start=float(y_start),
-                      jump_times=np.asarray(jumps))
+    times, marks = (np.asarray(x, dtype=float) for x in candidates)
+    flow = sol.flow
+    accepted = thin_last_arrival(
+        times, np.zeros(len(times), dtype=np.int64), marks, 1,
+        lambda _, last, t: field._values(flow._eval_from(y_start, last, t), t),
+        field.sup_norm)
+    return TaggedPath(flow=flow, y_start=float(y_start),
+                      jump_times=times[accepted])

@@ -70,7 +70,6 @@ class ExperimentPlan:
     test_functions: tuple = (TestFunction.ones(),)
     solver: SolverSettings = SolverSettings()
     workers: int = 1
-    out_dir: str | None = None
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_values)

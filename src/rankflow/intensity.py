@@ -229,17 +229,6 @@ def field_from_config(cfg: dict, horizon: float, where: str = "field") -> Intens
         raise ConfigError(f"{where}.{exc}") from exc
 
 
-def compute_bounds(field: IntensityField, refinement: int = 200):
-    """Exact (sup_norm, y_deriv_bound) of a field.
-
-    All shipped kinds admit closed-form bounds, so this returns the values
-    fixed at construction; ``refinement`` is the resolution a grid-scan
-    oracle should use when checking that these dominate sampled maxima.
-    """
-    del refinement
-    return field.sup_norm, field.y_deriv_bound
-
-
 @dataclass(frozen=True)
 class Histogram:
     """Piecewise-constant probability density on [0,1]."""
@@ -392,10 +381,6 @@ class PopulationSpec:
         }
 
 
-def m_w(spec: PopulationSpec) -> float:
-    return spec.m_w
-
-
 def spec_from_config(cfg: dict) -> PopulationSpec:
     if not isinstance(cfg, dict):
         raise ConfigError("spec: expected a JSON object")
@@ -482,9 +467,6 @@ class PopulationAssignment:
     def sup_norms(self) -> np.ndarray:
         per_class = np.array([c.field.sup_norm for c in self.spec.classes])
         return per_class[self.class_index]
-
-    def fields(self) -> list:
-        return [self.spec.classes[k].field for k in self.class_index]
 
     def mean_sup_norm(self) -> float:
         return float(self.sup_norms().mean())

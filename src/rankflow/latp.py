@@ -11,6 +11,10 @@ no-arrival probability p(s, t) = P(N(t) = N(s)) are provided:
     kept as a test oracle; each term reuses the previous term's inner
     integral, and the truncation error is bounded by
     (||omega|| s)^(kmax+1) / (kmax+1)!.
+
+``thin_last_arrival`` thins many independent such processes that share one
+merged candidate stream: the flow-driven particles and the tagged limit
+paths are sampled with it.
 """
 
 from __future__ import annotations
@@ -224,6 +228,55 @@ def sample_arrivals(omega: LatpIntensity, horizon: float | None = None,
     return ArrivalSequence(times=np.asarray(accepted), horizon=horizon)
 
 
+def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
+                      envelope) -> np.ndarray:
+    """Thin a merged marked stream of independent last-arrival processes.
+
+    Candidate c, at ``times[c]`` with mark ``marks[c]``, belongs to process
+    ``owners[c]`` and is accepted iff its mark falls below
+    ``hazard(owner, last, t)``, where ``last`` is the owner's last accepted
+    time (0 before the first arrival), as in ``sample_arrivals``.  The
+    processes do not interact, so round r offers every owner its r-th
+    candidate at once: ``hazard`` receives arrays over owners and returns
+    one hazard per owner.  ``envelope`` (a scalar or one value per owner)
+    must dominate the hazard; if it does not, EnvelopeBreach names the
+    earliest breaching candidate in stream order.  Returns the accepted
+    mask in stream order.
+    """
+    times = np.asarray(times, dtype=float)
+    owners = np.asarray(owners, dtype=np.int64)
+    marks = np.asarray(marks, dtype=float)
+    envelope = np.broadcast_to(np.asarray(envelope, dtype=float), (n_owners,))
+    breach_at = envelope * (1.0 + 1e-9) + 1e-12
+    accepted = np.zeros(len(times), dtype=bool)
+    # round of each candidate: its position among its owner's candidates
+    counts = np.bincount(owners, minlength=n_owners)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    rounds = np.empty(len(times), dtype=np.int64)
+    rounds[np.argsort(owners, kind="stable")] = np.arange(len(times)) - first
+    by_round = np.argsort(rounds, kind="stable")
+    sizes = np.bincount(rounds)
+    ends = np.cumsum(sizes)
+    last = np.zeros(n_owners)
+    breach = []
+    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+        c = by_round[lo:hi]
+        o, t = owners[c], times[c]
+        a = np.asarray(hazard(o, last[o], t), dtype=float)
+        over = a > breach_at[o]
+        if over.any():
+            breach.extend(zip(c[over].tolist(), a[over].tolist()))
+        acc = marks[c] < a
+        accepted[c[acc]] = True
+        last[o[acc]] = t[acc]
+    if breach:
+        c, a = min(breach)
+        i = int(owners[c])
+        raise EnvelopeBreach(f"particle {i}: hazard {a} above envelope "
+                             f"{float(envelope[i])} at t={float(times[c])}")
+    return accepted
+
+
 @dataclass(frozen=True)
 class SurvivalTable:
     """No-arrival probabilities p[i, j] ~= P(N(t_j) = N(t_i)) on a grid.
@@ -262,11 +315,6 @@ class SurvivalTable:
     @property
     def step(self) -> float:
         return float(self.grid[1] - self.grid[0])
-
-    def at(self, i: int, j: int) -> float:
-        if j < i:
-            raise DomainError(f"need i <= j, got ({i}, {j})")
-        return float(self.p[i, j])
 
     def value(self, s: float, t: float) -> float:
         """Bilinear interpolation of p at (s, t), exact on grid nodes."""

@@ -285,21 +285,6 @@ class LogEvaluator:
         return worst
 
 
-# -- module-level operation wrappers ------------------------------------------
-
-
-def char_curve(log: EventLog, gamma: BoundaryPoint, t: float) -> float:
-    return LogEvaluator(log).char_curve(gamma, t)
-
-
-def phi_n(log: EventLog, h, gamma: BoundaryPoint, t: float) -> float:
-    return LogEvaluator(log).phi(h, gamma, t)
-
-
-def mu_query(log: EventLog, h, y: float, t: float) -> float:
-    return LogEvaluator(log).mu(h, y, t)
-
-
 @dataclass(frozen=True)
 class SupDistance:
     value: float
@@ -307,7 +292,7 @@ class SupDistance:
     argmax_t: float
 
 
-def _limit_values(sol_phi, h, lattice, spec) -> dict:
+def _limit_values(sol_phi, h, lattice) -> dict:
     vals = {}
     for g, t in lattice.pairs():
         vals[(g, t)] = sol_phi(h, g, t)
@@ -328,7 +313,7 @@ def sup_distance(log: EventLog, sol, h,
     if log.assignment.spec.fingerprint() != spec_hash:
         raise ConfigError("log and limit solution come from different specs")
     ev = LogEvaluator(log)
-    limit = _limit_values(sol.phi, h, lattice, sol.spec)
+    limit = _limit_values(sol.phi, h, lattice)
     best = SupDistance(-1.0, "", 0.0)
     for g, t in lattice.pairs():
         d = abs(ev.phi(h, g, t) - limit[(g, t)])

@@ -7,11 +7,14 @@ constant envelope ||w_i||, candidates of the superposed stream carry marks
 uniform on [0, ||w_i||), and a candidate is accepted when its mark falls
 below the hazard at the pre-jump state.
 
-Three engines share that loop: the original model (hazard at the true
-position), the flow-driven model (hazard along a prescribed flow from the
-particle's last reset point), and a coupled run feeding both models the
-identical marked candidates and recording each particle's first decoupling
-time.
+The original model reads the hazard at the true position, so particles
+couple through rank and one sequential loop thins the stream.  The
+flow-driven model reads it along a prescribed flow from the particle's last
+reset point; given the flow, each particle is an independent last-arrival
+process, so ``latp.thin_last_arrival`` thins all of them at once and the
+pre-jump positions are replayed afterwards.  A coupled run feeds both models
+the identical marked candidates and records each particle's first
+decoupling time.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, EnvelopeBreach
 from .intensity import PopulationAssignment
 from .flow import FlowGrid
+from .latp import thin_last_arrival
 from . import streams
 
 log = logging.getLogger(__name__)
@@ -97,29 +101,6 @@ class RankIndex:
         order = sorted(range(self.n), key=self.slot_of.__getitem__)
         out = np.empty(self.n, dtype=np.int64)
         out[order] = np.arange(self.n)
-        return out
-
-
-class NaiveRankIndex:
-    """Array-backed oracle with the same interface as RankIndex."""
-
-    def __init__(self, initial_ranks):
-        ranks = np.asarray(initial_ranks, dtype=np.int64)
-        self.order = [0] * len(ranks)
-        for i, r in enumerate(ranks.tolist()):
-            self.order[r] = i
-
-    def rank(self, i: int) -> int:
-        return self.order.index(i)
-
-    def move_to_front(self, i: int) -> None:
-        self.order.remove(i)
-        self.order.insert(0, i)
-
-    def ranks(self) -> np.ndarray:
-        out = np.empty(len(self.order), dtype=np.int64)
-        for r, i in enumerate(self.order):
-            out[i] = r
         return out
 
 
@@ -263,9 +244,75 @@ def _check_horizon(assignment, horizon):
     return horizon
 
 
-def _hazard_fns(assignment):
+def _check_flow(flow, horizon):
+    if flow.horizon < horizon - 1e-12:
+        raise DomainError("flow horizon shorter than the simulation horizon")
+
+
+def _original_pass(assignment, times, ids, marks):
+    """Thin the stream at the true positions, which couple through rank.
+
+    Returns the accepted mask in stream order and the pre-jump positions of
+    the accepted candidates.
+    """
+    values = [c.field._values for c in assignment.spec.classes]
+    cls = assignment.class_index.tolist()
+    sups = assignment.sup_norms().tolist()
+    index = RankIndex(assignment.slots)
+    inv_n = 1.0 / assignment.n
+    accepted = np.zeros(len(times), dtype=bool)
+    pre = []
+    for c, (t, i, xi) in enumerate(zip(times.tolist(), ids.tolist(),
+                                       marks.tolist())):
+        y = index.rank(i) * inv_n
+        a = float(values[cls[i]](y, t))
+        if a > sups[i] * (1 + 1e-9) + 1e-12:
+            raise EnvelopeBreach(
+                f"particle {i}: hazard {a} above envelope {sups[i]} at t={t}")
+        if xi < a:
+            accepted[c] = True
+            pre.append(y)
+            index.move_to_front(i)
+    return accepted, np.asarray(pre)
+
+
+def _flow_pass(assignment, flow, times, ids, marks):
+    """Thin the stream along the flow; same returns as ``_original_pass``.
+
+    Given the flow, particle i is a last-arrival process with kernel
+    tilde_w(flow, w_i, y_i) and ignores every other particle, so one
+    vectorized kernel thins them all.  The pre-jump positions are then
+    replayed from the accepted jumps.
+    """
     fields = [c.field for c in assignment.spec.classes]
-    return [fields[k]._values for k in assignment.class_index.tolist()]
+    cls = assignment.class_index
+    y0 = assignment.position
+
+    def hazard(owners, last, t):
+        y = flow._eval_from(y0[owners], last, t)
+        k = cls[owners]
+        a = np.empty(len(owners))
+        for j, fld in enumerate(fields):
+            sel = k == j
+            a[sel] = fld._values(y[sel], t[sel])
+        return a
+
+    accepted = thin_last_arrival(times, ids, marks, assignment.n, hazard,
+                                 assignment.sup_norms())
+    index = RankIndex(assignment.slots)
+    inv_n = 1.0 / assignment.n
+    pre = []
+    for i in ids[accepted].tolist():
+        pre.append(index.rank(i) * inv_n)
+        index.move_to_front(i)
+    return accepted, np.asarray(pre)
+
+
+def _event_log(assignment, horizon, times, ids, passed, kind, ties):
+    accepted, pre = passed
+    return EventLog(assignment=assignment, horizon=horizon,
+                    times=times[accepted], particles=ids[accepted],
+                    pre_positions=pre, kind=kind, tie_count=ties)
 
 
 def simulate(assignment: PopulationAssignment, horizon: float | None = None,
@@ -273,27 +320,9 @@ def simulate(assignment: PopulationAssignment, horizon: float | None = None,
     """Original model: hazard evaluated at the particle's true position."""
     horizon = _check_horizon(assignment, horizon)
     times, ids, marks, ties = _candidates(assignment, horizon, seed, tagged)
-    n = assignment.n
-    hazards = _hazard_fns(assignment)
-    sups = assignment.sup_norms()
-    index = RankIndex(assignment.slots)
-    ev_t, ev_i, ev_y = [], [], []
-    inv_n = 1.0 / n
-    for t, i, xi in zip(times.tolist(), ids.tolist(), marks.tolist()):
-        y = index.rank(i) * inv_n
-        a = float(hazards[i](y, t))
-        if a > sups[i] * (1 + 1e-9) + 1e-12:
-            raise EnvelopeBreach(
-                f"particle {i}: hazard {a} above envelope {sups[i]} at t={t}")
-        if xi < a:
-            ev_t.append(t)
-            ev_i.append(i)
-            ev_y.append(y)
-            index.move_to_front(i)
-    return EventLog(assignment=assignment, horizon=horizon,
-                    times=np.asarray(ev_t), particles=np.asarray(ev_i, dtype=np.int64),
-                    pre_positions=np.asarray(ev_y), kind="original",
-                    tie_count=ties)
+    return _event_log(assignment, horizon, times, ids,
+                      _original_pass(assignment, times, ids, marks),
+                      "original", ties)
 
 
 def simulate_flow_driven(assignment: PopulationAssignment, flow: FlowGrid,
@@ -307,36 +336,11 @@ def simulate_flow_driven(assignment: PopulationAssignment, flow: FlowGrid,
     after a jump at tau.
     """
     horizon = _check_horizon(assignment, horizon)
-    if flow.horizon < horizon - 1e-12:
-        raise DomainError("flow horizon shorter than the simulation horizon")
+    _check_flow(flow, horizon)
     times, ids, marks, ties = _candidates(assignment, horizon, seed, tagged)
-    n = assignment.n
-    hazards = _hazard_fns(assignment)
-    sups = assignment.sup_norms()
-    y0 = assignment.position
-    index = RankIndex(assignment.slots)
-    reset = [-1.0] * n
-    ev_t, ev_i, ev_y = [], [], []
-    inv_n = 1.0 / n
-    eval_init = flow._eval_initial
-    eval_bdry = flow._eval_boundary
-    for t, i, xi in zip(times.tolist(), ids.tolist(), marks.tolist()):
-        r = reset[i]
-        y_flow = eval_init(y0[i], t) if r < 0 else eval_bdry(r, t)
-        a = float(hazards[i](y_flow, t))
-        if a > sups[i] * (1 + 1e-9) + 1e-12:
-            raise EnvelopeBreach(
-                f"particle {i}: hazard {a} above envelope {sups[i]} at t={t}")
-        if xi < a:
-            ev_t.append(t)
-            ev_i.append(i)
-            ev_y.append(index.rank(i) * inv_n)
-            index.move_to_front(i)
-            reset[i] = t
-    return EventLog(assignment=assignment, horizon=horizon,
-                    times=np.asarray(ev_t), particles=np.asarray(ev_i, dtype=np.int64),
-                    pre_positions=np.asarray(ev_y), kind="flow",
-                    tie_count=ties)
+    return _event_log(assignment, horizon, times, ids,
+                      _flow_pass(assignment, flow, times, ids, marks),
+                      "flow", ties)
 
 
 def simulate_coupled(assignment: PopulationAssignment, flow: FlowGrid,
@@ -349,55 +353,13 @@ def simulate_coupled(assignment: PopulationAssignment, flow: FlowGrid,
     decoupled fraction counts sigma_i <= T).
     """
     horizon = _check_horizon(assignment, horizon)
-    if flow.horizon < horizon - 1e-12:
-        raise DomainError("flow horizon shorter than the simulation horizon")
+    _check_flow(flow, horizon)
     times, ids, marks, ties = _candidates(assignment, horizon, seed, 0)
-    n = assignment.n
-    hazards = _hazard_fns(assignment)
-    sups = assignment.sup_norms()
-    y0 = assignment.position
-    idx_orig = RankIndex(assignment.slots)
-    idx_flow = RankIndex(assignment.slots)
-    reset = [-1.0] * n
-    sigma = np.full(n, np.inf)
-    o_t, o_i, o_y = [], [], []
-    f_t, f_i, f_y = [], [], []
-    inv_n = 1.0 / n
-    eval_init = flow._eval_initial
-    eval_bdry = flow._eval_boundary
-    for t, i, xi in zip(times.tolist(), ids.tolist(), marks.tolist()):
-        y_true = idx_orig.rank(i) * inv_n
-        r = reset[i]
-        y_flow = eval_init(y0[i], t) if r < 0 else eval_bdry(r, t)
-        a_orig = float(hazards[i](y_true, t))
-        a_flow = float(hazards[i](y_flow, t))
-        breach = sups[i] * (1 + 1e-9) + 1e-12
-        if a_orig > breach or a_flow > breach:
-            raise EnvelopeBreach(
-                f"particle {i}: hazard above envelope {sups[i]} at t={t}")
-        acc_orig = xi < a_orig
-        acc_flow = xi < a_flow
-        if acc_orig != acc_flow and not np.isfinite(sigma[i]):
-            sigma[i] = t
-        if acc_orig:
-            o_t.append(t)
-            o_i.append(i)
-            o_y.append(y_true)
-            idx_orig.move_to_front(i)
-        if acc_flow:
-            f_t.append(t)
-            f_i.append(i)
-            f_y.append(idx_flow.rank(i) * inv_n)
-            idx_flow.move_to_front(i)
-            reset[i] = t
-    log_orig = EventLog(assignment=assignment, horizon=horizon,
-                        times=np.asarray(o_t),
-                        particles=np.asarray(o_i, dtype=np.int64),
-                        pre_positions=np.asarray(o_y), kind="original",
-                        tie_count=ties)
-    log_flow = EventLog(assignment=assignment, horizon=horizon,
-                        times=np.asarray(f_t),
-                        particles=np.asarray(f_i, dtype=np.int64),
-                        pre_positions=np.asarray(f_y), kind="flow",
-                        tie_count=ties)
-    return log_orig, log_flow, CouplingRecord(sigma=sigma, horizon=horizon)
+    orig = _original_pass(assignment, times, ids, marks)
+    flow_driven = _flow_pass(assignment, flow, times, ids, marks)
+    differ = orig[0] != flow_driven[0]
+    sigma = np.full(assignment.n, np.inf)
+    np.minimum.at(sigma, ids[differ], times[differ])
+    return (_event_log(assignment, horizon, times, ids, orig, "original", ties),
+            _event_log(assignment, horizon, times, ids, flow_driven, "flow", ties),
+            CouplingRecord(sigma=sigma, horizon=horizon))

@@ -1,6 +1,6 @@
 import pytest
 
-from rankflow import EvaluationLattice, solve_y_c
+from rankflow import EvaluationLattice, solve_y_c, spec_from_config
 from rankflow.harness import (affine_two_class_spec, constant_mixture_spec,
                               constant_single_spec, zero_rate_spec)
 
@@ -21,6 +21,16 @@ def spec_affine():
 
 
 @pytest.fixture(scope="session")
+def spec_table():
+    """Two classes with bilinear table fields, one of them time dependent."""
+    return spec_from_config({"horizon": 1.0, "classes": [
+        {"weight": 0.5, "field": {"kind": "table",
+                                  "values": [[0.6, 0.4, 0.2], [0.2, 0.4, 0.6]]}},
+        {"weight": 0.5, "field": {"kind": "table",
+                                  "values": [[0.3, 0.5], [0.6, 0.1]]}}]})
+
+
+@pytest.fixture(scope="session")
 def spec_zero():
     return zero_rate_spec()
 
@@ -38,6 +48,11 @@ def sol_mixture(spec_mixture):
 @pytest.fixture(scope="session")
 def sol_affine(spec_affine):
     return solve_y_c(spec_affine, n_z=20, n_t=200, tol=1e-8)
+
+
+@pytest.fixture(scope="session")
+def sol_table(spec_table):
+    return solve_y_c(spec_table, n_z=20, n_t=200, tol=1e-8)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,8 @@ import time
 import numpy as np
 import pytest
 
-from rankflow import (FlowGrid, LogEvaluator, NaiveRankIndex, RankIndex,
+from oracles import NaiveRankIndex
+from rankflow import (FlowGrid, LogEvaluator, RankIndex,
                       TestFunction, assign_population, initial, simulate,
                       simulate_coupled, simulate_flow_driven, solve_y_c)
 from rankflow.harness import (ExperimentPlan, constant_mixture_spec,

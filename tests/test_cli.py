@@ -144,6 +144,19 @@ def test_couple_position_independent(tmp_path):
     assert summary["passed"] is True
 
 
+def test_couple_bytes_independent_of_workers(tmp_path):
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        code = run(["couple", "--config", f"{CONFIGS}/affine_two_class.json",
+                    "--out", str(out), "--n-values", "30", "100",
+                    "--seeds", "3", "--nz", "10", "--nt", "50",
+                    "--workers", str(workers)])
+        outputs.append((code, (out / "coupling.csv").read_bytes(),
+                        (out / "coupling.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_tagged_command(tmp_path):
     code = run(["tagged", "--config", f"{CONFIGS}/constant_mixture.json",
                 "--out", str(tmp_path), "--n-values", "50", "200",

@@ -118,6 +118,42 @@ def test_phi_theta_mixture_closed_form():
     assert ev.phi(None, boundary(t0), t) == pytest.approx(want, abs=5e-5)
 
 
+def phi_initial_per_cell(ev, hv, y0, t):
+    """The per-cell sum of Histogram.mass calls, oracle for _phi_initial."""
+    j, mu = ev._t_interp(t)
+    edges = ev.flow.z_nodes
+    total = 0.0
+    for k, cls in enumerate(ev.spec.classes):
+        s0_t = ev.s0[k][:, j] * (1 - mu) + ev.s0[k][:, j + 1] * mu
+        for c in range(ev.flow.n_z):
+            if edges[c + 1] <= y0 + 1e-15:
+                continue
+            m = cls.weight * cls.density.mass(max(y0, edges[c]), edges[c + 1])
+            total += hv[k] * m * s0_t[c]
+    return float(total)
+
+
+def test_phi_initial_matches_per_cell_sum(sol_affine, spec_affine):
+    # densities with a break inside a flow cell (0.37 on a 1/20 grid)
+    from rankflow.intensity import Histogram, PopulationClass, PopulationSpec
+    b = (1.0 - 0.37 * 1.6) / 0.63
+    segregated = PopulationSpec(classes=(
+        PopulationClass(0.5, spec_affine.classes[0].field,
+                        Histogram((0.0, 0.37, 1.0), (1.6, b))),
+        PopulationClass(0.5, spec_affine.classes[1].field,
+                        Histogram((0.0, 0.37, 1.0), (0.4, 2.0 - b))),
+    ), horizon=1.0)
+    rng = np.random.default_rng(5)
+    ys = np.concatenate([rng.random(40), sol_affine.flow.z_nodes, [0.0, 1.0]])
+    ts = np.concatenate([rng.random(5), [0.0, 1.0]])
+    for ev in (sol_affine.evaluator, PhiEvaluator(sol_affine.flow, segregated)):
+        for hv in (np.ones(2), np.array([1.0, 0.0]), np.array([0.3, 2.0])):
+            for y0 in ys.tolist():
+                for t in ts.tolist():
+                    got = ev.phi(hv, initial(y0), t)
+                    assert abs(got - phi_initial_per_cell(ev, hv, y0, t)) <= 1e-15
+
+
 def test_phi_theta_inadmissible():
     ev = PhiEvaluator(FlowGrid.identity(1.0, 5, 20), constant_single_spec())
     with pytest.raises(DomainError):

@@ -5,8 +5,7 @@ import pytest
 
 from rankflow import (AffineField, ConfigError, ConstantField, DomainError,
                       Histogram, ProductField, TableField, assign_population,
-                      compute_bounds, load_spec, m_w, pin_particles,
-                      spec_from_config)
+                      load_spec, pin_particles, spec_from_config)
 from rankflow.harness import affine_two_class_spec, constant_mixture_spec
 from rankflow.intensity import PopulationClass, PopulationSpec, uniform_single_class
 
@@ -51,19 +50,21 @@ def test_eval_domain_errors():
 
 
 def test_bounds_constant():
-    assert compute_bounds(ConstantField(2.0, 1.0)) == (2.0, 0.0)
+    w = ConstantField(2.0, 1.0)
+    assert (w.sup_norm, w.y_deriv_bound) == (2.0, 0.0)
 
 
 def test_bounds_product_corner():
     # w = y*t on horizon 2 peaks at the corner (1, 2)
-    assert compute_bounds(ProductField(0.0, 1.0, 0.0, 1.0, 2.0)) == (2.0, 2.0)
+    w = ProductField(0.0, 1.0, 0.0, 1.0, 2.0)
+    assert (w.sup_norm, w.y_deriv_bound) == (2.0, 2.0)
 
 
 def test_bounds_table_exhaustive_scan_oracle():
     rng = np.random.default_rng(1)
     vals = rng.random((5, 7)) * 3
     w = TableField(vals, 1.0)
-    sup, deriv = compute_bounds(w)
+    sup, deriv = w.sup_norm, w.y_deriv_bound
     # 420 is divisible by both node counts, so the scan hits every node
     ys = np.linspace(0, 1, 421)
     ts = np.linspace(0, 1, 421)
@@ -163,14 +164,14 @@ def test_spec_rejects_bad_weights():
 def test_c_w_m_w():
     spec = affine_two_class_spec()
     assert spec.c_w == 0.9
-    assert m_w(spec) == pytest.approx(0.5 * 1.5 + 0.5 * 1.2)
+    assert spec.m_w == pytest.approx(0.5 * 1.5 + 0.5 * 1.2)
 
 
 def test_m_w_examples():
     one = uniform_single_class(ConstantField(2.0, 1.0))
-    assert m_w(one) == 2.0
+    assert one.m_w == 2.0
     mix = constant_mixture_spec(rates=(4.0, 0.0001), weights=(0.25, 0.75))
-    assert m_w(mix) == pytest.approx(0.25 * 4.0, abs=1e-3)
+    assert mix.m_w == pytest.approx(0.25 * 4.0, abs=1e-3)
 
 
 def test_assignment_average_tracks_m_w():

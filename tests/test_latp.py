@@ -5,10 +5,11 @@ import pytest
 
 from rankflow import (ArrivalSequence, ConfigError, DomainError,
                       EnvelopeBreach, LatpIntensity, derivative_bound_check,
-                      omega_integral, sample_arrivals, survival_series,
-                      survival_solve)
-from rankflow.latp import (constant_intensity, flow_pullback_affine,
-                           last_arrival_affine, zero_intensity)
+                      omega_integral, sample_arrivals, streams,
+                      survival_series, survival_solve, thin_last_arrival)
+from rankflow.latp import (ENVELOPE_MARGIN, constant_intensity,
+                           flow_pullback_affine, last_arrival_affine,
+                           zero_intensity)
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -75,6 +76,53 @@ def test_sample_envelope_breach_is_hard_fault():
     lying = LatpIntensity(lambda s, t: 2.0 + 0 * t, 1.0, sup_norm=0.5)
     with pytest.raises(EnvelopeBreach):
         sample_arrivals(lying, seed=0)
+
+
+@pytest.mark.parametrize("omega", [
+    last_arrival_affine(1.0, 1.0, 1.0),
+    flow_pullback_affine(0.6, 0.9, 0.3, 1.0),
+    elapsed_intensity(1.0),
+], ids=["one_plus_s", "flow_affine", "elapsed"])
+def test_thin_last_arrival_matches_sample_arrivals(omega):
+    # the replicas' candidate streams, merged in time, thin to exactly the
+    # paths the scalar sampler draws from the same streams
+    reps, seed = 40, 3
+    envelope = ENVELOPE_MARGIN * omega.sup_norm
+    batches = [streams.candidate_batch(streams.substream(seed, streams.LATP, r),
+                                       envelope, 1.0) for r in range(reps)]
+    times = np.concatenate([b[0] for b in batches])
+    marks = np.concatenate([b[1] for b in batches])
+    owners = np.repeat(np.arange(reps), [len(b[0]) for b in batches])
+    order = np.argsort(times, kind="stable")
+    times, marks, owners = times[order], marks[order], owners[order]
+    accepted = thin_last_arrival(times, owners, marks, reps,
+                                 lambda o, last, t: omega._fn(last, t),
+                                 envelope)
+    for r in range(reps):
+        want = sample_arrivals(omega, seed=seed, replica=r).times
+        assert np.array_equal(times[accepted & (owners == r)], want)
+
+
+def test_thin_last_arrival_reports_earliest_breach_in_stream_order():
+    # owner 1 breaches in round 0 at t=0.5; owner 0 breaches later in
+    # rounds (its second candidate) but earlier in time, at t=0.2
+    times = np.array([0.1, 0.2, 0.5])
+    owners = np.array([0, 0, 1])
+    marks = np.zeros(3)
+
+    def hazard(o, last, t):
+        return np.where((o == 1) | (last > 0), 3.0, 1.0)
+
+    with pytest.raises(EnvelopeBreach) as exc:
+        thin_last_arrival(times, owners, marks, 2, hazard, [2.0, 2.5])
+    assert str(exc.value) == "particle 0: hazard 3.0 above envelope 2.0 at t=0.2"
+
+
+def test_thin_last_arrival_empty_stream():
+    empty = np.empty(0)
+    got = thin_last_arrival(empty, np.empty(0, dtype=np.int64), empty, 3,
+                            lambda o, last, t: np.ones(len(o)), 1.0)
+    assert got.dtype == bool and len(got) == 0
 
 
 def test_arrival_sequence_must_increase():

@@ -5,8 +5,8 @@ import pytest
 
 from rankflow import (ConfigError, DomainError,
                       LogEvaluator, TestFunction, assign_population, boundary,
-                      char_curve, char_sup_distance, initial, mu_query, phi_n,
-                      simulate, simulate_flow_driven, sup_distance)
+                      char_sup_distance, initial, simulate,
+                      simulate_flow_driven, sup_distance)
 from rankflow.harness import (affine_two_class_spec, constant_single_spec,
                               zero_rate_spec)
 from rankflow.measure import floor_tail_count
@@ -42,43 +42,45 @@ def affine_log():
 
 
 def test_char_curve_at_start(affine_log):
-    assert char_curve(affine_log, initial(0.3), 0.0) == pytest.approx(0.3)
-    assert char_curve(affine_log, boundary(0.5), 0.5) == 0.0
+    ev = LogEvaluator(affine_log)
+    assert ev.char_curve(initial(0.3), 0.0) == pytest.approx(0.3)
+    assert ev.char_curve(boundary(0.5), 0.5) == 0.0
 
 
 def test_char_curve_top_gamma_constant_one(affine_log):
     for t in (0.0, 0.5, 1.0):
-        assert char_curve(affine_log, initial(1.0), t) == 1.0
+        assert LogEvaluator(affine_log).char_curve(initial(1.0), t) == 1.0
 
 
 def test_char_curve_matches_naive_replay(affine_log):
+    ev = LogEvaluator(affine_log)
     for y0 in np.linspace(0, 1, 10):
         for t in np.linspace(0, 1, 10):
-            got = char_curve(affine_log, initial(y0), t)
+            got = ev.char_curve(initial(y0), t)
             assert got == naive_char_curve(affine_log, initial(y0), t)
     for t0 in np.linspace(0, 0.9, 10):
         for t in np.linspace(0, 1, 10):
             if t >= t0:
-                got = char_curve(affine_log, boundary(t0), t)
+                got = ev.char_curve(boundary(t0), t)
                 assert got == naive_char_curve(affine_log, boundary(t0), t)
 
 
 def test_char_curve_admissibility(affine_log):
     with pytest.raises(DomainError):
-        char_curve(affine_log, boundary(0.8), 0.2)
+        LogEvaluator(affine_log).char_curve(boundary(0.8), 0.2)
 
 
 def test_phi_at_t0_is_floor_count(affine_log):
     n = affine_log.n
     for y0 in (0.0, 0.13, 0.5, 0.525, 0.99, 1.0):
-        val = phi_n(affine_log, TestFunction.ones(), initial(y0), 0.0)
+        val = LogEvaluator(affine_log).phi(TestFunction.ones(), initial(y0), 0.0)
         assert val == floor_tail_count(y0, n) / n
         assert floor_tail_count(y0, n) == math.floor(n * (1 - y0) + 1e-9)
 
 
 def test_phi_constant_in_time_for_zero_rates():
     log = simulate(assign_population(zero_rate_spec(), 30), seed=0)
-    vals = [phi_n(log, TestFunction.ones(), initial(0.4), t)
+    vals = [LogEvaluator(log).phi(TestFunction.ones(), initial(0.4), t)
             for t in np.linspace(0, 1, 7)]
     assert len(set(vals)) == 1
 
@@ -120,14 +122,15 @@ def test_char_curve_monotone(affine_log, lattice):
 
 def test_mu_marginal_time_independent(affine_log):
     h = TestFunction.norm_capped(1.0)
-    vals = {mu_query(affine_log, h, 0.0, t) for t in np.linspace(0, 1, 9)}
+    ev = LogEvaluator(affine_log)
+    vals = {ev.mu(h, 0.0, t) for t in np.linspace(0, 1, 9)}
     assert len(vals) == 1
 
 
 def test_mu_at_time_zero_counts_slots(affine_log):
     n = affine_log.n
     for y in (0.0, 0.33, 0.8):
-        assert mu_query(affine_log, TestFunction.ones(), y, 0.0) == \
+        assert LogEvaluator(affine_log).mu(TestFunction.ones(), y, 0.0) == \
             floor_tail_count(y, n) / n
 
 

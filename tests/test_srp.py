@@ -1,12 +1,17 @@
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import NaiveRankIndex
 from rankflow import (ConfigError, EnvelopeBreach, EventLog, FlowGrid,
-                      NaiveRankIndex, RankIndex, assign_population, simulate,
-                      simulate_coupled, simulate_flow_driven)
+                      RankIndex, assign_population, simulate,
+                      simulate_coupled, simulate_flow_driven, streams,
+                      tagged_limit_path)
 from rankflow.harness import (affine_two_class_spec, constant_mixture_spec,
                               constant_single_spec, zero_rate_spec)
 from rankflow.intensity import ConstantField, uniform_single_class
@@ -48,6 +53,30 @@ def test_rank_index_against_naive_oracle_random_ops():
             assert np.array_equal(fast.ranks(), naive.ranks())
     assert np.array_equal(fast.ranks(), naive.ranks())
     assert sorted(fast.ranks().tolist()) == list(range(n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rank_index_matches_naive_oracle_past_compaction(data):
+    n = data.draw(st.integers(1, 40))
+    start = data.draw(st.permutations(range(n)))
+    # each step moves one particle to the front, then queries one rank
+    steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)),
+                               min_size=1, max_size=60))
+    fast = RankIndex(start)
+    naive = NaiveRankIndex(start)
+    # cycle the drawn steps until the moves exceed the free slots in
+    # front, so that at least one compaction runs
+    moves = 0
+    while moves <= fast.headroom:
+        for i, j in steps:
+            fast.move_to_front(i)
+            naive.move_to_front(i)
+            assert fast.rank(j) == naive.rank(j)
+        moves += len(steps)
+        assert np.array_equal(fast.ranks(), naive.ranks())
+    assert moves > fast.headroom
 
 
 def test_single_particle_stays_on_top():
@@ -138,15 +167,34 @@ def test_log_load_rejects_other_spec(tmp_path):
         EventLog.load(path, constant_single_spec())
 
 
-def test_envelope_breach_is_hard_fault():
-    class Lying(ConstantField):
-        def __init__(self):
-            super().__init__(2.0, 1.0)
-            self.sup_norm = 0.5  # wrong on purpose
-    spec = uniform_single_class(Lying())
-    a = assign_population(spec, 50)
-    with pytest.raises(EnvelopeBreach):
-        simulate(a, seed=0)
+class Lying(ConstantField):
+    def __init__(self):
+        super().__init__(2.0, 1.0)
+        self.sup_norm = 0.5  # wrong on purpose
+
+
+def _tagged_engine(a, flow, seed):
+    cand = streams.tagged_candidates(seed, 0, 0.5, 1.0)
+    assert len(cand[0]) > 0
+    return tagged_limit_path(SimpleNamespace(flow=flow), Lying(), 0.5, cand)
+
+
+# every candidate breaches, so each engine reports its first candidate
+FIRST_OF_STREAM = "particle 26: hazard 2.0 above envelope 0.5 at t=0.03609107425258373"
+
+
+@pytest.mark.parametrize("engine, message", [
+    (lambda a, fl, seed: simulate(a, seed=seed), FIRST_OF_STREAM),
+    (simulate_flow_driven, FIRST_OF_STREAM),
+    (simulate_coupled, FIRST_OF_STREAM),
+    (_tagged_engine,
+     "particle 0: hazard 2.0 above envelope 0.5 at t=0.02603265450550385"),
+], ids=["original", "flow_driven", "coupled", "tagged_limit_path"])
+def test_envelope_breach_is_hard_fault(engine, message):
+    a = assign_population(uniform_single_class(Lying()), 50)
+    with pytest.raises(EnvelopeBreach) as exc:
+        engine(a, FlowGrid.identity(1.0, 10, 50), seed=0)
+    assert str(exc.value) == message
 
 
 def test_flow_driven_position_independent_matches_original_bitwise():
@@ -191,6 +239,31 @@ def test_coupled_affine_decouples_sometimes(sol_affine, spec_affine):
     assert 0.0 < rec.decoupled_fraction() < 0.5
     finite = rec.sigma[np.isfinite(rec.sigma)]
     assert np.all((finite > 0) & (finite <= 1.0))
+
+
+def _log_bytes(log):
+    buf = io.BytesIO()
+    log.save(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["affine", "table"])
+def test_coupled_sides_match_single_engines(kind, request):
+    spec = request.getfixturevalue(f"spec_{kind}")
+    flow = request.getfixturevalue(f"sol_{kind}").flow
+    a = assign_population(spec, 300)
+    lo, lf, rec = simulate_coupled(a, flow, seed=4)
+    assert _log_bytes(lo) == _log_bytes(simulate(a, seed=4))
+    assert _log_bytes(lf) == _log_bytes(simulate_flow_driven(a, flow, seed=4))
+    # sigma_i is the earliest time at which exactly one side jumps
+    want = np.full(a.n, np.inf)
+    for i in range(a.n):
+        only_one = set(lo.times[lo.particles == i]) ^ \
+            set(lf.times[lf.particles == i])
+        if only_one:
+            want[i] = min(only_one)
+    assert np.array_equal(rec.sigma, want)
+    assert np.isfinite(want).any()
 
 
 def test_tagged_mode_preserves_tagged_streams_across_n(spec_mixture):
