@@ -99,23 +99,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _plan(args, spec) -> ExperimentPlan:
-    hs = [TestFunction.ones()]
-    if args.class_indicator is not None:
-        hs.append(TestFunction.indicator(args.class_indicator))
+def _plan(args, spec, **options) -> ExperimentPlan:
     return ExperimentPlan(
         spec=spec,
         n_values=tuple(args.n_values),
         seeds=args.seeds,
-        test_functions=tuple(hs),
         solver=SolverSettings(n_z=args.nz, n_t=args.nt, tol=args.tol,
                               max_iter=args.max_iter, damping=args.damping),
-        workers=args.workers)
+        **options)
 
 
 def cmd_sweep(args) -> int:
     spec = load_spec(args.config)
-    plan = _plan(args, spec)
+    hs = [TestFunction.ones()]
+    if args.class_indicator is not None:
+        hs.append(TestFunction.indicator(args.class_indicator))
+    plan = _plan(args, spec, test_functions=tuple(hs), workers=args.workers)
     out = _out_dir(args)
     if args.flow is None:
         report = harness.convergence_sweep(plan)
@@ -139,7 +138,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_couple(args) -> int:
     spec = load_spec(args.config)
-    plan = _plan(args, spec)
+    plan = _plan(args, spec, workers=args.workers)
     out = _out_dir(args)
     report = harness.coupling_sweep(plan)
     report.to_csv(os.path.join(out, "coupling.csv"))
@@ -199,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="population spec file (JSON)")
         p.add_argument("--out", default="out", help="output directory "
                        "(env RANKFLOW_OUTDIR overrides)")
-        p.add_argument("--seed", type=int, default=0, help="base seed")
 
     def add_solver(p):
         p.add_argument("--nz", type=int, default=20, help="flow z cells")
@@ -209,14 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iter", type=int, default=80)
         p.add_argument("--damping", type=float, default=1.0)
 
-    def add_plan(p):
+    def add_plan(p, workers=True):
         p.add_argument("--n-values", type=int, nargs="+",
                        default=[100, 400, 1600], help="population sizes")
         p.add_argument("--seeds", type=int, default=20, help="seeds per N")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes")
-        p.add_argument("--class-indicator", type=int, default=None,
-                       help="also sweep the indicator of this class")
+        if workers:
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker processes")
 
     p = sub.add_parser("validate", help="check a population spec")
     p.add_argument("--config", required=True)
@@ -229,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one simulation and dump its log")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="base seed")
     add_solver(p)
     p.add_argument("--n", type=int, required=True, help="particle count")
     p.add_argument("--mode", choices=("original", "flow"), default="original")
@@ -242,6 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_solver(p)
     add_plan(p)
+    p.add_argument("--class-indicator", type=int, default=None,
+                   help="also sweep the indicator of this class")
     p.add_argument("--flow", default=None,
                    help="run flow-driven against this flow "
                         "('identity', 'solve', or cache path); default original model")
@@ -256,15 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tagged", help="tagged-particle limit comparison")
     add_common(p)
     add_solver(p)
-    add_plan(p)
+    add_plan(p, workers=False)
     p.set_defaults(fn=cmd_tagged)
 
     p = sub.add_parser("latp", help="point-process three-way validation")
     add_common(p, config=False)
+    p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=400, help="grid steps per unit")
     p.add_argument("--replicas", type=int, default=10_000)
     p.set_defaults(fn=cmd_latp)
+    # exact option names only: an abbreviation would read a --seed given to
+    # a sweep command, which has no --seed, as --seeds
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return ap
 
 

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field as dc_field, asdict
 import numpy as np
 
 from .errors import ConfigError
-from . import intensity, latp, measure, srp, streams
+from . import intensity, latp, srp, streams
 from .flow import FlowGrid, LimitSolution, PhiEvaluator, solve_y_c, tagged_limit_path
 from .intensity import (AffineField, ConstantField, Histogram, PopulationClass,
-                        PopulationSpec, assign_population, pin_particles,
-                        spec_from_config)
+                        PopulationSpec, assign_population, pin_particles)
 from .measure import EvaluationLattice, LogEvaluator, TestFunction
 
 
@@ -183,32 +182,19 @@ class SweepReport:
 # -- sweep workers ----------------------------------------------------------
 
 
-def _lattice_desc(lattice: EvaluationLattice):
-    return ([(g.kind, g.coord) for g in lattice.gammas], list(lattice.times))
-
-
-def _lattice_from_desc(desc) -> EvaluationLattice:
-    gammas, times = desc
-    return EvaluationLattice(
-        gammas=tuple(measure.initial(c) if k == "initial" else measure.boundary(c)
-                     for k, c in gammas),
-        times=tuple(times))
-
-
 def _distance_worker(args):
-    """One (N, seed) run: simulate, then lattice sups against limit values."""
-    (spec_cfg, n, seed, engine, flow_arrays, lattice_desc, h_vecs,
-     limit_vals, theta_vals) = args
-    spec = spec_from_config(spec_cfg)
-    lattice = _lattice_from_desc(lattice_desc)
-    assignment = assign_population(spec, n, mode="stratified")
-    if engine == "original":
+    """One (N, seed) run: simulate, then lattice sups against limit values.
+
+    ``flow`` is None for the original model; otherwise the run is
+    flow-driven and its empirical curve is also compared to theta.
+    """
+    assignment, seed, flow, pairs, h_vecs, limit_vals, theta_vals = args
+    n = assignment.n
+    if flow is None:
         log = srp.simulate(assignment, seed=seed)
     else:
-        flow = FlowGrid(flow_arrays[0], flow_arrays[1], flow_arrays[2])
         log = srp.simulate_flow_driven(assignment, flow, seed=seed)
     ev = LogEvaluator(log)
-    pairs = list(lattice.pairs())
     dists = []
     for hv, lim in zip(h_vecs, limit_vals):
         hp = np.asarray(hv)[ev.classes]
@@ -223,6 +209,12 @@ def _distance_worker(args):
             worst = max(worst, abs(ev.char_curve(g, t) - ref))
         char_dist = worst
     return n, seed, dists, char_dist
+
+
+def _assignments(plan: ExperimentPlan) -> list:
+    """The stratified assignment of each N; every seed at that N shares it."""
+    return [assign_population(plan.spec, n, mode="stratified")
+            for n in plan.n_values]
 
 
 def _run_jobs(jobs, worker, workers: int):
@@ -254,8 +246,8 @@ def convergence_sweep(plan: ExperimentPlan,
     """Original-model sweep: sup |phi^N - phi_{y_C}| per (N, seed, h)."""
     if sol is None:
         sol = solve_limit(plan)
-    return _sweep(plan, sol.evaluator, engine="original", flow=None,
-                  kind="convergence", meta={"residual": sol.residual})
+    return _sweep(plan, sol.evaluator, flow=None, kind="convergence",
+                  meta={"residual": sol.residual})
 
 
 def flow_driven_sweep(plan: ExperimentPlan, flow: FlowGrid | None = None,
@@ -271,36 +263,30 @@ def flow_driven_sweep(plan: ExperimentPlan, flow: FlowGrid | None = None,
             sol = solve_limit(plan)
         flow = sol.flow
     evaluator = PhiEvaluator(flow, plan.spec)
-    return _sweep(plan, evaluator, engine="flow", flow=flow,
-                  kind="flow_driven", meta={})
+    return _sweep(plan, evaluator, flow=flow, kind="flow_driven", meta={})
 
 
-def _sweep(plan, evaluator, engine, flow, kind, meta) -> SweepReport:
+def _sweep(plan, evaluator, flow, kind, meta) -> SweepReport:
     h_vecs = [tuple(h.per_class(plan.spec)) for h in plan.test_functions]
     limit_vals = _limit_lattice_values(evaluator, h_vecs, plan.lattice)
-    theta_vals = None
-    flow_arrays = None
-    if engine == "flow":
-        theta_vals = _theta_lattice_values(flow, plan.lattice)
-        flow_arrays = (flow.horizon, flow.init_values, flow.bdry_values)
-    spec_cfg = plan.spec.to_config()
-    ldesc = _lattice_desc(plan.lattice)
-    jobs = [(spec_cfg, n, seed, engine, flow_arrays, ldesc, h_vecs,
-             limit_vals, theta_vals)
-            for n in plan.n_values for seed in range(plan.seeds)]
+    theta_vals = (None if flow is None
+                  else _theta_lattice_values(flow, plan.lattice))
+    pairs = list(plan.lattice.pairs())
+    jobs = [(assignment, seed, flow, pairs, h_vecs, limit_vals, theta_vals)
+            for assignment in _assignments(plan) for seed in range(plan.seeds)]
     results = _run_jobs(jobs, _distance_worker, plan.workers)
     metrics = []
     for hi, h in enumerate(plan.test_functions):
         rows = [(n, seed, d[hi]) for n, seed, d, _ in results]
         metrics.append(SweepMetric(label=f"sup_phi[{h.label()}]",
                                    n_values=list(plan.n_values), rows=rows))
-    if engine == "flow":
+    if flow is not None:
         rows = [(n, seed, cd) for n, seed, _, cd in results]
         metrics.append(SweepMetric(label="sup_curve_to_theta",
                                    n_values=list(plan.n_values), rows=rows))
     meta = dict(meta)
-    meta.update({"engine": engine, "seeds": plan.seeds,
-                 "spec_hash": plan.spec.fingerprint()})
+    meta.update({"engine": "original" if flow is None else "flow",
+                 "seeds": plan.seeds, "spec_hash": plan.spec.fingerprint()})
     return SweepReport(kind=kind, metrics=metrics, meta=meta)
 
 
@@ -308,12 +294,9 @@ def _sweep(plan, evaluator, engine, flow, kind, meta) -> SweepReport:
 
 
 def _coupling_worker(args):
-    spec_cfg, n, seed, flow_arrays = args
-    spec = spec_from_config(spec_cfg)
-    flow = FlowGrid(flow_arrays[0], flow_arrays[1], flow_arrays[2])
-    assignment = assign_population(spec, n, mode="stratified")
+    assignment, seed, flow = args
     _, _, record = srp.simulate_coupled(assignment, flow, seed=seed)
-    return n, seed, record.decoupled_fraction()
+    return assignment.n, seed, record.decoupled_fraction()
 
 
 def coupling_sweep(plan: ExperimentPlan,
@@ -321,11 +304,8 @@ def coupling_sweep(plan: ExperimentPlan,
     """Fraction of particles whose coupled pair ever disagrees, per (N, seed)."""
     if sol is None:
         sol = solve_limit(plan)
-    flow = sol.flow
-    spec_cfg = plan.spec.to_config()
-    flow_arrays = (flow.horizon, flow.init_values, flow.bdry_values)
-    jobs = [(spec_cfg, n, seed, flow_arrays)
-            for n in plan.n_values for seed in range(plan.seeds)]
+    jobs = [(assignment, seed, sol.flow)
+            for assignment in _assignments(plan) for seed in range(plan.seeds)]
     results = _run_jobs(jobs, _coupling_worker, plan.workers)
     rows = [(n, seed, frac) for n, seed, frac in results]
     metric = SweepMetric(label="decoupled_fraction",
@@ -399,13 +379,12 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
     sup_rows, count_rows = [], []
     counts_at_largest = {i: [] for i in range(L)}
     for n in plan.n_values:
-        base = assign_population(spec, n, mode="stratified")
+        assignment = pin_particles(
+            assign_population(spec, n, mode="stratified"), pins)
+        if np.any(assignment.class_index[:L] != np.array([k for k, _ in pins])):
+            raise ConfigError("tagged stream sharing misconfigured: "
+                              "pinned classes not in place")
         for seed in range(plan.seeds):
-            assignment = pin_particles(base, pins)
-            if np.any(assignment.class_index[:L] !=
-                      np.array([k for k, _ in pins])):
-                raise ConfigError("tagged stream sharing misconfigured: "
-                                  "pinned classes not in place")
             log = srp.simulate(assignment, seed=seed, tagged=L)
             ev = LogEvaluator(log)
             empirical = np.empty((len(ts), n))
@@ -507,11 +486,14 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
             ref = latp.survival_series(omega, grid[i], grid[j], kmax=kmax,
                                        step=step)
             series_gap = max(series_gap, abs(table.p[i, j] - ref))
+        lo = grid[[i for i, _ in pair_list]]
+        hi = grid[[j for _, j in pair_list]]
         survived = np.zeros(len(pair_list))
         for rep in range(replicas):
-            arr = latp.sample_arrivals(omega, seed=seed, replica=rep)
-            for q, (i, j) in enumerate(pair_list):
-                survived[q] += arr.no_arrival_in(grid[i], grid[j])
+            times = latp.sample_arrivals(omega, seed=seed, replica=rep).times
+            # no arrival in (lo, hi]: ArrivalSequence.no_arrival_in per pair
+            survived += (np.searchsorted(times, hi, side="right")
+                         == np.searchsorted(times, lo, side="right"))
         mc_max_z = 0.0
         mc_max_gap = 0.0
         for q, (i, j) in enumerate(pair_list):

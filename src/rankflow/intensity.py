@@ -276,16 +276,21 @@ class Histogram:
     def tail(self, y: float) -> float:
         return self.mass(y, 1.0)
 
+    def _cumulative_mass(self) -> np.ndarray:
+        """Mass below each break; the CDF is linear in between."""
+        return np.concatenate(
+            [[0.0], np.cumsum(np.asarray(self.values) * np.diff(self.breaks))])
+
     def cell_masses(self, edges) -> np.ndarray:
-        edges = np.asarray(edges, dtype=float)
-        return np.array([self.mass(edges[i], edges[i + 1])
-                         for i in range(len(edges) - 1)])
+        """Masses of the cells between consecutive increasing edges."""
+        return np.diff(np.interp(np.asarray(edges, dtype=float), self.breaks,
+                                 self._cumulative_mass()))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Inverse-CDF draws."""
         br = np.asarray(self.breaks)
         va = np.asarray(self.values)
-        cum = np.concatenate([[0.0], np.cumsum(va * np.diff(br))])
+        cum = self._cumulative_mass()
         cum[-1] = 1.0
         u = rng.random(n)
         idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(va) - 1)

@@ -53,11 +53,22 @@ class RankIndex:
         self.n = n
         self.headroom = max(n, 1024)
         self.cap = n + self.headroom
-        self.slot_of = [0] * n
-        self._tree = [0] * (self.cap + 1)
+        self._build(ranks)
+
+    def _build(self, ranks):
+        """Place particle i at slot headroom + ranks[i]; the headroom is free.
+
+        The Fenwick node j covers the 1-based positions (j - lowbit(j), j], so
+        it is a difference of two prefix counts of the occupancy array.
+        """
+        slot_of = self.headroom + np.asarray(ranks, dtype=np.int64)
+        occupied = np.zeros(self.cap + 1, dtype=np.int64)
+        occupied[slot_of + 1] = 1
+        prefix = np.cumsum(occupied)
+        j = np.arange(self.cap + 1)
+        self._tree = (prefix - prefix[j - (j & -j)]).tolist()
+        self.slot_of = slot_of.tolist()
         self._front = self.headroom
-        for i, r in enumerate(ranks.tolist()):
-            self._place(i, self.headroom + r)
 
     def _place(self, i, slot):
         self.slot_of[i] = slot
@@ -85,22 +96,14 @@ class RankIndex:
 
     def move_to_front(self, i: int) -> None:
         if self._front == 0:
-            self._compact()
+            self._build(self.ranks())
         self._remove(self.slot_of[i])
         self._front -= 1
         self._place(i, self._front)
 
-    def _compact(self):
-        order = sorted(range(self.n), key=self.slot_of.__getitem__)
-        self._tree = [0] * (self.cap + 1)
-        self._front = self.headroom
-        for r, i in enumerate(order):
-            self._place(i, self.headroom + r)
-
     def ranks(self) -> np.ndarray:
-        order = sorted(range(self.n), key=self.slot_of.__getitem__)
         out = np.empty(self.n, dtype=np.int64)
-        out[order] = np.arange(self.n)
+        out[np.argsort(self.slot_of)] = np.arange(self.n)
         return out
 
 

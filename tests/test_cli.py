@@ -190,6 +190,17 @@ def test_unknown_flag_is_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command,option", [
+    ("solve", "--seed"), ("sweep", "--seed"), ("couple", "--seed"),
+    ("tagged", "--seed"), ("tagged", "--workers"),
+    ("tagged", "--class-indicator"), ("couple", "--class-indicator")])
+def test_command_rejects_option_it_ignores(command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", f"{CONFIGS}/constant_unit.json",
+              option, "1"])
+    assert exc.value.code == 2
+
+
 def test_help_lists_commands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -6,7 +6,7 @@ from rankflow.harness import (ExperimentPlan, SolverSettings, constant_mixture_s
                               constant_single_spec, convergence_sweep,
                               coupling_sweep, flow_driven_sweep,
                               latp_validation, tagged_compare, zero_rate_spec)
-from rankflow import latp
+from rankflow import harness, latp
 
 
 def small_plan(spec, n_values=(50, 200), seeds=4, workers=1):
@@ -52,13 +52,34 @@ def test_sweep_report_reproducible_bytes(tmp_path):
     assert paths[0] == paths[1]
 
 
-def test_sweep_workers_match_serial():
-    plan1 = small_plan(constant_mixture_spec(), n_values=(40, 160), seeds=3)
-    plan2 = small_plan(constant_mixture_spec(), n_values=(40, 160), seeds=3,
-                       workers=2)
-    r1 = convergence_sweep(plan1)
-    r2 = convergence_sweep(plan2)
-    assert r1.metric("sup_phi[h=1]").rows == r2.metric("sup_phi[h=1]").rows
+@pytest.mark.parametrize("sweep", [convergence_sweep, flow_driven_sweep,
+                                   coupling_sweep], ids=lambda f: f.__name__)
+def test_sweep_workers_match_serial(sweep, sol_affine, spec_affine):
+    # the pool pickles the assignments and the flow into every job
+    reports = [sweep(small_plan(spec_affine, n_values=(40, 160), seeds=3,
+                                workers=workers), sol=sol_affine)
+               for workers in (1, 2)]
+    assert [m.rows for m in reports[0].metrics] == \
+        [m.rows for m in reports[1].metrics]
+    assert reports[0].meta == reports[1].meta
+
+
+def test_sweeps_assign_each_population_once(monkeypatch, sol_affine,
+                                            spec_affine):
+    calls = []
+    assign = harness.assign_population
+
+    def counting(spec, n, *args, **kwargs):
+        calls.append(n)
+        return assign(spec, n, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "assign_population", counting)
+    plan = small_plan(spec_affine, n_values=(30, 60), seeds=3)
+    for run in (convergence_sweep, flow_driven_sweep, coupling_sweep,
+                tagged_compare):
+        calls.clear()
+        run(plan, sol=sol_affine)
+        assert calls == [30, 60], run.__name__
 
 
 def test_flow_driven_sweep_identity_flow_has_curve_metric():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rankflow import (AffineField, ConfigError, ConstantField, DomainError,
                       Histogram, ProductField, TableField, assign_population,
@@ -126,6 +128,27 @@ def test_histogram_validation():
     h = Histogram(breaks=(0.0, 0.5, 1.0), values=(1.6, 0.4))
     assert h.mass(0.0, 0.5) == pytest.approx(0.8)
     assert h.tail(0.25) == pytest.approx(1.0 - 0.4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cell_masses_match_per_cell_mass(data):
+    widths = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=1,
+                                         max_size=6)))
+    raw = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=len(widths),
+                                      max_size=len(widths))))
+    assume(raw.sum() > 0.1)
+    breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    breaks[-1] = 1.0
+    h = Histogram(breaks=tuple(breaks),
+                  values=tuple(raw / np.sum(raw * np.diff(breaks))))
+    points = st.one_of(st.floats(0.0, 1.0), st.sampled_from(h.breaks))
+    edges = sorted(data.draw(st.lists(points, min_size=2, max_size=30,
+                                      unique=True)))
+    masses = h.cell_masses(edges)
+    per_cell = [h.mass(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    assert np.max(np.abs(masses - per_cell)) <= 1e-15
+    assert masses.sum() == pytest.approx(h.mass(edges[0], edges[-1]), abs=1e-14)
 
 
 def test_spec_rejects_nonuniform_mixture():
