@@ -24,7 +24,8 @@ from . import intensity, latp, srp, streams
 from .flow import FlowGrid, LimitSolution, PhiEvaluator, solve_y_c, tagged_limit_path
 from .intensity import (AffineField, ConstantField, Histogram, PopulationClass,
                         PopulationSpec, assign_population, pin_particles)
-from .measure import EvaluationLattice, LogEvaluator, TestFunction
+from .measure import (EvaluationLattice, LogEvaluator, TestFunction,
+                      limit_values)
 
 
 # -- shipped example populations ------------------------------------------------
@@ -188,27 +189,17 @@ def _distance_worker(args):
     ``flow`` is None for the original model; otherwise the run is
     flow-driven and its empirical curve is also compared to theta.
     """
-    assignment, seed, flow, pairs, h_vecs, limit_vals, theta_vals = args
-    n = assignment.n
+    assignment, seed, flow, lattice, h_vecs, limit, theta = args
     if flow is None:
         log = srp.simulate(assignment, seed=seed)
     else:
         log = srp.simulate_flow_driven(assignment, flow, seed=seed)
-    ev = LogEvaluator(log)
-    dists = []
-    for hv, lim in zip(h_vecs, limit_vals):
-        hp = np.asarray(hv)[ev.classes]
-        worst = 0.0
-        for (g, t), ref in zip(pairs, lim):
-            worst = max(worst, abs(ev.survivor_count(g, t, hp) / n - ref))
-        dists.append(worst)
-    char_dist = None
-    if theta_vals is not None:
-        worst = 0.0
-        for (g, t), ref in zip(pairs, theta_vals):
-            worst = max(worst, abs(ev.char_curve(g, t) - ref))
-        char_dist = worst
-    return n, seed, dists, char_dist
+    counts = LogEvaluator(log).lattice_counts(lattice)
+    dists = [float(np.max(np.abs(counts.phi(hv) - lim)))
+             for hv, lim in zip(h_vecs, limit)]
+    char_dist = (None if theta is None
+                 else float(np.max(np.abs(counts.curve() - theta))))
+    return assignment.n, seed, dists, char_dist
 
 
 def _assignments(plan: ExperimentPlan) -> list:
@@ -222,17 +213,6 @@ def _run_jobs(jobs, worker, workers: int):
         return [worker(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(worker, jobs))
-
-
-def _limit_lattice_values(evaluator: PhiEvaluator, h_vecs, lattice):
-    out = []
-    for hv in h_vecs:
-        out.append([evaluator.phi(hv, g, t) for g, t in lattice.pairs()])
-    return out
-
-
-def _theta_lattice_values(flow: FlowGrid, lattice):
-    return [flow.theta(g, t) for g, t in lattice.pairs()]
 
 
 def solve_limit(plan: ExperimentPlan) -> LimitSolution:
@@ -267,12 +247,9 @@ def flow_driven_sweep(plan: ExperimentPlan, flow: FlowGrid | None = None,
 
 
 def _sweep(plan, evaluator, flow, kind, meta) -> SweepReport:
-    h_vecs = [tuple(h.per_class(plan.spec)) for h in plan.test_functions]
-    limit_vals = _limit_lattice_values(evaluator, h_vecs, plan.lattice)
-    theta_vals = (None if flow is None
-                  else _theta_lattice_values(flow, plan.lattice))
-    pairs = list(plan.lattice.pairs())
-    jobs = [(assignment, seed, flow, pairs, h_vecs, limit_vals, theta_vals)
+    h_vecs = [h.per_class(plan.spec) for h in plan.test_functions]
+    limit, theta = limit_values(plan.lattice, evaluator, h_vecs, flow)
+    jobs = [(assignment, seed, flow, plan.lattice, h_vecs, limit, theta)
             for assignment in _assignments(plan) for seed in range(plan.seeds)]
     results = _run_jobs(jobs, _distance_worker, plan.workers)
     metrics = []
@@ -376,8 +353,15 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
     L = len(pins)
     horizon = spec.horizon
     ts = np.linspace(0.0, horizon, check_times)
+    # a limit path depends on (seed, pin) and not on N: (values at ts, jumps)
+    paths = {}
+    for seed in range(plan.seeds):
+        for i, (k, y_star) in enumerate(pins):
+            fld = spec.classes[k].field
+            cand = streams.tagged_candidates(seed, i, fld.sup_norm, horizon)
+            path = tagged_limit_path(sol, fld, y_star, cand)
+            paths[seed, i] = (path.sample(ts), path.jump_count())
     sup_rows, count_rows = [], []
-    counts_at_largest = {i: [] for i in range(L)}
     for n in plan.n_values:
         assignment = pin_particles(
             assign_population(spec, n, mode="stratified"), pins)
@@ -385,25 +369,17 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
             raise ConfigError("tagged stream sharing misconfigured: "
                               "pinned classes not in place")
         for seed in range(plan.seeds):
-            log = srp.simulate(assignment, seed=seed, tagged=L)
-            ev = LogEvaluator(log)
-            empirical = np.empty((len(ts), n))
-            for row, t in enumerate(ts):
-                empirical[row] = ev.positions_at(float(t))
-            for i, (k, y_star) in enumerate(pins):
-                fld = spec.classes[k].field
-                cand = streams.tagged_candidates(seed, i, fld.sup_norm, horizon)
-                path = tagged_limit_path(sol, fld, y_star, cand)
-                limit_vals = path.sample(ts)
+            ev = LogEvaluator(srp.simulate(assignment, seed=seed, tagged=L))
+            empirical = np.array([ev.positions_at(float(t))[:L] for t in ts])
+            for i in range(L):
+                limit_vals, jumps = paths[seed, i]
                 sup = float(np.max(np.abs(empirical[:, i] - limit_vals)))
                 sup_rows.append((i, n, seed, sup))
-                count_rows.append((i, n, seed, path.jump_count()))
-                if n == plan.n_values[-1]:
-                    counts_at_largest[i].append(path.jump_count())
+                count_rows.append((i, n, seed, jumps))
     corr, corr_se = float("nan"), float("nan")
     if L >= 2 and plan.seeds >= 3:
-        a = np.asarray(counts_at_largest[0], dtype=float)
-        b = np.asarray(counts_at_largest[1], dtype=float)
+        a, b = (np.array([paths[s, i][1] for s in range(plan.seeds)], dtype=float)
+                for i in (0, 1))
         if a.std() > 0 and b.std() > 0:
             corr = float(np.corrcoef(a, b)[0, 1])
             corr_se = 1.0 / math.sqrt(len(a))

@@ -103,7 +103,9 @@ class ConstantField(IntensityField):
         self.y_deriv_bound = 0.0
 
     def _values(self, y, t):
-        return np.broadcast_to(np.float64(self.value), np.broadcast_shapes(np.shape(y), np.shape(t)))[()]
+        if np.ndim(y) == 0 and np.ndim(t) == 0:
+            return np.float64(self.value)
+        return np.full(np.broadcast_shapes(np.shape(y), np.shape(t)), self.value)
 
     def params(self):
         return {"value": self.value}

@@ -2,21 +2,24 @@
 
 Everything here is a pure function of an EventLog: the empirical
 characteristic curves, the spatial distribution functions, empirical-measure
-queries, and sup-distances to limit objects.  The curve and the distribution
-function are computed by two separate counting paths, so their combinatorial
-identity (curve = y0 + floor(N(1-y0))/N - phi) is a genuine cross-check and
-is asserted at integer resolution, with zero tolerance.
+queries, and sup-distances to limit objects.  One counting routine serves
+every curve and distribution-function query: for a reset point gamma and
+times t >= t0 it counts, per class, the downstream particles with no jump in
+(t0, t] and those that jumped.  Positions come from the reset-point identity
+Y_i(t) = Y_C(gamma_i(t), t) read in event order, and ``flow_identity_gap``
+checks them against a move-to-front replay at zero tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .flow import BoundaryPoint, FlowGrid, LimitSolution, initial, boundary
+from .flow import BoundaryPoint, FlowGrid, _h_vector, boundary, initial
 from .intensity import PopulationSpec
 from .srp import EventLog, RankIndex
 
@@ -122,8 +125,44 @@ def floor_tail_count(y0: float, n: int) -> int:
     return n - _slot_threshold(y0, n)
 
 
+@dataclass(frozen=True)
+class SupDistance:
+    value: float
+    argmax_gamma: str
+    argmax_t: float
+
+
+@dataclass(frozen=True)
+class LatticeCounts:
+    """One log's counts at every pair of a lattice, in ``pairs()`` order.
+
+    alive[p, k] counts the downstream class-k particles with no jump in
+    (t0, t], and jumped[p] the downstream particles that jumped.
+    """
+
+    pairs: list
+    n: int
+    alive: np.ndarray
+    jumped: np.ndarray
+
+    def phi(self, hv) -> np.ndarray:
+        """Empirical phi(h) per pair, for h given per class."""
+        return self.alive @ np.asarray(hv, dtype=float) / self.n
+
+    def curve(self) -> np.ndarray:
+        """Empirical characteristic curve Y_C(gamma, t) per pair."""
+        return np.array([g.y0 for g, _ in self.pairs]) + self.jumped / self.n
+
+    def sup(self, gap) -> SupDistance:
+        """Largest |gap| over the pairs, at its first argmax."""
+        gap = np.abs(gap)
+        p = int(np.argmax(gap))
+        g, t = self.pairs[p]
+        return SupDistance(float(gap[p]), str(g), t)
+
+
 class LogEvaluator:
-    """Cached per-log machinery behind the measure operations."""
+    """Counting queries on one event log; it keeps no replay state."""
 
     def __init__(self, log: EventLog):
         self.log = log
@@ -131,96 +170,96 @@ class LogEvaluator:
         self.spec = log.assignment.spec
         self.slots0 = log.assignment.slots
         self.classes = log.assignment.class_index
-        self._count_cache: dict = {}
-        # replay state for position reconstruction
-        self._replay_index = RankIndex(self.slots0)
-        self._replay_pos = 0
 
-    # -- jump counting -----------------------------------------------------
-
-    def counts_at(self, t: float) -> np.ndarray:
-        """Per-particle number of jumps in (0, t]."""
-        key = float(t)
-        hit = self._count_cache.get(key)
-        if hit is not None:
-            return hit
-        idx = int(np.searchsorted(self.log.times, t, side="right"))
-        counts = np.bincount(self.log.particles[:idx], minlength=self.n)
-        self._count_cache[key] = counts
-        return counts
-
-    def jumped_in(self, t0: float, t: float) -> np.ndarray:
-        return self.counts_at(t) > self.counts_at(t0)
-
-    def last_resets(self, t: float) -> np.ndarray:
-        """Per-particle last jump time <= t, or -1 if none."""
-        counts = self.counts_at(t)
-        order = np.argsort(self.log.particles, kind="stable")
-        seg_start = np.searchsorted(self.log.particles[order],
-                                    np.arange(self.n))
-        out = np.full(self.n, -1.0)
-        has = counts > 0
-        idx = seg_start[has] + counts[has] - 1
-        out[has] = self.log.times[order][idx]
-        return out
-
-    # -- masks ---------------------------------------------------------------
-
-    def _downstream_mask(self, gamma: BoundaryPoint, t: float) -> np.ndarray:
+    def _downstream_mask(self, gamma: BoundaryPoint) -> np.ndarray:
         """Particles with Y_j(t0) >= y0.
 
         Non-random for gamma in the initial/boundary set; interior points
-        (y0 > 0 with t0 > 0) replay positions at t0.
+        (y0 > 0 with t0 > 0) are reached through ``interior_mask``.
         """
-        if t < gamma.t0 - 1e-12:
-            raise DomainError(f"(gamma={gamma}, t={t}) not admissible")
         if gamma.kind == "boundary":
             return np.ones(self.n, dtype=bool)
         if gamma.t0 == 0.0:
             return self.slots0 >= _slot_threshold(gamma.coord, self.n)
         raise DomainError(f"unreachable gamma {gamma}")
 
-    def interior_mask(self, y0: float, t0: float) -> np.ndarray:
-        slots = np.rint(self.positions_at(t0) * self.n).astype(np.int64)
-        return slots >= _slot_threshold(y0, self.n)
+    def _counts(self, gamma: BoundaryPoint, ts):
+        """The one counting routine behind every curve and phi query.
 
-    # -- core operations -----------------------------------------------------
+        For each t in ``ts`` (all t >= t0) it returns alive[j, k], the
+        downstream class-k particles with no jump in (t0, t], and
+        jumped[j], the downstream particles with one.  A particle has
+        jumped by t when its first event after t0 is at or before t.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if np.any(ts < gamma.t0 - 1e-12):
+            raise DomainError(f"(gamma={gamma}, t={ts.min()}) not admissible")
+        down = self._downstream_mask(gamma)
+        start = int(np.searchsorted(self.log.times, gamma.t0, side="right"))
+        movers, first = np.unique(self.log.particles[start:], return_index=True)
+        first_jump = np.full(self.n, np.inf)
+        first_jump[movers] = self.log.times[start + first]
+        alive = np.empty((len(ts), self.spec.n_classes), dtype=np.int64)
+        jumped = np.zeros(len(ts), dtype=np.int64)
+        for k in range(self.spec.n_classes):
+            f = np.sort(first_jump[down & (self.classes == k)])
+            gone = np.searchsorted(f, ts, side="right")
+            alive[:, k] = len(f) - gone
+            jumped += gone
+        return alive, jumped
+
+    def lattice_counts(self, lattice: EvaluationLattice) -> LatticeCounts:
+        """``_counts`` at every lattice pair, one call per gamma."""
+        pairs = list(lattice.pairs())
+        parts = [self._counts(g, [t for _, t in group])
+                 for g, group in itertools.groupby(pairs, key=lambda p: p[0])]
+        return LatticeCounts(pairs=pairs, n=self.n,
+                             alive=np.concatenate([a for a, _ in parts]),
+                             jumped=np.concatenate([j for _, j in parts]))
+
+    # -- point queries -------------------------------------------------------
 
     def char_count(self, gamma: BoundaryPoint, t: float) -> int:
         """Distinct downstream particles that jumped in (t0, t]."""
-        mask = self._downstream_mask(gamma, t)
-        return int(np.sum(mask & self.jumped_in(gamma.t0, t)))
+        return int(self._counts(gamma, [t])[1][0])
 
     def char_curve(self, gamma: BoundaryPoint, t: float) -> float:
         return gamma.y0 + self.char_count(gamma, t) / self.n
 
-    def survivor_count(self, gamma: BoundaryPoint, t: float,
-                       h_particle: np.ndarray | None = None):
-        mask = self._downstream_mask(gamma, t)
-        alive = mask & ~self.jumped_in(gamma.t0, t)
-        if h_particle is None:
-            return int(np.sum(alive))
-        return float(np.dot(alive.astype(float), h_particle))
-
-    def h_per_particle(self, h) -> np.ndarray:
-        if hasattr(h, "per_class"):
-            h = h.per_class(self.spec)
-        h = np.asarray(h, dtype=float)
-        return h[self.classes]
+    def survivor_count(self, gamma: BoundaryPoint, t: float) -> int:
+        """Downstream particles with no jump in (t0, t]."""
+        return int(self._counts(gamma, [t])[0].sum())
 
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
-        return self.survivor_count(gamma, t, self.h_per_particle(h)) / self.n
+        alive = self._counts(gamma, [t])[0][0]
+        return float(alive @ _h_vector(h, self.spec)) / self.n
+
+    # -- positions -------------------------------------------------------------
+
+    def _ranks_at(self, t: float) -> np.ndarray:
+        """Slot of every particle at t: Y_i(t) = Y_C(gamma_i(t), t) * N.
+
+        Read in event order, so exact time ties need no care: a particle
+        that has jumped sits at the number of particles whose last event is
+        later than its own; one that has not sits at its initial slot plus
+        the number of jumped particles that started in larger slots.
+        """
+        idx = int(np.searchsorted(self.log.times, t, side="right"))
+        latest_first = self.log.particles[:idx][::-1]
+        _, last = np.unique(latest_first, return_index=True)
+        jumped = latest_first[np.sort(last)]  # most recent last event first
+        moved = np.zeros(self.n, dtype=np.int64)
+        moved[self.slots0[jumped]] = 1
+        ranks = self.slots0 + (len(jumped) - np.cumsum(moved)[self.slots0])
+        ranks[jumped] = np.arange(len(jumped))
+        return ranks
 
     def positions_at(self, t: float) -> np.ndarray:
-        """Replay the move-to-front dynamics up to t (right-continuous)."""
-        idx = int(np.searchsorted(self.log.times, t, side="right"))
-        if idx < self._replay_pos:
-            self._replay_index = RankIndex(self.slots0)
-            self._replay_pos = 0
-        for e in range(self._replay_pos, idx):
-            self._replay_index.move_to_front(int(self.log.particles[e]))
-        self._replay_pos = idx
-        return self._replay_index.ranks() / self.n
+        """Positions at t, right-continuous, in any order of queries."""
+        return self._ranks_at(t) / self.n
+
+    def interior_mask(self, y0: float, t0: float) -> np.ndarray:
+        return self._ranks_at(t0) >= _slot_threshold(y0, self.n)
 
     def mu(self, h, y: float, t: float) -> float:
         """Integral of h over the empirical measure on W x [y, 1] at t."""
@@ -228,12 +267,9 @@ class LogEvaluator:
             raise DomainError(f"y={y} outside [0,1]")
         if not -1e-12 <= t <= self.log.horizon + 1e-9:
             raise DomainError(f"t={t} outside [0,{self.log.horizon}]")
-        hp = self.h_per_particle(h)
-        if y <= 0:
-            return float(hp.sum()) / self.n  # marginal: time independent
-        slots = np.rint(self.positions_at(t) * self.n).astype(np.int64)
-        mask = slots >= _slot_threshold(y, self.n)
-        return float(np.dot(mask.astype(float), hp)) / self.n
+        on = self.interior_mask(y, t)
+        per_class = np.bincount(self.classes[on], minlength=self.spec.n_classes)
+        return float(per_class @ _h_vector(h, self.spec)) / self.n
 
     # -- exact identities ------------------------------------------------------
 
@@ -242,61 +278,48 @@ class LogEvaluator:
 
         Zero means the combinatorial identity
         Y_C = y0 + floor(N(1-y0))/N - phi(W) holds exactly at every
-        admissible lattice point.
+        admissible lattice point: the survivors and the jumpers split a
+        downstream set of exactly floor(N(1-y0)) particles.
         """
-        worst = 0
-        for g, t in lattice.pairs():
-            jumped = self.char_count(g, t)
-            alive = self.survivor_count(g, t)
-            tail = floor_tail_count(g.y0, self.n)
-            worst = max(worst, abs(jumped + alive - tail))
-        return worst
+        counts = self.lattice_counts(lattice)
+        tails = [floor_tail_count(g.y0, self.n) for g, _ in counts.pairs]
+        return int(np.max(np.abs(
+            counts.jumped + counts.alive.sum(axis=1) - tails)))
 
     def flow_identity_gap(self, check_times=None) -> int:
         """Worst slot gap in Y_i(t) = Y_C(gamma_i(t), t) over particles/times.
 
-        gamma_i is the particle's last reset point read off the log; the
-        left side is replayed, the right side counted independently.  Event
-        times themselves are always included as check times.
+        The right side is ``positions_at``; the left side is one RankIndex
+        walked through the log's moves to the front.  Event times
+        themselves are always included as check times.
         """
-        times = set(float(t) for t in self.log.times)
+        times = set(self.log.times.tolist())
         if check_times is not None:
             times.update(float(t) for t in check_times)
+        index = RankIndex(self.slots0)
+        done = 0
         worst = 0
-        inits_sorted = np.sort(self.slots0)
         for t in sorted(times):
-            ranks = np.rint(self.positions_at(t) * self.n).astype(np.int64)
-            last = self.last_resets(t)
-            jumped = self.jumped_in(0.0, t)
-            # initial-curve particles: count downstream jumpers by slot
-            suffix = np.zeros(self.n + 1, dtype=np.int64)
-            by_slot = np.zeros(self.n, dtype=np.int64)
-            by_slot[self.slots0[jumped]] = 1
-            suffix[:-1] = np.cumsum(by_slot[::-1])[::-1]
-            fresh = last < 0
-            pred_fresh = self.slots0[fresh] + suffix[self.slots0[fresh]]
-            if np.any(fresh):
-                worst = max(worst, int(np.max(np.abs(ranks[fresh] - pred_fresh))))
-            reset = ~fresh
-            if np.any(reset):
-                srt = np.sort(last)
-                pred = self.n - np.searchsorted(srt, last[reset], side="right")
-                worst = max(worst, int(np.max(np.abs(ranks[reset] - pred))))
+            upto = int(np.searchsorted(self.log.times, t, side="right"))
+            for i in self.log.particles[done:upto].tolist():
+                index.move_to_front(i)
+            done = upto
+            gap = np.abs(index.ranks() - self._ranks_at(t))
+            worst = max(worst, int(np.max(gap)))
         return worst
 
 
-@dataclass(frozen=True)
-class SupDistance:
-    value: float
-    argmax_gamma: str
-    argmax_t: float
+def limit_values(lattice: EvaluationLattice, sol=None, hs=(), flow=None):
+    """Limit-side values at the lattice pairs, one point query per pair.
 
-
-def _limit_values(sol_phi, h, lattice) -> dict:
-    vals = {}
-    for g, t in lattice.pairs():
-        vals[(g, t)] = sol_phi(h, g, t)
-    return vals
+    Returns (phi, theta): phi[r] holds sol.phi(hs[r], gamma, t) for a
+    LimitSolution or PhiEvaluator ``sol``, and theta holds flow.theta, or
+    is None without a flow.
+    """
+    pairs = list(lattice.pairs())
+    phi = np.array([[sol.phi(h, g, t) for g, t in pairs] for h in hs])
+    theta = None if flow is None else np.array([flow.theta(g, t) for g, t in pairs])
+    return phi.reshape(len(hs), len(pairs)), theta
 
 
 def sup_distance(log: EventLog, sol, h,
@@ -308,27 +331,19 @@ def sup_distance(log: EventLog, sol, h,
     adjacent lattice differences because both sides are monotone in t and
     in gamma.
     """
+    spec = log.assignment.spec
     spec_hash = sol.spec_hash if hasattr(sol, "spec_hash") else \
         sol.spec.fingerprint()
-    if log.assignment.spec.fingerprint() != spec_hash:
+    if spec.fingerprint() != spec_hash:
         raise ConfigError("log and limit solution come from different specs")
-    ev = LogEvaluator(log)
-    limit = _limit_values(sol.phi, h, lattice)
-    best = SupDistance(-1.0, "", 0.0)
-    for g, t in lattice.pairs():
-        d = abs(ev.phi(h, g, t) - limit[(g, t)])
-        if d > best.value:
-            best = SupDistance(d, str(g), t)
-    return best
+    counts = LogEvaluator(log).lattice_counts(lattice)
+    limit, _ = limit_values(lattice, sol, [h])
+    return counts.sup(counts.phi(_h_vector(h, spec)) - limit[0])
 
 
 def char_sup_distance(log: EventLog, flow: FlowGrid,
                       lattice: EvaluationLattice) -> SupDistance:
     """Lattice sup of |Y^N_C(gamma, t) - theta(gamma, t)|."""
-    ev = LogEvaluator(log)
-    best = SupDistance(-1.0, "", 0.0)
-    for g, t in lattice.pairs():
-        d = abs(ev.char_curve(g, t) - flow.theta(g, t))
-        if d > best.value:
-            best = SupDistance(d, str(g), t)
-    return best
+    counts = LogEvaluator(log).lattice_counts(lattice)
+    _, theta = limit_values(lattice, flow=flow)
+    return counts.sup(counts.curve() - theta)

@@ -82,6 +82,22 @@ def test_sweeps_assign_each_population_once(monkeypatch, sol_affine,
         assert calls == [30, 60], run.__name__
 
 
+def test_tagged_compare_solves_each_limit_path_once(monkeypatch, sol_affine,
+                                                   spec_affine):
+    # a limit path depends on (seed, pin) and not on N
+    calls = []
+    solve = harness.tagged_limit_path
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "tagged_limit_path", counting)
+    plan = small_plan(spec_affine, n_values=(30, 60, 90), seeds=3)
+    tagged_compare(plan, pins=[(0, 0.3), (1, 0.7)], sol=sol_affine)
+    assert len(calls) == 3 * 2
+
+
 def test_flow_driven_sweep_identity_flow_has_curve_metric():
     spec = constant_mixture_spec()
     plan = small_plan(spec, n_values=(50, 200), seeds=4)

@@ -22,7 +22,9 @@ ALL_FIELDS = [
 
 def test_eval_constant():
     w = ConstantField(2.0, 1.0)
-    assert w(0.3, 0.5) == 2.0
+    assert w(0.3, 0.5) == 2.0 and type(w(0.3, 0.5)) is float
+    out = w(np.array([0.1, 0.9]), np.zeros((3, 1)))
+    assert out.shape == (3, 2) and np.all(out == 2.0)
 
 
 def test_eval_affine():

@@ -1,11 +1,15 @@
 import math
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankflow import (ConfigError, DomainError,
+from rankflow import (ConfigError, DomainError, EventLog,
                       LogEvaluator, TestFunction, assign_population, boundary,
-                      char_sup_distance, initial, simulate,
+                      char_sup_distance, initial, load_spec, simulate,
                       simulate_flow_driven, sup_distance)
 from rankflow.harness import (affine_two_class_spec, constant_single_spec,
                               zero_rate_spec)
@@ -97,6 +101,42 @@ def test_flow_identity_exact_original_and_flow_driven(lattice, sol_affine,
         ev = LogEvaluator(log)
         assert ev.identity_gap(lattice) == 0
         assert ev.flow_identity_gap(lattice.times) == 0
+
+
+def tie_log(events, n=5, mode="stratified", seed=None):
+    """An EventLog of the unit constant spec with the given (time, particle)s."""
+    spec = load_spec(Path(__file__).parents[1] / "configs" / "constant_unit.json")
+    times, particles = zip(*events) if events else ((), ())
+    return EventLog(assignment=assign_population(spec, n, mode=mode, seed=seed),
+                    horizon=1.0, times=times, particles=particles,
+                    pre_positions=np.zeros(len(times)))
+
+
+def test_flow_identity_exact_at_a_time_tie():
+    # particles 1 and 3 jump at the same time; event order puts 3 in front
+    log = tie_log([(0.2, 4), (0.5, 1), (0.5, 3)])
+    ev = LogEvaluator(log)
+    assert ev.flow_identity_gap([1.0]) == 0
+    assert np.array_equal(ev.positions_at(1.0), naive_positions(log, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_positions_at_matches_naive_replay(data):
+    n = data.draw(st.integers(1, 8))
+    # few distinct times, so exact ties are common
+    grid = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    events = sorted(data.draw(st.lists(
+        st.tuples(st.sampled_from(grid), st.integers(0, n - 1)), max_size=25)),
+        key=lambda e: e[0])
+    log = tie_log(events, n=n, mode="seeded-random",
+                  seed=data.draw(st.integers(0, 2 ** 16)))
+    ev = LogEvaluator(log)
+    queries = data.draw(st.lists(st.sampled_from(grid + [0.0, 1.0]),
+                                 min_size=1, max_size=6))
+    for t in queries:  # in the order drawn, not sorted
+        assert np.array_equal(ev.positions_at(t), naive_positions(log, t))
+    assert ev.flow_identity_gap(queries) == 0
 
 
 def test_phi_monotone_in_t(affine_log, lattice):
