@@ -14,7 +14,8 @@ from .intensity import (AffineField, ConstantField, Histogram, IntensityField,
                         load_spec, pin_particles, spec_from_config)
 from .latp import (ArrivalSequence, LatpIntensity, SurvivalTable,
                    derivative_bound_check, omega_integral, sample_arrivals,
-                   survival_series, survival_solve, thin_last_arrival)
+                   sample_replicas, survival_series, survival_solve,
+                   thin_last_arrival)
 from .flow import (BoundaryPoint, FlowGrid, LimitSolution, PhiEvaluator,
                    boundary, gamma_compare, initial, solve_y_c,
                    tagged_limit_path, tilde_w, verify_ode_form)

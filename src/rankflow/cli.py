@@ -17,7 +17,7 @@ import sys
 
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from . import harness, latp, srp
+from . import harness, latp, srp, streams
 from .flow import FlowGrid, LimitSolution, solve_y_c
 from .harness import ExperimentPlan, SolverSettings
 from .intensity import assign_population, load_spec
@@ -79,6 +79,7 @@ def _load_flow(args, spec) -> FlowGrid:
 
 
 def cmd_simulate(args) -> int:
+    streams.check_key("seed", args.seed)
     spec = load_spec(args.config)
     assignment = assign_population(spec, args.n, mode=args.assign,
                                    seed=args.seed)

@@ -30,4 +30,16 @@ class EnvelopeBreach(RuntimeError):
 
     This is an invariant breach (the declared sup-norm was wrong), never a
     recoverable condition.
+
+    Attributes, set when ``latp.thin_last_arrival`` raises it and None
+    otherwise: ``owner`` (the breaching process), ``last`` (its last
+    arrival time), ``time`` and ``hazard`` (where and what the hazard was).
     """
+
+    def __init__(self, message, owner=None, last=None, time=None,
+                 hazard=None):
+        super().__init__(message)
+        self.owner = owner
+        self.last = last
+        self.time = time
+        self.hazard = hazard

@@ -411,8 +411,8 @@ class LatpRow:
     deriv_tol: float
 
     def passed(self) -> bool:
-        return (self.series_gap <= self.series_tol and self.mc_max_z <= 4.0
-                and self.deriv_violation <= self.deriv_tol)
+        return bool(self.series_gap <= self.series_tol and self.mc_max_z <= 4.0
+                    and self.deriv_violation <= self.deriv_tol)
 
 
 @dataclass
@@ -446,6 +446,9 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
     from sampled paths (4 standard errors); the derivative bounds are
     checked at O(h) tolerance.
     """
+    if replicas < 1:
+        raise ConfigError("replicas: must be >= 1")
+    streams.check_key("seed", seed)
     if omegas is None:
         omegas = shipped_omegas(horizon)
     m = int(round(horizon / step))
@@ -462,28 +465,26 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
             ref = latp.survival_series(omega, grid[i], grid[j], kmax=kmax,
                                        step=step)
             series_gap = max(series_gap, abs(table.p[i, j] - ref))
-        lo = grid[[i for i, _ in pair_list]]
-        hi = grid[[j for _, j in pair_list]]
-        survived = np.zeros(len(pair_list))
-        for rep in range(replicas):
-            times = latp.sample_arrivals(omega, seed=seed, replica=rep).times
-            # no arrival in (lo, hi]: ArrivalSequence.no_arrival_in per pair
-            survived += (np.searchsorted(times, hi, side="right")
-                         == np.searchsorted(times, lo, side="right"))
+        times, offsets = latp.sample_replicas(omega, seed, replicas)
+        owners = np.repeat(np.arange(replicas), np.diff(offsets))
         mc_max_z = 0.0
         mc_max_gap = 0.0
-        for q, (i, j) in enumerate(pair_list):
-            p_hat = survived[q] / replicas
+        for i, j in pair_list:
+            # replicas with no arrival in (t_i, t_j]: ArrivalSequence.no_arrival_in
+            hit = owners[(times > grid[i]) & (times <= grid[j])]
+            hit = np.count_nonzero(np.bincount(hit, minlength=replicas))
+            p_hat = (replicas - hit) / replicas
             se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / replicas)
             gap = abs(p_hat - table.p[i, j])
             mc_max_gap = max(mc_max_gap, gap)
             mc_max_z = max(mc_max_z, gap / se)
         deriv = latp.derivative_bound_check(table, omega)
         deriv_tol = 2.0 * step * (1.0 + omega.sup_norm) ** 2
-        rows.append(LatpRow(label=label, series_gap=series_gap,
-                            series_tol=series_tol, mc_max_z=mc_max_z,
-                            mc_max_gap=mc_max_gap,
-                            deriv_violation=deriv.max_violation(),
-                            deriv_tol=deriv_tol))
+        rows.append(LatpRow(label=label, series_gap=float(series_gap),
+                            series_tol=float(series_tol),
+                            mc_max_z=float(mc_max_z),
+                            mc_max_gap=float(mc_max_gap),
+                            deriv_violation=float(deriv.max_violation()),
+                            deriv_tol=float(deriv_tol)))
     return LatpReport(rows=rows, replicas=replicas, step=step)
 

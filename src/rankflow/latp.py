@@ -13,8 +13,8 @@ no-arrival probability p(s, t) = P(N(t) = N(s)) are provided:
     (||omega|| s)^(kmax+1) / (kmax+1)!.
 
 ``thin_last_arrival`` thins many independent such processes that share one
-merged candidate stream: the flow-driven particles and the tagged limit
-paths are sampled with it.
+merged candidate stream: the flow-driven particles, the tagged limit paths
+and the batched replicas of ``sample_replicas`` are sampled with it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from . import streams
 # default thinning envelope margin over the declared sup-norm; guards
 # against interpolation wobble in tabulated kernels
 ENVELOPE_MARGIN = 1.05
+
+# replicas per thinning pass of sample_replicas; bounds its memory at any
+# replica count
+REPLICA_CHUNK = 65_536
 
 
 class LatpIntensity:
@@ -262,19 +266,69 @@ def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
     for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
         c = by_round[lo:hi]
         o, t = owners[c], times[c]
-        a = np.asarray(hazard(o, last[o], t), dtype=float)
+        s = last[o]
+        a = np.asarray(hazard(o, s, t), dtype=float)
         over = a > breach_at[o]
         if over.any():
-            breach.extend(zip(c[over].tolist(), a[over].tolist()))
+            breach.extend(zip(c[over].tolist(), a[over].tolist(),
+                              s[over].tolist()))
         acc = marks[c] < a
         accepted[c[acc]] = True
         last[o[acc]] = t[acc]
     if breach:
-        c, a = min(breach)
-        i = int(owners[c])
+        c, a, s = min(breach)
+        i, t = int(owners[c]), float(times[c])
         raise EnvelopeBreach(f"particle {i}: hazard {a} above envelope "
-                             f"{float(envelope[i])} at t={float(times[c])}")
+                             f"{float(envelope[i])} at t={t}",
+                             owner=i, last=s, time=t, hazard=a)
     return accepted
+
+
+def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
+    """Paths of replicas 0, ..., replicas - 1 in one thinning pass per chunk.
+
+    Returns ``(times, offsets)``: replica r's arrival times are
+    ``times[offsets[r]:offsets[r + 1]]``, byte-equal to
+    ``sample_arrivals(omega, seed=seed, replica=r).times``.  The replicas
+    are the owners of one ``thin_last_arrival`` call per chunk of
+    ``REPLICA_CHUNK``, in replica order, so the earliest breach in stream
+    order is the one the replica loop would hit first; it is raised with
+    the scalar sampler's message, prefixed by the replica.
+    """
+    if replicas < 0:
+        raise ConfigError("replicas: must be >= 0")
+    horizon = omega.horizon
+    envelope = ENVELOPE_MARGIN * omega.sup_norm
+    if envelope < omega.sup_norm - 1e-12:
+        raise DomainError(
+            f"envelope {envelope} below sup_norm {omega.sup_norm}")
+    fn = omega._fn
+    parts, counts = [np.empty(0)], [np.zeros(1, dtype=np.int64)]
+    for lo in range(0, replicas, REPLICA_CHUNK):
+        n = min(REPLICA_CHUNK, replicas - lo)
+        times, marks, per = streams.replica_candidates(
+            seed, streams.LATP, n, envelope, horizon, start=lo)
+        owners = np.repeat(np.arange(n), per)
+        try:
+            accepted = thin_last_arrival(times, owners, marks, n,
+                                         lambda o, last, t: fn(last, t),
+                                         envelope)
+        except EnvelopeBreach as exc:
+            raise EnvelopeBreach(
+                f"replica {lo + exc.owner}: {omega.label}: hazard {exc.hazard} "
+                f"above envelope {envelope} at (s={exc.last}, t={exc.time})",
+                owner=lo + exc.owner, last=exc.last, time=exc.time,
+                hazard=exc.hazard) from None
+        times, owners = times[accepted], owners[accepted]
+        # ArrivalSequence's invariant, per replica
+        same = owners[1:] == owners[:-1]
+        if len(times) and (times.min() <= 0
+                           or np.any(np.diff(times)[same] <= 0)
+                           or times.max() > horizon + 1e-12):
+            raise ConfigError("times must be strictly increasing in (0, horizon]")
+        parts.append(times)
+        counts.append(np.bincount(owners, minlength=n))
+    return np.concatenate(parts), np.cumsum(np.concatenate(counts))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,19 @@ stream's output depends only on its key, never on how many other streams
 exist.  That is what lets a tagged particle keep the same driving noise as
 the population size N changes, and what lets the original and flow-driven
 models consume identical candidate marks.
+
+``replica_candidates`` draws the candidates of many consecutive substreams
+in one call.  It derives their Philox keys in one vectorized pass of the
+mixing that ``numpy.random.SeedSequence`` documents, and re-keys a single
+reused generator, so it reproduces the ``substream`` bytes without building
+a ``SeedSequence`` and a ``Philox`` per stream.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConfigError
 
 # Stream kinds.  Values are part of the reproducibility contract: changing
 # them changes every seeded output.
@@ -19,6 +27,16 @@ BULK = 1     # untagged particles of a tagged-mode simulation
 TAGGED = 2   # one stream per tagged particle, shared with the limit path
 LATP = 3     # point-process sampler replicas
 ASSIGN = 4   # seeded-random population assignment
+
+# A key word below 2**32 is one uint32 entropy word of the SeedSequence.
+KEY_WORDS = 2 ** 32
+
+# SeedSequence's hash constants (numpy.random.bit_generator), pool size 4.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+_SHIFT = np.uint32(16)
 
 
 def substream(seed: int, kind: int, index: int = 0) -> np.random.Generator:
@@ -50,3 +68,99 @@ def tagged_candidates(seed: int, index: int, rate: float, horizon: float):
     finite-N particle and its infinite-N limit path.
     """
     return candidate_batch(substream(seed, TAGGED, index), rate, horizon)
+
+
+def check_key(name: str, value) -> int:
+    """One word of a stream key: an integer in [0, 2**32), else ConfigError."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, np.integer))
+            or not 0 <= value < KEY_WORDS):
+        raise ConfigError(f"{name}: must be an integer in [0, 2**32)")
+    return int(value)
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of uint32 arrays; its constant advances per call."""
+
+    def hash_words(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) % KEY_WORDS
+        value = value * np.uint32(const)
+        return value ^ (value >> _SHIFT)
+
+    return hash_words
+
+
+def philox_keys(seed: int, kind: int, indices) -> np.ndarray:
+    """Philox keys of ``substream(seed, kind, r)`` for every r in ``indices``.
+
+    Row q equals ``SeedSequence((seed, kind, indices[q])).generate_state(2,
+    np.uint64)``: three entropy words hashed into a pool of four, mixed
+    pairwise, then hashed out as four uint32 words, low word first.  The
+    hash constants advance identically for every stream, so each step is
+    one uint32 array operation over all streams (uint32 arrays wrap).
+    """
+    seed = check_key("seed", seed)
+    kind = check_key("kind", kind)
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if len(idx) and (idx.min() < 0 or idx.max() >= KEY_WORDS):
+        raise ConfigError("index: must be an integer in [0, 2**32)")
+    n = len(idx)
+    entropy = (np.full(n, seed, dtype=np.uint32),
+               np.full(n, kind, dtype=np.uint32),
+               idx.astype(np.uint32), np.zeros(n, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> _SHIFT)
+    hashout = _hasher(_INIT_B, _MULT_B)
+    words = [hashout(value).astype(np.uint64) for value in pool]
+    return np.stack([words[0] | (words[1] << np.uint64(32)),
+                     words[2] | (words[3] << np.uint64(32))], axis=1)
+
+
+def replica_candidates(seed: int, kind: int, count: int, rate: float,
+                       horizon: float, start: int = 0):
+    """Candidates of the substreams ``start, ..., start + count - 1``.
+
+    Returns ``(times, marks, counts)``: the slice of stream r is
+    byte-equal to ``candidate_batch(substream(seed, kind, r), rate,
+    horizon)``, and the streams follow each other in index order.  Each
+    stream re-keys one reused Philox at counter 0 with an empty buffer,
+    the state a fresh ``substream`` starts in, and draws its count n, then
+    2n uniforms in one call: the same doubles as ``candidate_batch``'s two
+    draws of n, its times and then its marks.  A zero rate draws nothing.
+    """
+    if count < 0:
+        raise ConfigError("count: must be >= 0")
+    keys = philox_keys(seed, kind, np.arange(start, start + count))
+    counts = np.zeros(count, dtype=np.int64)
+    if rate <= 0.0 or horizon <= 0.0 or count == 0:
+        return np.empty(0), np.empty(0), counts
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    lam = rate * horizon
+    draws = []
+    for r, key in enumerate(keys.tolist()):
+        state["state"]["key"] = key
+        bitgen.state = state
+        n = int(rng.poisson(lam))
+        counts[r] = n
+        draws.append(rng.random(2 * n))
+    draws = np.concatenate(draws)
+    # stream r holds its n_r times, then its n_r marks, from 2 * first_r
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(count), counts)
+    at = first[owner] + np.arange(len(owner))
+    raw = draws[at]
+    times = raw[np.lexsort((raw, owner))] * horizon
+    marks = draws[at + counts[owner]] * rate
+    return times, marks, counts

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rankflow.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from rankflow.cli import (EXIT_ASSERTION, EXIT_INVALID, EXIT_NO_CONVERGENCE,
+                          EXIT_OK, main)
 
 CONFIGS = "configs"
 
@@ -175,6 +176,15 @@ def test_latp_command(tmp_path):
     assert summary["all_passed"] is True
 
 
+def test_latp_command_failed_check_writes_report(tmp_path):
+    # ten replicas fail a Monte Carlo check; the report is still written
+    code = run(["latp", "--out", str(tmp_path), "--seed", "3",
+                "--replicas", "10", "--grid", "50"])
+    assert code == EXIT_ASSERTION
+    summary = json.loads((tmp_path / "latp.json").read_text())
+    assert summary["all_passed"] is False
+
+
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
     land = tmp_path / "landing"
     monkeypatch.setenv("RANKFLOW_OUTDIR", str(land))
@@ -199,6 +209,26 @@ def test_command_rejects_option_it_ignores(command, option):
         main([command, "--config", f"{CONFIGS}/constant_unit.json",
               option, "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "latp"])
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+def test_command_refuses_seed_outside_uint32(command, seed, tmp_path, capsys):
+    argv = [command, "--out", str(tmp_path), "--seed", seed]
+    if command == "simulate":
+        argv += ["--config", f"{CONFIGS}/constant_unit.json", "--n", "5"]
+    else:
+        argv += ["--grid", "20", "--replicas", "10"]
+    assert run(argv) == EXIT_INVALID
+    assert "seed: must be an integer in [0, 2**32)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("replicas", ["0", "-3"])
+def test_latp_refuses_replicas_below_one(replicas, tmp_path, capsys):
+    argv = ["latp", "--out", str(tmp_path), "--replicas", replicas, "--grid", "20"]
+    assert run(argv) == EXIT_INVALID
+    assert "replicas: must be >= 1" in capsys.readouterr().err
 
 
 def test_help_lists_commands(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,37 @@ def test_latp_report_json(tmp_path):
     path = tmp_path / "latp.json"
     rep.to_json(path)
     assert b'"all_passed": true' in path.read_bytes()
+
+
+def test_latp_validation_tallies_match_scalar_loop():
+    # the Monte Carlo columns, recomputed from per-replica sample_arrivals
+    # tallies, equal the batched pass exactly
+    step, reps, seed = 1 / 100, 300, 5
+    rep = latp_validation(step=step, replicas=reps, seed=seed)
+    grid = np.linspace(0.0, 1.0, 101)
+    idx = np.linspace(0, 100, 5, dtype=int)
+    pairs = [(i, j) for i in idx for j in idx if j >= i]
+    omegas = harness.shipped_omegas(1.0)
+    assert sorted(r.label for r in rep.rows) == sorted(omegas)
+    for row in rep.rows:
+        omega = omegas[row.label]
+        table = latp.survival_solve(omega, grid)
+        paths = [latp.sample_arrivals(omega, seed=seed, replica=r)
+                 for r in range(reps)]
+        max_z = max_gap = 0.0
+        for i, j in pairs:
+            survived = sum(a.no_arrival_in(grid[i], grid[j]) for a in paths)
+            p_hat = survived / reps
+            se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / reps)
+            gap = abs(p_hat - table.p[i, j])
+            max_gap = max(max_gap, gap)
+            max_z = max(max_z, gap / se)
+        assert row.mc_max_z == max_z and row.mc_max_gap == max_gap
+        assert type(row.mc_max_z) is float and type(row.passed()) is bool
+
+
+@pytest.mark.parametrize("replicas", [0, -3])
+def test_latp_validation_refuses_replicas_below_one(replicas):
+    with pytest.raises(ConfigError, match="replicas: must be >= 1"):
+        latp_validation({"zero": latp.zero_intensity(1.0)}, step=1 / 20,
+                        replicas=replicas)

@@ -5,11 +5,12 @@ import pytest
 
 from rankflow import (ArrivalSequence, ConfigError, DomainError,
                       EnvelopeBreach, LatpIntensity, derivative_bound_check,
-                      omega_integral, sample_arrivals, streams,
+                      latp, omega_integral, sample_arrivals, streams,
                       survival_series, survival_solve, thin_last_arrival)
+from rankflow.harness import shipped_omegas
 from rankflow.latp import (ENVELOPE_MARGIN, constant_intensity,
                            flow_pullback_affine, last_arrival_affine,
-                           zero_intensity)
+                           sample_replicas, zero_intensity)
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -123,6 +124,119 @@ def test_thin_last_arrival_empty_stream():
     got = thin_last_arrival(empty, np.empty(0, dtype=np.int64), empty, 3,
                             lambda o, last, t: np.ones(len(o)), 1.0)
     assert got.dtype == bool and len(got) == 0
+
+
+KEY_WORD_MAX = 2 ** 32 - 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, KEY_WORD_MAX])
+def test_philox_keys_match_seed_sequence(seed):
+    indices = [0, 1, 2 ** 31, KEY_WORD_MAX]
+    for kind in range(5):
+        keys = streams.philox_keys(seed, kind, indices)
+        assert keys.dtype == np.uint64 and keys.shape == (4, 2)
+        for r, key in zip(indices, keys):
+            want = np.random.SeedSequence((seed, kind, r)).generate_state(2, np.uint64)
+            assert np.array_equal(key, want)
+        # the batched draw reads those keys, up to the last index
+        got = streams.replica_candidates(seed, kind, 2, 1.5, 1.0,
+                                         start=KEY_WORD_MAX - 1)
+        for q, r in enumerate((KEY_WORD_MAX - 1, KEY_WORD_MAX)):
+            want = streams.candidate_batch(streams.substream(seed, kind, r), 1.5, 1.0)
+            lo, hi = got[2][:q].sum(), got[2][:q + 1].sum()
+            assert got[0][lo:hi].tobytes() == want[0].tobytes()
+            assert got[1][lo:hi].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: streams.philox_keys(-1, 0, [0]),
+    lambda: streams.philox_keys(2 ** 32, 0, [0]),
+    lambda: streams.philox_keys(True, 0, [0]),
+    lambda: streams.philox_keys(0.5, 0, [0]),
+    lambda: streams.philox_keys(0, -1, [0]),
+    lambda: streams.philox_keys(0, 2 ** 32, [0]),
+    lambda: streams.philox_keys(0, 0, [-1]),
+    lambda: streams.philox_keys(0, 0, [2 ** 32]),
+    lambda: streams.replica_candidates(0, 3, 2, 1.0, 1.0, start=KEY_WORD_MAX),
+    lambda: streams.replica_candidates(-1, 3, 2, 0.0, 1.0),
+    lambda: streams.replica_candidates(0, 3, -1, 1.0, 1.0),
+], ids=["seed-neg", "seed-big", "seed-bool", "seed-float", "kind-neg",
+        "kind-big", "index-neg", "index-big", "last-index-big",
+        "zero-rate-seed-neg", "count-neg"])
+def test_stream_keys_refuse_words_outside_uint32(call):
+    with pytest.raises(ConfigError, match="must be"):
+        call()
+
+
+@pytest.mark.parametrize("label", ["rate0"] + sorted(shipped_omegas(1.0)))
+def test_replica_candidates_match_substream_loop(label):
+    rate = (0.0 if label == "rate0"
+            else ENVELOPE_MARGIN * shipped_omegas(1.0)[label].sup_norm)
+    seed, count, start = 7, 400, 5
+    times, marks, counts = streams.replica_candidates(
+        seed, streams.LATP, count, rate, 1.0, start=start)
+    assert counts.dtype == np.int64 and len(counts) == count
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    for q in range(count):
+        rng = streams.substream(seed, streams.LATP, start + q)
+        want_t, want_m = streams.candidate_batch(rng, rate, 1.0)
+        got = slice(offsets[q], offsets[q + 1])
+        assert times[got].tobytes() == want_t.tobytes()
+        assert marks[got].tobytes() == want_m.tobytes()
+    assert offsets[-1] == len(times) == len(marks)
+    if rate == 0.0:
+        assert len(times) == 0
+
+
+SAMPLER_KERNELS = dict(shipped_omegas(1.0), elapsed=elapsed_intensity(1.0))
+
+
+@pytest.mark.parametrize("chunk", [latp.REPLICA_CHUNK, 97])
+@pytest.mark.parametrize("label", sorted(SAMPLER_KERNELS))
+def test_sample_replicas_matches_sample_arrivals(label, chunk, monkeypatch):
+    # a small chunk puts the 1000 replicas in several thinning passes
+    monkeypatch.setattr(latp, "REPLICA_CHUNK", chunk)
+    omega, seed, reps = SAMPLER_KERNELS[label], 4, 1000
+    times, offsets = sample_replicas(omega, seed, reps)
+    assert len(offsets) == reps + 1 and offsets[0] == 0
+    assert offsets[-1] == len(times)
+    for r in range(reps):
+        want = sample_arrivals(omega, seed=seed, replica=r).times
+        assert times[offsets[r]:offsets[r + 1]].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [latp.REPLICA_CHUNK, 7])
+def test_sample_replicas_breach_is_the_replica_loop_first(chunk, monkeypatch):
+    # the hazard exceeds the declared sup-norm only after a late arrival,
+    # so the first breach is neither in replica 0 nor at its first candidate
+    monkeypatch.setattr(latp, "REPLICA_CHUNK", chunk)
+    lying = LatpIntensity(lambda s, t: 1.0 + 4.0 * s + 0.0 * t, 1.0,
+                          sup_norm=3.0, label="lying")
+    first = None
+    for r in range(200):
+        try:
+            sample_arrivals(lying, seed=2, replica=r)
+        except EnvelopeBreach as exc:
+            first = r, str(exc)
+            break
+    assert first is not None and first[0] > 0
+    with pytest.raises(EnvelopeBreach) as exc:
+        sample_replicas(lying, 2, 200)
+    assert exc.value.owner == first[0]
+    assert str(exc.value) == f"replica {first[0]}: {first[1]}"
+
+
+def test_sample_replicas_keeps_arrival_sequence_invariant(monkeypatch):
+    def tied(seed, kind, count, rate, horizon, start=0):
+        counts = np.zeros(count, dtype=np.int64)
+        counts[1] = 2
+        return np.array([0.3, 0.3]), np.zeros(2), counts
+
+    monkeypatch.setattr(streams, "replica_candidates", tied)
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        sample_replicas(constant_intensity(1.0, 1.0), 0, 3)
+    with pytest.raises(ConfigError, match="replicas"):
+        sample_replicas(constant_intensity(1.0, 1.0), 0, -1)
 
 
 def test_arrival_sequence_must_increase():
