@@ -175,6 +175,8 @@ def cmd_tagged(args) -> int:
 
 
 def cmd_latp(args) -> int:
+    if args.grid < 1:
+        raise ConfigError("grid: must be >= 1")
     report = harness.latp_validation(horizon=args.horizon, step=1.0 / args.grid,
                                      replicas=args.replicas, seed=args.seed)
     out = _out_dir(args)

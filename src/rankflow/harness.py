@@ -370,7 +370,7 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
                               "pinned classes not in place")
         for seed in range(plan.seeds):
             ev = LogEvaluator(srp.simulate(assignment, seed=seed, tagged=L))
-            empirical = np.array([ev.positions_at(float(t))[:L] for t in ts])
+            empirical = ev.positions_of(np.arange(L), ts)
             for i in range(L):
                 limit_vals, jumps = paths[seed, i]
                 sup = float(np.max(np.abs(empirical[:, i] - limit_vals)))

@@ -359,12 +359,11 @@ class SurvivalTable:
         if np.any(np.diag(self.p) != 1.0):
             raise ConfigError("survival table diagonal must be exactly 1")
         slack = 1e-9
-        for i in range(m):
-            if np.any(np.diff(self.p[i, i:]) > slack):
-                raise ConfigError("survival table increases in t")
-        for j in range(m):
-            if np.any(np.diff(self.p[: j + 1, j]) < -slack):
-                raise ConfigError("survival table decreases in the start time")
+        (dt, in_dt), (ds, in_ds) = _upper_diffs(self.p)
+        if np.any(dt[in_dt] > slack):
+            raise ConfigError("survival table increases in t")
+        if np.any(ds[in_ds] < -slack):
+            raise ConfigError("survival table decreases in the start time")
 
     @property
     def step(self) -> float:
@@ -576,21 +575,34 @@ def derivative_bound_check(table: SurvivalTable,
     p = table.p
     h = table.step
     sup = omega.sup_norm
-    m = len(table.grid) - 1
-    dt_sign = 0.0
-    dt_excess = 0.0
-    ds_sign = 0.0
-    ds_excess = 0.0
-    for i in range(m + 1):
-        row = p[i, i:m + 1]
-        if len(row) > 1:
-            d = np.diff(row) / h
-            dt_sign = max(dt_sign, float(d.max(initial=-np.inf)))
-            dt_excess = max(dt_excess, float((-d - sup).max(initial=-np.inf)))
-    for j in range(1, m + 1):
-        col = p[: j + 1, j]
-        d = np.diff(col) / h
-        ds_sign = max(ds_sign, float((-d).max(initial=-np.inf)))
-        ds_excess = max(ds_excess, float((d - sup * col[:-1]).max(initial=-np.inf)))
-    return DerivativeReport(dt_sign=dt_sign, dt_excess=dt_excess,
-                            ds_sign=ds_sign, ds_excess=ds_excess, step=h)
+    (dt, in_dt), (ds, in_ds) = _upper_diffs(p)
+    dt, ds = dt / h, ds / h
+    # rows p[i, i:] and columns p[:j+1, j] of the upper triangle
+    return DerivativeReport(dt_sign=_line_max(dt, in_dt, 1),
+                            dt_excess=_line_max(-dt - sup, in_dt, 1),
+                            ds_sign=_line_max(-ds, in_ds, 0),
+                            ds_excess=_line_max(ds - sup * p[:-1], in_ds, 0),
+                            step=h)
+
+
+def _upper_diffs(p):
+    """Differences of p along t and along s, each with its upper-triangle mask.
+
+    ``dt[i, j] = p[i, j+1] - p[i, j]`` counts for j >= i, and
+    ``ds[i, j] = p[i+1, j] - p[i, j]`` for j > i.
+    """
+    m = len(p)
+    k = max(m - 1, 0)
+    return ((np.diff(p, axis=1), np.triu(np.ones((m, k), dtype=bool))),
+            (np.diff(p, axis=0), np.triu(np.ones((k, m), dtype=bool), k=1)))
+
+
+def _line_max(d, inside, axis):
+    """max(0, the largest maximum of a line of d over ``inside``).
+
+    A line holding a NaN has a NaN maximum, which the builtin max of a
+    line-by-line loop skips; so it is skipped here.
+    """
+    lines = np.max(d, axis=axis, where=inside, initial=-np.inf)
+    return max(0.0, float(np.max(lines, where=~np.isnan(lines),
+                                 initial=-np.inf)))

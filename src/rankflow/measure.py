@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .flow import BoundaryPoint, FlowGrid, _h_vector, boundary, initial
 from .intensity import PopulationSpec
-from .srp import EventLog, RankIndex
+from .srp import EventLog, RankIndex, _mtf_ranks
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,27 @@ class LogEvaluator:
     def positions_at(self, t: float) -> np.ndarray:
         """Positions at t, right-continuous, in any order of queries."""
         return self._ranks_at(t) / self.n
+
+    def positions_of(self, particles, ts) -> np.ndarray:
+        """``positions_at(t)[particles]`` for every t in ts, in one query.
+
+        Each (particle, t) pair is a rejected candidate placed after the
+        events at or before t, so one move-to-front rank pass over the log
+        reads all of them.  Returns shape (len(ts), len(particles)).
+        """
+        particles = np.asarray(particles, dtype=np.int64)
+        after = np.searchsorted(self.log.times, np.asarray(ts, dtype=float),
+                                side="right")
+        n_ev = self.log.n_events
+        # event k sorts at 2k + 1, a query after x events at 2x
+        keys = np.concatenate((2 * np.arange(n_ev) + 1,
+                               np.repeat(2 * after, len(particles))))
+        order = np.argsort(keys, kind="stable")
+        ids = np.concatenate((self.log.particles,
+                              np.tile(particles, len(after))))[order]
+        ranks = np.empty(len(keys), dtype=np.int64)
+        ranks[order] = _mtf_ranks(self.slots0, ids, order < n_ev)
+        return ranks[n_ev:].reshape(len(after), len(particles)) / self.n
 
     def interior_mask(self, y0: float, t0: float) -> np.ndarray:
         return self._ranks_at(t0) >= _slot_threshold(y0, self.n)

@@ -8,13 +8,17 @@ uniform on [0, ||w_i||), and a candidate is accepted when its mark falls
 below the hazard at the pre-jump state.
 
 The original model reads the hazard at the true position, so particles
-couple through rank and one sequential loop thins the stream.  The
-flow-driven model reads it along a prescribed flow from the particle's last
+couple through rank.  A rank under move-to-front is an LRU stack distance,
+so the ranks of all candidates under a given accepted mask are one offline
+dominance count (``_mtf_ranks``), and exact speculative rounds of guessed
+masks thin the stream without a loop over candidates.  The flow-driven
+model reads the hazard along a prescribed flow from the particle's last
 reset point; given the flow, each particle is an independent last-arrival
 process, so ``latp.thin_last_arrival`` thins all of them at once and the
-pre-jump positions are replayed afterwards.  A coupled run feeds both models
-the identical marked candidates and records each particle's first
-decoupling time.
+pre-jump positions are the ranks of the accepted jumps.  A coupled run
+feeds both models the identical marked candidates and records each
+particle's first decoupling time.  ``RankIndex`` walks the same ranks one
+move at a time.
 """
 
 from __future__ import annotations
@@ -252,31 +256,126 @@ def _check_flow(flow, horizon):
         raise DomainError("flow horizon shorter than the simulation horizon")
 
 
+def _count_below(values, ends, bounds):
+    """#{k < ends[q] : values[k] < bounds[q]} for every query q.
+
+    A wavelet matrix over the nonnegative ``values``: level b stably moves
+    the values with bit b clear in front of those with it set, and each
+    query range [lo, hi) follows its values down.  The queries walk every
+    level as it is built, so only one level is held at a time.
+    """
+    count = np.zeros(len(ends), dtype=np.int64)
+    if not len(values) or not len(ends):
+        return count
+    lo = np.zeros(len(ends), dtype=np.int64)
+    hi = np.asarray(ends, dtype=np.int64)
+    zeros = np.zeros(len(values) + 1, dtype=np.int64)
+    values, spare = values.copy(), np.empty_like(values)
+    for b in reversed(range(int(max(values.max(), bounds.max())).bit_length())):
+        bit = (values >> b) & 1 != 0
+        np.cumsum(~bit, out=zeros[1:])
+        n0 = int(zeros[-1])
+        z_lo, z_hi = zeros[lo], zeros[hi]
+        # a bound with bit b set is above every value here with bit b clear;
+        # masks multiply, as np.where on a random mask is several times slower
+        one = (bounds >> b) & 1 != 0
+        count += (z_hi - z_lo) * one
+        lo = z_lo + one * (lo + n0 - 2 * z_lo)
+        hi = z_hi + one * (hi + n0 - 2 * z_hi)
+        np.compress(~bit, values, out=spare[:n0])
+        np.compress(bit, values, out=spare[n0:])
+        values, spare = spare, values
+    return count
+
+
+def _mtf_ranks(slots, ids, accepted, start=0, order=None):
+    """Move-to-front rank of ``ids[c]`` just before candidate c, c >= start.
+
+    Particle i starts at rank ``slots[i]``, and every accepted candidate
+    moves its particle to the front, so a rank is an LRU stack distance:
+    the distinct particles moved since the particle's own last move.  Put
+    N virtual moves in decreasing slot order in front of the accepted ones;
+    then every particle has a last move, at index ``last`` of that trace,
+    and with x accepted candidates before c
+
+        rank = N + #{accepted k < x : prev_k < last} - last - 1,
+
+    ``prev_k`` being the index of the k-th accepted particle's previous
+    move.  ``order``, a stable argsort of ``ids``, can be passed in to be
+    reused across calls.
+    """
+    n, m = len(slots), len(ids)
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    if order is None:
+        order = np.argsort(ids, kind="stable")
+    accepted = np.asarray(accepted, dtype=bool)
+    x = np.cumsum(accepted) - accepted
+    # per particle in stream order, the latest accepted candidate before c
+    # is a running maximum of accepted positions that stays in c's group
+    sorted_ids = ids[order]
+    pos = np.arange(m)
+    group = np.maximum.accumulate(
+        np.where(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]], pos, 0))
+    before = np.r_[-1, np.maximum.accumulate(
+        np.where(accepted[order], pos, -1))[:-1]]
+    last = np.empty(m, dtype=np.int64)
+    last[order] = np.where(before >= group, n + x[order[before]],
+                           n - 1 - slots[sorted_ids])
+    count = _count_below(last[accepted], x[start:], last[start:])
+    return n + count - last[start:] - 1
+
+
+def _class_hazard(fields, cls, y, t):
+    """Hazard fields[cls[c]](y[c], t[c]), evaluated once per class."""
+    a = np.empty(len(y))
+    for k, fld in enumerate(fields):
+        sel = cls == k
+        a[sel] = fld._values(y[sel], t[sel])
+    return a
+
+
 def _original_pass(assignment, times, ids, marks):
     """Thin the stream at the true positions, which couple through rank.
 
     Returns the accepted mask in stream order and the pre-jump positions of
-    the accepted candidates.
+    the accepted candidates.  Decision c depends only on the decisions
+    before it, so the rounds are exact: guess the mask (first from the
+    hazard at the initial slots), rank every candidate under the guess,
+    recompute the mask, and repeat from the first candidate that changed,
+    the decisions up to it being settled.  The fixed point is the
+    sequential thinning, and the earliest envelope breach at it is the one
+    a sequential loop would hit first.
     """
-    values = [c.field._values for c in assignment.spec.classes]
-    cls = assignment.class_index.tolist()
-    sups = assignment.sup_norms().tolist()
-    index = RankIndex(assignment.slots)
+    fields = [c.field for c in assignment.spec.classes]
+    cls = assignment.class_index[ids]
+    slots = assignment.slots
     inv_n = 1.0 / assignment.n
-    accepted = np.zeros(len(times), dtype=bool)
-    pre = []
-    for c, (t, i, xi) in enumerate(zip(times.tolist(), ids.tolist(),
-                                       marks.tolist())):
-        y = index.rank(i) * inv_n
-        a = float(values[cls[i]](y, t))
-        if a > sups[i] * (1 + 1e-9) + 1e-12:
-            raise EnvelopeBreach(
-                f"particle {i}: hazard {a} above envelope {sups[i]} at t={t}")
-        if xi < a:
-            accepted[c] = True
-            pre.append(y)
-            index.move_to_front(i)
-    return accepted, np.asarray(pre)
+    order = np.argsort(ids, kind="stable")
+    ranks = slots[ids]
+    hazard = _class_hazard(fields, cls, ranks * inv_n, times)
+    accepted = marks < hazard
+    start, rounds = 0, 0
+    while start < len(times):
+        rounds += 1
+        ranks[start:] = _mtf_ranks(slots, ids, accepted, start, order)
+        hazard[start:] = _class_hazard(fields, cls[start:],
+                                       ranks[start:] * inv_n, times[start:])
+        guess = marks[start:] < hazard[start:]
+        changed = np.flatnonzero(guess != accepted[start:])
+        if not len(changed):
+            break
+        accepted[start:] = guess
+        start += int(changed[0]) + 1
+    log.debug("original pass: %d rounds over %d candidates", rounds, len(times))
+    sups = assignment.sup_norms()[ids]
+    breach = np.flatnonzero(hazard > sups * (1 + 1e-9) + 1e-12)
+    if len(breach):
+        c = breach[0]
+        raise EnvelopeBreach(
+            f"particle {int(ids[c])}: hazard {float(hazard[c])} above "
+            f"envelope {float(sups[c])} at t={float(times[c])}")
+    return accepted, ranks[accepted] * inv_n
 
 
 def _flow_pass(assignment, flow, times, ids, marks):
@@ -284,31 +383,23 @@ def _flow_pass(assignment, flow, times, ids, marks):
 
     Given the flow, particle i is a last-arrival process with kernel
     tilde_w(flow, w_i, y_i) and ignores every other particle, so one
-    vectorized kernel thins them all.  The pre-jump positions are then
-    replayed from the accepted jumps.
+    vectorized kernel thins them all.  The pre-jump positions are then the
+    move-to-front ranks of the accepted jumps.
     """
     fields = [c.field for c in assignment.spec.classes]
     cls = assignment.class_index
     y0 = assignment.position
 
     def hazard(owners, last, t):
-        y = flow._eval_from(y0[owners], last, t)
-        k = cls[owners]
-        a = np.empty(len(owners))
-        for j, fld in enumerate(fields):
-            sel = k == j
-            a[sel] = fld._values(y[sel], t[sel])
-        return a
+        return _class_hazard(fields, cls[owners],
+                             flow._eval_from(y0[owners], last, t), t)
 
     accepted = thin_last_arrival(times, ids, marks, assignment.n, hazard,
                                  assignment.sup_norms())
-    index = RankIndex(assignment.slots)
-    inv_n = 1.0 / assignment.n
-    pre = []
-    for i in ids[accepted].tolist():
-        pre.append(index.rank(i) * inv_n)
-        index.move_to_front(i)
-    return accepted, np.asarray(pre)
+    jumpers = ids[accepted]
+    ranks = _mtf_ranks(assignment.slots, jumpers,
+                       np.ones(len(jumpers), dtype=bool))
+    return accepted, ranks * (1.0 / assignment.n)
 
 
 def _event_log(assignment, horizon, times, ids, passed, kind, ties):

@@ -239,3 +239,11 @@ def test_help_lists_commands(capsys):
     for cmd in ("validate", "solve", "simulate", "sweep", "couple",
                 "tagged", "latp"):
         assert cmd in out
+
+
+@pytest.mark.parametrize("grid", ["0", "-4"])
+def test_latp_refuses_grid_below_one(grid, tmp_path, capsys):
+    argv = ["latp", "--out", str(tmp_path), "--grid", grid, "--replicas", "10"]
+    assert run(argv) == EXIT_INVALID
+    assert "grid: must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -1,7 +1,13 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import loop_derivative_bound_check, loop_survival_table_check
 
 from rankflow import (ArrivalSequence, ConfigError, DomainError,
                       EnvelopeBreach, LatpIntensity, derivative_bound_check,
@@ -9,8 +15,9 @@ from rankflow import (ArrivalSequence, ConfigError, DomainError,
                       survival_series, survival_solve, thin_last_arrival)
 from rankflow.harness import shipped_omegas
 from rankflow.latp import (ENVELOPE_MARGIN, constant_intensity,
-                           flow_pullback_affine, last_arrival_affine,
-                           sample_replicas, zero_intensity)
+                           SurvivalTable, flow_pullback_affine,
+                           last_arrival_affine, sample_replicas,
+                           zero_intensity)
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -380,6 +387,56 @@ def test_derivative_bounds_one_plus_s():
     assert rep.max_violation() <= tol
 
 
+def test_derivative_bound_check_matches_loop_on_shipped_kernels():
+    for om in shipped_omegas(1.0).values():
+        tab = survival_solve(om, GRID)
+        assert derivative_bound_check(tab, om) == \
+            loop_derivative_bound_check(tab, om)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_table_checks_match_loops_on_random_tables(data):
+    m = data.draw(st.integers(0, 9))
+    entry = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, np.nan]))
+    if data.draw(st.booleans()):
+        p = np.full((m, m), np.nan)
+        iu = np.triu_indices(m, k=1)
+        p[iu] = data.draw(st.lists(entry, min_size=len(iu[0]),
+                                   max_size=len(iu[0])))
+    else:
+        # p[i, j] = q[i+1] * ... * q[j] passes both checks, up to one
+        # entry moved by a drawn amount
+        q = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m,
+                                        max_size=m)))
+        p = np.full((m, m), np.nan)
+        for i in range(m):
+            p[i, i:] = np.cumprod(np.r_[1.0, q[i + 1:]])
+        i, j = sorted(data.draw(st.tuples(st.integers(0, max(m - 1, 0)),
+                                          st.integers(0, max(m - 1, 0)))))
+        if i < j:
+            p[i, j] = min(1.0, max(0.0, p[i, j] + data.draw(
+                st.floats(-1e-8, 1e-8))))
+    np.fill_diagonal(p, 1.0)
+    grid = np.linspace(0.0, 1.0, m)
+    want = _raised(loop_survival_table_check, p)
+    got = _raised(SurvivalTable, grid, p, np.zeros(m), 1.0)
+    assert got == want
+    sup = data.draw(st.floats(0.0, 5.0))
+    table = SimpleNamespace(p=p, grid=grid, step=1.0 / max(m - 1, 1))
+    omega = SimpleNamespace(sup_norm=sup)
+    assert derivative_bound_check(table, omega) == \
+        loop_derivative_bound_check(table, omega)
+
+
 def test_table_value_interpolation():
     om = constant_intensity(1.0, 1.0)
     tab = survival_solve(om, GRID)
@@ -409,7 +466,6 @@ def test_regularity_rejects_negative_kernel():
 
 
 def test_survival_table_constructor_rejects_nonmonotone():
-    import dataclasses
     tab = survival_solve(constant_intensity(1.0, 1.0), np.linspace(0, 1, 11))
     broken = tab.p.copy()
     broken[0, 5] = broken[0, 4] + 1e-3  # increase in t

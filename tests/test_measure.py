@@ -139,6 +139,33 @@ def test_positions_at_matches_naive_replay(data):
     assert ev.flow_identity_gap(queries) == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_positions_of_matches_positions_at(data):
+    n = data.draw(st.integers(1, 8))
+    grid = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    events = sorted(data.draw(st.lists(
+        st.tuples(st.sampled_from(grid), st.integers(0, n - 1)), max_size=25)),
+        key=lambda e: e[0])
+    log = tie_log(events, n=n, mode="seeded-random",
+                  seed=data.draw(st.integers(0, 2 ** 16)))
+    ev = LogEvaluator(log)
+    particles = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    queries = data.draw(st.lists(st.sampled_from(grid + [0.0, 1.0]),
+                                 max_size=6))
+    want = np.array([ev.positions_at(t)[particles] for t in queries])
+    got = ev.positions_of(particles, queries)
+    assert got.shape == (len(queries), len(particles))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_positions_of_reads_a_long_log(affine_log):
+    ev = LogEvaluator(affine_log)
+    ts = np.linspace(0.0, affine_log.horizon, 41)
+    want = np.array([ev.positions_at(float(t)) for t in ts])
+    assert ev.positions_of(np.arange(ev.n), ts).tobytes() == want.tobytes()
+
+
 def test_phi_monotone_in_t(affine_log, lattice):
     ev = LogEvaluator(affine_log)
     for g in lattice.gammas:

@@ -1,5 +1,6 @@
 import io
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NaiveRankIndex
+from oracles import NaiveRankIndex, sequential_original_pass
 from rankflow import (ConfigError, EnvelopeBreach, EventLog, FlowGrid,
                       RankIndex, assign_population, simulate,
-                      simulate_coupled, simulate_flow_driven, streams,
-                      tagged_limit_path)
+                      simulate_coupled, simulate_flow_driven, spec_from_config,
+                      srp, streams, tagged_limit_path)
 from rankflow.harness import (affine_two_class_spec, constant_mixture_spec,
                               constant_single_spec, zero_rate_spec)
-from rankflow.intensity import ConstantField, uniform_single_class
+from rankflow.intensity import (ConstantField, TableField, load_spec,
+                                uniform_single_class)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_rank_index_move_to_front_example():
@@ -289,3 +293,122 @@ def test_throughput_guardrail_large_n():
     elapsed = time.perf_counter() - t0
     assert log.n_events > 90_000
     assert elapsed < 60.0
+
+
+def _rank_index_walk(slots, ids, accepted):
+    index = RankIndex(slots)
+    ranks = []
+    for i, acc in zip(ids.tolist(), accepted.tolist()):
+        ranks.append(index.rank(i))
+        if acc:
+            index.move_to_front(i)
+    return np.array(ranks, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mtf_ranks_match_rank_index_walk(data):
+    n = data.draw(st.integers(1, 300))
+    slots = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    # a small id range repeats particles often; the full range rarely
+    top = data.draw(st.integers(0, n - 1))
+    ids = np.array(data.draw(st.lists(st.integers(0, top), max_size=300)),
+                   dtype=np.int64)
+    accepted = np.array(data.draw(st.lists(st.booleans(), min_size=len(ids),
+                                           max_size=len(ids))), dtype=bool)
+    want = _rank_index_walk(slots, ids, accepted)
+    got = srp._mtf_ranks(slots, ids, accepted)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    start = data.draw(st.integers(0, len(ids)))
+    order = np.argsort(ids, kind="stable")
+    assert np.array_equal(
+        srp._mtf_ranks(slots, ids, accepted, start, order), want[start:])
+
+
+@pytest.mark.parametrize("n, m, top, share", [
+    (1, 50, 0, 0.5), (7, 3000, 6, 0.3), (300, 3000, 299, 0.7),
+    (300, 3000, 20, 0.5), (2000, 5000, 1999, 0.95)])
+def test_mtf_ranks_match_rank_index_walk_on_long_streams(n, m, top, share):
+    rng = np.random.default_rng([n, m])
+    slots = rng.permutation(n)
+    ids = rng.integers(0, top + 1, size=m)
+    accepted = rng.random(m) < share
+    want = _rank_index_walk(slots, ids, accepted)
+    assert np.array_equal(srp._mtf_ranks(slots, ids, accepted), want)
+
+
+# two steep specs: rates that change by 5 across the ranks, where a guessed
+# mask is far from the sequential one and the rounds are most numerous
+STEEP_SPECS = {
+    "affine_0_5_5_0": {"horizon": 1.0, "classes": [
+        {"weight": 0.5, "field": {"kind": "affine", "base": 0.0, "slope": 5.0}},
+        {"weight": 0.5, "field": {"kind": "affine", "base": 5.0, "slope": -5.0}}]},
+    "spike_table": {"horizon": 1.0, "classes": [
+        {"weight": 1.0, "field": {"kind": "table",
+                                  "values": [[0, 0], [0, 0], [5, 5], [0, 0], [0, 0]]}}]},
+}
+
+PASS_SPECS = {
+    **{p.stem: p for p in sorted((ROOT / "configs").glob("*.json"))},
+    "table_two_class": ROOT / "bench" / "table_two_class.json",
+    **STEEP_SPECS,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 1600])
+@pytest.mark.parametrize("name", sorted(PASS_SPECS))
+def test_original_pass_matches_sequential_loop(name, n):
+    cfg = PASS_SPECS[name]
+    spec = spec_from_config(cfg) if isinstance(cfg, dict) else load_spec(cfg)
+    a = assign_population(spec, n)
+    for seed in range(3):
+        for tagged in sorted({0, min(n, 2)}):
+            times, ids, marks, _ = srp._candidates(a, spec.horizon, seed, tagged)
+            got = srp._original_pass(a, times, ids, marks)
+            want = sequential_original_pass(a, times, ids, marks)
+            assert np.array_equal(got[0], want[0])
+            assert got[1].dtype == want[1].dtype
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_original_pass_logs_its_rounds(caplog):
+    a = assign_population(spec_from_config(STEEP_SPECS["affine_0_5_5_0"]), 400)
+    with caplog.at_level("DEBUG", logger="rankflow.srp"):
+        simulate(a, seed=1)
+    (msg,) = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("original pass")]
+    rounds = int(msg.split()[2])
+    assert rounds > 1
+
+
+def test_flow_pass_pre_positions_are_the_move_to_front_replay(sol_affine,
+                                                             spec_affine):
+    a = assign_population(spec_affine, 1600)
+    for seed in range(3):
+        log = simulate_flow_driven(a, sol_affine.flow, seed=seed, tagged=2)
+        want = _rank_index_walk(a.slots, log.particles,
+                                np.ones(log.n_events, dtype=bool))
+        assert log.pre_positions.tobytes() == (want * (1.0 / a.n)).tobytes()
+
+
+class LyingSpike(TableField):
+    """Declares a sup-norm that only ranks near N/2 exceed."""
+
+    def __init__(self):
+        super().__init__([[1, 1], [1, 1], [3, 3], [1, 1], [1, 1]], 1.0)
+        self.sup_norm = 2.9
+
+
+def test_state_dependent_breach_is_the_sequential_loop_first():
+    # the breaching particle starts outside the band the hazard breaches in
+    # and is pushed into it by jumps from behind, so the first breach
+    # depends on the decisions before it
+    a = assign_population(uniform_single_class(LyingSpike()), 200)
+    times, ids, marks, _ = srp._candidates(a, 1.0, 6, 0)
+    with pytest.raises(EnvelopeBreach) as want:
+        sequential_original_pass(a, times, ids, marks)
+    with pytest.raises(EnvelopeBreach) as got:
+        simulate(a, seed=6)
+    assert str(got.value) == str(want.value)
+    i = int(str(want.value).split()[1].rstrip(":"))
+    assert LyingSpike()(a.position[i], 0.0) < 2.9
