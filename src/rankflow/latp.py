@@ -103,8 +103,15 @@ class LatpIntensity:
 
 
 def constant_intensity(c: float, horizon: float) -> LatpIntensity:
-    return LatpIntensity(lambda s, t: np.full(np.broadcast_shapes(np.shape(s), np.shape(t)), float(c)),
-                         horizon, sup_norm=float(c), label=f"const[{c}]")
+    value = float(c)
+
+    def fn(s, t):
+        # the scalar sampler calls it on Python floats
+        if isinstance(s, (int, float)) and isinstance(t, (int, float)):
+            return value
+        return np.full(np.broadcast_shapes(np.shape(s), np.shape(t)), value)
+
+    return LatpIntensity(fn, horizon, sup_norm=value, label=f"const[{c}]")
 
 
 def zero_intensity(horizon: float) -> LatpIntensity:
@@ -163,7 +170,8 @@ class ArrivalSequence:
         t = np.ascontiguousarray(self.times, dtype=float)
         if t.ndim != 1:
             raise ConfigError("times must be one-dimensional")
-        if len(t) and (t[0] <= 0 or np.any(np.diff(t) <= 0) or t[-1] > self.horizon + 1e-12):
+        if len(t) and (t[0] <= 0 or (t[1:] <= t[:-1]).any()
+                       or t[-1] > self.horizon + 1e-12):
             raise ConfigError("times must be strictly increasing in (0, horizon]")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
@@ -211,11 +219,13 @@ def sample_arrivals(omega: LatpIntensity, horizon: float | None = None,
     if envelope < omega.sup_norm - 1e-12:
         raise DomainError(
             f"envelope {envelope} below sup_norm {omega.sup_norm}")
-    if rng is None:
-        if seed is None:
-            raise ConfigError("sample_arrivals needs rng or seed")
-        rng = streams.substream(seed, streams.LATP, replica)
-    times, marks = streams.candidate_batch(rng, envelope, horizon)
+    if rng is not None:
+        times, marks = streams.candidate_batch(rng, envelope, horizon)
+    elif seed is None:
+        raise ConfigError("sample_arrivals needs rng or seed")
+    else:
+        times, marks = streams.stream_candidates(seed, streams.LATP, replica,
+                                                 envelope, horizon)
     accepted = []
     tau_star = 0.0
     breach = envelope * (1.0 + 1e-9) + 1e-12
@@ -531,10 +541,7 @@ def survival_series(omega: LatpIntensity, s: float, t: float,
         return total
 
     nx = n1 + 1  # nodes of [0, s]
-    # trapezoid weights of int_0^{u_j} dv on the inner grid
-    tw = np.zeros((nx, nx))
-    for j in range(1, nx):
-        tw[j, :j + 1] = np.concatenate([[0.5], np.ones(j - 1), [0.5]]) * (s / n1)
+    tw = _trapezoid_weights(nx, s / n1)
     kern = (w[:nx, :nx] * np.exp(-expo[:nx, :nx]))
     step_mat = tw * kern.T  # A[j, v] = weight * K(v, u_j)
 
@@ -548,6 +555,17 @@ def survival_series(omega: LatpIntensity, s: float, t: float,
         g = step_mat @ g
         total += float(np.dot(tail, g))
     return total
+
+
+def _trapezoid_weights(nx: int, h: float) -> np.ndarray:
+    """Row j holds the trapezoid weights of int_0^{u_j} dv on nodes u_v = v h:
+    h / 2 at v = 0 and v = j, h in between, 0 for v > j (row 0 is zero)."""
+    tw = np.tril(np.full((nx, nx), h))
+    half = 0.5 * h
+    tw[1:, 0] = half
+    np.fill_diagonal(tw, half)
+    tw[0, 0] = 0.0
+    return tw
 
 
 @dataclass(frozen=True)

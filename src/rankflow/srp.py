@@ -219,9 +219,9 @@ def _candidates(assignment: PopulationAssignment, horizon: float, seed: int,
     bulk_sups = sups[tagged:]
     total = float(bulk_sups.sum())
     if total > 0:
-        rng = streams.substream(seed, streams.BULK if tagged else streams.GLOBAL)
-        times, marks_u = streams.candidate_batch(rng, total, horizon)
-        u = rng.random(len(times))
+        times, marks_u, u = streams.stream_candidates(
+            seed, streams.BULK if tagged else streams.GLOBAL, 0, total,
+            horizon, picks=True)
         cum = np.cumsum(bulk_sups) / total
         picks = bulk_ids[np.minimum(np.searchsorted(cum, u, side="right"),
                                     len(bulk_ids) - 1)]

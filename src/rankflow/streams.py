@@ -7,11 +7,13 @@ exist.  That is what lets a tagged particle keep the same driving noise as
 the population size N changes, and what lets the original and flow-driven
 models consume identical candidate marks.
 
-``replica_candidates`` draws the candidates of many consecutive substreams
-in one call.  It derives their Philox keys in one vectorized pass of the
-mixing that ``numpy.random.SeedSequence`` documents, and re-keys a single
-reused generator, so it reproduces the ``substream`` bytes without building
-a ``SeedSequence`` and a ``Philox`` per stream.
+``stream_candidates`` draws the candidates of one substream without building
+its generator: it derives the Philox key with ``SeedSequence`` and re-keys
+one module-level generator.  ``replica_candidates`` draws the candidates of
+many consecutive substreams in one call; it derives their Philox keys in one
+vectorized pass of the mixing that ``numpy.random.SeedSequence`` documents.
+Both reproduce the ``substream`` bytes without building a ``SeedSequence``,
+a ``Philox`` and a ``Generator`` per stream.
 """
 
 from __future__ import annotations
@@ -38,10 +40,40 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
 _SHIFT = np.uint32(16)
 
+# One Philox re-keyed per stream by ``_rekeyed``.  No caller ever holds it
+# past its own draws, so no stream sees another's state; it is not shared
+# between threads (the harness runs its workers as processes).
+_BITGEN = np.random.Philox(0)
+_RNG = np.random.Generator(_BITGEN)
+# a fresh substream's Philox state: counter 0 and an empty output buffer;
+# ``_rekeyed`` writes the key
+_FRESH_STATE = {"bit_generator": "Philox",
+                "state": {"counter": (0, 0, 0, 0), "key": None},
+                "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0}
+
+
+def _rekeyed(key) -> np.random.Generator:
+    """The shared generator, in the state of a fresh substream keyed ``key``."""
+    _FRESH_STATE["state"]["key"] = key
+    _BITGEN.state = _FRESH_STATE
+    return _RNG
+
+
+def check_key(name: str, value) -> int:
+    """One word of a stream key: an integer in [0, 2**32), else ConfigError."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, np.integer))
+            or not 0 <= value < KEY_WORDS):
+        raise ConfigError(f"{name}: must be an integer in [0, 2**32)")
+    return int(value)
+
 
 def substream(seed: int, kind: int, index: int = 0) -> np.random.Generator:
     """Independent generator for the given key."""
-    ss = np.random.SeedSequence(entropy=(int(seed), int(kind), int(index)))
+    ss = np.random.SeedSequence(entropy=(check_key("seed", seed),
+                                         check_key("kind", kind),
+                                         check_key("index", index)))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -60,6 +92,28 @@ def candidate_batch(rng: np.random.Generator, rate: float, horizon: float):
     return times, marks
 
 
+def stream_candidates(seed: int, kind: int, index: int, rate: float,
+                      horizon: float, picks: bool = False):
+    """``candidate_batch(substream(seed, kind, index), rate, horizon)``.
+
+    Byte-equal to it, but re-keys the shared generator instead of building
+    one.  With ``picks`` it also returns the next n uniforms of the stream,
+    which choose each candidate's particle in a merged stream.  A zero rate
+    or horizon draws nothing and derives no key.
+    """
+    seed = check_key("seed", seed)
+    kind = check_key("kind", kind)
+    index = check_key("index", index)
+    if rate <= 0.0 or horizon <= 0.0:
+        return tuple(np.empty(0) for _ in range(3 if picks else 2))
+    key = np.random.SeedSequence((seed, kind, index)).generate_state(2, np.uint64)
+    rng = _rekeyed(key)
+    times, marks = candidate_batch(rng, rate, horizon)
+    if picks:
+        return times, marks, rng.random(len(times))
+    return times, marks
+
+
 def tagged_candidates(seed: int, index: int, rate: float, horizon: float):
     """Candidate stream of tagged particle ``index``.
 
@@ -67,16 +121,7 @@ def tagged_candidates(seed: int, index: int, rate: float, horizon: float):
     independent of the population size, so the same stream can drive the
     finite-N particle and its infinite-N limit path.
     """
-    return candidate_batch(substream(seed, TAGGED, index), rate, horizon)
-
-
-def check_key(name: str, value) -> int:
-    """One word of a stream key: an integer in [0, 2**32), else ConfigError."""
-    if (isinstance(value, bool)
-            or not isinstance(value, (int, np.integer))
-            or not 0 <= value < KEY_WORDS):
-        raise ConfigError(f"{name}: must be an integer in [0, 2**32)")
-    return int(value)
+    return stream_candidates(seed, TAGGED, index, rate, horizon)
 
 
 def _hasher(const: int, mult: int):
@@ -141,17 +186,10 @@ def replica_candidates(seed: int, kind: int, count: int, rate: float,
     counts = np.zeros(count, dtype=np.int64)
     if rate <= 0.0 or horizon <= 0.0 or count == 0:
         return np.empty(0), np.empty(0), counts
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": (0, 0, 0, 0), "key": None},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
     lam = rate * horizon
     draws = []
     for r, key in enumerate(keys.tolist()):
-        state["state"]["key"] = key
-        bitgen.state = state
+        rng = _rekeyed(key)
         n = int(rng.poisson(lam))
         counts[r] = n
         draws.append(rng.random(2 * n))

@@ -88,3 +88,11 @@ def loop_derivative_bound_check(table, omega):
         ds_excess = max(ds_excess, float((d - sup * col[:-1]).max(initial=-np.inf)))
     return DerivativeReport(dt_sign=dt_sign, dt_excess=dt_excess,
                             ds_sign=ds_sign, ds_excess=ds_excess, step=h)
+
+
+def loop_trapezoid_weights(nx, h):
+    """``latp._trapezoid_weights`` one row at a time."""
+    tw = np.zeros((nx, nx))
+    for j in range(1, nx):
+        tw[j, :j + 1] = np.concatenate([[0.5], np.ones(j - 1), [0.5]]) * h
+    return tw

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_derivative_bound_check, loop_survival_table_check
+from oracles import (loop_derivative_bound_check, loop_survival_table_check,
+                     loop_trapezoid_weights)
 
 from rankflow import (ArrivalSequence, ConfigError, DomainError,
                       EnvelopeBreach, LatpIntensity, derivative_bound_check,
@@ -167,12 +168,72 @@ def test_philox_keys_match_seed_sequence(seed):
     lambda: streams.replica_candidates(0, 3, 2, 1.0, 1.0, start=KEY_WORD_MAX),
     lambda: streams.replica_candidates(-1, 3, 2, 0.0, 1.0),
     lambda: streams.replica_candidates(0, 3, -1, 1.0, 1.0),
+    lambda: streams.substream(1.5, 3, 0),
+    lambda: streams.substream(0, True, 0),
+    lambda: streams.substream(0, 3, -1),
+    lambda: streams.substream(0, 3, 2 ** 32),
+    lambda: streams.stream_candidates(2 ** 32, 3, 0, 1.0, 1.0),
+    lambda: streams.stream_candidates(0, 3, 1.0, 1.0, 1.0),
+    lambda: streams.stream_candidates(0, -1, 0, 1.0, 1.0),
+    lambda: streams.stream_candidates(0, 3, -1, 0.0, 1.0),
+    lambda: streams.tagged_candidates(True, 0, 1.0, 1.0),
 ], ids=["seed-neg", "seed-big", "seed-bool", "seed-float", "kind-neg",
         "kind-big", "index-neg", "index-big", "last-index-big",
-        "zero-rate-seed-neg", "count-neg"])
+        "zero-rate-seed-neg", "count-neg", "substream-seed-float",
+        "substream-kind-bool", "substream-index-neg", "substream-index-big",
+        "stream-seed-big", "stream-index-float", "stream-kind-neg",
+        "zero-rate-stream-index-neg", "tagged-seed-bool"])
 def test_stream_keys_refuse_words_outside_uint32(call):
     with pytest.raises(ConfigError, match="must be"):
         call()
+
+
+@pytest.mark.parametrize("key", [
+    dict(seed=1.5), dict(seed=True), dict(seed=2 ** 32), dict(seed=-1),
+    dict(seed=0, replica=-1), dict(seed=0, replica=2 ** 32),
+    dict(seed=0, replica=1.0),
+], ids=["seed-float", "seed-bool", "seed-big", "seed-neg", "replica-neg",
+        "replica-big", "replica-float"])
+@pytest.mark.parametrize("label", ["const2", "zero"])
+def test_sample_arrivals_refuses_bad_stream_keys(label, key):
+    # a float or boolean seed is not truncated to a valid one, and a zero
+    # kernel, which draws nothing, checks its key all the same
+    with pytest.raises(ConfigError, match="must be an integer in"):
+        sample_arrivals(shipped_omegas(1.0)[label], **key)
+
+
+KEY_WORD = st.one_of(st.sampled_from([0, KEY_WORD_MAX]),
+                     st.integers(0, KEY_WORD_MAX))
+STREAM_KINDS = [streams.GLOBAL, streams.BULK, streams.TAGGED, streams.LATP,
+                streams.ASSIGN]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=KEY_WORD, kind=st.sampled_from(STREAM_KINDS), index=KEY_WORD,
+       rate=st.sampled_from([0.0, 0.5, 50.0]),
+       horizon=st.sampled_from([1.0, 0.3]))
+def test_stream_candidates_match_substream(seed, kind, index, rate, horizon):
+    # a generator built before the call keeps its own state: the shared
+    # generator that stream_candidates re-keys is never handed out
+    held = streams.substream(seed, kind, index)
+    head = held.random(3)
+    got = streams.stream_candidates(seed, kind, index, rate, horizon)
+    tail = held.random(3)
+    fresh = streams.substream(seed, kind, index).random(6)
+    assert np.concatenate([head, tail]).tobytes() == fresh.tobytes()
+    rng = streams.substream(seed, kind, index)
+    want = streams.candidate_batch(rng, rate, horizon)
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    # picks: the stream's next n uniforms after the marks
+    times, marks, picks = streams.stream_candidates(seed, kind, index, rate,
+                                                    horizon, picks=True)
+    assert times.tobytes() == want[0].tobytes()
+    assert marks.tobytes() == want[1].tobytes()
+    assert picks.tobytes() == rng.random(len(want[0])).tobytes()
+    if rate == 0.0:
+        assert len(times) == len(marks) == len(picks) == 0
 
 
 @pytest.mark.parametrize("label", ["rate0"] + sorted(shipped_omegas(1.0)))
@@ -247,8 +308,30 @@ def test_sample_replicas_keeps_arrival_sequence_invariant(monkeypatch):
 
 
 def test_arrival_sequence_must_increase():
-    with pytest.raises(ConfigError):
-        ArrivalSequence(times=np.array([0.2, 0.2]), horizon=1.0)
+    for times in ([0.2, 0.2], [0.2, 0.1], [0.1, 0.5, 0.4], [0.0, 0.5], [-0.1],
+                  [0.5, 1.5], [0.3, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(ConfigError, match="strictly increasing in"):
+            ArrivalSequence(times=np.array(times), horizon=1.0)
+
+
+def test_arrival_sequence_accepts_increasing_times():
+    for times in ([], [1.0], [0.1, 0.2, 1.0]):
+        seq = ArrivalSequence(times=np.array(times, dtype=float), horizon=1.0)
+        assert seq.times.tolist() == times and not seq.times.flags.writeable
+    with pytest.raises(ConfigError, match="one-dimensional"):
+        ArrivalSequence(times=np.zeros((1, 1)), horizon=1.0)
+
+
+def test_constant_kernel_is_a_float_on_scalars_and_broadcasts_on_arrays():
+    fn = constant_intensity(2, 1.0)._fn
+    for s, t in ((0.25, 0.5), (0, 1), (np.float64(0.1), 0.7)):
+        out = fn(s, t)
+        assert type(out) is float and out == 2.0
+    out = fn(np.zeros(3), np.zeros((2, 1)))
+    assert out.shape == (2, 3) and out.dtype == float and np.all(out == 2.0)
+    assert fn(0.0, np.linspace(0, 1, 4)).shape == (4,)
+    assert fn(np.zeros(()), 0.5).shape == ()
+    assert constant_intensity(2, 1.0)(0.25, 0.5) == 2.0
 
 
 def test_solve_zero():
@@ -296,6 +379,13 @@ def test_series_constant_truncation_negligible():
     for step, tol in ((1e-2, 5e-6), (1e-3, 5e-8)):
         val = survival_series(om, s, s, kmax=30, step=step)
         assert abs(val - 1.0) <= 1e-12 + tol
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3, 7, 401])
+def test_trapezoid_weights_match_row_loop(nx):
+    for h in (1.0, 1 / 400, 0.3 / 7, 2.5e-3):
+        got = latp._trapezoid_weights(nx, h)
+        assert got.tobytes() == loop_trapezoid_weights(nx, h).tobytes()
 
 
 def test_series_constant_closed_form():
