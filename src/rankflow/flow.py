@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .intensity import PopulationSpec
-from .latp import LatpIntensity, _trapezoid_volterra, thin_last_arrival
+from .latp import (LatpIntensity, _cumulative_trapezoid, _grid_cell,
+                   _trapezoid_volterra, _triangle_value, _upper_diffs,
+                   thin_last_arrival)
 
 log = logging.getLogger(__name__)
 
@@ -121,17 +123,13 @@ class FlowGrid:
             raise ConfigError("corner rows (0,0) disagree")
         if np.any(np.diff(iv, axis=1) < -tol):
             raise ConfigError("flow not non-decreasing in t (initial rows)")
-        for l in range(self.n_t + 1):
-            if np.any(np.diff(bv[l, l:]) < -tol):
-                raise ConfigError("flow not non-decreasing in t (boundary rows)")
+        (dt, in_dt), (ds, in_ds) = _upper_diffs(bv)
+        if np.any(dt[in_dt] < -tol):
+            raise ConfigError("flow not non-decreasing in t (boundary rows)")
         if np.any(np.diff(iv, axis=0) < -tol):
             raise ConfigError("flow not non-decreasing in z across initial rows")
-        for j in range(self.n_t + 1):
-            col = bv[: j + 1, j]
-            if np.any(np.diff(col) > tol):
-                raise ConfigError("flow not monotone across boundary rows")
-            if col[0] > iv[0, j] + tol:
-                raise ConfigError("boundary rows exceed the corner curve")
+        if np.any(ds[in_ds] > tol):
+            raise ConfigError("flow not monotone across boundary rows")
 
     # -- strict evaluation ------------------------------------------------
 
@@ -227,16 +225,6 @@ class FlowGrid:
         rows.append(bd)
         return np.concatenate(rows, axis=0)
 
-    def save(self, path) -> None:
-        np.savez(path, horizon=self.horizon, init_values=self.init_values,
-                 bdry_values=self.bdry_values)
-
-    @staticmethod
-    def load(path) -> "FlowGrid":
-        with np.load(path) as data:
-            return FlowGrid(float(data["horizon"]), data["init_values"],
-                            data["bdry_values"])
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("kind,coord,t,theta\n")
@@ -320,10 +308,7 @@ class PhiEvaluator:
         self.bdry_phi = np.empty((K, n_tp, n_tp))
         for k, cls in enumerate(spec.classes):
             w_mid = cls.field._values(theta_mid, tt_cells)
-            inc0 = 0.5 * flow.dt * (w_mid[:, 1:] + w_mid[:, :-1])
-            expo0 = np.concatenate([np.zeros((n_c, 1)), np.cumsum(inc0, axis=1)],
-                                   axis=1)
-            s0 = np.exp(-expo0)
+            s0 = np.exp(-_cumulative_trapezoid(w_mid, flow.dt))
             self.s0[k] = s0
             w_b = cls.field._values(flow.bdry_values, tt_bdry)
             _, self.bdry_phi[k] = _trapezoid_volterra(
@@ -363,13 +348,8 @@ class PhiEvaluator:
             return self._phi_initial(hv, gamma.coord, t)
         return self._phi_boundary(hv, t0, t)
 
-    def _t_interp(self, t):
-        h = self.flow.dt
-        j = min(int(t / h), self.flow.n_t - 1)
-        return j, np.clip(t / h - j, 0.0, 1.0)
-
     def _phi_initial(self, hv, y0, t):
-        j, mu = self._t_interp(t)
+        j, mu = _grid_cell(t, self.flow.dt, self.flow.n_t)
         s0_t = self.s0[:, :, j] * (1 - mu) + self.s0[:, :, j + 1] * mu
         # cells above the one holding y0 count whole; that one counts from y0
         edges = self.flow.z_nodes
@@ -383,22 +363,9 @@ class PhiEvaluator:
         return float(np.sum(hv[:, None] * mass * s0_t[:, c:]))
 
     def _phi_boundary(self, hv, t0, t):
-        h = self.flow.dt
-        l, lam = self._t_interp(t0)
-        j, mu = self._t_interp(t)
-
-        def at(li, ji):
-            return float(hv @ self.bdry_phi[:, li, max(ji, li)])
-
-        if l == j:
-            # same grid cell: interpolate from the diagonal, where nothing
-            # has arrived yet (l + 1 <= n_t always, since _t_interp clips
-            # to n_t - 1)
-            slope = (at(l, l) - at(l, l + 1)) / h
-            return at(l, l) - slope * (t - t0)
-        top = at(l, j) * (1 - mu) + at(l, j + 1) * mu
-        bot = at(l + 1, j) * (1 - mu) + at(l + 1, j + 1) * mu
-        return float(top * (1 - lam) + bot * lam)
+        bdry_phi = self.bdry_phi
+        return float(_triangle_value(lambda l, j: float(hv @ bdry_phi[:, l, j]),
+                                     self.flow.dt, self.flow.n_t, t0, t))
 
 
 def _project(horizon, init, bdry, n_z, n_t):
@@ -496,6 +463,11 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
     """
     if not 0 < damping <= 1:
         raise ConfigError(f"damping must lie in (0,1], got {damping}")
+    for name, value in (("n_z", n_z), ("n_t", n_t), ("max_iter", max_iter)):
+        if value < 1:
+            raise ConfigError(f"{name}: must be >= 1, got {value}")
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"tol: must be positive and finite, got {tol}")
     flow = FlowGrid.identity(spec.horizon, n_z, n_t)
     alpha = damping
     history = []
@@ -582,8 +554,7 @@ def verify_ode_form(sol: LimitSolution) -> OdeFormReport:
         vals = integrand[q, j0:]
         if len(vals) < 1:
             continue
-        rhs = gamma.y0 + np.concatenate(
-            [[0.0], np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))])
+        rhs = gamma.y0 + _cumulative_trapezoid(vals, h)
         resid = np.abs(yvals[q, j0:] - rhs)
         i = int(np.argmax(resid))
         if resid[i] > worst:

@@ -77,6 +77,8 @@ class ExperimentPlan:
             raise ConfigError(f"n_values must be strictly increasing, got {ns}")
         if self.seeds < 2:
             raise ConfigError("at least 2 seeds per N are required")
+        if self.workers < 1:
+            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         object.__setattr__(self, "n_values", ns)
         if self.lattice is None:
             object.__setattr__(self, "lattice",
@@ -448,6 +450,8 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
     """
     if replicas < 1:
         raise ConfigError("replicas: must be >= 1")
+    if not 0 < horizon < math.inf:
+        raise ConfigError(f"horizon: must be positive and finite, got {horizon}")
     streams.check_key("seed", seed)
     if omegas is None:
         omegas = shipped_omegas(horizon)

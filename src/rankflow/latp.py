@@ -47,8 +47,8 @@ class LatpIntensity:
 
     def __init__(self, fn, horizon: float, sup_norm: float, s0_limit=None,
                  label: str = ""):
-        if horizon <= 0:
-            raise ConfigError(f"horizon must be positive, got {horizon}")
+        if not 0 < horizon < np.inf:
+            raise ConfigError(f"horizon must be positive and finite, got {horizon}")
         if sup_norm < 0:
             raise ConfigError(f"sup_norm must be >= 0, got {sup_norm}")
         self._fn = fn
@@ -89,17 +89,11 @@ class LatpIntensity:
         tri = vals[np.triu_indices(n + 1)]
         if np.any(tri < -1e-12):
             raise ConfigError(f"{self.label}: negative hazard on the domain")
-        dt_mod = 0.0
-        for i in range(n + 1):
-            row = vals[i, i:]
-            if len(row) > 1:
-                dt_mod = max(dt_mod, float(np.max(np.abs(np.diff(row)))))
-        ds_mod = 0.0
-        for j in range(2, n + 1):
-            col = vals[1: j + 1, j]  # skip the s = 0 row
-            if len(col) > 1:
-                ds_mod = max(ds_mod, float(np.max(np.abs(np.diff(col)))))
-        return float(tri.max(initial=0.0) - self.sup_norm), ds_mod, dt_mod
+        (dt, in_dt), (ds, in_ds) = _upper_diffs(vals)
+        # the s-modulus skips the s = 0 row
+        return (float(tri.max(initial=0.0) - self.sup_norm),
+                _line_max(np.abs(ds[1:]), in_ds[1:], 0),
+                _line_max(np.abs(dt), in_dt, 1))
 
 
 def constant_intensity(c: float, horizon: float) -> LatpIntensity:
@@ -170,8 +164,9 @@ class ArrivalSequence:
         t = np.ascontiguousarray(self.times, dtype=float)
         if t.ndim != 1:
             raise ConfigError("times must be one-dimensional")
-        if len(t) and (t[0] <= 0 or (t[1:] <= t[:-1]).any()
-                       or t[-1] > self.horizon + 1e-12):
+        # written so that NaN, which fails every comparison, is refused
+        if len(t) and not (t[0] > 0 and (t[1:] > t[:-1]).all()
+                           and t[-1] <= self.horizon + 1e-12):
             raise ConfigError("times must be strictly increasing in (0, horizon]")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
@@ -198,37 +193,29 @@ def omega_integral(omega: LatpIntensity, t0: float, t: float,
     n = max(1, int(np.ceil((t - t0) / step)))
     us = np.linspace(t0, t, n + 1)
     vals = omega(np.full(n + 1, t0), us)
-    return float(np.trapezoid(vals, us))
+    return float(_cumulative_trapezoid(vals, np.diff(us))[-1])
 
 
-def sample_arrivals(omega: LatpIntensity, horizon: float | None = None,
-                    envelope: float | None = None,
-                    rng: np.random.Generator | None = None,
-                    seed: int | None = None, replica: int = 0) -> ArrivalSequence:
-    """Exact thinning sample of one path.
+def _breach_bound(envelope):
+    """The hazard above which a thinning envelope counts as breached."""
+    return envelope * (1.0 + 1e-9) + 1e-12
 
-    Candidates arrive at the envelope rate with marks uniform on
-    [0, envelope); a candidate at u is accepted iff its mark falls below
-    omega(tau*, u) for the current last arrival tau*.  The envelope must
-    dominate the hazard; an acceptance evaluation above it is a hard fault.
+
+def sample_arrivals(omega: LatpIntensity, seed: int,
+                    replica: int = 0) -> ArrivalSequence:
+    """Exact thinning sample of replica ``replica``'s path under ``seed``.
+
+    Candidates arrive at the envelope rate ENVELOPE_MARGIN * sup_norm with
+    marks uniform on [0, envelope); a candidate at u is accepted iff its
+    mark falls below omega(tau*, u) for the current last arrival tau*.  An
+    acceptance evaluation above the envelope is a hard fault.
     """
-    horizon = omega.horizon if horizon is None else float(horizon)
-    if horizon > omega.horizon + 1e-12:
-        raise DomainError(f"horizon {horizon} exceeds kernel horizon {omega.horizon}")
-    envelope = ENVELOPE_MARGIN * omega.sup_norm if envelope is None else float(envelope)
-    if envelope < omega.sup_norm - 1e-12:
-        raise DomainError(
-            f"envelope {envelope} below sup_norm {omega.sup_norm}")
-    if rng is not None:
-        times, marks = streams.candidate_batch(rng, envelope, horizon)
-    elif seed is None:
-        raise ConfigError("sample_arrivals needs rng or seed")
-    else:
-        times, marks = streams.stream_candidates(seed, streams.LATP, replica,
-                                                 envelope, horizon)
+    envelope = ENVELOPE_MARGIN * omega.sup_norm
+    times, marks = streams.stream_candidates(seed, streams.LATP, replica,
+                                             envelope, omega.horizon)
     accepted = []
     tau_star = 0.0
-    breach = envelope * (1.0 + 1e-9) + 1e-12
+    breach = _breach_bound(envelope)
     fn = omega._fn
     for u, xi in zip(times.tolist(), marks.tolist()):
         a = float(fn(tau_star, u))
@@ -239,7 +226,7 @@ def sample_arrivals(omega: LatpIntensity, horizon: float | None = None,
         if xi < a:
             accepted.append(u)
             tau_star = u
-    return ArrivalSequence(times=np.asarray(accepted), horizon=horizon)
+    return ArrivalSequence(times=np.asarray(accepted), horizon=omega.horizon)
 
 
 def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
@@ -261,7 +248,7 @@ def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
     owners = np.asarray(owners, dtype=np.int64)
     marks = np.asarray(marks, dtype=float)
     envelope = np.broadcast_to(np.asarray(envelope, dtype=float), (n_owners,))
-    breach_at = envelope * (1.0 + 1e-9) + 1e-12
+    breach_at = _breach_bound(envelope)
     accepted = np.zeros(len(times), dtype=bool)
     # round of each candidate: its position among its owner's candidates
     counts = np.bincount(owners, minlength=n_owners)
@@ -309,9 +296,6 @@ def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
         raise ConfigError("replicas: must be >= 0")
     horizon = omega.horizon
     envelope = ENVELOPE_MARGIN * omega.sup_norm
-    if envelope < omega.sup_norm - 1e-12:
-        raise DomainError(
-            f"envelope {envelope} below sup_norm {omega.sup_norm}")
     fn = omega._fn
     parts, counts = [np.empty(0)], [np.zeros(1, dtype=np.int64)]
     for lo in range(0, replicas, REPLICA_CHUNK):
@@ -330,11 +314,11 @@ def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
                 owner=lo + exc.owner, last=exc.last, time=exc.time,
                 hazard=exc.hazard) from None
         times, owners = times[accepted], owners[accepted]
-        # ArrivalSequence's invariant, per replica
+        # ArrivalSequence's invariant, per replica, refusing NaN as it does
         same = owners[1:] == owners[:-1]
-        if len(times) and (times.min() <= 0
-                           or np.any(np.diff(times)[same] <= 0)
-                           or times.max() > horizon + 1e-12):
+        if len(times) and not (times.min() > 0
+                               and np.all(np.diff(times)[same] > 0)
+                               and times.max() <= horizon + 1e-12):
             raise ConfigError("times must be strictly increasing in (0, horizon]")
         parts.append(times)
         counts.append(np.bincount(owners, minlength=n))
@@ -380,29 +364,15 @@ class SurvivalTable:
         return float(self.grid[1] - self.grid[0])
 
     def value(self, s: float, t: float) -> float:
-        """Bilinear interpolation of p at (s, t), exact on grid nodes."""
+        """p at (s, t) by ``_triangle_value``, clamped at 0."""
         if t < s - 1e-12:
             raise DomainError(f"need s <= t, got ({s}, {t})")
         if s < -1e-12 or t > self.grid[-1] + 1e-9:
             raise DomainError(f"({s}, {t}) outside the table grid")
-        h = self.step
-        m = len(self.grid) - 1
-        i = min(int(s / h), m - 1) if m else 0
-        j = min(int(t / h), m - 1) if m else 0
-        a = np.clip(s / h - i, 0.0, 1.0)
-        b = np.clip(t / h - j, 0.0, 1.0)
-        if i == j:
-            # triangle cell touching the diagonal: interpolate from p = 1
-            # at t = s along the hazard of this cell
-            slope = (1.0 - self.p[i, j + 1]) / h if j + 1 <= m else 0.0
-            return float(max(0.0, 1.0 - slope * (t - s)))
-
-        def pv(ii, jj):
-            return self.p[min(ii, jj), jj]
-
-        top = pv(i, j) * (1 - b) + pv(i, j + 1) * b
-        bot = pv(i + 1, j) * (1 - b) + pv(i + 1, j + 1) * b
-        return float(top * (1 - a) + bot * a)
+        p = self.p
+        v = _triangle_value(lambda i, j: p[i, j], self.step,
+                            len(self.grid) - 1, s, t)
+        return float(0.0 if v < 0 else v)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -414,20 +384,60 @@ class SurvivalTable:
                              f"{float(self.p[i, j])!r}\n")
 
 
-def _exposure_rows(row_vals: np.ndarray, h: float) -> np.ndarray:
+def _grid_cell(x: float, h: float, m: int):
+    """Cell floor(x / h) of x on a grid of m cells of step h, capped at
+    m - 1, and x's offset in it, clipped to [0, 1]."""
+    i = min(int(x / h), m - 1)
+    return i, min(max(x / h - i, 0.0), 1.0)
+
+
+def _triangle_value(at, h: float, m: int, s: float, t: float) -> float:
+    """Interpolate at (s, t), s <= t, the upper-triangular table whose
+    node (t_i, t_j) on a grid of m cells of step h is ``at(i, j)``, i <= j.
+
+    Bilinear, except in a cell on the diagonal (constant in both tables
+    read here): linear in t - s from the diagonal node, with the slope to
+    the next node along t.  An s above t by rounding reads that cell.
+    """
+    i, a = _grid_cell(s, h, m)
+    j, b = _grid_cell(t, h, m)
+    if i >= j:
+        d = at(i, i)
+        return d - (d - at(i, i + 1)) / h * (t - s)
+    top = at(i, j) * (1 - b) + at(i, j + 1) * b
+    bot = at(i + 1, j) * (1 - b) + at(i + 1, j + 1) * b
+    return top * (1 - a) + bot * a
+
+
+def _cumulative_trapezoid(vals: np.ndarray, h) -> np.ndarray:
+    """Trapezoid integrals of ``vals`` along the last axis from its first
+    node to each node; ``h`` is the step, a scalar or one per interval."""
+    out = np.zeros(vals.shape)
+    out[..., 1:] = np.cumsum(0.5 * h * (vals[..., 1:] + vals[..., :-1]),
+                             axis=-1)
+    return out
+
+
+def _exposure_rows(row_vals: np.ndarray, h) -> np.ndarray:
     """Cumulative trapezoid of each row from its own diagonal node.
 
     ``row_vals[v, j]`` is the hazard omega(t_v, t_j); the result is
     Omega[v, j] = integral over [t_v, t_j].  Entries left of the diagonal
     are meaningless.
     """
-    m = row_vals.shape[0]
-    inc = 0.5 * h * (row_vals[:, 1:] + row_vals[:, :-1])
-    omega = np.zeros_like(row_vals)
-    omega[:, 1:] = np.cumsum(inc, axis=1)
-    # rebase each row at its diagonal
-    omega -= np.take_along_axis(omega, np.arange(m)[:, None], axis=1)
-    return omega
+    omega = _cumulative_trapezoid(row_vals, h)
+    return omega - np.diagonal(omega)[:, None]
+
+
+def _hazard_rows(omega: LatpIntensity, grid: np.ndarray):
+    """Hazard tables of ``omega`` on a grid: ``w[v, j]`` = omega(t_v, t_j)
+    after an arrival at t_v (row 0 the s->0+ limit), and ``w0[j]`` =
+    omega(0, t_j) before the first arrival."""
+    ss, tt = np.meshgrid(grid, grid, indexing="ij")
+    w = np.asarray(omega._fn(np.minimum(ss, tt), tt), dtype=float)
+    w0 = np.asarray(omega._fn(np.zeros(len(grid)), grid), dtype=float)
+    w[0] = omega.kernel_s0(grid)
+    return w, w0
 
 
 def _trapezoid_volterra(w, b, pre, h, total=1.0):
@@ -485,14 +495,8 @@ def survival_solve(omega: LatpIntensity, grid: np.ndarray) -> SurvivalTable:
         raise DomainError(
             f"grid too coarse: h*sup_norm = {h * omega.sup_norm:.3g} >= 1")
 
-    ss, tt = np.meshgrid(grid, grid, indexing="ij")
-    w = np.asarray(omega._fn(np.minimum(ss, tt), tt), dtype=float)
-    # forcing row: hazard before the first arrival
-    w0 = np.asarray(omega._fn(np.zeros(m + 1), grid), dtype=float)
-    # kernel rows: hazard after an arrival at t_v; v = 0 takes the limit
-    w[0] = omega.kernel_s0(grid)
-
-    e0 = np.exp(-np.concatenate([[0.0], np.cumsum(0.5 * h * (w0[1:] + w0[:-1]))]))
+    w, w0 = _hazard_rows(omega, grid)
+    e0 = np.exp(-_cumulative_trapezoid(w0, h))
     f, p = _trapezoid_volterra(w, w0 * e0, e0, h)
     p[np.tril_indices(m + 1, -1)] = np.nan
     return SurvivalTable(grid=grid, p=p, f=f, sup_norm=omega.sup_norm,
@@ -522,20 +526,12 @@ def survival_series(omega: LatpIntensity, s: float, t: float,
         grid = np.concatenate([inner, np.linspace(s, t, n2 + 1)[1:]])
     else:
         grid = inner
-    mfull = len(grid)
-
-    ss, tt = np.meshgrid(grid, grid, indexing="ij")
-    w = np.asarray(omega._fn(np.minimum(ss, tt), tt), dtype=float)
-    w0 = np.asarray(omega._fn(np.zeros(mfull), grid), dtype=float)
-    w[0] = omega.kernel_s0(grid)
-
+    w, w0 = _hazard_rows(omega, grid)
     dg = np.diff(grid)
-    inc = 0.5 * dg[None, :] * (w[:, 1:] + w[:, :-1])
-    expo = np.cumsum(np.concatenate([np.zeros((mfull, 1)), inc], axis=1), axis=1)
-    expo -= np.take_along_axis(expo, np.arange(mfull)[:, None], axis=1)
-    expo0 = np.concatenate([[0.0], np.cumsum(0.5 * dg * (w0[1:] + w0[:-1]))])
+    expo = _exposure_rows(w, dg)
+    expo0 = _cumulative_trapezoid(w0, dg)
 
-    i_t = mfull - 1
+    i_t = len(grid) - 1
     total = float(np.exp(-expo0[i_t]))  # k = 0: no arrival up to t
     if kmax == 0 or n1 == 0:
         return total
@@ -545,9 +541,8 @@ def survival_series(omega: LatpIntensity, s: float, t: float,
     kern = (w[:nx, :nx] * np.exp(-expo[:nx, :nx]))
     step_mat = tw * kern.T  # A[j, v] = weight * K(v, u_j)
 
-    # weights of int_0^s g(u) e^{-Omega(u, t)} du
-    wt_full = np.concatenate([[0.5], np.ones(n1 - 1), [0.5]]) * (s / n1)
-    tail = wt_full * np.exp(-expo[:nx, i_t])
+    # weights of int_0^s g(u) e^{-Omega(u, t)} du: the last row of tw
+    tail = tw[-1] * np.exp(-expo[:nx, i_t])
 
     g = w0[:nx] * np.exp(-expo0[:nx])  # first-arrival density g_1
     total += float(np.dot(tail, g))

@@ -111,9 +111,6 @@ class EvaluationLattice:
                 if t >= g.t0 - 1e-12:
                     yield g, t
 
-    def n_pairs(self) -> int:
-        return sum(1 for _ in self.pairs())
-
 
 def _slot_threshold(y: float, n: int) -> int:
     """Smallest slot with i/N >= y; robust to float dust on y*N."""
@@ -225,10 +222,6 @@ class LogEvaluator:
 
     def char_curve(self, gamma: BoundaryPoint, t: float) -> float:
         return gamma.y0 + self.char_count(gamma, t) / self.n
-
-    def survivor_count(self, gamma: BoundaryPoint, t: float) -> int:
-        """Downstream particles with no jump in (t0, t]."""
-        return int(self._counts(gamma, [t])[0].sum())
 
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
         alive = self._counts(gamma, [t])[0][0]

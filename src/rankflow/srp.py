@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, EnvelopeBreach
 from .intensity import PopulationAssignment
 from .flow import FlowGrid
-from .latp import thin_last_arrival
+from .latp import _breach_bound, thin_last_arrival
 from . import streams
 
 log = logging.getLogger(__name__)
@@ -369,7 +369,7 @@ def _original_pass(assignment, times, ids, marks):
         start += int(changed[0]) + 1
     log.debug("original pass: %d rounds over %d candidates", rounds, len(times))
     sups = assignment.sup_norms()[ids]
-    breach = np.flatnonzero(hazard > sups * (1 + 1e-9) + 1e-12)
+    breach = np.flatnonzero(hazard > _breach_bound(sups))
     if len(breach):
         c = breach[0]
         raise EnvelopeBreach(

@@ -96,3 +96,21 @@ def loop_trapezoid_weights(nx, h):
     for j in range(1, nx):
         tw[j, :j + 1] = np.concatenate([[0.5], np.ones(j - 1), [0.5]]) * h
     return tw
+
+
+def loop_regularity_moduli(vals):
+    """``LatpIntensity.check_regularity``'s (ds, dt) moduli of a kernel
+    table ``vals[i, j]`` = omega(min(s_i, t_j), t_j), one row and column at
+    a time; the s-modulus skips the s = 0 row."""
+    n = len(vals) - 1
+    dt_mod = 0.0
+    for i in range(n + 1):
+        row = vals[i, i:]
+        if len(row) > 1:
+            dt_mod = max(dt_mod, float(np.max(np.abs(np.diff(row)))))
+    ds_mod = 0.0
+    for j in range(2, n + 1):
+        col = vals[1: j + 1, j]
+        if len(col) > 1:
+            ds_mod = max(ds_mod, float(np.max(np.abs(np.diff(col)))))
+    return ds_mod, dt_mod

@@ -231,6 +231,35 @@ def test_latp_refuses_replicas_below_one(replicas, tmp_path, capsys):
     assert "replicas: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_latp_refuses_non_finite_horizon(horizon, tmp_path, capsys):
+    argv = ["latp", "--out", str(tmp_path), "--horizon", horizon]
+    assert run(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon: must be positive and finite")
+
+
+@pytest.mark.parametrize("option, value, name", [
+    ("--nt", "-3", "n_t"), ("--nz", "0", "n_z"), ("--max-iter", "0", "max_iter"),
+    ("--tol", "nan", "tol"), ("--tol", "0", "tol"), ("--tol", "inf", "tol"),
+])
+def test_solve_refuses_bad_settings(option, value, name, tmp_path, capsys):
+    argv = ["solve", "--config", f"{CONFIGS}/zero_rate.json",
+            "--out", str(tmp_path), option, value]
+    assert run(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: {name}: must be")
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", ["sweep", "couple"])
+def test_plan_refuses_workers_below_one(command, workers, tmp_path, capsys):
+    argv = [command, "--config", f"{CONFIGS}/zero_rate.json",
+            "--out", str(tmp_path), "--n-values", "10", "--seeds", "2",
+            "--nz", "5", "--nt", "10", "--workers", workers]
+    assert run(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: workers: must be >= 1")
+
+
 def test_help_lists_commands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rankflow import (ConfigError, ConvergenceError, DomainError, FlowGrid,
 from rankflow.harness import (affine_two_class_spec, constant_mixture_spec,
                               constant_single_spec)
 from rankflow.flow import _project
+from rankflow.latp import _grid_cell
 from rankflow.intensity import AffineField, ConstantField, uniform_single_class
 from rankflow import streams
 
@@ -55,6 +57,20 @@ def test_flow_grid_invariant_checks():
     bad[3, 10] = 0.01  # breaks z-monotonicity
     with pytest.raises(ConfigError):
         FlowGrid(1.0, bad, np.zeros((51, 51)))
+
+
+@pytest.mark.parametrize("where, message", [
+    ((5, slice(10, 11)), "non-decreasing in t (boundary rows)"),
+    ((5, slice(10, None)), "not monotone across boundary rows"),
+], ids=["decreasing-row", "column-rises"])
+def test_flow_grid_refuses_non_monotone_boundary_rows(where, message):
+    # identity boundary rows are 0; 0.1 on part of row 5 makes that row
+    # fall back to 0, or (on its whole tail) the columns rise at row 5
+    bdry = np.zeros((51, 51))
+    bdry[where] = 0.1
+    init = np.tile(np.linspace(0, 1, 11)[:, None], (1, 51))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        FlowGrid(1.0, init, bdry)
 
 
 def closed_form_unit_flow(n_z=20, n_t=100):
@@ -120,7 +136,7 @@ def test_phi_theta_mixture_closed_form():
 
 def phi_initial_per_cell(ev, hv, y0, t):
     """The per-cell sum of Histogram.mass calls, oracle for _phi_initial."""
-    j, mu = ev._t_interp(t)
+    j, mu = _grid_cell(t, ev.flow.dt, ev.flow.n_t)
     edges = ev.flow.z_nodes
     total = 0.0
     for k, cls in enumerate(ev.spec.classes):

@@ -1,0 +1,107 @@
+"""Reproducibility gate: seeded CLI outputs keep their recorded bytes.
+
+Each command runs at a small size; the SHA-256 of every file it writes and
+of its stdout (with the output directory replaced by ``OUT``) must equal
+the hash recorded in ``golden.json``.  A change that moves any of these
+bytes either is a fault or says why in CHANGES.md and records the new
+hashes with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Floating-point results depend on the numpy build and on the SIMD paths it
+dispatches to, so the gate skips on another numpy version or machine.
+"""
+
+import hashlib
+import json
+import os
+import platform
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rankflow.cli import main
+
+AFFINE = "configs/affine_two_class.json"
+SOLVER = ["--nz", "10", "--nt", "50"]
+PLAN = ["--n-values", "50", "100", "--seeds", "2"]
+
+RUNS = {
+    "solve": ["solve", "--config", AFFINE] + SOLVER,
+    "simulate": ["simulate", "--config", AFFINE, "--n", "200", "--seed", "3"],
+    "simulate-flow": ["simulate", "--config", AFFINE, "--n", "200", "--seed",
+                      "3", "--mode", "flow"] + SOLVER,
+    "sweep": ["sweep", "--config", AFFINE, "--class-indicator", "0"]
+             + SOLVER + PLAN,
+    "sweep-flow": ["sweep", "--config", AFFINE, "--flow", "solve"]
+                  + SOLVER + PLAN,
+    "couple": ["couple", "--config", AFFINE] + SOLVER + PLAN,
+    "tagged": ["tagged", "--config", AFFINE] + SOLVER + PLAN,
+    "latp": ["latp", "--grid", "100", "--replicas", "1000", "--seed", "1"],
+}
+
+GOLDEN_PATH = Path(__file__).with_name("golden.json")
+
+
+def _platform():
+    features = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
+    features = getattr(features, "__cpu_features__", {})
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "cpu_features": sorted(k for k, on in features.items() if on)}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_all(root, capture):
+    """Run every command in its own directory under ``root``; returns
+    {name: sha256} over exit codes, stdout and every file written.
+    ``capture()`` returns the stdout written since its last call."""
+    hashes = {}
+    for name, argv in RUNS.items():
+        out = os.path.join(root, name)
+        code = main(argv + ["--out", out])
+        hashes[f"{name}:exit"] = str(code)
+        hashes[f"{name}:stdout"] = _sha(capture().replace(out, "OUT").encode())
+        for fname in sorted(os.listdir(out)):
+            with open(os.path.join(out, fname), "rb") as fh:
+                hashes[f"{name}/{fname}"] = _sha(fh.read())
+    return hashes
+
+
+def test_cli_outputs_match_recorded_hashes(tmp_path, capsys, monkeypatch):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    recorded, here = golden["platform"], _platform()
+    if here != recorded:
+        pytest.skip(f"hashes recorded on {recorded['machine']} with numpy "
+                    f"{recorded['numpy']} and its CPU features; this is "
+                    f"{here['machine']} with numpy {here['numpy']}")
+    monkeypatch.delenv("RANKFLOW_OUTDIR", raising=False)
+    got = run_all(str(tmp_path), lambda: capsys.readouterr().out)
+    want = golden["hashes"]
+    assert sorted(got) == sorted(want)
+    moved = [k for k in want if got[k] != want[k]]
+    assert not moved, f"outputs changed: {moved}"
+
+
+if __name__ == "__main__":
+    import io
+    import tempfile
+    from contextlib import redirect_stdout
+
+    buf = io.StringIO()
+
+    def capture():
+        text = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        return text
+
+    os.environ.pop("RANKFLOW_OUTDIR", None)
+    with tempfile.TemporaryDirectory() as root, redirect_stdout(buf):
+        hashes = run_all(root, capture)
+    GOLDEN_PATH.write_text(json.dumps({"platform": _platform(),
+                                       "hashes": hashes},
+                                      indent=2, sort_keys=True) + "\n")

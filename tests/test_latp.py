@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import (loop_derivative_bound_check, loop_survival_table_check,
-                     loop_trapezoid_weights)
+from oracles import (loop_derivative_bound_check, loop_regularity_moduli,
+                     loop_survival_table_check, loop_trapezoid_weights)
 
 from rankflow import (ArrivalSequence, ConfigError, DomainError,
                       EnvelopeBreach, LatpIntensity, derivative_bound_check,
@@ -73,12 +74,6 @@ def test_sample_one_plus_s_first_arrival():
     p = math.exp(-1.0)
     se = math.sqrt(p * (1 - p) / reps)
     assert abs(hits / reps - p) <= 3 * se
-
-
-def test_sample_envelope_validation():
-    om = constant_intensity(2.0, 1.0)
-    with pytest.raises(DomainError):
-        sample_arrivals(om, envelope=1.0, seed=0)
 
 
 def test_sample_envelope_breach_is_hard_fault():
@@ -314,6 +309,30 @@ def test_arrival_sequence_must_increase():
             ArrivalSequence(times=np.array(times), horizon=1.0)
 
 
+@pytest.mark.parametrize("times", [[0.5, np.nan, 0.7], [np.nan], [0.2, np.nan]],
+                         ids=["middle", "alone", "last"])
+def test_arrival_sequence_refuses_nan(times):
+    with pytest.raises(ConfigError, match="strictly increasing in"):
+        ArrivalSequence(times=np.array(times), horizon=1.0)
+
+
+def test_sample_replicas_refuses_nan_arrival(monkeypatch):
+    def with_nan(seed, kind, count, rate, horizon, start=0):
+        counts = np.zeros(count, dtype=np.int64)
+        counts[1] = 2
+        return np.array([0.3, np.nan]), np.zeros(2), counts
+
+    monkeypatch.setattr(streams, "replica_candidates", with_nan)
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        sample_replicas(constant_intensity(1.0, 1.0), 0, 3)
+
+
+@pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0])
+def test_latp_intensity_refuses_horizon(horizon):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        constant_intensity(1.0, horizon)
+
+
 def test_arrival_sequence_accepts_increasing_times():
     for times in ([], [1.0], [0.1, 0.2, 1.0]):
         seq = ArrivalSequence(times=np.array(times, dtype=float), horizon=1.0)
@@ -536,6 +555,65 @@ def test_table_value_interpolation():
         tab.value(0.5, 0.2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 6), k=st.integers(-3, 3), data=st.data())
+def test_triangle_value_nodes_diagonal_cell_and_bilinear(m, k, data):
+    # an upper-triangular table with a constant diagonal, as the survival
+    # tables and bdry_phi have; a power-of-two step puts nodes exactly
+    h = 2.0 ** k
+    table = data.draw(arrays(float, (m + 1, m + 1),
+                             elements=st.floats(0.0, 1.0)))
+    np.fill_diagonal(table, data.draw(st.floats(0.0, 1.0)))
+    table[np.tril_indices(m + 1, -1)] = np.nan
+
+    def at(i, j):
+        assert 0 <= i <= j <= m
+        return table[i, j]
+
+    for i in range(m + 1):
+        for j in range(i, m + 1):
+            got = latp._triangle_value(at, h, m, i * h, j * h)
+            if (i, j) == (m - 1, m):
+                # the last cell's node along t, reached by the diagonal
+                # cell's line: exact up to rounding
+                assert got == pytest.approx(table[i, j], abs=1e-15)
+            else:
+                assert got == table[i, j]
+    # the diagonal cell: linear in t - s from the diagonal node
+    i = data.draw(st.integers(0, m - 1))
+    a, b = sorted(data.draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+    d = table[i, i]
+    want = d - (d - table[i, i + 1]) * (b - a)
+    got = latp._triangle_value(at, h, m, (i + a) * h, (i + b) * h)
+    assert got == pytest.approx(want, abs=1e-12)
+    # any other cell: bilinear in its four nodes
+    if m >= 2:
+        i, j = sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=2,
+                                         max_size=2, unique=True)))
+        offset = st.floats(0.0, 1.0, exclude_max=True)
+        a, b = data.draw(offset), data.draw(offset)
+        c = table[i:i + 2, j:j + 2]
+        want = ((1 - a) * ((1 - b) * c[0, 0] + b * c[0, 1])
+                + a * ((1 - b) * c[1, 0] + b * c[1, 1]))
+        got = latp._triangle_value(at, h, m, (i + a) * h, (j + b) * h)
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 9)),
+       per_interval=st.booleans(), data=st.data())
+def test_cumulative_trapezoid_is_each_prefix_trapezoid(shape, per_interval, data):
+    vals = data.draw(arrays(float, shape, elements=st.floats(-5.0, 5.0)))
+    steps = data.draw(arrays(float, shape[1] - 1, elements=st.floats(0.01, 2.0)))
+    h = steps if per_interval else data.draw(st.floats(0.01, 2.0))
+    x = np.concatenate([[0.0], np.cumsum(np.broadcast_to(h, shape[1] - 1))])
+    got = latp._cumulative_trapezoid(vals, h)
+    assert got.shape == vals.shape and np.all(got[:, 0] == 0.0)
+    for j in range(1, shape[1]):
+        want = np.trapezoid(vals[:, :j + 1], x[:j + 1], axis=-1)
+        assert got[:, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_regularity_scan_shipped_kernels():
     # continuity by bounded grid finite differences; the flow pullback may
     # jump only at s = 0 (its initial row carries the starting position)
@@ -547,6 +625,25 @@ def test_regularity_scan_shipped_kernels():
         assert excess <= 1e-12
         assert ds_mod <= lip * h + 1e-12
         assert dt_mod <= lip * h + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_regularity_scan_matches_row_and_column_loops(n, data):
+    # a tabulated kernel, NaN nodes included: a line holding NaN is skipped
+    vals = data.draw(arrays(float, (n + 1, n + 1), elements=st.one_of(
+        st.floats(0.0, 4.0), st.just(np.nan))))
+    grid = np.linspace(0.0, 1.0, n + 1)
+
+    def fn(s, t):
+        return vals[np.rint(np.asarray(s) * n).astype(int),
+                    np.rint(np.asarray(t) * n).astype(int)]
+
+    om = LatpIntensity(fn, 1.0, sup_norm=2.0)
+    excess, ds_mod, dt_mod = om.check_regularity(n)
+    ss, tt = np.meshgrid(grid, grid, indexing="ij")
+    want = loop_regularity_moduli(fn(np.minimum(ss, tt), tt))
+    assert (ds_mod, dt_mod) == want
 
 
 def test_regularity_rejects_negative_kernel():
