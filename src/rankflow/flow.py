@@ -77,6 +77,20 @@ def gamma_compare(a: BoundaryPoint, b: BoundaryPoint) -> int:
     return (ka > kb) - (ka < kb)
 
 
+def _bilinear(table, r, a, j, mu):
+    """Interpolate ``table`` in row cell r at offset a and column cell j at
+    offset mu: linear along each row, then linear across the two rows."""
+    lo = table[r, j] * (1 - mu) + table[r, j + 1] * mu
+    hi = table[r + 1, j] * (1 - mu) + table[r + 1, j + 1] * mu
+    return lo * (1 - a) + hi * a
+
+
+def _require_grid(n_z: int, n_t: int) -> None:
+    for name, value in (("n_z", n_z), ("n_t", n_t)):
+        if value < 1:
+            raise ConfigError(f"{name}: must be >= 1, got {value}")
+
+
 class FlowGrid:
     """A flow sampled on initial points z_j = j/n_z and boundary times l*dt.
 
@@ -140,49 +154,38 @@ class FlowGrid:
         if gamma.kind == "initial":
             if gamma.coord > 1 + 1e-12:
                 raise DomainError(f"initial coordinate {gamma.coord} > 1")
-            return self._eval_initial(gamma.coord, t)
-        return self._eval_boundary(t0, t)
+            rows = self.init_values, *self._z_cell(gamma.coord)
+        else:
+            rows = self.bdry_values, *self._t_cell(t0)
+        return float(_bilinear(*rows, *self._t_cell(t)))
 
     # -- lenient vector evaluation (engines and kernels) -------------------
 
-    def _t_weights(self, t):
-        t = np.asarray(t, dtype=float)
-        j = np.clip((t / self.dt).astype(int), 0, self.n_t - 1)
-        mu = np.clip(t / self.dt - j, 0.0, 1.0)
-        return j, mu
+    def _z_cell(self, z):
+        """Initial row cell of z and z's offset in it (not clipped)."""
+        u = np.asarray(z, dtype=float) * self.n_z
+        iz = np.minimum(u.astype(int), self.n_z - 1)
+        return iz, u - iz
 
-    def _eval_initial(self, z, t):
-        z = np.asarray(z, dtype=float)
-        iz = np.minimum((z * self.n_z).astype(int), self.n_z - 1)
-        a = z * self.n_z - iz
-        j, mu = self._t_weights(t)
-        iv = self.init_values
-        lo = iv[iz, j] * (1 - mu) + iv[iz, j + 1] * mu
-        hi = iv[iz + 1, j] * (1 - mu) + iv[iz + 1, j + 1] * mu
-        out = lo * (1 - a) + hi * a
-        return float(out) if np.ndim(out) == 0 else out
-
-    def _eval_boundary(self, t0, t):
-        """Boundary curves from start times t0 (zero-extended before t0)."""
-        t0 = np.asarray(t0, dtype=float)
-        l = np.clip((t0 / self.dt).astype(int), 0, self.n_t - 1)
-        lam = np.clip(t0 / self.dt - l, 0.0, 1.0)
-        j, mu = self._t_weights(t)
-        bv = self.bdry_values
-        lo = bv[l, j] * (1 - mu) + bv[l, j + 1] * mu
-        hi = bv[l + 1, j] * (1 - mu) + bv[l + 1, j + 1] * mu
-        out = lo * (1 - lam) + hi * lam
-        return float(out) if np.ndim(out) == 0 else out
+    def _t_cell(self, t):
+        """Time cell of t (also the boundary row cell of a start time t),
+        clamped to the grid, and t's offset in it, clipped to [0, 1]."""
+        u = np.asarray(t, dtype=float) / self.dt
+        j = np.clip(u.astype(int), 0, self.n_t - 1)
+        return j, np.clip(u - j, 0.0, 1.0)
 
     def _eval_from(self, y0, last, t):
         """theta at t along the curve from a last reset time ``last``.
 
         ``last == 0`` (no reset yet) follows the initial curve from y0;
-        ``last > 0`` follows the boundary curve started at last.
+        ``last > 0`` follows the boundary curve started at last, which is
+        zero-extended before last.
         """
         last = np.asarray(last, dtype=float)
-        out = np.where(last == 0.0, self._eval_initial(y0, t),
-                       self._eval_boundary(last, t))
+        cell = self._t_cell(t)
+        out = np.where(last == 0.0,
+                       _bilinear(self.init_values, *self._z_cell(y0), *cell),
+                       _bilinear(self.bdry_values, *self._t_cell(last), *cell))
         return float(out) if out.ndim == 0 else out
 
     # -- constructors ------------------------------------------------------
@@ -190,40 +193,10 @@ class FlowGrid:
     @staticmethod
     def identity(horizon: float, n_z: int, n_t: int) -> "FlowGrid":
         """theta(gamma, t) = y0(gamma): frozen initial positions."""
+        _require_grid(n_z, n_t)
         init = np.tile((np.arange(n_z + 1) / n_z)[:, None], (1, n_t + 1))
         bdry = np.zeros((n_t + 1, n_t + 1))
         return FlowGrid(horizon, init, bdry)
-
-    @staticmethod
-    def from_function(fn, horizon: float, n_z: int, n_t: int) -> "FlowGrid":
-        """Sample theta(gamma, t) from a callable on the grid."""
-        dt = horizon / n_t
-        init = np.empty((n_z + 1, n_t + 1))
-        bdry = np.zeros((n_t + 1, n_t + 1))
-        for jz in range(n_z + 1):
-            g = initial(jz / n_z)
-            for jt in range(n_t + 1):
-                init[jz, jt] = fn(g, jt * dt)
-        for l in range(n_t + 1):
-            g = boundary(l * dt)
-            for jt in range(l, n_t + 1):
-                bdry[l, jt] = fn(g, jt * dt)
-        return FlowGrid(horizon, init, bdry)
-
-    def gamma_grid(self):
-        """All grid gamma points, ascending in the total order."""
-        gammas = [initial(z) for z in self.z_nodes[::-1]]
-        gammas += [boundary(l * self.dt) for l in range(1, self.n_t + 1)]
-        return gammas
-
-    def ordered_values(self) -> np.ndarray:
-        """theta on the ordered gamma grid; NaN where inadmissible."""
-        rows = [self.init_values[::-1]]
-        bd = self.bdry_values[1:].copy()
-        for l in range(1, self.n_t + 1):
-            bd[l - 1, :l] = np.nan
-        rows.append(bd)
-        return np.concatenate(rows, axis=0)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -253,7 +226,8 @@ def tilde_w(flow: FlowGrid, field, z: float) -> LatpIntensity:
         lambda s, t: field._values(flow._eval_from(z, s, t), t),
         min(flow.horizon, field.horizon), sup_norm=field.sup_norm,
         s0_limit=lambda t: field._values(
-            np.asarray(flow._eval_boundary(0.0, t)), np.asarray(t, dtype=float)),
+            _bilinear(flow.bdry_values, 0, 0.0, *flow._t_cell(t)),
+            np.asarray(t, dtype=float)),
         label=f"tilde[{field.kind},z={z:g}]")
 
 
@@ -375,18 +349,19 @@ def _project(horizon, init, bdry, n_z, n_t):
     bdry = np.clip(bdry, 0.0, 1.0)
     before = (init.copy(), bdry.copy())
     init[:, 0] = np.arange(n_z + 1) / n_z
-    for l in range(n_t + 1):
-        bdry[l, :l + 1] = 0.0
-    init = np.maximum.accumulate(init, axis=1)
-    bdry = np.maximum.accumulate(bdry, axis=1)
-    for l in range(n_t + 1):
-        bdry[l, :l] = 0.0
-    init = np.maximum.accumulate(init, axis=0)
+    # boundary rows start at 0, and the running maximum keeps them 0 before
+    # their start; every pass works in place, because each fresh
+    # (n_t+1)^2 array costs the solver its page faults
+    bdry[np.tri(n_t + 1, dtype=bool)] = 0.0
+    np.maximum.accumulate(init, axis=1, out=init)
+    np.maximum.accumulate(bdry, axis=1, out=bdry)
+    np.maximum.accumulate(init, axis=0, out=init)
     # the corner (0, 0) is one point, tagged initial or boundary
     bdry[0] = init[0]
-    for j in range(n_t + 1):
-        bdry[: j + 1, j] = np.minimum.accumulate(
-            np.minimum(bdry[: j + 1, j], init[0, j]))
+    np.minimum(bdry, init[0], out=bdry)
+    np.minimum.accumulate(bdry, axis=0, out=bdry)
+    # the padding stays +0.0 where init[0] holds a -0.0
+    bdry[np.tri(n_t + 1, k=-1, dtype=bool)] = 0.0
     moved = max(float(np.max(np.abs(init - before[0]))),
                 float(np.max(np.abs(bdry - before[1]))))
     return init, bdry, moved
@@ -463,9 +438,9 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
     """
     if not 0 < damping <= 1:
         raise ConfigError(f"damping must lie in (0,1], got {damping}")
-    for name, value in (("n_z", n_z), ("n_t", n_t), ("max_iter", max_iter)):
-        if value < 1:
-            raise ConfigError(f"{name}: must be >= 1, got {value}")
+    _require_grid(n_z, n_t)
+    if max_iter < 1:
+        raise ConfigError(f"max_iter: must be >= 1, got {max_iter}")
     if not 0 < tol < np.inf:
         raise ConfigError(f"tol: must be positive and finite, got {tol}")
     flow = FlowGrid.identity(spec.horizon, n_z, n_t)
@@ -521,47 +496,41 @@ def verify_ode_form(sol: LimitSolution) -> OdeFormReport:
     phi along the gamma grid.  The quadrature is first order in dt.
     """
     flow, spec = sol.flow, sol.spec
-    n_t = flow.n_t
-    gammas = flow.gamma_grid()
-    yvals = flow.ordered_values()
-    n_rows = len(gammas)
-
+    n_z, h = flow.n_z, flow.dt
+    # grid gammas in ascending order: initial z = 1 .. 0, then boundary
+    # t0 = dt .. horizon; row q is admissible from time node j0[q] on
+    j0 = np.concatenate([np.zeros(n_z + 1, dtype=int), np.arange(1, flow.n_t + 1)])
+    adm = np.arange(flow.n_t + 1) >= j0[:, None]
+    yvals = np.concatenate([flow.init_values[::-1], flow.bdry_values[1:]])
     init_phi, bdry_phi = sol.evaluator.phi_grids_per_class()
-    K = spec.n_classes
-    phi_rows = np.empty((K, n_rows, n_t + 1))
-    for k in range(K):
-        phi_rows[k] = np.concatenate([init_phi[k][::-1], bdry_phi[k][1:]], axis=0)
+    phi_rows = np.concatenate([init_phi[:, ::-1], bdry_phi[:, 1:]], axis=1)
 
-    # integrand I[q, j] = flux through [y_C(gamma_q, t_j), 1]
-    integrand = np.zeros((n_rows, n_t + 1))
-    for j in range(n_t + 1):
-        n_adm = flow.n_z + 1 + j  # ordered rows admissible at t_j
-        y = yvals[:n_adm, j]
-        mids = 0.5 * (y[1:] + y[:-1])
-        flux = np.zeros(n_adm - 1)
-        for k in range(K):
-            w_mid = spec.classes[k].field._values(
-                np.clip(mids, 0.0, 1.0), np.full(n_adm - 1, flow.t_nodes[j]))
-            dm = phi_rows[k, 1:n_adm, j] - phi_rows[k, : n_adm - 1, j]
-            flux += w_mid * np.clip(dm, 0.0, None)
-        integrand[:n_adm, j] = np.concatenate([[0.0], np.cumsum(flux)])
+    # integrand I[q, j] = flux through [y_C(gamma_q, t_j), 1]; each column's
+    # inadmissible rows come last, so its running sum over the admissible
+    # rows never reads them
+    mids = np.clip(0.5 * (yvals[1:] + yvals[:-1]), 0.0, 1.0)
+    tt = np.broadcast_to(flow.t_nodes, mids.shape)
+    flux = np.zeros(mids.shape)
+    for k, cls in enumerate(spec.classes):
+        dm = np.clip(np.diff(phi_rows[k], axis=0), 0.0, None)
+        flux += cls.field._values(mids, tt) * dm
+    integrand = np.zeros(yvals.shape)
+    integrand[1:] = np.cumsum(flux, axis=0)
 
-    h = flow.dt
-    worst = 0.0
+    # a zero step before t0 starts each row's integral at t0
+    y0 = np.concatenate([flow.z_nodes[::-1], np.zeros(flow.n_t)])
+    rhs = y0[:, None] + _cumulative_trapezoid(integrand,
+                                              np.where(adm[:, :-1], h, 0.0))
+    resid = np.where(adm, np.abs(yvals - rhs), 0.0)
+    q, j = np.unravel_index(np.argmax(resid), resid.shape)
+    worst = float(resid[q, j])
     arg = ("", 0.0)
-    for q, gamma in enumerate(gammas):
-        j0 = 0 if gamma.kind == "initial" else int(round(gamma.coord / h))
-        vals = integrand[q, j0:]
-        if len(vals) < 1:
-            continue
-        rhs = gamma.y0 + _cumulative_trapezoid(vals, h)
-        resid = np.abs(yvals[q, j0:] - rhs)
-        i = int(np.argmax(resid))
-        if resid[i] > worst:
-            worst = float(resid[i])
-            arg = (str(gamma), float(flow.t_nodes[j0 + i]))
+    if worst > 0:
+        gamma = (initial(flow.z_nodes[n_z - q]) if q <= n_z
+                 else boundary((q - n_z) * h))
+        arg = (str(gamma), float(flow.t_nodes[j]))
     return OdeFormReport(max_residual=worst, argmax_gamma=arg[0],
-                         argmax_t=arg[1], n_z=flow.n_z, n_t=flow.n_t)
+                         argmax_t=arg[1], n_z=n_z, n_t=flow.n_t)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 import numpy as np
 
 from rankflow import ConfigError, EnvelopeBreach, RankIndex
-from rankflow.latp import DerivativeReport
+from rankflow.flow import OdeFormReport, boundary, initial
+from rankflow.latp import DerivativeReport, _cumulative_trapezoid
 
 
 class NaiveRankIndex:
@@ -114,3 +115,123 @@ def loop_regularity_moduli(vals):
         if len(col) > 1:
             ds_mod = max(ds_mod, float(np.max(np.abs(np.diff(col)))))
     return ds_mod, dt_mod
+
+
+def loop_t_weights(flow, t):
+    """``FlowGrid``'s time cell (j, mu) of t, as the loops read it."""
+    t = np.asarray(t, dtype=float)
+    j = np.clip((t / flow.dt).astype(int), 0, flow.n_t - 1)
+    mu = np.clip(t / flow.dt - j, 0.0, 1.0)
+    return j, mu
+
+
+def loop_initial(flow, z, t):
+    """Initial curves from z, bilinear in (z, t)."""
+    z = np.asarray(z, dtype=float)
+    iz = np.minimum((z * flow.n_z).astype(int), flow.n_z - 1)
+    a = z * flow.n_z - iz
+    j, mu = loop_t_weights(flow, t)
+    iv = flow.init_values
+    lo = iv[iz, j] * (1 - mu) + iv[iz, j + 1] * mu
+    hi = iv[iz + 1, j] * (1 - mu) + iv[iz + 1, j + 1] * mu
+    out = lo * (1 - a) + hi * a
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def loop_boundary(flow, t0, t):
+    """Boundary curves from start times t0 (zero-extended before t0)."""
+    t0 = np.asarray(t0, dtype=float)
+    l = np.clip((t0 / flow.dt).astype(int), 0, flow.n_t - 1)
+    lam = np.clip(t0 / flow.dt - l, 0.0, 1.0)
+    j, mu = loop_t_weights(flow, t)
+    bv = flow.bdry_values
+    lo = bv[l, j] * (1 - mu) + bv[l, j + 1] * mu
+    hi = bv[l + 1, j] * (1 - mu) + bv[l + 1, j + 1] * mu
+    out = lo * (1 - lam) + hi * lam
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def loop_project(horizon, init, bdry, n_z, n_t):
+    """``flow._project`` one boundary row and column at a time."""
+    init = np.clip(init, 0.0, 1.0)
+    bdry = np.clip(bdry, 0.0, 1.0)
+    before = (init.copy(), bdry.copy())
+    init[:, 0] = np.arange(n_z + 1) / n_z
+    for l in range(n_t + 1):
+        bdry[l, :l + 1] = 0.0
+    init = np.maximum.accumulate(init, axis=1)
+    bdry = np.maximum.accumulate(bdry, axis=1)
+    for l in range(n_t + 1):
+        bdry[l, :l] = 0.0
+    init = np.maximum.accumulate(init, axis=0)
+    # the corner (0, 0) is one point, tagged initial or boundary
+    bdry[0] = init[0]
+    for j in range(n_t + 1):
+        bdry[: j + 1, j] = np.minimum.accumulate(
+            np.minimum(bdry[: j + 1, j], init[0, j]))
+    moved = max(float(np.max(np.abs(init - before[0]))),
+                float(np.max(np.abs(bdry - before[1]))))
+    return init, bdry, moved
+
+
+def loop_gamma_grid(flow):
+    """All grid gamma points, ascending in the total order."""
+    gammas = [initial(z) for z in flow.z_nodes[::-1]]
+    gammas += [boundary(l * flow.dt) for l in range(1, flow.n_t + 1)]
+    return gammas
+
+
+def loop_ordered_values(flow) -> np.ndarray:
+    """theta on the ordered gamma grid; NaN where inadmissible."""
+    rows = [flow.init_values[::-1]]
+    bd = flow.bdry_values[1:].copy()
+    for l in range(1, flow.n_t + 1):
+        bd[l - 1, :l] = np.nan
+    rows.append(bd)
+    return np.concatenate(rows, axis=0)
+
+
+def loop_verify_ode_form(sol) -> OdeFormReport:
+    """``flow.verify_ode_form`` one time node and one gamma at a time."""
+    flow, spec = sol.flow, sol.spec
+    n_t = flow.n_t
+    gammas = loop_gamma_grid(flow)
+    yvals = loop_ordered_values(flow)
+    n_rows = len(gammas)
+
+    init_phi, bdry_phi = sol.evaluator.phi_grids_per_class()
+    K = spec.n_classes
+    phi_rows = np.empty((K, n_rows, n_t + 1))
+    for k in range(K):
+        phi_rows[k] = np.concatenate([init_phi[k][::-1], bdry_phi[k][1:]], axis=0)
+
+    # integrand I[q, j] = flux through [y_C(gamma_q, t_j), 1]
+    integrand = np.zeros((n_rows, n_t + 1))
+    for j in range(n_t + 1):
+        n_adm = flow.n_z + 1 + j  # ordered rows admissible at t_j
+        y = yvals[:n_adm, j]
+        mids = 0.5 * (y[1:] + y[:-1])
+        flux = np.zeros(n_adm - 1)
+        for k in range(K):
+            w_mid = spec.classes[k].field._values(
+                np.clip(mids, 0.0, 1.0), np.full(n_adm - 1, flow.t_nodes[j]))
+            dm = phi_rows[k, 1:n_adm, j] - phi_rows[k, : n_adm - 1, j]
+            flux += w_mid * np.clip(dm, 0.0, None)
+        integrand[:n_adm, j] = np.concatenate([[0.0], np.cumsum(flux)])
+
+    h = flow.dt
+    worst = 0.0
+    arg = ("", 0.0)
+    for q, gamma in enumerate(gammas):
+        j0 = 0 if gamma.kind == "initial" else int(round(gamma.coord / h))
+        vals = integrand[q, j0:]
+        if len(vals) < 1:
+            continue
+        rhs = gamma.y0 + _cumulative_trapezoid(vals, h)
+        resid = np.abs(yvals[q, j0:] - rhs)
+        i = int(np.argmax(resid))
+        if resid[i] > worst:
+            worst = float(resid[i])
+            arg = (str(gamma), float(flow.t_nodes[j0 + i]))
+    return OdeFormReport(max_residual=worst, argmax_gamma=arg[0],
+                         argmax_t=arg[1], n_z=flow.n_z, n_t=flow.n_t)

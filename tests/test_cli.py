@@ -250,6 +250,19 @@ def test_solve_refuses_bad_settings(option, value, name, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {name}: must be")
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "10", "--mode", "flow"],
+    ["sweep", "--n-values", "10", "--seeds", "2"],
+])
+def test_identity_flow_refuses_negative_grid(command, tmp_path, capsys):
+    argv = command + ["--config", f"{CONFIGS}/zero_rate.json",
+                      "--out", str(tmp_path), "--flow", "identity",
+                      "--nt", "-3"]
+    assert run(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(
+        "error: n_t: must be >= 1, got -3")
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 @pytest.mark.parametrize("command", ["sweep", "couple"])
 def test_plan_refuses_workers_below_one(command, workers, tmp_path, capsys):

@@ -1,9 +1,10 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,8 +15,14 @@ from rankflow.harness import (affine_two_class_spec, constant_mixture_spec,
                               constant_single_spec)
 from rankflow.flow import _project
 from rankflow.latp import _grid_cell
-from rankflow.intensity import AffineField, ConstantField, uniform_single_class
+from rankflow.intensity import (AffineField, ConstantField, load_spec,
+                                uniform_single_class)
 from rankflow import streams
+
+from oracles import (loop_boundary, loop_initial, loop_project,
+                     loop_verify_ode_form)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_gamma_order_boundary_beats_initial():
@@ -73,13 +80,60 @@ def test_flow_grid_refuses_non_monotone_boundary_rows(where, message):
         FlowGrid(1.0, init, bdry)
 
 
+def flow_from_function(fn, horizon, n_z, n_t):
+    """Sample theta(gamma, t) from a callable on the grid."""
+    dt = horizon / n_t
+    init = np.empty((n_z + 1, n_t + 1))
+    bdry = np.zeros((n_t + 1, n_t + 1))
+    for jz in range(n_z + 1):
+        g = initial(jz / n_z)
+        for jt in range(n_t + 1):
+            init[jz, jt] = fn(g, jt * dt)
+    for l in range(n_t + 1):
+        g = boundary(l * dt)
+        for jt in range(l, n_t + 1):
+            bdry[l, jt] = fn(g, jt * dt)
+    return FlowGrid(horizon, init, bdry)
+
+
 def closed_form_unit_flow(n_z=20, n_t=100):
     # limit flow of the unit-rate uniform population
     def fn(g, t):
         if g.kind == "initial":
             return 1.0 - (1.0 - g.coord) * math.exp(-t)
         return 1.0 - math.exp(-(t - g.coord))
-    return FlowGrid.from_function(fn, 1.0, n_z, n_t)
+    return flow_from_function(fn, 1.0, n_z, n_t)
+
+
+UNIT_FLOW = closed_form_unit_flow(10, 50)
+
+
+@st.composite
+def reset_queries(draw):
+    """(y0, last, t) arrays with times drawn among the grid nodes, at the
+    horizon and between nodes, and positions and times up to the rounding
+    slack that ``theta`` accepts outside [0, 1] and [0, horizon]."""
+    fl = UNIT_FLOW
+    times = st.one_of(st.sampled_from(fl.t_nodes.tolist()),
+                      st.just(fl.horizon), st.floats(-1e-12, fl.horizon + 1e-9))
+    n = draw(st.integers(1, 8))
+    y0 = draw(st.lists(st.floats(-1e-12, 1.0 + 1e-12), min_size=n, max_size=n))
+    last = draw(st.lists(st.one_of(st.just(0.0), times), min_size=n,
+                         max_size=n))
+    t = draw(st.lists(times, min_size=n, max_size=n))
+    return np.array(y0), np.array(last), np.array(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reset_queries())
+def test_eval_from_matches_per_table_loops(case):
+    y0, last, t = case
+    fl = UNIT_FLOW
+    want = np.where(last == 0, loop_initial(fl, y0, t),
+                    loop_boundary(fl, last, t))
+    assert fl._eval_from(y0, last, t).tobytes() == want.tobytes()
+    one = fl._eval_from(float(y0[0]), float(last[0]), float(t[0]))
+    assert type(one) is float and one == want[0]
 
 
 def test_tilde_w_constant_field():
@@ -304,6 +358,19 @@ def test_project_is_admissible_and_idempotent(case):
     assert np.array_equal(init2, init1) and np.array_equal(bdry2, bdry1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(flow_iterates())
+@example((1, 2, np.array([[0.0, -0.0, -0.0], [1.0, 1.0, 1.0]]),
+          np.zeros((3, 3))))
+def test_project_matches_loop(case):
+    n_z, n_t, init, bdry = case
+    got = _project(1.0, init, bdry, n_z, n_t)
+    want = loop_project(1.0, init, bdry, n_z, n_t)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+
+
 def test_solution_cache_round_trip(tmp_path, sol_const1, spec_const1, spec_affine):
     path = tmp_path / "yc.npz"
     sol_const1.save(path)
@@ -329,6 +396,17 @@ def test_ode_form_refines(spec_affine):
     r1 = verify_ode_form(solve_y_c(spec_affine, n_z=10, n_t=50)).max_residual
     r2 = verify_ode_form(solve_y_c(spec_affine, n_z=10, n_t=100)).max_residual
     assert r2 <= r1 / 2 + 1e-9
+
+
+@pytest.mark.parametrize("n_z, n_t", [(10, 50), (20, 200)])
+@pytest.mark.parametrize("config", [
+    "configs/affine_two_class.json", "configs/constant_mixture.json",
+    "configs/constant_unit.json", "configs/zero_rate.json",
+    "bench/table_two_class.json",
+])
+def test_ode_form_matches_loop(config, n_z, n_t):
+    sol = solve_y_c(load_spec(ROOT / config), n_z=n_z, n_t=n_t)
+    assert verify_ode_form(sol) == loop_verify_ode_form(sol)
 
 
 def test_evaluator_tables_match_direct_volterra(sol_affine, spec_affine):

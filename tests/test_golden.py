@@ -24,11 +24,15 @@ import pytest
 from rankflow.cli import main
 
 AFFINE = "configs/affine_two_class.json"
+MIXTURE = "configs/constant_mixture.json"
+TABLE = "bench/table_two_class.json"
 SOLVER = ["--nz", "10", "--nt", "50"]
 PLAN = ["--n-values", "50", "100", "--seeds", "2"]
 
 RUNS = {
     "solve": ["solve", "--config", AFFINE] + SOLVER,
+    "solve-mixture": ["solve", "--config", MIXTURE] + SOLVER,
+    "solve-table": ["solve", "--config", TABLE] + SOLVER,
     "simulate": ["simulate", "--config", AFFINE, "--n", "200", "--seed", "3"],
     "simulate-flow": ["simulate", "--config", AFFINE, "--n", "200", "--seed",
                       "3", "--mode", "flow"] + SOLVER,
