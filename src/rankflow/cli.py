@@ -17,7 +17,7 @@ import sys
 
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from . import harness, latp, srp, streams
+from . import harness, srp, streams
 from .flow import FlowGrid, LimitSolution, solve_y_c
 from .harness import ExperimentPlan, SolverSettings
 from .intensity import assign_population, load_spec
@@ -180,7 +180,7 @@ def cmd_latp(args) -> int:
     report = harness.latp_validation(horizon=args.horizon, step=1.0 / args.grid,
                                      replicas=args.replicas, seed=args.seed)
     out = _out_dir(args)
-    report.to_json(os.path.join(out, "latp.json"))
+    _write_json(os.path.join(out, "latp.json"), report.summary())
     for r in report.rows:
         print(f"{r.label}: series_gap={r.series_gap:.2e} "
               f"mc_z={r.mc_max_z:.2f} deriv={r.deriv_violation:.2e} "

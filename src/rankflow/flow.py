@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .intensity import PopulationSpec
-from .latp import (LatpIntensity, _cumulative_trapezoid, _grid_cell,
-                   _trapezoid_volterra, _triangle_value, _upper_diffs,
-                   thin_last_arrival)
+from .latp import (LatpIntensity, _bilinear, _cumulative_trapezoid,
+                   _grid_cell, _grid_cells, _trapezoid_volterra,
+                   _triangle_value, _upper_diffs, thin_last_arrival)
 
 log = logging.getLogger(__name__)
 
@@ -77,14 +77,6 @@ def gamma_compare(a: BoundaryPoint, b: BoundaryPoint) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def _bilinear(table, r, a, j, mu):
-    """Interpolate ``table`` in row cell r at offset a and column cell j at
-    offset mu: linear along each row, then linear across the two rows."""
-    lo = table[r, j] * (1 - mu) + table[r, j + 1] * mu
-    hi = table[r + 1, j] * (1 - mu) + table[r + 1, j + 1] * mu
-    return lo * (1 - a) + hi * a
-
-
 def _require_grid(n_z: int, n_t: int) -> None:
     for name, value in (("n_z", n_z), ("n_t", n_t)):
         if value < 1:
@@ -126,9 +118,11 @@ class FlowGrid:
     def _check(self):
         iv, bv = self.init_values, self.bdry_values
         tol = 1e-9
-        if np.any(iv < -tol) or np.any(iv > 1 + tol) or \
-                np.any(bv < -tol) or np.any(bv > 1 + tol):
-            raise ConfigError("flow values escape [0,1]")
+        for name, table in (("initial", iv), ("boundary", bv)):
+            # written so that NaN, which fails every comparison, is refused
+            if not (np.all(table >= -tol) and np.all(table <= 1 + tol)):
+                raise ConfigError(
+                    f"{name} table: flow values escape [0,1] or are NaN")
         if np.max(np.abs(iv[:, 0] - self.z_nodes)) > tol:
             raise ConfigError("initial rows must start at their z")
         if np.any(np.abs(np.diag(bv)) > tol):
@@ -168,11 +162,9 @@ class FlowGrid:
         return iz, u - iz
 
     def _t_cell(self, t):
-        """Time cell of t (also the boundary row cell of a start time t),
-        clamped to the grid, and t's offset in it, clipped to [0, 1]."""
-        u = np.asarray(t, dtype=float) / self.dt
-        j = np.clip(u.astype(int), 0, self.n_t - 1)
-        return j, np.clip(u - j, 0.0, 1.0)
+        """Time cell of t (also the boundary row cell of a start time t)
+        and t's offset in it, by ``latp._grid_cells``."""
+        return _grid_cells(t, self.dt, self.n_t)
 
     def _eval_from(self, y0, last, t):
         """theta at t along the curve from a last reset time ``last``.
@@ -212,6 +204,39 @@ class FlowGrid:
                              f"{float(self.bdry_values[l, jt])!r}\n")
 
 
+def _class_hazard(fields, cls, y, t):
+    """Hazard fields[cls[c]](y[c], t[c]), evaluated once per class; a single
+    field is read at y and t as they come, of any shape."""
+    if len(fields) == 1:
+        return fields[0]._values(y, t)
+    a = np.empty(len(y))
+    for k, fld in enumerate(fields):
+        sel = cls == k
+        a[sel] = fld._values(y[sel], t[sel])
+    return a
+
+
+def _hazard_along(flow: FlowGrid, fields, cls, y0, last, t):
+    """The rate read along the flow: fields[cls] at time t at the flow's
+    position on the curve from the particle's last reset, the initial
+    curve from y0 before its first jump (``last == 0``), the boundary curve
+    started at ``last`` after it."""
+    return _class_hazard(fields, cls, flow._eval_from(y0, last, t), t)
+
+
+def _thin_along_flow(flow: FlowGrid, fields, cls, y0, times, owners, marks,
+                     envelope) -> np.ndarray:
+    """Thin the marked candidates of particles that read their hazard along
+    the flow: owner o reads fields[cls[o]] from its initial position y0[o].
+    Given the flow, each is a last-arrival process with kernel
+    ``tilde_w(flow, fields[cls[o]], y0[o])``, so one ``thin_last_arrival``
+    call thins them all; returns its accepted mask."""
+    return thin_last_arrival(
+        times, owners, marks, len(y0),
+        lambda o, last, t: _hazard_along(flow, fields, cls[o], y0[o], last, t),
+        envelope)
+
+
 def tilde_w(flow: FlowGrid, field, z: float) -> LatpIntensity:
     """Rate field read along the flow: the hazard kernel of one particle.
 
@@ -223,7 +248,7 @@ def tilde_w(flow: FlowGrid, field, z: float) -> LatpIntensity:
     if not 0.0 <= z <= 1.0 + _TOL:
         raise DomainError(f"z must lie in [0,1], got {z}")
     return LatpIntensity(
-        lambda s, t: field._values(flow._eval_from(z, s, t), t),
+        lambda s, t: _hazard_along(flow, (field,), 0, z, s, t),
         min(flow.horizon, field.horizon), sup_norm=field.sup_norm,
         s0_limit=lambda t: field._values(
             _bilinear(flow.bdry_values, 0, 0.0, *flow._t_cell(t)),
@@ -377,7 +402,6 @@ class LimitSolution:
     residual: float
     residual_history: list
     iterations: int
-    damping_used: float
 
     @property
     def spec_hash(self) -> str:
@@ -414,8 +438,7 @@ class LimitSolution:
                                  evaluator=PhiEvaluator(flow, spec),
                                  residual=float(data["residual"]),
                                  residual_history=history,
-                                 iterations=len(history),
-                                 damping_used=float("nan"))
+                                 iterations=len(history))
 
 
 def _residual(flow: FlowGrid, upd_init, upd_bdry) -> float:
@@ -461,7 +484,7 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
             flow._check()
             return LimitSolution(spec=spec, flow=flow, evaluator=ev,
                                  residual=res, residual_history=history,
-                                 iterations=it, damping_used=alpha)
+                                 iterations=it)
         if len(history) > 1 and res > history[-2] and alpha > 0.5:
             alpha = 0.5
             log.info("residual increased (%.3e -> %.3e); damping to %.2f",
@@ -567,10 +590,8 @@ def tagged_limit_path(sol: LimitSolution, field, y_start: float,
     from its last reset point; a jump resets it to the boundary curve.
     """
     times, marks = (np.asarray(x, dtype=float) for x in candidates)
-    flow = sol.flow
-    accepted = thin_last_arrival(
-        times, np.zeros(len(times), dtype=np.int64), marks, 1,
-        lambda _, last, t: field._values(flow._eval_from(y_start, last, t), t),
-        field.sup_norm)
-    return TaggedPath(flow=flow, y_start=float(y_start),
+    accepted = _thin_along_flow(
+        sol.flow, (field,), np.zeros(1, dtype=np.int64), np.array([y_start]),
+        times, np.zeros(len(times), dtype=np.int64), marks, field.sup_norm)
+    return TaggedPath(flow=sol.flow, y_start=float(y_start),
                       jump_times=times[accepted])

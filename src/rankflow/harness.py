@@ -13,43 +13,17 @@ deterministic order and all aggregates are recomputed from the rows.
 from __future__ import annotations
 
 import concurrent.futures
-import json
 import math
 from dataclasses import dataclass, field as dc_field, asdict
 
 import numpy as np
 
 from .errors import ConfigError
-from . import intensity, latp, srp, streams
+from . import latp, srp, streams
 from .flow import FlowGrid, LimitSolution, PhiEvaluator, solve_y_c, tagged_limit_path
-from .intensity import (AffineField, ConstantField, Histogram, PopulationClass,
-                        PopulationSpec, assign_population, pin_particles)
+from .intensity import PopulationSpec, assign_population, pin_particles
 from .measure import (EvaluationLattice, LogEvaluator, TestFunction,
                       limit_values)
-
-
-# -- shipped example populations ------------------------------------------------
-
-
-def constant_single_spec(rate: float = 1.0, horizon: float = 1.0) -> PopulationSpec:
-    return intensity.uniform_single_class(ConstantField(rate, horizon))
-
-
-def constant_mixture_spec(rates=(0.7, 2.0), weights=(0.5, 0.5),
-                          horizon: float = 1.0) -> PopulationSpec:
-    return intensity.constant_mixture(rates, weights, horizon)
-
-
-def affine_two_class_spec(horizon: float = 1.0) -> PopulationSpec:
-    """Position-dependent two-class population used across the experiments."""
-    return PopulationSpec(classes=(
-        PopulationClass(0.5, AffineField(0.6, 0.9, horizon), Histogram.uniform()),
-        PopulationClass(0.5, AffineField(1.2, -0.7, horizon), Histogram.uniform()),
-    ), horizon=horizon)
-
-
-def zero_rate_spec(horizon: float = 1.0) -> PopulationSpec:
-    return intensity.uniform_single_class(ConstantField(0.0, horizon))
 
 
 @dataclass(frozen=True)
@@ -175,11 +149,6 @@ class SweepReport:
     def summary(self) -> dict:
         return {"kind": self.kind, "meta": self.meta,
                 "metrics": [m.summary() for m in self.metrics]}
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 # -- sweep workers ----------------------------------------------------------
@@ -331,11 +300,6 @@ class TaggedReport:
             for ti, n, s, v in self.sup_rows:
                 fh.write(f"{ti},{n},{s},{float(v)!r},{counts[(ti, n, s)]}\n")
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def tagged_compare(plan: ExperimentPlan, pins=None,
                    sol: LimitSolution | None = None,
@@ -430,11 +394,6 @@ class LatpReport:
         return {"kind": "latp", "replicas": self.replicas, "step": self.step,
                 "all_passed": self.all_passed(),
                 "rows": [asdict(r) | {"passed": r.passed()} for r in self.rows]}
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def latp_validation(omegas: dict | None = None, horizon: float = 1.0,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .latp import _bilinear, _grid_cells
 from . import streams
 
 _DOMAIN_TOL = 1e-12
@@ -196,17 +197,12 @@ class TableField(IntensityField):
         self.y_deriv_bound = float(np.abs(np.diff(vals, axis=0)).max() / self._dy)
 
     def _values(self, y, t):
-        y = np.asarray(y, dtype=float)
-        t = np.asarray(t, dtype=float)
+        # _bilinear interpolates along a row first; the rows of the
+        # transposed table are the time nodes, so y goes first, then t
         ny, nt = self.values.shape
-        iy = np.clip((y / self._dy).astype(int), 0, ny - 2)
-        it = np.clip((t / self._dt).astype(int), 0, nt - 2)
-        ay = np.clip(y / self._dy - iy, 0.0, 1.0)
-        at = np.clip(t / self._dt - it, 0.0, 1.0)
-        v = self.values
-        return np.asarray(
-            (v[iy, it] * (1 - ay) + v[iy + 1, it] * ay) * (1 - at)
-            + (v[iy, it + 1] * (1 - ay) + v[iy + 1, it + 1] * ay) * at)
+        return np.asarray(_bilinear(self.values.T,
+                                    *_grid_cells(t, self._dt, nt - 1),
+                                    *_grid_cells(y, self._dy, ny - 1)))
 
     def params(self):
         return {"values": self.values.tolist()}
@@ -475,15 +471,6 @@ class PopulationAssignment:
         per_class = np.array([c.field.sup_norm for c in self.spec.classes])
         return per_class[self.class_index]
 
-    def mean_sup_norm(self) -> float:
-        return float(self.sup_norms().mean())
-
-    def initial_tail(self, y: float, class_k: int | None = None) -> float:
-        """Empirical initial mass of W x [y, 1] (optionally one class)."""
-        mask = self.position >= y - 1e-12
-        if class_k is not None:
-            mask &= self.class_index == class_k
-        return float(mask.sum()) / self.n
 
 
 def assign_population(spec: PopulationSpec, n: int, mode: str = "stratified",
@@ -568,17 +555,3 @@ def pin_particles(assignment: PopulationAssignment, pins) -> PopulationAssignmen
         taken[i] = True
     return PopulationAssignment(spec=assignment.spec, class_index=ci, position=pos)
 
-
-def uniform_single_class(field: IntensityField) -> PopulationSpec:
-    """One class, uniform initial density."""
-    return PopulationSpec(
-        classes=(PopulationClass(1.0, field, Histogram.uniform()),),
-        horizon=field.horizon)
-
-
-def constant_mixture(rates, weights, horizon: float) -> PopulationSpec:
-    """Position-independent mixture of constant-rate classes."""
-    classes = tuple(
-        PopulationClass(float(p), ConstantField(float(c), horizon), Histogram.uniform())
-        for c, p in zip(rates, weights))
-    return PopulationSpec(classes=classes, horizon=horizon)

@@ -74,27 +74,6 @@ class LatpIntensity:
         out = np.asarray(self._s0_limit(t), dtype=float)
         return float(out) if out.ndim == 0 else out
 
-    def check_regularity(self, n: int = 200):
-        """Grid scan of the kernel: sup-norm excess and continuity moduli.
-
-        Raises on negative values.  Returns (sup_excess, ds_modulus,
-        dt_modulus): a nonpositive excess means the declared sup-norm
-        dominates, and the moduli are the largest adjacent-node jumps in
-        each argument (the s-modulus is taken over s > 0, since kernels
-        pulled back from a flow are allowed a jump at s = 0).
-        """
-        ts = np.linspace(0.0, self.horizon, n + 1)
-        ss, tt = np.meshgrid(ts, ts, indexing="ij")
-        vals = np.asarray(self._fn(np.minimum(ss, tt), tt), dtype=float)
-        tri = vals[np.triu_indices(n + 1)]
-        if np.any(tri < -1e-12):
-            raise ConfigError(f"{self.label}: negative hazard on the domain")
-        (dt, in_dt), (ds, in_ds) = _upper_diffs(vals)
-        # the s-modulus skips the s = 0 row
-        return (float(tri.max(initial=0.0) - self.sup_norm),
-                _line_max(np.abs(ds[1:]), in_ds[1:], 0),
-                _line_max(np.abs(dt), in_dt, 1))
-
 
 def constant_intensity(c: float, horizon: float) -> LatpIntensity:
     value = float(c)
@@ -389,6 +368,21 @@ def _grid_cell(x: float, h: float, m: int):
     m - 1, and x's offset in it, clipped to [0, 1]."""
     i = min(int(x / h), m - 1)
     return i, min(max(x / h - i, 0.0), 1.0)
+
+
+def _grid_cells(x, h: float, m: int):
+    """``_grid_cell`` of every entry of x, the cell also clamped at 0."""
+    u = np.asarray(x, dtype=float) / h
+    i = np.clip(u.astype(int), 0, m - 1)
+    return i, np.clip(u - i, 0.0, 1.0)
+
+
+def _bilinear(table, r, a, j, mu):
+    """Interpolate ``table`` in row cell r at offset a and column cell j at
+    offset mu: linear along each row, then linear across the two rows."""
+    lo = table[r, j] * (1 - mu) + table[r, j + 1] * mu
+    hi = table[r + 1, j] * (1 - mu) + table[r + 1, j + 1] * mu
+    return lo * (1 - a) + hi * a
 
 
 def _triangle_value(at, h: float, m: int, s: float, t: float) -> float:

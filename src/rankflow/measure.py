@@ -74,9 +74,6 @@ class TestFunction:
             return np.asarray(self.param)
         raise ConfigError(f"unknown test function kind {self.kind!r}")
 
-    def bound(self, spec: PopulationSpec) -> float:
-        return float(np.max(np.abs(self.per_class(spec))))
-
     def label(self) -> str:
         if self.kind == "ones":
             return "h=1"
@@ -215,13 +212,6 @@ class LogEvaluator:
                              jumped=np.concatenate([j for _, j in parts]))
 
     # -- point queries -------------------------------------------------------
-
-    def char_count(self, gamma: BoundaryPoint, t: float) -> int:
-        """Distinct downstream particles that jumped in (t0, t]."""
-        return int(self._counts(gamma, [t])[1][0])
-
-    def char_curve(self, gamma: BoundaryPoint, t: float) -> float:
-        return gamma.y0 + self.char_count(gamma, t) / self.n
 
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
         alive = self._counts(gamma, [t])[0][0]

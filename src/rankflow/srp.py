@@ -14,7 +14,7 @@ dominance count (``_mtf_ranks``), and exact speculative rounds of guessed
 masks thin the stream without a loop over candidates.  The flow-driven
 model reads the hazard along a prescribed flow from the particle's last
 reset point; given the flow, each particle is an independent last-arrival
-process, so ``latp.thin_last_arrival`` thins all of them at once and the
+process, so ``flow._thin_along_flow`` thins all of them at once and the
 pre-jump positions are the ranks of the accepted jumps.  A coupled run
 feeds both models the identical marked candidates and records each
 particle's first decoupling time.  ``RankIndex`` walks the same ranks one
@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, EnvelopeBreach
 from .intensity import PopulationAssignment
-from .flow import FlowGrid
-from .latp import _breach_bound, thin_last_arrival
+from .flow import FlowGrid, _class_hazard, _thin_along_flow
+from .latp import _breach_bound
 from . import streams
 
 log = logging.getLogger(__name__)
@@ -326,15 +326,6 @@ def _mtf_ranks(slots, ids, accepted, start=0, order=None):
     return n + count - last[start:] - 1
 
 
-def _class_hazard(fields, cls, y, t):
-    """Hazard fields[cls[c]](y[c], t[c]), evaluated once per class."""
-    a = np.empty(len(y))
-    for k, fld in enumerate(fields):
-        sel = cls == k
-        a[sel] = fld._values(y[sel], t[sel])
-    return a
-
-
 def _original_pass(assignment, times, ids, marks):
     """Thin the stream at the true positions, which couple through rank.
 
@@ -381,21 +372,14 @@ def _original_pass(assignment, times, ids, marks):
 def _flow_pass(assignment, flow, times, ids, marks):
     """Thin the stream along the flow; same returns as ``_original_pass``.
 
-    Given the flow, particle i is a last-arrival process with kernel
-    tilde_w(flow, w_i, y_i) and ignores every other particle, so one
-    vectorized kernel thins them all.  The pre-jump positions are then the
-    move-to-front ranks of the accepted jumps.
+    Given the flow, the particles ignore each other, so
+    ``flow._thin_along_flow`` thins them all at once.  The pre-jump
+    positions are then the move-to-front ranks of the accepted jumps.
     """
-    fields = [c.field for c in assignment.spec.classes]
-    cls = assignment.class_index
-    y0 = assignment.position
-
-    def hazard(owners, last, t):
-        return _class_hazard(fields, cls[owners],
-                             flow._eval_from(y0[owners], last, t), t)
-
-    accepted = thin_last_arrival(times, ids, marks, assignment.n, hazard,
-                                 assignment.sup_norms())
+    accepted = _thin_along_flow(
+        flow, [c.field for c in assignment.spec.classes],
+        assignment.class_index, assignment.position, times, ids, marks,
+        assignment.sup_norms())
     jumpers = ids[accepted]
     ranks = _mtf_ranks(assignment.slots, jumpers,
                        np.ones(len(jumpers), dtype=bool))

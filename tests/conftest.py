@@ -1,8 +1,45 @@
+"""Shared specs, flows and lattices of the tests.
+
+The spec builders are plain functions too, for tests that need a variant;
+``configs/`` holds the same example populations as files.
+"""
+
 import pytest
 
-from rankflow import EvaluationLattice, solve_y_c, spec_from_config
-from rankflow.harness import (affine_two_class_spec, constant_mixture_spec,
-                              constant_single_spec, zero_rate_spec)
+from rankflow import (AffineField, ConstantField, EvaluationLattice,
+                      Histogram, PopulationClass, PopulationSpec, solve_y_c,
+                      spec_from_config)
+
+
+def uniform_single_class(field):
+    """One class, uniform initial density."""
+    return PopulationSpec(
+        classes=(PopulationClass(1.0, field, Histogram.uniform()),),
+        horizon=field.horizon)
+
+
+def constant_single_spec(rate=1.0, horizon=1.0):
+    return uniform_single_class(ConstantField(rate, horizon))
+
+
+def constant_mixture_spec(rates=(0.7, 2.0), weights=(0.5, 0.5), horizon=1.0):
+    """Position-independent mixture of constant-rate classes."""
+    return PopulationSpec(classes=tuple(
+        PopulationClass(float(p), ConstantField(float(c), horizon),
+                        Histogram.uniform())
+        for c, p in zip(rates, weights)), horizon=horizon)
+
+
+def affine_two_class_spec(horizon=1.0):
+    """Position-dependent two-class population used across the experiments."""
+    return PopulationSpec(classes=(
+        PopulationClass(0.5, AffineField(0.6, 0.9, horizon), Histogram.uniform()),
+        PopulationClass(0.5, AffineField(1.2, -0.7, horizon), Histogram.uniform()),
+    ), horizon=horizon)
+
+
+def zero_rate_spec(horizon=1.0):
+    return uniform_single_class(ConstantField(0.0, horizon))
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
-"""Reference implementations that the tests compare the package against."""
+"""Reference implementations and scans that the tests check the package with."""
 
 import numpy as np
 
 from rankflow import ConfigError, EnvelopeBreach, RankIndex
 from rankflow.flow import OdeFormReport, boundary, initial
-from rankflow.latp import DerivativeReport, _cumulative_trapezoid
+from rankflow.latp import (DerivativeReport, _cumulative_trapezoid, _line_max,
+                           _upper_diffs)
 
 
 class NaiveRankIndex:
@@ -99,8 +100,30 @@ def loop_trapezoid_weights(nx, h):
     return tw
 
 
+def check_regularity(omega, n=200):
+    """Grid scan of a kernel: sup-norm excess and continuity moduli.
+
+    Raises on negative values.  Returns (sup_excess, ds_modulus,
+    dt_modulus): a nonpositive excess means the declared sup-norm
+    dominates, and the moduli are the largest adjacent-node jumps in each
+    argument (the s-modulus is taken over s > 0, since kernels pulled back
+    from a flow are allowed a jump at s = 0).
+    """
+    ts = np.linspace(0.0, omega.horizon, n + 1)
+    ss, tt = np.meshgrid(ts, ts, indexing="ij")
+    vals = np.asarray(omega._fn(np.minimum(ss, tt), tt), dtype=float)
+    tri = vals[np.triu_indices(n + 1)]
+    if np.any(tri < -1e-12):
+        raise ConfigError(f"{omega.label}: negative hazard on the domain")
+    (dt, in_dt), (ds, in_ds) = _upper_diffs(vals)
+    # the s-modulus skips the s = 0 row
+    return (float(tri.max(initial=0.0) - omega.sup_norm),
+            _line_max(np.abs(ds[1:]), in_ds[1:], 0),
+            _line_max(np.abs(dt), in_dt, 1))
+
+
 def loop_regularity_moduli(vals):
-    """``LatpIntensity.check_regularity``'s (ds, dt) moduli of a kernel
+    """``check_regularity``'s (ds, dt) moduli of a kernel
     table ``vals[i, j]`` = omega(min(s_i, t_j), t_j), one row and column at
     a time; the s-modulus skips the s = 0 row."""
     n = len(vals) - 1
@@ -115,6 +138,23 @@ def loop_regularity_moduli(vals):
         if len(col) > 1:
             ds_mod = max(ds_mod, float(np.max(np.abs(np.diff(col)))))
     return ds_mod, dt_mod
+
+
+def table_values(field, y, t):
+    """``TableField._values`` written out inline: cells and offsets in y and
+    t, then linear in y within the two time columns and linear across
+    them."""
+    y = np.asarray(y, dtype=float)
+    t = np.asarray(t, dtype=float)
+    ny, nt = field.values.shape
+    iy = np.clip((y / field._dy).astype(int), 0, ny - 2)
+    it = np.clip((t / field._dt).astype(int), 0, nt - 2)
+    ay = np.clip(y / field._dy - iy, 0.0, 1.0)
+    at = np.clip(t / field._dt - it, 0.0, 1.0)
+    v = field.values
+    return np.asarray(
+        (v[iy, it] * (1 - ay) + v[iy + 1, it] * ay) * (1 - at)
+        + (v[iy, it + 1] * (1 - ay) + v[iy + 1, it + 1] * ay) * at)
 
 
 def loop_t_weights(flow, t):
@@ -149,6 +189,21 @@ def loop_boundary(flow, t0, t):
     hi = bv[l + 1, j] * (1 - mu) + bv[l + 1, j + 1] * mu
     out = lo * (1 - lam) + hi * lam
     return float(out) if np.ndim(out) == 0 else out
+
+
+def initial_tail(assignment, y, class_k=None):
+    """Empirical initial mass of W x [y, 1] (optionally one class)."""
+    mask = assignment.position >= y - 1e-12
+    if class_k is not None:
+        mask &= assignment.class_index == class_k
+    return float(mask.sum()) / assignment.n
+
+
+def char_curve(evaluator, gamma, t):
+    """Empirical characteristic curve at t: y0 plus the distinct downstream
+    particles that jumped in (t0, t], over N, from ``LogEvaluator``'s
+    counting routine."""
+    return gamma.y0 + int(evaluator._counts(gamma, [t])[1][0]) / evaluator.n
 
 
 def loop_project(horizon, init, bdry, n_z, n_t):

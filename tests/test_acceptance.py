@@ -20,14 +20,14 @@ import time
 import numpy as np
 import pytest
 
+from conftest import constant_mixture_spec, zero_rate_spec
 from oracles import NaiveRankIndex
 from rankflow import (FlowGrid, LogEvaluator, RankIndex,
                       TestFunction, assign_population, initial, simulate,
                       simulate_coupled, simulate_flow_driven, solve_y_c)
-from rankflow.harness import (ExperimentPlan, constant_mixture_spec,
-                              convergence_sweep, coupling_sweep,
-                              flow_driven_sweep, latp_validation,
-                              tagged_compare, zero_rate_spec)
+from rankflow.harness import (ExperimentPlan, convergence_sweep,
+                              coupling_sweep, flow_driven_sweep,
+                              latp_validation, tagged_compare)
 
 
 def report(k, elapsed, budget, detail):

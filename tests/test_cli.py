@@ -124,6 +124,21 @@ def test_simulate_flow_driven_mode(tmp_path):
     assert (tmp_path / "log_flow_n20_seed0.npz").exists()
 
 
+def test_simulate_refuses_nan_flow_cache(tmp_path, capsys):
+    assert run(["solve", "--config", f"{CONFIGS}/constant_unit.json",
+                "--out", str(tmp_path), "--nz", "5", "--nt", "20"]) == EXIT_OK
+    with np.load(tmp_path / "y_c.npz") as cache:
+        data = dict(cache)
+    data["bdry_values"][3, 10] = np.nan
+    np.savez(tmp_path / "nan.npz", **data)
+    capsys.readouterr()
+    code = run(["simulate", "--config", f"{CONFIGS}/constant_unit.json",
+                "--out", str(tmp_path), "--n", "20", "--mode", "flow",
+                "--flow", str(tmp_path / "nan.npz")])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: boundary table: ")
+
+
 def test_sweep_smoke_negative_slope(tmp_path):
     code = run(["sweep", "--config", f"{CONFIGS}/constant_mixture.json",
                 "--out", str(tmp_path), "--n-values", "50", "200", "800",

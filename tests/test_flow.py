@@ -11,14 +11,13 @@ from hypothesis.extra.numpy import arrays
 from rankflow import (ConfigError, ConvergenceError, DomainError, FlowGrid,
                       PhiEvaluator, boundary, gamma_compare, initial,
                       solve_y_c, tagged_limit_path, tilde_w, verify_ode_form)
-from rankflow.harness import (affine_two_class_spec, constant_mixture_spec,
-                              constant_single_spec)
 from rankflow.flow import _project
 from rankflow.latp import _grid_cell
-from rankflow.intensity import (AffineField, ConstantField, load_spec,
-                                uniform_single_class)
+from rankflow.intensity import AffineField, ConstantField, load_spec
 from rankflow import streams
 
+from conftest import (affine_two_class_spec, constant_mixture_spec,
+                      constant_single_spec, uniform_single_class)
 from oracles import (loop_boundary, loop_initial, loop_project,
                      loop_verify_ode_form)
 
@@ -78,6 +77,21 @@ def test_flow_grid_refuses_non_monotone_boundary_rows(where, message):
     init = np.tile(np.linspace(0, 1, 11)[:, None], (1, 51))
     with pytest.raises(ConfigError, match=re.escape(message)):
         FlowGrid(1.0, init, bdry)
+
+
+@pytest.mark.parametrize("table, where", [
+    ("initial", (4, 20)),
+    ("boundary", (5, 30)),
+    ("boundary", (30, 5)),
+], ids=["initial-row", "boundary-row", "padding"])
+def test_flow_grid_refuses_nan(table, where):
+    # every comparison with NaN is false; a NaN in a boundary row above
+    # its diagonal or in the zero padding below it is refused as well
+    tables = {"initial": np.tile(np.linspace(0, 1, 11)[:, None], (1, 51)),
+              "boundary": np.zeros((51, 51))}
+    tables[table][where] = np.nan
+    with pytest.raises(ConfigError, match=f"^{table} table: .*NaN"):
+        FlowGrid(1.0, tables["initial"], tables["boundary"])
 
 
 def flow_from_function(fn, horizon, n_z, n_t):

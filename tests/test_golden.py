@@ -36,12 +36,17 @@ RUNS = {
     "simulate": ["simulate", "--config", AFFINE, "--n", "200", "--seed", "3"],
     "simulate-flow": ["simulate", "--config", AFFINE, "--n", "200", "--seed",
                       "3", "--mode", "flow"] + SOLVER,
+    "simulate-table": ["simulate", "--config", TABLE, "--n", "200", "--seed",
+                       "3"],
+    "simulate-table-flow": ["simulate", "--config", TABLE, "--n", "200",
+                            "--seed", "3", "--mode", "flow"] + SOLVER,
     "sweep": ["sweep", "--config", AFFINE, "--class-indicator", "0"]
              + SOLVER + PLAN,
     "sweep-flow": ["sweep", "--config", AFFINE, "--flow", "solve"]
                   + SOLVER + PLAN,
     "couple": ["couple", "--config", AFFINE] + SOLVER + PLAN,
     "tagged": ["tagged", "--config", AFFINE] + SOLVER + PLAN,
+    "tagged-mixture": ["tagged", "--config", MIXTURE] + SOLVER + PLAN,
     "latp": ["latp", "--grid", "100", "--replicas", "1000", "--seed", "1"],
 }
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from rankflow import ConfigError, FlowGrid
-from rankflow.harness import (ExperimentPlan, SolverSettings, constant_mixture_spec,
-                              constant_single_spec, convergence_sweep,
+from rankflow.cli import _write_json
+from rankflow.harness import (ExperimentPlan, SolverSettings, convergence_sweep,
                               coupling_sweep, flow_driven_sweep,
-                              latp_validation, tagged_compare, zero_rate_spec)
+                              latp_validation, tagged_compare)
 from rankflow import harness, latp
+
+from conftest import constant_mixture_spec, constant_single_spec, zero_rate_spec
 
 
 def small_plan(spec, n_values=(50, 200), seeds=4, workers=1):
@@ -49,7 +51,7 @@ def test_sweep_report_reproducible_bytes(tmp_path):
         csv = tmp_path / f"{tag}.csv"
         js = tmp_path / f"{tag}.json"
         rep.to_csv(csv)
-        rep.to_json(js)
+        _write_json(js, rep.summary())
         paths.append((csv.read_bytes(), js.read_bytes()))
     assert paths[0] == paths[1]
 
@@ -172,7 +174,7 @@ def test_latp_report_json(tmp_path):
     omegas = {"zero": latp.zero_intensity(1.0)}
     rep = latp_validation(omegas, step=1 / 50, replicas=200, seed=0)
     path = tmp_path / "latp.json"
-    rep.to_json(path)
+    _write_json(path, rep.summary())
     assert b'"all_passed": true' in path.read_bytes()
 
 

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from rankflow import (AffineField, ConfigError, ConstantField, DomainError,
                       Histogram, ProductField, TableField, assign_population,
                       load_spec, pin_particles, spec_from_config)
-from rankflow.harness import affine_two_class_spec, constant_mixture_spec
-from rankflow.intensity import PopulationClass, PopulationSpec, uniform_single_class
+from rankflow.intensity import PopulationClass, PopulationSpec
+
+from conftest import (affine_two_class_spec, constant_mixture_spec,
+                      uniform_single_class)
+from oracles import initial_tail, table_values
 
 ALL_FIELDS = [
     ConstantField(2.0, 1.0),
@@ -38,6 +41,40 @@ def test_eval_table_at_node():
     for iy, y in enumerate((0.0, 0.5, 1.0)):
         for it, t in enumerate((0.0, 0.5, 1.0)):
             assert w(y, t) == pytest.approx(vals[iy, it], abs=1e-14)
+
+
+@st.composite
+def table_queries(draw):
+    """A table field from 2x2 to 6x6 and (y, t) queries, scalar or array,
+    at the grid nodes, at 1 and at the horizon, between nodes, and up to
+    1e-12 outside the domain."""
+    ny, nt = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    horizon = draw(st.sampled_from([1.0, 0.7, 2.5]))
+    values = draw(st.lists(st.lists(st.floats(0.0, 5.0), min_size=nt,
+                                    max_size=nt), min_size=ny, max_size=ny))
+    field = TableField(values, horizon)
+
+    def coords(nodes, top):
+        return st.one_of(st.sampled_from(nodes), st.just(top),
+                         st.floats(-1e-12, top + 1e-12))
+
+    ys = coords((np.arange(ny) / (ny - 1)).tolist(), 1.0)
+    ts = coords((np.arange(nt) * (horizon / (nt - 1))).tolist(), horizon)
+    if draw(st.booleans()):
+        return field, draw(ys), draw(ts)
+    n = draw(st.integers(1, 8))
+    return (field, np.array(draw(st.lists(ys, min_size=n, max_size=n))),
+            np.array(draw(st.lists(ts, min_size=n, max_size=n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_queries())
+def test_table_lookup_matches_its_own_formula(case):
+    # the shared cell and bilinear rules must do the inline formula's float
+    # operations in the same order, so that the bytes agree
+    field, y, t = case
+    got, want = field._values(y, t), table_values(field, y, t)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_eval_is_bit_stable():
@@ -202,7 +239,7 @@ def test_m_w_examples():
 def test_assignment_average_tracks_m_w():
     spec = constant_mixture_spec(rates=(0.7, 2.0), weights=(0.5, 0.5))
     a = assign_population(spec, 100, mode="stratified")
-    assert abs(a.mean_sup_norm() - spec.m_w) <= max(2.0, 0.7) / 100
+    assert abs(a.sup_norms().mean() - spec.m_w) <= max(2.0, 0.7) / 100
 
 
 def test_stratified_uniform_in_order():
@@ -222,7 +259,7 @@ def test_stratified_discrepancy_uniform_spec():
     for n in (7, 40, 1000):
         a = assign_population(spec, n, mode="stratified")
         for y in np.linspace(0, 1, 1001):
-            gap = abs(a.initial_tail(y) - spec.classes[0].density.tail(y))
+            gap = abs(initial_tail(a, y) - spec.classes[0].density.tail(y))
             assert gap <= 1.0 / n + 1e-12
 
 
@@ -244,7 +281,7 @@ def test_stratified_per_class_discrepancy(n, make_spec):
     c_bound = spec.n_classes / n
     for y in np.linspace(0, 1, 1001):
         for k, cls in enumerate(spec.classes):
-            gap = abs(a.initial_tail(y, k) - cls.weight * cls.density.tail(y))
+            gap = abs(initial_tail(a, y, k) - cls.weight * cls.density.tail(y))
             assert gap <= c_bound + 1e-12
 
 

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (affine_two_class_spec, constant_mixture_spec,
+                      constant_single_spec, uniform_single_class,
+                      zero_rate_spec)
 from oracles import NaiveRankIndex, sequential_original_pass
 from rankflow import (ConfigError, EnvelopeBreach, EventLog, FlowGrid,
                       RankIndex, assign_population, simulate,
                       simulate_coupled, simulate_flow_driven, spec_from_config,
                       srp, streams, tagged_limit_path)
-from rankflow.harness import (affine_two_class_spec, constant_mixture_spec,
-                              constant_single_spec, zero_rate_spec)
-from rankflow.intensity import (ConstantField, TableField, load_spec,
-                                uniform_single_class)
+from rankflow.intensity import ConstantField, TableField, load_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
