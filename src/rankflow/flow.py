@@ -22,9 +22,10 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .intensity import PopulationSpec
-from .latp import (LatpIntensity, _bilinear, _cumulative_trapezoid,
-                   _grid_cell, _grid_cells, _trapezoid_volterra,
-                   _triangle_value, _upper_diffs, thin_last_arrival)
+from .latp import (MAX_TABLE_ENTRIES, LatpIntensity, _bilinear,
+                   _cumulative_trapezoid, _grid_cell, _grid_cells,
+                   _trapezoid_volterra, _triangle_value, _upper_diffs,
+                   thin_last_arrival)
 
 log = logging.getLogger(__name__)
 
@@ -78,9 +79,14 @@ def gamma_compare(a: BoundaryPoint, b: BoundaryPoint) -> int:
 
 
 def _require_grid(n_z: int, n_t: int) -> None:
-    for name, value in (("n_z", n_z), ("n_t", n_t)):
+    # the boundary tables are (n_t+1)^2, the initial ones (n_z+1)(n_t+1)
+    for name, value, size in (("n_t", n_t, (n_t + 1) ** 2),
+                              ("n_z", n_z, (n_z + 1) * (n_t + 1))):
         if value < 1:
             raise ConfigError(f"{name}: must be >= 1, got {value}")
+        if size > MAX_TABLE_ENTRIES:
+            raise ConfigError(f"{name}: {value} makes a table of {size} "
+                              f"entries, above the {MAX_TABLE_ENTRIES} allowed")
 
 
 class FlowGrid:
@@ -142,16 +148,11 @@ class FlowGrid:
     # -- strict evaluation ------------------------------------------------
 
     def theta(self, gamma: BoundaryPoint, t: float) -> float:
-        t0 = gamma.t0
-        if t < t0 - 1e-12 or t > self.horizon + 1e-9:
+        if t < gamma.t0 - 1e-12 or t > self.horizon + 1e-9:
             raise DomainError(f"(gamma={gamma}, t={t}) not admissible")
-        if gamma.kind == "initial":
-            if gamma.coord > 1 + 1e-12:
-                raise DomainError(f"initial coordinate {gamma.coord} > 1")
-            rows = self.init_values, *self._z_cell(gamma.coord)
-        else:
-            rows = self.bdry_values, *self._t_cell(t0)
-        return float(_bilinear(*rows, *self._t_cell(t)))
+        if gamma.kind == "initial" and gamma.coord > 1 + 1e-12:
+            raise DomainError(f"initial coordinate {gamma.coord} > 1")
+        return float(self._eval_from(gamma.y0, gamma.t0, t))
 
     # -- lenient vector evaluation (engines and kernels) -------------------
 
@@ -243,16 +244,15 @@ def tilde_w(flow: FlowGrid, field, z: float) -> LatpIntensity:
     The s = 0 row follows the initial curve from z; rows s > 0 follow the
     boundary curve started at s and are independent of z.  The s -> 0+
     limit (the corner curve) is supplied for renewal-kernel quadrature,
-    because the kernel is discontinuous at s = 0 whenever z > 0.
+    because the kernel is discontinuous at s = 0 whenever z > 0; the corner
+    (0, 0) is one point, so it is read as the initial curve from 0.
     """
     if not 0.0 <= z <= 1.0 + _TOL:
         raise DomainError(f"z must lie in [0,1], got {z}")
     return LatpIntensity(
         lambda s, t: _hazard_along(flow, (field,), 0, z, s, t),
         min(flow.horizon, field.horizon), sup_norm=field.sup_norm,
-        s0_limit=lambda t: field._values(
-            _bilinear(flow.bdry_values, 0, 0.0, *flow._t_cell(t)),
-            np.asarray(t, dtype=float)),
+        s0_limit=lambda t: _hazard_along(flow, (field,), 0, 0.0, 0.0, t),
         label=f"tilde[{field.kind},z={z:g}]")
 
 

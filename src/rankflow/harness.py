@@ -415,6 +415,9 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
     if omegas is None:
         omegas = shipped_omegas(horizon)
     m = int(round(horizon / step))
+    if (m + 1) ** 2 > latp.MAX_TABLE_ENTRIES:
+        raise ConfigError(f"step: {m + 1} grid nodes make a table above "
+                          f"{latp.MAX_TABLE_ENTRIES} entries")
     grid = np.linspace(0.0, horizon, m + 1)
     # lattice on grid nodes, s <= t
     idx = np.linspace(0, m, lattice_size, dtype=int)

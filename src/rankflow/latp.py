@@ -34,6 +34,9 @@ ENVELOPE_MARGIN = 1.05
 # replica count
 REPLICA_CHUNK = 65_536
 
+# the most float64 entries of one grid table (128 MiB), checked up front
+MAX_TABLE_ENTRIES = 4096 ** 2
+
 
 class LatpIntensity:
     """Hazard kernel omega(s, t) on the triangle 0 <= s <= t <= horizon.

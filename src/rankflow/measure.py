@@ -7,7 +7,7 @@ every curve and distribution-function query: for a reset point gamma and
 times t >= t0 it counts, per class, the downstream particles with no jump in
 (t0, t] and those that jumped.  Positions come from the reset-point identity
 Y_i(t) = Y_C(gamma_i(t), t) read in event order, and ``flow_identity_gap``
-checks them against a move-to-front replay at zero tolerance.
+checks them against a move-to-front walk at zero tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class TestFunction:
     """Bounded weight h(w) applied per class.
 
     kinds: "ones" (h = 1), "indicator" (one class), "norm_capped"
-    (h = min(||w||, cap)), "tabulated" (explicit value per class).
+    (h = min(||w||, cap)).
     """
 
     __test__ = False  # keep pytest collection away from the Test* name
@@ -49,10 +49,6 @@ class TestFunction:
     def norm_capped(cap: float) -> "TestFunction":
         return TestFunction("norm_capped", (float(cap),))
 
-    @staticmethod
-    def tabulated(values) -> "TestFunction":
-        return TestFunction("tabulated", tuple(float(v) for v in values))
-
     def per_class(self, spec: PopulationSpec) -> np.ndarray:
         K = spec.n_classes
         if self.kind == "ones":
@@ -67,11 +63,6 @@ class TestFunction:
         if self.kind == "norm_capped":
             cap = self.param[0]
             return np.array([min(c.field.sup_norm, cap) for c in spec.classes])
-        if self.kind == "tabulated":
-            if len(self.param) != K:
-                raise ConfigError(
-                    f"tabulated h has {len(self.param)} values for {K} classes")
-            return np.asarray(self.param)
         raise ConfigError(f"unknown test function kind {self.kind!r}")
 
     def label(self) -> str:
@@ -79,9 +70,7 @@ class TestFunction:
             return "h=1"
         if self.kind == "indicator":
             return f"h=1_class{self.param[0]}"
-        if self.kind == "norm_capped":
-            return f"h=min(norm,{self.param[0]:g})"
-        return "h=tab"
+        return f"h=min(norm,{self.param[0]:g})"
 
 
 @dataclass(frozen=True)
@@ -293,19 +282,24 @@ class LogEvaluator:
     def flow_identity_gap(self, check_times=None) -> int:
         """Worst slot gap in Y_i(t) = Y_C(gamma_i(t), t) over particles/times.
 
-        The right side is ``positions_at``; the left side is one RankIndex
-        walked through the log's moves to the front.  Event times
-        themselves are always included as check times.
+        One RankIndex walks the log's moves to the front.  Before each move
+        the mover's rank must equal its pre-jump rank, the LRU stack
+        distance ``_mtf_ranks`` counts for the whole log at once; at each
+        check time and at the horizon every rank must equal
+        ``_ranks_at``.
         """
-        times = set(self.log.times.tolist())
+        log = self.log
+        pre = _mtf_ranks(self.slots0, log.particles,
+                         np.ones(log.n_events, dtype=bool)).tolist()
+        times = {log.horizon}
         if check_times is not None:
             times.update(float(t) for t in check_times)
         index = RankIndex(self.slots0)
-        done = 0
-        worst = 0
+        done = worst = 0
         for t in sorted(times):
-            upto = int(np.searchsorted(self.log.times, t, side="right"))
-            for i in self.log.particles[done:upto].tolist():
+            upto = int(np.searchsorted(log.times, t, side="right"))
+            for i, r in zip(log.particles[done:upto].tolist(), pre[done:upto]):
+                worst = max(worst, abs(index.rank(i) - r))
                 index.move_to_front(i)
             done = upto
             gap = np.abs(index.ranks() - self._ranks_at(t))

@@ -48,9 +48,16 @@ def test_criterion_1_exact_identities(spec_affine, lattice):
                 assert ev.identity_gap(lattice) == 0
                 assert ev.flow_identity_gap(lattice.times) == 0
                 runs += 1
+    assignment = assign_population(spec_affine, 100_000)
+    for log in (simulate(assignment, seed=0),
+                simulate_flow_driven(assignment, ident, seed=0)):
+        ev = LogEvaluator(log)
+        assert ev.identity_gap(lattice) == 0
+        assert ev.flow_identity_gap(lattice.times) == 0
+        runs += 1
     report(1, time.time() - start, 60,
            f"curve/phi and reset-point identities exact on {runs} runs, "
-           f"N up to 1000, zero tolerance")
+           f"N up to 100000, zero tolerance")
 
 
 def test_criterion_2_closed_form_limit(sol_const1, sol_mixture, spec_mixture):

@@ -304,3 +304,19 @@ def test_latp_refuses_grid_below_one(grid, tmp_path, capsys):
     assert run(argv) == EXIT_INVALID
     assert "grid: must be >= 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--config", f"{CONFIGS}/zero_rate.json", "--nt", "4096"],
+     "error: n_t: 4096 makes a table of 16785409 entries, above the "
+     "16777216 allowed"),
+    (["simulate", "--config", f"{CONFIGS}/zero_rate.json", "--n", "5",
+      "--mode", "flow", "--flow", "identity", "--nt", "4096"],
+     "error: n_t: 4096 makes a table "),
+    (["latp", "--grid", "4096", "--replicas", "10"],
+     "error: step: 4097 grid nodes make a table above 16777216 entries"),
+], ids=["solve", "simulate-identity", "latp"])
+def test_command_refuses_oversize_grid(argv, message, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(message)
+    assert not list(tmp_path.iterdir())

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 from pathlib import Path
@@ -11,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 from rankflow import (ConfigError, ConvergenceError, DomainError, FlowGrid,
                       PhiEvaluator, boundary, gamma_compare, initial,
                       solve_y_c, tagged_limit_path, tilde_w, verify_ode_form)
-from rankflow.flow import _project
-from rankflow.latp import _grid_cell
+from rankflow.flow import LimitSolution, _project, _require_grid
+from rankflow.latp import MAX_TABLE_ENTRIES, _grid_cell
 from rankflow.intensity import AffineField, ConstantField, load_spec
 from rankflow import streams
 
@@ -92,6 +93,24 @@ def test_flow_grid_refuses_nan(table, where):
     tables[table][where] = np.nan
     with pytest.raises(ConfigError, match=f"^{table} table: .*NaN"):
         FlowGrid(1.0, tables["initial"], tables["boundary"])
+
+
+@pytest.mark.parametrize("n_z, n_t, name", [
+    (1, 4096, "n_t"), (5000, 4000, "n_z"), (4096, 4096, "n_t"),
+])
+def test_flow_grid_refuses_oversize_tables(n_z, n_t, name):
+    # refused before the tables are built: the first is one (4097)^2
+    # boundary table of 134 MB, the second a 5001 x 4001 initial table
+    with pytest.raises(ConfigError, match=f"^{name}: .* above the "
+                                          f"{MAX_TABLE_ENTRIES} allowed"):
+        FlowGrid.identity(1.0, n_z, n_t)
+
+
+@pytest.mark.parametrize("n_z, n_t", [(4095, 4095), (4192, 4000)])
+def test_grid_check_takes_the_largest_tables(n_z, n_t):
+    _require_grid(n_z, n_t)
+    with pytest.raises(ConfigError, match="^n_z: "):
+        _require_grid(n_z + 1, n_t)
 
 
 def flow_from_function(fn, horizon, n_z, n_t):
@@ -393,6 +412,33 @@ def test_solution_cache_round_trip(tmp_path, sol_const1, spec_const1, spec_affin
     assert np.array_equal(loaded.flow.init_values, sol_const1.flow.init_values)
     with pytest.raises(ConfigError):
         LimitSolution.load(path, spec_affine)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=flow_iterates(), k=st.integers(0, 1), data=st.data())
+def test_solution_save_load_keeps_every_byte(case, k, data):
+    n_z, n_t, init, bdry = case
+    init, bdry, _ = _project(1.0, init, bdry, n_z, n_t)
+    spec = (constant_single_spec(), affine_two_class_spec())[k]
+    flow = FlowGrid(1.0, init, bdry)
+    residuals = st.floats(0.0, 1e3, allow_subnormal=True)
+    history = data.draw(st.lists(residuals, min_size=1, max_size=5))
+    sol = LimitSolution(spec=spec, flow=flow,
+                        evaluator=PhiEvaluator(flow, spec),
+                        residual=data.draw(residuals),
+                        residual_history=history, iterations=len(history))
+    buf = io.BytesIO()
+    sol.save(buf)
+    buf.seek(0)
+    loaded = LimitSolution.load(buf, spec)
+    assert loaded.flow.init_values.tobytes() == init.tobytes()
+    assert loaded.flow.bdry_values.tobytes() == bdry.tobytes()
+    assert np.float64(loaded.residual).tobytes() == \
+        np.float64(sol.residual).tobytes()
+    assert np.array(loaded.residual_history).tobytes() == \
+        np.array(history).tobytes()
+    assert loaded.iterations == len(history)
+    assert loaded.spec_hash == sol.spec_hash
 
 
 def test_ode_form_zero(spec_zero):

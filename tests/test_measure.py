@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankflow import (ConfigError, DomainError, EventLog,
-                      LogEvaluator, TestFunction, assign_population, boundary,
+                      LogEvaluator, RankIndex, TestFunction, assign_population, boundary,
                       char_sup_distance, initial, load_spec, simulate,
                       simulate_flow_driven, sup_distance)
 from rankflow.measure import floor_tail_count
@@ -103,6 +103,29 @@ def test_flow_identity_exact_original_and_flow_driven(lattice, sol_affine,
         ev = LogEvaluator(log)
         assert ev.identity_gap(lattice) == 0
         assert ev.flow_identity_gap(lattice.times) == 0
+
+
+class SkipsFifthMove(RankIndex):
+    """A RankIndex that drops the fifth move to the front it is asked for."""
+
+    def __init__(self, initial_ranks):
+        super().__init__(initial_ranks)
+        self.calls = 0
+
+    def move_to_front(self, i):
+        self.calls += 1
+        if self.calls != 5:
+            super().move_to_front(i)
+
+
+@pytest.mark.parametrize("check_times", [None, "lattice"])
+def test_flow_identity_gap_sees_a_skipped_move(check_times, lattice,
+                                                monkeypatch):
+    log = simulate(assign_population(affine_two_class_spec(), 200), seed=3)
+    times = lattice.times if check_times else None
+    assert LogEvaluator(log).flow_identity_gap(times) == 0
+    monkeypatch.setattr("rankflow.measure.RankIndex", SkipsFifthMove)
+    assert LogEvaluator(log).flow_identity_gap(times) > 0
 
 
 def tie_log(events, n=5, mode="stratified", seed=None):

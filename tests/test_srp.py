@@ -162,6 +162,36 @@ def test_log_round_trip(tmp_path):
     assert csv.read_text().startswith("time,particle,pre_position")
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_log_save_load_keeps_every_byte(data):
+    n = data.draw(st.integers(1, 12))
+    spec = data.draw(st.sampled_from(
+        [constant_single_spec(), affine_two_class_spec()]))
+    a = assign_population(spec, n, mode="seeded-random",
+                          seed=data.draw(st.integers(0, 2 ** 16)))
+    numbers = st.floats(-1e300, 1e300, allow_subnormal=True)
+    events = data.draw(st.lists(
+        st.tuples(numbers, st.integers(0, n - 1), numbers), max_size=20))
+    times, particles, pre = (list(c) for c in zip(*sorted(events))) \
+        if events else ([], [], [])
+    log = EventLog(assignment=a, horizon=data.draw(numbers), times=times,
+                   particles=particles, pre_positions=pre,
+                   kind=data.draw(st.sampled_from(["original", "flow"])),
+                   tie_count=data.draw(st.integers(0, 2 ** 40)))
+    buf = io.BytesIO()
+    log.save(buf)
+    buf.seek(0)
+    loaded = EventLog.load(buf, spec)
+    for name in ("times", "particles", "pre_positions"):
+        assert getattr(loaded, name).tobytes() == getattr(log, name).tobytes()
+    assert loaded.assignment.class_index.tobytes() == a.class_index.tobytes()
+    assert loaded.assignment.position.tobytes() == a.position.tobytes()
+    assert (loaded.kind, loaded.tie_count) == (log.kind, log.tie_count)
+    assert np.float64(loaded.horizon).tobytes() == \
+        np.float64(log.horizon).tobytes()
+
+
 def test_log_load_rejects_other_spec(tmp_path):
     a = assign_population(affine_two_class_spec(), 16)
     log = simulate(a, seed=0)
