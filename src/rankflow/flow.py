@@ -24,8 +24,8 @@ from .errors import ConfigError, ConvergenceError, DomainError
 from .intensity import PopulationSpec
 from .latp import (MAX_TABLE_ENTRIES, LatpIntensity, _bilinear,
                    _cumulative_trapezoid, _grid_cell, _grid_cells,
-                   _trapezoid_volterra, _triangle_value, _upper_diffs,
-                   thin_last_arrival)
+                   _require_fine_step, _trapezoid_volterra, _triangle_value,
+                   _upper_diffs, thin_last_arrival)
 
 log = logging.getLogger(__name__)
 
@@ -462,6 +462,9 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
     if not 0 < damping <= 1:
         raise ConfigError(f"damping must lie in (0,1], got {damping}")
     _require_grid(n_z, n_t)
+    _require_fine_step(spec.horizon / n_t,
+                       max(c.field.sup_norm for c in spec.classes), ConfigError,
+                       "n_t")
     if max_iter < 1:
         raise ConfigError(f"max_iter: must be >= 1, got {max_iter}")
     if not 0 < tol < np.inf:

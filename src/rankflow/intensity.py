@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from . import streams
 
 _DOMAIN_TOL = 1e-12
 _SUM_TOL = 1e-9
+_SWEEP_BLOCK = 4096  # slots per block of the stratified sweep
 
 
 def _number(x, name: str) -> float:
@@ -480,7 +482,11 @@ def assign_population(spec: PopulationSpec, n: int, mode: str = "stratified",
     stratified: slot i gets the class with the largest running quota deficit,
     where quotas are the exact per-slot class masses p_k * rho_k(cell).  The
     per-class tail counts then track their targets within one particle
-    uniformly, so the initial discrepancy is O(1/N).
+    uniformly, so the initial discrepancy is O(1/N).  The sweep runs on
+    Python floats, whose + and - are the same IEEE double operations an
+    array does, in the same order, and ``deficit.index(max(deficit))``
+    picks the first maximum as ``np.argmax`` does, so the classes match a
+    numpy loop byte for byte.
 
     seeded-random: class counts are fixed to largest-remainder quotas, class
     positions are drawn i.i.d. from the class densities, and slots are
@@ -495,14 +501,20 @@ def assign_population(spec: PopulationSpec, n: int, mode: str = "stratified",
         for k, cls in enumerate(spec.classes):
             quota[k] = cls.weight * cls.density.cell_masses(edges) * n
         class_of = np.empty(n, dtype=np.int64)
-        deficit = np.zeros(K)
+        deficit = [0.0] * K
         # sweep from the top slot down: tail counts are what the
-        # distribution-function discrepancy measures
-        for i in range(n - 1, -1, -1):
-            deficit += quota[:, i]
-            k_star = int(np.argmax(deficit))
-            class_of[i] = k_star
-            deficit[k_star] -= 1.0
+        # distribution-function discrepancy measures.  Quotas become Python
+        # floats one block of slots at a time, which keeps the peak memory
+        # of the conversion fixed.
+        for hi in range(n, 0, -_SWEEP_BLOCK):
+            lo = max(hi - _SWEEP_BLOCK, 0)
+            picks = []
+            for q in zip(*(row[::-1].tolist() for row in quota[:, lo:hi])):
+                deficit = list(map(operator.add, deficit, q))
+                k_star = deficit.index(max(deficit))
+                deficit[k_star] -= 1.0
+                picks.append(k_star)
+            class_of[lo:hi] = picks[::-1]
         position = edges[:-1]
         return PopulationAssignment(spec=spec, class_index=class_of,
                                     position=position)

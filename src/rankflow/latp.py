@@ -437,6 +437,14 @@ def _hazard_rows(omega: LatpIntensity, grid: np.ndarray):
     return w, w0
 
 
+def _require_fine_step(h: float, sup_norm: float, error, name: str) -> None:
+    """Refuse a time step with h * sup_norm >= 1 by raising ``error`` with
+    ``name``: ``_trapezoid_volterra`` divides by 1 - h w / 2, which is 0
+    at h w = 2."""
+    if h * sup_norm >= 1.0:
+        raise error(f"{name}: too coarse, step*sup_norm = {h * sup_norm:.3g} >= 1")
+
+
 def _trapezoid_volterra(w, b, pre, h, total=1.0):
     """Trapezoid solve of the renewal equation and its no-arrival table.
 
@@ -488,9 +496,7 @@ def survival_solve(omega: LatpIntensity, grid: np.ndarray) -> SurvivalTable:
         raise DomainError("grid must be uniform")
     if grid[-1] > omega.horizon + 1e-9:
         raise DomainError("grid exceeds the kernel horizon")
-    if h * omega.sup_norm >= 1.0:
-        raise DomainError(
-            f"grid too coarse: h*sup_norm = {h * omega.sup_norm:.3g} >= 1")
+    _require_fine_step(h, omega.sup_norm, DomainError, "grid")
 
     w, w0 = _hazard_rows(omega, grid)
     e0 = np.exp(-_cumulative_trapezoid(w0, h))

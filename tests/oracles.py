@@ -191,6 +191,23 @@ def loop_boundary(flow, t0, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def stratified_quota_loop(spec, n):
+    """``assign_population``'s stratified classes, one numpy argmax per slot."""
+    K = spec.n_classes
+    edges = np.arange(n + 1) / n
+    quota = np.empty((K, n))
+    for k, cls in enumerate(spec.classes):
+        quota[k] = cls.weight * cls.density.cell_masses(edges) * n
+    class_of = np.empty(n, dtype=np.int64)
+    deficit = np.zeros(K)
+    for i in range(n - 1, -1, -1):
+        deficit += quota[:, i]
+        k_star = int(np.argmax(deficit))
+        class_of[i] = k_star
+        deficit[k_star] -= 1.0
+    return class_of
+
+
 def initial_tail(assignment, y, class_k=None):
     """Empirical initial mass of W x [y, 1] (optionally one class)."""
     mask = assignment.position >= y - 1e-12

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,4 +320,16 @@ def test_latp_refuses_grid_below_one(grid, tmp_path, capsys):
 def test_command_refuses_oversize_grid(argv, message, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path)]) == EXIT_INVALID
     assert capsys.readouterr().err.startswith(message)
+    assert not list(tmp_path.iterdir())
+
+
+def test_solve_refuses_too_coarse_time_grid(tmp_path, capsys):
+    # a step of 1 against the mixture's rate 2 zeroes the trapezoid
+    # Volterra divisor 1 - h w / 2
+    argv = ["solve", "--config", f"{CONFIGS}/constant_mixture.json",
+            "--nz", "2", "--nt", "1", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: n_t: too coarse")
     assert not list(tmp_path.iterdir())

@@ -8,6 +8,10 @@ hashes with
 
     PYTHONPATH=src python tests/test_golden.py
 
+The stratified class assignments of the shipped specs are gated the same
+way at N = 1e5 and, for the affine spec, at N = 2^20: their float
+tie-breaks change with N, and the CLI runs above stay at N <= 200.
+
 Floating-point results depend on the numpy build and on the SIMD paths it
 dispatches to, so the gate skips on another numpy version or machine.
 """
@@ -21,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rankflow import assign_population, load_spec
 from rankflow.cli import main
 
 AFFINE = "configs/affine_two_class.json"
@@ -49,6 +54,10 @@ RUNS = {
     "tagged-mixture": ["tagged", "--config", MIXTURE] + SOLVER + PLAN,
     "latp": ["latp", "--grid", "100", "--replicas", "1000", "--seed", "1"],
 }
+
+ASSIGNMENTS = [(path, 10 ** 5) for path in (
+    AFFINE, MIXTURE, "configs/constant_unit.json", "configs/zero_rate.json",
+    TABLE)] + [(AFFINE, 2 ** 20)]
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 
@@ -80,19 +89,35 @@ def run_all(root, capture):
     return hashes
 
 
-def test_cli_outputs_match_recorded_hashes(tmp_path, capsys, monkeypatch):
+def assignment_hashes():
+    """{"path@N": sha256} of each stratified ``class_index`` in ASSIGNMENTS."""
+    return {f"{path}@{n}": _sha(assign_population(load_spec(path),
+                                                  n).class_index.tobytes())
+            for path, n in ASSIGNMENTS}
+
+
+def _recorded():
     golden = json.loads(GOLDEN_PATH.read_text())
     recorded, here = golden["platform"], _platform()
     if here != recorded:
         pytest.skip(f"hashes recorded on {recorded['machine']} with numpy "
                     f"{recorded['numpy']} and its CPU features; this is "
                     f"{here['machine']} with numpy {here['numpy']}")
+    return golden
+
+
+def test_cli_outputs_match_recorded_hashes(tmp_path, capsys, monkeypatch):
+    golden = _recorded()
     monkeypatch.delenv("RANKFLOW_OUTDIR", raising=False)
     got = run_all(str(tmp_path), lambda: capsys.readouterr().out)
     want = golden["hashes"]
     assert sorted(got) == sorted(want)
     moved = [k for k in want if got[k] != want[k]]
     assert not moved, f"outputs changed: {moved}"
+
+
+def test_assignments_match_recorded_hashes():
+    assert assignment_hashes() == _recorded()["assignments"]
 
 
 if __name__ == "__main__":
@@ -112,5 +137,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root, redirect_stdout(buf):
         hashes = run_all(root, capture)
     GOLDEN_PATH.write_text(json.dumps({"platform": _platform(),
-                                       "hashes": hashes},
+                                       "hashes": hashes,
+                                       "assignments": assignment_hashes()},
                                       indent=2, sort_keys=True) + "\n")

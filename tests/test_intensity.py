@@ -12,7 +12,7 @@ from rankflow.intensity import PopulationClass, PopulationSpec
 
 from conftest import (affine_two_class_spec, constant_mixture_spec,
                       uniform_single_class)
-from oracles import initial_tail, table_values
+from oracles import initial_tail, stratified_quota_loop, table_values
 
 ALL_FIELDS = [
     ConstantField(2.0, 1.0),
@@ -283,6 +283,45 @@ def test_stratified_per_class_discrepancy(n, make_spec):
         for k, cls in enumerate(spec.classes):
             gap = abs(initial_tail(a, y, k) - cls.weight * cls.density.tail(y))
             assert gap <= c_bound + 1e-12
+
+
+@st.composite
+def mixture_specs(draw):
+    """Specs of 1-4 classes on shared breaks: a positive matrix with columns
+    normalized to 1 gives each class's share of each cell, so the weighted
+    mixture is uniform."""
+    k = draw(st.integers(1, 4))
+    widths = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=1,
+                                    max_size=5)))
+    breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    breaks[-1] = 1.0
+    share = np.array(draw(st.lists(
+        st.lists(st.floats(0.01, 1.0), min_size=len(widths),
+                 max_size=len(widths)), min_size=k, max_size=k)))
+    share /= share.sum(axis=0)
+    weights = share @ np.diff(breaks)
+    return PopulationSpec(classes=tuple(
+        PopulationClass(float(w), ConstantField(1.0, 1.0),
+                        Histogram(tuple(breaks), tuple(row / w)))
+        for w, row in zip(weights, share)), horizon=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=mixture_specs(), n=st.integers(1, 3000))
+def test_stratified_sweep_matches_quota_loop(spec, n):
+    a = assign_population(spec, n, mode="stratified")
+    assert a.class_index.tobytes() == stratified_quota_loop(spec, n).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_stratified_sweep_matches_quota_loop_on_ties(k):
+    # equal weights on one uniform cell tie every quota, so floating-point
+    # drift in the deficits decides each pick
+    spec = constant_mixture_spec(rates=(1.0,) * k, weights=(1.0 / k,) * k)
+    for n in (1, 7, 1600, 3000):
+        a = assign_population(spec, n, mode="stratified")
+        assert a.class_index.tobytes() == \
+            stratified_quota_loop(spec, n).tobytes()
 
 
 @pytest.mark.parametrize("mode,seed", [("stratified", None), ("seeded-random", 5)])
