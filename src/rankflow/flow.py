@@ -298,21 +298,20 @@ class PhiEvaluator:
             self.mass[k] = cls.weight * cls.density.cell_masses(edges)
 
         # midpoint initial curves; linear-in-z interpolation makes the
-        # midpoint value the row average
+        # midpoint value the row average.  The fields broadcast the time
+        # nodes across the rows themselves.
         theta_mid = 0.5 * (flow.init_values[:-1] + flow.init_values[1:])
-        tt_cells = np.broadcast_to(tn, theta_mid.shape)
-        tt_bdry = np.broadcast_to(tn, flow.bdry_values.shape)
 
         self.s0 = np.empty((K, n_c, n_tp))
         self.bdry_phi = np.empty((K, n_tp, n_tp))
         for k, cls in enumerate(spec.classes):
-            w_mid = cls.field._values(theta_mid, tt_cells)
+            w_mid = cls.field._values(theta_mid, tn)
             s0 = np.exp(-_cumulative_trapezoid(w_mid, flow.dt))
             self.s0[k] = s0
-            w_b = cls.field._values(flow.bdry_values, tt_bdry)
-            _, self.bdry_phi[k] = _trapezoid_volterra(
+            w_b = cls.field._values(flow.bdry_values, tn)
+            _trapezoid_volterra(
                 w_b, self.mass[k] @ (w_mid * s0), self.mass[k] @ s0, flow.dt,
-                total=float(np.sum(self.mass[k])))
+                total=float(np.sum(self.mass[k])), out=self.bdry_phi[k])
         self.bdry_phi.flags.writeable = False
 
     # -- grids for the solver ----------------------------------------------
@@ -367,17 +366,20 @@ class PhiEvaluator:
                                      self.flow.dt, self.flow.n_t, t0, t))
 
 
-def _project(horizon, init, bdry, n_z, n_t):
-    """Clamp a flow iterate back into the admissible class; returns the
-    projected arrays and the largest correction applied."""
-    init = np.clip(init, 0.0, 1.0)
-    bdry = np.clip(bdry, 0.0, 1.0)
-    before = (init.copy(), bdry.copy())
+def _project(init, bdry, work):
+    """Clamp a flow iterate back into the admissible class, in place;
+    returns the largest correction applied.  ``work``, an array of
+    ``bdry``'s shape, is overwritten."""
+    n_z, n_tp = len(init) - 1, len(bdry)
+    np.clip(init, 0.0, 1.0, out=init)
+    np.clip(bdry, 0.0, 1.0, out=bdry)
+    init_before = init.copy()
+    np.copyto(work, bdry)
     init[:, 0] = np.arange(n_z + 1) / n_z
     # boundary rows start at 0, and the running maximum keeps them 0 before
     # their start; every pass works in place, because each fresh
     # (n_t+1)^2 array costs the solver its page faults
-    bdry[np.tri(n_t + 1, dtype=bool)] = 0.0
+    bdry[np.tri(n_tp, dtype=bool)] = 0.0
     np.maximum.accumulate(init, axis=1, out=init)
     np.maximum.accumulate(bdry, axis=1, out=bdry)
     np.maximum.accumulate(init, axis=0, out=init)
@@ -386,10 +388,10 @@ def _project(horizon, init, bdry, n_z, n_t):
     np.minimum(bdry, init[0], out=bdry)
     np.minimum.accumulate(bdry, axis=0, out=bdry)
     # the padding stays +0.0 where init[0] holds a -0.0
-    bdry[np.tri(n_t + 1, k=-1, dtype=bool)] = 0.0
-    moved = max(float(np.max(np.abs(init - before[0]))),
-                float(np.max(np.abs(bdry - before[1]))))
-    return init, bdry, moved
+    bdry[np.tri(n_tp, k=-1, dtype=bool)] = 0.0
+    np.subtract(bdry, work, out=work)
+    return max(float(np.max(np.abs(init - init_before))),
+               float(np.max(np.abs(work, out=work))))
 
 
 @dataclass
@@ -441,12 +443,13 @@ class LimitSolution:
                                  iterations=len(history))
 
 
-def _residual(flow: FlowGrid, upd_init, upd_bdry) -> float:
-    """Largest admissible-node gap; NaN if any gap is NaN."""
-    upper = np.triu_indices(flow.n_t + 1)
-    return float(np.max(np.concatenate([
-        np.abs(flow.init_values - upd_init).ravel(),
-        np.abs(flow.bdry_values - upd_bdry)[upper]])))
+def _residual(flow: FlowGrid, upd_init, upd_bdry, upper, work) -> float:
+    """Largest admissible-node gap; NaN if any gap is NaN.  ``upper`` masks
+    the boundary table's admissible nodes; ``work``, an array of its shape,
+    is overwritten."""
+    gap = np.abs(np.subtract(flow.bdry_values, upd_bdry, out=work), out=work)
+    return float(np.maximum(np.max(np.abs(flow.init_values - upd_init)),
+                            np.max(gap, where=upper, initial=-np.inf)))
 
 
 def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
@@ -470,14 +473,18 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
     if not 0 < tol < np.inf:
         raise ConfigError(f"tol: must be positive and finite, got {tol}")
     flow = FlowGrid.identity(spec.horizon, n_z, n_t)
+    # the passes over (n_t+1)^2 tables run in place in the fresh update
+    # and in one work array, which the solve frees when it returns
+    upper = ~np.tri(n_t + 1, k=-1, dtype=bool)
+    work = np.empty((n_t + 1, n_t + 1))
     alpha = damping
     history = []
     for it in range(1, max_iter + 1):
         ev = PhiEvaluator(flow, spec)
-        phi_init, phi_bdry = ev.phi_grid()
-        upd_init = 1.0 - phi_init
-        upd_bdry = 1.0 - phi_bdry
-        res = _residual(flow, upd_init, upd_bdry)
+        upd_init, upd_bdry = ev.phi_grid()
+        np.subtract(1.0, upd_init, out=upd_init)
+        np.subtract(1.0, upd_bdry, out=upd_bdry)
+        res = _residual(flow, upd_init, upd_bdry, upper, work)
         history.append(res)
         log.debug("picard iteration %d: residual %.3e (alpha=%.2f)", it, res, alpha)
         if not np.isfinite(res):
@@ -492,13 +499,15 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
             alpha = 0.5
             log.info("residual increased (%.3e -> %.3e); damping to %.2f",
                      history[-2], res, alpha)
-        new_init = (1 - alpha) * flow.init_values + alpha * upd_init
-        new_bdry = (1 - alpha) * flow.bdry_values + alpha * upd_bdry
-        new_init, new_bdry, moved = _project(spec.horizon, new_init, new_bdry,
-                                             n_z, n_t)
+        # (1 - alpha) * theta + alpha * update, written over the update
+        np.multiply(alpha, upd_init, out=upd_init)
+        upd_init += (1 - alpha) * flow.init_values
+        np.multiply(alpha, upd_bdry, out=upd_bdry)
+        upd_bdry += np.multiply(1 - alpha, flow.bdry_values, out=work)
+        moved = _project(upd_init, upd_bdry, work)
         if moved > 1e-10:
             log.info("isotonic projection active: moved %.3e", moved)
-        flow = FlowGrid(spec.horizon, new_init, new_bdry, check=False)
+        flow = FlowGrid(spec.horizon, upd_init, upd_bdry, check=False)
     raise ConvergenceError(
         f"no fixed point after {max_iter} iterations "
         f"(last residual {history[-1]:.3e})", history)
@@ -521,33 +530,21 @@ def verify_ode_form(sol: LimitSolution) -> OdeFormReport:
     are evaluated on the grid, with mu_s read off through differences of
     phi along the gamma grid.  The quadrature is first order in dt.
     """
-    flow, spec = sol.flow, sol.spec
+    flow = sol.flow
     n_z, h = flow.n_z, flow.dt
     # grid gammas in ascending order: initial z = 1 .. 0, then boundary
     # t0 = dt .. horizon; row q is admissible from time node j0[q] on
     j0 = np.concatenate([np.zeros(n_z + 1, dtype=int), np.arange(1, flow.n_t + 1)])
     adm = np.arange(flow.n_t + 1) >= j0[:, None]
     yvals = np.concatenate([flow.init_values[::-1], flow.bdry_values[1:]])
-    init_phi, bdry_phi = sol.evaluator.phi_grids_per_class()
-    phi_rows = np.concatenate([init_phi[:, ::-1], bdry_phi[:, 1:]], axis=1)
-
-    # integrand I[q, j] = flux through [y_C(gamma_q, t_j), 1]; each column's
-    # inadmissible rows come last, so its running sum over the admissible
-    # rows never reads them
-    mids = np.clip(0.5 * (yvals[1:] + yvals[:-1]), 0.0, 1.0)
-    tt = np.broadcast_to(flow.t_nodes, mids.shape)
-    flux = np.zeros(mids.shape)
-    for k, cls in enumerate(spec.classes):
-        dm = np.clip(np.diff(phi_rows[k], axis=0), 0.0, None)
-        flux += cls.field._values(mids, tt) * dm
-    integrand = np.zeros(yvals.shape)
-    integrand[1:] = np.cumsum(flux, axis=0)
+    integrand = _flux_integrand(sol, yvals, adm)
 
     # a zero step before t0 starts each row's integral at t0
     y0 = np.concatenate([flow.z_nodes[::-1], np.zeros(flow.n_t)])
-    rhs = y0[:, None] + _cumulative_trapezoid(integrand,
-                                              np.where(adm[:, :-1], h, 0.0))
-    resid = np.where(adm, np.abs(yvals - rhs), 0.0)
+    rhs = _cumulative_trapezoid(integrand, np.where(adm[:, :-1], h, 0.0))
+    np.add(y0[:, None], rhs, out=rhs)
+    resid = np.abs(np.subtract(yvals, rhs, out=rhs), out=rhs)
+    resid[~adm] = 0.0
     q, j = np.unravel_index(np.argmax(resid), resid.shape)
     worst = float(resid[q, j])
     arg = ("", 0.0)
@@ -557,6 +554,26 @@ def verify_ode_form(sol: LimitSolution) -> OdeFormReport:
         arg = (str(gamma), float(flow.t_nodes[j]))
     return OdeFormReport(max_residual=worst, argmax_gamma=arg[0],
                          argmax_t=arg[1], n_z=n_z, n_t=flow.n_t)
+
+
+def _flux_integrand(sol: LimitSolution, yvals, adm):
+    """I[q, j] = flux through [y_C(gamma_q, t_j), 1] on the ordered grid
+    rows ``yvals``, admissible where ``adm``: a running sum over the cells
+    between rows q' <= q.  Each column's inadmissible rows come last, so
+    the fields are read on the cells below admissible rows only, and the
+    sum over the admissible rows never reaches the rest."""
+    init_phi, bdry_phi = sol.evaluator.phi_grids_per_class()
+    cells = adm[1:]
+    mids = np.clip(0.5 * (yvals[1:][cells] + yvals[:-1][cells]), 0.0, 1.0)
+    tt = np.broadcast_to(sol.flow.t_nodes, cells.shape)[cells]
+    flux = np.zeros(len(mids))
+    for k, cls in enumerate(sol.spec.classes):
+        phi_rows = np.concatenate([init_phi[k, ::-1], bdry_phi[k, 1:]])
+        dm = np.clip(phi_rows[1:][cells] - phi_rows[:-1][cells], 0.0, None)
+        flux += cls.field._values(mids, tt) * dm
+    integrand = np.zeros(yvals.shape)
+    integrand[1:][cells] = flux
+    return np.cumsum(integrand, axis=0, out=integrand)
 
 
 @dataclass(frozen=True)

@@ -497,6 +497,12 @@ def assign_population(spec: PopulationSpec, n: int, mode: str = "stratified",
     K = spec.n_classes
     if mode == "stratified":
         edges = np.arange(n + 1) / n
+        position = edges[:-1]
+        if K == 1:
+            # the only class has the largest deficit at every slot
+            return PopulationAssignment(spec=spec,
+                                        class_index=np.zeros(n, dtype=np.int64),
+                                        position=position)
         quota = np.empty((K, n))
         for k, cls in enumerate(spec.classes):
             quota[k] = cls.weight * cls.density.cell_masses(edges) * n
@@ -515,7 +521,6 @@ def assign_population(spec: PopulationSpec, n: int, mode: str = "stratified",
                 deficit[k_star] -= 1.0
                 picks.append(k_star)
             class_of[lo:hi] = picks[::-1]
-        position = edges[:-1]
         return PopulationAssignment(spec=spec, class_index=class_of,
                                     position=position)
     if mode == "seeded-random":

@@ -408,10 +408,14 @@ def _triangle_value(at, h: float, m: int, s: float, t: float) -> float:
 
 def _cumulative_trapezoid(vals: np.ndarray, h) -> np.ndarray:
     """Trapezoid integrals of ``vals`` along the last axis from its first
-    node to each node; ``h`` is the step, a scalar or one per interval."""
-    out = np.zeros(vals.shape)
-    out[..., 1:] = np.cumsum(0.5 * h * (vals[..., 1:] + vals[..., :-1]),
-                             axis=-1)
+    node to each node, (0.5 h) (v_j + v_{j+1}) summed in order; ``h`` is
+    the step, a scalar or one per interval."""
+    out = np.empty(vals.shape)
+    out[..., :1] = 0.0
+    part = out[..., 1:]
+    np.add(vals[..., 1:], vals[..., :-1], out=part)
+    np.multiply(0.5 * h, part, out=part)
+    np.cumsum(part, axis=-1, out=part)
     return out
 
 
@@ -423,14 +427,16 @@ def _exposure_rows(row_vals: np.ndarray, h) -> np.ndarray:
     are meaningless.
     """
     omega = _cumulative_trapezoid(row_vals, h)
-    return omega - np.diagonal(omega)[:, None]
+    omega -= omega.diagonal().copy()[:, None]
+    return omega
 
 
-def _hazard_rows(omega: LatpIntensity, grid: np.ndarray):
+def _hazard_rows(omega: LatpIntensity, grid: np.ndarray, n_rows=None):
     """Hazard tables of ``omega`` on a grid: ``w[v, j]`` = omega(t_v, t_j)
-    after an arrival at t_v (row 0 the s->0+ limit), and ``w0[j]`` =
-    omega(0, t_j) before the first arrival."""
-    ss, tt = np.meshgrid(grid, grid, indexing="ij")
+    after an arrival at t_v (row 0 the s->0+ limit) for the first
+    ``n_rows`` nodes t_v (all by default), and ``w0[j]`` = omega(0, t_j)
+    before the first arrival."""
+    ss, tt = np.meshgrid(grid[:n_rows], grid, indexing="ij")
     w = np.asarray(omega._fn(np.minimum(ss, tt), tt), dtype=float)
     w0 = np.asarray(omega._fn(np.zeros(len(grid)), grid), dtype=float)
     w[0] = omega.kernel_s0(grid)
@@ -445,7 +451,7 @@ def _require_fine_step(h: float, sup_norm: float, error, name: str) -> None:
         raise error(f"{name}: too coarse, step*sup_norm = {h * sup_norm:.3g} >= 1")
 
 
-def _trapezoid_volterra(w, b, pre, h, total=1.0):
+def _trapezoid_volterra(w, b, pre, h, total=1.0, out=None):
     """Trapezoid solve of the renewal equation and its no-arrival table.
 
     ``w[v, j]`` is the hazard omega(t_v, t_j) after an arrival at t_v (row 0
@@ -455,10 +461,20 @@ def _trapezoid_volterra(w, b, pre, h, total=1.0):
     then p(s,t) = pre(t) + int_0^s f(v) e^{-Omega(v,t)} dv.  Both are linear
     in (b, pre), so a weighted sum of forcings yields the same weighted sum
     of solutions.  Returns (f, p): p is clipped to [0, total] above the
-    diagonal, equals ``total`` (the forcing mass) on it and is 0 below it.
+    diagonal, equals ``total`` (the forcing mass) on it and is 0 below it;
+    it is written into ``out`` when given.
+
+    Every (m+1)^2 pass runs in place in two work arrays allocated per
+    call, because a fresh table per pass costs more in page faults than in
+    arithmetic; an elementwise ufunc gives the same bits wherever it
+    writes.
     """
     m = len(b) - 1
-    eker = np.exp(-np.triu(_exposure_rows(w, h)))
+    below = np.tri(m + 1, k=-1, dtype=bool)
+    ea = _exposure_rows(w, h)
+    # e^{-Omega} on and above the diagonal, 1 below it
+    ea[below] = 0.0
+    eker = np.exp(np.negative(ea, out=ea), out=ea)
     kern = w * eker  # K[v, j], valid v <= j
 
     f = np.zeros(m + 1)
@@ -469,11 +485,16 @@ def _trapezoid_volterra(w, b, pre, h, total=1.0):
             acc += float(np.dot(f[1:j], kern[1:j, j]))
         f[j] = (b[j] + h * acc) / (1.0 - 0.5 * h * kern[j, j])
 
-    g = f[:, None] * eker                      # f(v) e^{-Omega(v,t_j)}
-    cum = np.cumsum(g, axis=0)
-    trap = h * (cum - 0.5 * (g + g[0][None, :]))   # int_0^{t_i} over v
-    p = pre[None, :] + trap
-    p = np.where(np.triu(np.ones_like(p)) > 0, np.clip(p, 0.0, total), 0.0)
+    g = np.multiply(f[:, None], eker, out=kern)  # f(v) e^{-Omega(v,t_j)}
+    cum = np.cumsum(g, axis=0, out=ea)
+    # int_0^{t_i} over v: h * (cum - 0.5 * (g + g[0]))
+    np.add(g, g[0].copy(), out=g)
+    np.multiply(0.5, g, out=g)
+    np.subtract(cum, g, out=cum)
+    trap = np.multiply(h, cum, out=cum)
+    p = np.add(pre[None, :], trap, out=trap if out is None else out)
+    np.clip(p, 0.0, total, out=p)
+    p[below] = 0.0
     np.fill_diagonal(p, total)
     return f, p
 
@@ -501,7 +522,7 @@ def survival_solve(omega: LatpIntensity, grid: np.ndarray) -> SurvivalTable:
     w, w0 = _hazard_rows(omega, grid)
     e0 = np.exp(-_cumulative_trapezoid(w0, h))
     f, p = _trapezoid_volterra(w, w0 * e0, e0, h)
-    p[np.tril_indices(m + 1, -1)] = np.nan
+    p[np.tri(m + 1, k=-1, dtype=bool)] = np.nan
     return SurvivalTable(grid=grid, p=p, f=f, sup_norm=omega.sup_norm,
                          label=omega.label)
 
@@ -529,17 +550,20 @@ def survival_series(omega: LatpIntensity, s: float, t: float,
         grid = np.concatenate([inner, np.linspace(s, t, n2 + 1)[1:]])
     else:
         grid = inner
-    w, w0 = _hazard_rows(omega, grid)
+    # the series reads the hazard rows of the nodes of [0, s] only, and the
+    # k = 0 term none (row 0 is built anyway); each row's exposure integral
+    # is independent of the others
+    nx = n1 + 1 if kmax and n1 else 0
+    w, w0 = _hazard_rows(omega, grid, max(nx, 1))
     dg = np.diff(grid)
     expo = _exposure_rows(w, dg)
     expo0 = _cumulative_trapezoid(w0, dg)
 
     i_t = len(grid) - 1
     total = float(np.exp(-expo0[i_t]))  # k = 0: no arrival up to t
-    if kmax == 0 or n1 == 0:
+    if nx == 0:
         return total
 
-    nx = n1 + 1  # nodes of [0, s]
     tw = _trapezoid_weights(nx, s / n1)
     kern = (w[:nx, :nx] * np.exp(-expo[:nx, :nx]))
     step_mat = tw * kern.T  # A[j, v] = weight * K(v, u_j)

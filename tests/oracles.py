@@ -4,7 +4,8 @@ import numpy as np
 
 from rankflow import ConfigError, EnvelopeBreach, RankIndex
 from rankflow.flow import OdeFormReport, boundary, initial
-from rankflow.latp import (DerivativeReport, _cumulative_trapezoid, _line_max,
+from rankflow.latp import (DerivativeReport, _cumulative_trapezoid,
+                           _hazard_rows, _line_max, _trapezoid_weights,
                            _upper_diffs)
 
 
@@ -90,6 +91,77 @@ def loop_derivative_bound_check(table, omega):
         ds_excess = max(ds_excess, float((d - sup * col[:-1]).max(initial=-np.inf)))
     return DerivativeReport(dt_sign=dt_sign, dt_excess=dt_excess,
                             ds_sign=ds_sign, ds_excess=ds_excess, step=h)
+
+
+def allocating_cumulative_trapezoid(vals, h):
+    """``latp._cumulative_trapezoid`` with a fresh array for every pass."""
+    out = np.zeros(vals.shape)
+    out[..., 1:] = np.cumsum(0.5 * h * (vals[..., 1:] + vals[..., :-1]),
+                             axis=-1)
+    return out
+
+
+def allocating_exposure_rows(row_vals, h):
+    """``latp._exposure_rows`` with a fresh array for every pass."""
+    omega = allocating_cumulative_trapezoid(row_vals, h)
+    return omega - np.diagonal(omega)[:, None]
+
+
+def allocating_trapezoid_volterra(w, b, pre, h, total=1.0):
+    """``latp._trapezoid_volterra`` with a fresh array for every pass."""
+    m = len(b) - 1
+    eker = np.exp(-np.triu(allocating_exposure_rows(w, h)))
+    kern = w * eker  # K[v, j], valid v <= j
+
+    f = np.zeros(m + 1)
+    f[0] = b[0]
+    for j in range(1, m + 1):
+        acc = 0.5 * f[0] * kern[0, j]
+        if j > 1:
+            acc += float(np.dot(f[1:j], kern[1:j, j]))
+        f[j] = (b[j] + h * acc) / (1.0 - 0.5 * h * kern[j, j])
+
+    g = f[:, None] * eker                      # f(v) e^{-Omega(v,t_j)}
+    cum = np.cumsum(g, axis=0)
+    trap = h * (cum - 0.5 * (g + g[0][None, :]))   # int_0^{t_i} over v
+    p = pre[None, :] + trap
+    p = np.where(np.triu(np.ones_like(p)) > 0, np.clip(p, 0.0, total), 0.0)
+    np.fill_diagonal(p, total)
+    return f, p
+
+
+def full_survival_series(omega, s, t, kmax=25, step=2.5e-3):
+    """``latp.survival_series`` building and integrating every hazard row
+    of its grid, not only the rows of [0, s] that the series reads."""
+    s = min(s, t)
+    n1 = max(1, int(np.ceil(s / step))) if s > 0 else 0
+    inner = np.linspace(0.0, s, n1 + 1)
+    if t > s + 1e-12:
+        n2 = max(1, int(np.ceil((t - s) / step)))
+        grid = np.concatenate([inner, np.linspace(s, t, n2 + 1)[1:]])
+    else:
+        grid = inner
+    w, w0 = _hazard_rows(omega, grid)
+    dg = np.diff(grid)
+    expo = allocating_exposure_rows(w, dg)
+    expo0 = allocating_cumulative_trapezoid(w0, dg)
+
+    i_t = len(grid) - 1
+    total = float(np.exp(-expo0[i_t]))  # k = 0: no arrival up to t
+    if kmax == 0 or n1 == 0:
+        return total
+
+    nx = n1 + 1  # nodes of [0, s]
+    tw = _trapezoid_weights(nx, s / n1)
+    kern = (w[:nx, :nx] * np.exp(-expo[:nx, :nx]))
+    step_mat = tw * kern.T  # A[j, v] = weight * K(v, u_j)
+    tail = tw[-1] * np.exp(-expo[:nx, i_t])
+    g = w0[:nx] * np.exp(-expo0[:nx])  # first-arrival density g_1
+    total += float(np.dot(tail, g))
+    for _ in range(2, kmax + 1):
+        g = step_mat @ g
+        total += float(np.dot(tail, g))
+    return total
 
 
 def loop_trapezoid_weights(nx, h):

@@ -324,6 +324,17 @@ def test_solution_residual_invariant(sol_affine):
     assert sol_affine.residual < 1e-8
 
 
+def test_second_solve_leaves_first_solution_bytes(spec_affine):
+    # the solver's in-place passes must not write into a returned solution
+    first = solve_y_c(spec_affine, n_z=10, n_t=50)
+    tables = (first.flow.init_values, first.flow.bdry_values,
+              first.evaluator.bdry_phi)
+    before = [t.tobytes() for t in tables]
+    solve_y_c(constant_mixture_spec(), n_z=10, n_t=50)
+    assert [t.tobytes() for t in tables] == before
+    assert not any(t.flags.writeable for t in tables)
+
+
 def test_fixed_point_identity_on_grid(sol_affine):
     # theta + phi_theta(W) = 1 across the admissible grid
     ev = sol_affine.evaluator
@@ -370,6 +381,14 @@ def test_solver_stops_on_non_finite_residual():
     assert len(history) == 1 and math.isnan(history[0])
 
 
+def project(init, bdry):
+    """``flow._project`` on copies: the projected arrays and the largest
+    correction."""
+    init, bdry = init.copy(), bdry.copy()
+    moved = _project(init, bdry, np.empty_like(bdry))
+    return init, bdry, moved
+
+
 @st.composite
 def flow_iterates(draw):
     n_z = draw(st.integers(1, 5))
@@ -384,9 +403,9 @@ def flow_iterates(draw):
 @given(flow_iterates())
 def test_project_is_admissible_and_idempotent(case):
     n_z, n_t, init, bdry = case
-    init1, bdry1, _ = _project(1.0, init, bdry, n_z, n_t)
+    init1, bdry1, _ = project(init, bdry)
     FlowGrid(1.0, init1, bdry1)  # runs FlowGrid._check
-    init2, bdry2, moved = _project(1.0, init1, bdry1, n_z, n_t)
+    init2, bdry2, moved = project(init1, bdry1)
     assert moved == 0.0
     assert np.array_equal(init2, init1) and np.array_equal(bdry2, bdry1)
 
@@ -397,7 +416,7 @@ def test_project_is_admissible_and_idempotent(case):
           np.zeros((3, 3))))
 def test_project_matches_loop(case):
     n_z, n_t, init, bdry = case
-    got = _project(1.0, init, bdry, n_z, n_t)
+    got = project(init, bdry)
     want = loop_project(1.0, init, bdry, n_z, n_t)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
@@ -418,7 +437,7 @@ def test_solution_cache_round_trip(tmp_path, sol_const1, spec_const1, spec_affin
 @given(case=flow_iterates(), k=st.integers(0, 1), data=st.data())
 def test_solution_save_load_keeps_every_byte(case, k, data):
     n_z, n_t, init, bdry = case
-    init, bdry, _ = _project(1.0, init, bdry, n_z, n_t)
+    init, bdry, _ = project(init, bdry)
     spec = (constant_single_spec(), affine_two_class_spec())[k]
     flow = FlowGrid(1.0, init, bdry)
     residuals = st.floats(0.0, 1e3, allow_subnormal=True)

@@ -10,7 +10,10 @@ hashes with
 
 The stratified class assignments of the shipped specs are gated the same
 way at N = 1e5 and, for the affine spec, at N = 2^20: their float
-tie-breaks change with N, and the CLI runs above stay at N <= 200.
+tie-breaks change with N, and the CLI runs above stay at N <= 200.  So
+are the limit solver's tables at the benchmark's 20x400 grid and the
+401-node survival tables of the shipped LATP kernels, because the CLI runs
+solve only at 10x50.
 
 Floating-point results depend on the numpy build and on the SIMD paths it
 dispatches to, so the gate skips on another numpy version or machine.
@@ -25,8 +28,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankflow import assign_population, load_spec
+from rankflow import assign_population, load_spec, solve_y_c, survival_solve
 from rankflow.cli import main
+from rankflow.harness import shipped_omegas
 
 AFFINE = "configs/affine_two_class.json"
 MIXTURE = "configs/constant_mixture.json"
@@ -58,6 +62,10 @@ RUNS = {
 ASSIGNMENTS = [(path, 10 ** 5) for path in (
     AFFINE, MIXTURE, "configs/constant_unit.json", "configs/zero_rate.json",
     TABLE)] + [(AFFINE, 2 ** 20)]
+
+LIMIT_SPECS = [MIXTURE, AFFINE, "configs/constant_unit.json", TABLE]
+LIMIT_GRID = {"n_z": 20, "n_t": 400}
+SURVIVAL_NODES = 401
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 
@@ -96,6 +104,25 @@ def assignment_hashes():
             for path, n in ASSIGNMENTS}
 
 
+def limit_hashes():
+    """{"path:table": sha256} of ``solve_y_c``'s flow tables and boundary
+    phi at LIMIT_GRID, and {"label:p"/"label:f": sha256} of each shipped
+    kernel's ``survival_solve`` on SURVIVAL_NODES nodes of [0, 1]."""
+    hashes = {}
+    for path in LIMIT_SPECS:
+        sol = solve_y_c(load_spec(path), **LIMIT_GRID)
+        for name, arr in (("init_values", sol.flow.init_values),
+                          ("bdry_values", sol.flow.bdry_values),
+                          ("bdry_phi", sol.evaluator.bdry_phi)):
+            hashes[f"{path}:{name}"] = _sha(arr.tobytes())
+    grid = np.linspace(0.0, 1.0, SURVIVAL_NODES)
+    for label, omega in shipped_omegas(1.0).items():
+        table = survival_solve(omega, grid)
+        hashes[f"{label}:p"] = _sha(table.p.tobytes())
+        hashes[f"{label}:f"] = _sha(table.f.tobytes())
+    return hashes
+
+
 def _recorded():
     golden = json.loads(GOLDEN_PATH.read_text())
     recorded, here = golden["platform"], _platform()
@@ -120,6 +147,10 @@ def test_assignments_match_recorded_hashes():
     assert assignment_hashes() == _recorded()["assignments"]
 
 
+def test_limit_tables_match_recorded_hashes():
+    assert limit_hashes() == _recorded()["limit"]
+
+
 if __name__ == "__main__":
     import io
     import tempfile
@@ -138,5 +169,6 @@ if __name__ == "__main__":
         hashes = run_all(root, capture)
     GOLDEN_PATH.write_text(json.dumps({"platform": _platform(),
                                        "hashes": hashes,
-                                       "assignments": assignment_hashes()},
+                                       "assignments": assignment_hashes(),
+                                       "limit": limit_hashes()},
                                       indent=2, sort_keys=True) + "\n")

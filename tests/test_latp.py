@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import (check_regularity, loop_derivative_bound_check,
+from oracles import (allocating_cumulative_trapezoid,
+                     allocating_trapezoid_volterra, check_regularity,
+                     full_survival_series, loop_derivative_bound_check,
                      loop_regularity_moduli, loop_survival_table_check,
                      loop_trapezoid_weights)
 
@@ -18,9 +20,9 @@ from rankflow import (ArrivalSequence, ConfigError, DomainError,
                       survival_series, survival_solve, thin_last_arrival)
 from rankflow.harness import shipped_omegas
 from rankflow.latp import (ENVELOPE_MARGIN, constant_intensity,
-                           SurvivalTable, flow_pullback_affine,
-                           last_arrival_affine, sample_replicas,
-                           zero_intensity)
+                           SurvivalTable, _hazard_rows, _trapezoid_volterra,
+                           flow_pullback_affine, last_arrival_affine,
+                           sample_replicas, zero_intensity)
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -610,6 +612,7 @@ def test_cumulative_trapezoid_is_each_prefix_trapezoid(shape, per_interval, data
     x = np.concatenate([[0.0], np.cumsum(np.broadcast_to(h, shape[1] - 1))])
     got = latp._cumulative_trapezoid(vals, h)
     assert got.shape == vals.shape and np.all(got[:, 0] == 0.0)
+    assert got.tobytes() == allocating_cumulative_trapezoid(vals, h).tobytes()
     for j in range(1, shape[1]):
         want = np.trapezoid(vals[:, :j + 1], x[:j + 1], axis=-1)
         assert got[:, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -668,3 +671,62 @@ def test_table_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "s,t,p"
     assert len(lines) == 1 + 11 * 12 // 2
+
+
+def volterra_case(m, seed, h, total, zeros=0.0):
+    """Random nonnegative hazards, first-arrival densities and pre-arrival
+    terms on m + 1 nodes, a share ``zeros`` of the hazards exactly 0."""
+    rng = np.random.default_rng(seed)
+    w = rng.exponential(2.0, (m + 1, m + 1))
+    w[rng.random(w.shape) < zeros] = 0.0
+    return w, rng.exponential(1.0, m + 1), rng.random(m + 1), h, total
+
+
+def assert_volterra_bytes(w, b, pre, h, total):
+    want = allocating_trapezoid_volterra(w, b, pre, h, total)
+    f, p = _trapezoid_volterra(w, b, pre, h, total)
+    assert f.tobytes() == want[0].tobytes()
+    assert p.tobytes() == want[1].tobytes()
+    out = np.full_like(w, np.nan)
+    f, p = _trapezoid_volterra(w, b, pre, h, total, out=out)
+    assert p is out and p.tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+       h=st.floats(1e-3, 0.1),
+       total=st.floats(0.0, 3.0).filter(lambda x: x != 1.0),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]))
+def test_in_place_volterra_matches_allocating_solve(m, seed, h, total, zeros):
+    assert_volterra_bytes(*volterra_case(m, seed, h, total, zeros))
+
+
+def test_in_place_volterra_matches_allocating_solve_on_401_nodes():
+    assert_volterra_bytes(*volterra_case(400, 7, 1 / 400, 0.7))
+    grid = np.linspace(0.0, 1.0, 401)
+    w, w0 = _hazard_rows(flow_pullback_affine(0.6, 0.9, 0.3, 1.0), grid)
+    e0 = np.exp(-latp._cumulative_trapezoid(w0, 1 / 400))
+    assert_volterra_bytes(w, w0 * e0, e0, 1 / 400, 1.0)
+
+
+def test_in_place_volterra_matches_allocating_solve_on_nan():
+    w, b, pre, h, total = volterra_case(30, 3, 0.02, 0.5)
+    w[4, 9] = np.nan
+    b[12] = np.nan
+    assert_volterra_bytes(w, b, pre, h, total)
+    f, p = _trapezoid_volterra(w, b, pre, h, total)
+    assert np.isnan(f[12]) and np.isnan(p[13, 20])
+
+
+@pytest.mark.parametrize("label", sorted(shipped_omegas(1.0)))
+def test_series_matches_full_hazard_rows_at_limit_lattice(label):
+    # the 15 lattice pairs of the benchmark's limit workload
+    om = shipped_omegas(1.0)[label]
+    grid = np.linspace(0.0, 1.0, 401)
+    idx = np.linspace(0, 400, 5, dtype=int)
+    for i in idx:
+        for j in idx[idx >= i]:
+            got = survival_series(om, grid[i], grid[j], kmax=25, step=1 / 400)
+            want = full_survival_series(om, grid[i], grid[j], kmax=25,
+                                        step=1 / 400)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
