@@ -13,15 +13,14 @@ from .intensity import (AffineField, ConstantField, Histogram, IntensityField,
                         ProductField, TableField, assign_population,
                         load_spec, pin_particles, spec_from_config)
 from .latp import (ArrivalSequence, LatpIntensity, SurvivalTable,
-                   derivative_bound_check, omega_integral, sample_arrivals,
-                   sample_replicas, survival_series, survival_solve,
-                   thin_last_arrival)
+                   derivative_bound_check, sample_arrivals, sample_replicas,
+                   survival_series, survival_solve, thin_last_arrival)
 from .flow import (BoundaryPoint, FlowGrid, LimitSolution, PhiEvaluator,
-                   boundary, gamma_compare, initial, solve_y_c,
-                   tagged_limit_path, tilde_w, verify_ode_form)
+                   boundary, initial, solve_y_c, tagged_limit_path, tilde_w,
+                   verify_ode_form)
 from .srp import (CouplingRecord, EventLog, RankIndex, simulate,
                   simulate_coupled, simulate_flow_driven)
 from .measure import (EvaluationLattice, LogEvaluator, TestFunction,
-                      char_sup_distance, sup_distance)
+                      sup_distance)
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ here by damped Picard iteration on a grid.
 from __future__ import annotations
 
 import logging
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +54,6 @@ class BoundaryPoint:
     def t0(self) -> float:
         return self.coord if self.kind == "boundary" else 0.0
 
-    def order_key(self):
-        # boundary points with t0 > 0 sit above the corner; the corner
-        # (0, 0) is the same point whether tagged initial or boundary
-        if self.kind == "boundary" and self.coord > 0:
-            return (1, self.coord)
-        return (0, -self.y0)
-
     def __str__(self):
         return f"({self.kind[0]}:{self.coord:g})"
 
@@ -70,12 +64,6 @@ def initial(z: float) -> BoundaryPoint:
 
 def boundary(t0: float) -> BoundaryPoint:
     return BoundaryPoint("boundary", float(t0))
-
-
-def gamma_compare(a: BoundaryPoint, b: BoundaryPoint) -> int:
-    """Total order: +1 if a is larger, -1 if smaller, 0 if the same point."""
-    ka, kb = a.order_key(), b.order_key()
-    return (ka > kb) - (ka < kb)
 
 
 def _require_grid(n_z: int, n_t: int) -> None:
@@ -328,8 +316,9 @@ class PhiEvaluator:
         init_phi[:, :-1] = np.cumsum(weighted[:, ::-1], axis=1)[:, ::-1]
         return init_phi, self.bdry_phi
 
-    def phi_grid(self, h=None):
-        hv = _h_vector(h, self.spec)
+    def phi_grid(self):
+        """(init_phi, bdry_phi) of h = 1: the class grids summed."""
+        hv = np.ones(self.spec.n_classes)
         init_phi, bdry_phi = self.phi_grids_per_class()
         return (np.tensordot(hv, init_phi, axes=1),
                 np.tensordot(hv, bdry_phi, axes=1))
@@ -394,6 +383,11 @@ def _project(init, bdry, work):
                float(np.max(np.abs(work, out=work))))
 
 
+# the arrays ``LimitSolution.save`` writes
+_CACHE_KEYS = ("horizon", "init_values", "bdry_values", "residual",
+               "residual_history", "spec_hash")
+
+
 @dataclass
 class LimitSolution:
     """Solved limit flow with its cached phi evaluator."""
@@ -408,9 +402,6 @@ class LimitSolution:
     @property
     def spec_hash(self) -> str:
         return self.spec.fingerprint()
-
-    def y(self, gamma: BoundaryPoint, t: float) -> float:
-        return self.flow.theta(gamma, t)
 
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
         return self.evaluator.phi(h, gamma, t)
@@ -428,7 +419,18 @@ class LimitSolution:
 
     @staticmethod
     def load(path, spec: PopulationSpec) -> "LimitSolution":
-        with np.load(path) as data:
+        """Read a ``save`` cache; ConfigError names a file that is not one."""
+        try:
+            data = np.load(path)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"{path}: not a solve cache: {exc}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ConfigError(f"{path}: not a solve cache: one bare array")
+        with data:
+            missing = [k for k in _CACHE_KEYS if k not in data.files]
+            if missing:
+                raise ConfigError(
+                    f"{path}: not a solve cache: no {missing[0]!r} in it")
             stored = bytes(data["spec_hash"]).decode()
             if stored != spec.fingerprint():
                 raise ConfigError(
@@ -584,20 +586,14 @@ class TaggedPath:
     y_start: float
     jump_times: np.ndarray
 
-    def value(self, t: float) -> float:
-        """Right-continuous position at t."""
-        return float(self.sample(t))
-
     def sample(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         resets = np.concatenate([[0.0], self.jump_times])
         last = resets[np.searchsorted(self.jump_times, ts, side="right")]
         return np.asarray(self.flow._eval_from(self.y_start, last, ts))
 
-    def jump_count(self, t: float | None = None) -> int:
-        if t is None:
-            return len(self.jump_times)
-        return int(np.searchsorted(self.jump_times, t, side="right"))
+    def jump_count(self) -> int:
+        return len(self.jump_times)
 
 
 def tagged_limit_path(sol: LimitSolution, field, y_start: float,

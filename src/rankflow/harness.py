@@ -302,14 +302,13 @@ class TaggedReport:
 
 
 def tagged_compare(plan: ExperimentPlan, pins=None,
-                   sol: LimitSolution | None = None,
-                   check_times: int = 101) -> TaggedReport:
+                   sol: LimitSolution | None = None) -> TaggedReport:
     """Tagged particles under shared streams vs their limit paths.
 
     pins[i] = (class_k, y_star): particle i is pinned to that class with the
     initial slot nearest y_star, its limit path starts at y_star exactly,
     and both consume the candidate stream keyed (seed, i), which does not
-    depend on N.
+    depend on N.  Positions are compared at 101 equally spaced times.
     """
     if sol is None:
         sol = solve_limit(plan)
@@ -318,7 +317,7 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
         pins = [(0, 0.3), (spec.n_classes - 1, 0.7)]
     L = len(pins)
     horizon = spec.horizon
-    ts = np.linspace(0.0, horizon, check_times)
+    ts = np.linspace(0.0, horizon, 101)
     # a limit path depends on (seed, pin) and not on N: (values at ts, jumps)
     paths = {}
     for seed in range(plan.seeds):
@@ -398,14 +397,13 @@ class LatpReport:
 
 def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
                     step: float = 1 / 400, replicas: int = 10_000,
-                    seed: int = 0, kmax: int = 25,
-                    lattice_size: int = 5) -> LatpReport:
+                    seed: int = 0, lattice_size: int = 5) -> LatpReport:
     """Three-way agreement: Volterra solve vs series vs Monte Carlo.
 
-    For each kernel, the solver table is compared to the truncated series on
-    an (s, t) lattice (tolerance 1e-5 + 5 h^2) and to survival frequencies
-    from sampled paths (4 standard errors); the derivative bounds are
-    checked at O(h) tolerance.
+    For each kernel, the solver table is compared to the series truncated
+    at 25 arrivals on an (s, t) lattice (tolerance 1e-5 + 5 h^2) and to
+    survival frequencies from sampled paths (4 standard errors); the
+    derivative bounds are checked at O(h) tolerance.
     """
     if replicas < 1:
         raise ConfigError("replicas: must be >= 1")
@@ -428,7 +426,7 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
         series_gap = 0.0
         pair_list = [(i, j) for i in idx for j in idx if j >= i]
         for i, j in pair_list:
-            ref = latp.survival_series(omega, grid[i], grid[j], kmax=kmax,
+            ref = latp.survival_series(omega, grid[i], grid[j], kmax=25,
                                        step=step)
             series_gap = max(series_gap, abs(table.p[i, j] - ref))
         times, offsets = latp.sample_replicas(omega, seed, replicas)

@@ -29,8 +29,14 @@ _SWEEP_BLOCK = 4096  # slots per block of the stratified sweep
 
 
 def _number(x, name: str) -> float:
-    """x as a float; booleans, non-numbers and NaN/inf raise ConfigError."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+    """x as a float; booleans, non-numbers, NaN/inf and integers beyond the
+    float range raise ConfigError."""
+    try:
+        ok = not isinstance(x, bool) and isinstance(x, numbers.Real) \
+            and math.isfinite(x)
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ConfigError(f"{name}: must be a finite number, got {x!r}")
     return float(x)
 
@@ -56,10 +62,10 @@ def _check_domain(y, t, horizon):
 class IntensityField:
     """Base class for rate fields w(y, t).
 
-    Subclasses set exact ``sup_norm`` and ``y_deriv_bound`` at construction
-    and implement ``_values`` (vectorized, unvalidated).  Calls validate the
-    domain and return nonnegative rates; evaluation is pure, so repeated
-    calls are bit-stable.
+    Subclasses set exact ``sup_norm`` and ``y_deriv_bound`` at construction,
+    through ``_set_bounds``, and implement ``_values`` (vectorized,
+    unvalidated).  Calls validate the domain and return nonnegative rates;
+    evaluation is pure, so repeated calls are bit-stable.
     """
 
     kind = "abstract"
@@ -70,6 +76,16 @@ class IntensityField:
         self.horizon = float(horizon)
         self.sup_norm = 0.0
         self.y_deriv_bound = 0.0
+
+    def _set_bounds(self, sup_norm: float, y_deriv_bound: float) -> None:
+        """Set both bounds; finite parameters whose bound overflows are
+        refused, as the engines cannot draw candidates at an infinite rate."""
+        for name, value in (("sup_norm", sup_norm),
+                            ("y_deriv_bound", y_deriv_bound)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name}: the parameters give {value}")
+        self.sup_norm = float(sup_norm)
+        self.y_deriv_bound = float(y_deriv_bound)
 
     def __call__(self, y, t):
         y, t = _check_domain(y, t, self.horizon)
@@ -102,8 +118,7 @@ class ConstantField(IntensityField):
         self.value = _number(value, "value")
         if value < 0:
             raise ConfigError(f"value: constant rate must be >= 0, got {value}")
-        self.sup_norm = self.value
-        self.y_deriv_bound = 0.0
+        self._set_bounds(self.value, 0.0)
 
     def _values(self, y, t):
         if np.ndim(y) == 0 and np.ndim(t) == 0:
@@ -127,8 +142,7 @@ class AffineField(IntensityField):
         if base + slope < 0:
             raise ConfigError(
                 f"slope: affine field negative at y=1: base={base}, slope={slope}")
-        self.sup_norm = max(self.base, self.base + self.slope)
-        self.y_deriv_bound = abs(self.slope)
+        self._set_bounds(max(self.base, self.base + self.slope), abs(self.slope))
 
     def _values(self, y, t):
         return np.asarray(self.base + self.slope * y + 0.0 * t)
@@ -162,8 +176,7 @@ class ProductField(IntensityField):
                 f"t_slope: time factor negative at the horizon: {t_base}+{t_slope}*t")
         fy = max(self.y_base, self.y_base + self.y_slope)
         ft = max(self.t_base, self.t_base + self.t_slope * horizon)
-        self.sup_norm = fy * ft
-        self.y_deriv_bound = abs(self.y_slope) * ft
+        self._set_bounds(fy * ft, abs(self.y_slope) * ft)
 
     def _values(self, y, t):
         return np.asarray(
@@ -195,8 +208,9 @@ class TableField(IntensityField):
         ny, nt = vals.shape
         self._dy = 1.0 / (ny - 1)
         self._dt = horizon / (nt - 1)
-        self.sup_norm = float(vals.max())
-        self.y_deriv_bound = float(np.abs(np.diff(vals, axis=0)).max() / self._dy)
+        # a float division overflows to inf without a numpy warning
+        self._set_bounds(vals.max(),
+                         float(np.abs(np.diff(vals, axis=0)).max()) / self._dy)
 
     def _values(self, y, t):
         # _bilinear interpolates along a row first; the rows of the
@@ -217,7 +231,7 @@ def field_from_config(cfg: dict, horizon: float, where: str = "field") -> Intens
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
     kind = cfg["kind"]
-    if kind not in _FIELD_KINDS:
+    if not isinstance(kind, str) or kind not in _FIELD_KINDS:
         raise ConfigError(f"{where}.kind: unknown kind {kind!r}, "
                           f"expected one of {sorted(_FIELD_KINDS)}")
     kwargs = {k: v for k, v in cfg.items() if k != "kind"}
@@ -272,9 +286,6 @@ class Histogram:
         lo = np.maximum(br[:-1], a)
         hi = np.minimum(br[1:], b)
         return float(np.sum(va * np.clip(hi - lo, 0.0, None)))
-
-    def tail(self, y: float) -> float:
-        return self.mass(y, 1.0)
 
     def _cumulative_mass(self) -> np.ndarray:
         """Mass below each break; the CDF is linear in between."""

@@ -160,24 +160,6 @@ class ArrivalSequence:
         return self.count(t) == self.count(s)
 
 
-def omega_integral(omega: LatpIntensity, t0: float, t: float,
-                   step: float = 1e-3) -> float:
-    """Exposure Omega(t0, t) = integral of omega(t0, u) over [t0, t].
-
-    Composite trapezoid at the requested step.  Note Omega is not additive
-    in general: the first slot is the last arrival time, so
-    Omega(a, b) + Omega(b, c) integrates two different hazard rows.
-    """
-    if t0 > t + 1e-12:
-        raise DomainError(f"need t0 <= t, got ({t0}, {t})")
-    if t <= t0:
-        return 0.0
-    n = max(1, int(np.ceil((t - t0) / step)))
-    us = np.linspace(t0, t, n + 1)
-    vals = omega(np.full(n + 1, t0), us)
-    return float(_cumulative_trapezoid(vals, np.diff(us))[-1])
-
-
 def _breach_bound(envelope):
     """The hazard above which a thinning envelope counts as breached."""
     return envelope * (1.0 + 1e-9) + 1e-12
@@ -345,26 +327,6 @@ class SurvivalTable:
     def step(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
-    def value(self, s: float, t: float) -> float:
-        """p at (s, t) by ``_triangle_value``, clamped at 0."""
-        if t < s - 1e-12:
-            raise DomainError(f"need s <= t, got ({s}, {t})")
-        if s < -1e-12 or t > self.grid[-1] + 1e-9:
-            raise DomainError(f"({s}, {t}) outside the table grid")
-        p = self.p
-        v = _triangle_value(lambda i, j: p[i, j], self.step,
-                            len(self.grid) - 1, s, t)
-        return float(0.0 if v < 0 else v)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("s,t,p\n")
-            m = len(self.grid)
-            for i in range(m):
-                for j in range(i, m):
-                    fh.write(f"{float(self.grid[i])!r},{float(self.grid[j])!r},"
-                             f"{float(self.p[i, j])!r}\n")
-
 
 def _grid_cell(x: float, h: float, m: int):
     """Cell floor(x / h) of x on a grid of m cells of step h, capped at
@@ -392,9 +354,10 @@ def _triangle_value(at, h: float, m: int, s: float, t: float) -> float:
     """Interpolate at (s, t), s <= t, the upper-triangular table whose
     node (t_i, t_j) on a grid of m cells of step h is ``at(i, j)``, i <= j.
 
-    Bilinear, except in a cell on the diagonal (constant in both tables
-    read here): linear in t - s from the diagonal node, with the slope to
-    the next node along t.  An s above t by rounding reads that cell.
+    Bilinear, except in a cell on the diagonal (constant in the table read
+    here, ``PhiEvaluator.bdry_phi``): linear in t - s from the diagonal
+    node, with the slope to the next node along t.  An s above t by
+    rounding reads that cell.
     """
     i, a = _grid_cell(s, h, m)
     j, b = _grid_cell(t, h, m)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .flow import BoundaryPoint, FlowGrid, _h_vector, boundary, initial
+from .flow import BoundaryPoint, _h_vector, boundary, initial
 from .intensity import PopulationSpec
 from .srp import EventLog, RankIndex, _mtf_ranks
 
@@ -81,14 +81,12 @@ class EvaluationLattice:
     times: tuple
 
     @staticmethod
-    def regular(horizon: float, n_gamma_initial: int = 11,
-                n_gamma_boundary: int = 10, n_times: int = 21
-                ) -> "EvaluationLattice":
-        gammas = [initial(j / (n_gamma_initial - 1))
-                  for j in range(n_gamma_initial)]
-        gammas += [boundary(l * horizon / n_gamma_boundary)
-                   for l in range(1, n_gamma_boundary + 1)]
-        times = tuple(k * horizon / (n_times - 1) for k in range(n_times))
+    def regular(horizon: float) -> "EvaluationLattice":
+        """Initial points z = 0, 0.1, ..., 1, boundary points at tenths of
+        the horizon and 21 equally spaced times."""
+        gammas = [initial(j / 10) for j in range(11)]
+        gammas += [boundary(l * horizon / 10) for l in range(1, 11)]
+        times = tuple(k * horizon / 20 for k in range(21))
         return EvaluationLattice(gammas=tuple(gammas), times=times)
 
     def pairs(self):
@@ -337,11 +335,3 @@ def sup_distance(log: EventLog, sol, h,
     counts = LogEvaluator(log).lattice_counts(lattice)
     limit, _ = limit_values(lattice, sol, [h])
     return counts.sup(counts.phi(_h_vector(h, spec)) - limit[0])
-
-
-def char_sup_distance(log: EventLog, flow: FlowGrid,
-                      lattice: EvaluationLattice) -> SupDistance:
-    """Lattice sup of |Y^N_C(gamma, t) - theta(gamma, t)|."""
-    counts = LogEvaluator(log).lattice_counts(lattice)
-    _, theta = limit_values(lattice, flow=flow)
-    return counts.sup(counts.curve() - theta)

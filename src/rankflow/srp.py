@@ -193,9 +193,8 @@ class CouplingRecord:
         s.flags.writeable = False
         object.__setattr__(self, "sigma", s)
 
-    def decoupled_fraction(self, t: float | None = None) -> float:
-        t = self.horizon if t is None else t
-        return float(np.mean(self.sigma <= t))
+    def decoupled_fraction(self) -> float:
+        return float(np.mean(self.sigma <= self.horizon))
 
 
 def _candidates(assignment: PopulationAssignment, horizon: float, seed: int,
@@ -241,14 +240,6 @@ def _candidates(assignment: PopulationAssignment, horizon: float, seed: int,
     if tie_count:
         log.warning("candidate stream has %d exact time ties", tie_count)
     return times, ids, marks, tie_count
-
-
-def _check_horizon(assignment, horizon):
-    horizon = assignment.spec.horizon if horizon is None else float(horizon)
-    if horizon > assignment.spec.horizon + 1e-12:
-        raise DomainError(
-            f"horizon {horizon} exceeds spec horizon {assignment.spec.horizon}")
-    return horizon
 
 
 def _check_flow(flow, horizon):
@@ -393,10 +384,10 @@ def _event_log(assignment, horizon, times, ids, passed, kind, ties):
                     pre_positions=pre, kind=kind, tie_count=ties)
 
 
-def simulate(assignment: PopulationAssignment, horizon: float | None = None,
-             seed: int = 0, tagged: int = 0) -> EventLog:
+def simulate(assignment: PopulationAssignment, seed: int = 0,
+             tagged: int = 0) -> EventLog:
     """Original model: hazard evaluated at the particle's true position."""
-    horizon = _check_horizon(assignment, horizon)
+    horizon = assignment.spec.horizon
     times, ids, marks, ties = _candidates(assignment, horizon, seed, tagged)
     return _event_log(assignment, horizon, times, ids,
                       _original_pass(assignment, times, ids, marks),
@@ -404,8 +395,7 @@ def simulate(assignment: PopulationAssignment, horizon: float | None = None,
 
 
 def simulate_flow_driven(assignment: PopulationAssignment, flow: FlowGrid,
-                         horizon: float | None = None, seed: int = 0,
-                         tagged: int = 0) -> EventLog:
+                         seed: int = 0) -> EventLog:
     """Flow-driven model: hazard read along the flow from the last reset.
 
     Particle motion stays the move-to-front slot dynamics; only the
@@ -413,16 +403,16 @@ def simulate_flow_driven(assignment: PopulationAssignment, flow: FlowGrid,
     gamma_i the initial point (y_i, 0) before the first jump and (0, tau)
     after a jump at tau.
     """
-    horizon = _check_horizon(assignment, horizon)
+    horizon = assignment.spec.horizon
     _check_flow(flow, horizon)
-    times, ids, marks, ties = _candidates(assignment, horizon, seed, tagged)
+    times, ids, marks, ties = _candidates(assignment, horizon, seed, 0)
     return _event_log(assignment, horizon, times, ids,
                       _flow_pass(assignment, flow, times, ids, marks),
                       "flow", ties)
 
 
 def simulate_coupled(assignment: PopulationAssignment, flow: FlowGrid,
-                     horizon: float | None = None, seed: int = 0):
+                     seed: int = 0):
     """Run both models on one marked candidate stream.
 
     Each candidate is offered to both models; each accepts per its own
@@ -430,7 +420,7 @@ def simulate_coupled(assignment: PopulationAssignment, flow: FlowGrid,
     exactly one of the two, after which the pair keeps evolving (the
     decoupled fraction counts sigma_i <= T).
     """
-    horizon = _check_horizon(assignment, horizon)
+    horizon = assignment.spec.horizon
     _check_flow(flow, horizon)
     times, ids, marks, ties = _candidates(assignment, horizon, seed, 0)
     orig = _original_pass(assignment, times, ids, marks)

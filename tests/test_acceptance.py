@@ -77,7 +77,7 @@ def test_criterion_2_closed_form_limit(sol_const1, sol_mixture, spec_mixture):
             el = fl.t_nodes[l:] - fl.t_nodes[l]
             want = 1 - sum(p * np.exp(-c * el) for p, c in zip(wts, rates))
             worst = max(worst, float(np.max(np.abs(fl.bdry_values[l, l:] - want))))
-    spot = sol_const1.y(initial(0.5), 1.0)
+    spot = sol_const1.flow.theta(initial(0.5), 1.0)
     assert abs(spot - (1 - 0.5 * math.exp(-1.0))) <= tol
     assert worst <= tol
     report(2, time.time() - start, 30,
@@ -87,7 +87,7 @@ def test_criterion_2_closed_form_limit(sol_const1, sol_mixture, spec_mixture):
 
 def test_criterion_3_point_process_three_way():
     start = time.time()
-    rep = latp_validation(step=1 / 400, replicas=10_000, seed=0, kmax=25)
+    rep = latp_validation(step=1 / 400, replicas=10_000, seed=0)
     for row in rep.rows:
         assert row.series_gap <= row.series_tol, row
         assert row.mc_max_z <= 4.0, row

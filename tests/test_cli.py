@@ -140,6 +140,73 @@ def test_simulate_refuses_nan_flow_cache(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: boundary table: ")
 
 
+@pytest.mark.parametrize("not_a_cache, reason", [
+    ("event_log", "no 'init_values' in it"),
+    ("json_config", "pickled"),
+    ("empty_file", "No data left"),
+    ("npy_array", "one bare array"),
+    ("broken_zip", "not a zip file"),
+], ids=["event_log", "json_config", "empty_file", "npy_array", "broken_zip"])
+def test_simulate_refuses_a_flow_file_that_is_not_a_solve_cache(
+        not_a_cache, reason, tmp_path, capsys):
+    common = ["--config", f"{CONFIGS}/constant_unit.json",
+              "--out", str(tmp_path), "--n", "10"]
+    path = tmp_path / "flow"
+    if not_a_cache == "event_log":
+        assert run(["simulate"] + common) == EXIT_OK
+        path = tmp_path / "log_original_n10_seed0.npz"
+    elif not_a_cache == "json_config":
+        path = f"{CONFIGS}/constant_unit.json"
+    elif not_a_cache == "empty_file":
+        path.write_bytes(b"")
+    elif not_a_cache == "npy_array":
+        path = tmp_path / "flow.npy"
+        np.save(path, np.zeros(3))
+    else:
+        path.write_bytes(b"PK\x03\x04 not a zip")
+    capsys.readouterr()
+    code = run(["simulate"] + common + ["--mode", "flow", "--flow", str(path)])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a solve cache: ")
+    assert reason in err
+
+
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
+def test_validate_refuses_an_unhashable_field_kind(kind, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"horizon": 1.0, "classes": [
+        {"weight": 1.0, "field": {"kind": kind}}]}))
+    assert run(["validate", "--config", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(
+        "error: classes[0].field.kind: unknown kind")
+
+
+@pytest.mark.parametrize("field, bound", [
+    ({"kind": "affine", "base": 1e308, "slope": 1e308}, "sup_norm"),
+    ({"kind": "product", "y_base": 1e200, "y_slope": 0.0, "t_base": 1e200,
+      "t_slope": 0.0}, "sup_norm"),
+    ({"kind": "table", "values": [[0.0, 0.0], [1e308, 1e308], [0.0, 0.0]]},
+     "y_deriv_bound"),
+], ids=["affine", "product", "table"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_command_refuses_a_rate_bound_that_overflows(command, field, bound,
+                                                     tmp_path, capsys):
+    # finite parameters whose bound is inf cannot be simulated
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"horizon": 1.0, "classes": [
+        {"weight": 1.0, "field": field}]}))
+    argv = [command, "--config", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out"), "--n", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(
+        f"error: classes[0].field.{bound}: the parameters give inf")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_smoke_negative_slope(tmp_path):
     code = run(["sweep", "--config", f"{CONFIGS}/constant_mixture.json",
                 "--out", str(tmp_path), "--n-values", "50", "200", "800",

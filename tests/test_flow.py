@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rankflow import (ConfigError, ConvergenceError, DomainError, FlowGrid,
-                      PhiEvaluator, boundary, gamma_compare, initial,
-                      solve_y_c, tagged_limit_path, tilde_w, verify_ode_form)
+                      PhiEvaluator, boundary, initial, solve_y_c, tagged_limit_path, tilde_w, verify_ode_form)
 from rankflow.flow import LimitSolution, _project, _require_grid
 from rankflow.latp import MAX_TABLE_ENTRIES, _grid_cell
 from rankflow.intensity import AffineField, ConstantField, load_spec
@@ -23,26 +22,6 @@ from oracles import (loop_boundary, loop_initial, loop_project,
                      loop_verify_ode_form)
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def test_gamma_order_boundary_beats_initial():
-    assert gamma_compare(boundary(0.5), initial(0.2)) == 1
-
-
-def test_gamma_order_initial_smaller_z_wins():
-    assert gamma_compare(initial(0.2), initial(0.7)) == 1
-
-
-def test_gamma_order_corner_identified():
-    assert gamma_compare(boundary(0.0), initial(0.0)) == 0
-
-
-def test_gamma_order_chain():
-    # (0,T) >= (0,t) >= (0,0) >= (z,0) >= (1,0)
-    chain = [boundary(1.0), boundary(0.3), boundary(0.0), initial(0.4),
-             initial(1.0)]
-    for a, b in zip(chain[:-1], chain[1:]):
-        assert gamma_compare(a, b) >= 0
 
 
 def test_identity_flow_values():
@@ -267,13 +246,13 @@ def test_solve_zero_rates_converges_first_iteration(spec_zero):
     sol = solve_y_c(spec_zero, n_z=10, n_t=50)
     assert sol.iterations == 1
     assert sol.residual <= 1e-15  # theta_0 is already the fixed point
-    assert sol.y(initial(0.3), 1.0) == pytest.approx(0.3, abs=1e-12)
+    assert sol.flow.theta(initial(0.3), 1.0) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_solve_unit_rate_closed_form(sol_const1):
-    assert sol_const1.y(initial(0.5), 1.0) == pytest.approx(
+    assert sol_const1.flow.theta(initial(0.5), 1.0) == pytest.approx(
         1 - 0.5 * math.exp(-1.0), abs=10 * (1 / 200 ** 2 + 1e-8))
-    assert sol_const1.y(boundary(0.3), 1.0) == pytest.approx(
+    assert sol_const1.flow.theta(boundary(0.3), 1.0) == pytest.approx(
         1 - math.exp(-0.7), abs=10 * (1 / 200 ** 2 + 1e-8))
 
 
@@ -513,16 +492,16 @@ def test_gridded_kernel_sampler_matches_solver(sol_affine, spec_affine):
     om = tilde_w(fl, spec_affine.classes[0].field, 0.525)
     table = survival_solve(om, fl.t_nodes)
     reps = 4000
-    pairs = [(0.0, 1.0), (0.3, 0.9)]
-    hits = np.zeros(len(pairs))
+    nodes = [(0, 200), (60, 180)]  # (s, t) = (0, 1) and (0.3, 0.9)
+    hits = np.zeros(len(nodes))
     for r in range(reps):
         arr = sample_arrivals(om, seed=8, replica=r)
-        for q, (s, t) in enumerate(pairs):
-            hits[q] += arr.no_arrival_in(s, t)
-    for q, (s, t) in enumerate(pairs):
+        for q, (i, j) in enumerate(nodes):
+            hits[q] += arr.no_arrival_in(fl.t_nodes[i], fl.t_nodes[j])
+    for q, (i, j) in enumerate(nodes):
         p_hat = hits[q] / reps
         se = math.sqrt(p_hat * (1 - p_hat) / reps)
-        assert abs(p_hat - table.value(s, t)) <= 4 * se + 1e-3
+        assert abs(p_hat - table.p[i, j]) <= 4 * se + 1e-3
 
 
 def test_tagged_path_no_jumps_rides_flow(sol_const1):

@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankflow import (AffineField, ConfigError, ConstantField, DomainError,
@@ -166,7 +167,7 @@ def test_histogram_validation():
         Histogram(breaks=(0.0, 0.5, 1.0), values=(1.0, 0.5))  # mass 0.75
     h = Histogram(breaks=(0.0, 0.5, 1.0), values=(1.6, 0.4))
     assert h.mass(0.0, 0.5) == pytest.approx(0.8)
-    assert h.tail(0.25) == pytest.approx(1.0 - 0.4)
+    assert h.mass(0.25, 1.0) == pytest.approx(1.0 - 0.4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,7 +260,7 @@ def test_stratified_discrepancy_uniform_spec():
     for n in (7, 40, 1000):
         a = assign_population(spec, n, mode="stratified")
         for y in np.linspace(0, 1, 1001):
-            gap = abs(initial_tail(a, y) - spec.classes[0].density.tail(y))
+            gap = abs(initial_tail(a, y) - spec.classes[0].density.mass(y, 1.0))
             assert gap <= 1.0 / n + 1e-12
 
 
@@ -281,7 +282,7 @@ def test_stratified_per_class_discrepancy(n, make_spec):
     c_bound = spec.n_classes / n
     for y in np.linspace(0, 1, 1001):
         for k, cls in enumerate(spec.classes):
-            gap = abs(initial_tail(a, y, k) - cls.weight * cls.density.tail(y))
+            gap = abs(initial_tail(a, y, k) - cls.weight * cls.density.mass(y, 1.0))
             assert gap <= c_bound + 1e-12
 
 
@@ -348,6 +349,89 @@ def test_pin_particles():
     assert pinned.class_index[1] == 0
     assert abs(pinned.position[0] - 0.7) <= 0.5 / 40 + 1e-12
     assert np.array_equal(np.sort(pinned.position), np.sort(a.position))
+
+
+# numbers from valid ones to +-1e308, the smallest subnormal, an integer
+# beyond the float range, NaN and inf, and booleans; any other JSON value
+# may stand in for one
+FUZZ_NUMBERS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, 1e200, 1e308, -1e308, 5e-324,
+                     10 ** 400]),
+    st.floats(), st.booleans())
+FUZZ_JUNK = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+FUZZ_VALUE = FUZZ_NUMBERS | FUZZ_JUNK
+
+
+def _fuzz_kind(name, *params):
+    return st.fixed_dictionaries(
+        {"kind": st.just(name), **{p: FUZZ_NUMBERS for p in params}})
+
+
+# every kind, with square, ragged and empty tables, and kinds that are not
+FUZZ_FIELD = st.one_of(
+    _fuzz_kind("constant", "value"), _fuzz_kind("affine", "base", "slope"),
+    _fuzz_kind("product", "y_base", "y_slope", "t_base", "t_slope"),
+    st.fixed_dictionaries({"kind": st.just("table"), "values": st.lists(
+        st.lists(FUZZ_NUMBERS, max_size=4), max_size=4)}),
+    st.fixed_dictionaries({"kind": FUZZ_VALUE}))
+
+
+def _slots(node):
+    """(container, key) of every value and subtree of a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in list(items):
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def fuzz_specs(draw):
+    """One to three classes of equal weight and uniform density, then up
+    to three values or subtrees, at any depth, replaced by fuzzed ones or,
+    in an object, deleted."""
+    n = draw(st.integers(1, 3))
+    cfg = {"horizon": 1.0, "classes": [
+        {"weight": 1 / n, "field": draw(FUZZ_FIELD),
+         "density": {"breaks": [0.0, 1.0], "values": [1.0]}}
+        for _ in range(n)]}
+    for _ in range(draw(st.integers(0, 3))):
+        slots = list(_slots(cfg))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(FUZZ_VALUE)
+    return cfg
+
+
+def _one_class(field):
+    return {"horizon": 1.0, "classes": [{"weight": 1.0, "field": field}]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=FUZZ_JUNK | fuzz_specs())
+@example(cfg=_one_class({"kind": []}))
+@example(cfg=_one_class({"kind": {}}))
+@example(cfg=_one_class({"kind": "affine", "base": 1e308, "slope": 1e308}))
+@example(cfg=_one_class({"kind": "product", "y_base": 1e200, "y_slope": 0.0,
+                         "t_base": 1e200, "t_slope": 0.0}))
+@example(cfg={"horizon": 10 ** 400, "classes": []})
+def test_spec_from_config_fuzz_raises_only_config_error(cfg):
+    try:
+        spec = spec_from_config(cfg)
+    except ConfigError:
+        return
+    # a spec that validates can be simulated: its rate bounds are finite
+    for cls in spec.classes:
+        assert math.isfinite(cls.field.sup_norm)
+        assert math.isfinite(cls.field.y_deriv_bound)
 
 
 def test_spec_file_round_trip(tmp_path):

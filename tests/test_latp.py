@@ -16,7 +16,7 @@ from oracles import (allocating_cumulative_trapezoid,
 
 from rankflow import (ArrivalSequence, ConfigError, DomainError,
                       EnvelopeBreach, LatpIntensity, derivative_bound_check,
-                      latp, omega_integral, sample_arrivals, streams,
+                      latp, sample_arrivals, streams,
                       survival_series, survival_solve, thin_last_arrival)
 from rankflow.harness import shipped_omegas
 from rankflow.latp import (ENVELOPE_MARGIN, constant_intensity,
@@ -33,24 +33,14 @@ def elapsed_intensity(horizon):
                          label="elapsed")
 
 
-def test_omega_integral_zero():
-    assert omega_integral(zero_intensity(1.0), 0.0, 0.7) == 0.0
-
-
-def test_omega_integral_constant():
-    assert omega_integral(constant_intensity(2.0, 1.0), 0.0, 0.5) == pytest.approx(1.0)
-
-
 def test_omega_integral_elapsed_closed_form():
-    # int_{t0}^{t} (u - t0) du = (t - t0)^2 / 2 = 0.32; trapezoid is exact
-    # for a linear integrand, so only float error remains
-    val = omega_integral(elapsed_intensity(1.0), 0.2, 1.0, step=1e-3)
+    # the exposure Omega(t0, t) = int_{t0}^{t} (u - t0) du = (t - t0)^2 / 2
+    # = 0.32; trapezoid is exact for a linear integrand, so only float
+    # error remains
+    us = np.linspace(0.2, 1.0, 801)
+    vals = elapsed_intensity(1.0)(np.full(len(us), 0.2), us)
+    val = latp._cumulative_trapezoid(vals, np.diff(us))[-1]
     assert val == pytest.approx(0.32, abs=1e-12)
-
-
-def test_omega_integral_order_error():
-    with pytest.raises(DomainError):
-        omega_integral(constant_intensity(1.0, 1.0), 0.5, 0.2)
 
 
 def test_sample_zero_intensity_empty():
@@ -549,15 +539,6 @@ def test_table_checks_match_loops_on_random_tables(data):
         loop_derivative_bound_check(table, omega)
 
 
-def test_table_value_interpolation():
-    om = constant_intensity(1.0, 1.0)
-    tab = survival_solve(om, GRID)
-    assert tab.value(0.25, 0.75) == pytest.approx(math.exp(-0.5), abs=1e-4)
-    assert tab.value(0.4, 0.4) == 1.0
-    with pytest.raises(DomainError):
-        tab.value(0.5, 0.2)
-
-
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 6), k=st.integers(-3, 3), data=st.data())
 def test_triangle_value_nodes_diagonal_cell_and_bilinear(m, k, data):
@@ -662,15 +643,6 @@ def test_survival_table_constructor_rejects_nonmonotone():
     broken[0, 5] = broken[0, 4] + 1e-3  # increase in t
     with pytest.raises(ConfigError):
         dataclasses.replace(tab, p=broken)
-
-
-def test_table_csv_export(tmp_path):
-    tab = survival_solve(constant_intensity(1.0, 1.0), np.linspace(0, 1, 11))
-    path = tmp_path / "table.csv"
-    tab.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "s,t,p"
-    assert len(lines) == 1 + 11 * 12 // 2
 
 
 def volterra_case(m, seed, h, total, zeros=0.0):

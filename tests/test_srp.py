@@ -12,7 +12,8 @@ from conftest import (affine_two_class_spec, constant_mixture_spec,
                       constant_single_spec, uniform_single_class,
                       zero_rate_spec)
 from oracles import NaiveRankIndex, sequential_original_pass
-from rankflow import (ConfigError, EnvelopeBreach, EventLog, FlowGrid,
+from rankflow import (ConfigError, DomainError, EnvelopeBreach, EventLog,
+                      FlowGrid,
                       RankIndex, assign_population, simulate,
                       simulate_coupled, simulate_flow_driven, spec_from_config,
                       srp, streams, tagged_limit_path)
@@ -243,6 +244,13 @@ def test_flow_driven_position_independent_matches_original_bitwise():
     assert np.array_equal(lo.pre_positions, lf.pre_positions)
 
 
+@pytest.mark.parametrize("engine", [simulate_flow_driven, simulate_coupled])
+def test_flow_engines_refuse_a_flow_shorter_than_the_spec(engine):
+    a = assign_population(constant_mixture_spec(), 30)
+    with pytest.raises(DomainError, match="flow horizon shorter"):
+        engine(a, FlowGrid.identity(0.5, 10, 50), seed=0)
+
+
 def test_flow_driven_zero_rates_empty():
     a = assign_population(zero_rate_spec(), 30)
     fl = FlowGrid.identity(1.0, 10, 50)
@@ -415,7 +423,7 @@ def test_flow_pass_pre_positions_are_the_move_to_front_replay(sol_affine,
                                                              spec_affine):
     a = assign_population(spec_affine, 1600)
     for seed in range(3):
-        log = simulate_flow_driven(a, sol_affine.flow, seed=seed, tagged=2)
+        log = simulate_flow_driven(a, sol_affine.flow, seed=seed)
         want = _rank_index_walk(a.slots, log.particles,
                                 np.ones(log.n_events, dtype=bool))
         assert log.pre_positions.tobytes() == (want * (1.0 / a.n)).tobytes()
