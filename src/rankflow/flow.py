@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, DomainError
 from .intensity import PopulationSpec
 from .latp import (MAX_TABLE_ENTRIES, LatpIntensity, _bilinear,
-                   _cumulative_trapezoid, _grid_cell, _grid_cells,
+                   _cumulative_trapezoid, _grid_cells,
                    _require_fine_step, _trapezoid_volterra, _triangle_value,
                    _upper_diffs, thin_last_arrival)
 
@@ -261,14 +261,14 @@ class PhiEvaluator:
     Position cells are the n_z flow cells; within a cell the survival
     probability is evaluated at the midpoint curve, and the class density
     contributes its exact cell mass, so the quadrature is exact at
-    histogram-cell resolution.  The pre-first-arrival survival ``s0`` differs
-    per cell and is kept per cell.  After an arrival the hazard follows a
-    boundary curve, which does not depend on the initial position, so every
-    cell of a class shares one renewal kernel.  The renewal equation and the
-    no-arrival formula are linear in the forcing, so the mass-weighted sum of
-    the per-cell survival tables is one Volterra solve per class, forced by
-    the mass-weighted first-arrival density and pre-arrival term.  That sum
-    is ``bdry_phi[k]``, the only form in which boundary points use it.
+    histogram-cell resolution.  The pre-first-arrival survival, weighted by
+    cell mass and summed from row r up, is the tail ``init_phi[k, r]``.  After
+    an arrival the hazard follows a boundary curve, which does not depend on
+    the initial position, so every cell of a class shares one renewal kernel.
+    The renewal equation and the no-arrival formula are linear in the
+    forcing, so the mass-weighted sum of the per-cell survival tables,
+    ``bdry_phi[k]``, is one Volterra solve per class, forced by the
+    mass-weighted first-arrival density and pre-arrival term.
     """
 
     def __init__(self, flow: FlowGrid, spec: PopulationSpec):
@@ -290,16 +290,18 @@ class PhiEvaluator:
         # nodes across the rows themselves.
         theta_mid = 0.5 * (flow.init_values[:-1] + flow.init_values[1:])
 
-        self.s0 = np.empty((K, n_c, n_tp))
+        self.init_phi = np.zeros((K, n_c + 1, n_tp))
         self.bdry_phi = np.empty((K, n_tp, n_tp))
         for k, cls in enumerate(spec.classes):
             w_mid = cls.field._values(theta_mid, tn)
             s0 = np.exp(-_cumulative_trapezoid(w_mid, flow.dt))
-            self.s0[k] = s0
+            weighted = self.mass[k][:, None] * s0
+            self.init_phi[k, :-1] = np.cumsum(weighted[::-1], axis=0)[::-1]
             w_b = cls.field._values(flow.bdry_values, tn)
             _trapezoid_volterra(
                 w_b, self.mass[k] @ (w_mid * s0), self.mass[k] @ s0, flow.dt,
                 total=float(np.sum(self.mass[k])), out=self.bdry_phi[k])
+        self.init_phi.flags.writeable = False
         self.bdry_phi.flags.writeable = False
 
     # -- grids for the solver ----------------------------------------------
@@ -310,18 +312,13 @@ class PhiEvaluator:
         init_phi[k, r, j] = phi(1_k, (z_r, 0), t_j); bdry_phi[k, l, j] for
         j >= l is phi(1_k, (0, t_l), t_j), and 0 for j < l.
         """
-        weighted = self.mass[:, :, None] * self.s0
-        init_phi = np.zeros((self.spec.n_classes, self.flow.n_z + 1,
-                             self.flow.n_t + 1))
-        init_phi[:, :-1] = np.cumsum(weighted[:, ::-1], axis=1)[:, ::-1]
-        return init_phi, self.bdry_phi
+        return self.init_phi, self.bdry_phi
 
     def phi_grid(self):
         """(init_phi, bdry_phi) of h = 1: the class grids summed."""
         hv = np.ones(self.spec.n_classes)
-        init_phi, bdry_phi = self.phi_grids_per_class()
-        return (np.tensordot(hv, init_phi, axes=1),
-                np.tensordot(hv, bdry_phi, axes=1))
+        return (np.tensordot(hv, self.init_phi, axes=1),
+                np.tensordot(hv, self.bdry_phi, axes=1))
 
     # -- point queries -------------------------------------------------------
 
@@ -336,18 +333,21 @@ class PhiEvaluator:
         return self._phi_boundary(hv, t0, t)
 
     def _phi_initial(self, hv, y0, t):
-        j, mu = _grid_cell(t, self.flow.dt, self.flow.n_t)
-        s0_t = self.s0[:, :, j] * (1 - mu) + self.s0[:, :, j + 1] * mu
-        # cells above the one holding y0 count whole; that one counts from y0
+        # rows c and c+1 of the tail table bound the cell holding y0; each
+        # class weighs row c+1 by its share of the cell's mass below y0
         edges = self.flow.z_nodes
         c = max(int(np.searchsorted(edges, y0 + 1e-15, side="right")) - 1, 0)
         if c >= self.flow.n_z:
             return 0.0
-        mass = self.mass[:, c:].copy()
-        lo = max(y0, edges[c])
-        mass[:, 0] = [cls.weight * cls.density.mass(lo, edges[c + 1])
-                      for cls in self.spec.classes]
-        return float(np.sum(hv[:, None] * mass * s0_t[:, c:]))
+        share = np.array([cls.weight * cls.density.mass(edges[c], y0) / m if m else 0.0
+                          for cls, m in zip(self.spec.classes, self.mass[:, c])])
+        # the time cell from the nodes themselves, so that node t_j reads
+        # column j exactly, though t_j / dt need not be j
+        tn = self.flow.t_nodes
+        j = min(int(np.searchsorted(tn, t, side="right")), self.flow.n_t) - 1
+        mu = 1.0 if t >= tn[-1] else (t - tn[j]) / self.flow.dt
+        rows = _bilinear(self.init_phi.transpose(1, 2, 0), c, share, j, mu)
+        return float(hv @ rows)
 
     def _phi_boundary(self, hv, t0, t):
         bdry_phi = self.bdry_phi

@@ -101,11 +101,6 @@ def _slot_threshold(y: float, n: int) -> int:
     return max(0, int(math.ceil(y * n - 1e-9)))
 
 
-def floor_tail_count(y0: float, n: int) -> int:
-    """floor(N (1 - y0)) = number of slots at or above y0."""
-    return n - _slot_threshold(y0, n)
-
-
 @dataclass(frozen=True)
 class SupDistance:
     value: float
@@ -143,7 +138,9 @@ class LatticeCounts:
 
 
 class LogEvaluator:
-    """Counting queries on one event log; it keeps no replay state."""
+    """Counting queries on one event log, through links that give every
+    event the index of its particle's previous event (-1 for none) and
+    next event (n_events for none)."""
 
     def __init__(self, log: EventLog):
         self.log = log
@@ -151,41 +148,38 @@ class LogEvaluator:
         self.spec = log.assignment.spec
         self.slots0 = log.assignment.slots
         self.classes = log.assignment.class_index
-
-    def _downstream_mask(self, gamma: BoundaryPoint) -> np.ndarray:
-        """Particles with Y_j(t0) >= y0.
-
-        Non-random for gamma in the initial/boundary set; interior points
-        (y0 > 0 with t0 > 0) are reached through ``interior_mask``.
-        """
-        if gamma.kind == "boundary":
-            return np.ones(self.n, dtype=bool)
-        if gamma.t0 == 0.0:
-            return self.slots0 >= _slot_threshold(gamma.coord, self.n)
-        raise DomainError(f"unreachable gamma {gamma}")
+        order = np.argsort(log.particles, kind="stable")
+        same = np.flatnonzero(log.particles[order[1:]] == log.particles[order[:-1]])
+        self.prev_event = np.full(log.n_events, -1)
+        self.next_event = np.full(log.n_events, log.n_events)
+        self.prev_event[order[same + 1]] = order[same]
+        self.next_event[order[same]] = order[same + 1]
 
     def _counts(self, gamma: BoundaryPoint, ts):
         """The one counting routine behind every curve and phi query.
 
         For each t in ``ts`` (all t >= t0) it returns alive[j, k], the
         downstream class-k particles with no jump in (t0, t], and
-        jumped[j], the downstream particles with one.  A particle has
-        jumped by t when its first event after t0 is at or before t.
+        jumped[j], the downstream particles with one.  A particle's first
+        event after t0 is the one whose previous event is at or before t0.
         """
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < gamma.t0 - 1e-12):
             raise DomainError(f"(gamma={gamma}, t={ts.min()}) not admissible")
-        down = self._downstream_mask(gamma)
-        start = int(np.searchsorted(self.log.times, gamma.t0, side="right"))
-        movers, first = np.unique(self.log.particles[start:], return_index=True)
-        first_jump = np.full(self.n, np.inf)
-        first_jump[movers] = self.log.times[start + first]
+        times, particles = self.log.times, self.log.particles
+        start = int(np.searchsorted(times, gamma.t0, side="right"))
+        first = start + np.flatnonzero(self.prev_event[start:] < start)
+        # gamma is initial (t0 = 0) or boundary (y0 = 0, every particle)
+        down = self.slots0 >= _slot_threshold(gamma.y0, self.n)
+        first = first[down[particles[first]]]
+        first_class = self.classes[particles[first]]
+        n_down = np.bincount(self.classes[down], minlength=self.spec.n_classes)
+        upto = np.searchsorted(times, ts, side="right")
         alive = np.empty((len(ts), self.spec.n_classes), dtype=np.int64)
         jumped = np.zeros(len(ts), dtype=np.int64)
         for k in range(self.spec.n_classes):
-            f = np.sort(first_jump[down & (self.classes == k)])
-            gone = np.searchsorted(f, ts, side="right")
-            alive[:, k] = len(f) - gone
+            gone = np.searchsorted(first[first_class == k], upto)
+            alive[:, k] = n_down[k] - gone
             jumped += gone
         return alive, jumped
 
@@ -215,9 +209,8 @@ class LogEvaluator:
         the number of jumped particles that started in larger slots.
         """
         idx = int(np.searchsorted(self.log.times, t, side="right"))
-        latest_first = self.log.particles[:idx][::-1]
-        _, last = np.unique(latest_first, return_index=True)
-        jumped = latest_first[np.sort(last)]  # most recent last event first
+        last = np.flatnonzero(self.next_event[:idx] >= idx)
+        jumped = self.log.particles[last[::-1]]  # most recent last event first
         moved = np.zeros(self.n, dtype=np.int64)
         moved[self.slots0[jumped]] = 1
         ranks = self.slots0 + (len(jumped) - np.cumsum(moved)[self.slots0])
@@ -265,30 +258,41 @@ class LogEvaluator:
     # -- exact identities ------------------------------------------------------
 
     def identity_gap(self, lattice: EvaluationLattice) -> int:
-        """Worst integer violation of curve + survivors = floor tail.
+        """Worst gap between the counting and the position routes to alive.
 
-        Zero means the combinatorial identity
-        Y_C = y0 + floor(N(1-y0))/N - phi(W) holds exactly at every
-        admissible lattice point: the survivors and the jumpers split a
-        downstream set of exactly floor(N(1-y0)) particles.
+        The particles above threshold(y0) at t0 that do not jump by t stay
+        behind every particle that does or that started below it, so at t
+        they hold exactly the slots from threshold(y0) + jumped on.  Zero
+        means the class counts of those slots, read from one ``_ranks_at(t)``
+        per lattice time, equal ``_counts``' alive at every admissible
+        lattice point; alive and jumped then split the floor(N(1-y0))
+        downstream particles exactly.
         """
         counts = self.lattice_counts(lattice)
-        tails = [floor_tail_count(g.y0, self.n) for g, _ in counts.pairs]
-        return int(np.max(np.abs(
-            counts.jumped + counts.alive.sum(axis=1) - tails)))
+        pair_t = np.array([t for _, t in counts.pairs])
+        cut = counts.jumped + [_slot_threshold(g.y0, self.n) for g, _ in counts.pairs]
+        # more jumpers than downstream particles is a gap of the excess
+        worst = max(0, int(np.max(cut)) - self.n)
+        for t in sorted(set(pair_t.tolist())):
+            slot_class = np.empty(self.n, dtype=np.int64)
+            slot_class[self._ranks_at(t)] = self.classes
+            at = pair_t == t
+            for k in range(self.spec.n_classes):
+                slots = np.flatnonzero(slot_class == k)
+                behind = len(slots) - np.searchsorted(slots, cut[at])
+                worst = max(worst, int(np.max(np.abs(behind - counts.alive[at, k]))))
+        return worst
 
     def flow_identity_gap(self, check_times=None) -> int:
         """Worst slot gap in Y_i(t) = Y_C(gamma_i(t), t) over particles/times.
 
         One RankIndex walks the log's moves to the front.  Before each move
-        the mover's rank must equal its pre-jump rank, the LRU stack
-        distance ``_mtf_ranks`` counts for the whole log at once; at each
-        check time and at the horizon every rank must equal
-        ``_ranks_at``.
+        the mover's rank must equal the pre-jump rank the log records,
+        rint(pre_position * N); at each check time and at the horizon every
+        rank must equal ``_ranks_at``.
         """
         log = self.log
-        pre = _mtf_ranks(self.slots0, log.particles,
-                         np.ones(log.n_events, dtype=bool)).tolist()
+        pre = np.rint(log.pre_positions * self.n).astype(np.int64).tolist()
         times = {log.horizon}
         if check_times is not None:
             times.update(float(t) for t in check_times)

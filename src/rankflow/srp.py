@@ -236,7 +236,7 @@ def _candidates(assignment: PopulationAssignment, horizon: float, seed: int,
     marks = np.concatenate([p[2] for p in parts])
     order = np.argsort(times, kind="stable")
     times, ids, marks = times[order], ids[order], marks[order]
-    tie_count = int(len(times) - len(np.unique(times))) if len(times) else 0
+    tie_count = int(np.count_nonzero(times[1:] == times[:-1]))
     if tie_count:
         log.warning("candidate stream has %d exact time ties", tie_count)
     return times, ids, marks, tie_count

@@ -33,6 +33,11 @@ ASSIGN = 4   # seeded-random population assignment
 # A key word below 2**32 is one uint32 entropy word of the SeedSequence.
 KEY_WORDS = 2 ** 32
 
+# Largest mean candidate count, rate * horizon, of one Poisson draw.  Far
+# beyond any stream that fits in memory, and far below the mean at which
+# numpy's Poisson sampler refuses with "lam value too large".
+MAX_MEAN_CANDIDATES = 1e12
+
 # SeedSequence's hash constants (numpy.random.bit_generator), pool size 4.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -77,6 +82,17 @@ def substream(seed: int, kind: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _mean_count(rate: float, horizon: float) -> float:
+    """rate * horizon, or ConfigError when it is not finite or above
+    MAX_MEAN_CANDIDATES."""
+    lam = rate * horizon
+    if not lam <= MAX_MEAN_CANDIDATES:
+        raise ConfigError(f"stream rate {rate} over horizon {horizon} expects "
+                          f"{lam} candidates, above the {MAX_MEAN_CANDIDATES:g} "
+                          "allowed")
+    return lam
+
+
 def candidate_batch(rng: np.random.Generator, rate: float, horizon: float):
     """Marked candidates of a homogeneous Poisson stream on [0, horizon].
 
@@ -86,7 +102,7 @@ def candidate_batch(rng: np.random.Generator, rate: float, horizon: float):
     """
     if rate <= 0.0 or horizon <= 0.0:
         return np.empty(0), np.empty(0)
-    n = int(rng.poisson(rate * horizon))
+    n = int(rng.poisson(_mean_count(rate, horizon)))
     times = np.sort(rng.random(n)) * horizon
     marks = rng.random(n) * rate
     return times, marks
@@ -186,7 +202,7 @@ def replica_candidates(seed: int, kind: int, count: int, rate: float,
     counts = np.zeros(count, dtype=np.int64)
     if rate <= 0.0 or horizon <= 0.0 or count == 0:
         return np.empty(0), np.empty(0), counts
-    lam = rate * horizon
+    lam = _mean_count(rate, horizon)
     draws = []
     for r, key in enumerate(keys.tolist()):
         rng = _rekeyed(key)

@@ -7,6 +7,7 @@ from rankflow.flow import OdeFormReport, boundary, initial
 from rankflow.latp import (DerivativeReport, _cumulative_trapezoid,
                            _hazard_rows, _line_max, _trapezoid_weights,
                            _upper_diffs)
+from rankflow.measure import _slot_threshold
 
 
 class NaiveRankIndex:
@@ -286,6 +287,33 @@ def initial_tail(assignment, y, class_k=None):
     if class_k is not None:
         mask &= assignment.class_index == class_k
     return float(mask.sum()) / assignment.n
+
+
+def floor_tail_count(y0: float, n: int) -> int:
+    """floor(N (1 - y0)) = number of slots at or above y0."""
+    return n - _slot_threshold(y0, n)
+
+
+def first_jump_counts(evaluator, gamma, ts):
+    """``LogEvaluator._counts`` with one sort of the log per gamma: each
+    particle's first event after t0 from ``np.unique``, then per class the
+    sorted first-jump times of the downstream particles."""
+    log = evaluator.log
+    ts = np.asarray(ts, dtype=float)
+    down = evaluator.slots0 >= _slot_threshold(gamma.y0, evaluator.n)
+    start = int(np.searchsorted(log.times, gamma.t0, side="right"))
+    movers, first = np.unique(log.particles[start:], return_index=True)
+    first_jump = np.full(evaluator.n, np.inf)
+    first_jump[movers] = log.times[start + first]
+    n_classes = evaluator.spec.n_classes
+    alive = np.empty((len(ts), n_classes), dtype=np.int64)
+    jumped = np.zeros(len(ts), dtype=np.int64)
+    for k in range(n_classes):
+        f = np.sort(first_jump[down & (evaluator.classes == k)])
+        gone = np.searchsorted(f, ts, side="right")
+        alive[:, k] = len(f) - gone
+        jumped += gone
+    return alive, jumped
 
 
 def char_curve(evaluator, gamma, t):

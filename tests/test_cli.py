@@ -207,6 +207,20 @@ def test_command_refuses_a_rate_bound_that_overflows(command, field, bound,
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_refuses_a_huge_finite_rate(tmp_path, capsys):
+    # validate accepts the finite bound; the Poisson draw cannot take it
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"horizon": 1.0, "classes": [
+        {"weight": 1.0, "field": {"kind": "constant", "value": 1e300}}]}))
+    assert run(["validate", "--config", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["simulate", "--config", str(path), "--n", "10",
+                "--out", str(tmp_path / "out")]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "candidates, above the" in err
+
+
 def test_sweep_smoke_negative_slope(tmp_path):
     code = run(["sweep", "--config", f"{CONFIGS}/constant_mixture.json",
                 "--out", str(tmp_path), "--n-values", "50", "200", "800",

@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 from rankflow import (ConfigError, ConvergenceError, DomainError, FlowGrid,
                       PhiEvaluator, boundary, initial, solve_y_c, tagged_limit_path, tilde_w, verify_ode_form)
 from rankflow.flow import LimitSolution, _project, _require_grid
-from rankflow.latp import MAX_TABLE_ENTRIES, _grid_cell
+from rankflow.latp import (MAX_TABLE_ENTRIES, _cumulative_trapezoid,
+                           _grid_cell)
 from rankflow.intensity import AffineField, ConstantField, load_spec
 from rankflow import streams
 
@@ -201,13 +202,18 @@ def test_phi_theta_mixture_closed_form():
 
 
 def phi_initial_per_cell(ev, hv, y0, t):
-    """The per-cell sum of Histogram.mass calls, oracle for _phi_initial."""
-    j, mu = _grid_cell(t, ev.flow.dt, ev.flow.n_t)
-    edges = ev.flow.z_nodes
+    """The per-cell sum of Histogram.mass calls, oracle for _phi_initial;
+    it computes each cell's pre-arrival survival along the midpoint curve."""
+    fl = ev.flow
+    j, mu = _grid_cell(t, fl.dt, fl.n_t)
+    edges = fl.z_nodes
+    theta_mid = 0.5 * (fl.init_values[:-1] + fl.init_values[1:])
     total = 0.0
     for k, cls in enumerate(ev.spec.classes):
-        s0_t = ev.s0[k][:, j] * (1 - mu) + ev.s0[k][:, j + 1] * mu
-        for c in range(ev.flow.n_z):
+        s0 = np.exp(-_cumulative_trapezoid(
+            cls.field._values(theta_mid, fl.t_nodes), fl.dt))
+        s0_t = s0[:, j] * (1 - mu) + s0[:, j + 1] * mu
+        for c in range(fl.n_z):
             if edges[c + 1] <= y0 + 1e-15:
                 continue
             m = cls.weight * cls.density.mass(max(y0, edges[c]), edges[c + 1])
@@ -234,6 +240,18 @@ def test_phi_initial_matches_per_cell_sum(sol_affine, spec_affine):
                 for t in ts.tolist():
                     got = ev.phi(hv, initial(y0), t)
                     assert abs(got - phi_initial_per_cell(ev, hv, y0, t)) <= 1e-15
+
+
+@pytest.mark.parametrize("solution", ["sol_affine", "sol_table"])
+def test_phi_initial_reads_the_tail_table_at_grid_nodes(solution, request):
+    # at a node (z_r, t_j) the point query is the solver's own table entry
+    ev = request.getfixturevalue(solution).evaluator
+    init_phi, _ = ev.phi_grids_per_class()
+    fl = ev.flow
+    for hv in (np.ones(2), np.array([0.0, 1.0])):
+        for r, z in enumerate(fl.z_nodes.tolist()):
+            for j, t in enumerate(fl.t_nodes.tolist()):
+                assert ev.phi(hv, initial(z), t) == hv @ init_phi[:, r, j]
 
 
 def test_phi_theta_inadmissible():
@@ -307,7 +325,7 @@ def test_second_solve_leaves_first_solution_bytes(spec_affine):
     # the solver's in-place passes must not write into a returned solution
     first = solve_y_c(spec_affine, n_z=10, n_t=50)
     tables = (first.flow.init_values, first.flow.bdry_values,
-              first.evaluator.bdry_phi)
+              first.evaluator.init_phi, first.evaluator.bdry_phi)
     before = [t.tobytes() for t in tables]
     solve_y_c(constant_mixture_spec(), n_z=10, n_t=50)
     assert [t.tobytes() for t in tables] == before

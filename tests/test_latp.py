@@ -122,6 +122,20 @@ def test_thin_last_arrival_empty_stream():
     assert got.dtype == bool and len(got) == 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sample_arrivals(constant_intensity(1e300, 1.0), 0),
+    lambda: streams.candidate_batch(streams.substream(0, 3), math.inf, 1.0),
+    lambda: streams.candidate_batch(streams.substream(0, 3), math.nan, 1.0),
+    lambda: streams.replica_candidates(0, 3, 2, 1e300, 1.0),
+    lambda: streams.replica_candidates(0, 3, 2, 2e12, 1.0),
+], ids=["sampler-1e300", "batch-inf", "batch-nan", "replicas-1e300",
+        "replicas-above-cap"])
+def test_streams_refuse_a_mean_count_above_the_cap(call):
+    # numpy's Poisson sampler would die with "lam value too large"
+    with pytest.raises(ConfigError, match="candidates, above the"):
+        call()
+
+
 KEY_WORD_MAX = 2 ** 32 - 1
 
 

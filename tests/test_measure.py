@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankflow import (ConfigError, DomainError, EventLog,
-                      LogEvaluator, RankIndex, TestFunction, assign_population, boundary,
-                      initial, load_spec, simulate,
-                      simulate_flow_driven, sup_distance)
-from rankflow.measure import floor_tail_count
+from rankflow import (ConfigError, DomainError, EvaluationLattice,
+                      EventLog, LogEvaluator, RankIndex, TestFunction,
+                      assign_population, boundary, initial, load_spec,
+                      simulate, simulate_flow_driven, sup_distance)
 
 from conftest import (affine_two_class_spec, constant_single_spec,
                       zero_rate_spec)
-from oracles import char_curve
+from oracles import (NaiveRankIndex, char_curve, first_jump_counts,
+                     floor_tail_count)
 
 
 def naive_positions(log, t):
@@ -95,6 +95,22 @@ def test_identity_holds_exactly_everywhere(affine_log, lattice):
     assert LogEvaluator(affine_log).identity_gap(lattice) == 0
 
 
+def test_identity_gap_sees_a_particle_counted_as_jumped(affine_log, lattice,
+                                                        monkeypatch):
+    # the sum alive + jumped stays the floor tail; only positions see it
+    counts = LogEvaluator._counts
+
+    def one_moved(self, gamma, ts):
+        alive, jumped = counts(self, gamma, ts)
+        for p in np.flatnonzero(alive[:, 0])[:1]:
+            alive[p, 0] -= 1
+            jumped[p] += 1
+        return alive, jumped
+
+    monkeypatch.setattr(LogEvaluator, "_counts", one_moved)
+    assert LogEvaluator(affine_log).identity_gap(lattice) > 0
+
+
 def test_flow_identity_exact_original_and_flow_driven(lattice, sol_affine,
                                                       spec_affine):
     a = assign_population(spec_affine, 60)
@@ -129,12 +145,55 @@ def test_flow_identity_gap_sees_a_skipped_move(check_times, lattice,
 
 
 def tie_log(events, n=5, mode="stratified", seed=None):
-    """An EventLog of the unit constant spec with the given (time, particle)s."""
+    """An EventLog of the unit constant spec with the given (time, particle)s
+    and their true pre-jump positions."""
     spec = load_spec(Path(__file__).parents[1] / "configs" / "constant_unit.json")
+    assignment = assign_population(spec, n, mode=mode, seed=seed)
     times, particles = zip(*events) if events else ((), ())
-    return EventLog(assignment=assign_population(spec, n, mode=mode, seed=seed),
-                    horizon=1.0, times=times, particles=particles,
-                    pre_positions=np.zeros(len(times)))
+    index = NaiveRankIndex(assignment.slots)
+    pre = []
+    for i in particles:
+        pre.append(index.rank(i) / n)
+        index.move_to_front(i)
+    return EventLog(assignment=assignment, horizon=1.0, times=times,
+                    particles=particles, pre_positions=pre)
+
+
+def test_flow_identity_gap_reads_the_recorded_pre_positions():
+    log = tie_log([(0.2, 4), (0.5, 1), (0.5, 3), (0.7, 4)])
+    assert LogEvaluator(log).flow_identity_gap() == 0
+    pre = log.pre_positions.copy()
+    pre[2] += 1 / log.n
+    corrupt = EventLog(assignment=log.assignment, horizon=1.0, times=log.times,
+                       particles=log.particles, pre_positions=pre)
+    assert LogEvaluator(corrupt).flow_identity_gap() == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_counts_match_one_sort_per_gamma(data):
+    lattice = EvaluationLattice.regular(1.0)
+    starts = [g.t0 for g in lattice.gammas]  # 0.0 and every boundary t0
+    n = data.draw(st.integers(1, 8))
+    # few distinct times, so exact ties are common
+    grid = starts + data.draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    event = st.tuples(st.sampled_from(grid), st.integers(0, n - 1))
+    twice = data.draw(event)  # one particle twice at one time
+    at_start = data.draw(st.tuples(st.sampled_from(starts[1:]),
+                                   st.integers(0, n - 1)))
+    events = data.draw(st.lists(event, max_size=25)) + [
+        twice, twice, at_start, (0.0, data.draw(st.integers(0, n - 1)))]
+    log = tie_log(sorted(events, key=lambda e: e[0]), n=n,
+                  mode="seeded-random", seed=data.draw(st.integers(0, 2 ** 16)))
+    ev = LogEvaluator(log)
+    for g in lattice.gammas:
+        ts = [t for t in lattice.times if t >= g.t0 - 1e-12]
+        alive, jumped = ev._counts(g, ts)
+        want_alive, want_jumped = first_jump_counts(ev, g, ts)
+        assert alive.dtype == jumped.dtype == np.int64
+        assert np.array_equal(alive, want_alive)
+        assert np.array_equal(jumped, want_jumped)
+    assert ev.identity_gap(lattice) == 0
 
 
 def test_flow_identity_exact_at_a_time_tie():

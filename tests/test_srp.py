@@ -419,6 +419,22 @@ def test_original_pass_logs_its_rounds(caplog):
     assert rounds > 1
 
 
+def test_candidates_count_exact_time_ties(monkeypatch, caplog):
+    times = np.array([0.1, 0.2, 0.2, 0.5, 0.5, 0.5, 0.9])
+
+    def repeated(seed, kind, index, rate, horizon, picks=False):
+        return times, np.zeros(len(times)), np.linspace(0.0, 0.99, len(times))
+
+    monkeypatch.setattr(streams, "stream_candidates", repeated)
+    a = assign_population(load_spec(ROOT / "configs" / "constant_unit.json"), 4)
+    with caplog.at_level("WARNING", logger="rankflow.srp"):
+        log = simulate(a, seed=0)
+    assert log.tie_count == 3
+    assert log.n_events == len(times)
+    assert [r.getMessage() for r in caplog.records] == [
+        "candidate stream has 3 exact time ties"]
+
+
 def test_flow_pass_pre_positions_are_the_move_to_front_replay(sol_affine,
                                                              spec_affine):
     a = assign_population(spec_affine, 1600)
