@@ -122,6 +122,12 @@ def flow_pullback_affine(base: float, slope: float, z: float,
         raise ConfigError(f"z must lie in [0,1], got {z}")
 
     def fn(s, t):
+        # the scalar sampler calls it on Python floats: one branch, with the
+        # bits of the 0-d array call below
+        if isinstance(s, (int, float)) and isinstance(t, (int, float)):
+            if s == 0.0:
+                return base + slope * (1.0 - (1.0 - z) * float(np.exp(-t)))
+            return base + slope * (1.0 - float(np.exp(-(t - s))))
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         initial = base + slope * (1.0 - (1.0 - z) * np.exp(-t))
@@ -135,6 +141,22 @@ def flow_pullback_affine(base: float, slope: float, z: float,
                          label=f"flow-affine[{base}+{slope}y,z={z}]")
 
 
+_NOT_INCREASING = "times must be strictly increasing in (0, horizon]"
+
+
+def _check_arrivals(times: list, horizon: float) -> None:
+    """Refuse arrival times, a list of floats, that are not strictly
+    increasing in (0, horizon] with ConfigError.  Written so that NaN,
+    which fails every comparison, is refused."""
+    last = 0.0
+    for u in times:
+        if not last < u:
+            raise ConfigError(_NOT_INCREASING)
+        last = u
+    if not last <= horizon + 1e-12:
+        raise ConfigError(_NOT_INCREASING)
+
+
 @dataclass(frozen=True)
 class ArrivalSequence:
     """Strictly increasing arrival times in (0, horizon]."""
@@ -146,11 +168,8 @@ class ArrivalSequence:
         t = np.ascontiguousarray(self.times, dtype=float)
         if t.ndim != 1:
             raise ConfigError("times must be one-dimensional")
-        # written so that NaN, which fails every comparison, is refused
-        if len(t) and not (t[0] > 0 and (t[1:] > t[:-1]).all()
-                           and t[-1] <= self.horizon + 1e-12):
-            raise ConfigError("times must be strictly increasing in (0, horizon]")
-        t.flags.writeable = False
+        _check_arrivals(t.tolist(), self.horizon)
+        t.setflags(write=False)
         object.__setattr__(self, "times", t)
 
     def count(self, t: float) -> int:
@@ -175,13 +194,13 @@ def sample_arrivals(omega: LatpIntensity, seed: int,
     acceptance evaluation above the envelope is a hard fault.
     """
     envelope = ENVELOPE_MARGIN * omega.sup_norm
-    times, marks = streams.stream_candidates(seed, streams.LATP, replica,
-                                             envelope, omega.horizon)
+    times, marks = streams.candidate_lists(seed, streams.LATP, replica,
+                                           envelope, omega.horizon)
     accepted = []
     tau_star = 0.0
     breach = _breach_bound(envelope)
     fn = omega._fn
-    for u, xi in zip(times.tolist(), marks.tolist()):
+    for u, xi in zip(times, marks):
         a = float(fn(tau_star, u))
         if a > breach:
             raise EnvelopeBreach(
@@ -190,7 +209,7 @@ def sample_arrivals(omega: LatpIntensity, seed: int,
         if xi < a:
             accepted.append(u)
             tau_star = u
-    return ArrivalSequence(times=np.asarray(accepted), horizon=omega.horizon)
+    return ArrivalSequence(times=accepted, horizon=omega.horizon)
 
 
 def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
@@ -283,7 +302,7 @@ def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
         if len(times) and not (times.min() > 0
                                and np.all(np.diff(times)[same] > 0)
                                and times.max() <= horizon + 1e-12):
-            raise ConfigError("times must be strictly increasing in (0, horizon]")
+            raise ConfigError(_NOT_INCREASING)
         parts.append(times)
         counts.append(np.bincount(owners, minlength=n))
     return np.concatenate(parts), np.cumsum(np.concatenate(counts))

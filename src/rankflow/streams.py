@@ -8,15 +8,20 @@ the population size N changes, and what lets the original and flow-driven
 models consume identical candidate marks.
 
 ``stream_candidates`` draws the candidates of one substream without building
-its generator: it derives the Philox key with ``SeedSequence`` and re-keys
-one module-level generator.  ``replica_candidates`` draws the candidates of
-many consecutive substreams in one call; it derives their Philox keys in one
-vectorized pass of the mixing that ``numpy.random.SeedSequence`` documents.
-Both reproduce the ``substream`` bytes without building a ``SeedSequence``,
-a ``Philox`` and a ``Generator`` per stream.
+its generator: it derives the Philox key with ``_key_words``, the mixing
+that ``numpy.random.SeedSequence`` documents, on Python ints, and re-keys one
+module-level generator.  ``candidate_lists`` draws the same candidates as
+lists of Python floats, for the scalar sampler.  ``replica_candidates`` draws
+the candidates of many consecutive substreams in one call; it derives their
+Philox keys with the same ``_key_words`` on uint32 arrays.  All three
+reproduce the ``substream`` bytes without building a ``SeedSequence``, a
+``Philox`` and a ``Generator`` per stream; ``substream`` still builds them
+and is the reference.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,12 +43,115 @@ KEY_WORDS = 2 ** 32
 # numpy's Poisson sampler refuses with "lam value too large".
 MAX_MEAN_CANDIDATES = 1e12
 
-# SeedSequence's hash constants (numpy.random.bit_generator), pool size 4.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL = 4
-_SHIFT = np.uint32(16)
+# SeedSequence's mixing (numpy.random.bit_generator), pool size 4, on uint32
+# words: Python ints masked to 32 bits, or uint32 arrays, which wrap.  Every
+# Python int that meets a uint32 array is below 2**32, as NumPy requires.
+_MASK = KEY_WORDS - 1
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(const: int, mult: int, calls: int):
+    """(xor, multiplier) of each of the first ``calls`` hashes from hash
+    constant ``const``: a hash xors the constant in, advances it by
+    ``mult`` and multiplies by the advanced value."""
+    out = []
+    for _ in range(calls):
+        advanced = const * mult & _MASK
+        out.append((const, advanced))
+        const = advanced
+    return out
+
+
+# the pool's 16 hashes: the four entropy words (seed, kind, index, 0), then
+# one per (source, destination) pair of the pool mix, in loop order; and the
+# four hashes of the pool words out
+_HASH_MIX = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_OUT = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
+
+
+def _hashmix(value, call: int):
+    """SeedSequence's mixing hash number ``call`` of ``value``."""
+    xor, mult = _HASH_MIX[call]
+    value = (value ^ xor) * mult & _MASK
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with the hashed word y."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK
+    return value ^ value >> 16
+
+
+@lru_cache(maxsize=64)
+def _pool_head(seed: int, kind: int):
+    """The part of SeedSequence's pool mix that depends only on (seed, kind).
+
+    The pool holds the hashes of seed, kind, index and 0.  Its first six
+    mixes, sources 0 and 1, reach the index word only through two hashed
+    values, so pool words 0, 1 and 3 after them, and those two values,
+    depend on (seed, kind) alone.  Returned premultiplied as the key mix
+    uses them: ``_MIX_L`` times each pool word and ``_MIX_R`` times each
+    hashed value, masked to 32 bits.
+    """
+    p0, p1, p3 = _hashmix(seed, 0), _hashmix(kind, 1), _hashmix(0, 3)
+    p1 = _mix(p1, _hashmix(p0, 4))
+    h5 = _hashmix(p0, 5)  # mixed into the index word
+    p3 = _mix(p3, _hashmix(p0, 6))
+    p0 = _mix(p0, _hashmix(p1, 7))
+    h8 = _hashmix(p1, 8)  # mixed into the index word
+    p3 = _mix(p3, _hashmix(p1, 9))
+    return (_MIX_L * p0 & _MASK, _MIX_L * p1 & _MASK, _MIX_L * p3 & _MASK,
+            _MIX_R * h5 & _MASK, _MIX_R * h8 & _MASK)
+
+
+_X2, _M2 = _HASH_MIX[2]
+(_X10, _M10), (_X11, _M11), (_X12, _M12), \
+    (_X13, _M13), (_X14, _M14), (_X15, _M15) = _HASH_MIX[10:]
+(_Y0, _N0), (_Y1, _N1), (_Y2, _N2), (_Y3, _N3) = _HASH_OUT
+
+
+def _key_words(seed: int, kind: int, index):
+    """The four uint32 words of ``SeedSequence((seed, kind, index))
+    .generate_state(4)``, for an int ``index`` or a uint32 array of them.
+
+    The (seed, kind) part of the pool mix comes from ``_pool_head``; the
+    rest is SeedSequence's mixing of the index word into the pool and the
+    hashes out, written out in full: a call per hash costs about half as
+    much again per key.
+    """
+    l0, l1, l3, r5, r8 = _pool_head(seed, kind)
+    v = (index ^ _X2) * _M2 & _MASK
+    p2 = v ^ v >> 16
+    v = (_MIX_L * p2 - r5) & _MASK
+    p2 = v ^ v >> 16
+    v = (_MIX_L * p2 - r8) & _MASK
+    p2 = v ^ v >> 16
+    # source 2 into pool words 0, 1 and 3
+    v = (p2 ^ _X10) * _M10 & _MASK
+    v = (l0 - _MIX_R * (v ^ v >> 16)) & _MASK
+    p0 = v ^ v >> 16
+    v = (p2 ^ _X11) * _M11 & _MASK
+    v = (l1 - _MIX_R * (v ^ v >> 16)) & _MASK
+    p1 = v ^ v >> 16
+    v = (p2 ^ _X12) * _M12 & _MASK
+    v = (l3 - _MIX_R * (v ^ v >> 16)) & _MASK
+    p3 = v ^ v >> 16
+    # source 3 into pool words 0, 1 and 2
+    v = (p3 ^ _X13) * _M13 & _MASK
+    v = (_MIX_L * p0 - _MIX_R * (v ^ v >> 16)) & _MASK
+    p0 = v ^ v >> 16
+    v = (p3 ^ _X14) * _M14 & _MASK
+    v = (_MIX_L * p1 - _MIX_R * (v ^ v >> 16)) & _MASK
+    p1 = v ^ v >> 16
+    v = (p3 ^ _X15) * _M15 & _MASK
+    v = (_MIX_L * p2 - _MIX_R * (v ^ v >> 16)) & _MASK
+    p2 = v ^ v >> 16
+    # hashed out
+    w0 = (p0 ^ _Y0) * _N0 & _MASK
+    w1 = (p1 ^ _Y1) * _N1 & _MASK
+    w2 = (p2 ^ _Y2) * _N2 & _MASK
+    w3 = (p3 ^ _Y3) * _N3 & _MASK
+    return w0 ^ w0 >> 16, w1 ^ w1 >> 16, w2 ^ w2 >> 16, w3 ^ w3 >> 16
 
 # One Philox re-keyed per stream by ``_rekeyed``.  No caller ever holds it
 # past its own draws, so no stream sees another's state; it is not shared
@@ -108,26 +216,54 @@ def candidate_batch(rng: np.random.Generator, rate: float, horizon: float):
     return times, marks
 
 
+def _checked_key(seed, kind, index):
+    """The three words of a stream key, each checked by ``check_key``."""
+    return (check_key("seed", seed), check_key("kind", kind),
+            check_key("index", index))
+
+
+def _key(seed: int, kind: int, index: int):
+    """Philox key of ``substream(seed, kind, index)``, two Python ints."""
+    w0, w1, w2, w3 = _key_words(seed, kind, index)
+    return [w0 | w1 << 32, w2 | w3 << 32]
+
+
 def stream_candidates(seed: int, kind: int, index: int, rate: float,
                       horizon: float, picks: bool = False):
     """``candidate_batch(substream(seed, kind, index), rate, horizon)``.
 
-    Byte-equal to it, but re-keys the shared generator instead of building
-    one.  With ``picks`` it also returns the next n uniforms of the stream,
+    Byte-equal to it, but re-keys the shared generator with the key from
+    ``_key_words`` instead of building one.  With ``picks`` it also returns the next n uniforms of the stream,
     which choose each candidate's particle in a merged stream.  A zero rate
     or horizon draws nothing and derives no key.
     """
-    seed = check_key("seed", seed)
-    kind = check_key("kind", kind)
-    index = check_key("index", index)
+    key = _checked_key(seed, kind, index)
     if rate <= 0.0 or horizon <= 0.0:
         return tuple(np.empty(0) for _ in range(3 if picks else 2))
-    key = np.random.SeedSequence((seed, kind, index)).generate_state(2, np.uint64)
-    rng = _rekeyed(key)
+    rng = _rekeyed(_key(*key))
     times, marks = candidate_batch(rng, rate, horizon)
     if picks:
         return times, marks, rng.random(len(times))
     return times, marks
+
+
+def candidate_lists(seed: int, kind: int, index: int, rate: float,
+                    horizon: float):
+    """``stream_candidates(seed, kind, index, rate, horizon)`` as two lists
+    of Python floats, for a scalar loop over a short stream.
+
+    One draw of 2n uniforms gives the doubles of ``candidate_batch``'s two
+    draws of n, and sorting and IEEE products are exact, so the values are
+    the same bits; no numpy array is built around them.
+    """
+    key = _checked_key(seed, kind, index)
+    if rate <= 0.0 or horizon <= 0.0:
+        return [], []
+    rng = _rekeyed(_key(*key))
+    n = int(rng.poisson(_mean_count(rate, horizon)))
+    draws = rng.random(2 * n).tolist()
+    times = sorted(draws[:n])
+    return [u * horizon for u in times], [u * rate for u in draws[n:]]
 
 
 def tagged_candidates(seed: int, index: int, rate: float, horizon: float):
@@ -140,48 +276,23 @@ def tagged_candidates(seed: int, index: int, rate: float, horizon: float):
     return stream_candidates(seed, TAGGED, index, rate, horizon)
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's hash of uint32 arrays; its constant advances per call."""
-
-    def hash_words(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = (const * mult) % KEY_WORDS
-        value = value * np.uint32(const)
-        return value ^ (value >> _SHIFT)
-
-    return hash_words
-
-
 def philox_keys(seed: int, kind: int, indices) -> np.ndarray:
     """Philox keys of ``substream(seed, kind, r)`` for every r in ``indices``.
 
     Row q equals ``SeedSequence((seed, kind, indices[q])).generate_state(2,
-    np.uint64)``: three entropy words hashed into a pool of four, mixed
-    pairwise, then hashed out as four uint32 words, low word first.  The
-    hash constants advance identically for every stream, so each step is
-    one uint32 array operation over all streams (uint32 arrays wrap).
+    np.uint64)``: ``_key_words`` on a uint32 array of the indices, whose
+    operations wrap as SeedSequence's do, and the four words joined low
+    word first.
     """
     seed = check_key("seed", seed)
     kind = check_key("kind", kind)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if len(idx) and (idx.min() < 0 or idx.max() >= KEY_WORDS):
         raise ConfigError("index: must be an integer in [0, 2**32)")
-    n = len(idx)
-    entropy = (np.full(n, seed, dtype=np.uint32),
-               np.full(n, kind, dtype=np.uint32),
-               idx.astype(np.uint32), np.zeros(n, dtype=np.uint32))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> _SHIFT)
-    hashout = _hasher(_INIT_B, _MULT_B)
-    words = [hashout(value).astype(np.uint64) for value in pool]
-    return np.stack([words[0] | (words[1] << np.uint64(32)),
-                     words[2] | (words[3] << np.uint64(32))], axis=1)
+    w0, w1, w2, w3 = (w.astype(np.uint64) for w in
+                      _key_words(seed, kind, idx.astype(np.uint32)))
+    return np.stack([w0 | (w1 << np.uint64(32)),
+                     w2 | (w3 << np.uint64(32))], axis=1)
 
 
 def replica_candidates(seed: int, kind: int, count: int, rate: float,

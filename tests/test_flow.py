@@ -474,6 +474,15 @@ def test_ode_form_refines(spec_affine):
     assert r2 <= r1 / 2 + 1e-9
 
 
+@pytest.mark.parametrize("config", ["constant_mixture", "affine_two_class"])
+def test_ode_form_residual_is_second_order(config):
+    # doubling n_t cuts the residual by about 4 (measured 3.98-4.0)
+    spec = load_spec(ROOT / "configs" / f"{config}.json")
+    resid = [verify_ode_form(solve_y_c(spec, n_z=20, n_t=n_t, tol=1e-12))
+             .max_residual for n_t in (100, 200, 400)]
+    assert resid[0] / resid[1] >= 3 and resid[1] / resid[2] >= 3
+
+
 @pytest.mark.parametrize("n_z, n_t", [(10, 50), (20, 200)])
 @pytest.mark.parametrize("config", [
     "configs/affine_two_class.json", "configs/constant_mixture.json",

@@ -158,6 +158,30 @@ def test_philox_keys_match_seed_sequence(seed):
             assert got[1][lo:hi].tobytes() == want[1].tobytes()
 
 
+KEY_WORD = st.one_of(st.sampled_from([0, KEY_WORD_MAX]),
+                     st.integers(0, KEY_WORD_MAX))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=KEY_WORD, kind=KEY_WORD,
+       indices=st.lists(KEY_WORD, min_size=1, max_size=4))
+def test_key_words_match_seed_sequence(seed, kind, indices):
+    # one routine on Python ints and on uint32 arrays, the (seed, kind)
+    # half read from its memo or computed afresh
+    if indices[0] % 2:
+        streams._pool_head.cache_clear()
+    batch = streams._key_words(seed, kind, np.array(indices, dtype=np.uint32))
+    assert all(w.dtype == np.uint32 for w in batch)
+    for q, index in enumerate(indices):
+        want = np.random.SeedSequence((seed, kind, index))
+        words = streams._key_words(seed, kind, index)
+        assert all(type(w) is int for w in words)
+        assert list(words) == want.generate_state(4).tolist()
+        assert [int(w[q]) for w in batch] == list(words)
+        assert streams._key(seed, kind, index) == \
+            want.generate_state(2, np.uint64).tolist()
+
+
 @pytest.mark.parametrize("call", [
     lambda: streams.philox_keys(-1, 0, [0]),
     lambda: streams.philox_keys(2 ** 32, 0, [0]),
@@ -204,8 +228,6 @@ def test_sample_arrivals_refuses_bad_stream_keys(label, key):
         sample_arrivals(shipped_omegas(1.0)[label], **key)
 
 
-KEY_WORD = st.one_of(st.sampled_from([0, KEY_WORD_MAX]),
-                     st.integers(0, KEY_WORD_MAX))
 STREAM_KINDS = [streams.GLOBAL, streams.BULK, streams.TAGGED, streams.LATP,
                 streams.ASSIGN]
 
@@ -236,6 +258,11 @@ def test_stream_candidates_match_substream(seed, kind, index, rate, horizon):
     assert picks.tobytes() == rng.random(len(want[0])).tobytes()
     if rate == 0.0:
         assert len(times) == len(marks) == len(picks) == 0
+    # the scalar sampler's lists hold the same floats
+    lists = streams.candidate_lists(seed, kind, index, rate, horizon)
+    for g, w in zip(lists, want):
+        assert all(type(x) is float for x in g)
+        assert np.array(g, dtype=float).tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("label", ["rate0"] + sorted(shipped_omegas(1.0)))
@@ -258,7 +285,12 @@ def test_replica_candidates_match_substream_loop(label):
         assert len(times) == 0
 
 
-SAMPLER_KERNELS = dict(shipped_omegas(1.0), elapsed=elapsed_intensity(1.0))
+# flow_affine at z = 0 and 1, the edges of its s == 0 branch, and an
+# affine kernel with slope 0
+SAMPLER_KERNELS = dict(shipped_omegas(1.0), elapsed=elapsed_intensity(1.0),
+                       flow_affine_z0=flow_pullback_affine(0.6, 0.9, 0.0, 1.0),
+                       flow_affine_z1=flow_pullback_affine(0.6, 0.9, 1.0, 1.0),
+                       affine_slope0=last_arrival_affine(1.5, 0.0, 1.0))
 
 
 @pytest.mark.parametrize("chunk", [latp.REPLICA_CHUNK, 97])
@@ -307,6 +339,42 @@ def test_sample_replicas_keeps_arrival_sequence_invariant(monkeypatch):
         sample_replicas(constant_intensity(1.0, 1.0), 0, 3)
     with pytest.raises(ConfigError, match="replicas"):
         sample_replicas(constant_intensity(1.0, 1.0), 0, -1)
+
+
+def drawn(times):
+    # candidate_lists returning these times, each with mark 0
+    def lists(seed, kind, index, rate, horizon):
+        return list(times), [0.0] * len(times)
+    return lists
+
+
+@pytest.mark.parametrize("times", [[0.3, 0.3], [0.3, math.nan], [0.0, 0.5]],
+                         ids=["tied", "nan", "zero"])
+def test_sample_arrivals_keeps_arrival_sequence_invariant(times, monkeypatch):
+    # the twin of the sample_replicas refusals: every candidate is accepted
+    def batch(seed, kind, count, rate, horizon, start=0):
+        return np.array(times), np.zeros(len(times)), np.array([len(times)])
+
+    monkeypatch.setattr(streams, "candidate_lists", drawn(times))
+    monkeypatch.setattr(streams, "replica_candidates", batch)
+    with pytest.raises(ConfigError) as exc:
+        sample_arrivals(constant_intensity(1.0, 1.0), 0)
+    assert str(exc.value) == "times must be strictly increasing in (0, horizon]"
+    with pytest.raises(ConfigError) as batched:
+        sample_replicas(constant_intensity(1.0, 1.0), 0, 1)
+    assert str(batched.value) == str(exc.value)
+
+
+def test_sample_arrivals_breach_text(monkeypatch):
+    # the hazard breaches the envelope after the arrival at 0.2
+    monkeypatch.setattr(streams, "candidate_lists", drawn([0.2, 0.5]))
+    lying = LatpIntensity(lambda s, t: 1.0 + 4.0 * s + 0.0 * t, 1.0,
+                          sup_norm=1.5, label="lying")
+    with pytest.raises(EnvelopeBreach) as exc:
+        sample_arrivals(lying, 0)
+    envelope = ENVELOPE_MARGIN * 1.5
+    assert str(exc.value) == (f"lying: hazard 1.8 above envelope {envelope} "
+                              "at (s=0.2, t=0.5)")
 
 
 def test_arrival_sequence_must_increase():
