@@ -42,6 +42,18 @@ def zero_rate_spec(horizon=1.0):
     return uniform_single_class(ConstantField(0.0, horizon))
 
 
+# two steep specs: rates that change by 5 across the ranks, where a guessed
+# mask is far from the sequential one and the rounds are most numerous
+STEEP_SPECS = {
+    "affine_0_5_5_0": {"horizon": 1.0, "classes": [
+        {"weight": 0.5, "field": {"kind": "affine", "base": 0.0, "slope": 5.0}},
+        {"weight": 0.5, "field": {"kind": "affine", "base": 5.0, "slope": -5.0}}]},
+    "spike_table": {"horizon": 1.0, "classes": [
+        {"weight": 1.0, "field": {"kind": "table",
+                                  "values": [[0, 0], [0, 0], [5, 5], [0, 0], [0, 0]]}}]},
+}
+
+
 @pytest.fixture(scope="session")
 def spec_const1():
     return constant_single_spec(1.0)

@@ -13,7 +13,8 @@ way at N = 1e5 and, for the affine spec, at N = 2^20: their float
 tie-breaks change with N, and the CLI runs above stay at N <= 200.  So
 are the limit solver's tables at the benchmark's 20x400 grid and the
 401-node survival tables of the shipped LATP kernels, because the CLI runs
-solve only at 10x50.
+solve only at 10x50.  The engines' event logs are gated at N = 1e5 and, on
+a steep spec, at N = 2^15, where the original pass crosses several windows.
 
 Floating-point results depend on the numpy build and on the SIMD paths it
 dispatches to, so the gate skips on another numpy version or machine.
@@ -28,7 +29,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankflow import assign_population, load_spec, solve_y_c, survival_solve
+from conftest import STEEP_SPECS
+from rankflow import (assign_population, load_spec, simulate,
+                      simulate_coupled, solve_y_c, spec_from_config,
+                      survival_solve)
 from rankflow.cli import main
 from rankflow.harness import shipped_omegas
 
@@ -66,6 +70,10 @@ ASSIGNMENTS = [(path, 10 ** 5) for path in (
 LIMIT_SPECS = [MIXTURE, AFFINE, "configs/constant_unit.json", TABLE]
 LIMIT_GRID = {"n_z": 20, "n_t": 400}
 SURVIVAL_NODES = 401
+
+ENGINE_SEED = 1
+ENGINE_RUNS = [(AFFINE, 10 ** 5), (TABLE, 10 ** 5),
+               ("steep:affine_0_5_5_0", 2 ** 15)]
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 
@@ -123,6 +131,31 @@ def limit_hashes():
     return hashes
 
 
+def engines_hashes():
+    """{"label:array": sha256} of the event logs of ``simulate`` on each of
+    ENGINE_RUNS and of both sides of ``simulate_coupled`` on the affine spec
+    at N = 1e5, with its decoupling times."""
+    hashes = {}
+
+    def log_hashes(label, log):
+        for name in ("times", "particles", "pre_positions"):
+            hashes[f"{label}:{name}"] = _sha(getattr(log, name).tobytes())
+
+    for path, n in ENGINE_RUNS:
+        spec = (spec_from_config(STEEP_SPECS[path.split(":")[1]])
+                if path.startswith("steep:") else load_spec(path))
+        log_hashes(f"simulate:{path}@{n}",
+                   simulate(assign_population(spec, n), seed=ENGINE_SEED))
+    spec = load_spec(AFFINE)
+    original, flow_driven, record = simulate_coupled(
+        assign_population(spec, 10 ** 5), solve_y_c(spec).flow,
+        seed=ENGINE_SEED)
+    log_hashes(f"coupled-original:{AFFINE}@100000", original)
+    log_hashes(f"coupled-flow:{AFFINE}@100000", flow_driven)
+    hashes[f"coupled:{AFFINE}@100000:sigma"] = _sha(record.sigma.tobytes())
+    return hashes
+
+
 def _recorded():
     golden = json.loads(GOLDEN_PATH.read_text())
     recorded, here = golden["platform"], _platform()
@@ -151,6 +184,10 @@ def test_limit_tables_match_recorded_hashes():
     assert limit_hashes() == _recorded()["limit"]
 
 
+def test_engine_logs_match_recorded_hashes():
+    assert engines_hashes() == _recorded()["engines"]
+
+
 if __name__ == "__main__":
     import io
     import tempfile
@@ -170,5 +207,6 @@ if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps({"platform": _platform(),
                                        "hashes": hashes,
                                        "assignments": assignment_hashes(),
-                                       "limit": limit_hashes()},
+                                       "limit": limit_hashes(),
+                                       "engines": engines_hashes()},
                                       indent=2, sort_keys=True) + "\n")

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (affine_two_class_spec, constant_mixture_spec,
-                      constant_single_spec, uniform_single_class,
-                      zero_rate_spec)
+from conftest import (STEEP_SPECS, affine_two_class_spec,
+                      constant_mixture_spec, constant_single_spec,
+                      uniform_single_class, zero_rate_spec)
 from oracles import NaiveRankIndex, sequential_original_pass
 from rankflow import (ConfigError, DomainError, EnvelopeBreach, EventLog,
                       FlowGrid,
@@ -374,17 +374,6 @@ def test_mtf_ranks_match_rank_index_walk_on_long_streams(n, m, top, share):
     want = _rank_index_walk(slots, ids, accepted)
     assert np.array_equal(srp._mtf_ranks(slots, ids, accepted), want)
 
-
-# two steep specs: rates that change by 5 across the ranks, where a guessed
-# mask is far from the sequential one and the rounds are most numerous
-STEEP_SPECS = {
-    "affine_0_5_5_0": {"horizon": 1.0, "classes": [
-        {"weight": 0.5, "field": {"kind": "affine", "base": 0.0, "slope": 5.0}},
-        {"weight": 0.5, "field": {"kind": "affine", "base": 5.0, "slope": -5.0}}]},
-    "spike_table": {"horizon": 1.0, "classes": [
-        {"weight": 1.0, "field": {"kind": "table",
-                                  "values": [[0, 0], [0, 0], [5, 5], [0, 0], [0, 0]]}}]},
-}
 
 PASS_SPECS = {
     **{p.stem: p for p in sorted((ROOT / "configs").glob("*.json"))},
