@@ -165,7 +165,9 @@ class ArrivalSequence:
     horizon: float
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.times, dtype=float)
+        # a copy, so the caller's array stays writable, and a 0-d input
+        # stays 0-d for the dimension check
+        t = np.array(self.times, dtype=float)
         if t.ndim != 1:
             raise ConfigError("times must be one-dimensional")
         _check_arrivals(t.tolist(), self.horizon)

@@ -11,7 +11,10 @@ The original model reads the hazard at the true position, so particles
 couple through rank.  A rank under move-to-front is an LRU stack distance,
 so the ranks of all candidates under a given accepted mask are one offline
 dominance count (``_mtf_ranks``), and exact speculative rounds of guessed
-masks thin the stream without a loop over candidates.  The flow-driven
+masks thin the stream without a loop over candidates.  The rounds run in
+windows of consecutive candidates, each ranked from every particle's rank
+at the window's start, which the reset-point identity gives from the
+window before (``_next_slots``).  The flow-driven
 model reads the hazard along a prescribed flow from the particle's last
 reset point; given the flow, each particle is an independent last-arrival
 process, so ``flow._thin_along_flow`` thins all of them at once and the
@@ -279,7 +282,18 @@ def _count_below(values, ends, bounds):
     return count
 
 
-def _mtf_ranks(slots, ids, accepted, start=0, order=None):
+def _by_particle(ids):
+    """``ids`` grouped by particle: its stable argsort ``order``, the sorted
+    ids, and for each sorted position the position its particle's run
+    starts at."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    group = np.maximum.accumulate(np.where(
+        np.r_[True, sorted_ids[1:] != sorted_ids[:-1]], np.arange(len(ids)), 0))
+    return order, sorted_ids, group
+
+
+def _mtf_ranks(slots, ids, accepted, start=0, grouped=None):
     """Move-to-front rank of ``ids[c]`` just before candidate c, c >= start.
 
     Particle i starts at rank ``slots[i]``, and every accepted candidate
@@ -292,24 +306,19 @@ def _mtf_ranks(slots, ids, accepted, start=0, order=None):
         rank = N + #{accepted k < x : prev_k < last} - last - 1,
 
     ``prev_k`` being the index of the k-th accepted particle's previous
-    move.  ``order``, a stable argsort of ``ids``, can be passed in to be
+    move.  ``grouped``, ``_by_particle(ids)``, can be passed in to be
     reused across calls.
     """
     n, m = len(slots), len(ids)
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    if order is None:
-        order = np.argsort(ids, kind="stable")
+    order, sorted_ids, group = _by_particle(ids) if grouped is None else grouped
     accepted = np.asarray(accepted, dtype=bool)
     x = np.cumsum(accepted) - accepted
     # per particle in stream order, the latest accepted candidate before c
     # is a running maximum of accepted positions that stays in c's group
-    sorted_ids = ids[order]
-    pos = np.arange(m)
-    group = np.maximum.accumulate(
-        np.where(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]], pos, 0))
     before = np.r_[-1, np.maximum.accumulate(
-        np.where(accepted[order], pos, -1))[:-1]]
+        np.where(accepted[order], np.arange(m), -1))[:-1]]
     last = np.empty(m, dtype=np.int64)
     last[order] = np.where(before >= group, n + x[order[before]],
                            n - 1 - slots[sorted_ids])
@@ -317,46 +326,108 @@ def _mtf_ranks(slots, ids, accepted, start=0, order=None):
     return n + count - last[start:] - 1
 
 
+def _next_slots(slots, ids, accepted, grouped):
+    """Every particle's rank after the candidates ``ids``, from its rank
+    ``slots`` before them, by the reset-point identity: the k particles that
+    moved come first, most recent move first, and the rest follow in their
+    old slot order, at k plus their slot less the movers slotted above them.
+
+    Each mover's last move is the running maximum of accepted positions at
+    the end of its group in ``grouped``, ``_by_particle(ids)``; placed at
+    that index and read backwards, the movers need no sort.
+    """
+    order, sorted_ids, group = grouped
+    run = np.maximum.accumulate(np.where(accepted[order],
+                                         np.arange(len(ids)), -1))
+    end = np.r_[sorted_ids[1:] != sorted_ids[:-1], True]
+    last = run[end]
+    last = last[last >= group[end]]
+    trace = np.full(len(ids), -1, dtype=np.int64)
+    trace[order[last]] = sorted_ids[last]
+    movers = trace[trace >= 0][::-1]
+    above = np.zeros(len(slots) + 1, dtype=np.int64)
+    above[slots[movers] + 1] = 1
+    np.cumsum(above, out=above)
+    new = slots + len(movers) - above[slots]
+    new[movers] = np.arange(len(movers))
+    return new
+
+
+def _window(n):
+    """Candidates per window of ``_original_pass`` for N particles.
+
+    A window costs its rounds plus O(N) for the next window's slots, so
+    the width grows with N.  On the affine spec at seed 1 (raw seconds,
+    best of 3, one shared 2-vCPU Xeon), widths N/16, N/8, N/6, N/4 and N/2
+    took 0.25, 0.21, 0.21, 0.22 and 0.25 s at N = 1e5 (one window: 0.32 s);
+    at N = 1e6, N/32 to N/2 took 3.1, 2.7, 2.9, 4.1 and 4.4 s.  On the
+    steep spec at N = 1e5, N/8 took 0.63-0.72 s in two scans and N/32
+    1.17 s.  The floor keeps small streams in one window, where a round's
+    fixed numpy cost is paid once: at N = 1600, windows of N/8 took 8.9 ms
+    against 4.0 ms, and at N = 100 3.7 ms against 0.9 ms.
+    """
+    return max(n // 8, 1 << 14)
+
+
 def _original_pass(assignment, times, ids, marks):
     """Thin the stream at the true positions, which couple through rank.
 
     Returns the accepted mask in stream order and the pre-jump positions of
     the accepted candidates.  Decision c depends only on the decisions
-    before it, so the rounds are exact: guess the mask (first from the
-    hazard at the initial slots), rank every candidate under the guess,
-    recompute the mask, and repeat from the first candidate that changed,
-    the decisions up to it being settled.  The fixed point is the
-    sequential thinning, and the earliest envelope breach at it is the one
-    a sequential loop would hit first.
+    before it, so the stream is thinned in windows of consecutive
+    candidates, each in exact rounds: guess the window's mask (first from
+    the hazard at the ranks the window starts from), rank every candidate
+    of the window under the guess, recompute the mask, and repeat from the
+    first candidate that changed, the decisions up to it being settled.
+    The fixed point is the sequential thinning of the window, and the
+    ranks the next window starts from follow by the reset-point identity
+    (``_next_slots``).  So a round costs the window, not the unsettled rest
+    of the stream.  Each window's earliest envelope breach is raised when
+    the window settles, which makes it the one a sequential loop would hit
+    first.
     """
     fields = [c.field for c in assignment.spec.classes]
-    cls = assignment.class_index[ids]
+    sups = assignment.sup_norms()
     slots = assignment.slots
     inv_n = 1.0 / assignment.n
-    order = np.argsort(ids, kind="stable")
-    ranks = slots[ids]
-    hazard = _class_hazard(fields, cls, ranks * inv_n, times)
-    accepted = marks < hazard
-    start, rounds = 0, 0
-    while start < len(times):
-        rounds += 1
-        ranks[start:] = _mtf_ranks(slots, ids, accepted, start, order)
-        hazard[start:] = _class_hazard(fields, cls[start:],
-                                       ranks[start:] * inv_n, times[start:])
-        guess = marks[start:] < hazard[start:]
-        changed = np.flatnonzero(guess != accepted[start:])
-        if not len(changed):
-            break
-        accepted[start:] = guess
-        start += int(changed[0]) + 1
-    log.debug("original pass: %d rounds over %d candidates", rounds, len(times))
-    sups = assignment.sup_norms()[ids]
-    breach = np.flatnonzero(hazard > _breach_bound(sups))
-    if len(breach):
-        c = breach[0]
-        raise EnvelopeBreach(
-            f"particle {int(ids[c])}: hazard {float(hazard[c])} above "
-            f"envelope {float(sups[c])} at t={float(times[c])}")
+    m = len(times)
+    accepted = np.zeros(m, dtype=bool)
+    ranks = np.empty(m, dtype=np.int64)
+    width = _window(assignment.n)
+    rounds = 0
+    for lo in range(0, m, width):
+        w = slice(lo, lo + width)
+        w_times, w_ids, w_marks = times[w], ids[w], marks[w]
+        w_acc, w_ranks = accepted[w], ranks[w]
+        w_cls = assignment.class_index[w_ids]
+        grouped = _by_particle(w_ids)
+        w_ranks[:] = slots[w_ids]
+        hazard = _class_hazard(fields, w_cls, w_ranks * inv_n, w_times)
+        w_acc[:] = w_marks < hazard
+        start = 0
+        while start < len(w_ids):
+            rounds += 1
+            w_ranks[start:] = _mtf_ranks(slots, w_ids, w_acc, start, grouped)
+            hazard[start:] = _class_hazard(fields, w_cls[start:],
+                                           w_ranks[start:] * inv_n,
+                                           w_times[start:])
+            guess = w_marks[start:] < hazard[start:]
+            changed = np.flatnonzero(guess != w_acc[start:])
+            if not len(changed):
+                break
+            w_acc[start:] = guess
+            start += int(changed[0]) + 1
+        w_sups = sups[w_ids]
+        breach = np.flatnonzero(hazard > _breach_bound(w_sups))
+        if len(breach):
+            c = breach[0]
+            raise EnvelopeBreach(
+                f"particle {int(w_ids[c])}: hazard {float(hazard[c])} above "
+                f"envelope {float(w_sups[c])} at t={float(w_times[c])}")
+        if lo + width < m:
+            slots = _next_slots(slots, w_ids, w_acc, grouped)
+    log.debug("original pass: %d rounds in %d windows over %d candidates",
+              rounds, len(range(0, m, width)), m)
     return accepted, ranks[accepted] * inv_n
 
 

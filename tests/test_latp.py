@@ -416,6 +416,19 @@ def test_arrival_sequence_accepts_increasing_times():
         ArrivalSequence(times=np.zeros((1, 1)), horizon=1.0)
 
 
+def test_arrival_sequence_refuses_a_scalar():
+    with pytest.raises(ConfigError, match="one-dimensional"):
+        ArrivalSequence(times=0.5, horizon=1.0)
+
+
+def test_arrival_sequence_leaves_the_callers_array_alone():
+    a = np.array([0.5])
+    seq = ArrivalSequence(times=a, horizon=1.0)
+    assert a.flags.writeable and seq.times is not a
+    a[0] = 0.7
+    assert seq.times.tolist() == [0.5]
+
+
 def test_constant_kernel_is_a_float_on_scalars_and_broadcasts_on_arrays():
     fn = constant_intensity(2, 1.0)._fn
     for s, t in ((0.25, 0.5), (0, 1), (np.float64(0.1), 0.7)):

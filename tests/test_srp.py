@@ -358,9 +358,9 @@ def test_mtf_ranks_match_rank_index_walk(data):
     got = srp._mtf_ranks(slots, ids, accepted)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     start = data.draw(st.integers(0, len(ids)))
-    order = np.argsort(ids, kind="stable")
     assert np.array_equal(
-        srp._mtf_ranks(slots, ids, accepted, start, order), want[start:])
+        srp._mtf_ranks(slots, ids, accepted, start, srp._by_particle(ids)),
+        want[start:])
 
 
 @pytest.mark.parametrize("n, m, top, share", [
@@ -382,9 +382,7 @@ PASS_SPECS = {
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 100, 1600])
-@pytest.mark.parametrize("name", sorted(PASS_SPECS))
-def test_original_pass_matches_sequential_loop(name, n):
+def _assert_pass_matches_loop(name, n):
     cfg = PASS_SPECS[name]
     spec = spec_from_config(cfg) if isinstance(cfg, dict) else load_spec(cfg)
     a = assign_population(spec, n)
@@ -398,14 +396,79 @@ def test_original_pass_matches_sequential_loop(name, n):
             assert got[1].tobytes() == want[1].tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 100, 1600])
+@pytest.mark.parametrize("name", sorted(PASS_SPECS))
+def test_original_pass_matches_sequential_loop(name, n):
+    _assert_pass_matches_loop(name, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_next_slots_are_the_rank_index_walk(data):
+    n = data.draw(st.integers(1, 60))
+    slots = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    top = data.draw(st.integers(0, n - 1))
+    ids = np.array(data.draw(st.lists(st.integers(0, top), min_size=1,
+                                      max_size=100)), dtype=np.int64)
+    accepted = np.array(data.draw(st.lists(st.booleans(), min_size=len(ids),
+                                           max_size=len(ids))), dtype=bool)
+    index = RankIndex(slots)
+    for i in ids[accepted].tolist():
+        index.move_to_front(i)
+    got = srp._next_slots(slots, ids, accepted, srp._by_particle(ids))
+    assert got.dtype == np.int64 and np.array_equal(got, index.ranks())
+
+
+# a window of a few dozen candidates, so that every stream crosses many
+WINDOW = 37
+
+
+@pytest.mark.parametrize("n", [100, 1600])
+@pytest.mark.parametrize("name", sorted(PASS_SPECS))
+def test_original_pass_matches_sequential_loop_across_windows(name, n,
+                                                              monkeypatch):
+    monkeypatch.setattr(srp, "_window", lambda n: WINDOW)
+    _assert_pass_matches_loop(name, n)
+
+
+def _pass_counts(caplog):
+    """(rounds, windows, candidates) of the one original pass logged."""
+    (msg,) = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("original pass")]
+    words = msg.split()
+    assert words[3:5] == ["rounds", "in"] and words[6:8] == ["windows", "over"]
+    return int(words[2]), int(words[5]), int(words[8])
+
+
 def test_original_pass_logs_its_rounds(caplog):
     a = assign_population(spec_from_config(STEEP_SPECS["affine_0_5_5_0"]), 400)
     with caplog.at_level("DEBUG", logger="rankflow.srp"):
         simulate(a, seed=1)
-    (msg,) = [r.getMessage() for r in caplog.records
-              if r.getMessage().startswith("original pass")]
-    rounds = int(msg.split()[2])
-    assert rounds > 1
+    rounds, windows, _ = _pass_counts(caplog)
+    assert rounds > 1 and windows == 1
+
+
+def test_original_pass_logs_its_windows(caplog, monkeypatch):
+    monkeypatch.setattr(srp, "_window", lambda n: WINDOW)
+    a = assign_population(spec_from_config(STEEP_SPECS["affine_0_5_5_0"]), 400)
+    with caplog.at_level("DEBUG", logger="rankflow.srp"):
+        simulate(a, seed=1)
+    rounds, windows, m = _pass_counts(caplog)
+    assert windows == -(-m // WINDOW) and windows >= 2
+    assert rounds > windows
+
+
+def test_original_pass_crosses_windows_at_its_own_width(caplog):
+    a = assign_population(spec_from_config(STEEP_SPECS["affine_0_5_5_0"]),
+                          2 ** 15)
+    times, ids, marks, _ = srp._candidates(a, 1.0, 1, 0)
+    with caplog.at_level("DEBUG", logger="rankflow.srp"):
+        got = srp._original_pass(a, times, ids, marks)
+    _, windows, m = _pass_counts(caplog)
+    assert m == len(times) and windows >= 2
+    want = sequential_original_pass(a, times, ids, marks)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_candidates_count_exact_time_ties(monkeypatch, caplog):
@@ -442,10 +505,10 @@ class LyingSpike(TableField):
         self.sup_norm = 2.9
 
 
-def test_state_dependent_breach_is_the_sequential_loop_first():
-    # the breaching particle starts outside the band the hazard breaches in
-    # and is pushed into it by jumps from behind, so the first breach
-    # depends on the decisions before it
+def _first_breach():
+    """The sequential loop's first breach on LyingSpike at N = 200, seed 6,
+    checked against ``simulate``'s; returns its message and the candidate
+    times."""
     a = assign_population(uniform_single_class(LyingSpike()), 200)
     times, ids, marks, _ = srp._candidates(a, 1.0, 6, 0)
     with pytest.raises(EnvelopeBreach) as want:
@@ -455,3 +518,20 @@ def test_state_dependent_breach_is_the_sequential_loop_first():
     assert str(got.value) == str(want.value)
     i = int(str(want.value).split()[1].rstrip(":"))
     assert LyingSpike()(a.position[i], 0.0) < 2.9
+    return str(want.value), times
+
+
+def test_state_dependent_breach_is_the_sequential_loop_first():
+    # the breaching particle starts outside the band the hazard breaches in
+    # and is pushed into it by jumps from behind, so the first breach
+    # depends on the decisions before it
+    _first_breach()
+
+
+def test_state_dependent_breach_in_a_later_window(monkeypatch):
+    # the first breach is candidate 44, and the second window of 40 also
+    # holds the breaches at 78 and 79, which must not be the one raised
+    monkeypatch.setattr(srp, "_window", lambda n: 40)
+    message, times = _first_breach()
+    t = float(message.rsplit("t=", 1)[1])
+    assert int(np.flatnonzero(times == t)[0]) == 44
