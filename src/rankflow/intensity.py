@@ -542,7 +542,7 @@ def assign_population(spec: PopulationSpec, n: int, mode: str = "stratified",
         raw = spec.weights * n
         counts = np.floor(raw).astype(np.int64)
         rem = raw - counts
-        for k in np.argsort(-rem)[: n - counts.sum()]:
+        for k in np.argsort(-rem, kind="stable")[: n - counts.sum()]:
             counts[k] += 1
         class_of = np.repeat(np.arange(K), counts)
         rng.shuffle(class_of)

@@ -186,6 +186,27 @@ def _breach_bound(envelope):
     return envelope * (1.0 + 1e-9) + 1e-12
 
 
+def _stable_argsort(keys, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in [0, bound).
+
+    Keys below 2^16 fit uint16, whose stable sort is a radix sort: O(m),
+    and fast on presorted keys.  Larger keys become the unique keys
+    ``key * m + position``, whose order is the stable one under any sort,
+    so numpy's default (vectorized) sort gives it.  Those keys are below
+    ``bound * m``.  Each caller's bound is a particle count or an owner's
+    candidate count, lengths of arrays held in memory and so under 2^31
+    (16 GiB of int64), or, in ``positions_of``, 2 * events + 1 <= 2m + 1.
+    With m under 2^31 too, the product is below 2^63.
+    """
+    m = len(keys)
+    if bound <= 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    assert bound * m < 1 << 63, "unique sort keys would overflow int64"
+    unique = np.asarray(keys, dtype=np.int64) * m
+    unique += np.arange(m)
+    return np.argsort(unique)
+
+
 def sample_arrivals(omega: LatpIntensity, seed: int,
                     replica: int = 0) -> ArrivalSequence:
     """Exact thinning sample of replica ``replica``'s path under ``seed``.
@@ -239,8 +260,8 @@ def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
     counts = np.bincount(owners, minlength=n_owners)
     first = np.repeat(np.cumsum(counts) - counts, counts)
     rounds = np.empty(len(times), dtype=np.int64)
-    rounds[np.argsort(owners, kind="stable")] = np.arange(len(times)) - first
-    by_round = np.argsort(rounds, kind="stable")
+    rounds[_stable_argsort(owners, n_owners)] = np.arange(len(times)) - first
+    by_round = _stable_argsort(rounds, int(counts.max(initial=0)))
     sizes = np.bincount(rounds)
     ends = np.cumsum(sizes)
     last = np.zeros(n_owners)

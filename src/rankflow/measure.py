@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .flow import BoundaryPoint, _h_vector, boundary, initial
 from .intensity import PopulationSpec
+from .latp import _stable_argsort
 from .srp import EventLog, RankIndex, _mtf_ranks
 
 
@@ -148,7 +149,7 @@ class LogEvaluator:
         self.spec = log.assignment.spec
         self.slots0 = log.assignment.slots
         self.classes = log.assignment.class_index
-        order = np.argsort(log.particles, kind="stable")
+        order = _stable_argsort(log.particles, self.n)
         same = np.flatnonzero(log.particles[order[1:]] == log.particles[order[:-1]])
         self.prev_event = np.full(log.n_events, -1)
         self.next_event = np.full(log.n_events, log.n_events)
@@ -235,7 +236,7 @@ class LogEvaluator:
         # event k sorts at 2k + 1, a query after x events at 2x
         keys = np.concatenate((2 * np.arange(n_ev) + 1,
                                np.repeat(2 * after, len(particles))))
-        order = np.argsort(keys, kind="stable")
+        order = _stable_argsort(keys, 2 * n_ev + 1)
         ids = np.concatenate((self.log.particles,
                               np.tile(particles, len(after))))[order]
         ranks = np.empty(len(keys), dtype=np.int64)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, EnvelopeBreach
 from .intensity import PopulationAssignment
 from .flow import FlowGrid, _class_hazard, _thin_along_flow
-from .latp import _breach_bound
+from .latp import _breach_bound, _stable_argsort
 from . import streams
 
 log = logging.getLogger(__name__)
@@ -200,6 +200,16 @@ class CouplingRecord:
         return float(np.mean(self.sigma <= self.horizon))
 
 
+def _picks(cum, u):
+    """``np.searchsorted(cum, u, side="right")``, searched with ``u`` sorted:
+    the search reads only values, so the indices are the same, and sorted
+    uniforms walk ``cum`` in order."""
+    order = np.argsort(u)
+    at = np.empty(len(u), dtype=np.intp)
+    at[order] = np.searchsorted(cum, u[order], side="right")
+    return at
+
+
 def _candidates(assignment: PopulationAssignment, horizon: float, seed: int,
                 tagged: int):
     """Merged marked candidate stream: (times, ids, marks, tie_count).
@@ -225,8 +235,7 @@ def _candidates(assignment: PopulationAssignment, horizon: float, seed: int,
             seed, streams.BULK if tagged else streams.GLOBAL, 0, total,
             horizon, picks=True)
         cum = np.cumsum(bulk_sups) / total
-        picks = bulk_ids[np.minimum(np.searchsorted(cum, u, side="right"),
-                                    len(bulk_ids) - 1)]
+        picks = bulk_ids[np.minimum(_picks(cum, u), len(bulk_ids) - 1)]
         # candidate_batch marks are uniform on the superposed envelope;
         # rescale to the chosen particle's own envelope
         marks = (marks_u / total) * sups[picks]
@@ -234,11 +243,16 @@ def _candidates(assignment: PopulationAssignment, horizon: float, seed: int,
     if not parts:
         empty = np.empty(0)
         return empty, np.empty(0, dtype=np.int64), empty, 0
-    times = np.concatenate([p[0] for p in parts])
-    ids = np.concatenate([p[1] for p in parts])
-    marks = np.concatenate([p[2] for p in parts])
-    order = np.argsort(times, kind="stable")
-    times, ids, marks = times[order], ids[order], marks[order]
+    if len(parts) == 1:
+        # every stream's times come sorted, and a stable sort of sorted
+        # times is the identity
+        times, ids, marks = parts[0]
+    else:
+        times = np.concatenate([p[0] for p in parts])
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        ids = np.concatenate([p[1] for p in parts])[order]
+        marks = np.concatenate([p[2] for p in parts])[order]
     tie_count = int(np.count_nonzero(times[1:] == times[:-1]))
     if tie_count:
         log.warning("candidate stream has %d exact time ties", tie_count)
@@ -282,11 +296,11 @@ def _count_below(values, ends, bounds):
     return count
 
 
-def _by_particle(ids):
-    """``ids`` grouped by particle: its stable argsort ``order``, the sorted
-    ids, and for each sorted position the position its particle's run
-    starts at."""
-    order = np.argsort(ids, kind="stable")
+def _by_particle(ids, n):
+    """``ids`` of N = ``n`` particles grouped by particle: its stable
+    argsort ``order``, the sorted ids, and for each sorted position the
+    position its particle's run starts at."""
+    order = _stable_argsort(ids, n)
     sorted_ids = ids[order]
     group = np.maximum.accumulate(np.where(
         np.r_[True, sorted_ids[1:] != sorted_ids[:-1]], np.arange(len(ids)), 0))
@@ -306,13 +320,13 @@ def _mtf_ranks(slots, ids, accepted, start=0, grouped=None):
         rank = N + #{accepted k < x : prev_k < last} - last - 1,
 
     ``prev_k`` being the index of the k-th accepted particle's previous
-    move.  ``grouped``, ``_by_particle(ids)``, can be passed in to be
+    move.  ``grouped``, ``_by_particle(ids, N)``, can be passed in to be
     reused across calls.
     """
     n, m = len(slots), len(ids)
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    order, sorted_ids, group = _by_particle(ids) if grouped is None else grouped
+    order, sorted_ids, group = _by_particle(ids, n) if grouped is None else grouped
     accepted = np.asarray(accepted, dtype=bool)
     x = np.cumsum(accepted) - accepted
     # per particle in stream order, the latest accepted candidate before c
@@ -333,7 +347,7 @@ def _next_slots(slots, ids, accepted, grouped):
     old slot order, at k plus their slot less the movers slotted above them.
 
     Each mover's last move is the running maximum of accepted positions at
-    the end of its group in ``grouped``, ``_by_particle(ids)``; placed at
+    the end of its group in ``grouped``, ``_by_particle(ids, N)``; placed at
     that index and read backwards, the movers need no sort.
     """
     order, sorted_ids, group = grouped
@@ -358,15 +372,20 @@ def _window(n):
 
     A window costs its rounds plus O(N) for the next window's slots, so
     the width grows with N.  On the affine spec at seed 1 (raw seconds,
-    best of 3, one shared 2-vCPU Xeon), widths N/16, N/8, N/6, N/4 and N/2
-    took 0.25, 0.21, 0.21, 0.22 and 0.25 s at N = 1e5 (one window: 0.32 s);
-    at N = 1e6, N/32 to N/2 took 3.1, 2.7, 2.9, 4.1 and 4.4 s.  On the
-    steep spec at N = 1e5, N/8 took 0.63-0.72 s in two scans and N/32
-    1.17 s.  The floor keeps small streams in one window, where a round's
-    fixed numpy cost is paid once: at N = 1600, windows of N/8 took 8.9 ms
-    against 4.0 ms, and at N = 100 3.7 ms against 0.9 ms.
+    best of 3, one shared 2-vCPU Xeon whose speed drifted by up to a third
+    between scans), widths N/16, N/8, N/6, N/4 and N/2 took 0.22, 0.22,
+    0.23, 0.23 and 0.27-0.29 s at N = 1e5 (one window: 0.40-0.42 s); on
+    the steep spec N/32, N/16, N/8 and N/4 took 0.97-1.00, 0.66-0.81,
+    0.62-0.80 and 0.69-0.84 s.  The floor 2^14 lies between N/8 and N/6
+    there.  At N = 2^18, widths 2^14 to 2^17 took 0.45, 0.48, 0.50 and
+    0.66 s.  N/32 beat N/8 in each of three scans at N = 2^19 (by 1-20%)
+    and six at N = 1e6 or 2^20 (by 5-30%, 1.96-2.84 s against 2.53-3.06 s);
+    N/16 fell between them in five of seven, and N/64 lost to N/32.  The
+    floor also keeps small streams in one window, where a round's fixed
+    numpy cost is paid once: at N = 1600, windows of N/8 took 15 ms against
+    6 ms, and at N = 100 6 ms against 2 ms.
     """
-    return max(n // 8, 1 << 14)
+    return max(n // 32, 1 << 14)
 
 
 def _original_pass(assignment, times, ids, marks):
@@ -400,7 +419,7 @@ def _original_pass(assignment, times, ids, marks):
         w_times, w_ids, w_marks = times[w], ids[w], marks[w]
         w_acc, w_ranks = accepted[w], ranks[w]
         w_cls = assignment.class_index[w_ids]
-        grouped = _by_particle(w_ids)
+        grouped = _by_particle(w_ids, assignment.n)
         w_ranks[:] = slots[w_ids]
         hazard = _class_hazard(fields, w_cls, w_ranks * inv_n, w_times)
         w_acc[:] = w_marks < hazard

@@ -341,6 +341,15 @@ def test_seeded_random_reproducible():
     assert np.array_equal(a.class_index, b.class_index)
 
 
+@pytest.mark.parametrize("k, n, want", [(3, 100, [34, 33, 33]),
+                                        (2, 101, [51, 50])])
+def test_seeded_random_quota_ties_go_to_the_lowest_class(k, n, want):
+    # equal weights tie every largest remainder
+    spec = constant_mixture_spec(rates=(1.0,) * k, weights=(1.0 / k,) * k)
+    a = assign_population(spec, n, mode="seeded-random", seed=1)
+    assert np.bincount(a.class_index, minlength=k).tolist() == want
+
+
 def test_pin_particles():
     spec = constant_mixture_spec()
     a = assign_population(spec, 40, mode="stratified")

@@ -122,6 +122,47 @@ def test_thin_last_arrival_empty_stream():
     assert got.dtype == bool and len(got) == 0
 
 
+# the radix branch ends at 2^16, the unique-key one starts above it
+SORT_BOUNDS = [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 20]
+
+
+def _assert_stable_argsort(keys, bound):
+    got = latp._stable_argsort(keys, bound)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize("bound", SORT_BOUNDS)
+@pytest.mark.parametrize("shape", ["random", "presorted", "reversed",
+                                   "all-equal", "empty", "one"])
+def test_stable_argsort_is_numpy_stable_argsort(shape, bound):
+    m = {"empty": 0, "one": 1}.get(shape, 20000)
+    keys = np.random.default_rng(bound).integers(0, bound, m)
+    if shape == "presorted":
+        keys.sort()
+    elif shape == "reversed":
+        keys = np.sort(keys)[::-1]
+    elif shape == "all-equal":
+        keys[:] = bound - 1
+    _assert_stable_argsort(keys, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), bound=st.sampled_from(SORT_BOUNDS))
+def test_stable_argsort_keeps_ties_in_place(data, bound):
+    # a few distinct keys, the largest allowed among them, tie often
+    pool = data.draw(st.lists(st.integers(0, bound - 1), min_size=1,
+                              max_size=4)) + [bound - 1]
+    keys = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=300)),
+                    dtype=np.int64)
+    _assert_stable_argsort(keys, bound)
+
+
+def test_stable_argsort_refuses_keys_that_would_overflow():
+    with pytest.raises(AssertionError, match="overflow"):
+        latp._stable_argsort(np.zeros(4, dtype=np.int64), 1 << 62)
+
+
 @pytest.mark.parametrize("call", [
     lambda: sample_arrivals(constant_intensity(1e300, 1.0), 0),
     lambda: streams.candidate_batch(streams.substream(0, 3), math.inf, 1.0),

@@ -359,7 +359,7 @@ def test_mtf_ranks_match_rank_index_walk(data):
     assert got.dtype == np.int64 and np.array_equal(got, want)
     start = data.draw(st.integers(0, len(ids)))
     assert np.array_equal(
-        srp._mtf_ranks(slots, ids, accepted, start, srp._by_particle(ids)),
+        srp._mtf_ranks(slots, ids, accepted, start, srp._by_particle(ids, n)),
         want[start:])
 
 
@@ -415,7 +415,7 @@ def test_next_slots_are_the_rank_index_walk(data):
     index = RankIndex(slots)
     for i in ids[accepted].tolist():
         index.move_to_front(i)
-    got = srp._next_slots(slots, ids, accepted, srp._by_particle(ids))
+    got = srp._next_slots(slots, ids, accepted, srp._by_particle(ids, n))
     assert got.dtype == np.int64 and np.array_equal(got, index.ranks())
 
 
@@ -485,6 +485,38 @@ def test_candidates_count_exact_time_ties(monkeypatch, caplog):
     assert log.n_events == len(times)
     assert [r.getMessage() for r in caplog.records] == [
         "candidate stream has 3 exact time ties"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_picks_are_a_plain_searchsorted(data):
+    # zero envelopes repeat a cumulative value; some uniforms sit exactly on
+    # a boundary, where side="right" picks the particle after it
+    sups = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                       min_size=1, max_size=40)))
+    sups[-1] += 1.0
+    cum = np.cumsum(sups) / sups.sum()
+    u = np.array(data.draw(st.lists(
+        st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(list(cum)),
+        max_size=200)))
+    got = srp._picks(cum, u)
+    assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+
+
+@pytest.mark.parametrize("tagged", [0, 2])
+def test_candidates_pick_by_plain_searchsorted(spec_affine, tagged):
+    a = assign_population(spec_affine, 1000)
+    sups = a.sup_norms()
+    times, ids, marks, _ = srp._candidates(a, 1.0, 3, tagged)
+    bulk = sups[tagged:]
+    t, _, u = streams.stream_candidates(
+        3, streams.BULK if tagged else streams.GLOBAL, 0, float(bulk.sum()),
+        1.0, picks=True)
+    want = tagged + np.searchsorted(np.cumsum(bulk) / bulk.sum(), u,
+                                    side="right")
+    bulk_ids = ids[ids >= tagged]
+    assert len(bulk_ids) == len(t) and np.array_equal(bulk_ids, want)
+    assert np.all(np.diff(times) >= 0)
 
 
 def test_flow_pass_pre_positions_are_the_move_to_front_replay(sol_affine,
