@@ -56,11 +56,11 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     spec = load_spec(args.config)
     sol = solve_y_c(spec, n_z=args.nz, n_t=args.nt, tol=args.tol,
-                    max_iter=args.max_iter, damping=args.damping)
+                    max_iter=args.max_iter)
     out = _out_dir(args)
     csv_path = os.path.join(out, "y_c.csv")
     cache_path = os.path.join(out, "y_c.npz")
-    sol.to_csv(csv_path)
+    sol.flow.to_csv(csv_path)
     sol.save(cache_path)
     for i, r in enumerate(sol.residual_history, 1):
         print(f"iteration {i}: residual {r:.3e}")
@@ -74,7 +74,7 @@ def _load_flow(args, spec) -> FlowGrid:
         return FlowGrid.identity(spec.horizon, args.nz, args.nt)
     if args.flow == "solve":
         return solve_y_c(spec, n_z=args.nz, n_t=args.nt, tol=args.tol,
-                         max_iter=args.max_iter, damping=args.damping).flow
+                         max_iter=args.max_iter).flow
     return LimitSolution.load(args.flow, spec).flow
 
 
@@ -106,7 +106,7 @@ def _plan(args, spec, **options) -> ExperimentPlan:
         n_values=tuple(args.n_values),
         seeds=args.seeds,
         solver=SolverSettings(n_z=args.nz, n_t=args.nt, tol=args.tol,
-                              max_iter=args.max_iter, damping=args.damping),
+                              max_iter=args.max_iter),
         **options)
 
 
@@ -208,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-8,
                        help="fixed-point residual tolerance")
         p.add_argument("--max-iter", type=int, default=80)
-        p.add_argument("--damping", type=float, default=1.0)
 
     def add_plan(p, workers=True):
         p.add_argument("--n-values", type=int, nargs="+",

@@ -97,6 +97,9 @@ class FlowGrid:
         if n_zp < 2 or n_tp < 2:
             raise ConfigError("flow grid needs at least 2 nodes per axis")
         self.horizon = float(horizon)
+        if not 0 < self.horizon < np.inf:
+            raise ConfigError(
+                f"horizon: must be positive and finite, got {self.horizon}")
         self.n_z = n_zp - 1
         self.n_t = n_tp - 1
         self.dt = self.horizon / self.n_t
@@ -272,7 +275,7 @@ class PhiEvaluator:
     """
 
     def __init__(self, flow: FlowGrid, spec: PopulationSpec):
-        if abs(flow.horizon - spec.horizon) > 1e-9:
+        if not abs(flow.horizon - spec.horizon) <= 1e-9:  # NaN disagrees
             raise ConfigError("flow and spec horizons disagree")
         self.flow = flow
         self.spec = spec
@@ -357,9 +360,11 @@ class PhiEvaluator:
 
 def _project(init, bdry, work):
     """Clamp a flow iterate back into the admissible class, in place;
-    returns the largest correction applied.  ``work``, an array of
+    returns the largest correction applied at a node: the initial table and
+    the boundary table on and above its diagonal.  ``work``, an array of
     ``bdry``'s shape, is overwritten."""
     n_z, n_tp = len(init) - 1, len(bdry)
+    padding = np.tri(n_tp, k=-1, dtype=bool)
     np.clip(init, 0.0, 1.0, out=init)
     np.clip(bdry, 0.0, 1.0, out=bdry)
     init_before = init.copy()
@@ -377,8 +382,9 @@ def _project(init, bdry, work):
     np.minimum(bdry, init[0], out=bdry)
     np.minimum.accumulate(bdry, axis=0, out=bdry)
     # the padding stays +0.0 where init[0] holds a -0.0
-    bdry[np.tri(n_tp, k=-1, dtype=bool)] = 0.0
+    bdry[padding] = 0.0
     np.subtract(bdry, work, out=work)
+    work[padding] = 0.0
     return max(float(np.max(np.abs(init - init_before))),
                float(np.max(np.abs(work, out=work))))
 
@@ -405,9 +411,6 @@ class LimitSolution:
 
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
         return self.evaluator.phi(h, gamma, t)
-
-    def to_csv(self, path) -> None:
-        self.flow.to_csv(path)
 
     def save(self, path) -> None:
         np.savez(path, horizon=self.flow.horizon,
@@ -455,17 +458,14 @@ def _residual(flow: FlowGrid, upd_init, upd_bdry, upper, work) -> float:
 
 
 def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
-              tol: float = 1e-8, max_iter: int = 80,
-              damping: float = 1.0) -> LimitSolution:
+              tol: float = 1e-8, max_iter: int = 80) -> LimitSolution:
     """Picard iteration for the unique flow with theta = 1 - phi_theta(W).
 
-    Starts from the frozen flow theta_0(gamma, t) = y0(gamma).  On a
-    residual increase the damping factor drops to 0.5 once.  Raises
+    Starts from the frozen flow theta_0(gamma, t) = y0(gamma) with full
+    steps; at the first residual increase the step drops to 0.5.  Raises
     ConvergenceError with the residual history when the budget runs out or
     at the first non-finite residual.
     """
-    if not 0 < damping <= 1:
-        raise ConfigError(f"damping must lie in (0,1], got {damping}")
     _require_grid(n_z, n_t)
     _require_fine_step(spec.horizon / n_t,
                        max(c.field.sup_norm for c in spec.classes), ConfigError,
@@ -479,7 +479,7 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
     # and in one work array, which the solve frees when it returns
     upper = ~np.tri(n_t + 1, k=-1, dtype=bool)
     work = np.empty((n_t + 1, n_t + 1))
-    alpha = damping
+    alpha = 1.0
     history = []
     for it in range(1, max_iter + 1):
         ev = PhiEvaluator(flow, spec)

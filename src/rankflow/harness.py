@@ -32,7 +32,6 @@ class SolverSettings:
     n_t: int = 200
     tol: float = 1e-8
     max_iter: int = 80
-    damping: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,6 @@ class ExperimentPlan:
     spec: PopulationSpec
     n_values: tuple
     seeds: int = 20
-    lattice: EvaluationLattice = None
     test_functions: tuple = (TestFunction.ones(),)
     solver: SolverSettings = SolverSettings()
     workers: int = 1
@@ -54,9 +52,10 @@ class ExperimentPlan:
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         object.__setattr__(self, "n_values", ns)
-        if self.lattice is None:
-            object.__setattr__(self, "lattice",
-                               EvaluationLattice.regular(self.spec.horizon))
+
+    @property
+    def lattice(self) -> EvaluationLattice:
+        return EvaluationLattice.regular(self.spec.horizon)
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -189,7 +188,7 @@ def _run_jobs(jobs, worker, workers: int):
 def solve_limit(plan: ExperimentPlan) -> LimitSolution:
     s = plan.solver
     return solve_y_c(plan.spec, n_z=s.n_z, n_t=s.n_t, tol=s.tol,
-                     max_iter=s.max_iter, damping=s.damping)
+                     max_iter=s.max_iter)
 
 
 def convergence_sweep(plan: ExperimentPlan,

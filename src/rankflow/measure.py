@@ -6,8 +6,9 @@ queries, and sup-distances to limit objects.  One counting routine serves
 every curve and distribution-function query: for a reset point gamma and
 times t >= t0 it counts, per class, the downstream particles with no jump in
 (t0, t] and those that jumped.  Positions come from the reset-point identity
-Y_i(t) = Y_C(gamma_i(t), t) read in event order, and ``flow_identity_gap``
-checks them against a move-to-front walk at zero tolerance.
+Y_i(t) = Y_C(gamma_i(t), t), ``srp._reset_ranks``, read in event order, and
+``flow_identity_gap`` checks them against a move-to-front walk at zero
+tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import ConfigError, DomainError
 from .flow import BoundaryPoint, _h_vector, boundary, initial
 from .intensity import PopulationSpec
 from .latp import _stable_argsort
-from .srp import EventLog, RankIndex, _mtf_ranks
+from .srp import EventLog, RankIndex, _mtf_ranks, _reset_ranks
 
 
 @dataclass(frozen=True)
@@ -202,21 +203,25 @@ class LogEvaluator:
     # -- positions -------------------------------------------------------------
 
     def _ranks_at(self, t: float) -> np.ndarray:
-        """Slot of every particle at t: Y_i(t) = Y_C(gamma_i(t), t) * N.
-
-        Read in event order, so exact time ties need no care: a particle
-        that has jumped sits at the number of particles whose last event is
-        later than its own; one that has not sits at its initial slot plus
-        the number of jumped particles that started in larger slots.
+        """Slot of every particle at t: Y_i(t) = Y_C(gamma_i(t), t) * N, by
+        ``srp._reset_ranks`` from the initial slots.  The movers are the
+        particles with an event at or before t, most recent last event
+        first, read in event order, so exact time ties need no care.
         """
         idx = int(np.searchsorted(self.log.times, t, side="right"))
         last = np.flatnonzero(self.next_event[:idx] >= idx)
-        jumped = self.log.particles[last[::-1]]  # most recent last event first
-        moved = np.zeros(self.n, dtype=np.int64)
-        moved[self.slots0[jumped]] = 1
-        ranks = self.slots0 + (len(jumped) - np.cumsum(moved)[self.slots0])
-        ranks[jumped] = np.arange(len(jumped))
-        return ranks
+        return _reset_ranks(self.slots0, self.log.particles[last[::-1]])
+
+    def _tail_counts(self, t: float, cuts) -> np.ndarray:
+        """tail[q, k]: the class-k particles at slot ``cuts[q]`` or later at
+        t, from one ``_ranks_at(t)``."""
+        slot_class = np.empty(self.n, dtype=np.int64)
+        slot_class[self._ranks_at(t)] = self.classes
+        tail = np.empty((len(cuts), self.spec.n_classes), dtype=np.int64)
+        for k in range(self.spec.n_classes):
+            slots = np.flatnonzero(slot_class == k)
+            tail[:, k] = len(slots) - np.searchsorted(slots, cuts)
+        return tail
 
     def positions_at(self, t: float) -> np.ndarray:
         """Positions at t, right-continuous, in any order of queries."""
@@ -243,18 +248,14 @@ class LogEvaluator:
         ranks[order] = _mtf_ranks(self.slots0, ids, order < n_ev)
         return ranks[n_ev:].reshape(len(after), len(particles)) / self.n
 
-    def interior_mask(self, y0: float, t0: float) -> np.ndarray:
-        return self._ranks_at(t0) >= _slot_threshold(y0, self.n)
-
     def mu(self, h, y: float, t: float) -> float:
         """Integral of h over the empirical measure on W x [y, 1] at t."""
         if not -1e-12 <= y <= 1 + 1e-12:
             raise DomainError(f"y={y} outside [0,1]")
         if not -1e-12 <= t <= self.log.horizon + 1e-9:
             raise DomainError(f"t={t} outside [0,{self.log.horizon}]")
-        on = self.interior_mask(y, t)
-        per_class = np.bincount(self.classes[on], minlength=self.spec.n_classes)
-        return float(per_class @ _h_vector(h, self.spec)) / self.n
+        tail = self._tail_counts(t, [_slot_threshold(y, self.n)])[0]
+        return float(tail @ _h_vector(h, self.spec)) / self.n
 
     # -- exact identities ------------------------------------------------------
 
@@ -264,7 +265,7 @@ class LogEvaluator:
         The particles above threshold(y0) at t0 that do not jump by t stay
         behind every particle that does or that started below it, so at t
         they hold exactly the slots from threshold(y0) + jumped on.  Zero
-        means the class counts of those slots, read from one ``_ranks_at(t)``
+        means the class counts of those slots, read from one ``_tail_counts``
         per lattice time, equal ``_counts``' alive at every admissible
         lattice point; alive and jumped then split the floor(N(1-y0))
         downstream particles exactly.
@@ -275,13 +276,9 @@ class LogEvaluator:
         # more jumpers than downstream particles is a gap of the excess
         worst = max(0, int(np.max(cut)) - self.n)
         for t in sorted(set(pair_t.tolist())):
-            slot_class = np.empty(self.n, dtype=np.int64)
-            slot_class[self._ranks_at(t)] = self.classes
             at = pair_t == t
-            for k in range(self.spec.n_classes):
-                slots = np.flatnonzero(slot_class == k)
-                behind = len(slots) - np.searchsorted(slots, cut[at])
-                worst = max(worst, int(np.max(np.abs(behind - counts.alive[at, k]))))
+            gap = self._tail_counts(t, cut[at]) - counts.alive[at]
+            worst = max(worst, int(np.max(np.abs(gap))))
         return worst
 
     def flow_identity_gap(self, check_times=None) -> int:
@@ -333,9 +330,7 @@ def sup_distance(log: EventLog, sol, h,
     in gamma.
     """
     spec = log.assignment.spec
-    spec_hash = sol.spec_hash if hasattr(sol, "spec_hash") else \
-        sol.spec.fingerprint()
-    if spec.fingerprint() != spec_hash:
+    if spec.fingerprint() != sol.spec.fingerprint():
         raise ConfigError("log and limit solution come from different specs")
     counts = LogEvaluator(log).lattice_counts(lattice)
     limit, _ = limit_values(lattice, sol, [h])

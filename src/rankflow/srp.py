@@ -13,8 +13,8 @@ so the ranks of all candidates under a given accepted mask are one offline
 dominance count (``_mtf_ranks``), and exact speculative rounds of guessed
 masks thin the stream without a loop over candidates.  The rounds run in
 windows of consecutive candidates, each ranked from every particle's rank
-at the window's start, which the reset-point identity gives from the
-window before (``_next_slots``).  The flow-driven
+at the window's start, which the reset-point identity (``_reset_ranks``)
+gives from the window before.  The flow-driven
 model reads the hazard along a prescribed flow from the particle's last
 reset point; given the flow, each particle is an independent last-arrival
 process, so ``flow._thin_along_flow`` thins all of them at once and the
@@ -340,11 +340,23 @@ def _mtf_ranks(slots, ids, accepted, start=0, grouped=None):
     return n + count - last[start:] - 1
 
 
+def _reset_ranks(slots, movers):
+    """Every particle's rank after the distinct ``movers``, most recent move
+    first, have moved to the front from ranks ``slots``: the reset-point
+    identity.  The k movers take ranks 0..k-1, and the rest keep their old
+    order behind them, at their old slot plus the movers slotted behind
+    them (at larger slots)."""
+    above = np.zeros(len(slots) + 1, dtype=np.int64)
+    above[slots[movers] + 1] = 1
+    np.cumsum(above, out=above)
+    ranks = slots + len(movers) - above[slots]
+    ranks[movers] = np.arange(len(movers))
+    return ranks
+
+
 def _next_slots(slots, ids, accepted, grouped):
     """Every particle's rank after the candidates ``ids``, from its rank
-    ``slots`` before them, by the reset-point identity: the k particles that
-    moved come first, most recent move first, and the rest follow in their
-    old slot order, at k plus their slot less the movers slotted above them.
+    ``slots`` before them, by ``_reset_ranks``.
 
     Each mover's last move is the running maximum of accepted positions at
     the end of its group in ``grouped``, ``_by_particle(ids, N)``; placed at
@@ -358,13 +370,7 @@ def _next_slots(slots, ids, accepted, grouped):
     last = last[last >= group[end]]
     trace = np.full(len(ids), -1, dtype=np.int64)
     trace[order[last]] = sorted_ids[last]
-    movers = trace[trace >= 0][::-1]
-    above = np.zeros(len(slots) + 1, dtype=np.int64)
-    above[slots[movers] + 1] = 1
-    np.cumsum(above, out=above)
-    new = slots + len(movers) - above[slots]
-    new[movers] = np.arange(len(movers))
-    return new
+    return _reset_ranks(slots, trace[trace >= 0][::-1])
 
 
 def _window(n):

@@ -324,7 +324,9 @@ def char_curve(evaluator, gamma, t):
 
 
 def loop_project(horizon, init, bdry, n_z, n_t):
-    """``flow._project`` one boundary row and column at a time."""
+    """``flow._project`` one boundary row and column at a time; ``moved`` is
+    the largest correction at a node, the boundary padding below the
+    diagonal left out."""
     init = np.clip(init, 0.0, 1.0)
     bdry = np.clip(bdry, 0.0, 1.0)
     before = (init.copy(), bdry.copy())
@@ -342,7 +344,7 @@ def loop_project(horizon, init, bdry, n_z, n_t):
         bdry[: j + 1, j] = np.minimum.accumulate(
             np.minimum(bdry[: j + 1, j], init[0, j]))
     moved = max(float(np.max(np.abs(init - before[0]))),
-                float(np.max(np.abs(bdry - before[1]))))
+                float(np.max(np.abs(np.triu(bdry - before[1])))))
     return init, bdry, moved
 
 

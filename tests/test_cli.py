@@ -140,6 +140,36 @@ def test_simulate_refuses_nan_flow_cache(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: boundary table: ")
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "20", "--mode", "flow"],
+    ["sweep", "--n-values", "10", "--seeds", "2"],
+], ids=["simulate", "sweep"])
+def test_flow_cache_refuses_nan_horizon(command, tmp_path, capsys):
+    config = ["--config", f"{CONFIGS}/affine_two_class.json"]
+    assert run(["solve"] + config + ["--out", str(tmp_path), "--nz", "5",
+                                     "--nt", "20"]) == EXIT_OK
+    with np.load(tmp_path / "y_c.npz") as cache:
+        data = dict(cache, horizon=np.nan)
+    np.savez(tmp_path / "nan.npz", **data)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(command + config + ["--out", str(tmp_path / "out"),
+                                       "--flow", str(tmp_path / "nan.npz")])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(
+        "error: horizon: must be positive and finite, got nan")
+
+
+def test_solve_has_no_damping_option(tmp_path, capsys):
+    # the solver picks its own step: full, then 0.5 after a rising residual
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", f"{CONFIGS}/zero_rate.json",
+              "--out", str(tmp_path), "--damping", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --damping" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("not_a_cache, reason", [
     ("event_log", "no 'init_values' in it"),
     ("json_config", "pickled"),

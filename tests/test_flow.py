@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 import re
 from pathlib import Path
@@ -15,7 +16,7 @@ from rankflow.flow import LimitSolution, _project, _require_grid
 from rankflow.latp import (MAX_TABLE_ENTRIES, _cumulative_trapezoid,
                            _grid_cell)
 from rankflow.intensity import AffineField, ConstantField, load_spec
-from rankflow import streams
+from rankflow import flow as flow_module, streams
 
 from conftest import (affine_two_class_spec, constant_mixture_spec,
                       constant_single_spec, uniform_single_class)
@@ -44,6 +45,13 @@ def test_flow_grid_invariant_checks():
     bad[3, 10] = 0.01  # breaks z-monotonicity
     with pytest.raises(ConfigError):
         FlowGrid(1.0, bad, np.zeros((51, 51)))
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_flow_grid_refuses_a_bad_horizon(horizon):
+    init = np.tile(np.linspace(0, 1, 11)[:, None], (1, 51))
+    with pytest.raises(ConfigError, match="horizon: must be positive and finite"):
+        FlowGrid(horizon, init, np.zeros((51, 51)))
 
 
 @pytest.mark.parametrize("where, message", [
@@ -289,6 +297,33 @@ def test_solve_mixture_closed_form_every_node(sol_mixture, spec_mixture):
         assert np.max(np.abs(fl.bdry_values[l, l:] - want)) <= tol
 
 
+def closed_form_node_error(sol, spec):
+    """Largest node gap between a constant-rate flow and its closed form
+    y_C = 1 - (1 - y0) sum_k p_k exp(-c_k (t - t0))."""
+    fl = sol.flow
+
+    def tail(el):
+        return sum(c.weight * np.exp(-c.field.sup_norm * el)
+                   for c in spec.classes)
+
+    el = fl.t_nodes[None, :] - fl.t_nodes[:, None]
+    upper = el >= 0
+    want_init = 1 - (1 - fl.z_nodes[:, None]) * tail(fl.t_nodes)
+    return max(float(np.max(np.abs(fl.init_values - want_init))),
+               float(np.max(np.abs(fl.bdry_values - (1 - tail(el)))[upper])))
+
+
+@pytest.mark.parametrize("spec", [constant_single_spec(),
+                                  constant_mixture_spec()],
+                         ids=["unit", "mixture"])
+def test_closed_form_error_is_second_order(spec):
+    # doubling n_t cuts the node error by about 4 (measured 3.88-3.99 from
+    # n_t = 50 to 800), so the bound 10 (dt^2 + tol) is 30-120x loose
+    errs = [closed_form_node_error(solve_y_c(spec, n_z=20, n_t=n_t, tol=1e-12),
+                                   spec) for n_t in (50, 100, 200, 400)]
+    assert all(a / b >= 3 for a, b in zip(errs[:-1], errs[1:])), errs
+
+
 def test_solve_skewed_densities_closed_form():
     # classes spatially segregated but mixing to the uniform density;
     # constant rates keep the closed form with per-class tails
@@ -352,12 +387,44 @@ def test_phi_monotone_in_t_and_gamma(sol_affine):
         assert np.all(np.diff(phi_bdry[l, l:]) <= 1e-12)
 
 
-def test_damping_reaches_same_fixed_point(spec_affine):
-    a = solve_y_c(spec_affine, n_z=10, n_t=80, tol=1e-9, damping=1.0)
-    b = solve_y_c(spec_affine, n_z=10, n_t=80, tol=1e-9, damping=0.5)
-    gap = np.max(np.abs(a.flow.init_values - b.flow.init_values))
-    assert gap <= 2e-9
-    assert b.iterations > a.iterations
+def scripted_residuals(monkeypatch, residuals):
+    """Make the solver see ``residuals``, in order, as its residuals."""
+    script = iter(residuals)
+    monkeypatch.setattr(flow_module, "_residual", lambda *args: next(script))
+
+
+def test_solver_halves_its_step_once_on_a_rising_residual(
+        monkeypatch, caplog, spec_affine):
+    # the residual rises twice; the step drops to 0.5 at the first rise only
+    residuals = [0.5, 0.8, 0.4, 0.6, 0.3, 1e-9]
+    scripted_residuals(monkeypatch, residuals)
+    with caplog.at_level(logging.DEBUG, logger="rankflow.flow"):
+        sol = solve_y_c(spec_affine, n_z=10, n_t=50)
+    assert sol.residual_history == residuals and sol.iterations == 6
+    rises = [(r.levelno, r.getMessage()) for r in caplog.records
+             if r.getMessage().startswith("residual increased")]
+    assert rises == [(logging.INFO, "residual increased (5.000e-01 -> "
+                                    "8.000e-01); damping to 0.50")]
+    alphas = [float(m) for m in re.findall(r"\(alpha=([0-9.]+)\)", caplog.text)]
+    assert alphas == [1.0, 1.0, 0.5, 0.5, 0.5, 0.5]
+
+
+def test_solver_damping_is_in_the_convergence_history(monkeypatch, caplog,
+                                                      spec_affine):
+    scripted_residuals(monkeypatch, [0.5, 0.8, 0.9, 0.7])
+    with caplog.at_level(logging.INFO, logger="rankflow.flow"):
+        with pytest.raises(ConvergenceError) as err:
+            solve_y_c(spec_affine, n_z=10, n_t=50, max_iter=4)
+    assert err.value.residual_history == [0.5, 0.8, 0.9, 0.7]
+    assert caplog.text.count("damping to 0.50") == 1
+
+
+def test_affine_solve_reports_no_projection(caplog, spec_affine):
+    # the boundary padding below the diagonal is not a node: the update's
+    # 1 - 0 there is no correction of the iterate
+    with caplog.at_level(logging.INFO, logger="rankflow.flow"):
+        solve_y_c(spec_affine, n_z=20, n_t=200)
+    assert "projection" not in caplog.text
 
 
 def test_solver_nonconvergence_carries_history(spec_affine):
@@ -405,6 +472,16 @@ def test_project_is_admissible_and_idempotent(case):
     init2, bdry2, moved = project(init1, bdry1)
     assert moved == 0.0
     assert np.array_equal(init2, init1) and np.array_equal(bdry2, bdry1)
+
+
+def test_project_reports_its_correction_at_nodes_only():
+    # a dip of 1/8 in one initial row, a boundary value of 1/4 above the
+    # corner row's 0, and padding of 1 below the diagonal, which is no node
+    init = np.array([[0.0, 0.0, 0.0], [0.5, 0.75, 0.625], [1.0, 1.0, 1.0]])
+    bdry = np.tril(np.ones((3, 3)), k=-1)
+    assert project(init, bdry)[2] == 0.125
+    bdry[1, 2] = 0.25
+    assert project(init, bdry)[2] == 0.25
 
 
 @settings(max_examples=300, deadline=None)

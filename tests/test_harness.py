@@ -9,6 +9,7 @@ from rankflow.harness import (ExperimentPlan, SolverSettings, convergence_sweep,
                               coupling_sweep, flow_driven_sweep,
                               latp_validation, tagged_compare)
 from rankflow import harness, latp
+from rankflow.measure import EvaluationLattice
 
 from conftest import constant_mixture_spec, constant_single_spec, zero_rate_spec
 
@@ -25,6 +26,15 @@ def test_plan_validation():
         ExperimentPlan(spec=spec, n_values=(100, 100), seeds=4)
     with pytest.raises(ConfigError):
         ExperimentPlan(spec=spec, n_values=(100,), seeds=1)
+
+
+def test_plan_lattice_is_the_regular_one():
+    spec = constant_single_spec(horizon=2.0)
+    plan = ExperimentPlan(spec=spec, n_values=(100,), seeds=2)
+    assert plan.lattice == EvaluationLattice.regular(2.0)
+    with pytest.raises(TypeError):
+        ExperimentPlan(spec=spec, n_values=(100,), seeds=2,
+                       lattice=EvaluationLattice.regular(2.0))
 
 
 def test_convergence_sweep_zero_rates_bounded_by_initial_gap():

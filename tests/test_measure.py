@@ -338,8 +338,8 @@ def test_sup_distance_accepts_phi_evaluator(lattice, spec_affine):
 
 def test_interior_gamma_supported(affine_log):
     ev = LogEvaluator(affine_log)
-    mask = ev.interior_mask(0.4, 0.5)
-    assert mask.sum() == floor_tail_count(0.4, affine_log.n)
+    assert ev.mu(TestFunction.ones(), 0.4, 0.5) == \
+        floor_tail_count(0.4, affine_log.n) / affine_log.n
 
 
 def test_test_function_vectors():
