@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from .intensity import PopulationSpec
+from .intensity import ClassHazard, PopulationSpec
 from .latp import (MAX_TABLE_ENTRIES, LatpIntensity, _bilinear,
                    _cumulative_trapezoid, _grid_cells,
                    _require_fine_step, _trapezoid_volterra, _triangle_value,
@@ -196,36 +196,25 @@ class FlowGrid:
                              f"{float(self.bdry_values[l, jt])!r}\n")
 
 
-def _class_hazard(fields, cls, y, t):
-    """Hazard fields[cls[c]](y[c], t[c]), evaluated once per class; a single
-    field is read at y and t as they come, of any shape."""
-    if len(fields) == 1:
-        return fields[0]._values(y, t)
-    a = np.empty(len(y))
-    for k, fld in enumerate(fields):
-        sel = cls == k
-        a[sel] = fld._values(y[sel], t[sel])
-    return a
+def _hazard_along(flow: FlowGrid, hazard, cls, y0, last, t):
+    """The rate read along the flow: ``hazard``, a ``ClassHazard``, of
+    class cls at time t at the flow's position on the curve from the
+    particle's last reset, the initial curve from y0 before its first jump
+    (``last == 0``), the boundary curve started at ``last`` after it."""
+    return hazard(cls, flow._eval_from(y0, last, t), t)
 
 
-def _hazard_along(flow: FlowGrid, fields, cls, y0, last, t):
-    """The rate read along the flow: fields[cls] at time t at the flow's
-    position on the curve from the particle's last reset, the initial
-    curve from y0 before its first jump (``last == 0``), the boundary curve
-    started at ``last`` after it."""
-    return _class_hazard(fields, cls, flow._eval_from(y0, last, t), t)
-
-
-def _thin_along_flow(flow: FlowGrid, fields, cls, y0, times, owners, marks,
+def _thin_along_flow(flow: FlowGrid, hazard, cls, y0, times, owners, marks,
                      envelope) -> np.ndarray:
     """Thin the marked candidates of particles that read their hazard along
-    the flow: owner o reads fields[cls[o]] from its initial position y0[o].
-    Given the flow, each is a last-arrival process with kernel
-    ``tilde_w(flow, fields[cls[o]], y0[o])``, so one ``thin_last_arrival``
-    call thins them all; returns its accepted mask."""
+    the flow: owner o reads class cls[o] of ``hazard``, a ``ClassHazard``,
+    from its initial position y0[o].  Given the flow, each is a
+    last-arrival process with kernel ``tilde_w(flow, field, y0[o])`` of its
+    class's field, so one ``thin_last_arrival`` call thins them all;
+    returns its accepted mask."""
     return thin_last_arrival(
         times, owners, marks, len(y0),
-        lambda o, last, t: _hazard_along(flow, fields, cls[o], y0[o], last, t),
+        lambda o, last, t: _hazard_along(flow, hazard, cls[o], y0[o], last, t),
         envelope)
 
 
@@ -240,10 +229,11 @@ def tilde_w(flow: FlowGrid, field, z: float) -> LatpIntensity:
     """
     if not 0.0 <= z <= 1.0 + _TOL:
         raise DomainError(f"z must lie in [0,1], got {z}")
+    hazard = ClassHazard((field,))
     return LatpIntensity(
-        lambda s, t: _hazard_along(flow, (field,), 0, z, s, t),
+        lambda s, t: _hazard_along(flow, hazard, 0, z, s, t),
         min(flow.horizon, field.horizon), sup_norm=field.sup_norm,
-        s0_limit=lambda t: _hazard_along(flow, (field,), 0, 0.0, 0.0, t),
+        s0_limit=lambda t: _hazard_along(flow, hazard, 0, 0.0, 0.0, t),
         label=f"tilde[{field.kind},z={z:g}]")
 
 
@@ -609,7 +599,8 @@ def tagged_limit_path(sol: LimitSolution, field, y_start: float,
     """
     times, marks = (np.asarray(x, dtype=float) for x in candidates)
     accepted = _thin_along_flow(
-        sol.flow, (field,), np.zeros(1, dtype=np.int64), np.array([y_start]),
-        times, np.zeros(len(times), dtype=np.int64), marks, field.sup_norm)
+        sol.flow, ClassHazard((field,)), np.zeros(1, dtype=np.int64),
+        np.array([y_start]), times, np.zeros(len(times), dtype=np.int64),
+        marks, field.sup_norm)
     return TaggedPath(flow=sol.flow, y_start=float(y_start),
                       jump_times=times[accepted])

@@ -16,6 +16,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -227,6 +228,89 @@ class TableField(IntensityField):
 _FIELD_KINDS = {c.kind: c for c in (ConstantField, AffineField, ProductField, TableField)}
 
 
+class ClassHazard:
+    """The rate ``fields[cls[c]](y[c], t[c])`` of every entry c, read by
+    gathering each class's parameters, with no pass per class.
+
+    One field is read at y and t as they come, of any shape, by its own
+    ``_values``.  Otherwise constant, affine and product classes are
+    ``(yb + ys*y) * (tb + ts*t)`` at their class's row, and table classes
+    are ``_bilinear`` reads of one flat stack of the transposed tables at
+    their class's offset, steps and sizes; a spec with both kinds adds the
+    two parts.  Each part is -0.0, the additive identity, on the other
+    part's classes, and the rows keep ``_values``' rounding: a constant is
+    ``(value, -0.0, 1, 0)``, and an affine class ``(base + 0.0, slope, 1,
+    0)``, which rounds as ``base + slope*y + 0.0*t``.  So for y and t that
+    are not negative the bytes are those of each field's ``_values``.
+    """
+
+    def __init__(self, fields):
+        self.fields = tuple(fields)
+        if len(self.fields) == 1:
+            return
+        rows, tables = [], []
+        for k, fld in enumerate(self.fields):
+            if isinstance(fld, TableField):
+                rows.append((-0.0, -0.0, 1.0, 0.0))
+                tables.append((k, fld))
+            elif isinstance(fld, ProductField):
+                rows.append((fld.y_base, fld.y_slope, fld.t_base, fld.t_slope))
+            elif isinstance(fld, AffineField):
+                rows.append((fld.base + 0.0, fld.slope, 1.0, 0.0))
+            elif isinstance(fld, ConstantField):
+                rows.append((fld.value, -0.0, 1.0, 0.0))
+            else:
+                raise ConfigError(f"classes[{k}].field: no gathered form for "
+                                  f"kind {fld.kind!r}")
+        yb, ys, tb, ts = np.array(rows).T
+        self._rows = (yb, ys) if len(tables) < len(rows) else None
+        # the time factor is 1.0 for all but product classes, and
+        # multiplying by 1.0 is exact
+        self._time = (tb, ts) if np.any((tb != 1) | (ts != 0)) else None
+        self._table = None
+        if tables:
+            # the other classes read a 2x2 table of -0.0 at offset 0
+            k_all = len(rows)
+            off = np.zeros(k_all, dtype=np.int64)
+            ny, nt = np.full(k_all, 2), np.full(k_all, 2)
+            dy, dt = np.ones(k_all), np.ones(k_all)
+            blocks, at = [np.full(4, -0.0)], 4
+            for k, fld in tables:
+                off[k], at = at, at + fld.values.size
+                ny[k], nt[k] = fld.values.shape
+                dy[k], dt[k] = fld._dy, fld._dt
+                blocks.append(fld.values.T.ravel())
+            self._table = (np.concatenate(blocks), off, ny, nt, dy, dt)
+
+    def __call__(self, cls, y, t):
+        if len(self.fields) == 1:
+            return self.fields[0]._values(y, t)
+        out = None
+        if self._rows is not None:
+            yb, ys = self._rows
+            out = yb[cls] + ys[cls] * y
+            if self._time is not None:
+                tb, ts = self._time
+                out *= tb[cls] + ts[cls] * t
+        if self._table is not None:
+            flat, off, ny, nt, dy, dt = self._table
+            width = ny[cls]
+            # the cells of latp._grid_cells, with per-entry steps and sizes
+            u = t / dt[cls]
+            r = np.clip(u.astype(int), 0, nt[cls] - 2)
+            a = np.clip(u - r, 0.0, 1.0)
+            u = y / dy[cls]
+            j = np.clip(u.astype(int), 0, width - 2)
+            mu = np.clip(u - j, 0.0, 1.0)
+            at = off[cls] + r * width + j
+            lo = flat[at] * (1 - mu) + flat[at + 1] * mu
+            at += width
+            hi = flat[at] * (1 - mu) + flat[at + 1] * mu
+            part = lo * (1 - a) + hi * a
+            out = part if out is None else out + part
+        return out
+
+
 def field_from_config(cfg: dict, horizon: float, where: str = "field") -> IntensityField:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
@@ -379,6 +463,12 @@ class PopulationSpec:
     @property
     def position_dependent(self) -> bool:
         return any(c.field.y_deriv_bound > 0 for c in self.classes)
+
+    @cached_property
+    def class_hazard(self) -> "ClassHazard":
+        """The engines' rate read, ``ClassHazard`` of the class fields,
+        built once per spec."""
+        return ClassHazard(c.field for c in self.classes)
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_config(), sort_keys=True)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, EnvelopeBreach
 from .intensity import PopulationAssignment
-from .flow import FlowGrid, _class_hazard, _thin_along_flow
+from .flow import FlowGrid, _thin_along_flow
 from .latp import _breach_bound, _stable_argsort
 from . import streams
 
@@ -264,13 +264,16 @@ def _check_flow(flow, horizon):
         raise DomainError("flow horizon shorter than the simulation horizon")
 
 
-def _count_below(values, ends, bounds):
+def _count_below(values, ends, bounds, levels=None):
     """#{k < ends[q] : values[k] < bounds[q]} for every query q.
 
     A wavelet matrix over the nonnegative ``values``: level b stably moves
     the values with bit b clear in front of those with it set, and each
     query range [lo, hi) follows its values down.  The queries walk every
-    level as it is built, so only one level is held at a time.
+    level as it is built, so only one level is held at a time.  With
+    ``levels``, only the top ``levels`` levels are walked, and each query
+    adds half of the values left in its range, those whose top bits are its
+    bound's: a coarse count, off by at most half of that bucket.
     """
     count = np.zeros(len(ends), dtype=np.int64)
     if not len(values) or not len(ends):
@@ -279,7 +282,9 @@ def _count_below(values, ends, bounds):
     hi = np.asarray(ends, dtype=np.int64)
     zeros = np.zeros(len(values) + 1, dtype=np.int64)
     values, spare = values.copy(), np.empty_like(values)
-    for b in reversed(range(int(max(values.max(), bounds.max())).bit_length())):
+    top = int(max(values.max(), bounds.max())).bit_length()
+    stop = 0 if levels is None else max(top - levels, 0)
+    for b in reversed(range(stop, top)):
         bit = (values >> b) & 1 != 0
         np.cumsum(~bit, out=zeros[1:])
         n0 = int(zeros[-1])
@@ -290,9 +295,12 @@ def _count_below(values, ends, bounds):
         count += (z_hi - z_lo) * one
         lo = z_lo + one * (lo + n0 - 2 * z_lo)
         hi = z_hi + one * (hi + n0 - 2 * z_hi)
-        np.compress(~bit, values, out=spare[:n0])
-        np.compress(bit, values, out=spare[n0:])
-        values, spare = spare, values
+        if b > stop:
+            np.compress(~bit, values, out=spare[:n0])
+            np.compress(bit, values, out=spare[n0:])
+            values, spare = spare, values
+    if stop:
+        count += (hi - lo) >> 1
     return count
 
 
@@ -307,7 +315,7 @@ def _by_particle(ids, n):
     return order, sorted_ids, group
 
 
-def _mtf_ranks(slots, ids, accepted, start=0, grouped=None):
+def _mtf_ranks(slots, ids, accepted, start=0, grouped=None, levels=None):
     """Move-to-front rank of ``ids[c]`` just before candidate c, c >= start.
 
     Particle i starts at rank ``slots[i]``, and every accepted candidate
@@ -321,7 +329,8 @@ def _mtf_ranks(slots, ids, accepted, start=0, grouped=None):
 
     ``prev_k`` being the index of the k-th accepted particle's previous
     move.  ``grouped``, ``_by_particle(ids, N)``, can be passed in to be
-    reused across calls.
+    reused across calls.  ``levels`` makes the count coarse
+    (``_count_below``), and the ranks with it.
     """
     n, m = len(slots), len(ids)
     if m == 0:
@@ -336,7 +345,7 @@ def _mtf_ranks(slots, ids, accepted, start=0, grouped=None):
     last = np.empty(m, dtype=np.int64)
     last[order] = np.where(before >= group, n + x[order[before]],
                            n - 1 - slots[sorted_ids])
-    count = _count_below(last[accepted], x[start:], last[start:])
+    count = _count_below(last[accepted], x[start:], last[start:], levels)
     return n + count - last[start:] - 1
 
 
@@ -376,22 +385,38 @@ def _next_slots(slots, ids, accepted, grouped):
 def _window(n):
     """Candidates per window of ``_original_pass`` for N particles.
 
-    A window costs its rounds plus O(N) for the next window's slots, so
-    the width grows with N.  On the affine spec at seed 1 (raw seconds,
-    best of 3, one shared 2-vCPU Xeon whose speed drifted by up to a third
-    between scans), widths N/16, N/8, N/6, N/4 and N/2 took 0.22, 0.22,
-    0.23, 0.23 and 0.27-0.29 s at N = 1e5 (one window: 0.40-0.42 s); on
-    the steep spec N/32, N/16, N/8 and N/4 took 0.97-1.00, 0.66-0.81,
-    0.62-0.80 and 0.69-0.84 s.  The floor 2^14 lies between N/8 and N/6
-    there.  At N = 2^18, widths 2^14 to 2^17 took 0.45, 0.48, 0.50 and
-    0.66 s.  N/32 beat N/8 in each of three scans at N = 2^19 (by 1-20%)
-    and six at N = 1e6 or 2^20 (by 5-30%, 1.96-2.84 s against 2.53-3.06 s);
-    N/16 fell between them in five of seven, and N/64 lost to N/32.  The
-    floor also keeps small streams in one window, where a round's fixed
-    numpy cost is paid once: at N = 1600, windows of N/8 took 15 ms against
-    6 ms, and at N = 100 6 ms against 2 ms.
+    A window costs its prediction and rounds plus O(N) for the next
+    window's slots, so the width grows with N.  Process seconds of the
+    pass, best of 3 at seed 1, on one shared 2-vCPU Xeon: at N = 1e5,
+    widths N/16, N/8, N/6, N/4 and N/2 took 0.17, 0.17, 0.18, 0.17 and
+    0.23 s on the affine spec, and on the steep spec N/32 to N/4 took 0.71,
+    0.57, 0.56, 0.56 and 0.59 s; the floor 2^14 took 0.17 and 0.57 s.  At
+    N = 2^20, N/64, N/32, N/16 and N/8 took 2.22, 1.93-2.23, 1.80-2.00 and
+    2.25 s on the affine spec (one N/16 reading of 2.78 s, taken beside
+    another job, left out), and on the steep spec N/32 took 9.4-10.0 s
+    against 7.0-8.7 s for N/16 in three interleaved scans (N/8: 8.6 s).  At
+    2^19, N/32, N/16 and N/8 took 0.80, 0.79 and 0.79 s.  Before the
+    predictor, N/32 beat N/8 at 2^19 to 2^20 by 1-30%.  The floor also
+    keeps small streams in one window, where a round's fixed numpy cost is
+    paid once: at N = 1600, windows of N/8 took 15 ms against 6 ms, and at
+    N = 100 6 ms against 2 ms.
     """
-    return max(n // 32, 1 << 14)
+    return max(n // 16, 1 << 14)
+
+
+# bit levels of the predictor's coarse rank count
+_COARSE_LEVELS = 6
+
+
+def _predict(slots, ids, guess, grouped, accept):
+    """A better guess of a window's mask than ``guess``: ``accept`` of the
+    ranks under ``guess``, counted coarsely (``_mtf_ranks`` on the top
+    ``_COARSE_LEVELS`` levels) and clipped to the N slots.  The exact rounds
+    take any mask as their first guess, so this one need only be cheap and
+    close."""
+    ranks = _mtf_ranks(slots, ids, guess, grouped=grouped,
+                       levels=_COARSE_LEVELS)
+    return accept(np.clip(ranks, 0, len(slots) - 1))
 
 
 def _original_pass(assignment, times, ids, marks):
@@ -400,18 +425,20 @@ def _original_pass(assignment, times, ids, marks):
     Returns the accepted mask in stream order and the pre-jump positions of
     the accepted candidates.  Decision c depends only on the decisions
     before it, so the stream is thinned in windows of consecutive
-    candidates, each in exact rounds: guess the window's mask (first from
-    the hazard at the ranks the window starts from), rank every candidate
-    of the window under the guess, recompute the mask, and repeat from the
-    first candidate that changed, the decisions up to it being settled.
-    The fixed point is the sequential thinning of the window, and the
-    ranks the next window starts from follow by the reset-point identity
-    (``_next_slots``).  So a round costs the window, not the unsettled rest
-    of the stream.  Each window's earliest envelope breach is raised when
-    the window settles, which makes it the one a sequential loop would hit
-    first.
+    candidates, each in exact rounds: guess the window's mask, rank every
+    candidate of the window under the guess, recompute the mask, and repeat
+    from the first candidate that changed, the decisions up to it being
+    settled.  The first guess reads the hazard at the ranks the window
+    starts from; where the rate depends on position, ``_predict`` improves
+    it with one coarse ranking.  The fixed point is the sequential thinning
+    of the window whatever the guess, and the ranks the next window starts
+    from follow by the reset-point identity (``_next_slots``).  So a round
+    costs the window, not the unsettled rest of the stream.  Each window's
+    earliest envelope breach is raised when the window settles, which makes
+    it the one a sequential loop would hit first.
     """
-    fields = [c.field for c in assignment.spec.classes]
+    rate = assignment.spec.class_hazard
+    predict = assignment.spec.position_dependent
     sups = assignment.sup_norms()
     slots = assignment.slots
     inv_n = 1.0 / assignment.n
@@ -419,7 +446,7 @@ def _original_pass(assignment, times, ids, marks):
     accepted = np.zeros(m, dtype=bool)
     ranks = np.empty(m, dtype=np.int64)
     width = _window(assignment.n)
-    rounds = 0
+    rounds = predicted = 0
     for lo in range(0, m, width):
         w = slice(lo, lo + width)
         w_times, w_ids, w_marks = times[w], ids[w], marks[w]
@@ -427,15 +454,19 @@ def _original_pass(assignment, times, ids, marks):
         w_cls = assignment.class_index[w_ids]
         grouped = _by_particle(w_ids, assignment.n)
         w_ranks[:] = slots[w_ids]
-        hazard = _class_hazard(fields, w_cls, w_ranks * inv_n, w_times)
+        hazard = rate(w_cls, w_ranks * inv_n, w_times)
         w_acc[:] = w_marks < hazard
+        if predict:
+            predicted += 1
+            w_acc[:] = _predict(
+                slots, w_ids, w_acc, grouped,
+                lambda r: w_marks < rate(w_cls, r * inv_n, w_times))
         start = 0
         while start < len(w_ids):
             rounds += 1
             w_ranks[start:] = _mtf_ranks(slots, w_ids, w_acc, start, grouped)
-            hazard[start:] = _class_hazard(fields, w_cls[start:],
-                                           w_ranks[start:] * inv_n,
-                                           w_times[start:])
+            hazard[start:] = rate(w_cls[start:], w_ranks[start:] * inv_n,
+                                  w_times[start:])
             guess = w_marks[start:] < hazard[start:]
             changed = np.flatnonzero(guess != w_acc[start:])
             if not len(changed):
@@ -451,8 +482,8 @@ def _original_pass(assignment, times, ids, marks):
                 f"envelope {float(w_sups[c])} at t={float(w_times[c])}")
         if lo + width < m:
             slots = _next_slots(slots, w_ids, w_acc, grouped)
-    log.debug("original pass: %d rounds in %d windows over %d candidates",
-              rounds, len(range(0, m, width)), m)
+    log.debug("original pass: %d rounds in %d windows over %d candidates, "
+              "%d predicted", rounds, len(range(0, m, width)), m, predicted)
     return accepted, ranks[accepted] * inv_n
 
 
@@ -464,9 +495,8 @@ def _flow_pass(assignment, flow, times, ids, marks):
     positions are then the move-to-front ranks of the accepted jumps.
     """
     accepted = _thin_along_flow(
-        flow, [c.field for c in assignment.spec.classes],
-        assignment.class_index, assignment.position, times, ids, marks,
-        assignment.sup_norms())
+        flow, assignment.spec.class_hazard, assignment.class_index,
+        assignment.position, times, ids, marks, assignment.sup_norms())
     jumpers = ids[accepted]
     ranks = _mtf_ranks(assignment.slots, jumpers,
                        np.ones(len(jumpers), dtype=bool))

@@ -33,6 +33,16 @@ class NaiveRankIndex:
         return out
 
 
+def class_hazard_loop(fields, cls, y, t):
+    """``intensity.ClassHazard`` as one boolean mask per class: each class's
+    entries gathered, read by its field's ``_values`` and scattered back."""
+    out = np.empty(len(y))
+    for k, fld in enumerate(fields):
+        sel = cls == k
+        out[sel] = fld._values(y[sel], t[sel])
+    return out
+
+
 def sequential_original_pass(assignment, times, ids, marks):
     """One candidate at a time through a RankIndex: ``srp._original_pass``
     as a loop, with the same returns and the same breach message."""

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from rankflow import (AffineField, ConfigError, ConstantField, DomainError,
                       Histogram, ProductField, TableField, assign_population,
                       load_spec, pin_particles, spec_from_config)
-from rankflow.intensity import PopulationClass, PopulationSpec
+from rankflow.intensity import (ClassHazard, IntensityField,
+                                PopulationClass, PopulationSpec)
 
 from conftest import (affine_two_class_spec, constant_mixture_spec,
                       uniform_single_class)
-from oracles import initial_tail, stratified_quota_loop, table_values
+from oracles import (class_hazard_loop, initial_tail, stratified_quota_loop,
+                     table_values)
 
 ALL_FIELDS = [
     ConstantField(2.0, 1.0),
@@ -458,3 +460,86 @@ def test_spec_file_errors_carry_field_path(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match=r"classes\[0\].field"):
         load_spec(path)
+
+
+# signed zeros and small numbers, where the rounding of the two reads could
+# part, besides plain draws
+_PARAMS = st.sampled_from([0.0, -0.0, 1.0, 0.5, 3e-17]) | st.floats(0.0, 5.0)
+
+
+@st.composite
+def _gathered_field(draw, horizon):
+    """A field of any kind on [0, 1] x [0, horizon] with valid parameters."""
+    kind = draw(st.sampled_from(["constant", "affine", "product", "table"]))
+    if kind == "constant":
+        return ConstantField(draw(_PARAMS), horizon)
+    if kind == "table":
+        ny, nt = draw(st.sampled_from([(2, 3), (2, 2), (5, 2)])
+                      | st.tuples(st.integers(2, 5), st.integers(2, 5)))
+        values = draw(st.lists(_PARAMS, min_size=ny * nt, max_size=ny * nt)
+                      | st.just([-0.0] * (ny * nt)))
+        return TableField(np.reshape(values, (ny, nt)), horizon)
+    base = draw(_PARAMS)
+    slope = draw(st.sampled_from([-0.0, 0.0, -base]) | st.floats(-base, 5.0))
+    if kind == "affine":
+        return AffineField(base, slope, horizon)
+    t_base = draw(_PARAMS)
+    t_slope = draw(st.sampled_from([-0.0, 0.0, -t_base / horizon])
+                   | st.floats(-t_base / horizon, 5.0))
+    assume(t_base + t_slope * horizon >= 0)
+    return ProductField(base, slope, t_base, t_slope, horizon)
+
+
+def _grid_points(draw, fields, top, axis):
+    """Points in [0, top], top >= 1: its ends, 1, the cell edges of every
+    table along ``axis`` (0 for y, 1 for t), and plain draws."""
+    edges = {0.0, 1.0, top}
+    for fld in fields:
+        if isinstance(fld, TableField):
+            m = fld.values.shape[axis] - 1
+            edges.update(float(x) for x in np.arange(m + 1) * (top / m))
+    point = st.sampled_from(sorted(edges)) | st.floats(0.0, top)
+    return lambda size: np.array(draw(st.lists(point, min_size=size,
+                                               max_size=size)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_class_hazard_is_the_mask_loop(data):
+    horizon = data.draw(st.sampled_from([1.0, 2.5]))
+    fields = data.draw(st.lists(_gathered_field(horizon), min_size=2,
+                                max_size=6))
+    size = data.draw(st.integers(1, 40))
+    cls = np.array(data.draw(st.lists(st.integers(0, len(fields) - 1),
+                                      min_size=size, max_size=size)))
+    y = _grid_points(data.draw, fields, 1.0, 0)(size)
+    t = _grid_points(data.draw, fields, horizon, 1)(size)
+    got = ClassHazard(fields)(cls, y, t)
+    want = class_hazard_loop(fields, cls, y, t)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_class_hazard_of_one_field_is_its_values():
+    for fld in ALL_FIELDS:
+        y, t = np.linspace(0, 1, 7), np.linspace(0, fld.horizon, 7)
+        assert ClassHazard((fld,))(0, y, t).tobytes() == fld._values(y, t).tobytes()
+        assert ClassHazard((fld,))(0, 0.5, 0.5) == fld._values(0.5, 0.5)
+
+
+def test_class_hazard_is_built_once_per_spec():
+    spec = affine_two_class_spec()
+    assert spec.class_hazard is spec.class_hazard
+    assert spec.class_hazard.fields == tuple(c.field for c in spec.classes)
+
+
+class _Opaque(IntensityField):
+    kind = "opaque"
+
+    def _values(self, y, t):
+        return np.asarray(1.0 + 0.0 * y * t)
+
+
+def test_class_hazard_refuses_a_field_it_cannot_gather():
+    with pytest.raises(ConfigError, match=r"classes\[1\].field.*'opaque'"):
+        ClassHazard((ConstantField(1.0, 1.0), _Opaque(1.0)))

@@ -363,6 +363,30 @@ def test_mtf_ranks_match_rank_index_walk(data):
         want[start:])
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_count_below_coarse_levels_split_the_bound_bucket(data):
+    values = np.array(data.draw(st.lists(st.integers(0, 5000), min_size=1,
+                                         max_size=80)), dtype=np.int64)
+    q = data.draw(st.integers(1, 30))
+    ends = np.array(data.draw(st.lists(st.integers(0, len(values)),
+                                       min_size=q, max_size=q)), dtype=np.int64)
+    bounds = np.array(data.draw(st.lists(st.integers(0, 6000), min_size=q,
+                                         max_size=q)), dtype=np.int64)
+    levels = data.draw(st.integers(1, 14) | st.none())
+    got = srp._count_below(values, ends, bounds, levels)
+    # on the top bits alone: the values below the bound's bucket, plus half
+    # of those in it, rounded down; exact when no bits are left below
+    top = int(max(values.max(), bounds.max())).bit_length()
+    shift = 0 if levels is None else max(top - levels, 0)
+    want = []
+    for e, b in zip(ends.tolist(), bounds.tolist()):
+        head, bucket = values[:e] >> shift, b >> shift
+        half = int(np.sum(head == bucket)) // 2 if shift else 0
+        want.append(int(np.sum(head < bucket)) + half)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 @pytest.mark.parametrize("n, m, top, share", [
     (1, 50, 0, 0.5), (7, 3000, 6, 0.3), (300, 3000, 299, 0.7),
     (300, 3000, 20, 0.5), (2000, 5000, 1999, 0.95)])
@@ -432,20 +456,26 @@ def test_original_pass_matches_sequential_loop_across_windows(name, n,
 
 
 def _pass_counts(caplog):
-    """(rounds, windows, candidates) of the one original pass logged."""
+    """(rounds, windows, candidates, predicted) of the one original pass
+    logged."""
     (msg,) = [r.getMessage() for r in caplog.records
               if r.getMessage().startswith("original pass")]
     words = msg.split()
     assert words[3:5] == ["rounds", "in"] and words[6:8] == ["windows", "over"]
-    return int(words[2]), int(words[5]), int(words[8])
+    assert words[9] == "candidates," and words[11] == "predicted"
+    return int(words[2]), int(words[5]), int(words[8]), int(words[10])
 
 
 def test_original_pass_logs_its_rounds(caplog):
     a = assign_population(spec_from_config(STEEP_SPECS["affine_0_5_5_0"]), 400)
     with caplog.at_level("DEBUG", logger="rankflow.srp"):
         simulate(a, seed=1)
-    rounds, windows, _ = _pass_counts(caplog)
+    rounds, windows, _, _ = _pass_counts(caplog)
     assert rounds > 1 and windows == 1
+
+
+def _stale_guess(slots, ids, guess, grouped, accept):
+    return guess
 
 
 def test_original_pass_logs_its_windows(caplog, monkeypatch):
@@ -453,9 +483,64 @@ def test_original_pass_logs_its_windows(caplog, monkeypatch):
     a = assign_population(spec_from_config(STEEP_SPECS["affine_0_5_5_0"]), 400)
     with caplog.at_level("DEBUG", logger="rankflow.srp"):
         simulate(a, seed=1)
-    rounds, windows, m = _pass_counts(caplog)
+    rounds, windows, m, predicted = _pass_counts(caplog)
     assert windows == -(-m // WINDOW) and windows >= 2
-    assert rounds > windows
+    assert predicted == windows
+    # the stale guess alone needs a second exact round in some window
+    monkeypatch.setattr(srp, "_predict", _stale_guess)
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="rankflow.srp"):
+        simulate(a, seed=1)
+    rounds, windows, m, predicted = _pass_counts(caplog)
+    assert predicted == windows and rounds > windows
+
+
+@pytest.mark.parametrize("predictor", ["on", "stale"])
+def test_original_pass_prediction_saves_a_round_per_window(caplog, monkeypatch,
+                                                           predictor):
+    # at N = 1e5 each window's stale guess needs three exact rounds and the
+    # predicted one two: the first round no longer only buys a better guess
+    if predictor == "stale":
+        monkeypatch.setattr(srp, "_predict", _stale_guess)
+    a = assign_population(load_spec(ROOT / "configs" / "affine_two_class.json"),
+                          100_000)
+    with caplog.at_level("DEBUG", logger="rankflow.srp"):
+        simulate(a, seed=3)
+    rounds, windows, _, _ = _pass_counts(caplog)
+    assert windows == 9
+    assert (rounds <= 2 * windows) == (predictor == "on")
+
+
+def test_original_pass_predicts_only_where_position_matters(caplog):
+    a = assign_population(load_spec(ROOT / "configs" / "constant_mixture.json"),
+                          400)
+    with caplog.at_level("DEBUG", logger="rankflow.srp"):
+        simulate(a, seed=1)
+    rounds, windows, _, predicted = _pass_counts(caplog)
+    assert predicted == 0 and rounds == windows == 1
+
+
+def _mask_predictor(kind):
+    """A ``srp._predict`` stand-in that returns a fixed kind of mask."""
+    if kind == "stale":
+        return _stale_guess
+
+    def predict(slots, ids, guess, grouped, accept):
+        if kind == "random":
+            return np.random.default_rng(len(ids)).random(len(ids)) < 0.5
+        return np.full(len(ids), kind == "accept_all")
+    return predict
+
+
+@pytest.mark.parametrize("kind", ["stale", "accept_all", "reject_all",
+                                  "random"])
+@pytest.mark.parametrize("n", [100, 1600])
+@pytest.mark.parametrize("name", sorted(PASS_SPECS))
+def test_original_pass_is_exact_whatever_the_prediction(name, n, kind,
+                                                        monkeypatch):
+    monkeypatch.setattr(srp, "_window", lambda n: WINDOW)
+    monkeypatch.setattr(srp, "_predict", _mask_predictor(kind))
+    _assert_pass_matches_loop(name, n)
 
 
 def test_original_pass_crosses_windows_at_its_own_width(caplog):
@@ -464,8 +549,8 @@ def test_original_pass_crosses_windows_at_its_own_width(caplog):
     times, ids, marks, _ = srp._candidates(a, 1.0, 1, 0)
     with caplog.at_level("DEBUG", logger="rankflow.srp"):
         got = srp._original_pass(a, times, ids, marks)
-    _, windows, m = _pass_counts(caplog)
-    assert m == len(times) and windows >= 2
+    _, windows, m, predicted = _pass_counts(caplog)
+    assert m == len(times) and windows >= 2 and predicted == windows
     want = sequential_original_pass(a, times, ids, marks)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
