@@ -153,11 +153,6 @@ class FlowGrid:
         iz = np.minimum(u.astype(int), self.n_z - 1)
         return iz, u - iz
 
-    def _t_cell(self, t):
-        """Time cell of t (also the boundary row cell of a start time t)
-        and t's offset in it, by ``latp._grid_cells``."""
-        return _grid_cells(t, self.dt, self.n_t)
-
     def _eval_from(self, y0, last, t):
         """theta at t along the curve from a last reset time ``last``.
 
@@ -166,10 +161,12 @@ class FlowGrid:
         zero-extended before last.
         """
         last = np.asarray(last, dtype=float)
-        cell = self._t_cell(t)
+        # a time cell is also the boundary row cell of a start time
+        cell = _grid_cells(t, self.dt, self.n_t)
         out = np.where(last == 0.0,
                        _bilinear(self.init_values, *self._z_cell(y0), *cell),
-                       _bilinear(self.bdry_values, *self._t_cell(last), *cell))
+                       _bilinear(self.bdry_values,
+                                 *_grid_cells(last, self.dt, self.n_t), *cell))
         return float(out) if out.ndim == 0 else out
 
     # -- constructors ------------------------------------------------------
@@ -262,6 +259,10 @@ class PhiEvaluator:
     forcing, so the mass-weighted sum of the per-cell survival tables,
     ``bdry_phi[k]``, is one Volterra solve per class, forced by the
     mass-weighted first-arrival density and pre-arrival term.
+
+    Both tables hold the class weight: ``init_phi[k, r, j]`` is
+    phi(1_k, (z_r, 0), t_j), and ``bdry_phi[k, l, j]`` is
+    phi(1_k, (0, t_l), t_j) for j >= l and 0 for j < l.
     """
 
     def __init__(self, flow: FlowGrid, spec: PopulationSpec):
@@ -298,14 +299,6 @@ class PhiEvaluator:
         self.bdry_phi.flags.writeable = False
 
     # -- grids for the solver ----------------------------------------------
-
-    def phi_grids_per_class(self):
-        """(init_phi, bdry_phi) per class, class weight included.
-
-        init_phi[k, r, j] = phi(1_k, (z_r, 0), t_j); bdry_phi[k, l, j] for
-        j >= l is phi(1_k, (0, t_l), t_j), and 0 for j < l.
-        """
-        return self.init_phi, self.bdry_phi
 
     def phi_grid(self):
         """(init_phi, bdry_phi) of h = 1: the class grids summed."""
@@ -556,7 +549,7 @@ def _flux_integrand(sol: LimitSolution, yvals, adm):
     between rows q' <= q.  Each column's inadmissible rows come last, so
     the fields are read on the cells below admissible rows only, and the
     sum over the admissible rows never reaches the rest."""
-    init_phi, bdry_phi = sol.evaluator.phi_grids_per_class()
+    init_phi, bdry_phi = sol.evaluator.init_phi, sol.evaluator.bdry_phi
     cells = adm[1:]
     mids = np.clip(0.5 * (yvals[1:][cells] + yvals[:-1][cells]), 0.0, 1.0)
     tt = np.broadcast_to(sol.flow.t_nodes, cells.shape)[cells]

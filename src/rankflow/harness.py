@@ -404,10 +404,19 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
     survival frequencies from sampled paths (4 standard errors); the
     derivative bounds are checked at O(h) tolerance.
     """
+    for name, value in (("replicas", replicas), ("lattice_size", lattice_size)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name}: must be an integer, got {value!r}")
     if replicas < 1:
         raise ConfigError("replicas: must be >= 1")
-    if not 0 < horizon < math.inf:
+    # a lattice of one node has no pair with s < t to check
+    if lattice_size < 2:
+        raise ConfigError(f"lattice_size: must be >= 2, got {lattice_size}")
+    # NaN fails the comparisons
+    if isinstance(horizon, bool) or not 0 < horizon < math.inf:
         raise ConfigError(f"horizon: must be positive and finite, got {horizon}")
+    if not 0 < step < math.inf:
+        raise ConfigError(f"step: must be positive and finite, got {step}")
     streams.check_key("seed", seed)
     if omegas is None:
         omegas = shipped_omegas(horizon)

@@ -122,8 +122,6 @@ class ConstantField(IntensityField):
         self._set_bounds(self.value, 0.0)
 
     def _values(self, y, t):
-        if np.ndim(y) == 0 and np.ndim(t) == 0:
-            return np.float64(self.value)
         return np.full(np.broadcast_shapes(np.shape(y), np.shape(t)), self.value)
 
     def params(self):
@@ -295,13 +293,8 @@ class ClassHazard:
         if self._table is not None:
             flat, off, ny, nt, dy, dt = self._table
             width = ny[cls]
-            # the cells of latp._grid_cells, with per-entry steps and sizes
-            u = t / dt[cls]
-            r = np.clip(u.astype(int), 0, nt[cls] - 2)
-            a = np.clip(u - r, 0.0, 1.0)
-            u = y / dy[cls]
-            j = np.clip(u.astype(int), 0, width - 2)
-            mu = np.clip(u - j, 0.0, 1.0)
+            r, a = _grid_cells(t, dt[cls], nt[cls] - 1)
+            j, mu = _grid_cells(y, dy[cls], width - 1)
             at = off[cls] + r * width + j
             lo = flat[at] * (1 - mu) + flat[at + 1] * mu
             at += width

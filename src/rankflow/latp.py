@@ -122,17 +122,9 @@ def flow_pullback_affine(base: float, slope: float, z: float,
         raise ConfigError(f"z must lie in [0,1], got {z}")
 
     def fn(s, t):
-        # the scalar sampler calls it on Python floats: one branch, with the
-        # bits of the 0-d array call below
-        if isinstance(s, (int, float)) and isinstance(t, (int, float)):
-            if s == 0.0:
-                return base + slope * (1.0 - (1.0 - z) * float(np.exp(-t)))
-            return base + slope * (1.0 - float(np.exp(-(t - s))))
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        initial = base + slope * (1.0 - (1.0 - z) * np.exp(-t))
-        boundary = base + slope * (1.0 - np.exp(-(t - s)))
-        return np.where(s == 0.0, initial, boundary)
+        # at s == 0 the factor is 1 - z and t - s is t; after it the factor
+        # is 1.0, and multiplying by 1.0 is exact
+        return base + slope * (1.0 - (1.0 - z * (s == 0.0)) * np.exp(-(t - s)))
 
     sup = base + slope * (1.0 - (1.0 - max(z, 0.0)) * np.exp(-horizon))
     sup = max(sup, base + slope * (1.0 - np.exp(-horizon)))
@@ -370,15 +362,10 @@ class SurvivalTable:
         return float(self.grid[1] - self.grid[0])
 
 
-def _grid_cell(x: float, h: float, m: int):
-    """Cell floor(x / h) of x on a grid of m cells of step h, capped at
-    m - 1, and x's offset in it, clipped to [0, 1]."""
-    i = min(int(x / h), m - 1)
-    return i, min(max(x / h - i, 0.0), 1.0)
-
-
-def _grid_cells(x, h: float, m: int):
-    """``_grid_cell`` of every entry of x, the cell also clamped at 0."""
+def _grid_cells(x, h, m):
+    """Cell floor(x / h) of every entry of x on a grid of m cells of step
+    h, clamped to [0, m - 1], and x's offset in it, clipped to [0, 1].
+    ``h`` and ``m`` may be arrays, one step and size per entry."""
     u = np.asarray(x, dtype=float) / h
     i = np.clip(u.astype(int), 0, m - 1)
     return i, np.clip(u - i, 0.0, 1.0)
@@ -401,8 +388,8 @@ def _triangle_value(at, h: float, m: int, s: float, t: float) -> float:
     node, with the slope to the next node along t.  An s above t by
     rounding reads that cell.
     """
-    i, a = _grid_cell(s, h, m)
-    j, b = _grid_cell(t, h, m)
+    i, a = _grid_cells(s, h, m)
+    j, b = _grid_cells(t, h, m)
     if i >= j:
         d = at(i, i)
         return d - (d - at(i, i + 1)) / h * (t - s)
@@ -545,8 +532,12 @@ def survival_series(omega: LatpIntensity, s: float, t: float,
         raise DomainError(f"need s <= t, got ({s}, {t})")
     if s < -1e-12 or t > omega.horizon + 1e-9:
         raise DomainError(f"({s}, {t}) outside [0, {omega.horizon}]")
+    if isinstance(kmax, bool) or not isinstance(kmax, (int, np.integer)):
+        raise DomainError(f"kmax: must be an integer, got {kmax!r}")
     if kmax < 0:
-        raise DomainError("kmax must be >= 0")
+        raise DomainError(f"kmax: must be >= 0, got {kmax}")
+    if not 0 < step < np.inf:  # NaN fails the comparison
+        raise DomainError(f"step: must be positive and finite, got {step!r}")
     s = min(s, t)
     n1 = max(1, int(np.ceil(s / step))) if s > 0 else 0
     inner = np.linspace(0.0, s, n1 + 1)

@@ -383,7 +383,7 @@ def loop_verify_ode_form(sol) -> OdeFormReport:
     yvals = loop_ordered_values(flow)
     n_rows = len(gammas)
 
-    init_phi, bdry_phi = sol.evaluator.phi_grids_per_class()
+    init_phi, bdry_phi = sol.evaluator.init_phi, sol.evaluator.bdry_phi
     K = spec.n_classes
     phi_rows = np.empty((K, n_rows, n_t + 1))
     for k in range(K):

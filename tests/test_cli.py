@@ -272,17 +272,20 @@ def test_couple_position_independent(tmp_path):
     assert summary["passed"] is True
 
 
-def test_couple_bytes_independent_of_workers(tmp_path):
+@pytest.mark.parametrize("command", [["couple"], ["sweep"],
+                                     ["sweep", "--flow", "solve"]],
+                         ids=["couple", "sweep", "sweep-flow-solve"])
+def test_bytes_independent_of_workers(command, tmp_path):
     outputs = []
     for workers in (1, 2):
         out = tmp_path / f"workers{workers}"
-        code = run(["couple", "--config", f"{CONFIGS}/affine_two_class.json",
-                    "--out", str(out), "--n-values", "30", "100",
-                    "--seeds", "3", "--nz", "10", "--nt", "50",
-                    "--workers", str(workers)])
-        outputs.append((code, (out / "coupling.csv").read_bytes(),
-                        (out / "coupling.json").read_bytes()))
-    assert outputs[0] == outputs[1]
+        code = run(command + ["--config", f"{CONFIGS}/affine_two_class.json",
+                              "--out", str(out), "--n-values", "30", "100",
+                              "--seeds", "3", "--nz", "10", "--nt", "50",
+                              "--workers", str(workers)])
+        outputs.append((code, {p.name: p.read_bytes()
+                               for p in sorted(out.iterdir())}))
+    assert len(outputs[0][1]) == 2 and outputs[0] == outputs[1]
 
 
 def test_tagged_command(tmp_path):

@@ -14,7 +14,7 @@ from rankflow import (ConfigError, ConvergenceError, DomainError, FlowGrid,
                       PhiEvaluator, boundary, initial, solve_y_c, tagged_limit_path, tilde_w, verify_ode_form)
 from rankflow.flow import LimitSolution, _project, _require_grid
 from rankflow.latp import (MAX_TABLE_ENTRIES, _cumulative_trapezoid,
-                           _grid_cell)
+                           _grid_cells)
 from rankflow.intensity import AffineField, ConstantField, load_spec
 from rankflow import flow as flow_module, streams
 
@@ -213,7 +213,7 @@ def phi_initial_per_cell(ev, hv, y0, t):
     """The per-cell sum of Histogram.mass calls, oracle for _phi_initial;
     it computes each cell's pre-arrival survival along the midpoint curve."""
     fl = ev.flow
-    j, mu = _grid_cell(t, fl.dt, fl.n_t)
+    j, mu = _grid_cells(t, fl.dt, fl.n_t)
     edges = fl.z_nodes
     theta_mid = 0.5 * (fl.init_values[:-1] + fl.init_values[1:])
     total = 0.0
@@ -254,7 +254,7 @@ def test_phi_initial_matches_per_cell_sum(sol_affine, spec_affine):
 def test_phi_initial_reads_the_tail_table_at_grid_nodes(solution, request):
     # at a node (z_r, t_j) the point query is the solver's own table entry
     ev = request.getfixturevalue(solution).evaluator
-    init_phi, _ = ev.phi_grids_per_class()
+    init_phi = ev.init_phi
     fl = ev.flow
     for hv in (np.ones(2), np.array([0.0, 1.0])):
         for r, z in enumerate(fl.z_nodes.tolist()):
@@ -577,7 +577,7 @@ def test_evaluator_tables_match_direct_volterra(sol_affine, spec_affine):
     # of direct solves of each cell's pulled-back kernel
     from rankflow import survival_solve
     fl = sol_affine.flow
-    _, bdry_phi = sol_affine.evaluator.phi_grids_per_class()
+    bdry_phi = sol_affine.evaluator.bdry_phi
     iu = np.triu_indices(fl.n_t + 1)
     for k, cls in enumerate(spec_affine.classes):
         masses = cls.weight * cls.density.cell_masses(fl.z_nodes)

@@ -220,3 +220,23 @@ def test_latp_validation_refuses_replicas_below_one(replicas):
     with pytest.raises(ConfigError, match="replicas: must be >= 1"):
         latp_validation({"zero": latp.zero_intensity(1.0)}, step=1 / 20,
                         replicas=replicas)
+
+
+@pytest.mark.parametrize("arg, value, message", [
+    ("lattice_size", 0, "lattice_size: must be >= 2"),
+    ("lattice_size", 1, "lattice_size: must be >= 2"),
+    ("lattice_size", True, "lattice_size: must be an integer"),
+    ("step", 0.0, "step: must be positive and finite"),
+    ("step", -0.01, "step: must be positive and finite"),
+    ("step", math.nan, "step: must be positive and finite"),
+    ("step", math.inf, "step: must be positive and finite"),
+    ("horizon", True, "horizon: must be positive and finite"),
+    ("replicas", True, "replicas: must be an integer"),
+    ("replicas", 2.5, "replicas: must be an integer"),
+])
+def test_latp_validation_refuses_bad_settings(arg, value, message):
+    # lattice sizes 0 and 1 once reported all_passed with no pair s < t
+    # checked, and horizon=True ran as 1.0
+    kwargs = {"step": 1 / 20, "replicas": 10} | {arg: value}
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        latp_validation({"zero": latp.zero_intensity(1.0)}, **kwargs)

@@ -482,6 +482,25 @@ def test_constant_kernel_is_a_float_on_scalars_and_broadcasts_on_arrays():
     assert constant_intensity(2, 1.0)(0.25, 0.5) == 2.0
 
 
+@pytest.mark.parametrize("s", [0.0, 0.25])
+def test_flow_pullback_kernel_has_one_set_of_bits(s):
+    # one expression serves Python floats, 0-d and n-d arrays, and a scalar
+    # call has the bits of its branch's formula on Python floats
+    base, slope, z = 0.6, 0.9, 0.3
+    fn = flow_pullback_affine(base, slope, z, 1.0)._fn
+    ts = np.linspace(s, 1.0, 41)
+    vec = np.asarray(fn(np.full((41, 1), s), np.stack([ts, ts], axis=1)))
+    assert vec.shape == (41, 2) and np.array_equal(vec[:, 0], vec[:, 1])
+    for t, want in zip(ts.tolist(), vec[:, 0]):
+        if s == 0.0:
+            old = base + slope * (1.0 - (1.0 - z) * float(np.exp(-t)))
+        else:
+            old = base + slope * (1.0 - float(np.exp(-(t - s))))
+        for got in (fn(s, t), fn(np.array(s), np.array(t))):
+            assert float(got) == old
+            assert np.float64(got).tobytes() == want.tobytes()
+
+
 def test_solve_zero():
     tab = survival_solve(zero_intensity(1.0), GRID)
     iu = np.triu_indices(len(GRID))
@@ -509,6 +528,18 @@ def test_series_kmax0_is_no_arrival_term():
     om = last_arrival_affine(1.0, 1.0, 1.0)
     val = survival_series(om, 0.5, 1.0, kmax=0, step=1e-3)
     assert val == pytest.approx(math.exp(-1.0), abs=1e-9)  # Omega(0,1) = 1
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("step", 0.0), ("step", -0.1), ("step", math.inf), ("step", math.nan),
+    ("kmax", True), ("kmax", False), ("kmax", 2.5), ("kmax", -1),
+])
+def test_series_refuses_bad_step_and_kmax(arg, value):
+    # a negative or infinite step once returned 0.4060 for const2 at
+    # (0.5, 1.0), whose value is e^-1, and kmax=True ran as kmax=1
+    om = constant_intensity(2.0, 1.0)
+    with pytest.raises(DomainError, match=f"^{arg}: "):
+        survival_series(om, 0.5, 1.0, **{arg: value})
 
 
 def test_series_constant_total_mass():
