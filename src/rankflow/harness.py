@@ -421,6 +421,9 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
     if omegas is None:
         omegas = shipped_omegas(horizon)
     m = int(round(horizon / step))
+    if m < 1:
+        raise ConfigError(f"step: {step} leaves fewer than two grid nodes "
+                          f"on a horizon of {horizon}")
     if (m + 1) ** 2 > latp.MAX_TABLE_ENTRIES:
         raise ConfigError(f"step: {m + 1} grid nodes make a table above "
                           f"{latp.MAX_TABLE_ENTRIES} entries")

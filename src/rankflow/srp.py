@@ -274,33 +274,58 @@ def _count_below(values, ends, bounds, levels=None):
     ``levels``, only the top ``levels`` levels are walked, and each query
     adds half of the values left in its range, those whose top bits are its
     bound's: a coarse count, off by at most half of that bucket.
+
+    Each level fills one table of 2(m + 1) entries for the m values from
+    one prefix sum of its bits: entry i holds the zeros before i, and entry
+    m + 1 + i holds n0, the level's zeros, plus the ones before i.  Both
+    ends of a range move down with one gather, offset by m + 1 where the
+    bound's bit is set; such a bound is above every value in the range with
+    the bit clear, so it counts the zeros the range drops, its old size
+    minus its new one.  The other lanes are written in place: with a fresh
+    array per step, the count on the engines' windows was slower than the
+    masked-multiply walk this one replaced.
     """
-    count = np.zeros(len(ends), dtype=np.int64)
-    if not len(values) or not len(ends):
+    q, m = len(ends), len(values)
+    count = np.zeros(q, dtype=np.int64)
+    if not m or not q:
         return count
-    lo = np.zeros(len(ends), dtype=np.int64)
-    hi = np.asarray(ends, dtype=np.int64)
-    zeros = np.zeros(len(values) + 1, dtype=np.int64)
+    table = np.zeros(2 * (m + 1), dtype=np.int64)
+    zeros, ones = table[:m + 1], table[m + 1:]
+    index = np.arange(m + 1)
+    span = np.zeros((2, q), dtype=np.int64)
+    span[1] = ends
+    size, kept, one = span[1].copy(), np.empty_like(count), np.empty_like(count)
+    bit, flag = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
     values, spare = values.copy(), np.empty_like(values)
     top = int(max(values.max(), bounds.max())).bit_length()
     stop = 0 if levels is None else max(top - levels, 0)
     for b in reversed(range(stop, top)):
-        bit = (values >> b) & 1 != 0
-        np.cumsum(~bit, out=zeros[1:])
-        n0 = int(zeros[-1])
-        z_lo, z_hi = zeros[lo], zeros[hi]
-        # a bound with bit b set is above every value here with bit b clear;
-        # masks multiply, as np.where on a random mask is several times slower
-        one = (bounds >> b) & 1 != 0
-        count += (z_hi - z_lo) * one
-        lo = z_lo + one * (lo + n0 - 2 * z_lo)
-        hi = z_hi + one * (hi + n0 - 2 * z_hi)
+        np.right_shift(values, b, out=bit)
+        np.bitwise_and(bit, 1, out=bit)
+        ones[0] = 0
+        np.cumsum(bit, out=ones[1:])
+        n0 = m - int(ones[-1])
+        np.subtract(index, ones, out=zeros)
+        ones += n0
+        np.right_shift(bounds, b, out=one)
+        np.bitwise_and(one, 1, out=one)
+        np.multiply(one, m + 1, out=kept)
+        np.add(span, kept, out=span)
+        # a fresh result: take(out=) copies ``out`` first
+        span = table.take(span)
+        np.subtract(span[1], span[0], out=kept)
+        np.subtract(size, kept, out=size)
+        np.multiply(size, one, out=size)
+        count += size
+        size, kept = kept, size
         if b > stop:
-            np.compress(~bit, values, out=spare[:n0])
-            np.compress(bit, values, out=spare[n0:])
+            np.not_equal(bit, 0, out=flag)
+            np.compress(flag, values, out=spare[n0:])
+            np.logical_not(flag, out=flag)
+            np.compress(flag, values, out=spare[:n0])
             values, spare = spare, values
     if stop:
-        count += (hi - lo) >> 1
+        count += size >> 1
     return count
 
 

@@ -230,6 +230,8 @@ def test_latp_validation_refuses_replicas_below_one(replicas):
     ("step", -0.01, "step: must be positive and finite"),
     ("step", math.nan, "step: must be positive and finite"),
     ("step", math.inf, "step: must be positive and finite"),
+    ("step", 2.0, "step: 2.0 leaves fewer than two grid nodes"),
+    ("step", 3.0, "step: 3.0 leaves fewer than two grid nodes"),
     ("horizon", True, "horizon: must be positive and finite"),
     ("replicas", True, "replicas: must be an integer"),
     ("replicas", 2.5, "replicas: must be an integer"),

@@ -366,18 +366,25 @@ def test_mtf_ranks_match_rank_index_walk(data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_count_below_coarse_levels_split_the_bound_bucket(data):
-    values = np.array(data.draw(st.lists(st.integers(0, 5000), min_size=1,
-                                         max_size=80)), dtype=np.int64)
-    q = data.draw(st.integers(1, 30))
+    # small values share many buckets; values up to 2^40 walk 41 levels
+    high = data.draw(st.sampled_from([5000, 1 << 40]))
+    values = np.array(data.draw(st.lists(st.integers(0, high), max_size=80)),
+                      dtype=np.int64)
+    q = data.draw(st.integers(0, 30))
     ends = np.array(data.draw(st.lists(st.integers(0, len(values)),
                                        min_size=q, max_size=q)), dtype=np.int64)
-    bounds = np.array(data.draw(st.lists(st.integers(0, 6000), min_size=q,
-                                         max_size=q)), dtype=np.int64)
+    bounds = np.array(data.draw(st.lists(st.integers(0, high + high // 5),
+                                         min_size=q, max_size=q)),
+                      dtype=np.int64)
     levels = data.draw(st.integers(1, 14) | st.none())
+    inputs = [a.copy() for a in (values, ends, bounds)]
     got = srp._count_below(values, ends, bounds, levels)
+    # _mtf_ranks passes a view of an array it reads again as the bounds
+    for a, b in zip((values, ends, bounds), inputs):
+        assert np.array_equal(a, b)
     # on the top bits alone: the values below the bound's bucket, plus half
     # of those in it, rounded down; exact when no bits are left below
-    top = int(max(values.max(), bounds.max())).bit_length()
+    top = int(max(values.max(initial=0), bounds.max(initial=0))).bit_length()
     shift = 0 if levels is None else max(top - levels, 0)
     want = []
     for e, b in zip(ends.tolist(), bounds.tolist()):
@@ -389,7 +396,9 @@ def test_count_below_coarse_levels_split_the_bound_bucket(data):
 
 @pytest.mark.parametrize("n, m, top, share", [
     (1, 50, 0, 0.5), (7, 3000, 6, 0.3), (300, 3000, 299, 0.7),
-    (300, 3000, 20, 0.5), (2000, 5000, 1999, 0.95)])
+    (300, 3000, 20, 0.5), (2000, 5000, 1999, 0.95),
+    # 18 bit levels, as in the benchmark's windows
+    (100_000, 1 << 15, 99_999, 0.7)])
 def test_mtf_ranks_match_rank_index_walk_on_long_streams(n, m, top, share):
     rng = np.random.default_rng([n, m])
     slots = rng.permutation(n)
