@@ -43,6 +43,8 @@ class BoundaryPoint:
     def __post_init__(self):
         if self.kind not in ("initial", "boundary"):
             raise ConfigError(f"unknown boundary point kind {self.kind!r}")
+        if not np.isfinite(self.coord):
+            raise ConfigError(f"{self.kind} coordinate must be finite, got {self.coord}")
         if self.coord < -_TOL:
             raise ConfigError(f"negative coordinate {self.coord}")
 
@@ -139,11 +141,23 @@ class FlowGrid:
     # -- strict evaluation ------------------------------------------------
 
     def theta(self, gamma: BoundaryPoint, t: float) -> float:
-        if t < gamma.t0 - 1e-12 or t > self.horizon + 1e-9:
-            raise DomainError(f"(gamma={gamma}, t={t}) not admissible")
-        if gamma.kind == "initial" and gamma.coord > 1 + 1e-12:
-            raise DomainError(f"initial coordinate {gamma.coord} > 1")
-        return float(self._eval_from(gamma.y0, gamma.t0, t))
+        return float(self._thetas(gamma.y0, gamma.t0, t))
+
+    def _thetas(self, y0, t0, t):
+        """theta at every (gamma, t) given by its y0, t0 and t, refusing a
+        pair with t outside [t0, horizon] or y0 above 1 (a boundary point's
+        y0 is 0)."""
+        y0, t0, t = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                          for x in (y0, t0, t)))
+        # written so that a NaN t, which fails every comparison, is refused
+        bad = ~((t >= t0 - 1e-12) & (t <= self.horizon + 1e-9))
+        if np.any(bad):
+            i = np.flatnonzero(bad.ravel())[0]
+            raise DomainError(f"(y0={y0.flat[i]}, t0={t0.flat[i]}, "
+                              f"t={t.flat[i]}) not admissible")
+        if np.any(y0 > 1 + 1e-12):
+            raise DomainError(f"initial coordinate {np.max(y0)} > 1")
+        return self._eval_from(y0, t0, t)
 
     # -- lenient vector evaluation (engines and kernels) -------------------
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import dataclass, field as dc_field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class ExperimentPlan:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         object.__setattr__(self, "n_values", ns)
 
-    @property
+    @cached_property
     def lattice(self) -> EvaluationLattice:
         return EvaluationLattice.regular(self.spec.horizon)
 
@@ -218,8 +219,9 @@ def flow_driven_sweep(plan: ExperimentPlan, flow: FlowGrid | None = None,
 
 def _sweep(plan, evaluator, flow, kind, meta) -> SweepReport:
     h_vecs = [h.per_class(plan.spec) for h in plan.test_functions]
-    limit, theta = limit_values(plan.lattice, evaluator, h_vecs, flow)
-    jobs = [(assignment, seed, flow, plan.lattice, h_vecs, limit, theta)
+    lattice = plan.lattice
+    limit, theta = limit_values(lattice, evaluator, h_vecs, flow)
+    jobs = [(assignment, seed, flow, lattice, h_vecs, limit, theta)
             for assignment in _assignments(plan) for seed in range(plan.seeds)]
     results = _run_jobs(jobs, _distance_worker, plan.workers)
     metrics = []

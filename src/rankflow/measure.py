@@ -2,20 +2,27 @@
 
 Everything here is a pure function of an EventLog: the empirical
 characteristic curves, the spatial distribution functions, empirical-measure
-queries, and sup-distances to limit objects.  One counting routine serves
-every curve and distribution-function query: for a reset point gamma and
-times t >= t0 it counts, per class, the downstream particles with no jump in
-(t0, t] and those that jumped.  Positions come from the reset-point identity
-Y_i(t) = Y_C(gamma_i(t), t), ``srp._reset_ranks``, read in event order, and
-``flow_identity_gap`` checks them against a move-to-front walk at zero
-tolerance.
+queries, and sup-distances to limit objects.  One counting routine,
+``LogEvaluator.lattice_counts``, serves every curve and distribution-function
+query: at each (gamma, t) pair of a lattice it counts, per class, the
+downstream particles with no jump in (t0, t] and those that jumped.  It reads
+the whole lattice from one pass over the log's events.  With G the sorted
+times of the lattice (every t0 and t), an event at tau whose particle's
+previous event is at p (-inf for none) is that particle's first jump after
+t0 = G[j] exactly when p <= t0 < tau, and it has happened by t = G[m] when
+tau <= t.  With a and b the numbers of grid times below p and below tau,
+that is a <= j < b <= m, so prefix sums of an (a, b, class) histogram count
+every boundary gamma, and prefix sums of a (b, slot cut, class) histogram
+of the first jumps after 0 count every initial one.  Positions come from
+the reset-point identity Y_i(t) = Y_C(gamma_i(t), t), ``srp._reset_ranks``,
+read in event order, and ``flow_identity_gap`` checks them against a
+move-to-front walk at zero tolerance.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,10 +104,39 @@ class EvaluationLattice:
                 if t >= g.t0 - 1e-12:
                     yield g, t
 
+    @cached_property
+    def _index(self) -> "_PairIndex":
+        return _PairIndex(list(self.pairs()))
 
-def _slot_threshold(y: float, n: int) -> int:
-    """Smallest slot with i/N >= y; robust to float dust on y*N."""
-    return max(0, int(math.ceil(y * n - 1e-9)))
+
+class _PairIndex:
+    """What the pair counter needs of a lattice, built once per lattice.
+
+    Per pair, in ``pairs()`` order: y0, t0 and t, and t0 and t as indices j
+    and m into ``grid``, the sorted distinct values of every t0 and t.
+    ``m_clamped`` is max(m, j), so that a t up to 1e-12 below t0 counts no
+    jump; ``initial`` selects the initial gammas, whose t0 = 0 is
+    ``grid[j0]``.
+    """
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self.initial = np.array([g.kind == "initial" for g, _ in pairs], dtype=bool)
+        self.y0 = np.array([g.y0 for g, _ in pairs], dtype=float)
+        self.t0 = np.array([g.t0 for g, _ in pairs], dtype=float)
+        self.t = np.array([t for _, t in pairs], dtype=float)
+        self.grid = np.unique(np.concatenate((self.t0, self.t)))
+        self.j = np.searchsorted(self.grid, self.t0)
+        self.m = np.searchsorted(self.grid, self.t)
+        self.m_clamped = np.maximum(self.m, self.j)
+        self.j0 = int(np.searchsorted(self.grid, 0.0))
+
+
+def _slot_threshold(y, n: int):
+    """Smallest slot with i/N >= y, per entry of y; robust to float dust on
+    y*N."""
+    return np.maximum(0, np.ceil(np.asarray(y, dtype=float) * n - 1e-9)
+                      .astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -118,7 +154,7 @@ class LatticeCounts:
     (t0, t], and jumped[p] the downstream particles that jumped.
     """
 
-    pairs: list
+    index: _PairIndex
     n: int
     alive: np.ndarray
     jumped: np.ndarray
@@ -129,13 +165,13 @@ class LatticeCounts:
 
     def curve(self) -> np.ndarray:
         """Empirical characteristic curve Y_C(gamma, t) per pair."""
-        return np.array([g.y0 for g, _ in self.pairs]) + self.jumped / self.n
+        return self.index.y0 + self.jumped / self.n
 
     def sup(self, gap) -> SupDistance:
         """Largest |gap| over the pairs, at its first argmax."""
         gap = np.abs(gap)
         p = int(np.argmax(gap))
-        g, t = self.pairs[p]
+        g, t = self.index.pairs[p]
         return SupDistance(float(gap[p]), str(g), t)
 
 
@@ -157,47 +193,60 @@ class LogEvaluator:
         self.prev_event[order[same + 1]] = order[same]
         self.next_event[order[same]] = order[same + 1]
 
-    def _counts(self, gamma: BoundaryPoint, ts):
+    def lattice_counts(self, lattice: EvaluationLattice) -> LatticeCounts:
         """The one counting routine behind every curve and phi query.
 
-        For each t in ``ts`` (all t >= t0) it returns alive[j, k], the
-        downstream class-k particles with no jump in (t0, t], and
-        jumped[j], the downstream particles with one.  A particle's first
-        event after t0 is the one whose previous event is at or before t0.
+        At every lattice pair it returns alive[p, k], the downstream
+        class-k particles with no jump in (t0, t], and jumped[p], the
+        downstream particles with one, from one pass over the events.  b
+        counts the lattice grid times below each event, and an event's a
+        is its particle's previous event's b (0 for none), so the event is
+        its particle's first jump after t0 = G[j], and has happened by
+        t = G[m], exactly when a <= j < b <= m.  A boundary gamma (y0 = 0)
+        counts every particle: with c the (a, b, class) histogram summed
+        over a <= j and b <= m, its jumps are c[j, m] - c[j, j].  An
+        initial gamma (t0 = 0 = G[j0]) counts the particles at or after its
+        slot cut: the (b, slot bin, class) histogram of the events with
+        a <= j0 < b, summed over b <= m and over the bins at or after the
+        cut's.  A particle's slot bin is the number of the lattice's
+        distinct cuts at or below its initial slot.
         """
-        ts = np.asarray(ts, dtype=float)
-        if np.any(ts < gamma.t0 - 1e-12):
-            raise DomainError(f"(gamma={gamma}, t={ts.min()}) not admissible")
-        times, particles = self.log.times, self.log.particles
-        start = int(np.searchsorted(times, gamma.t0, side="right"))
-        first = start + np.flatnonzero(self.prev_event[start:] < start)
-        # gamma is initial (t0 = 0) or boundary (y0 = 0, every particle)
-        down = self.slots0 >= _slot_threshold(gamma.y0, self.n)
-        first = first[down[particles[first]]]
-        first_class = self.classes[particles[first]]
-        n_down = np.bincount(self.classes[down], minlength=self.spec.n_classes)
-        upto = np.searchsorted(times, ts, side="right")
-        alive = np.empty((len(ts), self.spec.n_classes), dtype=np.int64)
-        jumped = np.zeros(len(ts), dtype=np.int64)
-        for k in range(self.spec.n_classes):
-            gone = np.searchsorted(first[first_class == k], upto)
-            alive[:, k] = n_down[k] - gone
-            jumped += gone
-        return alive, jumped
-
-    def lattice_counts(self, lattice: EvaluationLattice) -> LatticeCounts:
-        """``_counts`` at every lattice pair, one call per gamma."""
-        pairs = list(lattice.pairs())
-        parts = [self._counts(g, [t for _, t in group])
-                 for g, group in itertools.groupby(pairs, key=lambda p: p[0])]
-        return LatticeCounts(pairs=pairs, n=self.n,
-                             alive=np.concatenate([a for a, _ in parts]),
-                             jumped=np.concatenate([j for _, j in parts]))
+        ix = lattice._index
+        K = self.spec.n_classes
+        size = len(ix.grid) + 1
+        particles = self.log.particles
+        b = np.searchsorted(ix.grid, self.log.times)
+        a = np.append(b, 0)[self.prev_event]  # a prev_event of -1 reads the 0
+        cls = self.classes[particles]
+        c = np.bincount((a * size + b) * K + cls, minlength=size * size * K)
+        c = c.reshape(size, size, K).cumsum(0).cumsum(1)
+        cuts, col = np.unique(_slot_threshold(ix.y0, self.n), return_inverse=True)
+        bins = np.searchsorted(cuts, self.slots0, side="right")
+        n_bins = len(cuts) + 1
+        first = np.flatnonzero((a <= ix.j0) & (ix.j0 < b))
+        f = np.bincount((b[first] * n_bins + bins[particles[first]]) * K + cls[first],
+                        minlength=size * n_bins * K)
+        f = f.reshape(size, n_bins, K)[:, ::-1].cumsum(1)[:, ::-1].cumsum(0)
+        # a boundary gamma's cut is slot 0, so its down[col + 1] is every particle
+        down = np.bincount(bins * K + self.classes, minlength=n_bins * K)
+        down = down.reshape(n_bins, K)[::-1].cumsum(0)[::-1]
+        gone = np.where(ix.initial[:, None], f[ix.m, col + 1],
+                        c[ix.j, ix.m_clamped] - c[ix.j, ix.j])
+        return LatticeCounts(index=ix, n=self.n, alive=down[col + 1] - gone,
+                             jumped=gone.sum(axis=1))
 
     # -- point queries -------------------------------------------------------
 
+    def _point_counts(self, gamma: BoundaryPoint, t: float) -> LatticeCounts:
+        """``lattice_counts`` at the one pair (gamma, t), refusing a t below
+        t0, above the horizon or NaN."""
+        # written so that a NaN t, which fails every comparison, is refused
+        if not gamma.t0 - 1e-12 <= t <= self.log.horizon + 1e-9:
+            raise DomainError(f"(gamma={gamma}, t={t}) not admissible")
+        return self.lattice_counts(EvaluationLattice(gammas=(gamma,), times=(t,)))
+
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
-        alive = self._counts(gamma, [t])[0][0]
+        alive = self._point_counts(gamma, t).alive[0]
         return float(alive @ _h_vector(h, self.spec)) / self.n
 
     # -- positions -------------------------------------------------------------
@@ -266,16 +315,16 @@ class LogEvaluator:
         behind every particle that does or that started below it, so at t
         they hold exactly the slots from threshold(y0) + jumped on.  Zero
         means the class counts of those slots, read from one ``_tail_counts``
-        per lattice time, equal ``_counts``' alive at every admissible
-        lattice point; alive and jumped then split the floor(N(1-y0))
-        downstream particles exactly.
+        per lattice time, equal ``lattice_counts``' alive at every
+        admissible lattice point; alive and jumped then split the
+        floor(N(1-y0)) downstream particles exactly.
         """
         counts = self.lattice_counts(lattice)
-        pair_t = np.array([t for _, t in counts.pairs])
-        cut = counts.jumped + [_slot_threshold(g.y0, self.n) for g, _ in counts.pairs]
+        pair_t = lattice._index.t
+        cut = counts.jumped + _slot_threshold(lattice._index.y0, self.n)
         # more jumpers than downstream particles is a gap of the excess
         worst = max(0, int(np.max(cut)) - self.n)
-        for t in sorted(set(pair_t.tolist())):
+        for t in np.unique(pair_t).tolist():
             at = pair_t == t
             gap = self._tail_counts(t, cut[at]) - counts.alive[at]
             worst = max(worst, int(np.max(np.abs(gap))))
@@ -308,16 +357,17 @@ class LogEvaluator:
 
 
 def limit_values(lattice: EvaluationLattice, sol=None, hs=(), flow=None):
-    """Limit-side values at the lattice pairs, one point query per pair.
+    """Limit-side values at the lattice pairs.
 
     Returns (phi, theta): phi[r] holds sol.phi(hs[r], gamma, t) for a
-    LimitSolution or PhiEvaluator ``sol``, and theta holds flow.theta, or
-    is None without a flow.
+    LimitSolution or PhiEvaluator ``sol``, one point query per pair, and
+    theta holds flow.theta at every pair from one read, or is None without
+    a flow.
     """
-    pairs = list(lattice.pairs())
-    phi = np.array([[sol.phi(h, g, t) for g, t in pairs] for h in hs])
-    theta = None if flow is None else np.array([flow.theta(g, t) for g, t in pairs])
-    return phi.reshape(len(hs), len(pairs)), theta
+    ix = lattice._index
+    phi = np.array([[sol.phi(h, g, t) for g, t in ix.pairs] for h in hs])
+    theta = None if flow is None else flow._thetas(ix.y0, ix.t0, ix.t)
+    return phi.reshape(len(hs), len(ix.pairs)), theta
 
 
 def sup_distance(log: EventLog, sol, h,

@@ -305,9 +305,10 @@ def floor_tail_count(y0: float, n: int) -> int:
 
 
 def first_jump_counts(evaluator, gamma, ts):
-    """``LogEvaluator._counts`` with one sort of the log per gamma: each
-    particle's first event after t0 from ``np.unique``, then per class the
-    sorted first-jump times of the downstream particles."""
+    """``LogEvaluator.lattice_counts`` at (gamma, t) for every t in ts, with
+    one sort of the log per gamma: each particle's first event after t0
+    from ``np.unique``, then per class the sorted first-jump times of the
+    downstream particles."""
     log = evaluator.log
     ts = np.asarray(ts, dtype=float)
     down = evaluator.slots0 >= _slot_threshold(gamma.y0, evaluator.n)
@@ -329,8 +330,8 @@ def first_jump_counts(evaluator, gamma, ts):
 def char_curve(evaluator, gamma, t):
     """Empirical characteristic curve at t: y0 plus the distinct downstream
     particles that jumped in (t0, t], over N, from ``LogEvaluator``'s
-    counting routine."""
-    return gamma.y0 + int(evaluator._counts(gamma, [t])[1][0]) / evaluator.n
+    counting routine at the one pair."""
+    return float(evaluator._point_counts(gamma, t).curve()[0])
 
 
 def loop_project(horizon, init, bdry, n_z, n_t):

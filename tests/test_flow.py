@@ -39,6 +39,13 @@ def test_flow_admissibility():
         fl.theta(boundary(0.5), 0.2)
 
 
+@pytest.mark.parametrize("make", [initial, boundary])
+@pytest.mark.parametrize("coord", [math.nan, math.inf, -math.inf])
+def test_boundary_point_refuses_a_non_finite_coordinate(make, coord):
+    with pytest.raises(ConfigError, match="finite"):
+        make(coord)
+
+
 def test_flow_grid_invariant_checks():
     init = np.tile(np.linspace(0, 1, 11)[:, None], (1, 51))
     bad = init.copy()

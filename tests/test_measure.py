@@ -11,6 +11,7 @@ from rankflow import (ConfigError, DomainError, EvaluationLattice,
                       EventLog, LogEvaluator, RankIndex, TestFunction,
                       assign_population, boundary, initial, load_spec,
                       simulate, simulate_flow_driven, sup_distance)
+from rankflow.measure import limit_values
 
 from conftest import (affine_two_class_spec, constant_single_spec,
                       zero_rate_spec)
@@ -84,6 +85,21 @@ def test_phi_at_t0_is_floor_count(affine_log):
         assert floor_tail_count(y0, n) == math.floor(n * (1 - y0) + 1e-9)
 
 
+@pytest.mark.parametrize("t", [math.nan, 1.0 + 1e-6, 5.0, 0.5 - 1e-9])
+def test_phi_refuses_times_outside_t0_to_horizon(affine_log, t):
+    ev = LogEvaluator(affine_log)
+    gamma = boundary(0.5) if t < 0.5 else initial(0.3)
+    with pytest.raises(DomainError):
+        ev.phi(TestFunction.ones(), gamma, t)
+
+
+def test_phi_accepts_the_ends_of_t0_to_horizon(affine_log):
+    ev = LogEvaluator(affine_log)
+    ones = TestFunction.ones()
+    assert ev.phi(ones, initial(0.3), 1.0) == ev.phi(ones, initial(0.3), 1.0 + 1e-10)
+    assert ev.phi(ones, boundary(0.5), 0.5 - 1e-13) == 1.0
+
+
 def test_phi_constant_in_time_for_zero_rates():
     log = simulate(assign_population(zero_rate_spec(), 30), seed=0)
     vals = [LogEvaluator(log).phi(TestFunction.ones(), initial(0.4), t)
@@ -98,16 +114,16 @@ def test_identity_holds_exactly_everywhere(affine_log, lattice):
 def test_identity_gap_sees_a_particle_counted_as_jumped(affine_log, lattice,
                                                         monkeypatch):
     # the sum alive + jumped stays the floor tail; only positions see it
-    counts = LogEvaluator._counts
+    counts = LogEvaluator.lattice_counts
 
-    def one_moved(self, gamma, ts):
-        alive, jumped = counts(self, gamma, ts)
-        for p in np.flatnonzero(alive[:, 0])[:1]:
-            alive[p, 0] -= 1
-            jumped[p] += 1
-        return alive, jumped
+    def one_moved(self, lattice):
+        c = counts(self, lattice)
+        p = np.flatnonzero(c.alive[:, 0])[0]
+        c.alive[p, 0] -= 1
+        c.jumped[p] += 1
+        return c
 
-    monkeypatch.setattr(LogEvaluator, "_counts", one_moved)
+    monkeypatch.setattr(LogEvaluator, "lattice_counts", one_moved)
     assert LogEvaluator(affine_log).identity_gap(lattice) > 0
 
 
@@ -172,8 +188,8 @@ def test_flow_identity_gap_reads_the_recorded_pre_positions():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_counts_match_one_sort_per_gamma(data):
-    lattice = EvaluationLattice.regular(1.0)
-    starts = [g.t0 for g in lattice.gammas]  # 0.0 and every boundary t0
+    regular = EvaluationLattice.regular(1.0)
+    starts = [g.t0 for g in regular.gammas]  # 0.0 and every boundary t0
     n = data.draw(st.integers(1, 8))
     # few distinct times, so exact ties are common
     grid = starts + data.draw(st.lists(st.floats(0.0, 1.0), max_size=3))
@@ -185,15 +201,32 @@ def test_counts_match_one_sort_per_gamma(data):
         twice, twice, at_start, (0.0, data.draw(st.integers(0, n - 1)))]
     log = tie_log(sorted(events, key=lambda e: e[0]), n=n,
                   mode="seeded-random", seed=data.draw(st.integers(0, 2 ** 16)))
+    # an irregular lattice: repeated times, boundary t0s on event times, a t
+    # 1e-13 below a t0, y0 = 0 and 1, and often one kind of gamma only
+    zs = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                            max_size=3))
+    t0s = data.draw(st.lists(st.sampled_from(grid), max_size=3))
+    times = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=5))
+    drawn = EvaluationLattice(
+        gammas=tuple([initial(z) for z in zs] + [boundary(t0) for t0 in t0s]),
+        times=tuple(times + [t0 - 1e-13 for t0 in t0s[:1]]))
     ev = LogEvaluator(log)
-    for g in lattice.gammas:
-        ts = [t for t in lattice.times if t >= g.t0 - 1e-12]
-        alive, jumped = ev._counts(g, ts)
-        want_alive, want_jumped = first_jump_counts(ev, g, ts)
-        assert alive.dtype == jumped.dtype == np.int64
-        assert np.array_equal(alive, want_alive)
-        assert np.array_equal(jumped, want_jumped)
-    assert ev.identity_gap(lattice) == 0
+    for lattice in (regular, drawn):
+        counts = ev.lattice_counts(lattice)
+        pairs = list(lattice.pairs())
+        assert counts.alive.shape == (len(pairs), 1)
+        assert counts.alive.dtype == counts.jumped.dtype == np.int64
+        for g in set(g for g, _ in pairs):
+            rows = [p for p, (h, _) in enumerate(pairs) if h == g]
+            want_alive, want_jumped = first_jump_counts(
+                ev, g, [pairs[p][1] for p in rows])
+            assert np.array_equal(counts.alive[rows], want_alive)
+            assert np.array_equal(counts.jumped[rows], want_jumped)
+        if pairs:
+            assert ev.identity_gap(lattice) == 0
+    # each pair of the drawn lattice, the last counted, as a lattice of its own
+    for p, (g, t) in enumerate(drawn.pairs()):
+        assert np.array_equal(ev._point_counts(g, t).alive[0], counts.alive[p])
 
 
 def test_flow_identity_exact_at_a_time_tie():
@@ -293,6 +326,30 @@ def test_mu_matches_phi_at_char_curve(affine_log):
         for t in (0.3, 0.7, 1.0):
             y = char_curve(ev, g, t)
             assert ev.mu(h, y, t) == pytest.approx(ev.phi(h, g, t), abs=1e-14)
+
+
+def test_one_theta_read_equals_per_pair_theta(sol_affine):
+    flow = sol_affine.flow
+    irregular = EvaluationLattice(
+        gammas=(initial(0.0), initial(0.37), initial(1.0), boundary(0.0),
+                boundary(0.33), boundary(1.0)),
+        times=(0.0, 0.33 - 1e-13, 0.33, 0.5, 0.5, 1.0, 1.0 + 1e-10))
+    for lattice in (EvaluationLattice.regular(1.0), irregular):
+        _, theta = limit_values(lattice, flow=flow)
+        want = np.array([flow.theta(g, t) for g, t in lattice.pairs()])
+        assert theta.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gammas, times", [
+    ((initial(0.5), boundary(0.5)), (0.5, 1.0 + 1e-6)),
+    ((initial(0.5), initial(1.0 + 1e-9)), (0.5,)),
+])
+def test_one_theta_read_refuses_an_inadmissible_pair(sol_affine, gammas, times):
+    lattice = EvaluationLattice(gammas=gammas, times=times)
+    with pytest.raises(DomainError):
+        limit_values(lattice, flow=sol_affine.flow)
+    with pytest.raises(DomainError):
+        sol_affine.flow._thetas([0.5, 0.5], [0.0, 0.2], [0.5, math.nan])
 
 
 def test_sup_distance_zero_rates(lattice):
