@@ -21,6 +21,7 @@ move-to-front walk at zero tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,6 +89,12 @@ class EvaluationLattice:
 
     gammas: tuple
     times: tuple
+
+    def __post_init__(self):
+        for k, t in enumerate(self.times):
+            # the tolerance of pairs(); written so that NaN fails it
+            if not -1e-12 <= t < math.inf:
+                raise ConfigError(f"times[{k}]: must be finite and >= 0, got {t}")
 
     @staticmethod
     def regular(horizon: float) -> "EvaluationLattice":
@@ -211,6 +218,9 @@ class LogEvaluator:
         cut's.  A particle's slot bin is the number of the lattice's
         distinct cuts at or below its initial slot.
         """
+        if max(lattice.times, default=0.0) > self.log.horizon + 1e-9:
+            raise DomainError(f"lattice time {max(lattice.times)} past the "
+                              f"log's horizon {self.log.horizon}")
         ix = lattice._index
         K = self.spec.n_classes
         size = len(ix.grid) + 1

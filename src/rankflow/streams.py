@@ -11,7 +11,9 @@ models consume identical candidate marks.
 its generator: it derives the Philox key with ``_key_words``, the mixing
 that ``numpy.random.SeedSequence`` documents, on Python ints, and re-keys one
 module-level generator.  ``candidate_lists`` draws the same candidates as
-lists of Python floats, for the scalar sampler.  ``replica_candidates`` draws
+lists of Python floats, for the scalar sampler, which walks replicas in
+index runs: it reads its key as a row of a block of 1024 consecutive keys,
+derived at once and held in a small cache.  ``replica_candidates`` draws
 the candidates of many consecutive substreams in one call; it derives their
 Philox keys with the same ``_key_words`` on uint32 arrays.  All three
 reproduce the ``substream`` bytes without building a ``SeedSequence``, a
@@ -175,6 +177,10 @@ def _rekeyed(key) -> np.random.Generator:
 
 def check_key(name: str, value) -> int:
     """One word of a stream key: an integer in [0, 2**32), else ConfigError."""
+    # a plain int, the common case, skips the general checks; a bool is no
+    # plain int
+    if type(value) is int and 0 <= value < KEY_WORDS:
+        return value
     if (isinstance(value, bool)
             or not isinstance(value, (int, np.integer))
             or not 0 <= value < KEY_WORDS):
@@ -228,6 +234,25 @@ def _key(seed: int, kind: int, index: int):
     return [w0 | w1 << 32, w2 | w3 << 32]
 
 
+# keys per block of ``_key_block``
+KEY_BLOCK = 1024
+
+
+@lru_cache(maxsize=4)
+def _key_block(seed: int, kind: int, block: int) -> np.ndarray:
+    """``philox_keys`` of indices ``block * KEY_BLOCK`` up to the next
+    block's first, or to the last index.  A block costs about as much as
+    a few dozen ``_key`` calls and holds 16 KB; four of them serve a walk
+    of consecutive replicas, in either direction, without holding many
+    keys past it.  The words must be checked first: the cache takes True
+    for 1 and 1.0 for 1.
+    """
+    lo = block * KEY_BLOCK
+    keys = philox_keys(seed, kind, np.arange(lo, min(lo + KEY_BLOCK, KEY_WORDS)))
+    keys.flags.writeable = False  # shared by every caller of the cache
+    return keys
+
+
 def stream_candidates(seed: int, kind: int, index: int, rate: float,
                       horizon: float, picks: bool = False):
     """``candidate_batch(substream(seed, kind, index), rate, horizon)``.
@@ -254,12 +279,14 @@ def candidate_lists(seed: int, kind: int, index: int, rate: float,
 
     One draw of 2n uniforms gives the doubles of ``candidate_batch``'s two
     draws of n, and sorting and IEEE products are exact, so the values are
-    the same bits; no numpy array is built around them.
+    the same bits; no numpy array is built around them.  The key is a row
+    of ``_key_block``.
     """
-    key = _checked_key(seed, kind, index)
+    seed, kind, index = _checked_key(seed, kind, index)
     if rate <= 0.0 or horizon <= 0.0:
         return [], []
-    rng = _rekeyed(_key(*key))
+    block, row = divmod(index, KEY_BLOCK)
+    rng = _rekeyed(_key_block(seed, kind, block)[row])
     n = int(rng.poisson(_mean_count(rate, horizon)))
     draws = rng.random(2 * n).tolist()
     times = sorted(draws[:n])
@@ -305,15 +332,21 @@ def replica_candidates(seed: int, kind: int, count: int, rate: float,
     stream re-keys one reused Philox at counter 0 with an empty buffer,
     the state a fresh ``substream`` starts in, and draws its count n, then
     2n uniforms in one call: the same doubles as ``candidate_batch``'s two
-    draws of n, its times and then its marks.  A zero rate draws nothing.
+    draws of n, its times and then its marks.  A zero rate draws nothing
+    and derives no key, but checks the key words all the same.
     """
-    if count < 0:
-        raise ConfigError("count: must be >= 0")
-    keys = philox_keys(seed, kind, np.arange(start, start + count))
+    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+            or count < 0):
+        raise ConfigError("count: must be an integer >= 0")
+    seed, kind = check_key("seed", seed), check_key("kind", kind)
+    if count:
+        check_key("index", start)
+        check_key("index", start + count - 1)
     counts = np.zeros(count, dtype=np.int64)
     if rate <= 0.0 or horizon <= 0.0 or count == 0:
         return np.empty(0), np.empty(0), counts
     lam = _mean_count(rate, horizon)
+    keys = philox_keys(seed, kind, np.arange(start, start + count))
     draws = []
     for r, key in enumerate(keys.tolist()):
         rng = _rekeyed(key)

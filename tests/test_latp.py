@@ -326,6 +326,73 @@ def test_replica_candidates_match_substream_loop(label):
         assert len(times) == 0
 
 
+def test_zero_rate_replicas_check_their_keys_but_derive_none(monkeypatch):
+    def derived(*args):
+        raise AssertionError("a zero rate derived keys")
+
+    monkeypatch.setattr(streams, "philox_keys", derived)
+    times, marks, counts = streams.replica_candidates(
+        0, streams.LATP, 10_000, 0.0, 1.0)
+    assert len(times) == len(marks) == 0 and counts.tolist() == [0] * 10_000
+    for call in (
+            lambda: streams.replica_candidates(0, 3, 2, 0.0, 1.0,
+                                               start=KEY_WORD_MAX),
+            lambda: streams.replica_candidates(0, 3, 1, 0.0, 1.0, start=-1),
+            lambda: streams.replica_candidates(0, 3, 1, 0.0, 1.0, start=1.0),
+            lambda: streams.replica_candidates(0, 2 ** 32, 1, 0.0, 1.0),
+            lambda: streams.replica_candidates(True, 3, 1, 0.0, 1.0),
+            lambda: streams.replica_candidates(0, 3, 2.0, 0.0, 1.0),
+            lambda: streams.replica_candidates(0, 3, -1, 0.0, 1.0)):
+        with pytest.raises(ConfigError, match="must be"):
+            call()
+    # an empty range has no index to refuse
+    assert len(streams.replica_candidates(0, 3, 0, 0.0, 1.0,
+                                          start=2 ** 32)[2]) == 0
+
+
+def test_key_blocks_match_seed_sequence():
+    # interleaved (seed, kind) pairs and blocks, more than the cache holds,
+    # so that blocks are evicted and derived again
+    assert streams._key_block.cache_info().maxsize <= 4
+    indices = [0, 1023, 1024, 2047, KEY_WORD_MAX]
+    for _ in range(2):
+        for index in indices:
+            for seed, kind in ((0, streams.LATP), (KEY_WORD_MAX, 0), (5, 1)):
+                block, row = divmod(index, streams.KEY_BLOCK)
+                keys = streams._key_block(seed, kind, block)
+                want = np.random.SeedSequence((seed, kind, index)).generate_state(2, np.uint64)
+                assert keys.dtype == np.uint64 and not keys.flags.writeable
+                assert np.array_equal(keys[row], want)
+    # the last block stops at the last index
+    assert len(streams._key_block(0, 0, KEY_WORD_MAX // streams.KEY_BLOCK)) == \
+        KEY_WORD_MAX % streams.KEY_BLOCK + 1
+
+
+@pytest.mark.parametrize("key", [dict(seed=True), dict(seed=1.0),
+                                 dict(seed=1, replica=1.0)],
+                         ids=["seed-bool", "seed-float", "replica-float"])
+def test_sample_arrivals_refuses_keys_equal_to_a_cached_block(key):
+    # the cache would take True and 1.0 for 1: the words are checked first
+    omega = shipped_omegas(1.0)["const2"]
+    sample_arrivals(omega, seed=1, replica=1)
+    assert streams._key_block.cache_info().currsize >= 1
+    with pytest.raises(ConfigError, match="must be an integer in"):
+        sample_arrivals(omega, **key)
+
+
+def test_sample_arrivals_any_walk_order_gives_the_same_bytes():
+    omega = shipped_omegas(1.0)["one_plus_s"]
+    replicas = list(range(3000)) + [KEY_WORD_MAX - 1, KEY_WORD_MAX]
+    forward = {r: sample_arrivals(omega, 11, r).times.tobytes()
+               for r in replicas}
+    shuffled = list(replicas)
+    np.random.default_rng(0).shuffle(shuffled)
+    for order in (replicas[::-1], shuffled):
+        streams._key_block.cache_clear()
+        for r in order:
+            assert sample_arrivals(omega, 11, r).times.tobytes() == forward[r]
+
+
 # flow_affine at z = 0 and 1, the edges of its s == 0 branch, and an
 # affine kernel with slope 0
 SAMPLER_KERNELS = dict(shipped_omegas(1.0), elapsed=elapsed_intensity(1.0),

@@ -93,6 +93,25 @@ def test_phi_refuses_times_outside_t0_to_horizon(affine_log, t):
         ev.phi(TestFunction.ones(), gamma, t)
 
 
+@pytest.mark.parametrize("times, k", [((math.nan, 1.0), 0), ((0.5, math.inf), 1),
+                                      ((0.5, 1.0, -math.inf), 2), ((0.5, -0.1), 1)])
+def test_lattice_refuses_a_time_that_is_not_finite_and_non_negative(times, k):
+    with pytest.raises(ConfigError, match=rf"times\[{k}\]: must be finite"):
+        EvaluationLattice(gammas=(initial(0.3),), times=times)
+
+
+def test_lattice_counts_refuse_a_time_past_the_horizon(affine_log):
+    ev = LogEvaluator(affine_log)
+    late = EvaluationLattice(gammas=(initial(0.3),), times=(1.0, 5.0))
+    with pytest.raises(DomainError, match="past the log's horizon"):
+        ev.lattice_counts(late)
+    # the bound of the point query, and the lattice at its edges
+    edge = EvaluationLattice(gammas=(initial(0.3), boundary(0.0)),
+                             times=(-1e-13, 1.0 + 1e-10))
+    counts = ev.lattice_counts(edge)
+    assert counts.phi([1, 1])[1] == ev.phi(TestFunction.ones(), initial(0.3), 1.0)
+
+
 def test_phi_accepts_the_ends_of_t0_to_horizon(affine_log):
     ev = LogEvaluator(affine_log)
     ones = TestFunction.ones()
