@@ -79,6 +79,19 @@ def _require_grid(n_z: int, n_t: int) -> None:
                               f"entries, above the {MAX_TABLE_ENTRIES} allowed")
 
 
+def _admissible(y0, t0, t, horizon):
+    """y0, t0 and t as broadcast float arrays, refusing a pair with t
+    outside [t0, horizon] or y0 above 1, and a NaN (it fails every test)."""
+    y0, t0, t = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                      for x in (y0, t0, t)))
+    bad = ~((t >= t0 - 1e-12) & (t <= horizon + 1e-9) & (y0 <= 1 + 1e-12))
+    if np.any(bad):
+        i = np.flatnonzero(bad.ravel())[0]
+        raise DomainError(f"(y0={y0.flat[i]}, t0={t0.flat[i]}, "
+                          f"t={t.flat[i]}) not admissible")
+    return y0, t0, t
+
+
 class FlowGrid:
     """A flow sampled on initial points z_j = j/n_z and boundary times l*dt.
 
@@ -144,20 +157,8 @@ class FlowGrid:
         return float(self._thetas(gamma.y0, gamma.t0, t))
 
     def _thetas(self, y0, t0, t):
-        """theta at every (gamma, t) given by its y0, t0 and t, refusing a
-        pair with t outside [t0, horizon] or y0 above 1 (a boundary point's
-        y0 is 0)."""
-        y0, t0, t = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                          for x in (y0, t0, t)))
-        # written so that a NaN t, which fails every comparison, is refused
-        bad = ~((t >= t0 - 1e-12) & (t <= self.horizon + 1e-9))
-        if np.any(bad):
-            i = np.flatnonzero(bad.ravel())[0]
-            raise DomainError(f"(y0={y0.flat[i]}, t0={t0.flat[i]}, "
-                              f"t={t.flat[i]}) not admissible")
-        if np.any(y0 > 1 + 1e-12):
-            raise DomainError(f"initial coordinate {np.max(y0)} > 1")
-        return self._eval_from(y0, t0, t)
+        """theta at every pair given by its y0, t0 and t, if admissible."""
+        return self._eval_from(*_admissible(y0, t0, t, self.horizon))
 
     # -- lenient vector evaluation (engines and kernels) -------------------
 
@@ -288,10 +289,8 @@ class PhiEvaluator:
         tn = flow.t_nodes
         K = spec.n_classes
 
-        edges = flow.z_nodes
-        self.mass = np.empty((K, n_c))
-        for k, cls in enumerate(spec.classes):
-            self.mass[k] = cls.weight * cls.density.cell_masses(edges)
+        self.mass = np.array([cls.weight * cls.density.cell_masses(flow.z_nodes)
+                              for cls in spec.classes])
 
         # midpoint initial curves; linear-in-z interpolation makes the
         # midpoint value the row average.  The fields broadcast the time
@@ -320,39 +319,39 @@ class PhiEvaluator:
         return (np.tensordot(hv, self.init_phi, axes=1),
                 np.tensordot(hv, self.bdry_phi, axes=1))
 
-    # -- point queries -------------------------------------------------------
+    # -- values at pairs ----------------------------------------------------
 
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
-        hv = _h_vector(h, self.spec)
-        t0 = gamma.t0
-        if t < t0 - 1e-12 or t > self.flow.horizon + 1e-9:
-            raise DomainError(f"(gamma={gamma}, t={t}) not admissible")
-        t = min(max(t, 0.0), self.flow.horizon)
-        if gamma.kind == "initial":
-            return self._phi_initial(hv, gamma.coord, t)
-        return self._phi_boundary(hv, t0, t)
+        return float(self._phis(_h_vector(h, self.spec)[None],
+                                [gamma.kind == "initial"], [gamma.y0],
+                                [gamma.t0], [t])[0, 0])
 
-    def _phi_initial(self, hv, y0, t):
-        # rows c and c+1 of the tail table bound the cell holding y0; each
-        # class weighs row c+1 by its share of the cell's mass below y0
-        edges = self.flow.z_nodes
-        c = max(int(np.searchsorted(edges, y0 + 1e-15, side="right")) - 1, 0)
-        if c >= self.flow.n_z:
-            return 0.0
-        share = np.array([cls.weight * cls.density.mass(edges[c], y0) / m if m else 0.0
-                          for cls, m in zip(self.spec.classes, self.mass[:, c])])
+    def _phis(self, hvs, initial, y0, t0, t) -> np.ndarray:
+        """phi(h, gamma, t) for every row h of ``hvs`` (values per class)
+        at every pair, given by whether gamma is initial, its y0, t0 and t:
+        shape (len(hvs), pairs), refused as ``_admissible`` refuses.  An
+        initial pair between rows c and c + 1 of ``init_phi`` weighs row
+        c + 1 by each class's share of the cell's mass below y0; a boundary
+        pair reads the h-weighted ``bdry_phi`` by ``_triangle_value``."""
+        fl, edges, tn = self.flow, self.flow.z_nodes, self.flow.t_nodes
+        y0, t0, t = _admissible(y0, t0, t, fl.horizon)
+        t = np.clip(t, 0.0, fl.horizon)
+        c = np.maximum(np.searchsorted(edges, y0 + 1e-15, side="right") - 1, 0)
+        inside, c = c < fl.n_z, np.minimum(c, fl.n_z - 1)
+        m = self.mass[:, c]
+        below = np.array([cls.weight * cls.density.mass(edges[c], y0)
+                          for cls in self.spec.classes])
+        share = np.divide(below, m, out=np.zeros(m.shape), where=m != 0)
         # the time cell from the nodes themselves, so that node t_j reads
         # column j exactly, though t_j / dt need not be j
-        tn = self.flow.t_nodes
-        j = min(int(np.searchsorted(tn, t, side="right")), self.flow.n_t) - 1
-        mu = 1.0 if t >= tn[-1] else (t - tn[j]) / self.flow.dt
-        rows = _bilinear(self.init_phi.transpose(1, 2, 0), c, share, j, mu)
-        return float(hv @ rows)
-
-    def _phi_boundary(self, hv, t0, t):
-        bdry_phi = self.bdry_phi
-        return float(_triangle_value(lambda l, j: float(hv @ bdry_phi[:, l, j]),
-                                     self.flow.dt, self.flow.n_t, t0, t))
+        j = np.minimum(np.searchsorted(tn, t, side="right"), fl.n_t) - 1
+        mu = np.where(t >= tn[-1], 1.0, (t - tn[j]) / fl.dt)[:, None]
+        rows = _bilinear(self.init_phi.transpose(1, 2, 0), c, share.T, j, mu)
+        out = np.where(inside, hvs @ rows.T, 0.0)
+        if np.all(initial):
+            return out
+        return np.where(initial, out, _triangle_value(
+            np.tensordot(hvs, self.bdry_phi, axes=1), fl.dt, fl.n_t, t0, t))
 
 
 def _project(init, bdry, work):

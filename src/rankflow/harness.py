@@ -212,8 +212,9 @@ def flow_driven_sweep(plan: ExperimentPlan, flow: FlowGrid | None = None,
     if flow is None:
         if sol is None:
             sol = solve_limit(plan)
-        flow = sol.flow
-    evaluator = PhiEvaluator(flow, plan.spec)
+        flow, evaluator = sol.flow, sol.evaluator
+    else:
+        evaluator = PhiEvaluator(flow, plan.spec)
     return _sweep(plan, evaluator, flow=flow, kind="flow_driven", meta={})
 
 

@@ -354,15 +354,13 @@ class Histogram:
         idx = np.clip(np.searchsorted(b, z, side="right") - 1, 0, len(v) - 1)
         return v[idx]
 
-    def mass(self, a: float, b: float) -> float:
-        """Exact integral of the density over [a, b]."""
-        if b <= a:
-            return 0.0
-        br = np.asarray(self.breaks)
-        va = np.asarray(self.values)
-        lo = np.maximum(br[:-1], a)
-        hi = np.minimum(br[1:], b)
-        return float(np.sum(va * np.clip(hi - lo, 0.0, None)))
+    def mass(self, a, b):
+        """Exact integral of the density over [a, b], 0 where b <= a; a
+        and b may be arrays."""
+        a, b = (np.asarray(x, dtype=float)[..., None] for x in (a, b))
+        cut = np.minimum(self.breaks[1:], b) - np.maximum(self.breaks[:-1], a)
+        out = np.sum(np.asarray(self.values) * np.clip(cut, 0.0, None), axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     def _cumulative_mass(self) -> np.ndarray:
         """Mass below each break; the CDF is linear in between."""

@@ -379,23 +379,23 @@ def _bilinear(table, r, a, j, mu):
     return lo * (1 - a) + hi * a
 
 
-def _triangle_value(at, h: float, m: int, s: float, t: float) -> float:
-    """Interpolate at (s, t), s <= t, the upper-triangular table whose
-    node (t_i, t_j) on a grid of m cells of step h is ``at(i, j)``, i <= j.
+def _triangle_value(table, h: float, m: int, s, t):
+    """Interpolate at every (s, t), s <= t, the upper-triangular ``table``
+    whose last two axes hold node (t_i, t_j), i <= j, of a grid of m cells
+    of step h; leading axes of the table lead the result.
 
     Bilinear, except in a cell on the diagonal (constant in the table read
     here, ``PhiEvaluator.bdry_phi``): linear in t - s from the diagonal
     node, with the slope to the next node along t.  An s above t by
-    rounding reads that cell.
+    rounding reads that cell.  No value reads an entry below the diagonal.
     """
     i, a = _grid_cells(s, h, m)
     j, b = _grid_cells(t, h, m)
-    if i >= j:
-        d = at(i, i)
-        return d - (d - at(i, i + 1)) / h * (t - s)
-    top = at(i, j) * (1 - b) + at(i, j + 1) * b
-    bot = at(i + 1, j) * (1 - b) + at(i + 1, j + 1) * b
-    return top * (1 - a) + bot * a
+    d = table[..., i, i]
+    diagonal = d - (d - table[..., i, i + 1]) / h * (t - s)
+    top = table[..., i, j] * (1 - b) + table[..., i, j + 1] * b
+    bot = table[..., i + 1, j] * (1 - b) + table[..., i + 1, j + 1] * b
+    return np.where(i >= j, diagonal, top * (1 - a) + bot * a)
 
 
 def _cumulative_trapezoid(vals: np.ndarray, h) -> np.ndarray:

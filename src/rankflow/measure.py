@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .flow import BoundaryPoint, _h_vector, boundary, initial
+from .flow import BoundaryPoint, _admissible, _h_vector, boundary, initial
 from .intensity import PopulationSpec
 from .latp import _stable_argsort
 from .srp import EventLog, RankIndex, _mtf_ranks, _reset_ranks
@@ -248,11 +248,8 @@ class LogEvaluator:
     # -- point queries -------------------------------------------------------
 
     def _point_counts(self, gamma: BoundaryPoint, t: float) -> LatticeCounts:
-        """``lattice_counts`` at the one pair (gamma, t), refusing a t below
-        t0, above the horizon or NaN."""
-        # written so that a NaN t, which fails every comparison, is refused
-        if not gamma.t0 - 1e-12 <= t <= self.log.horizon + 1e-9:
-            raise DomainError(f"(gamma={gamma}, t={t}) not admissible")
+        """``lattice_counts`` at the one pair (gamma, t), if admissible."""
+        _admissible(gamma.y0, gamma.t0, t, self.log.horizon)
         return self.lattice_counts(EvaluationLattice(gammas=(gamma,), times=(t,)))
 
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
@@ -367,17 +364,20 @@ class LogEvaluator:
 
 
 def limit_values(lattice: EvaluationLattice, sol=None, hs=(), flow=None):
-    """Limit-side values at the lattice pairs.
+    """Limit-side values at the lattice pairs, each kind from one read.
 
-    Returns (phi, theta): phi[r] holds sol.phi(hs[r], gamma, t) for a
-    LimitSolution or PhiEvaluator ``sol``, one point query per pair, and
-    theta holds flow.theta at every pair from one read, or is None without
-    a flow.
+    Returns (phi, theta): phi[r] holds phi(hs[r], gamma, t) at every pair
+    for a LimitSolution or PhiEvaluator ``sol``, and theta holds
+    flow.theta at every pair, or is None without a flow.
     """
     ix = lattice._index
-    phi = np.array([[sol.phi(h, g, t) for g, t in ix.pairs] for h in hs])
+    phi = np.empty((0, len(ix.pairs)))
+    if len(hs):
+        ev = getattr(sol, "evaluator", sol)
+        phi = ev._phis(np.array([_h_vector(h, ev.spec) for h in hs]),
+                       ix.initial, ix.y0, ix.t0, ix.t)
     theta = None if flow is None else flow._thetas(ix.y0, ix.t0, ix.t)
-    return phi.reshape(len(hs), len(ix.pairs)), theta
+    return phi, theta
 
 
 def sup_distance(log: EventLog, sol, h,

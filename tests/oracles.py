@@ -4,7 +4,8 @@ import numpy as np
 
 from rankflow import ConfigError, EnvelopeBreach, RankIndex
 from rankflow.flow import OdeFormReport, boundary, initial
-from rankflow.latp import (DerivativeReport, _cumulative_trapezoid,
+from rankflow.latp import (DerivativeReport, _bilinear, _cumulative_trapezoid,
+                           _grid_cells,
                            _hazard_rows, _line_max, _trapezoid_weights,
                            _upper_diffs)
 from rankflow.measure import _slot_threshold
@@ -272,6 +273,56 @@ def loop_boundary(flow, t0, t):
     hi = bv[l + 1, j] * (1 - mu) + bv[l + 1, j + 1] * mu
     out = lo * (1 - lam) + hi * lam
     return float(out) if np.ndim(out) == 0 else out
+
+
+def scalar_mass(density, a, b):
+    """``Histogram.mass`` over one interval [a, b]."""
+    if b <= a:
+        return 0.0
+    br = np.asarray(density.breaks)
+    va = np.asarray(density.values)
+    lo = np.maximum(br[:-1], a)
+    hi = np.minimum(br[1:], b)
+    return float(np.sum(va * np.clip(hi - lo, 0.0, None)))
+
+
+def scalar_triangle_value(at, h, m, s, t):
+    """``latp._triangle_value`` at one (s, t), reading node (i, j), i <= j,
+    as ``at(i, j)`` and no other node."""
+    i, a = _grid_cells(s, h, m)
+    j, b = _grid_cells(t, h, m)
+    if i >= j:
+        d = at(i, i)
+        return d - (d - at(i, i + 1)) / h * (t - s)
+    top = at(i, j) * (1 - b) + at(i, j + 1) * b
+    bot = at(i + 1, j) * (1 - b) + at(i + 1, j + 1) * b
+    return top * (1 - a) + bot * a
+
+
+def scalar_phi(ev, hv, gamma, t):
+    """``PhiEvaluator.phi`` at one admissible pair, for h given per class:
+    an initial gamma's per-class shares of its cell's mass in a Python
+    list, a boundary gamma's triangle read with one dot product per
+    node."""
+    fl = ev.flow
+    t = min(max(t, 0.0), fl.horizon)
+    if gamma.kind == "boundary":
+        return float(scalar_triangle_value(
+            lambda l, j: float(hv @ ev.bdry_phi[:, l, j]), fl.dt, fl.n_t,
+            gamma.t0, t))
+    y0 = gamma.coord
+    edges = fl.z_nodes
+    c = max(int(np.searchsorted(edges, y0 + 1e-15, side="right")) - 1, 0)
+    if c >= fl.n_z:
+        return 0.0
+    share = np.array([cls.weight * scalar_mass(cls.density, edges[c], y0) / m
+                      if m else 0.0
+                      for cls, m in zip(ev.spec.classes, ev.mass[:, c])])
+    tn = fl.t_nodes
+    j = min(int(np.searchsorted(tn, t, side="right")), fl.n_t) - 1
+    mu = 1.0 if t >= tn[-1] else (t - tn[j]) / fl.dt
+    rows = _bilinear(ev.init_phi.transpose(1, 2, 0), c, share, j, mu)
+    return float(hv @ rows)
 
 
 def stratified_quota_loop(spec, n):

@@ -217,8 +217,9 @@ def test_phi_theta_mixture_closed_form():
 
 
 def phi_initial_per_cell(ev, hv, y0, t):
-    """The per-cell sum of Histogram.mass calls, oracle for _phi_initial;
-    it computes each cell's pre-arrival survival along the midpoint curve."""
+    """The per-cell sum of Histogram.mass calls, oracle for the initial
+    pairs of PhiEvaluator._phis; it computes each cell's pre-arrival
+    survival along the midpoint curve."""
     fl = ev.flow
     j, mu = _grid_cells(t, fl.dt, fl.n_t)
     edges = fl.z_nodes
@@ -273,6 +274,17 @@ def test_phi_theta_inadmissible():
     ev = PhiEvaluator(FlowGrid.identity(1.0, 5, 20), constant_single_spec())
     with pytest.raises(DomainError):
         ev.phi(None, boundary(0.5), 0.25)
+
+
+@pytest.mark.parametrize("gamma, t", [
+    (initial(0.3), math.nan), (initial(0.3), 1.0 + 1e-6), (initial(1.5), 0.5),
+    (initial(1.0 + 1e-9), 0.5), (boundary(0.5), math.nan)])
+def test_phi_refuses_what_theta_refuses(gamma, t):
+    ev = PhiEvaluator(FlowGrid.identity(1.0, 5, 20), constant_single_spec())
+    with pytest.raises(DomainError, match="not admissible"):
+        ev.phi(None, gamma, t)
+    with pytest.raises(DomainError, match="not admissible"):
+        ev.flow.theta(gamma, t)
 
 
 def test_solve_zero_rates_converges_first_iteration(spec_zero):

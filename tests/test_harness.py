@@ -112,6 +112,25 @@ def test_tagged_compare_solves_each_limit_path_once(monkeypatch, sol_affine,
     assert len(calls) == 3 * 2
 
 
+def test_flow_driven_sweep_reads_the_solutions_evaluator(monkeypatch,
+                                                        sol_affine, spec_affine):
+    # the flow of ``sol`` has its evaluator already; a given flow needs one
+    builds = []
+    build = harness.PhiEvaluator
+
+    def counting(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(harness, "PhiEvaluator", counting)
+    plan = small_plan(spec_affine, n_values=(30, 60), seeds=2)
+    from_sol = flow_driven_sweep(plan, sol=sol_affine)
+    assert builds == []
+    from_flow = flow_driven_sweep(plan, flow=sol_affine.flow)
+    assert builds == [1]
+    assert [m.rows for m in from_sol.metrics] == [m.rows for m in from_flow.metrics]
+
+
 def test_flow_driven_sweep_identity_flow_has_curve_metric():
     spec = constant_mixture_spec()
     plan = small_plan(spec, n_values=(50, 200), seeds=4)

@@ -14,8 +14,8 @@ from rankflow.intensity import (ClassHazard, IntensityField,
 
 from conftest import (affine_two_class_spec, constant_mixture_spec,
                       uniform_single_class)
-from oracles import (class_hazard_loop, initial_tail, stratified_quota_loop,
-                     table_values)
+from oracles import (class_hazard_loop, initial_tail, scalar_mass,
+                     stratified_quota_loop, table_values)
 
 ALL_FIELDS = [
     ConstantField(2.0, 1.0),
@@ -191,6 +191,12 @@ def test_cell_masses_match_per_cell_mass(data):
     per_cell = [h.mass(a, b) for a, b in zip(edges[:-1], edges[1:])]
     assert np.max(np.abs(masses - per_cell)) <= 1e-15
     assert masses.sum() == pytest.approx(h.mass(edges[0], edges[-1]), abs=1e-14)
+    # one array call reads every interval as the scalar sum does, 0 where
+    # the interval is reversed
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    want = np.array([scalar_mass(h, a, b) for a, b in zip(lo, hi)])
+    assert h.mass(lo, hi).tobytes() == want.tobytes()
+    assert np.all(h.mass(hi, lo) == 0.0)
 
 
 def test_spec_rejects_nonuniform_mixture():

@@ -777,32 +777,34 @@ def test_table_checks_match_loops_on_random_tables(data):
 @given(m=st.integers(1, 6), k=st.integers(-3, 3), data=st.data())
 def test_triangle_value_nodes_diagonal_cell_and_bilinear(m, k, data):
     # an upper-triangular table with a constant diagonal, as the survival
-    # tables and bdry_phi have; a power-of-two step puts nodes exactly
+    # tables and bdry_phi have; a power-of-two step puts nodes exactly.
+    # NaN below the diagonal: a value read from a lower entry would be NaN
     h = 2.0 ** k
     table = data.draw(arrays(float, (m + 1, m + 1),
                              elements=st.floats(0.0, 1.0)))
     np.fill_diagonal(table, data.draw(st.floats(0.0, 1.0)))
     table[np.tril_indices(m + 1, -1)] = np.nan
 
-    def at(i, j):
-        assert 0 <= i <= j <= m
-        return table[i, j]
-
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            got = latp._triangle_value(at, h, m, i * h, j * h)
-            if (i, j) == (m - 1, m):
-                # the last cell's node along t, reached by the diagonal
-                # cell's line: exact up to rounding
-                assert got == pytest.approx(table[i, j], abs=1e-15)
-            else:
-                assert got == table[i, j]
+    i, j = np.triu_indices(m + 1)
+    got = latp._triangle_value(table, h, m, i * h, j * h)
+    # the last cell's node along t, reached by the diagonal cell's line:
+    # exact up to rounding
+    last = (i == m - 1) & (j == m)
+    assert np.array_equal(got[~last], table[i, j][~last])
+    assert got[last] == pytest.approx(table[m - 1, m], abs=1e-15)
+    # a stack of tables leads the result, one row per table
+    stacked = latp._triangle_value(np.stack([table, 0.5 * table]), h, m,
+                                   i * h, j * h)
+    assert stacked.shape == (2, len(i))
+    assert stacked[0].tobytes() == got.tobytes()
+    assert stacked[1].tobytes() == latp._triangle_value(
+        0.5 * table, h, m, i * h, j * h).tobytes()
     # the diagonal cell: linear in t - s from the diagonal node
     i = data.draw(st.integers(0, m - 1))
     a, b = sorted(data.draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
     d = table[i, i]
     want = d - (d - table[i, i + 1]) * (b - a)
-    got = latp._triangle_value(at, h, m, (i + a) * h, (i + b) * h)
+    got = latp._triangle_value(table, h, m, (i + a) * h, (i + b) * h)
     assert got == pytest.approx(want, abs=1e-12)
     # any other cell: bilinear in its four nodes
     if m >= 2:
@@ -813,7 +815,7 @@ def test_triangle_value_nodes_diagonal_cell_and_bilinear(m, k, data):
         c = table[i:i + 2, j:j + 2]
         want = ((1 - a) * ((1 - b) * c[0, 0] + b * c[0, 1])
                 + a * ((1 - b) * c[1, 0] + b * c[1, 1]))
-        got = latp._triangle_value(at, h, m, (i + a) * h, (j + b) * h)
+        got = latp._triangle_value(table, h, m, (i + a) * h, (j + b) * h)
         assert got == pytest.approx(want, abs=1e-12)
 
 

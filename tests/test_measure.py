@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 from rankflow import (ConfigError, DomainError, EvaluationLattice,
                       EventLog, LogEvaluator, RankIndex, TestFunction,
                       assign_population, boundary, initial, load_spec,
-                      simulate, simulate_flow_driven, sup_distance)
+                      simulate, simulate_flow_driven, solve_y_c,
+                      spec_from_config, sup_distance)
 from rankflow.measure import limit_values
 
-from conftest import (affine_two_class_spec, constant_single_spec,
+from conftest import (STEEP_SPECS, affine_two_class_spec,
+                      constant_mixture_spec, constant_single_spec,
                       zero_rate_spec)
 from oracles import (NaiveRankIndex, char_curve, first_jump_counts,
-                     floor_tail_count)
+                     floor_tail_count, scalar_phi)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def naive_positions(log, t):
@@ -91,6 +95,11 @@ def test_phi_refuses_times_outside_t0_to_horizon(affine_log, t):
     gamma = boundary(0.5) if t < 0.5 else initial(0.3)
     with pytest.raises(DomainError):
         ev.phi(TestFunction.ones(), gamma, t)
+
+
+def test_phi_refuses_an_initial_point_above_one(affine_log):
+    with pytest.raises(DomainError, match="not admissible"):
+        LogEvaluator(affine_log).phi(TestFunction.ones(), initial(1.5), 0.5)
 
 
 @pytest.mark.parametrize("times, k", [((math.nan, 1.0), 0), ((0.5, math.inf), 1),
@@ -347,13 +356,93 @@ def test_mu_matches_phi_at_char_curve(affine_log):
             assert ev.mu(h, y, t) == pytest.approx(ev.phi(h, g, t), abs=1e-14)
 
 
+# repeated times, a t 1e-13 below a t0, a t past the horizon by less than
+# its tolerance, and boundary(0), which reads bdry_phi
+IRREGULAR = EvaluationLattice(
+    gammas=(initial(0.0), initial(0.37), initial(1.0), boundary(0.0),
+            boundary(0.33), boundary(1.0)),
+    times=(0.0, 0.33 - 1e-13, 0.33, 0.5, 0.5, 1.0, 1.0 + 1e-10))
+
+
+def _of_kind(lattice, kind):
+    return EvaluationLattice(
+        gammas=tuple(g for g in lattice.gammas if g.kind == kind),
+        times=lattice.times)
+
+
+LATTICES = (EvaluationLattice.regular(1.0), IRREGULAR,
+            _of_kind(EvaluationLattice.regular(1.0), "initial"),
+            _of_kind(IRREGULAR, "boundary"))
+
+
+def _test_functions(spec):
+    return ([TestFunction.ones(), TestFunction.norm_capped(1.0)]
+            + [TestFunction.indicator(k) for k in range(spec.n_classes)])
+
+
+def _scalar_phis(sol, spec, hs, lattice):
+    return np.array([[scalar_phi(sol.evaluator, h.per_class(spec), g, t)
+                      for g, t in lattice.pairs()] for h in hs])
+
+
+SPECS = {p.stem: p for p in sorted((ROOT / "configs").glob("*.json"))}
+SPECS["affine_0_5_5_0"] = STEEP_SPECS["affine_0_5_5_0"]
+
+
+@pytest.mark.parametrize("grid", [(10, 50), (20, 200), (20, 400)], ids=str)
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_one_phi_read_equals_scalar_point_queries(name, grid):
+    # the shipped specs and the steep one, whose classes weigh a cell's
+    # rows apart the most
+    source = SPECS[name]
+    spec = (load_spec(source) if isinstance(source, Path)
+            else spec_from_config(source))
+    sol = solve_y_c(spec, n_z=grid[0], n_t=grid[1])
+    hs = _test_functions(spec)
+    for lattice in LATTICES:
+        phi, theta = limit_values(lattice, sol, hs)
+        assert theta is None
+        assert phi.tobytes() == _scalar_phis(sol, spec, hs, lattice).tobytes()
+    # a read of one h, and the point query, a one-pair read, reduce the
+    # classes by a matrix-vector product, which the BLAS sums in another
+    # order than the dot products of the scalar path: exact where every
+    # product is, for h = 1 and the indicators, and within np.spacing(1.0)
+    # of values <= 1 where h weighs the classes unevenly
+    for h, want in zip(hs, _scalar_phis(sol, spec, hs, IRREGULAR)):
+        one_h, _ = limit_values(IRREGULAR, sol, [h])
+        points = np.array([sol.phi(h, g, t) for g, t in IRREGULAR.pairs()])
+        for got in (one_h[0], points):
+            if h.kind == "norm_capped":
+                assert np.max(np.abs(got - want)) <= np.spacing(1.0)
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_classes", [16, 64])
+def test_one_phi_read_of_many_classes(n_classes):
+    # constant classes at the Exp(1) quantiles.  Each value sums K class
+    # terms: the matrix product of the lattice read and the dot product of
+    # the point query may add them in different orders (the BLAS picks its
+    # order by size), which moves the last bits of a sum of at most 1,
+    # hence an absolute gap of 2e-15 and not bytes
+    q = (np.arange(n_classes) + 0.5) / n_classes
+    spec = constant_mixture_spec(rates=tuple(-np.log1p(-q)),
+                                 weights=(1.0 / n_classes,) * n_classes)
+    sol = solve_y_c(spec, n_z=20, n_t=200)
+    hs = _test_functions(spec)
+    lattice = EvaluationLattice.regular(1.0)
+    phi, _ = limit_values(lattice, sol, hs)
+    assert np.max(np.abs(phi - _scalar_phis(sol, spec, hs, lattice))) <= 2e-15
+    # per-class values are the rows of the identity
+    ix = lattice._index
+    per_class = sol.evaluator._phis(np.eye(n_classes), ix.initial, ix.y0,
+                                    ix.t0, ix.t)
+    assert per_class.tobytes() == phi[2:].tobytes()
+
+
 def test_one_theta_read_equals_per_pair_theta(sol_affine):
     flow = sol_affine.flow
-    irregular = EvaluationLattice(
-        gammas=(initial(0.0), initial(0.37), initial(1.0), boundary(0.0),
-                boundary(0.33), boundary(1.0)),
-        times=(0.0, 0.33 - 1e-13, 0.33, 0.5, 0.5, 1.0, 1.0 + 1e-10))
-    for lattice in (EvaluationLattice.regular(1.0), irregular):
+    for lattice in (EvaluationLattice.regular(1.0), IRREGULAR):
         _, theta = limit_values(lattice, flow=flow)
         want = np.array([flow.theta(g, t) for g, t in lattice.pairs()])
         assert theta.tobytes() == want.tobytes()
@@ -367,6 +456,9 @@ def test_one_theta_read_refuses_an_inadmissible_pair(sol_affine, gammas, times):
     lattice = EvaluationLattice(gammas=gammas, times=times)
     with pytest.raises(DomainError):
         limit_values(lattice, flow=sol_affine.flow)
+    for sol in (sol_affine, sol_affine.evaluator):
+        with pytest.raises(DomainError, match="not admissible"):
+            limit_values(lattice, sol, [TestFunction.ones()])
     with pytest.raises(DomainError):
         sol_affine.flow._thetas([0.5, 0.5], [0.0, 0.2], [0.5, math.nan])
 
