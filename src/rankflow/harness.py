@@ -27,6 +27,14 @@ from .measure import (EvaluationLattice, LogEvaluator, TestFunction,
                       limit_values)
 
 
+def _require_int(name: str, value, least: int) -> None:
+    """An integer (a bool is none) of at least ``least``, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name}: must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     n_z: int = 20
@@ -45,13 +53,13 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
+        for i, n in enumerate(self.n_values):
+            _require_int(f"n_values[{i}]", n, 1)
         ns = tuple(int(n) for n in self.n_values)
         if len(ns) < 1 or any(b <= a for a, b in zip(ns[:-1], ns[1:])):
             raise ConfigError(f"n_values must be strictly increasing, got {ns}")
-        if self.seeds < 2:
-            raise ConfigError("at least 2 seeds per N are required")
-        if self.workers < 1:
-            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
+        _require_int("seeds", self.seeds, 2)
+        _require_int("workers", self.workers, 1)
         object.__setattr__(self, "n_values", ns)
 
     @cached_property
@@ -407,14 +415,9 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
     survival frequencies from sampled paths (4 standard errors); the
     derivative bounds are checked at O(h) tolerance.
     """
-    for name, value in (("replicas", replicas), ("lattice_size", lattice_size)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name}: must be an integer, got {value!r}")
-    if replicas < 1:
-        raise ConfigError("replicas: must be >= 1")
+    _require_int("replicas", replicas, 1)
     # a lattice of one node has no pair with s < t to check
-    if lattice_size < 2:
-        raise ConfigError(f"lattice_size: must be >= 2, got {lattice_size}")
+    _require_int("lattice_size", lattice_size, 2)
     # NaN fails the comparisons
     if isinstance(horizon, bool) or not 0 < horizon < math.inf:
         raise ConfigError(f"horizon: must be positive and finite, got {horizon}")

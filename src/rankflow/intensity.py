@@ -576,16 +576,20 @@ def assign_population(spec: PopulationSpec, n: int, mode: str = "stratified",
     per-class tail counts then track their targets within one particle
     uniformly, so the initial discrepancy is O(1/N).  The sweep runs on
     Python floats, whose + and - are the same IEEE double operations an
-    array does, in the same order, and ``deficit.index(max(deficit))``
-    picks the first maximum as ``np.argmax`` does, so the classes match a
-    numpy loop byte for byte.
+    array does, in the same order, and a tie goes to the first maximum, the
+    lowest class, as ``np.argmax`` picks it, so the classes match a numpy
+    loop byte for byte.  Two classes, the common case, keep two running
+    deficits d0 and d1: each slot adds its quotas, then takes class 1 and
+    subtracts 1 from d1 if d1 > d0, else takes class 0 and subtracts 1 from
+    d0.  More classes keep a list and pick ``deficit.index(max(deficit))``.
+    One class takes every slot without a sweep.
 
     seeded-random: class counts are fixed to largest-remainder quotas, class
     positions are drawn i.i.d. from the class densities, and slots are
     assigned by rank of the draws.
     """
-    if n < 1:
-        raise ConfigError(f"N must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ConfigError(f"n: must be an integer >= 1, got {n!r}")
     K = spec.n_classes
     if mode == "stratified":
         edges = np.arange(n + 1) / n
@@ -600,18 +604,31 @@ def assign_population(spec: PopulationSpec, n: int, mode: str = "stratified",
             quota[k] = cls.weight * cls.density.cell_masses(edges) * n
         class_of = np.empty(n, dtype=np.int64)
         deficit = [0.0] * K
+        d0 = d1 = 0.0
         # sweep from the top slot down: tail counts are what the
         # distribution-function discrepancy measures.  Quotas become Python
         # floats one block of slots at a time, which keeps the peak memory
         # of the conversion fixed.
         for hi in range(n, 0, -_SWEEP_BLOCK):
             lo = max(hi - _SWEEP_BLOCK, 0)
+            rows = [row[::-1].tolist() for row in quota[:, lo:hi]]
             picks = []
-            for q in zip(*(row[::-1].tolist() for row in quota[:, lo:hi])):
-                deficit = list(map(operator.add, deficit, q))
-                k_star = deficit.index(max(deficit))
-                deficit[k_star] -= 1.0
-                picks.append(k_star)
+            if K == 2:
+                for q0, q1 in zip(*rows):
+                    d0 += q0
+                    d1 += q1
+                    if d1 > d0:
+                        d1 -= 1.0
+                        picks.append(1)
+                    else:
+                        d0 -= 1.0
+                        picks.append(0)
+            else:
+                for q in zip(*rows):
+                    deficit = list(map(operator.add, deficit, q))
+                    k_star = deficit.index(max(deficit))
+                    deficit[k_star] -= 1.0
+                    picks.append(k_star)
             class_of[lo:hi] = picks[::-1]
         return PopulationAssignment(spec=spec, class_index=class_of,
                                     position=position)

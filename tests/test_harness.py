@@ -28,6 +28,38 @@ def test_plan_validation():
         ExperimentPlan(spec=spec, n_values=(100,), seeds=1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_values", (2.7, 4), "n_values[0]: must be an integer, got 2.7"),
+    ("n_values", (True, 4), "n_values[0]: must be an integer, got True"),
+    ("n_values", (2, math.nan), "n_values[1]: must be an integer, got nan"),
+    ("n_values", (2, math.inf), "n_values[1]: must be an integer, got inf"),
+    ("n_values", ("8",), "n_values[0]: must be an integer, got '8'"),
+    ("n_values", (0, 4), "n_values[0]: must be >= 1, got 0"),
+    ("n_values", (-5,), "n_values[0]: must be >= 1, got -5"),
+    ("seeds", True, "seeds: must be an integer, got True"),
+    ("seeds", 4.0, "seeds: must be an integer, got 4.0"),
+    ("seeds", 1, "seeds: must be >= 2, got 1"),
+    ("workers", False, "workers: must be an integer, got False"),
+    ("workers", 1.5, "workers: must be an integer, got 1.5"),
+    ("workers", 0, "workers: must be >= 1, got 0"),
+])
+def test_plan_refuses_a_bad_field(field, value, message):
+    # (2.7, 4) once ran as (2, 4), (True, 4) as (1, 4), and an N of 0
+    # passed until the sweep assigned particles
+    kwargs = {"n_values": (10, 20), "seeds": 2, "workers": 1} | {field: value}
+    with pytest.raises(ConfigError) as exc:
+        ExperimentPlan(spec=constant_single_spec(), **kwargs)
+    assert str(exc.value) == message
+
+
+def test_plan_takes_numpy_integers():
+    plan = ExperimentPlan(spec=constant_single_spec(),
+                          n_values=np.array([10, 20]), seeds=np.int64(3),
+                          workers=np.int32(1))
+    assert plan.n_values == (10, 20)
+    assert all(type(n) is int for n in plan.n_values)
+
+
 def test_plan_lattice_is_the_regular_one():
     spec = constant_single_spec(horizon=2.0)
     plan = ExperimentPlan(spec=spec, n_values=(100,), seeds=2)

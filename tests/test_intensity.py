@@ -333,6 +333,63 @@ def test_stratified_sweep_matches_quota_loop_on_ties(k):
             stratified_quota_loop(spec, n).tobytes()
 
 
+@st.composite
+def two_class_cells(draw):
+    """Cells of [0, 1] with class 0's share of each: 1/2 ties the quotas,
+    0 and 1 give one class a density, and so a quota, of exactly 0.0."""
+    m = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    shares = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0])
+                           | st.floats(0.01, 0.99), min_size=m, max_size=m))
+    return widths, shares
+
+
+def two_class_spec(widths, shares):
+    widths = np.asarray(widths)
+    breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    breaks[-1] = 1.0
+    share = np.array(shares)
+    classes = []
+    for row in (share, 1.0 - share):
+        w = float(row @ np.diff(breaks))
+        assume(w > 0)
+        classes.append(PopulationClass(w, ConstantField(1.0, 1.0),
+                                       Histogram(tuple(breaks), tuple(row / w))))
+    return PopulationSpec(classes=tuple(classes), horizon=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=two_class_cells(), n=st.integers(1, 20_000))
+@example(cells=([1.0], [0.5]), n=20_000)
+@example(cells=([1.0, 1.0], [0.5, 0.5]), n=19_999)
+@example(cells=([0.3, 0.7], [1.0, 0.0]), n=20_000)
+@example(cells=([0.2, 0.5, 0.3], [0.0, 0.5, 1.0]), n=12_345)
+def test_two_class_sweep_matches_quota_loop(cells, n):
+    # the two-float sweep against one numpy argmax per slot, on ties and
+    # on quotas of exactly 0.0
+    spec = two_class_spec(*cells)
+    a = assign_population(spec, n, mode="stratified")
+    assert a.class_index.tobytes() == stratified_quota_loop(spec, n).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, -3, True, False, 2.5, 4.0, math.nan,
+                               math.inf, "5", None])
+@pytest.mark.parametrize("mode", ["stratified", "seeded-random"])
+def test_assign_population_refuses_a_bad_n(n, mode):
+    spec = affine_two_class_spec()
+    with pytest.raises(ConfigError, match="^n: must be an integer >= 1"):
+        assign_population(spec, n, mode=mode, seed=1)
+
+
+def test_assign_population_takes_a_numpy_integer_n():
+    spec = affine_two_class_spec()
+    for mode in ("stratified", "seeded-random"):
+        a = assign_population(spec, np.int64(37), mode=mode, seed=1)
+        b = assign_population(spec, 37, mode=mode, seed=1)
+        assert a.class_index.tobytes() == b.class_index.tobytes()
+        assert a.position.tobytes() == b.position.tobytes()
+
+
 @pytest.mark.parametrize("mode,seed", [("stratified", None), ("seeded-random", 5)])
 def test_positions_are_exact_permutation(mode, seed):
     spec = affine_two_class_spec()
