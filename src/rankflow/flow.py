@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from .intensity import ClassHazard, PopulationSpec
+from .intensity import ClassHazard, PopulationSpec, _number, _require_int
 from .latp import (MAX_TABLE_ENTRIES, LatpIntensity, _bilinear,
                    _cumulative_trapezoid, _grid_cells,
                    _require_fine_step, _trapezoid_volterra, _triangle_value,
@@ -69,11 +69,11 @@ def boundary(t0: float) -> BoundaryPoint:
 
 
 def _require_grid(n_z: int, n_t: int) -> None:
+    _require_int("n_t", n_t, 1)
+    _require_int("n_z", n_z, 1)
     # the boundary tables are (n_t+1)^2, the initial ones (n_z+1)(n_t+1)
     for name, value, size in (("n_t", n_t, (n_t + 1) ** 2),
                               ("n_z", n_z, (n_z + 1) * (n_t + 1))):
-        if value < 1:
-            raise ConfigError(f"{name}: must be >= 1, got {value}")
         if size > MAX_TABLE_ENTRIES:
             raise ConfigError(f"{name}: {value} makes a table of {size} "
                               f"entries, above the {MAX_TABLE_ENTRIES} allowed")
@@ -260,6 +260,30 @@ def _h_vector(h, spec: PopulationSpec) -> np.ndarray:
     return arr
 
 
+# bytes of one row strip of the boundary field read, so that its
+# temporaries stay in cache and none of them is a whole fresh table
+_FIELD_STRIP_BYTES = 1 << 18
+
+
+def _field_rows(field, y, t, out):
+    """``field._values(y, t)`` of a table ``y`` whose rows share the times
+    ``t``, read one row strip at a time into ``out``, which it returns: an
+    elementwise read, so with the bits of one whole-table call."""
+    step = max(1, _FIELD_STRIP_BYTES // (8 * y.shape[1]))
+    for r0 in range(0, len(y), step):
+        out[r0:r0 + step] = field._values(y[r0:r0 + step], t)
+    return out
+
+
+def _evaluator_tables(n_classes: int, n_tp: int):
+    """The (n_t+1)^2 tables a ``PhiEvaluator`` build writes: the class
+    field read along the boundary curves, which the Volterra solve
+    overwrites with its kernel, the solve's exposure table, and
+    ``bdry_phi``, one table per class."""
+    return (np.empty((n_tp, n_tp)), np.empty((n_tp, n_tp)),
+            np.empty((n_classes, n_tp, n_tp)))
+
+
 class PhiEvaluator:
     """Limit distribution functions for one flow and one population spec.
 
@@ -278,9 +302,13 @@ class PhiEvaluator:
     Both tables hold the class weight: ``init_phi[k, r, j]`` is
     phi(1_k, (z_r, 0), t_j), and ``bdry_phi[k, l, j]`` is
     phi(1_k, (0, t_l), t_j) for j >= l and 0 for j < l.
+
+    The build writes its (n_t+1)^2 tables in ``_tables``, those of
+    ``_evaluator_tables``, which the solver holds for a whole solve; a
+    build on its own allocates them.
     """
 
-    def __init__(self, flow: FlowGrid, spec: PopulationSpec):
+    def __init__(self, flow: FlowGrid, spec: PopulationSpec, _tables=None):
         if not abs(flow.horizon - spec.horizon) <= 1e-9:  # NaN disagrees
             raise ConfigError("flow and spec horizons disagree")
         self.flow = flow
@@ -297,27 +325,39 @@ class PhiEvaluator:
         # nodes across the rows themselves.
         theta_mid = 0.5 * (flow.init_values[:-1] + flow.init_values[1:])
 
+        field_rows, exposure, bdry_phi = (
+            _evaluator_tables(K, n_tp) if _tables is None else _tables)
         self.init_phi = np.zeros((K, n_c + 1, n_tp))
-        self.bdry_phi = np.empty((K, n_tp, n_tp))
         for k, cls in enumerate(spec.classes):
             w_mid = cls.field._values(theta_mid, tn)
             s0 = np.exp(-_cumulative_trapezoid(w_mid, flow.dt))
             weighted = self.mass[k][:, None] * s0
             self.init_phi[k, :-1] = np.cumsum(weighted[::-1], axis=0)[::-1]
-            w_b = cls.field._values(flow.bdry_values, tn)
+            w_b = _field_rows(cls.field, flow.bdry_values, tn, field_rows)
             _trapezoid_volterra(
                 w_b, self.mass[k] @ (w_mid * s0), self.mass[k] @ s0, flow.dt,
-                total=float(np.sum(self.mass[k])), out=self.bdry_phi[k])
+                total=float(np.sum(self.mass[k])), out=bdry_phi[k],
+                work=(exposure, w_b))
         self.init_phi.flags.writeable = False
+        # a read-only view: the solver writes the next build in the tables
+        self.bdry_phi = bdry_phi.view()
         self.bdry_phi.flags.writeable = False
 
     # -- grids for the solver ----------------------------------------------
 
-    def phi_grid(self):
-        """(init_phi, bdry_phi) of h = 1: the class grids summed."""
-        hv = np.ones(self.spec.n_classes)
-        return (np.tensordot(hv, self.init_phi, axes=1),
-                np.tensordot(hv, self.bdry_phi, axes=1))
+    def phi_grid(self, out=None):
+        """(init_phi, bdry_phi) of h = 1: the class grids summed, written
+        into the pair of tables ``out`` when given.  Per table, the product
+        ``np.tensordot`` makes of a row of ones and the class tables, each
+        flattened to a row."""
+        if out is None:
+            out = (np.empty(self.init_phi.shape[1:]),
+                   np.empty(self.bdry_phi.shape[1:]))
+        ones = np.ones((1, self.spec.n_classes))
+        for table, grid in zip((self.init_phi, self.bdry_phi), out):
+            np.dot(ones, table.reshape(len(table), -1),
+                   out=grid.reshape(1, -1))
+        return out
 
     # -- values at pairs ----------------------------------------------------
 
@@ -332,7 +372,8 @@ class PhiEvaluator:
         shape (len(hvs), pairs), refused as ``_admissible`` refuses.  An
         initial pair between rows c and c + 1 of ``init_phi`` weighs row
         c + 1 by each class's share of the cell's mass below y0; a boundary
-        pair reads the h-weighted ``bdry_phi`` by ``_triangle_value``."""
+        pair reads the six ``bdry_phi`` nodes of its cell per class and
+        weighs them by h in ``_triangle_value``."""
         fl, edges, tn = self.flow, self.flow.z_nodes, self.flow.t_nodes
         y0, t0, t = _admissible(y0, t0, t, fl.horizon)
         t = np.clip(t, 0.0, fl.horizon)
@@ -351,7 +392,23 @@ class PhiEvaluator:
         if np.all(initial):
             return out
         return np.where(initial, out, _triangle_value(
-            np.tensordot(hvs, self.bdry_phi, axes=1), fl.dt, fl.n_t, t0, t))
+            self.bdry_phi, fl.dt, fl.n_t, t0, t, weights=hvs))
+
+
+def _accumulate_lines(ufunc, step, table, axis):
+    """``ufunc.accumulate(table, axis=axis, out=table)``, run on only the
+    lines along ``axis`` that it could change.  A line in which each entry
+    ``step``s from the one before (np.greater for a running maximum,
+    np.less for a running minimum) or repeats its bits is its own running
+    extremum, whichever operand the ufunc returns on a tie."""
+    later = table[:, 1:] if axis else table[1:]
+    earlier = table[:, :-1] if axis else table[:-1]
+    kept = step(later, earlier)
+    kept |= later.view(np.int64) == earlier.view(np.int64)
+    moved = np.flatnonzero(~np.all(kept, axis=axis))
+    if len(moved):
+        at = (moved,) if axis else (slice(None), moved)
+        table[at] = ufunc.accumulate(table[at], axis=axis)
 
 
 def _project(init, bdry, work):
@@ -371,12 +428,12 @@ def _project(init, bdry, work):
     # (n_t+1)^2 array costs the solver its page faults
     bdry[np.tri(n_tp, dtype=bool)] = 0.0
     np.maximum.accumulate(init, axis=1, out=init)
-    np.maximum.accumulate(bdry, axis=1, out=bdry)
+    _accumulate_lines(np.maximum, np.greater, bdry, axis=1)
     np.maximum.accumulate(init, axis=0, out=init)
     # the corner (0, 0) is one point, tagged initial or boundary
     bdry[0] = init[0]
     np.minimum(bdry, init[0], out=bdry)
-    np.minimum.accumulate(bdry, axis=0, out=bdry)
+    _accumulate_lines(np.minimum, np.less, bdry, axis=0)
     # the padding stays +0.0 where init[0] holds a -0.0
     bdry[padding] = 0.0
     np.subtract(bdry, work, out=work)
@@ -466,20 +523,39 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
     _require_fine_step(spec.horizon / n_t,
                        max(c.field.sup_norm for c in spec.classes), ConfigError,
                        "n_t")
-    if max_iter < 1:
-        raise ConfigError(f"max_iter: must be >= 1, got {max_iter}")
-    if not 0 < tol < np.inf:
+    _require_int("max_iter", max_iter, 1)
+    if not 0 < _number(tol, "tol"):
         raise ConfigError(f"tol: must be positive and finite, got {tol}")
+    # the iteration's work tables are freed before the check
+    flow, ev, history = _picard(spec, n_z, n_t, tol, max_iter)
+    flow._check()
+    return LimitSolution(spec=spec, flow=flow, evaluator=ev,
+                         residual=history[-1], residual_history=history,
+                         iterations=len(history))
+
+
+def _picard(spec: PopulationSpec, n_z: int, n_t: int, tol: float,
+            max_iter: int):
+    """``solve_y_c``'s iteration: the fixed-point flow, its evaluator and
+    the residual history."""
+    # every (n_t+1)^2 table of the iteration is allocated once, because
+    # each fresh table costs the solver its page faults: the updates come
+    # in two pairs of flow tables, each written over the iterate before
+    # last, and the evaluator builds write in ``tables``
     flow = FlowGrid.identity(spec.horizon, n_z, n_t)
-    # the passes over (n_t+1)^2 tables run in place in the fresh update
-    # and in one work array, which the solve frees when it returns
-    upper = ~np.tri(n_t + 1, k=-1, dtype=bool)
-    work = np.empty((n_t + 1, n_t + 1))
+    n_tp = n_t + 1
+    pairs = []
+    tables = _evaluator_tables(spec.n_classes, n_tp)
+    work = np.empty((n_tp, n_tp))
+    upper = ~np.tri(n_tp, k=-1, dtype=bool)
     alpha = 1.0
     history = []
     for it in range(1, max_iter + 1):
-        ev = PhiEvaluator(flow, spec)
-        upd_init, upd_bdry = ev.phi_grid()
+        ev = PhiEvaluator(flow, spec, _tables=tables)
+        if len(pairs) < 2:
+            # the second pair is made once the identity flow is freed
+            pairs.append((np.empty((n_z + 1, n_tp)), np.empty((n_tp, n_tp))))
+        upd_init, upd_bdry = ev.phi_grid(out=pairs[(it - 1) % 2])
         np.subtract(1.0, upd_init, out=upd_init)
         np.subtract(1.0, upd_bdry, out=upd_bdry)
         res = _residual(flow, upd_init, upd_bdry, upper, work)
@@ -489,10 +565,7 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
             raise ConvergenceError(
                 f"non-finite residual {res} at iteration {it}", history)
         if res < tol:
-            flow._check()
-            return LimitSolution(spec=spec, flow=flow, evaluator=ev,
-                                 residual=res, residual_history=history,
-                                 iterations=it)
+            return flow, ev, history
         if len(history) > 1 and res > history[-2] and alpha > 0.5:
             alpha = 0.5
             log.info("residual increased (%.3e -> %.3e); damping to %.2f",
@@ -505,7 +578,8 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
         moved = _project(upd_init, upd_bdry, work)
         if moved > 1e-10:
             log.info("isotonic projection active: moved %.3e", moved)
-        flow = FlowGrid(spec.horizon, upd_init, upd_bdry, check=False)
+        flow = FlowGrid(spec.horizon, upd_init.view(), upd_bdry.view(),
+                        check=False)
     raise ConvergenceError(
         f"no fixed point after {max_iter} iterations "
         f"(last residual {history[-1]:.3e})", history)

@@ -22,17 +22,10 @@ import numpy as np
 from .errors import ConfigError
 from . import latp, srp, streams
 from .flow import FlowGrid, LimitSolution, PhiEvaluator, solve_y_c, tagged_limit_path
-from .intensity import PopulationSpec, assign_population, pin_particles
+from .intensity import (PopulationSpec, _require_int, assign_population,
+                        pin_particles)
 from .measure import (EvaluationLattice, LogEvaluator, TestFunction,
                       limit_values)
-
-
-def _require_int(name: str, value, least: int) -> None:
-    """An integer (a bool is none) of at least ``least``, else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name}: must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{name}: must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

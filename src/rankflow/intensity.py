@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .latp import _bilinear, _grid_cells
+from .latp import _grid_cells
 from . import streams
 
 _DOMAIN_TOL = 1e-12
@@ -42,12 +42,30 @@ def _number(x, name: str) -> float:
     return float(x)
 
 
+def _require_int(name: str, value, least: int) -> None:
+    """An integer (a bool is none) of at least ``least``, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name}: must be >= {least}, got {value}")
+
+
 def _numbers(values, name: str) -> np.ndarray:
     """``values`` as a float array, each entry checked by ``_number``."""
     items = np.asarray(values, dtype=object)
     for x in items.flat:
         _number(x, name)
     return items.astype(float)
+
+
+def _flat_bilinear(flat, at, width, a, mu):
+    """``latp._bilinear`` of a table stored row after row in ``flat``, each
+    row ``width`` long: ``at`` is the flat index of node (r, j), and is
+    overwritten.  The same products and sums, on nodes read by ``take``."""
+    lo = flat.take(at) * (1 - mu) + flat.take(at + 1) * mu
+    at += width
+    hi = flat.take(at) * (1 - mu) + flat.take(at + 1) * mu
+    return lo * (1 - a) + hi * a
 
 
 def _check_domain(y, t, horizon):
@@ -204,6 +222,8 @@ class TableField(IntensityField):
             raise ConfigError("values: table values must be >= 0")
         self.values = vals.copy()
         self.values.flags.writeable = False
+        # the rows of the transposed table are the time nodes
+        self._flat = vals.T.ravel()
         ny, nt = vals.shape
         self._dy = 1.0 / (ny - 1)
         self._dt = horizon / (nt - 1)
@@ -212,12 +232,12 @@ class TableField(IntensityField):
                          float(np.abs(np.diff(vals, axis=0)).max()) / self._dy)
 
     def _values(self, y, t):
-        # _bilinear interpolates along a row first; the rows of the
-        # transposed table are the time nodes, so y goes first, then t
+        # interpolated along a row of the transposed table first: in y,
+        # then in t
         ny, nt = self.values.shape
-        return np.asarray(_bilinear(self.values.T,
-                                    *_grid_cells(t, self._dt, nt - 1),
-                                    *_grid_cells(y, self._dy, ny - 1)))
+        r, a = _grid_cells(t, self._dt, nt - 1)
+        j, mu = _grid_cells(y, self._dy, ny - 1)
+        return np.asarray(_flat_bilinear(self._flat, r * ny + j, ny, a, mu))
 
     def params(self):
         return {"values": self.values.tolist()}
@@ -277,7 +297,7 @@ class ClassHazard:
                 off[k], at = at, at + fld.values.size
                 ny[k], nt[k] = fld.values.shape
                 dy[k], dt[k] = fld._dy, fld._dt
-                blocks.append(fld.values.T.ravel())
+                blocks.append(fld._flat)
             self._table = (np.concatenate(blocks), off, ny, nt, dy, dt)
 
     def __call__(self, cls, y, t):
@@ -295,11 +315,8 @@ class ClassHazard:
             width = ny[cls]
             r, a = _grid_cells(t, dt[cls], nt[cls] - 1)
             j, mu = _grid_cells(y, dy[cls], width - 1)
-            at = off[cls] + r * width + j
-            lo = flat[at] * (1 - mu) + flat[at + 1] * mu
-            at += width
-            hi = flat[at] * (1 - mu) + flat[at + 1] * mu
-            part = lo * (1 - a) + hi * a
+            part = _flat_bilinear(flat, off[cls] + r * width + j, width, a,
+                                  mu)
             out = part if out is None else out + part
         return out
 

@@ -379,10 +379,13 @@ def _bilinear(table, r, a, j, mu):
     return lo * (1 - a) + hi * a
 
 
-def _triangle_value(table, h: float, m: int, s, t):
+def _triangle_value(table, h: float, m: int, s, t, weights=None):
     """Interpolate at every (s, t), s <= t, the upper-triangular ``table``
     whose last two axes hold node (t_i, t_j), i <= j, of a grid of m cells
-    of step h; leading axes of the table lead the result.
+    of step h; leading axes of the table lead the result.  With
+    ``weights``, the table's one leading axis is summed against the last
+    axis of ``weights`` at the six nodes a pair reads, before they are
+    combined.
 
     Bilinear, except in a cell on the diagonal (constant in the table read
     here, ``PhiEvaluator.bdry_phi``): linear in t - s from the diagonal
@@ -391,18 +394,25 @@ def _triangle_value(table, h: float, m: int, s, t):
     """
     i, a = _grid_cells(s, h, m)
     j, b = _grid_cells(t, h, m)
-    d = table[..., i, i]
-    diagonal = d - (d - table[..., i, i + 1]) / h * (t - s)
-    top = table[..., i, j] * (1 - b) + table[..., i, j + 1] * b
-    bot = table[..., i + 1, j] * (1 - b) + table[..., i + 1, j + 1] * b
+    nodes = table[..., np.stack([i, i, i, i, i + 1, i + 1], axis=-1),
+                  np.stack([i, i + 1, j, j + 1, j, j + 1], axis=-1)]
+    if weights is not None:
+        # the product np.tensordot(weights, nodes, axes=1) makes
+        nodes = np.dot(weights, nodes.reshape(len(nodes), -1)).reshape(
+            weights.shape[:-1] + nodes.shape[1:])
+    d, d1, tl, tr, bl, br = (nodes[..., k] for k in range(6))
+    diagonal = d - (d - d1) / h * (t - s)
+    top = tl * (1 - b) + tr * b
+    bot = bl * (1 - b) + br * b
     return np.where(i >= j, diagonal, top * (1 - a) + bot * a)
 
 
-def _cumulative_trapezoid(vals: np.ndarray, h) -> np.ndarray:
+def _cumulative_trapezoid(vals: np.ndarray, h, out=None) -> np.ndarray:
     """Trapezoid integrals of ``vals`` along the last axis from its first
     node to each node, (0.5 h) (v_j + v_{j+1}) summed in order; ``h`` is
-    the step, a scalar or one per interval."""
-    out = np.empty(vals.shape)
+    the step, a scalar or one per interval.  Written into ``out`` when
+    given."""
+    out = np.empty(vals.shape) if out is None else out
     out[..., :1] = 0.0
     part = out[..., 1:]
     np.add(vals[..., 1:], vals[..., :-1], out=part)
@@ -411,14 +421,14 @@ def _cumulative_trapezoid(vals: np.ndarray, h) -> np.ndarray:
     return out
 
 
-def _exposure_rows(row_vals: np.ndarray, h) -> np.ndarray:
+def _exposure_rows(row_vals: np.ndarray, h, out=None) -> np.ndarray:
     """Cumulative trapezoid of each row from its own diagonal node.
 
-    ``row_vals[v, j]`` is the hazard omega(t_v, t_j); the result is
-    Omega[v, j] = integral over [t_v, t_j].  Entries left of the diagonal
-    are meaningless.
+    ``row_vals[v, j]`` is the hazard omega(t_v, t_j); the result, written
+    into ``out`` when given, is Omega[v, j] = integral over [t_v, t_j].
+    Entries left of the diagonal are meaningless.
     """
-    omega = _cumulative_trapezoid(row_vals, h)
+    omega = _cumulative_trapezoid(row_vals, h, out=out)
     omega -= omega.diagonal().copy()[:, None]
     return omega
 
@@ -443,7 +453,7 @@ def _require_fine_step(h: float, sup_norm: float, error, name: str) -> None:
         raise error(f"{name}: too coarse, step*sup_norm = {h * sup_norm:.3g} >= 1")
 
 
-def _trapezoid_volterra(w, b, pre, h, total=1.0, out=None):
+def _trapezoid_volterra(w, b, pre, h, total=1.0, out=None, work=None):
     """Trapezoid solve of the renewal equation and its no-arrival table.
 
     ``w[v, j]`` is the hazard omega(t_v, t_j) after an arrival at t_v (row 0
@@ -456,18 +466,20 @@ def _trapezoid_volterra(w, b, pre, h, total=1.0, out=None):
     diagonal, equals ``total`` (the forcing mass) on it and is 0 below it;
     it is written into ``out`` when given.
 
-    Every (m+1)^2 pass runs in place in two work arrays allocated per
-    call, because a fresh table per pass costs more in page faults than in
-    arithmetic; an elementwise ufunc gives the same bits wherever it
-    writes.
+    Every (m+1)^2 pass runs in place in two work arrays, the exposure and
+    kernel tables of ``work`` (allocated per call if not given; the kernel
+    table may be ``w``, which is then overwritten), because a fresh table
+    per pass costs more in page faults than in arithmetic; an elementwise
+    ufunc gives the same bits wherever it writes.
     """
     m = len(b) - 1
+    ea, kern = (None, None) if work is None else work
     below = np.tri(m + 1, k=-1, dtype=bool)
-    ea = _exposure_rows(w, h)
+    ea = _exposure_rows(w, h, out=ea)
     # e^{-Omega} on and above the diagonal, 1 below it
     ea[below] = 0.0
     eker = np.exp(np.negative(ea, out=ea), out=ea)
-    kern = w * eker  # K[v, j], valid v <= j
+    kern = np.multiply(w, eker, out=kern)  # K[v, j], valid v <= j
 
     f = np.zeros(m + 1)
     f[0] = b[0]

@@ -2,6 +2,7 @@ import io
 import logging
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,11 @@ from hypothesis.extra.numpy import arrays
 
 from rankflow import (ConfigError, ConvergenceError, DomainError, FlowGrid,
                       PhiEvaluator, boundary, initial, solve_y_c, tagged_limit_path, tilde_w, verify_ode_form)
-from rankflow.flow import LimitSolution, _project, _require_grid
+from rankflow.flow import LimitSolution, _field_rows, _project, _require_grid
 from rankflow.latp import (MAX_TABLE_ENTRIES, _cumulative_trapezoid,
                            _grid_cells)
-from rankflow.intensity import AffineField, ConstantField, load_spec
+from rankflow.intensity import (AffineField, ConstantField, ProductField,
+                                TableField, load_spec)
 from rankflow import flow as flow_module, streams
 
 from conftest import (affine_two_class_spec, constant_mixture_spec,
@@ -397,6 +399,16 @@ def test_fixed_point_identity_on_grid(sol_affine):
         assert np.max(gap) < 1e-7
 
 
+def test_phi_grid_writes_into_given_tables(sol_affine):
+    # the solver's call: the same bytes, written into the tables it holds
+    ev = sol_affine.evaluator
+    want = ev.phi_grid()
+    out = tuple(np.full_like(w, np.nan) for w in want)
+    got = ev.phi_grid(out=out)
+    assert got is out
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_phi_monotone_in_t_and_gamma(sol_affine):
     ev = sol_affine.evaluator
     phi_init, phi_bdry = ev.phi_grid()
@@ -452,6 +464,33 @@ def test_solver_nonconvergence_carries_history(spec_affine):
     assert len(err.value.residual_history) == 2
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_z", True), ("n_z", 20.0), ("n_z", "20"), ("n_t", True),
+    ("n_t", 200.5), ("max_iter", True), ("max_iter", 2.5), ("tol", True),
+    ("tol", False), ("tol", "1e-8"),
+])
+def test_solver_refuses_a_bool_or_non_integer_setting(spec_affine, name, value):
+    settings = {"n_z": 10, "n_t": 50, "tol": 1e-8, "max_iter": 80}
+    settings[name] = value
+    with pytest.raises(ConfigError, match=f"^{name}: must be"):
+        solve_y_c(spec_affine, **settings)
+
+
+def test_solve_peak_memory_is_a_few_boundary_tables(spec_affine):
+    # the iterate and the update, one work table, the evaluator's field
+    # and exposure tables and its two classes' bdry_phi are 7 tables of
+    # (n_t+1)^2 floats; the solve's peak stays below 9 of them
+    table = 401 ** 2 * 8
+    solve_y_c(spec_affine, n_z=20, n_t=400)  # the first call's imports
+    tracemalloc.start()
+    try:
+        solve_y_c(spec_affine, n_z=20, n_t=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * table
+
+
 def test_solver_stops_on_non_finite_residual():
     class NanField(ConstantField):
         def _values(self, y, t):
@@ -482,6 +521,26 @@ def flow_iterates(draw):
     return n_z, n_t, init, bdry
 
 
+def projected(case):
+    """A flow iterate already in the admissible class: every boundary row
+    is non-decreasing and every column non-increasing."""
+    n_z, n_t, init, bdry = case
+    return (n_z, n_t, *project(init, bdry)[:2])
+
+
+# an admissible iterate, and the same with one dip in boundary row 1,
+# which only that row's running maximum lifts
+MONOTONE_ITERATE = (2, 3, np.array([[0.0, 0.1, 0.2, 0.3],
+                                    [0.5, 0.5, 0.6, 0.7],
+                                    [1.0, 1.0, 1.0, 1.0]]),
+                    np.array([[0.0, 0.1, 0.2, 0.3],
+                              [0.0, 0.0, 0.1, 0.2],
+                              [0.0, 0.0, 0.0, 0.1],
+                              [0.0, 0.0, 0.0, 0.0]]))
+DIPPED_ITERATE = (*MONOTONE_ITERATE[:3],
+                  MONOTONE_ITERATE[3] + np.diag([0.0, 0.15, 0.0], k=1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(flow_iterates())
 def test_project_is_admissible_and_idempotent(case):
@@ -504,9 +563,11 @@ def test_project_reports_its_correction_at_nodes_only():
 
 
 @settings(max_examples=300, deadline=None)
-@given(flow_iterates())
+@given(st.one_of(flow_iterates(), flow_iterates().map(projected)))
 @example((1, 2, np.array([[0.0, -0.0, -0.0], [1.0, 1.0, 1.0]]),
           np.zeros((3, 3))))
+@example(MONOTONE_ITERATE)
+@example(DIPPED_ITERATE)
 def test_project_matches_loop(case):
     n_z, n_t, init, bdry = case
     got = project(init, bdry)
@@ -514,6 +575,39 @@ def test_project_matches_loop(case):
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
     assert got[2] == want[2]
+
+
+@st.composite
+def boundary_field_reads(draw):
+    """A field of each kind and a boundary table of n + 1 rows, up to two
+    row strips, with -0.0 on its diagonal and +0.0 below it."""
+    n = draw(st.integers(1, 250))
+    rate = st.floats(0.0, 5.0)
+    kind = draw(st.sampled_from(["constant", "affine", "product", "table"]))
+    if kind == "constant":
+        field = ConstantField(draw(rate), 1.0)
+    elif kind == "affine":
+        base = draw(rate)
+        field = AffineField(base, draw(st.floats(-base, 5.0)), 1.0)
+    elif kind == "product":
+        field = ProductField(draw(rate), draw(rate), draw(rate), draw(rate),
+                             1.0)
+    else:
+        shape = (draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+        field = TableField(draw(arrays(float, shape, elements=rate)), 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bdry = np.triu(rng.random((n + 1, n + 1)))
+    np.fill_diagonal(bdry, -0.0)
+    return field, bdry, np.linspace(0.0, 1.0, n + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_field_reads())
+def test_strip_field_read_matches_whole_table_read(case):
+    field, bdry, t_nodes = case
+    got = _field_rows(field, bdry, t_nodes, np.full(bdry.shape, np.nan))
+    want = np.broadcast_to(field._values(bdry, t_nodes), bdry.shape)
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_solution_cache_round_trip(tmp_path, sol_const1, spec_const1, spec_affine):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -898,6 +898,13 @@ def assert_volterra_bytes(w, b, pre, h, total):
     out = np.full_like(w, np.nan)
     f, p = _trapezoid_volterra(w, b, pre, h, total, out=out)
     assert p is out and p.tobytes() == want[1].tobytes()
+    # the solver's call: held work tables, the hazard table overwritten
+    kern = w.copy()
+    work = (np.full_like(w, np.nan), kern)
+    out = np.full_like(w, np.nan)
+    f, p = _trapezoid_volterra(kern, b, pre, h, total, out=out, work=work)
+    assert f.tobytes() == want[0].tobytes()
+    assert p is out and p.tobytes() == want[1].tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -905,6 +912,7 @@ def assert_volterra_bytes(w, b, pre, h, total):
        h=st.floats(1e-3, 0.1),
        total=st.floats(0.0, 3.0).filter(lambda x: x != 1.0),
        zeros=st.sampled_from([0.0, 0.3, 1.0]))
+@example(m=1600, seed=7, h=1 / 1600, total=0.7, zeros=0.0)
 def test_in_place_volterra_matches_allocating_solve(m, seed, h, total, zeros):
     assert_volterra_bytes(*volterra_case(m, seed, h, total, zeros))
 
