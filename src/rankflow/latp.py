@@ -217,7 +217,8 @@ def sample_arrivals(omega: LatpIntensity, seed: int,
     fn = omega._fn
     for u, xi in zip(times, marks):
         a = float(fn(tau_star, u))
-        if a > breach:
+        # written so that a NaN hazard is a breach
+        if not a <= breach:
             raise EnvelopeBreach(
                 f"{omega.label}: hazard {a} above envelope {envelope} at "
                 f"(s={tau_star}, t={u})")
@@ -238,9 +239,9 @@ def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
     processes do not interact, so round r offers every owner its r-th
     candidate at once: ``hazard`` receives arrays over owners and returns
     one hazard per owner.  ``envelope`` (a scalar or one value per owner)
-    must dominate the hazard; if it does not, EnvelopeBreach names the
-    earliest breaching candidate in stream order.  Returns the accepted
-    mask in stream order.
+    must dominate the hazard; if it does not, or the hazard is NaN,
+    EnvelopeBreach names the earliest breaching candidate in stream order.
+    Returns the accepted mask in stream order.
     """
     times = np.asarray(times, dtype=float)
     owners = np.asarray(owners, dtype=np.int64)
@@ -263,7 +264,8 @@ def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
         o, t = owners[c], times[c]
         s = last[o]
         a = np.asarray(hazard(o, s, t), dtype=float)
-        over = a > breach_at[o]
+        # NaN fails the comparison, and so breaches
+        over = np.logical_not(a <= breach_at[o])
         if over.any():
             breach.extend(zip(c[over].tolist(), a[over].tolist(),
                               s[over].tolist()))
@@ -290,8 +292,11 @@ def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
     order is the one the replica loop would hit first; it is raised with
     the scalar sampler's message, prefixed by the replica.
     """
-    if replicas < 0:
-        raise ConfigError("replicas: must be >= 0")
+    if (isinstance(replicas, bool)
+            or not isinstance(replicas, (int, np.integer)) or replicas < 0):
+        raise ConfigError("replicas: must be an integer >= 0")
+    # checked up front: zero replicas draw nothing
+    streams.check_key("seed", seed)
     horizon = omega.horizon
     envelope = ENVELOPE_MARGIN * omega.sup_norm
     fn = omega._fn
@@ -346,6 +351,8 @@ class SurvivalTable:
         m = len(self.grid)
         iu = np.triu_indices(m)
         vals = self.p[iu]
+        if np.isnan(vals).any():
+            raise ConfigError("survival table has NaN on or above the diagonal")
         if np.any(vals < -1e-12) or np.any(vals > 1 + 1e-12):
             raise ConfigError("survival table escapes [0,1]")
         if np.any(np.diag(self.p) != 1.0):

@@ -7,22 +7,31 @@ exist.  That is what lets a tagged particle keep the same driving noise as
 the population size N changes, and what lets the original and flow-driven
 models consume identical candidate marks.
 
-``stream_candidates`` draws the candidates of one substream without building
-its generator: it derives the Philox key with ``_key_words``, the mixing
-that ``numpy.random.SeedSequence`` documents, on Python ints, and re-keys one
-module-level generator.  ``candidate_lists`` draws the same candidates as
-lists of Python floats, for the scalar sampler, which walks replicas in
-index runs: it reads its key as a row of a block of 1024 consecutive keys,
-derived at once and held in a small cache.  ``replica_candidates`` draws
-the candidates of many consecutive substreams in one call; it derives their
-Philox keys with the same ``_key_words`` on uint32 arrays.  All three
-reproduce the ``substream`` bytes without building a ``SeedSequence``, a
-``Philox`` and a ``Generator`` per stream; ``substream`` still builds them
-and is the reference.
+No stream function below builds a ``SeedSequence``, a ``Philox`` and a
+``Generator`` per stream; ``substream`` still builds them and is the
+reference that each reproduces byte for byte.  All of them derive a
+stream's Philox key with ``_key_words``, the mixing that
+``numpy.random.SeedSequence`` documents, on Python ints or on uint32
+arrays.  They then draw in one of two ways:
+
+* re-keying one module-level generator at counter 0 with an empty
+  buffer, the state of a fresh ``substream``.  ``stream_candidates`` draws
+  one substream so, and ``candidate_lists`` draws the same candidates as
+  lists of Python floats for the scalar sampler, which walks replicas in
+  index runs: it reads its key as a row of a block of 1024 consecutive
+  keys, derived at once and held in a small cache;
+* computing Philox4x64-10 counter blocks of many streams at once on uint64
+  arrays (``_philox_block``).  ``replica_candidates`` draws many
+  consecutive substreams so when their mean count is below
+  ``POISSON_MULT_MAX``, where numpy's Poisson count is the number of
+  running products of the stream's leading uniforms above exp(-mean); from
+  it on, it re-keys the generator per stream.  Its bytes therefore depend
+  on numpy's Philox and on its Poisson algorithm for small means.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -322,18 +331,136 @@ def philox_keys(seed: int, kind: int, indices) -> np.ndarray:
                      w2 | (w3 << np.uint64(32))], axis=1)
 
 
+# Philox4x64-10 (Salmon et al., SC 2011, as numpy.random.Philox runs it):
+# the round multipliers, each as itself and as its 32-bit halves, and the
+# key bumps between rounds
+_PHILOX_M = tuple((m, np.uint64(m), np.uint64(m & _MASK), np.uint64(m >> 32))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+_LOW32, _SHIFT32 = np.uint64(_MASK), np.uint64(32)
+# a double from a word: its top 53 bits times 2**-53, as numpy's random()
+_SHIFT11, _TO_DOUBLE = np.uint64(11), 2.0 ** -53
+
+# numpy's Generator.poisson draws a mean below 10 by the multiplication
+# method, whose count reads only the stream's leading uniforms; from 10 on
+# it runs Hoermann's PTRS rejection sampler, which the whole-array pass
+# does not reproduce
+POISSON_MULT_MAX = 10.0
+
+
+def _mulhilo(m, x):
+    """High and low words of the 128-bit products of the multiplier ``m``,
+    a ``_PHILOX_M`` entry, with each word of the uint64 array ``x``; the
+    high word is built from the four 32-bit partial products."""
+    _, m64, m_lo, m_hi = m
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    ll, hl = x_lo * m_lo, x_hi * m_lo
+    lh, hi = x_lo * m_hi, x_hi * m_hi
+    mid = ll >> _SHIFT32
+    mid += hl & _LOW32
+    mid += lh & _LOW32
+    hi += hl >> _SHIFT32
+    hi += lh >> _SHIFT32
+    hi += mid >> _SHIFT32
+    return hi, x * m64
+
+
+def _philox_block(keys: np.ndarray, counter: int):
+    """The four words of Philox4x64-10 block ``counter`` of every key.
+
+    ``keys`` holds one key per row (``philox_keys`` rows); the counter is
+    (counter, 0, 0, 0) in every lane, so the first round, whose products
+    are the same in every lane, runs on Python ints.  A fresh generator's
+    first block has counter 1: numpy bumps the counter before it draws.
+    Returns four uint64 arrays, the block's words in the order numpy
+    hands them out.  Array arithmetic on uint64 wraps without a warning.
+    """
+    k0, k1 = keys[:, 0], keys[:, 1]
+    hi, lo = divmod(_PHILOX_M[0][0] * counter, 1 << 64)
+    x0, x1, x2, x3 = k0, 0, k1 ^ np.uint64(hi), lo
+    for _ in range(9):
+        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        hi1 ^= x1
+        hi1 ^= k0
+        hi0 ^= x3
+        hi0 ^= k1
+        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
+    return x0, x1, x2, x3
+
+
+def _bulk_draws(keys: np.ndarray, lam: float):
+    """Poisson(lam) counts n, lam < POISSON_MULT_MAX, of fresh streams
+    keyed by the rows of ``keys``, and the 2n uniforms each stream draws
+    after its count: ``(n, doubles, first)``, stream q's uniforms being
+    ``doubles[first[q]:first[q] + 2 * n[q]]``.  The count reads n + 1
+    doubles, so a stream hands out 3n + 1 in all.
+
+    Round b draws counter block b for each stream that still needs
+    doubles: those whose running product is still above exp(-lam), and
+    those whose 3n + 1 doubles reach past block b - 1.  Those streams are
+    the ones that need a block at all, so nothing is padded.
+    """
+    count = len(keys)
+    # libm's exp, which numpy's C sampler calls; np.exp may differ in the
+    # last bit
+    floor = math.exp(-lam)
+    n = np.zeros(count, dtype=np.int64)
+    prod = np.ones(count)
+    rows = np.arange(count)
+    open_ = np.ones(count, dtype=bool)  # still counting, along ``rows``
+    drawn, owners = [], []
+    block = 0
+    while len(rows):
+        block += 1
+        words = _philox_block(keys[rows], block)
+        u = np.stack([w >> _SHIFT11 for w in words], axis=1) * _TO_DOUBLE
+        drawn.append(u)
+        owners.append(rows)
+        if open_.any():
+            at = rows[open_]
+            # the running products of numpy's loop, prod *= u in order
+            run = np.multiply.accumulate(
+                np.concatenate([prod[at, None], u[open_]], axis=1), axis=1)
+            n[at] += np.count_nonzero(run[:, 1:] > floor, axis=1)
+            prod[at] = run[:, -1]
+            open_[open_] = run[:, -1] > floor
+        more = open_ | (3 * n[rows] + 1 > 4 * block)
+        rows, open_ = rows[more], open_[more]
+    owners = np.concatenate(owners)
+    # stream-major: each stream's blocks in counter order
+    doubles = np.concatenate(drawn)[np.argsort(owners, kind="stable")].ravel()
+    blocks = np.bincount(owners, minlength=count)
+    return n, doubles, 4 * (np.cumsum(blocks) - blocks) + n + 1
+
+
+def _looped_draws(keys: np.ndarray, lam: float):
+    """``_bulk_draws`` for any mean: each stream re-keys the shared
+    generator and draws its count, then its 2n uniforms."""
+    n = np.zeros(len(keys), dtype=np.int64)
+    draws = []
+    for r, key in enumerate(keys.tolist()):
+        rng = _rekeyed(key)
+        n[r] = rng.poisson(lam)
+        draws.append(rng.random(2 * n[r]))
+    return n, np.concatenate(draws), 2 * (np.cumsum(n) - n)
+
+
 def replica_candidates(seed: int, kind: int, count: int, rate: float,
                        horizon: float, start: int = 0):
     """Candidates of the substreams ``start, ..., start + count - 1``.
 
     Returns ``(times, marks, counts)``: the slice of stream r is
     byte-equal to ``candidate_batch(substream(seed, kind, r), rate,
-    horizon)``, and the streams follow each other in index order.  Each
-    stream re-keys one reused Philox at counter 0 with an empty buffer,
-    the state a fresh ``substream`` starts in, and draws its count n, then
-    2n uniforms in one call: the same doubles as ``candidate_batch``'s two
-    draws of n, its times and then its marks.  A zero rate draws nothing
-    and derives no key, but checks the key words all the same.
+    horizon)``, and the streams follow each other in index order.  A
+    stream starts fresh, at counter 0 with an empty buffer, and hands out
+    its count n, then 2n uniforms: the same doubles as
+    ``candidate_batch``'s two draws of n, its times and then its marks.
+    For a mean count below POISSON_MULT_MAX, all streams are drawn in
+    whole-array Philox passes (``_bulk_draws``); from it on, each re-keys
+    one reused Philox.  A zero rate draws nothing and derives no key, but
+    checks the key words all the same.
     """
     if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
             or count < 0):
@@ -347,18 +474,13 @@ def replica_candidates(seed: int, kind: int, count: int, rate: float,
         return np.empty(0), np.empty(0), counts
     lam = _mean_count(rate, horizon)
     keys = philox_keys(seed, kind, np.arange(start, start + count))
-    draws = []
-    for r, key in enumerate(keys.tolist()):
-        rng = _rekeyed(key)
-        n = int(rng.poisson(lam))
-        counts[r] = n
-        draws.append(rng.random(2 * n))
-    draws = np.concatenate(draws)
-    # stream r holds its n_r times, then its n_r marks, from 2 * first_r
-    first = np.cumsum(counts) - counts
+    draws = _bulk_draws if lam < POISSON_MULT_MAX else _looped_draws
+    counts, doubles, first = draws(keys, lam)
+    # stream q's times are its first n_q uniforms, and its marks the next n_q
     owner = np.repeat(np.arange(count), counts)
-    at = first[owner] + np.arange(len(owner))
-    raw = draws[at]
+    at = (first - (np.cumsum(counts) - counts))[owner]
+    at += np.arange(len(owner))
+    raw = doubles[at]
     times = raw[np.lexsort((raw, owner))] * horizon
-    marks = draws[at + counts[owner]] * rate
+    marks = doubles[at + counts[owner]] * rate
     return times, marks, counts

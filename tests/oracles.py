@@ -69,9 +69,13 @@ def sequential_original_pass(assignment, times, ids, marks):
 
 
 def loop_survival_table_check(p):
-    """``SurvivalTable``'s monotonicity checks, one row and column at a time."""
+    """``SurvivalTable``'s NaN and monotonicity checks, one row and column
+    at a time."""
     m = len(p)
     slack = 1e-9
+    for i in range(m):
+        if np.isnan(p[i, i:]).any():
+            raise ConfigError("survival table has NaN on or above the diagonal")
     for i in range(m):
         if np.any(np.diff(p[i, i:]) > slack):
             raise ConfigError("survival table increases in t")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -350,6 +351,79 @@ def test_zero_rate_replicas_check_their_keys_but_derive_none(monkeypatch):
                                           start=2 ** 32)[2]) == 0
 
 
+# mean counts rate * horizon: the whole-array pass, with one counter block
+# or several, up to just below POISSON_MULT_MAX, and the re-keyed loop
+# from it on
+MEAN_COUNTS = [1e-3, 0.5, 2.1, 9.99, 10.0, 25.0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=KEY_WORD, kind=st.sampled_from(STREAM_KINDS), start=KEY_WORD,
+       count=st.integers(0, 64), lam=st.sampled_from(MEAN_COUNTS),
+       horizon=st.sampled_from([1.0, 0.3]))
+def test_replica_candidates_match_substream_loop_at_any_mean(
+        seed, kind, start, count, lam, horizon):
+    start = min(start, KEY_WORD_MAX + 1 - count)
+    rate = lam / horizon
+    times, marks, counts = streams.replica_candidates(
+        seed, kind, count, rate, horizon, start=start)
+    assert counts.dtype == np.int64 and len(counts) == count
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    assert offsets[-1] == len(times) == len(marks)
+    for q in range(count):
+        rng = streams.substream(seed, kind, start + q)
+        want_t, want_m = streams.candidate_batch(rng, rate, horizon)
+        got = slice(offsets[q], offsets[q + 1])
+        assert times[got].tobytes() == want_t.tobytes()
+        assert marks[got].tobytes() == want_m.tobytes()
+
+
+PHILOX_KEYS = np.array([
+    [0, 0], [1, 2], [0x0123456789ABCDEF, 0xFEDCBA9876543210],
+    # the first key bump wraps both words, and later bumps wrap one
+    [2 ** 64 - 1, 2 ** 64 - 5], [2 ** 64 - 0x9E3779B97F4A7C15, 2 ** 63]],
+    dtype=np.uint64)
+
+
+@pytest.mark.parametrize("counter", [1, 2, 3, 7, 1000, 2 ** 40, 2 ** 64 - 1])
+def test_philox_block_matches_numpy(counter):
+    keys = np.concatenate([PHILOX_KEYS,
+                           streams.philox_keys(5, streams.LATP, [0, 1, 2 ** 31])])
+    words = streams._philox_block(keys, counter)
+    assert all(w.dtype == np.uint64 and w.shape == (len(keys),) for w in words)
+    for q, key in enumerate(keys):
+        # a Philox at counter c - 1 bumps it to c for its next block
+        want = np.random.Philox(key=key, counter=counter - 1).random_raw(4)
+        assert [int(w[q]) for w in words] == want.tolist()
+
+
+def test_replica_candidates_loop_only_from_the_poisson_threshold(monkeypatch):
+    # below POISSON_MULT_MAX no stream re-keys the shared generator
+    def rekeyed(key):
+        raise AssertionError("a stream was re-keyed")
+
+    monkeypatch.setattr(streams, "_rekeyed", rekeyed)
+    below = np.nextafter(streams.POISSON_MULT_MAX, 0.0)
+    assert len(streams.replica_candidates(3, streams.LATP, 50, below, 1.0)[2]) == 50
+    with pytest.raises(AssertionError, match="re-keyed"):
+        streams.replica_candidates(3, streams.LATP, 50,
+                                   streams.POISSON_MULT_MAX, 1.0)
+
+
+@pytest.mark.parametrize("lam", MEAN_COUNTS)
+def test_replica_candidates_one_stream_wraps_without_warning(lam):
+    # uint64 words wrap in every Philox round; on a one-lane array as on any
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        streams._philox_block(PHILOX_KEYS[3:4], 1)
+        got = streams.replica_candidates(KEY_WORD_MAX, streams.LATP, 1, lam,
+                                         1.0, start=KEY_WORD_MAX)
+    want = streams.candidate_batch(
+        streams.substream(KEY_WORD_MAX, streams.LATP, KEY_WORD_MAX), lam, 1.0)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
 def test_key_blocks_match_seed_sequence():
     # interleaved (seed, kind) pairs and blocks, more than the cache holds,
     # so that blocks are evicted and derived again
@@ -445,8 +519,30 @@ def test_sample_replicas_keeps_arrival_sequence_invariant(monkeypatch):
     monkeypatch.setattr(streams, "replica_candidates", tied)
     with pytest.raises(ConfigError, match="strictly increasing"):
         sample_replicas(constant_intensity(1.0, 1.0), 0, 3)
-    with pytest.raises(ConfigError, match="replicas"):
-        sample_replicas(constant_intensity(1.0, 1.0), 0, -1)
+
+
+@pytest.mark.parametrize("replicas", [-1, True, False, 2.0, None, "2",
+                                      np.float64(2.0)],
+                         ids=["neg", "true", "false", "float", "none", "str",
+                              "np-float"])
+def test_sample_replicas_refuses_a_bad_replica_count(replicas):
+    with pytest.raises(ConfigError, match="replicas: must be an integer >= 0"):
+        sample_replicas(constant_intensity(2.0, 1.0), 0, replicas)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 32, 1.5, True, None])
+@pytest.mark.parametrize("replicas", [0, 3])
+def test_sample_replicas_refuses_a_bad_seed_up_front(seed, replicas):
+    # zero replicas draw nothing, and refuse the seed all the same
+    with pytest.raises(ConfigError, match="seed: must be an integer in"):
+        sample_replicas(constant_intensity(2.0, 1.0), seed, replicas)
+
+
+def test_sample_replicas_accepts_a_numpy_replica_count():
+    times, offsets = sample_replicas(constant_intensity(2.0, 1.0), 4,
+                                     np.int64(5))
+    want, _ = sample_replicas(constant_intensity(2.0, 1.0), 4, 5)
+    assert len(offsets) == 6 and times.tobytes() == want.tobytes()
 
 
 def drawn(times):
@@ -508,6 +604,60 @@ def test_sample_replicas_refuses_nan_arrival(monkeypatch):
     monkeypatch.setattr(streams, "replica_candidates", with_nan)
     with pytest.raises(ConfigError, match="strictly increasing"):
         sample_replicas(constant_intensity(1.0, 1.0), 0, 3)
+
+
+def nan_after_half():
+    # a hazard of 1 up to t = 0.5 and NaN after it
+    return LatpIntensity(lambda s, t: np.where(t > 0.5, np.nan, 1.0 + 0.0 * s),
+                         1.0, sup_norm=1.0, label="nan-after-half")
+
+
+def test_sample_arrivals_reads_a_nan_hazard_as_a_breach():
+    omega = nan_after_half()
+    envelope = ENVELOPE_MARGIN * omega.sup_norm
+    # the first replica with a candidate after t = 0.5
+    first = next(r for r in range(100)
+                 if max(streams.candidate_lists(9, streams.LATP, r, envelope,
+                                                1.0)[0], default=0.0) > 0.5)
+    for r in range(first):
+        sample_arrivals(omega, seed=9, replica=r)
+    with pytest.raises(EnvelopeBreach, match="hazard nan above envelope") as exc:
+        sample_arrivals(omega, seed=9, replica=first)
+    with pytest.raises(EnvelopeBreach) as batched:
+        sample_replicas(omega, 9, first + 1)
+    assert batched.value.owner == first
+    assert str(batched.value) == f"replica {first}: {exc.value}"
+
+
+def test_thin_last_arrival_reads_a_nan_hazard_as_a_breach():
+    # owner 1's second candidate is the earliest NaN in stream order
+    times = np.array([0.1, 0.2, 0.3, 0.4])
+    owners = np.array([0, 1, 1, 0])
+    marks = np.zeros(4)
+
+    def hazard(o, last, t):
+        return np.where((o == 1) & (t > 0.25) | (t > 0.35), np.nan, 1.0)
+
+    with pytest.raises(EnvelopeBreach) as exc:
+        thin_last_arrival(times, owners, marks, 2, hazard, 2.0)
+    assert (exc.value.owner, exc.value.time, exc.value.last) == (1, 0.3, 0.2)
+    assert math.isnan(exc.value.hazard)
+
+
+def test_survival_solve_refuses_a_nan_hazard():
+    with pytest.raises(ConfigError, match="NaN"):
+        survival_solve(nan_after_half(), np.linspace(0.0, 1.0, 41))
+
+
+@pytest.mark.parametrize("at", [(0, 5), (3, 3), (7, 10)],
+                         ids=["first-row", "diagonal", "corner"])
+def test_survival_table_refuses_nan_on_or_above_the_diagonal(at):
+    tab = survival_solve(constant_intensity(1.0, 1.0), np.linspace(0, 1, 11))
+    assert np.isnan(tab.p[5, 0])  # below the diagonal NaN is the rule
+    broken = tab.p.copy()
+    broken[at] = np.nan
+    with pytest.raises(ConfigError, match="NaN"):
+        dataclasses.replace(tab, p=broken)
 
 
 @pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0])
