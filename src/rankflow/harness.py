@@ -7,7 +7,9 @@ non-fixed-point flow, coupling decay, tagged-particle convergence under
 shared noise, and cross-method validation of the point-process solvers.
 
 Every report is a pure function of (plan, seeds): rows are emitted in
-deterministic order and all aggregates are recomputed from the rows.
+deterministic order and all aggregates are recomputed from the rows.  A
+sweep's (N, seed) job returns one record (N, seed, {label: value}), and
+each label becomes one SweepMetric.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ class ExperimentPlan:
             raise ConfigError(f"n_values must be strictly increasing, got {ns}")
         _require_int("seeds", self.seeds, 2)
         _require_int("workers", self.workers, 1)
+        labels = [h.label() for h in self.test_functions]
+        if len(set(labels)) < len(labels):
+            # a sweep keys its metrics by these labels
+            raise ConfigError(f"test_functions: labels must be distinct, got {labels}")
         object.__setattr__(self, "n_values", ns)
 
     @cached_property
@@ -161,17 +167,17 @@ def _distance_worker(args):
     ``flow`` is None for the original model; otherwise the run is
     flow-driven and its empirical curve is also compared to theta.
     """
-    assignment, seed, flow, lattice, h_vecs, limit, theta = args
+    assignment, seed, flow, lattice, labels, h_vecs, limit, theta = args
     if flow is None:
         log = srp.simulate(assignment, seed=seed)
     else:
         log = srp.simulate_flow_driven(assignment, flow, seed=seed)
     counts = LogEvaluator(log).lattice_counts(lattice)
-    dists = [float(np.max(np.abs(counts.phi(hv) - lim)))
-             for hv, lim in zip(h_vecs, limit)]
-    char_dist = (None if theta is None
-                 else float(np.max(np.abs(counts.curve() - theta))))
-    return assignment.n, seed, dists, char_dist
+    values = {label: float(np.max(np.abs(counts.phi(hv) - lim)))
+              for label, hv, lim in zip(labels, h_vecs, limit)}
+    if flow is not None:
+        values["sup_curve_to_theta"] = float(np.max(np.abs(counts.curve() - theta)))
+    return assignment.n, seed, values
 
 
 def _assignments(plan: ExperimentPlan) -> list:
@@ -180,11 +186,21 @@ def _assignments(plan: ExperimentPlan) -> list:
             for n in plan.n_values]
 
 
-def _run_jobs(jobs, worker, workers: int):
-    if workers <= 1:
-        return [worker(j) for j in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(worker, jobs))
+def _sweep_metrics(plan: ExperimentPlan, worker, *shared) -> list:
+    """Run ``worker`` on the job (assignment, seed, *shared) of every N and
+    seed, serially or in a process pool, and make one SweepMetric per label
+    of the records (N, seed, {label: value}) it returns, in the first
+    record's label order; rows run N-major, then seed."""
+    jobs = [(assignment, seed, *shared)
+            for assignment in _assignments(plan) for seed in range(plan.seeds)]
+    if plan.workers <= 1:
+        records = [worker(j) for j in jobs]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=plan.workers) as ex:
+            records = list(ex.map(worker, jobs))
+    return [SweepMetric(label=label, n_values=list(plan.n_values),
+                        rows=[(n, seed, values[label]) for n, seed, values in records])
+            for label in records[0][2]]
 
 
 def solve_limit(plan: ExperimentPlan) -> LimitSolution:
@@ -221,23 +237,12 @@ def flow_driven_sweep(plan: ExperimentPlan, flow: FlowGrid | None = None,
 
 def _sweep(plan, evaluator, flow, kind, meta) -> SweepReport:
     h_vecs = [h.per_class(plan.spec) for h in plan.test_functions]
-    lattice = plan.lattice
-    limit, theta = limit_values(lattice, evaluator, h_vecs, flow)
-    jobs = [(assignment, seed, flow, lattice, h_vecs, limit, theta)
-            for assignment in _assignments(plan) for seed in range(plan.seeds)]
-    results = _run_jobs(jobs, _distance_worker, plan.workers)
-    metrics = []
-    for hi, h in enumerate(plan.test_functions):
-        rows = [(n, seed, d[hi]) for n, seed, d, _ in results]
-        metrics.append(SweepMetric(label=f"sup_phi[{h.label()}]",
-                                   n_values=list(plan.n_values), rows=rows))
-    if flow is not None:
-        rows = [(n, seed, cd) for n, seed, _, cd in results]
-        metrics.append(SweepMetric(label="sup_curve_to_theta",
-                                   n_values=list(plan.n_values), rows=rows))
-    meta = dict(meta)
-    meta.update({"engine": "original" if flow is None else "flow",
-                 "seeds": plan.seeds, "spec_hash": plan.spec.fingerprint()})
+    labels = [f"sup_phi[{h.label()}]" for h in plan.test_functions]
+    limit, theta = limit_values(plan.lattice, evaluator, h_vecs, flow)
+    metrics = _sweep_metrics(plan, _distance_worker, flow, plan.lattice,
+                             labels, h_vecs, limit, theta)
+    meta = {**meta, "engine": "original" if flow is None else "flow",
+            "seeds": plan.seeds, "spec_hash": plan.spec.fingerprint()}
     return SweepReport(kind=kind, metrics=metrics, meta=meta)
 
 
@@ -247,7 +252,7 @@ def _sweep(plan, evaluator, flow, kind, meta) -> SweepReport:
 def _coupling_worker(args):
     assignment, seed, flow = args
     _, _, record = srp.simulate_coupled(assignment, flow, seed=seed)
-    return assignment.n, seed, record.decoupled_fraction()
+    return assignment.n, seed, {"decoupled_fraction": record.decoupled_fraction()}
 
 
 def coupling_sweep(plan: ExperimentPlan,
@@ -255,13 +260,8 @@ def coupling_sweep(plan: ExperimentPlan,
     """Fraction of particles whose coupled pair ever disagrees, per (N, seed)."""
     if sol is None:
         sol = solve_limit(plan)
-    jobs = [(assignment, seed, sol.flow)
-            for assignment in _assignments(plan) for seed in range(plan.seeds)]
-    results = _run_jobs(jobs, _coupling_worker, plan.workers)
-    rows = [(n, seed, frac) for n, seed, frac in results]
-    metric = SweepMetric(label="decoupled_fraction",
-                         n_values=list(plan.n_values), rows=rows)
-    return SweepReport(kind="coupling", metrics=[metric],
+    return SweepReport(kind="coupling",
+                       metrics=_sweep_metrics(plan, _coupling_worker, sol.flow),
                        meta={"seeds": plan.seeds,
                              "spec_hash": plan.spec.fingerprint(),
                              "position_dependent": plan.spec.position_dependent})
@@ -274,15 +274,14 @@ def coupling_sweep(plan: ExperimentPlan,
 class TaggedReport:
     n_values: list
     pins: list
-    sup_rows: list        # (tagged_idx, N, seed, sup_t |Y^N - Y|)
-    count_rows: list      # (tagged_idx, N, seed, jump count of the limit path)
+    rows: list  # (tagged_idx, N, seed, sup_t |Y^N - Y|, limit path jump count)
     correlation: float    # cross-tagged jump-count correlation at largest N
     correlation_se: float
 
     def sup_means(self, i: int) -> list:
         out = []
         for n in self.n_values:
-            v = [x for (ti, nn, _, x) in self.sup_rows if ti == i and nn == n]
+            v = [x for (ti, nn, _, x, _) in self.rows if ti == i and nn == n]
             out.append(float(np.mean(v)))
         return out
 
@@ -299,9 +298,8 @@ class TaggedReport:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("tagged,N,seed,sup_diff,limit_jumps\n")
-            counts = {(ti, n, s): c for ti, n, s, c in self.count_rows}
-            for ti, n, s, v in self.sup_rows:
-                fh.write(f"{ti},{n},{s},{float(v)!r},{counts[(ti, n, s)]}\n")
+            for ti, n, s, v, c in self.rows:
+                fh.write(f"{ti},{n},{s},{float(v)!r},{c}\n")
 
 
 def tagged_compare(plan: ExperimentPlan, pins=None,
@@ -329,7 +327,7 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
             cand = streams.tagged_candidates(seed, i, fld.sup_norm, horizon)
             path = tagged_limit_path(sol, fld, y_star, cand)
             paths[seed, i] = (path.sample(ts), path.jump_count())
-    sup_rows, count_rows = [], []
+    rows = []
     for n in plan.n_values:
         assignment = pin_particles(
             assign_population(spec, n, mode="stratified"), pins)
@@ -342,8 +340,7 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
             for i in range(L):
                 limit_vals, jumps = paths[seed, i]
                 sup = float(np.max(np.abs(empirical[:, i] - limit_vals)))
-                sup_rows.append((i, n, seed, sup))
-                count_rows.append((i, n, seed, jumps))
+                rows.append((i, n, seed, sup, jumps))
     corr, corr_se = float("nan"), float("nan")
     if L >= 2 and plan.seeds >= 3:
         a, b = (np.array([paths[s, i][1] for s in range(plan.seeds)], dtype=float)
@@ -352,8 +349,7 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
             corr = float(np.corrcoef(a, b)[0, 1])
             corr_se = 1.0 / math.sqrt(len(a))
     return TaggedReport(n_values=list(plan.n_values), pins=list(pins),
-                        sup_rows=sup_rows, count_rows=count_rows,
-                        correlation=corr, correlation_se=corr_se)
+                        rows=rows, correlation=corr, correlation_se=corr_se)
 
 
 # -- point-process validation ------------------------------------------------
@@ -433,25 +429,22 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
     for label, omega in sorted(omegas.items()):
         table = latp.survival_solve(omega, grid)
         series_tol = 1e-5 + 5 * step ** 2
-        series_gap = 0.0
         pair_list = [(i, j) for i in idx for j in idx if j >= i]
-        for i, j in pair_list:
-            ref = latp.survival_series(omega, grid[i], grid[j], kmax=25,
-                                       step=step)
-            series_gap = max(series_gap, abs(table.p[i, j] - ref))
+        solved = table.p[tuple(np.transpose(pair_list))]
+        series = [latp.survival_series(omega, grid[i], grid[j], kmax=25, step=step)
+                  for i, j in pair_list]
+        # np.max, unlike the builtin max, keeps a NaN gap
+        series_gap = np.max(np.abs(solved - series))
         times, offsets = latp.sample_replicas(omega, seed, replicas)
         owners = np.repeat(np.arange(replicas), np.diff(offsets))
-        mc_max_z = 0.0
-        mc_max_gap = 0.0
-        for i, j in pair_list:
-            # replicas with no arrival in (t_i, t_j]: ArrivalSequence.no_arrival_in
-            hit = owners[(times > grid[i]) & (times <= grid[j])]
-            hit = np.count_nonzero(np.bincount(hit, minlength=replicas))
-            p_hat = (replicas - hit) / replicas
-            se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / replicas)
-            gap = abs(p_hat - table.p[i, j])
-            mc_max_gap = max(mc_max_gap, gap)
-            mc_max_z = max(mc_max_z, gap / se)
+        # replicas with an arrival in (t_i, t_j]: ArrivalSequence.no_arrival_in
+        hits = [np.count_nonzero(np.bincount(
+                    owners[(times > grid[i]) & (times <= grid[j])],
+                    minlength=replicas)) for i, j in pair_list]
+        p_hat = (replicas - np.array(hits)) / replicas
+        se = np.sqrt(np.maximum(p_hat * (1 - p_hat), 1e-12) / replicas)
+        gaps = np.abs(p_hat - solved)
+        mc_max_gap, mc_max_z = np.max(gaps), np.max(gaps / se)
         deriv = latp.derivative_bound_check(table, omega)
         deriv_tol = 2.0 * step * (1.0 + omega.sup_norm) ** 2
         rows.append(LatpRow(label=label, series_gap=float(series_gap),

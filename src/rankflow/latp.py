@@ -576,21 +576,23 @@ def survival_series(omega: LatpIntensity, s: float, t: float,
 
     i_t = len(grid) - 1
     total = float(np.exp(-expo0[i_t]))  # k = 0: no arrival up to t
-    if nx == 0:
-        return total
+    if nx:
+        tw = _trapezoid_weights(nx, s / n1)
+        kern = (w[:nx, :nx] * np.exp(-expo[:nx, :nx]))
+        step_mat = tw * kern.T  # A[j, v] = weight * K(v, u_j)
 
-    tw = _trapezoid_weights(nx, s / n1)
-    kern = (w[:nx, :nx] * np.exp(-expo[:nx, :nx]))
-    step_mat = tw * kern.T  # A[j, v] = weight * K(v, u_j)
+        # weights of int_0^s g(u) e^{-Omega(u, t)} du: the last row of tw
+        tail = tw[-1] * np.exp(-expo[:nx, i_t])
 
-    # weights of int_0^s g(u) e^{-Omega(u, t)} du: the last row of tw
-    tail = tw[-1] * np.exp(-expo[:nx, i_t])
-
-    g = w0[:nx] * np.exp(-expo0[:nx])  # first-arrival density g_1
-    total += float(np.dot(tail, g))
-    for _ in range(2, kmax + 1):
-        g = step_mat @ g
+        g = w0[:nx] * np.exp(-expo0[:nx])  # first-arrival density g_1
         total += float(np.dot(tail, g))
+        for _ in range(2, kmax + 1):
+            g = step_mat @ g
+            total += float(np.dot(tail, g))
+    # a NaN in any hazard the series reads reaches the sum
+    if not np.isfinite(total):
+        raise ConfigError(f"{omega.label}: survival series at ({s}, {t}) is "
+                          f"{total}, not finite")
     return total
 
 

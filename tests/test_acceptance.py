@@ -160,7 +160,7 @@ def test_criterion_7_tagged_particles(spec_mixture, sol_mixture):
     zsol = solve_y_c(zspec, n_z=10, n_t=50)
     zplan = ExperimentPlan(spec=zspec, n_values=(25, 50), seeds=2)
     zrep = tagged_compare(zplan, pins=[(0, 0.3)], sol=zsol)
-    for ti, n, _, v in zrep.sup_rows:
+    for ti, n, _, v, _ in zrep.rows:
         slots = np.arange(n) / n
         nearest = slots[np.argmin(np.abs(slots - zrep.pins[ti][1]))]
         assert v == abs(nearest - zrep.pins[ti][1])

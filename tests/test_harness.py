@@ -9,7 +9,7 @@ from rankflow.harness import (ExperimentPlan, SolverSettings, convergence_sweep,
                               coupling_sweep, flow_driven_sweep,
                               latp_validation, tagged_compare)
 from rankflow import harness, latp
-from rankflow.measure import EvaluationLattice
+from rankflow.measure import EvaluationLattice, TestFunction
 
 from conftest import constant_mixture_spec, constant_single_spec, zero_rate_spec
 
@@ -50,6 +50,13 @@ def test_plan_refuses_a_bad_field(field, value, message):
     with pytest.raises(ConfigError) as exc:
         ExperimentPlan(spec=constant_single_spec(), **kwargs)
     assert str(exc.value) == message
+
+
+def test_plan_refuses_test_functions_sharing_a_label():
+    # a sweep keys each record's values by label, so a repeat would be lost
+    with pytest.raises(ConfigError, match="labels must be distinct"):
+        ExperimentPlan(spec=constant_single_spec(), n_values=(10,), seeds=2,
+                       test_functions=(TestFunction.ones(), TestFunction.ones()))
 
 
 def test_plan_takes_numpy_integers():
@@ -108,6 +115,18 @@ def test_sweep_workers_match_serial(sweep, sol_affine, spec_affine):
     assert [m.rows for m in reports[0].metrics] == \
         [m.rows for m in reports[1].metrics]
     assert reports[0].meta == reports[1].meta
+
+
+def test_sweep_records_keep_label_and_row_order(sol_affine, spec_affine):
+    plan = ExperimentPlan(spec=spec_affine, n_values=(30, 60), seeds=3,
+                          test_functions=(TestFunction.ones(),
+                                          TestFunction.indicator(0)))
+    rep = flow_driven_sweep(plan, sol=sol_affine)
+    assert [m.label for m in rep.metrics] == \
+        ["sup_phi[h=1]", "sup_phi[h=1_class0]", "sup_curve_to_theta"]
+    for m in rep.metrics:
+        assert [(n, seed) for n, seed, _ in m.rows] == \
+            [(n, seed) for n in (30, 60) for seed in range(3)]
 
 
 def test_sweeps_assign_each_population_once(monkeypatch, sol_affine,
@@ -194,12 +213,12 @@ def test_tagged_compare_zero_rates_exact():
     spec = zero_rate_spec()
     plan = small_plan(spec, n_values=(25, 50), seeds=2)
     rep = tagged_compare(plan, pins=[(0, 0.3), (0, 0.62)])
-    for ti, n, seed, v in rep.sup_rows:
+    for ti, n, seed, v, _ in rep.rows:
         y_star = rep.pins[ti][1]
         slots = np.arange(n) / n
         nearest = slots[np.argmin(np.abs(slots - y_star))]
         assert v == abs(nearest - y_star)
-        assert all(c == 0 for _, _, _, c in rep.count_rows)
+        assert all(c == 0 for _, _, _, _, c in rep.rows)
 
 
 def test_tagged_jump_times_bitwise_shared_with_limit_path(sol_mixture,
@@ -229,6 +248,23 @@ def test_latp_validation_small():
     assert rep.all_passed()
     zero_row = next(r for r in rep.rows if r.label == "zero")
     assert zero_row.series_gap == 0.0 and zero_row.mc_max_gap == 0.0
+
+
+def test_latp_validation_keeps_a_nan_series_gap(monkeypatch):
+    # the builtin max(0.0, nan) is 0.0, so a NaN series value once passed
+    series = latp.survival_series
+    calls = []
+
+    def nan_at_third_pair(omega, s, t, **kwargs):
+        calls.append((s, t))
+        return math.nan if len(calls) == 3 else series(omega, s, t, **kwargs)
+
+    monkeypatch.setattr(harness.latp, "survival_series", nan_at_third_pair)
+    rep = latp_validation({"const2": latp.constant_intensity(2.0, 1.0)},
+                          step=1 / 50, replicas=200, seed=0)
+    (row,) = rep.rows
+    assert math.isnan(row.series_gap)
+    assert not row.passed() and not rep.all_passed()
 
 
 def test_latp_report_json(tmp_path):

@@ -649,6 +649,14 @@ def test_survival_solve_refuses_a_nan_hazard():
         survival_solve(nan_after_half(), np.linspace(0.0, 1.0, 41))
 
 
+def test_survival_series_refuses_a_non_finite_sum():
+    with pytest.raises(ConfigError, match=r"nan-after-half: .*\(0.2, 0.8\)"):
+        survival_series(nan_after_half(), 0.2, 0.8, step=1 / 40)
+    # up to t = 0.5 the hazard is 1, and the series reads nothing beyond t
+    assert survival_series(nan_after_half(), 0.2, 0.4, step=1 / 40) == \
+        survival_series(constant_intensity(1.0, 1.0), 0.2, 0.4, step=1 / 40)
+
+
 @pytest.mark.parametrize("at", [(0, 5), (3, 3), (7, 10)],
                          ids=["first-row", "diagonal", "corner"])
 def test_survival_table_refuses_nan_on_or_above_the_diagonal(at):
