@@ -144,11 +144,11 @@ class FlowGrid:
         if np.any(np.diff(iv, axis=1) < -tol):
             raise ConfigError("flow not non-decreasing in t (initial rows)")
         (dt, in_dt), (ds, in_ds) = _upper_diffs(bv)
-        if np.any(dt[in_dt] < -tol):
+        if np.min(dt, where=in_dt, initial=np.inf) < -tol:
             raise ConfigError("flow not non-decreasing in t (boundary rows)")
         if np.any(np.diff(iv, axis=0) < -tol):
             raise ConfigError("flow not non-decreasing in z across initial rows")
-        if np.any(ds[in_ds] > tol):
+        if np.max(ds, where=in_ds, initial=-np.inf) > tol:
             raise ConfigError("flow not monotone across boundary rows")
 
     # -- strict evaluation ------------------------------------------------

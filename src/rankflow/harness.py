@@ -410,7 +410,7 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
     # NaN fails the comparisons
     if isinstance(horizon, bool) or not 0 < horizon < math.inf:
         raise ConfigError(f"horizon: must be positive and finite, got {horizon}")
-    if not 0 < step < math.inf:
+    if isinstance(step, bool) or not 0 < step < math.inf:
         raise ConfigError(f"step: must be positive and finite, got {step}")
     streams.check_key("seed", seed)
     if omegas is None:
@@ -423,16 +423,22 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
         raise ConfigError(f"step: {m + 1} grid nodes make a table above "
                           f"{latp.MAX_TABLE_ENTRIES} entries")
     grid = np.linspace(0.0, horizon, m + 1)
-    # lattice on grid nodes, s <= t
-    idx = np.linspace(0, m, lattice_size, dtype=int)
+    # lattice on grid nodes, s <= t; a lattice_size above the node count
+    # repeats nodes, and every row value is a maximum over the pairs
+    idx = np.unique(np.linspace(0, m, lattice_size, dtype=int))
+    pair_list = [(i, j) for i in idx for j in idx if j >= i]
+    first, last = np.transpose(pair_list)
     rows = []
     for label, omega in sorted(omegas.items()):
         table = latp.survival_solve(omega, grid)
         series_tol = 1e-5 + 5 * step ** 2
-        pair_list = [(i, j) for i in idx for j in idx if j >= i]
-        solved = table.p[tuple(np.transpose(pair_list))]
-        series = [latp.survival_series(omega, grid[i], grid[j], kmax=25, step=step)
-                  for i, j in pair_list]
+        solved = table.p[first, last]
+        # one series call per start node, over its end nodes in pair order
+        series = np.empty(len(pair_list))
+        for i in idx:
+            at = first == i
+            series[at] = latp.survival_series(omega, grid[i], grid[last[at]],
+                                              kmax=25, step=step)
         # np.max, unlike the builtin max, keeps a NaN gap
         series_gap = np.max(np.abs(solved - series))
         times, offsets = latp.sample_replicas(omega, seed, replicas)

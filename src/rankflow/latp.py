@@ -9,7 +9,8 @@ no-arrival probability p(s, t) = P(N(t) = N(s)) are provided:
   * a renewal Volterra solve for the arrival-rate density (``survival_solve``),
   * the explicit series over arrival configurations (``survival_series``),
     kept as a test oracle; each term reuses the previous term's inner
-    integral, and the truncation error is bounded by
+    integral, one call serves one start time s and many end times t from
+    one [0, s] block, and the truncation error is bounded by
     (||omega|| s)^(kmax+1) / (kmax+1)!.
 
 ``thin_last_arrival`` thins many independent such processes that share one
@@ -348,20 +349,22 @@ class SurvivalTable:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        m = len(self.grid)
-        iu = np.triu_indices(m)
-        vals = self.p[iu]
-        if np.isnan(vals).any():
+        p = self.p
+        upper = _upper_mask(len(self.grid))
+        # a NaN on or above the diagonal makes both extremes NaN
+        hi = np.max(p, where=upper, initial=-np.inf)
+        lo = np.min(p, where=upper, initial=np.inf)
+        if np.isnan(hi):
             raise ConfigError("survival table has NaN on or above the diagonal")
-        if np.any(vals < -1e-12) or np.any(vals > 1 + 1e-12):
+        if lo < -1e-12 or hi > 1 + 1e-12:
             raise ConfigError("survival table escapes [0,1]")
-        if np.any(np.diag(self.p) != 1.0):
+        if np.any(np.diag(p) != 1.0):
             raise ConfigError("survival table diagonal must be exactly 1")
         slack = 1e-9
-        (dt, in_dt), (ds, in_ds) = _upper_diffs(self.p)
-        if np.any(dt[in_dt] > slack):
+        (dt, in_dt), (ds, in_ds) = _upper_diffs(p, upper)
+        if np.max(dt, where=in_dt, initial=-np.inf) > slack:
             raise ConfigError("survival table increases in t")
-        if np.any(ds[in_ds] < -slack):
+        if np.min(ds, where=in_ds, initial=np.inf) < -slack:
             raise ConfigError("survival table decreases in the start time")
 
     @property
@@ -414,17 +417,23 @@ def _triangle_value(table, h: float, m: int, s, t, weights=None):
     return np.where(i >= j, diagonal, top * (1 - a) + bot * a)
 
 
-def _cumulative_trapezoid(vals: np.ndarray, h, out=None) -> np.ndarray:
+def _cumulative_trapezoid(vals: np.ndarray, h, out=None,
+                          start=None) -> np.ndarray:
     """Trapezoid integrals of ``vals`` along the last axis from its first
     node to each node, (0.5 h) (v_j + v_{j+1}) summed in order; ``h`` is
-    the step, a scalar or one per interval.  Written into ``out`` when
-    given."""
+    the step, a scalar or one per interval.  With ``start`` (one value per
+    leading index) the sums continue a longer run that had reached
+    ``start`` at the first node, adding each interval to it in the same
+    order.  Written into ``out`` when given."""
     out = np.empty(vals.shape) if out is None else out
-    out[..., :1] = 0.0
+    out[..., :1] = 0.0 if start is None else np.asarray(start)[..., None]
     part = out[..., 1:]
     np.add(vals[..., 1:], vals[..., :-1], out=part)
     np.multiply(0.5 * h, part, out=part)
-    np.cumsum(part, axis=-1, out=part)
+    if start is None:
+        np.cumsum(part, axis=-1, out=part)
+    else:
+        np.cumsum(out, axis=-1, out=out)
     return out
 
 
@@ -440,15 +449,19 @@ def _exposure_rows(row_vals: np.ndarray, h, out=None) -> np.ndarray:
     return omega
 
 
-def _hazard_rows(omega: LatpIntensity, grid: np.ndarray, n_rows=None):
-    """Hazard tables of ``omega`` on a grid: ``w[v, j]`` = omega(t_v, t_j)
-    after an arrival at t_v (row 0 the s->0+ limit) for the first
-    ``n_rows`` nodes t_v (all by default), and ``w0[j]`` = omega(0, t_j)
-    before the first arrival."""
-    ss, tt = np.meshgrid(grid[:n_rows], grid, indexing="ij")
-    w = np.asarray(omega._fn(np.minimum(ss, tt), tt), dtype=float)
-    w0 = np.asarray(omega._fn(np.zeros(len(grid)), grid), dtype=float)
-    w[0] = omega.kernel_s0(grid)
+def _hazard_rows(omega: LatpIntensity, starts: np.ndarray, times=None):
+    """Hazard tables of ``omega``: ``w[v, j]`` = omega(min(s_v, t_j), t_j)
+    after an arrival at each start s_v (row 0 the s->0+ limit: ``starts``
+    begins at node 0) and each time t_j (the starts by default), and
+    ``w0[j]`` = omega(0, t_j) before the first arrival.  One broadcast
+    kernel call writes ``w``, which keeps its full shape when the kernel
+    ignores an argument."""
+    times = starts if times is None else times
+    w = np.empty((len(starts), len(times)))
+    w[...] = omega._fn(np.minimum(starts[:, None], times[None, :]),
+                       times[None, :])
+    w0 = np.asarray(omega._fn(np.zeros(len(times)), times), dtype=float)
+    w[0] = omega.kernel_s0(times)
     return w, w0
 
 
@@ -538,62 +551,105 @@ def survival_solve(omega: LatpIntensity, grid: np.ndarray) -> SurvivalTable:
                          label=omega.label)
 
 
-def survival_series(omega: LatpIntensity, s: float, t: float,
-                    kmax: int = 25, step: float = 2.5e-3) -> float:
-    """Truncated series for P(N(t) = N(s)).
+def _check_time(name: str, x) -> None:
+    """Refuse with DomainError a time that is not one finite real number:
+    NaN fails every comparison, and a bool would be read as 0 or 1."""
+    a = np.asarray(x)
+    if a.ndim or a.dtype.kind not in "iuf" or not np.isfinite(a):
+        raise DomainError(f"{name}: must be a finite number, got {x!r}")
+
+
+def survival_series(omega: LatpIntensity, s: float, t,
+                    kmax: int = 25, step: float = 2.5e-3):
+    """Truncated series for P(N(t) = N(s)): a float for one end time t, an
+    array of one value per t for a sequence of them.
 
     Term k integrates the density of k arrivals in (0, s] times the
     no-arrival factor from the last arrival to t.  The k-th arrival-time
     density g_k is built iteratively from g_{k-1}, so the nested simplex
-    integrals cost one matrix-vector product per term.
+    integrals cost one matrix-vector product per term.  The [0, s] block
+    and g_1 ... g_kmax are built once per call; each t adds only its
+    exposure from s on, so every value has the bits of a call with that t
+    alone.
     """
-    if s > t + 1e-12:
-        raise DomainError(f"need s <= t, got ({s}, {t})")
-    if s < -1e-12 or t > omega.horizon + 1e-9:
-        raise DomainError(f"({s}, {t}) outside [0, {omega.horizon}]")
+    _check_time("s", s)
+    if np.ndim(t) == 0:
+        ends = [("t", t)]
+    elif np.ndim(t) == 1:
+        ends = [(f"t[{k}]", x) for k, x in enumerate(t)]
+    else:
+        raise DomainError("t: must be a number or a one-dimensional sequence")
+    for name, x in ends:
+        _check_time(name, x)
+        if s > x + 1e-12:
+            raise DomainError(f"{name}: need s <= t, got ({s}, {x})")
+        if s < -1e-12 or x > omega.horizon + 1e-9:
+            raise DomainError(f"{name}: ({s}, {x}) outside [0, {omega.horizon}]")
     if isinstance(kmax, bool) or not isinstance(kmax, (int, np.integer)):
         raise DomainError(f"kmax: must be an integer, got {kmax!r}")
     if kmax < 0:
         raise DomainError(f"kmax: must be >= 0, got {kmax}")
-    if not 0 < step < np.inf:  # NaN fails the comparison
+    # NaN fails the comparison
+    if isinstance(step, (bool, np.bool_)) or not 0 < step < np.inf:
         raise DomainError(f"step: must be positive and finite, got {step!r}")
-    s = min(s, t)
+    # an end time below s by rounding starts its series there
+    blocks = {}
+    out = np.empty(len(ends))
+    for k, (_, x) in enumerate(ends):
+        start = min(s, x)
+        if start not in blocks:
+            blocks[start] = _series_from(omega, start, kmax, step)
+        out[k] = blocks[start](x)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _series_from(omega: LatpIntensity, s, kmax: int, step: float):
+    """The series from start time s: builds its [0, s] block and returns
+    the function of an end time t >= s that continues it to t."""
     n1 = max(1, int(np.ceil(s / step))) if s > 0 else 0
     inner = np.linspace(0.0, s, n1 + 1)
-    if t > s + 1e-12:
-        n2 = max(1, int(np.ceil((t - s) / step)))
-        grid = np.concatenate([inner, np.linspace(s, t, n2 + 1)[1:]])
-    else:
-        grid = inner
     # the series reads the hazard rows of the nodes of [0, s] only, and the
     # k = 0 term none (row 0 is built anyway); each row's exposure integral
     # is independent of the others
     nx = n1 + 1 if kmax and n1 else 0
-    w, w0 = _hazard_rows(omega, grid, max(nx, 1))
-    dg = np.diff(grid)
-    expo = _exposure_rows(w, dg)
-    expo0 = _cumulative_trapezoid(w0, dg)
-
-    i_t = len(grid) - 1
-    total = float(np.exp(-expo0[i_t]))  # k = 0: no arrival up to t
+    starts = inner[:max(nx, 1)]
+    w, w0 = _hazard_rows(omega, starts, inner)
+    dg = np.diff(inner)
+    # exposures from node 0, and to s, which each t continues from
+    cum = _cumulative_trapezoid(w, dg)
+    cum0 = _cumulative_trapezoid(w0, dg)
+    at_s, at_s0, diag = cum[:, -1].copy(), cum0[-1], cum.diagonal().copy()
+    gs = []
     if nx:
         tw = _trapezoid_weights(nx, s / n1)
-        kern = (w[:nx, :nx] * np.exp(-expo[:nx, :nx]))
+        kern = w * np.exp(-(cum - diag[:, None]))
         step_mat = tw * kern.T  # A[j, v] = weight * K(v, u_j)
-
-        # weights of int_0^s g(u) e^{-Omega(u, t)} du: the last row of tw
-        tail = tw[-1] * np.exp(-expo[:nx, i_t])
-
-        g = w0[:nx] * np.exp(-expo0[:nx])  # first-arrival density g_1
-        total += float(np.dot(tail, g))
+        g = w0 * np.exp(-cum0)  # first-arrival density g_1
+        gs.append(g)
         for _ in range(2, kmax + 1):
             g = step_mat @ g
-            total += float(np.dot(tail, g))
-    # a NaN in any hazard the series reads reaches the sum
-    if not np.isfinite(total):
-        raise ConfigError(f"{omega.label}: survival series at ({s}, {t}) is "
-                          f"{total}, not finite")
-    return total
+            gs.append(g)
+
+    def value(t) -> float:
+        n2 = max(1, int(np.ceil((t - s) / step))) if t > s + 1e-12 else 0
+        nodes = np.linspace(s, t, n2 + 1)
+        wt, w0t = _hazard_rows(omega, starts, nodes)
+        dgt = np.diff(nodes)
+        # k = 0: no arrival up to t
+        total = float(np.exp(-_cumulative_trapezoid(w0t, dgt, start=at_s0)[-1]))
+        if nx:
+            # weights of int_0^s g(u) e^{-Omega(u, t)} du: the last row of tw
+            expo = _cumulative_trapezoid(wt, dgt, start=at_s)[:, -1] - diag
+            tail = tw[-1] * np.exp(-expo)
+            for g in gs:
+                total += float(np.dot(tail, g))
+        # a NaN in any hazard the series reads reaches the sum
+        if not np.isfinite(total):
+            raise ConfigError(f"{omega.label}: survival series at ({s}, {t}) "
+                              f"is {total}, not finite")
+        return total
+
+    return value
 
 
 def _trapezoid_weights(nx: int, h: float) -> np.ndarray:
@@ -642,16 +698,22 @@ def derivative_bound_check(table: SurvivalTable,
                             step=h)
 
 
-def _upper_diffs(p):
+def _upper_mask(m: int) -> np.ndarray:
+    """The mask of an m x m table's upper triangle, diagonal included."""
+    return np.less_equal.outer(np.arange(m), np.arange(m))
+
+
+def _upper_diffs(p, upper=None):
     """Differences of p along t and along s, each with its upper-triangle mask.
 
     ``dt[i, j] = p[i, j+1] - p[i, j]`` counts for j >= i, and
-    ``ds[i, j] = p[i+1, j] - p[i, j]`` for j > i.
+    ``ds[i, j] = p[i+1, j] - p[i, j]`` for j > i.  The masks are views of
+    ``upper``, p's ``_upper_mask`` (built if not given).
     """
-    m = len(p)
-    k = max(m - 1, 0)
-    return ((np.diff(p, axis=1), np.triu(np.ones((m, k), dtype=bool))),
-            (np.diff(p, axis=0), np.triu(np.ones((k, m), dtype=bool), k=1)))
+    if upper is None:
+        upper = _upper_mask(len(p))
+    return ((np.diff(p, axis=1), upper[:, :-1]),
+            (np.diff(p, axis=0), upper[1:, :]))
 
 
 def _line_max(d, inside, axis):

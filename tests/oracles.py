@@ -5,8 +5,7 @@ import numpy as np
 from rankflow import ConfigError, EnvelopeBreach, RankIndex
 from rankflow.flow import OdeFormReport, boundary, initial
 from rankflow.latp import (DerivativeReport, _bilinear, _cumulative_trapezoid,
-                           _grid_cells,
-                           _hazard_rows, _line_max, _trapezoid_weights,
+                           _grid_cells, _line_max, _trapezoid_weights,
                            _upper_diffs)
 from rankflow.measure import _slot_threshold
 
@@ -146,9 +145,21 @@ def allocating_trapezoid_volterra(w, b, pre, h, total=1.0):
     return f, p
 
 
+def meshgrid_hazard_rows(omega, grid, n_rows=None):
+    """``latp._hazard_rows`` on one grid from two full meshgrid tables: the
+    hazard rows of the first ``n_rows`` nodes (all by default) at every
+    node, row 0 the s->0+ limit, and the row before the first arrival."""
+    ss, tt = np.meshgrid(grid[:n_rows], grid, indexing="ij")
+    w = np.asarray(omega._fn(np.minimum(ss, tt), tt), dtype=float)
+    w0 = np.asarray(omega._fn(np.zeros(len(grid)), grid), dtype=float)
+    w[0] = omega.kernel_s0(grid)
+    return w, w0
+
+
 def full_survival_series(omega, s, t, kmax=25, step=2.5e-3):
-    """``latp.survival_series`` building and integrating every hazard row
-    of its grid, not only the rows of [0, s] that the series reads."""
+    """``latp.survival_series`` at one end time, on one grid over [0, t],
+    building and integrating every hazard row of that grid, not only the
+    rows of [0, s] that the series reads."""
     s = min(s, t)
     n1 = max(1, int(np.ceil(s / step))) if s > 0 else 0
     inner = np.linspace(0.0, s, n1 + 1)
@@ -157,7 +168,7 @@ def full_survival_series(omega, s, t, kmax=25, step=2.5e-3):
         grid = np.concatenate([inner, np.linspace(s, t, n2 + 1)[1:]])
     else:
         grid = inner
-    w, w0 = _hazard_rows(omega, grid)
+    w, w0 = meshgrid_hazard_rows(omega, grid)
     dg = np.diff(grid)
     expo = allocating_exposure_rows(w, dg)
     expo0 = allocating_cumulative_trapezoid(w0, dg)

@@ -267,6 +267,30 @@ def test_latp_validation_keeps_a_nan_series_gap(monkeypatch):
     assert not row.passed() and not rep.all_passed()
 
 
+def test_latp_validation_series_per_start_node_on_a_repeating_lattice(
+        monkeypatch):
+    # at step 0.25 a lattice of 9 repeats the nodes 0 to 3, and its report
+    # is that of the lattice of each node once; the series runs once per
+    # distinct start node, over its end nodes in pair order
+    omegas = harness.shipped_omegas(1.0)
+    settings = {"step": 0.25, "replicas": 300, "seed": 4}
+    want = latp_validation(omegas, lattice_size=5, **settings)
+    series = latp.survival_series
+    calls = []
+
+    def record(omega, s, t, **kwargs):
+        calls.append((omega.label, float(s), np.asarray(t).tolist()))
+        return series(omega, s, t, **kwargs)
+
+    monkeypatch.setattr(harness.latp, "survival_series", record)
+    got = latp_validation(omegas, lattice_size=9, **settings)
+    assert got.summary() == want.summary()
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    for label, omega in sorted(omegas.items()):
+        assert [c[1:] for c in calls if c[0] == omega.label] == \
+            [(s, grid[i:]) for i, s in enumerate(grid)]
+
+
 def test_latp_report_json(tmp_path):
     omegas = {"zero": latp.zero_intensity(1.0)}
     rep = latp_validation(omegas, step=1 / 50, replicas=200, seed=0)
@@ -317,6 +341,7 @@ def test_latp_validation_refuses_replicas_below_one(replicas):
     ("step", -0.01, "step: must be positive and finite"),
     ("step", math.nan, "step: must be positive and finite"),
     ("step", math.inf, "step: must be positive and finite"),
+    ("step", True, "step: must be positive and finite"),
     ("step", 2.0, "step: 2.0 leaves fewer than two grid nodes"),
     ("step", 3.0, "step: 3.0 leaves fewer than two grid nodes"),
     ("horizon", True, "horizon: must be positive and finite"),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 from types import SimpleNamespace
@@ -13,12 +14,14 @@ from oracles import (allocating_cumulative_trapezoid,
                      allocating_trapezoid_volterra, check_regularity,
                      full_survival_series, loop_derivative_bound_check,
                      loop_regularity_moduli, loop_survival_table_check,
-                     loop_trapezoid_weights)
+                     loop_trapezoid_weights, meshgrid_hazard_rows)
+from conftest import affine_two_class_spec
 
 from rankflow import (ArrivalSequence, ConfigError, DomainError,
                       EnvelopeBreach, LatpIntensity, derivative_bound_check,
-                      latp, sample_arrivals, streams,
-                      survival_series, survival_solve, thin_last_arrival)
+                      latp, sample_arrivals, solve_y_c, spec_from_config,
+                      streams, survival_series, survival_solve,
+                      thin_last_arrival, tilde_w)
 from rankflow.harness import shipped_omegas
 from rankflow.latp import (ENVELOPE_MARGIN, constant_intensity,
                            SurvivalTable, _hazard_rows, _trapezoid_volterra,
@@ -757,7 +760,7 @@ def test_series_kmax0_is_no_arrival_term():
 
 @pytest.mark.parametrize("arg, value", [
     ("step", 0.0), ("step", -0.1), ("step", math.inf), ("step", math.nan),
-    ("kmax", True), ("kmax", False), ("kmax", 2.5), ("kmax", -1),
+    ("step", True), ("kmax", True), ("kmax", False), ("kmax", 2.5), ("kmax", -1),
 ])
 def test_series_refuses_bad_step_and_kmax(arg, value):
     # a negative or infinite step once returned 0.4060 for const2 at
@@ -1092,15 +1095,136 @@ def test_in_place_volterra_matches_allocating_solve_on_nan():
     assert np.isnan(f[12]) and np.isnan(p[13, 20])
 
 
-@pytest.mark.parametrize("label", sorted(shipped_omegas(1.0)))
+@functools.cache
+def series_kernels():
+    """The shipped kernels, two kernels read along solved flows (affine and
+    table fields), and one whose ``fn`` ignores s and returns one row."""
+    kernels = dict(shipped_omegas(1.0))
+    affine = affine_two_class_spec()
+    table = spec_from_config({"horizon": 1.0, "classes": [{
+        "weight": 1.0, "field": {"kind": "table",
+                                 "values": [[0.6, 0.4, 0.2], [0.2, 0.4, 0.6]]}}]})
+    for name, spec, z in (("tilde_affine", affine, 0.35),
+                          ("tilde_table", table, 0.8)):
+        sol = solve_y_c(spec, n_z=5, n_t=40)
+        kernels[name] = tilde_w(sol.flow, spec.classes[0].field, z)
+    kernels["t_only"] = LatpIntensity(lambda s, t: 1.0 + np.sin(3.0 * t), 1.0,
+                                      sup_norm=2.0, label="t-only")
+    return kernels
+
+
+SERIES_KERNELS = ("zero", "const2", "one_plus_s", "flow_affine",
+                  "tilde_affine", "tilde_table", "t_only")
+
+
+def series_ends(s):
+    """End times for a series from s: s itself, within 1e-12 of it on
+    either side, or anywhere in [s, 1]."""
+    near = st.floats(-1e-12, 1e-12).map(lambda d: min(1.0, max(0.0, s + d)))
+    return st.one_of(st.just(s), near, st.floats(s, 1.0))
+
+
+@pytest.mark.parametrize("label", SERIES_KERNELS)
 def test_series_matches_full_hazard_rows_at_limit_lattice(label):
-    # the 15 lattice pairs of the benchmark's limit workload
-    om = shipped_omegas(1.0)[label]
+    # the 15 lattice pairs of the benchmark's limit workload, one call per
+    # pair, and one call per start node over its end nodes, as
+    # latp_validation makes them
+    om = series_kernels()[label]
     grid = np.linspace(0.0, 1.0, 401)
     idx = np.linspace(0, 400, 5, dtype=int)
     for i in idx:
-        for j in idx[idx >= i]:
-            got = survival_series(om, grid[i], grid[j], kmax=25, step=1 / 400)
-            want = full_survival_series(om, grid[i], grid[j], kmax=25,
-                                        step=1 / 400)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        ends = idx[idx >= i]
+        want = np.array([full_survival_series(om, grid[i], grid[j], kmax=25,
+                                              step=1 / 400) for j in ends])
+        got = [survival_series(om, grid[i], grid[j], kmax=25, step=1 / 400)
+               for j in ends]
+        assert np.array(got).tobytes() == want.tobytes()
+        got = survival_series(om, grid[i], grid[ends], kmax=25, step=1 / 400)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(label=st.sampled_from(SERIES_KERNELS),
+       step=st.sampled_from([1 / 40, 0.013, 1 / 400, 2.5e-3]),
+       kmax=st.sampled_from([0, 1, 4, 25]), data=st.data())
+def test_series_at_many_end_times_matches_full_series_at_each(label, step,
+                                                              kmax, data):
+    om = series_kernels()[label]
+    n = int(round(1 / step))
+    s = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                            st.integers(0, n).map(
+                                lambda k: float(np.linspace(0.0, 1.0, n + 1)[k]))),
+                  label="s")
+    ts = data.draw(st.lists(series_ends(s), min_size=1, max_size=4), label="ts")
+    got = survival_series(om, s, ts, kmax=kmax, step=step)
+    assert type(got) is np.ndarray and got.shape == (len(ts),)
+    for t, value in zip(ts, got):
+        one = survival_series(om, s, t, kmax=kmax, step=step)
+        want = full_survival_series(om, s, t, kmax=kmax, step=step)
+        assert type(one) is float
+        assert value.tobytes() == np.float64(one).tobytes() == \
+            np.float64(want).tobytes()
+    # the one-element sequence is the scalar call
+    assert survival_series(om, s, ts[:1], kmax=kmax,
+                           step=step).tobytes() == got[:1].tobytes()
+
+
+def test_series_at_no_end_time_is_empty():
+    got = survival_series(constant_intensity(2.0, 1.0), 0.5, [])
+    assert got.shape == (0,)
+
+
+def test_series_names_the_end_time_of_a_nan_hazard():
+    # the hazard is NaN past t = 0.5; the first end time past it is named
+    with pytest.raises(ConfigError, match=r"nan-after-half: .*\(0.2, 0.8\)"):
+        survival_series(nan_after_half(), 0.2, [0.3, 0.4, 0.8, 0.9],
+                        step=1 / 40)
+    got = survival_series(nan_after_half(), 0.2, [0.3, 0.4], step=1 / 40)
+    want = survival_series(constant_intensity(1.0, 1.0), 0.2, [0.3, 0.4],
+                           step=1 / 40)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("s, t, name", [
+    (math.nan, 0.5, "s"), (0.5, math.nan, "t"), (True, 0.5, "s"),
+    (0.2, True, "t"), (np.bool_(False), 0.5, "s"), (0.2, math.inf, "t"),
+    ("0.2", 0.5, "s"), (0.2, [0.5, math.nan], r"t\[1\]"),
+    (0.2, [True, 0.5], r"t\[0\]"), (0.2, np.array([0.5, np.inf]), r"t\[1\]"),
+    (0.2, [0.5, 0.1], r"t\[1\]: need s <= t"),
+    (0.2, np.array([[0.5]]), "t: must be a number or a one-dimensional"),
+])
+def test_series_refuses_nan_and_bool_times(s, t, name):
+    # on const2, (0.5, nan) once returned 1.0000333 and (nan, 0.5) 1.0,
+    # and s=True ran as s=1.0
+    with pytest.raises(DomainError, match=f"^{name}"):
+        survival_series(constant_intensity(2.0, 1.0), s, t)
+
+
+@pytest.mark.parametrize("label", SERIES_KERNELS)
+def test_hazard_rows_match_meshgrid_tables(label):
+    om = series_kernels()[label]
+    grid = np.linspace(0.0, 1.0, 401)
+    for n_rows in (None, 1, 7, 401):
+        got = _hazard_rows(om, grid[:n_rows], grid)
+        want = meshgrid_hazard_rows(om, grid, n_rows)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the series' continuation: the rows of [0, s] at the times after s
+    got = _hazard_rows(om, grid[:101], grid[100:])
+    want = meshgrid_hazard_rows(om, grid, 101)
+    assert got[0].tobytes() == want[0][:, 100:].tobytes()
+    assert got[1].tobytes() == want[1][100:].tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 9])
+def test_table_checks_diff_masks_are_views_of_the_upper_mask(m):
+    p = np.arange(m * m, dtype=float).reshape(m, m)
+    upper = latp._upper_mask(m)
+    assert upper.tobytes() == np.triu(np.ones((m, m), dtype=bool)).tobytes()
+    (dt, in_dt), (ds, in_ds) = latp._upper_diffs(p, upper)
+    k = max(m - 1, 0)
+    assert in_dt.base is upper and in_ds.base is upper
+    assert in_dt.tolist() == np.triu(np.ones((m, k), dtype=bool)).tolist()
+    assert in_ds.tolist() == np.triu(np.ones((k, m), dtype=bool), k=1).tolist()
+    assert dt.tobytes() == np.diff(p, axis=1).tobytes()
+    assert ds.tobytes() == np.diff(p, axis=0).tobytes()
