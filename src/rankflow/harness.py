@@ -8,8 +8,9 @@ shared noise, and cross-method validation of the point-process solvers.
 
 Every report is a pure function of (plan, seeds): rows are emitted in
 deterministic order and all aggregates are recomputed from the rows.  A
-sweep's (N, seed) job returns one record (N, seed, {label: value}), and
-each label becomes one SweepMetric.
+sweep's job is one N and a run of seeds, which the engines thin as one
+batch; it returns one record (N, seed, {label: value}) per seed, and each
+label becomes one SweepMetric.
 """
 
 from __future__ import annotations
@@ -162,22 +163,25 @@ class SweepReport:
 
 
 def _distance_worker(args):
-    """One (N, seed) run: simulate, then lattice sups against limit values.
+    """One (N, run of seeds) job: simulate, then lattice sups against limit
+    values, one record per seed.
 
-    ``flow`` is None for the original model; otherwise the run is
-    flow-driven and its empirical curve is also compared to theta.
+    ``flow`` is None for the original model; otherwise the runs are
+    flow-driven and each empirical curve is also compared to theta.
     """
-    assignment, seed, flow, lattice, labels, h_vecs, limit, theta = args
-    if flow is None:
-        log = srp.simulate(assignment, seed=seed)
-    else:
-        log = srp.simulate_flow_driven(assignment, flow, seed=seed)
-    counts = LogEvaluator(log).lattice_counts(lattice)
-    values = {label: float(np.max(np.abs(counts.phi(hv) - lim)))
-              for label, hv, lim in zip(labels, h_vecs, limit)}
-    if flow is not None:
-        values["sup_curve_to_theta"] = float(np.max(np.abs(counts.curve() - theta)))
-    return assignment.n, seed, values
+    assignment, seeds, flow, lattice, labels, h_vecs, limit, theta = args
+    logs = srp._run_seeds(assignment, seeds,
+                          "original" if flow is None else "flow", flow=flow)
+    records = []
+    for seed, log in zip(seeds, logs):
+        counts = LogEvaluator(log).lattice_counts(lattice)
+        values = {label: float(np.max(np.abs(counts.phi(hv) - lim)))
+                  for label, hv, lim in zip(labels, h_vecs, limit)}
+        if flow is not None:
+            values["sup_curve_to_theta"] = float(
+                np.max(np.abs(counts.curve() - theta)))
+        records.append((assignment.n, seed, values))
+    return records
 
 
 def _assignments(plan: ExperimentPlan) -> list:
@@ -186,18 +190,29 @@ def _assignments(plan: ExperimentPlan) -> list:
             for n in plan.n_values]
 
 
+def _seed_runs(assignment, seeds: int) -> list:
+    """``range(seeds)`` in runs of consecutive seeds, each as many as one
+    engine batch window (``srp._window``) holds by their expected candidate
+    count, and at least one: so a job runs its seeds through the engines
+    together, and a large N keeps one seed per job."""
+    expected = float(assignment.sup_norms().sum()) * assignment.spec.horizon
+    per = max(1, int(srp._window(assignment.n) // expected)) if expected else seeds
+    return [range(lo, min(lo + per, seeds)) for lo in range(0, seeds, per)]
+
+
 def _sweep_metrics(plan: ExperimentPlan, worker, *shared) -> list:
-    """Run ``worker`` on the job (assignment, seed, *shared) of every N and
-    seed, serially or in a process pool, and make one SweepMetric per label
-    of the records (N, seed, {label: value}) it returns, in the first
-    record's label order; rows run N-major, then seed."""
-    jobs = [(assignment, seed, *shared)
-            for assignment in _assignments(plan) for seed in range(plan.seeds)]
+    """Run ``worker`` on the job (assignment, run of seeds, *shared) of
+    every N and run of ``_seed_runs``, serially or in a process pool, and
+    make one SweepMetric per label of the records (N, seed, {label: value})
+    the jobs return, in the first record's label order; rows run N-major,
+    then seed."""
+    jobs = [(assignment, seeds, *shared) for assignment in _assignments(plan)
+            for seeds in _seed_runs(assignment, plan.seeds)]
     if plan.workers <= 1:
-        records = [worker(j) for j in jobs]
+        records = [r for j in jobs for r in worker(j)]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=plan.workers) as ex:
-            records = list(ex.map(worker, jobs))
+            records = [r for rs in ex.map(worker, jobs) for r in rs]
     return [SweepMetric(label=label, n_values=list(plan.n_values),
                         rows=[(n, seed, values[label]) for n, seed, values in records])
             for label in records[0][2]]
@@ -250,9 +265,10 @@ def _sweep(plan, evaluator, flow, kind, meta) -> SweepReport:
 
 
 def _coupling_worker(args):
-    assignment, seed, flow = args
-    _, _, record = srp.simulate_coupled(assignment, flow, seed=seed)
-    return assignment.n, seed, {"decoupled_fraction": record.decoupled_fraction()}
+    assignment, seeds, flow = args
+    runs = srp._run_seeds(assignment, seeds, "coupled", flow=flow)
+    return [(assignment.n, seed, {"decoupled_fraction": record.decoupled_fraction()})
+            for seed, (_, _, record) in zip(seeds, runs)]
 
 
 def coupling_sweep(plan: ExperimentPlan,
@@ -334,13 +350,14 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
         if np.any(assignment.class_index[:L] != np.array([k for k, _ in pins])):
             raise ConfigError("tagged stream sharing misconfigured: "
                               "pinned classes not in place")
-        for seed in range(plan.seeds):
-            ev = LogEvaluator(srp.simulate(assignment, seed=seed, tagged=L))
-            empirical = ev.positions_of(np.arange(L), ts)
-            for i in range(L):
-                limit_vals, jumps = paths[seed, i]
-                sup = float(np.max(np.abs(empirical[:, i] - limit_vals)))
-                rows.append((i, n, seed, sup, jumps))
+        for seeds in _seed_runs(assignment, plan.seeds):
+            logs = srp._run_seeds(assignment, seeds, "original", tagged=L)
+            for seed, log in zip(seeds, logs):
+                empirical = LogEvaluator(log).positions_of(np.arange(L), ts)
+                for i in range(L):
+                    limit_vals, jumps = paths[seed, i]
+                    sup = float(np.max(np.abs(empirical[:, i] - limit_vals)))
+                    rows.append((i, n, seed, sup, jumps))
     corr, corr_se = float("nan"), float("nan")
     if L >= 2 and plan.seeds >= 3:
         a, b = (np.array([paths[s, i][1] for s in range(plan.seeds)], dtype=float)

@@ -14,7 +14,11 @@ dominance count (``_mtf_ranks``), and exact speculative rounds of guessed
 masks thin the stream without a loop over candidates.  The rounds run in
 windows of consecutive candidates, each ranked from every particle's rank
 at the window's start, which the reset-point identity (``_reset_ranks``)
-gives from the window before.  The flow-driven
+gives from the window before.  Runs of several seeds go through the
+engines as one batch (``_run_seeds``): their streams are laid one after
+another, each seed's particles under ids of their own, and a window holds
+either whole runs, which each round ranks in one count, or a part of one
+run too long to share a window.  The flow-driven
 model reads the hazard along a prescribed flow from the particle's last
 reset point; given the flow, each particle is an independent last-arrival
 process, so ``flow._thin_along_flow`` thins all of them at once and the
@@ -28,11 +32,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, EnvelopeBreach
-from .intensity import PopulationAssignment
+from .intensity import PopulationAssignment, _require_int
 from .flow import FlowGrid, _thin_along_flow
 from .latp import _breach_bound, _stable_argsort
 from . import streams
@@ -221,8 +226,9 @@ def _candidates(assignment: PopulationAssignment, horizon: float, seed: int,
     """
     sups = assignment.sup_norms()
     n = assignment.n
-    if not 0 <= tagged <= n:
-        raise ConfigError(f"tagged count {tagged} outside 0..{n}")
+    _require_int("tagged", tagged, 0)
+    if tagged > n:
+        raise ConfigError(f"tagged: count {tagged} outside 0..{n}")
     parts = []
     for i in range(tagged):
         t_i, m_i = streams.tagged_candidates(seed, i, float(sups[i]), horizon)
@@ -329,15 +335,41 @@ def _count_below(values, ends, bounds, levels=None):
     return count
 
 
-def _by_particle(ids, n):
+def _firsts(keys):
+    """Where ``keys`` differ from the key before them, the first one
+    included: ``np.r_[True, keys[1:] != keys[:-1]]`` without ``np.r_``'s
+    fixed cost, which the engines pay per window and round."""
+    out = np.empty(len(keys), dtype=bool)
+    out[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=out[1:])
+    return out
+
+
+def _by_particle(ids, n, sizes=None):
     """``ids`` of N = ``n`` particles grouped by particle: its stable
-    argsort ``order``, the sorted ids, and for each sorted position the
-    position its particle's run starts at."""
+    argsort ``order``, the sorted ids, for each sorted position the
+    position its particle's run starts at, and the systems of a batch.
+
+    With ``sizes``, the ids are those of a batch of len(sizes) independent
+    systems of n / len(sizes) particles each, laid one after another:
+    system s holds the next ``sizes[s]`` candidates, and its particle i has
+    the id s * n / len(sizes) + i.  Sorting by particle keeps each system's
+    candidates at the same positions, so the last item, ``(base, first)``,
+    serves both orders: for each position, its system's (s + 1) n /
+    len(sizes), which ``_mtf_ranks`` reads in place of N, and the position
+    of its system's first candidate.  It is None for one system.
+    """
     order = _stable_argsort(ids, n)
     sorted_ids = ids[order]
-    group = np.maximum.accumulate(np.where(
-        np.r_[True, sorted_ids[1:] != sorted_ids[:-1]], np.arange(len(ids)), 0))
-    return order, sorted_ids, group
+    group = np.maximum.accumulate(np.where(_firsts(sorted_ids),
+                                           np.arange(len(ids)), 0))
+    systems = None
+    if sizes is not None:
+        sizes = np.asarray(sizes, dtype=np.int64)
+        per = n // len(sizes)
+        systems = (np.repeat(per * np.arange(1, len(sizes) + 1), sizes),
+                   np.repeat(np.cumsum(sizes) - sizes, sizes))
+    return order, sorted_ids, group, systems
 
 
 def _mtf_ranks(slots, ids, accepted, start=0, grouped=None, levels=None):
@@ -355,23 +387,42 @@ def _mtf_ranks(slots, ids, accepted, start=0, grouped=None, levels=None):
     ``prev_k`` being the index of the k-th accepted particle's previous
     move.  ``grouped``, ``_by_particle(ids, N)``, can be passed in to be
     reused across calls.  ``levels`` makes the count coarse
-    (``_count_below``), and the ranks with it.
+    (``_count_below``), and the ranks with it.  ``start`` may also be a
+    slice or an index array of the candidates to rank.
+
+    The systems of a batch, grouped by ``_by_particle(ids, N, sizes)``, are
+    ranked in one count.  Their traces are laid one after another: the N'
+    virtual moves of system s follow every move of the systems before it,
+    among them their A_s accepted ones, so they start at s N' + A_s, and
+    its accepted moves keep their index x in the whole stream, after its
+    ``base`` (s + 1) N'.  A query of system s then also counts those A_s
+    accepted moves, all below its ``last``, and with N read as ``base`` the
+    formula holds as it stands.
     """
     n, m = len(slots), len(ids)
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    order, sorted_ids, group = _by_particle(ids, n) if grouped is None else grouped
+    order, sorted_ids, group, systems = (_by_particle(ids, n) if grouped is None
+                                         else grouped)
+    at = slice(start, None) if isinstance(start, (int, np.integer)) else start
     accepted = np.asarray(accepted, dtype=bool)
     x = np.cumsum(accepted) - accepted
     # per particle in stream order, the latest accepted candidate before c
     # is a running maximum of accepted positions that stays in c's group
-    before = np.r_[-1, np.maximum.accumulate(
-        np.where(accepted[order], np.arange(m), -1))[:-1]]
+    before = np.empty(m, dtype=np.int64)
+    before[0] = -1
+    np.maximum.accumulate(np.where(accepted[order], np.arange(m), -1)[:-1],
+                          out=before[1:])
+    base = n if systems is None else systems[0]
+    virtual = base - 1 - slots[sorted_ids]
+    if systems is not None:
+        # system s's virtual moves follow the A_s accepted moves before it
+        virtual += x[systems[1]]
     last = np.empty(m, dtype=np.int64)
-    last[order] = np.where(before >= group, n + x[order[before]],
-                           n - 1 - slots[sorted_ids])
-    count = _count_below(last[accepted], x[start:], last[start:], levels)
-    return n + count - last[start:] - 1
+    last[order] = np.where(before >= group, base + x[order[before]], virtual)
+    del virtual  # not held through the count
+    count = _count_below(last[accepted], x[at], last[at], levels)
+    return (base if systems is None else base[at]) + count - last[at] - 1
 
 
 def _reset_ranks(slots, movers):
@@ -396,10 +447,11 @@ def _next_slots(slots, ids, accepted, grouped):
     the end of its group in ``grouped``, ``_by_particle(ids, N)``; placed at
     that index and read backwards, the movers need no sort.
     """
-    order, sorted_ids, group = grouped
+    order, sorted_ids, group, _ = grouped
     run = np.maximum.accumulate(np.where(accepted[order],
                                          np.arange(len(ids)), -1))
-    end = np.r_[sorted_ids[1:] != sorted_ids[:-1], True]
+    # the last candidate of each particle's run
+    end = _firsts(sorted_ids[::-1])[::-1]
     last = run[end]
     last = last[last >= group[end]]
     trace = np.full(len(ids), -1, dtype=np.int64)
@@ -408,7 +460,8 @@ def _next_slots(slots, ids, accepted, grouped):
 
 
 def _window(n):
-    """Candidates per window of ``_original_pass`` for N particles.
+    """Candidates per window of ``_original_pass`` for N particles, and
+    per thinning call of ``_flow_pass``.
 
     A window costs its prediction and rounds plus O(N) for the next
     window's slots, so the width grows with N.  Process seconds of the
@@ -425,9 +478,27 @@ def _window(n):
     keeps small streams in one window, where a round's fixed numpy cost is
     paid once: at N = 1600, windows of N/8 took 15 ms against 6 ms, and at
     N = 100 6 ms against 2 ms.
+
+    The runs of a batch share windows of whole runs, at most ``_PACK``
+    candidates in the original pass.  Process ms per seed over seeds 0-19,
+    medians of 15 interleaved passes: on the affine spec, one seed at a
+    time took 1.08, 1.72 and 3.87 ms at N = 100, 400 and 1600, and windows
+    of whole runs up to 2^11, 2^12, 2^13 and 2^14 candidates took 0.38,
+    0.31, 0.31 and 0.32 ms at N = 100, 1.21, 0.99, 0.94 and 0.92 ms at 400,
+    and 3.78, 3.77, 3.71 and 3.93 ms at 1600, where a run alone has 2.1k
+    candidates, 2^13 packs three runs and 2^14 seven.  On the constant
+    mixture, one seed at a time took 0.49, 0.74 and 1.46 ms, and the four
+    widths 0.19, 0.16, 0.16 and 0.16 ms, 0.49, 0.40, 0.42 and 0.42 ms, and
+    1.43, 1.42, 1.49 and 1.56 ms.  A packed window's rounds run until its
+    slowest run settles, and its count walks more bit levels, so whole
+    runs share no more than 2^12 candidates there; the flow pass, which
+    has no rounds, packs them up to the full width.
     """
     return max(n // 16, 1 << 14)
 
+
+# widest window of several whole runs in ``_original_pass`` (``_window``)
+_PACK = 1 << 12
 
 # bit levels of the predictor's coarse rank count
 _COARSE_LEVELS = 6
@@ -436,15 +507,33 @@ _COARSE_LEVELS = 6
 def _predict(slots, ids, guess, grouped, accept):
     """A better guess of a window's mask than ``guess``: ``accept`` of the
     ranks under ``guess``, counted coarsely (``_mtf_ranks`` on the top
-    ``_COARSE_LEVELS`` levels) and clipped to the N slots.  The exact rounds
-    take any mask as their first guess, so this one need only be cheap and
-    close."""
-    ranks = _mtf_ranks(slots, ids, guess, grouped=grouped,
-                       levels=_COARSE_LEVELS)
-    return accept(np.clip(ranks, 0, len(slots) - 1))
+    ``_COARSE_LEVELS`` levels).  The exact rounds take any mask as their
+    first guess, so this one need only be cheap and close."""
+    return accept(_mtf_ranks(slots, ids, guess, grouped=grouped,
+                             levels=_COARSE_LEVELS))
 
 
-def _original_pass(assignment, times, ids, marks):
+def _groups(sizes, width):
+    """(first, stop) of each group of consecutive runs, ``sizes[s]``
+    candidates each, that fit ``width`` candidates together; a run longer
+    than ``width`` is a group of its own."""
+    groups, first, total = [], 0, 0
+    for s, size in enumerate(sizes):
+        if s > first and total + size > width:
+            groups.append((first, s))
+            first, total = s, 0
+        total += size
+    if len(sizes):
+        groups.append((first, len(sizes)))
+    return groups
+
+
+def _tiled(values, k):
+    """``values`` repeated for the k systems of a batch."""
+    return values if k == 1 else np.tile(values, k)
+
+
+def _original_pass(assignment, times, ids, marks, sizes=None):
     """Thin the stream at the true positions, which couple through rank.
 
     Returns the accepted mask in stream order and the pre-jump positions of
@@ -461,43 +550,76 @@ def _original_pass(assignment, times, ids, marks):
     costs the window, not the unsettled rest of the stream.  Each window's
     earliest envelope breach is raised when the window settles, which makes
     it the one a sequential loop would hit first.
+
+    With ``sizes``, the stream is a batch: the streams of independent runs
+    of the assignment laid one after another, run s holding ``sizes[s]``
+    candidates with its own particle ids.  Consecutive runs that fit
+    ``_PACK`` candidates together share a window, ranked in one count per
+    round, in which each run repeats from its own first changed candidate
+    and a settled run drops out.  A longer run is windowed alone.  The
+    breach raised is then the lowest run's earliest, as in a loop over the
+    runs.
     """
     rate = assignment.spec.class_hazard
-    predict = assignment.spec.position_dependent
+    n = assignment.n
+    inv_n = 1.0 / n
     sups = assignment.sup_norms()
-    slots = assignment.slots
-    inv_n = 1.0 / assignment.n
     m = len(times)
     accepted = np.zeros(m, dtype=bool)
     ranks = np.empty(m, dtype=np.int64)
-    width = _window(assignment.n)
-    rounds = predicted = 0
-    for lo in range(0, m, width):
-        w = slice(lo, lo + width)
+    counts = [0, 0, 0]  # rounds, windows, predicted
+
+    def settle(slots, w, packed=None):
+        """Settle the window ``w`` of one run from ``slots``, or of the
+        whole runs of ``packed`` candidates each from their tiled
+        ``slots``; returns its ``_by_particle`` grouping."""
         w_times, w_ids, w_marks = times[w], ids[w], marks[w]
         w_acc, w_ranks = accepted[w], ranks[w]
         w_cls = assignment.class_index[w_ids]
-        grouped = _by_particle(w_ids, assignment.n)
-        w_ranks[:] = slots[w_ids]
+        size = len(w_ids)
+        if packed is None:
+            gids, grouped, at = w_ids, _by_particle(w_ids, n), slice(0, None)
+        else:
+            # run s's particles follow those of the runs before it
+            runs = np.repeat(np.arange(len(packed)), packed)
+            ends = np.cumsum(packed)
+            gids = w_ids + n * runs
+            grouped = _by_particle(gids, len(slots), packed)
+            at = np.arange(size)
+        w_ranks[:] = slots[gids]
         hazard = rate(w_cls, w_ranks * inv_n, w_times)
         w_acc[:] = w_marks < hazard
-        if predict:
-            predicted += 1
+        counts[1] += 1
+        if assignment.spec.position_dependent:
+            counts[2] += 1
             w_acc[:] = _predict(
-                slots, w_ids, w_acc, grouped,
-                lambda r: w_marks < rate(w_cls, r * inv_n, w_times))
-        start = 0
-        while start < len(w_ids):
-            rounds += 1
-            w_ranks[start:] = _mtf_ranks(slots, w_ids, w_acc, start, grouped)
-            hazard[start:] = rate(w_cls[start:], w_ranks[start:] * inv_n,
-                                  w_times[start:])
-            guess = w_marks[start:] < hazard[start:]
-            changed = np.flatnonzero(guess != w_acc[start:])
+                slots, gids, w_acc, grouped,
+                lambda r: w_marks < rate(w_cls, np.clip(r, 0, n - 1) * inv_n,
+                                         w_times))
+        while True:
+            counts[0] += 1
+            w_ranks[at] = _mtf_ranks(slots, gids, w_acc, at, grouped)
+            hazard[at] = rate(w_cls[at], w_ranks[at] * inv_n, w_times[at])
+            guess = w_marks[at] < hazard[at]
+            changed = np.flatnonzero(guess != w_acc[at])
             if not len(changed):
                 break
-            w_acc[start:] = guess
-            start += int(changed[0]) + 1
+            w_acc[at] = guess
+            if packed is None:
+                at = slice(at.start + int(changed[0]) + 1, None)
+                if at.start == size:
+                    break
+                continue
+            # each run repeats from its own first changed candidate on, and
+            # a run with none is settled
+            changed = at[changed]
+            run = runs[changed]
+            new = _firsts(run)
+            starts = ends.copy()
+            starts[run[new]] = changed[new] + 1
+            at = at[at >= starts[runs[at]]]
+            if not len(at):
+                break
         w_sups = sups[w_ids]
         breach = np.flatnonzero(hazard > _breach_bound(w_sups))
         if len(breach):
@@ -505,44 +627,146 @@ def _original_pass(assignment, times, ids, marks):
             raise EnvelopeBreach(
                 f"particle {int(w_ids[c])}: hazard {float(hazard[c])} above "
                 f"envelope {float(w_sups[c])} at t={float(w_times[c])}")
-        if lo + width < m:
-            slots = _next_slots(slots, w_ids, w_acc, grouped)
+        return grouped
+
+    sizes = [m] if sizes is None else list(sizes)
+    edges = [0, *accumulate(sizes)]
+    width = _window(n)
+    for first, stop in _groups(sizes, min(width, _PACK)):
+        lo, hi = edges[first], edges[stop]
+        if hi == lo:
+            continue
+        if stop - first > 1:
+            settle(np.tile(assignment.slots, stop - first), slice(lo, hi),
+                   sizes[first:stop])
+            continue
+        slots = assignment.slots
+        for w_lo in range(lo, hi, width):
+            w = slice(w_lo, min(w_lo + width, hi))
+            grouped = settle(slots, w)
+            if w.stop < hi:
+                slots = _next_slots(slots, ids[w], accepted[w], grouped)
     log.debug("original pass: %d rounds in %d windows over %d candidates, "
-              "%d predicted", rounds, len(range(0, m, width)), m, predicted)
+              "%d predicted", counts[0], counts[1], m, counts[2])
     return accepted, ranks[accepted] * inv_n
 
 
-def _flow_pass(assignment, flow, times, ids, marks):
+def _flow_pass(assignment, flow, times, ids, marks, sizes=None):
     """Thin the stream along the flow; same returns as ``_original_pass``.
 
     Given the flow, the particles ignore each other, so
     ``flow._thin_along_flow`` thins them all at once.  The pre-jump
-    positions are then the move-to-front ranks of the accepted jumps.
+    positions are then the move-to-front ranks of the accepted jumps.  The
+    runs of a batch (``sizes`` as in ``_original_pass``) are thinned and
+    ranked together while they fit ``_window(N)`` candidates, each run's
+    particles being distinct owners.
     """
-    accepted = _thin_along_flow(
-        flow, assignment.spec.class_hazard, assignment.class_index,
-        assignment.position, times, ids, marks, assignment.sup_norms())
-    jumpers = ids[accepted]
-    ranks = _mtf_ranks(assignment.slots, jumpers,
-                       np.ones(len(jumpers), dtype=bool))
-    return accepted, ranks * (1.0 / assignment.n)
+    n = assignment.n
+    m = len(times)
+    sizes = [m] if sizes is None else list(sizes)
+    edges = [0, *accumulate(sizes)]
+    hazard = assignment.spec.class_hazard
+    accepted = np.zeros(m, dtype=bool)
+    pre = []
+    for first, stop in _groups(sizes, _window(n)):
+        k = stop - first
+        w = slice(edges[first], edges[stop])
+        owners, runs = ids[w], None
+        if k > 1:
+            # run s's particles follow those of the runs before it
+            runs = np.repeat(np.arange(k), sizes[first:stop])
+            owners = owners + n * runs
+        try:
+            accepted[w] = _thin_along_flow(
+                flow, hazard, _tiled(assignment.class_index, k),
+                _tiled(assignment.position, k), times[w], owners, marks[w],
+                _tiled(assignment.sup_norms(), k))
+        except EnvelopeBreach as exc:
+            i = exc.owner % n
+            # the breach of run s's particle i, as one run's pass names it
+            raise EnvelopeBreach(
+                f"particle {i}: hazard {exc.hazard} above envelope "
+                f"{float(assignment.sup_norms()[i])} at t={exc.time}",
+                owner=i, last=exc.last, time=exc.time,
+                hazard=exc.hazard) from None
+        acc = accepted[w]
+        jumpers = owners[acc]
+        grouped = None if runs is None else _by_particle(
+            jumpers, k * n, np.bincount(runs[acc], minlength=k))
+        pre.append(_mtf_ranks(_tiled(assignment.slots, k), jumpers,
+                              np.ones(len(jumpers), dtype=bool),
+                              grouped=grouped) * (1.0 / n))
+    return accepted, pre[0] if len(pre) == 1 else np.concatenate(pre)
 
 
-def _event_log(assignment, horizon, times, ids, passed, kind, ties):
-    accepted, pre = passed
-    return EventLog(assignment=assignment, horizon=horizon,
-                    times=times[accepted], particles=ids[accepted],
-                    pre_positions=pre, kind=kind, tie_count=ties)
+def _run_seeds(assignment: PopulationAssignment, seeds, engine: str,
+               flow: FlowGrid | None = None, tagged: int = 0) -> list:
+    """The run of ``engine`` ("original", "flow" or "coupled") for each of
+    ``seeds``, in their order: what ``simulate``, ``simulate_flow_driven``
+    or ``simulate_coupled`` returns for that seed, byte for byte.
+
+    The seeds' candidate streams, each drawn as for one run, are laid one
+    after another, and the passes thin and rank them as one batch
+    (``_original_pass``); each run's fixed point is its own, so no byte
+    depends on the others.  A breach is the one a loop over the seeds
+    meets first.
+    """
+    seeds = [streams.check_key("seed", seed) for seed in seeds]
+    horizon = assignment.spec.horizon
+    if flow is not None:
+        _check_flow(flow, horizon)
+    drawn = [_candidates(assignment, horizon, seed, tagged) for seed in seeds]
+    if not drawn:
+        return []
+    sizes = [len(d[0]) for d in drawn]
+    if len(drawn) == 1:
+        times, ids, marks, _ = drawn[0]
+    else:
+        times, ids, marks = (np.concatenate([d[j] for d in drawn])
+                             for j in range(3))
+    try:
+        passes = {}
+        if engine != "flow":
+            passes["original"] = _original_pass(assignment, times, ids, marks,
+                                                sizes)
+        if engine != "original":
+            passes["flow"] = _flow_pass(assignment, flow, times, ids, marks,
+                                        sizes)
+    except EnvelopeBreach:
+        # each pass raises its lowest seed's breach, but a coupled batch
+        # runs the original pass over every seed first, where a loop meets
+        # a lower seed's flow breach first: the loop raises its own
+        if engine == "coupled" and len(seeds) > 1:
+            for seed in seeds:
+                _run_seeds(assignment, [seed], engine, flow, tagged)
+        raise
+    edges = [0, *accumulate(sizes)]
+    runs = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    logs = {}
+    for kind, (acc, pre) in passes.items():
+        # each run's accepted candidates follow those of the runs before it
+        cuts = [0, *accumulate(np.count_nonzero(acc[w]) for w in runs)]
+        logs[kind] = [EventLog(
+            assignment=assignment, horizon=horizon, times=times[w][acc[w]],
+            particles=ids[w][acc[w]], pre_positions=pre[lo:hi], kind=kind,
+            tie_count=d[3])
+            for w, lo, hi, d in zip(runs, cuts, cuts[1:], drawn)]
+    if engine != "coupled":
+        return logs[engine]
+    out = []
+    for w, orig, flow_driven in zip(runs, logs["original"], logs["flow"]):
+        differ = passes["original"][0][w] != passes["flow"][0][w]
+        sigma = np.full(assignment.n, np.inf)
+        np.minimum.at(sigma, ids[w][differ], times[w][differ])
+        out.append((orig, flow_driven,
+                    CouplingRecord(sigma=sigma, horizon=horizon)))
+    return out
 
 
 def simulate(assignment: PopulationAssignment, seed: int = 0,
              tagged: int = 0) -> EventLog:
     """Original model: hazard evaluated at the particle's true position."""
-    horizon = assignment.spec.horizon
-    times, ids, marks, ties = _candidates(assignment, horizon, seed, tagged)
-    return _event_log(assignment, horizon, times, ids,
-                      _original_pass(assignment, times, ids, marks),
-                      "original", ties)
+    return _run_seeds(assignment, [seed], "original", tagged=tagged)[0]
 
 
 def simulate_flow_driven(assignment: PopulationAssignment, flow: FlowGrid,
@@ -554,12 +778,7 @@ def simulate_flow_driven(assignment: PopulationAssignment, flow: FlowGrid,
     gamma_i the initial point (y_i, 0) before the first jump and (0, tau)
     after a jump at tau.
     """
-    horizon = assignment.spec.horizon
-    _check_flow(flow, horizon)
-    times, ids, marks, ties = _candidates(assignment, horizon, seed, 0)
-    return _event_log(assignment, horizon, times, ids,
-                      _flow_pass(assignment, flow, times, ids, marks),
-                      "flow", ties)
+    return _run_seeds(assignment, [seed], "flow", flow=flow)[0]
 
 
 def simulate_coupled(assignment: PopulationAssignment, flow: FlowGrid,
@@ -571,14 +790,4 @@ def simulate_coupled(assignment: PopulationAssignment, flow: FlowGrid,
     exactly one of the two, after which the pair keeps evolving (the
     decoupled fraction counts sigma_i <= T).
     """
-    horizon = assignment.spec.horizon
-    _check_flow(flow, horizon)
-    times, ids, marks, ties = _candidates(assignment, horizon, seed, 0)
-    orig = _original_pass(assignment, times, ids, marks)
-    flow_driven = _flow_pass(assignment, flow, times, ids, marks)
-    differ = orig[0] != flow_driven[0]
-    sigma = np.full(assignment.n, np.inf)
-    np.minimum.at(sigma, ids[differ], times[differ])
-    return (_event_log(assignment, horizon, times, ids, orig, "original", ties),
-            _event_log(assignment, horizon, times, ids, flow_driven, "flow", ties),
-            CouplingRecord(sigma=sigma, horizon=horizon))
+    return _run_seeds(assignment, [seed], "coupled", flow=flow)[0]

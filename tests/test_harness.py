@@ -117,6 +117,37 @@ def test_sweep_workers_match_serial(sweep, sol_affine, spec_affine):
     assert reports[0].meta == reports[1].meta
 
 
+def _one_seed_runs(assignment, seeds):
+    return [range(seed, seed + 1) for seed in range(seeds)]
+
+
+@pytest.mark.parametrize("sweep", [convergence_sweep, flow_driven_sweep,
+                                   coupling_sweep, tagged_compare],
+                         ids=lambda f: f.__name__)
+def test_sweep_bytes_independent_of_seed_runs(sweep, monkeypatch, tmp_path,
+                                              sol_affine, spec_affine):
+    # jobs of many seeds, thinned as one engine batch, against one seed a job
+    plan = small_plan(spec_affine, n_values=(40, 160, 3000), seeds=5)
+    assert [len(harness._seed_runs(a, 5)) for a in harness._assignments(plan)] \
+        == [1, 1, 2]
+    outs = []
+    for runs in (harness._seed_runs, _one_seed_runs):
+        monkeypatch.setattr(harness, "_seed_runs", runs)
+        path = tmp_path / f"{runs.__name__}.csv"
+        sweep(plan, sol=sol_affine).to_csv(path)
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("n, seeds, per", [
+    (100, 20, 20), (1600, 20, 7), (1600, 7, 7), (20_000, 3, 1)])
+def test_seed_runs_fill_one_batch_window(spec_affine, n, seeds, per):
+    # the affine spec's envelopes sum to 1.35 N
+    runs = harness._seed_runs(harness.assign_population(spec_affine, n), seeds)
+    assert [seed for run in runs for seed in run] == list(range(seeds))
+    assert max(len(run) for run in runs) == per
+
+
 def test_sweep_records_keep_label_and_row_order(sol_affine, spec_affine):
     plan = ExperimentPlan(spec=spec_affine, n_values=(30, 60), seeds=3,
                           test_functions=(TestFunction.ones(),

@@ -661,3 +661,226 @@ def test_state_dependent_breach_in_a_later_window(monkeypatch):
     message, times = _first_breach()
     t = float(message.rsplit("t=", 1)[1])
     assert int(np.flatnonzero(times == t)[0]) == 44
+
+
+# -- batches of seeds -----------------------------------------------------------
+
+BATCH_SPECS = {
+    "constant": constant_single_spec(),
+    "mixture": constant_mixture_spec(),
+    "affine": affine_two_class_spec(),
+    "table": load_spec(ROOT / "bench" / "table_two_class.json"),
+    **{name: spec_from_config(cfg) for name, cfg in STEEP_SPECS.items()},
+}
+IDENTITY_FLOW = FlowGrid.identity(1.0, 10, 50)
+
+
+def _one_seed_run(a, seed, engine, tagged=0):
+    if engine == "original":
+        return simulate(a, seed=seed, tagged=tagged)
+    if engine == "flow":
+        return simulate_flow_driven(a, IDENTITY_FLOW, seed=seed)
+    return simulate_coupled(a, IDENTITY_FLOW, seed=seed)
+
+
+def _run_bytes(run):
+    """A log's saved bytes, or a coupled run's two logs and sigma."""
+    if isinstance(run, EventLog):
+        return _log_bytes(run)
+    lo, lf, rec = run
+    return _log_bytes(lo), _log_bytes(lf), rec.sigma.tobytes()
+
+
+def _assert_batch_equals_one_seed_runs(a, seeds, engine, tagged=0):
+    got = srp._run_seeds(a, seeds, engine,
+                         flow=None if engine == "original" else IDENTITY_FLOW,
+                         tagged=tagged)
+    assert len(got) == len(seeds)
+    for seed, run in zip(seeds, got):
+        assert _run_bytes(run) == _run_bytes(_one_seed_run(a, seed, engine,
+                                                           tagged))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batch_runs_equal_one_seed_runs(data):
+    spec = BATCH_SPECS[data.draw(st.sampled_from(sorted(BATCH_SPECS)))]
+    n = data.draw(st.integers(1, 40) | st.integers(1, 2000))
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
+                               max_size=6))
+    engine = data.draw(st.sampled_from(["original", "flow", "coupled"]))
+    tagged = data.draw(st.integers(0, min(n, 3))) if engine == "original" else 0
+    _assert_batch_equals_one_seed_runs(assign_population(spec, n), seeds,
+                                       engine, tagged)
+
+
+@pytest.mark.parametrize("engine", ["original", "flow", "coupled"])
+def test_batch_with_empty_runs_equals_one_seed_runs(engine):
+    # at rate 0.3 one particle draws no candidate in about 3 seeds of 4
+    a = assign_population(constant_single_spec(0.3), 1)
+    sizes = [len(srp._candidates(a, 1.0, seed, 0)[0]) for seed in range(12)]
+    assert 0 in sizes and max(sizes) > 0
+    _assert_batch_equals_one_seed_runs(a, list(range(12)), engine)
+    _assert_batch_equals_one_seed_runs(assign_population(zero_rate_spec(), 30),
+                                       [4, 0, 9], engine)
+
+
+def _batch_stream(a, lengths):
+    """Prefixes of the streams of seeds 0, 1, ..., ``lengths[s]`` candidates
+    of seed s, each a run of one assignment, laid one after another."""
+    runs = []
+    for seed, k in enumerate(lengths):
+        times, ids, marks, _ = srp._candidates(a, 1.0, seed, 0)
+        assert len(times) >= k
+        runs.append((times[:k], ids[:k], marks[:k]))
+    return runs, [np.concatenate(parts) for parts in zip(*runs)]
+
+
+# with windows of 40, runs 0-2 and 4-5 share a window each, and run 3 is
+# windowed alone across five
+LENGTHS = [5, 0, 30, 200, 7, 12, 41]
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SPECS))
+def test_batch_passes_with_a_run_longer_than_the_window(name, monkeypatch):
+    monkeypatch.setattr(srp, "_window", lambda n: 40)
+    assert srp._groups(LENGTHS, 40) == [(0, 3), (3, 4), (4, 6), (6, 7)]
+    a = assign_population(BATCH_SPECS[name], 1000)
+    runs, (times, ids, marks) = _batch_stream(a, LENGTHS)
+    edges = np.r_[0, np.cumsum(LENGTHS)]
+    for batch_pass, one_pass in (
+            (lambda *s: srp._original_pass(a, times, ids, marks, *s),
+             lambda run: srp._original_pass(a, *run)),
+            (lambda *s: srp._flow_pass(a, IDENTITY_FLOW, times, ids, marks, *s),
+             lambda run: srp._flow_pass(a, IDENTITY_FLOW, *run))):
+        accepted, pre = batch_pass(LENGTHS)
+        shares = np.r_[0, np.cumsum(accepted)][edges]
+        for s, run in enumerate(runs):
+            want = one_pass(run)
+            assert accepted[edges[s]:edges[s + 1]].tobytes() == want[0].tobytes()
+            assert pre[shares[s]:shares[s + 1]].tobytes() == want[1].tobytes()
+        # the batch of one run is the pass without sizes
+        one = batch_pass([len(times)])
+        whole = batch_pass()
+        assert one[0].tobytes() == whole[0].tobytes()
+        assert one[1].tobytes() == whole[1].tobytes()
+
+
+@pytest.mark.parametrize("engine", ["original", "flow", "coupled"])
+def test_batch_runs_across_windows_equal_one_seed_runs(engine, monkeypatch):
+    # in windows of 21, seeds 1 and 3 share one, and seed 2 crosses two
+    monkeypatch.setattr(srp, "_window", lambda n: 21)
+    a = assign_population(BATCH_SPECS["affine_0_5_5_0"], 4)
+    seeds = [1, 3, 2, 10, 0]
+    sizes = [len(srp._candidates(a, 1.0, seed, 0)[0]) for seed in seeds]
+    assert sizes == [11, 9, 22, 13, 20]
+    assert srp._groups(sizes, 21) == [(0, 2), (2, 3), (3, 4), (4, 5)]
+    _assert_batch_equals_one_seed_runs(a, seeds, engine)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batch_mtf_ranks_equal_per_system_calls(data):
+    n = data.draw(st.integers(1, 40))
+    systems = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        slots = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+        top = data.draw(st.integers(0, n - 1))
+        ids = np.array(data.draw(st.lists(st.integers(0, top), max_size=60)),
+                       dtype=np.int64)
+        accepted = np.array(data.draw(st.lists(
+            st.booleans(), min_size=len(ids), max_size=len(ids))), dtype=bool)
+        systems.append((slots, ids, accepted))
+    k = len(systems)
+    sizes = [len(ids) for _, ids, _ in systems]
+    slots = np.concatenate([s[0] for s in systems])
+    ids = np.concatenate([s[1] + n * j for j, s in enumerate(systems)])
+    accepted = np.concatenate([s[2] for s in systems])
+    want = np.concatenate([srp._mtf_ranks(*s) for s in systems]
+                          + [np.empty(0, dtype=np.int64)])
+    grouped = srp._by_particle(ids, k * n, sizes)
+    got = srp._mtf_ranks(slots, ids, accepted, grouped=grouped)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    at = np.flatnonzero(np.array(data.draw(st.lists(
+        st.booleans(), min_size=len(ids), max_size=len(ids))), dtype=bool))
+    assert np.array_equal(srp._mtf_ranks(slots, ids, accepted, at, grouped),
+                          want[at])
+
+
+class LyingFront(TableField):
+    """Declares a sup-norm that only slots near the front exceed, where a
+    flow-driven particle reads its hazard after its first jump on the
+    identity flow."""
+
+    def __init__(self):
+        super().__init__([[3, 3], [1, 1], [1, 1], [1, 1], [1, 1]], 1.0)
+        self.sup_norm = 2.9
+
+
+def _serial_breach(a, seeds, engine):
+    """The message of the first breach a loop over the seeds meets."""
+    with pytest.raises(EnvelopeBreach) as exc:
+        for seed in seeds:
+            _one_seed_run(a, seed, engine)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("field, n, seeds", [
+    # every seed breaches, seed 2 later in time than seed 0 in both models
+    (LyingSpike, 200, [2, 0, 4]),
+    # seed 21 breaches in the flow-driven model alone, seed 0 in both
+    (LyingFront, 10, [21, 0]),
+    # one particle at an envelope of 0.5: the seeds without a candidate
+    # do not breach
+    (Lying, 1, [1, 3, 0, 2])])
+@pytest.mark.parametrize("engine", ["original", "flow", "coupled"])
+def test_batch_breach_is_the_seed_loop_first(field, n, seeds, engine):
+    a = assign_population(uniform_single_class(field()), n)
+    want = _serial_breach(a, seeds, engine)
+    with pytest.raises(EnvelopeBreach) as got:
+        srp._run_seeds(a, seeds, engine, flow=IDENTITY_FLOW)
+    assert str(got.value) == want
+
+
+@pytest.mark.parametrize("engine", ["original", "flow"])
+def test_batch_pass_breach_is_the_lowest_run_first(engine, monkeypatch):
+    # seed 2 breaches later in time than seeds 0 and 1, and the first two
+    # runs share a window when the window holds 600 candidates
+    a = assign_population(uniform_single_class(LyingSpike()), 200)
+    runs = [srp._candidates(a, 1.0, seed, 0)[:3] for seed in (2, 0, 1)]
+    one_pass = (srp._original_pass if engine == "original" else
+                lambda a, *run: srp._flow_pass(a, IDENTITY_FLOW, *run))
+    with pytest.raises(EnvelopeBreach) as want:
+        one_pass(a, *runs[0])
+    times, ids, marks = (np.concatenate(parts) for parts in zip(*runs))
+    sizes = [len(run[0]) for run in runs]
+    for width in (600, 1 << 14):
+        monkeypatch.setattr(srp, "_window", lambda n: width)
+        monkeypatch.setattr(srp, "_PACK", width)
+        with pytest.raises(EnvelopeBreach) as got:
+            one_pass(a, times, ids, marks, sizes)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("tagged", [True, False, 1.0, np.float64(2.0), "1"])
+def test_tagged_count_must_be_an_integer(tagged):
+    a = assign_population(constant_mixture_spec(), 20)
+    with pytest.raises(ConfigError, match="^tagged: must be an integer"):
+        simulate(a, seed=0, tagged=tagged)
+
+
+@pytest.mark.parametrize("tagged", [-1, 21])
+def test_tagged_count_must_fit_the_population(tagged):
+    a = assign_population(constant_mixture_spec(), 20)
+    with pytest.raises(ConfigError, match="^tagged: "):
+        simulate(a, seed=0, tagged=tagged)
+
+
+@pytest.mark.parametrize("seed", [True, -1, 2 ** 32, 1.0])
+def test_batch_refuses_a_bad_seed_before_any_run(seed, monkeypatch):
+    def drawn(*args):
+        raise AssertionError("a candidate stream was drawn")
+    monkeypatch.setattr(srp, "_candidates", drawn)
+    a = assign_population(constant_mixture_spec(), 20)
+    with pytest.raises(ConfigError, match="^seed: "):
+        srp._run_seeds(a, [0, seed], "original")
