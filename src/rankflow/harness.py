@@ -190,24 +190,14 @@ def _assignments(plan: ExperimentPlan) -> list:
             for n in plan.n_values]
 
 
-def _seed_runs(assignment, seeds: int) -> list:
-    """``range(seeds)`` in runs of consecutive seeds, each as many as one
-    engine batch window (``srp._window``) holds by their expected candidate
-    count, and at least one: so a job runs its seeds through the engines
-    together, and a large N keeps one seed per job."""
-    expected = float(assignment.sup_norms().sum()) * assignment.spec.horizon
-    per = max(1, int(srp._window(assignment.n) // expected)) if expected else seeds
-    return [range(lo, min(lo + per, seeds)) for lo in range(0, seeds, per)]
-
-
 def _sweep_metrics(plan: ExperimentPlan, worker, *shared) -> list:
     """Run ``worker`` on the job (assignment, run of seeds, *shared) of
-    every N and run of ``_seed_runs``, serially or in a process pool, and
-    make one SweepMetric per label of the records (N, seed, {label: value})
-    the jobs return, in the first record's label order; rows run N-major,
-    then seed."""
+    every N and run of ``srp._seed_runs``, serially or in a process pool,
+    and make one SweepMetric per label of the records (N, seed, {label:
+    value}) the jobs return, in the first record's label order; rows run
+    N-major, then seed."""
     jobs = [(assignment, seeds, *shared) for assignment in _assignments(plan)
-            for seeds in _seed_runs(assignment, plan.seeds)]
+            for seeds in srp._seed_runs(assignment, plan.seeds)]
     if plan.workers <= 1:
         records = [r for j in jobs for r in worker(j)]
     else:
@@ -350,7 +340,7 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
         if np.any(assignment.class_index[:L] != np.array([k for k, _ in pins])):
             raise ConfigError("tagged stream sharing misconfigured: "
                               "pinned classes not in place")
-        for seeds in _seed_runs(assignment, plan.seeds):
+        for seeds in srp._seed_runs(assignment, plan.seeds):
             logs = srp._run_seeds(assignment, seeds, "original", tagged=L)
             for seed, log in zip(seeds, logs):
                 empirical = LogEvaluator(log).positions_of(np.arange(L), ts)

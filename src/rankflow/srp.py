@@ -14,12 +14,14 @@ dominance count (``_mtf_ranks``), and exact speculative rounds of guessed
 masks thin the stream without a loop over candidates.  The rounds run in
 windows of consecutive candidates, each ranked from every particle's rank
 at the window's start, which the reset-point identity (``_reset_ranks``)
-gives from the window before.  Runs of several seeds go through the
-engines as one batch (``_run_seeds``): their streams are laid one after
-another, each seed's particles under ids of their own, and a window holds
-either whole runs, which each round ranks in one count, or a part of one
-run too long to share a window.  The flow-driven
-model reads the hazard along a prescribed flow from the particle's last
+gives from the window before.  The engines run seeds as one batch
+(``_run_seeds``), and a lone seed is a batch of one: the runs' streams are
+laid one after another, each run's particles under ids of their own, and a
+window holds the parts that fall in it of consecutive runs, which each
+round ranks in one count, each run from its own first changed candidate.
+Runs that fit ``_PACK`` candidates together share a window whole, and a
+longer run is cut into windows of ``_window(N)``.  The flow-driven model
+reads the hazard along a prescribed flow from the particle's last
 reset point; given the flow, each particle is an independent last-arrival
 process, so ``flow._thin_along_flow`` thins all of them at once and the
 pre-jump positions are the ranks of the accepted jumps.  A coupled run
@@ -142,8 +144,16 @@ class EventLog:
         y = np.ascontiguousarray(self.pre_positions, dtype=float)
         if not (len(t) == len(p) == len(y)):
             raise ConfigError("event arrays must have equal length")
-        if len(t) and np.any(np.diff(t) < 0):
-            raise ConfigError("event times must be non-decreasing")
+        # each test also fails on NaN
+        if len(t) and not (np.all(np.diff(t) >= 0)
+                           and 0 <= t[0] and t[-1] <= self.horizon):
+            raise ConfigError(f"times: event times must be non-decreasing "
+                              f"and in [0, {self.horizon}]")
+        if len(p) and not (0 <= p.min() and p.max() < self.assignment.n):
+            raise ConfigError(f"particles: ids must be in "
+                              f"0..{self.assignment.n - 1}")
+        if len(y) and not (0 <= y.min() and y.max() <= 1):
+            raise ConfigError("pre_positions: positions must be in [0, 1]")
         for arr in (t, p, y):
             arr.flags.writeable = False
         object.__setattr__(self, "times", t)
@@ -346,29 +356,27 @@ def _firsts(keys):
 
 
 def _by_particle(ids, n, sizes=None):
-    """``ids`` of N = ``n`` particles grouped by particle: its stable
-    argsort ``order``, the sorted ids, for each sorted position the
-    position its particle's run starts at, and the systems of a batch.
+    """``ids`` of a batch grouped by particle: their stable argsort
+    ``order``, the sorted ids, for each sorted position the position its
+    particle's run starts at, and ``(base, first)``, the batch's systems.
 
-    With ``sizes``, the ids are those of a batch of len(sizes) independent
-    systems of n / len(sizes) particles each, laid one after another:
-    system s holds the next ``sizes[s]`` candidates, and its particle i has
-    the id s * n / len(sizes) + i.  Sorting by particle keeps each system's
-    candidates at the same positions, so the last item, ``(base, first)``,
-    serves both orders: for each position, its system's (s + 1) n /
-    len(sizes), which ``_mtf_ranks`` reads in place of N, and the position
-    of its system's first candidate.  It is None for one system.
+    The ids are those of len(sizes) independent systems of n / len(sizes)
+    particles each, laid one after another: system s holds the next
+    ``sizes[s]`` candidates, and its particle i has the id s * n /
+    len(sizes) + i.  Without ``sizes``, all of them are one system of n
+    particles.  Sorting by particle keeps each system's candidates at the
+    same positions, so ``(base, first)`` serves both orders: for each
+    position, its system's (s + 1) n / len(sizes), which ``_mtf_ranks``
+    reads in place of N, and the position of its system's first candidate.
     """
     order = _stable_argsort(ids, n)
     sorted_ids = ids[order]
     group = np.maximum.accumulate(np.where(_firsts(sorted_ids),
                                            np.arange(len(ids)), 0))
-    systems = None
-    if sizes is not None:
-        sizes = np.asarray(sizes, dtype=np.int64)
-        per = n // len(sizes)
-        systems = (np.repeat(per * np.arange(1, len(sizes) + 1), sizes),
-                   np.repeat(np.cumsum(sizes) - sizes, sizes))
+    sizes = np.asarray([len(ids)] if sizes is None else sizes, dtype=np.int64)
+    k = len(sizes)
+    systems = ((n // k * np.arange(1, k + 1)).repeat(sizes),
+               (sizes.cumsum() - sizes).repeat(sizes))
     return order, sorted_ids, group, systems
 
 
@@ -385,25 +393,26 @@ def _mtf_ranks(slots, ids, accepted, start=0, grouped=None, levels=None):
         rank = N + #{accepted k < x : prev_k < last} - last - 1,
 
     ``prev_k`` being the index of the k-th accepted particle's previous
-    move.  ``grouped``, ``_by_particle(ids, N)``, can be passed in to be
-    reused across calls.  ``levels`` makes the count coarse
-    (``_count_below``), and the ranks with it.  ``start`` may also be a
-    slice or an index array of the candidates to rank.
+    move.  ``levels`` makes the count coarse (``_count_below``), and the
+    ranks with it.  ``start`` may also be a slice or an index array of the
+    candidates to rank.
 
-    The systems of a batch, grouped by ``_by_particle(ids, N, sizes)``, are
-    ranked in one count.  Their traces are laid one after another: the N'
-    virtual moves of system s follow every move of the systems before it,
-    among them their A_s accepted ones, so they start at s N' + A_s, and
-    its accepted moves keep their index x in the whole stream, after its
-    ``base`` (s + 1) N'.  A query of system s then also counts those A_s
-    accepted moves, all below its ``last``, and with N read as ``base`` the
-    formula holds as it stands.
+    ``ids`` and ``slots`` may be those of the systems of a batch, grouped
+    by ``_by_particle(ids, N, sizes)`` and passed as ``grouped``, which
+    also saves the grouping across calls; without it, they are one system.
+    The systems are ranked in one count.  Their traces are laid one after
+    another: the N' virtual moves of system s follow every move of the
+    systems before it, among them their A_s accepted ones, so they start
+    at s N' + A_s, and its accepted moves keep their index x in the whole
+    stream, after its ``base`` (s + 1) N'.  A query of system s then also
+    counts those A_s accepted moves, all below its ``last``, and with N
+    read as ``base`` the formula holds as it stands.
     """
     n, m = len(slots), len(ids)
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    order, sorted_ids, group, systems = (_by_particle(ids, n) if grouped is None
-                                         else grouped)
+    order, sorted_ids, group, (base, first) = (
+        _by_particle(ids, n) if grouped is None else grouped)
     at = slice(start, None) if isinstance(start, (int, np.integer)) else start
     accepted = np.asarray(accepted, dtype=bool)
     x = np.cumsum(accepted) - accepted
@@ -413,16 +422,15 @@ def _mtf_ranks(slots, ids, accepted, start=0, grouped=None, levels=None):
     before[0] = -1
     np.maximum.accumulate(np.where(accepted[order], np.arange(m), -1)[:-1],
                           out=before[1:])
-    base = n if systems is None else systems[0]
     virtual = base - 1 - slots[sorted_ids]
-    if systems is not None:
-        # system s's virtual moves follow the A_s accepted moves before it
-        virtual += x[systems[1]]
+    # system s's virtual moves follow the A_s accepted moves before it
+    virtual += x[first]
     last = np.empty(m, dtype=np.int64)
     last[order] = np.where(before >= group, base + x[order[before]], virtual)
     del virtual  # not held through the count
-    count = _count_below(last[accepted], x[at], last[at], levels)
-    return (base if systems is None else base[at]) + count - last[at] - 1
+    bounds = last[at]
+    count = _count_below(last[accepted], x[at], bounds, levels)
+    return base[at] + count - bounds - 1
 
 
 def _reset_ranks(slots, movers):
@@ -528,9 +536,28 @@ def _groups(sizes, width):
     return groups
 
 
+def _seed_runs(assignment, seeds: int) -> list:
+    """``range(seeds)`` in runs of consecutive seeds, each as many as one
+    batch window (``_window``) holds by their expected candidate count, and
+    at least one: so a job runs its seeds through the engines together, and
+    a large N keeps one seed per job."""
+    expected = float(assignment.sup_norms().sum()) * assignment.spec.horizon
+    per = max(1, int(_window(assignment.n) // expected)) if expected else seeds
+    return [range(lo, min(lo + per, seeds)) for lo in range(0, seeds, per)]
+
+
 def _tiled(values, k):
     """``values`` repeated for the k systems of a batch."""
     return values if k == 1 else np.tile(values, k)
+
+
+def _owners(ids, n, sizes):
+    """The particle ``ids`` of a batch of runs, ``sizes[s]`` candidates
+    each, under ids of their own: run s's particle i is s * n + i, so the
+    ids of one run are its own."""
+    if len(sizes) == 1:
+        return ids
+    return ids + n * np.arange(len(sizes)).repeat(sizes)
 
 
 def _original_pass(assignment, times, ids, marks, sizes=None):
@@ -551,14 +578,15 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
     earliest envelope breach is raised when the window settles, which makes
     it the one a sequential loop would hit first.
 
-    With ``sizes``, the stream is a batch: the streams of independent runs
-    of the assignment laid one after another, run s holding ``sizes[s]``
-    candidates with its own particle ids.  Consecutive runs that fit
-    ``_PACK`` candidates together share a window, ranked in one count per
-    round, in which each run repeats from its own first changed candidate
-    and a settled run drops out.  A longer run is windowed alone.  The
-    breach raised is then the lowest run's earliest, as in a loop over the
-    runs.
+    The stream is a batch of independent runs of the assignment laid one
+    after another: run s holds ``sizes[s]`` candidates under particle ids
+    of its own (``_owners``), and without ``sizes`` the stream is one run.
+    A window holds the parts in it of consecutive runs, whole runs while
+    they fit ``_PACK`` candidates together and windows of ``_window(N)``
+    candidates of a longer one, and each round ranks its unsettled
+    candidates in one count: each run repeats from its own first changed
+    candidate, and a settled run drops out.  The breach raised is then the
+    lowest run's earliest, as in a loop over the runs.
     """
     rate = assignment.spec.class_hazard
     n = assignment.n
@@ -569,23 +597,18 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
     ranks = np.empty(m, dtype=np.int64)
     counts = [0, 0, 0]  # rounds, windows, predicted
 
-    def settle(slots, w, packed=None):
-        """Settle the window ``w`` of one run from ``slots``, or of the
-        whole runs of ``packed`` candidates each from their tiled
-        ``slots``; returns its ``_by_particle`` grouping."""
+    def settle(slots, w, parts):
+        """Settle the window ``w``, the parts of consecutive runs of
+        ``parts`` candidates each, from their tiled ``slots``; returns its
+        ``_by_particle`` grouping."""
         w_times, w_ids, w_marks = times[w], ids[w], marks[w]
         w_acc, w_ranks = accepted[w], ranks[w]
         w_cls = assignment.class_index[w_ids]
-        size = len(w_ids)
-        if packed is None:
-            gids, grouped, at = w_ids, _by_particle(w_ids, n), slice(0, None)
-        else:
-            # run s's particles follow those of the runs before it
-            runs = np.repeat(np.arange(len(packed)), packed)
-            ends = np.cumsum(packed)
-            gids = w_ids + n * runs
-            grouped = _by_particle(gids, len(slots), packed)
-            at = np.arange(size)
+        gids = _owners(w_ids, n, parts)
+        grouped = _by_particle(gids, len(slots), parts)
+        # where each candidate's run starts in the window
+        starts = grouped[3][1]
+        at = np.arange(len(w_ids))
         w_ranks[:] = slots[gids]
         hazard = rate(w_cls, w_ranks * inv_n, w_times)
         w_acc[:] = w_marks < hazard
@@ -596,30 +619,20 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
                 slots, gids, w_acc, grouped,
                 lambda r: w_marks < rate(w_cls, np.clip(r, 0, n - 1) * inv_n,
                                          w_times))
-        while True:
+        while len(at):
             counts[0] += 1
-            w_ranks[at] = _mtf_ranks(slots, gids, w_acc, at, grouped)
-            hazard[at] = rate(w_cls[at], w_ranks[at] * inv_n, w_times[at])
-            guess = w_marks[at] < hazard[at]
-            changed = np.flatnonzero(guess != w_acc[at])
-            if not len(changed):
-                break
+            r = _mtf_ranks(slots, gids, w_acc, at, grouped)
+            w_ranks[at] = r
+            h = rate(w_cls[at], r * inv_n, w_times[at])
+            hazard[at] = h
+            guess = w_marks[at] < h
+            changed = guess != w_acc[at]
             w_acc[at] = guess
-            if packed is None:
-                at = slice(at.start + int(changed[0]) + 1, None)
-                if at.start == size:
-                    break
-                continue
-            # each run repeats from its own first changed candidate on, and
-            # a run with none is settled
-            changed = at[changed]
-            run = runs[changed]
-            new = _firsts(run)
-            starts = ends.copy()
-            starts[run[new]] = changed[new] + 1
-            at = at[at >= starts[runs[at]]]
-            if not len(at):
-                break
+            # each run repeats after its own first changed candidate, the
+            # latest change at or before a candidate being a running
+            # maximum, and a run with none is settled
+            latest = np.maximum.accumulate(np.where(changed, at, -1))
+            at = at[1:][latest[:-1] >= starts[at[1:]]]
         w_sups = sups[w_ids]
         breach = np.flatnonzero(hazard > _breach_bound(w_sups))
         if len(breach):
@@ -634,16 +647,14 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
     width = _window(n)
     for first, stop in _groups(sizes, min(width, _PACK)):
         lo, hi = edges[first], edges[stop]
-        if hi == lo:
-            continue
-        if stop - first > 1:
-            settle(np.tile(assignment.slots, stop - first), slice(lo, hi),
-                   sizes[first:stop])
-            continue
-        slots = assignment.slots
+        slots = _tiled(assignment.slots, stop - first)
         for w_lo in range(lo, hi, width):
             w = slice(w_lo, min(w_lo + width, hi))
-            grouped = settle(slots, w)
+            # the parts of the group's runs in the window: the whole runs
+            # of a group that fits, or a window of one longer run
+            parts = [min(b, w.stop) - max(a, w.start) for a, b in
+                     zip(edges[first:stop], edges[first + 1:stop + 1])]
+            grouped = settle(slots, w, parts)
             if w.stop < hi:
                 slots = _next_slots(slots, ids[w], accepted[w], grouped)
     log.debug("original pass: %d rounds in %d windows over %d candidates, "
@@ -659,7 +670,7 @@ def _flow_pass(assignment, flow, times, ids, marks, sizes=None):
     positions are then the move-to-front ranks of the accepted jumps.  The
     runs of a batch (``sizes`` as in ``_original_pass``) are thinned and
     ranked together while they fit ``_window(N)`` candidates, each run's
-    particles being distinct owners.
+    particles being distinct owners (``_owners``).
     """
     n = assignment.n
     m = len(times)
@@ -671,11 +682,7 @@ def _flow_pass(assignment, flow, times, ids, marks, sizes=None):
     for first, stop in _groups(sizes, _window(n)):
         k = stop - first
         w = slice(edges[first], edges[stop])
-        owners, runs = ids[w], None
-        if k > 1:
-            # run s's particles follow those of the runs before it
-            runs = np.repeat(np.arange(k), sizes[first:stop])
-            owners = owners + n * runs
+        owners = _owners(ids[w], n, sizes[first:stop])
         try:
             accepted[w] = _thin_along_flow(
                 flow, hazard, _tiled(assignment.class_index, k),
@@ -689,10 +696,9 @@ def _flow_pass(assignment, flow, times, ids, marks, sizes=None):
                 f"{float(assignment.sup_norms()[i])} at t={exc.time}",
                 owner=i, last=exc.last, time=exc.time,
                 hazard=exc.hazard) from None
-        acc = accepted[w]
-        jumpers = owners[acc]
-        grouped = None if runs is None else _by_particle(
-            jumpers, k * n, np.bincount(runs[acc], minlength=k))
+        jumpers = owners[accepted[w]]
+        grouped = _by_particle(jumpers, k * n,
+                               np.bincount(jumpers // n, minlength=k))
         pre.append(_mtf_ranks(_tiled(assignment.slots, k), jumpers,
                               np.ones(len(jumpers), dtype=bool),
                               grouped=grouped) * (1.0 / n))

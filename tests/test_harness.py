@@ -8,7 +8,7 @@ from rankflow.cli import _write_json
 from rankflow.harness import (ExperimentPlan, SolverSettings, convergence_sweep,
                               coupling_sweep, flow_driven_sweep,
                               latp_validation, tagged_compare)
-from rankflow import harness, latp
+from rankflow import harness, latp, srp
 from rankflow.measure import EvaluationLattice, TestFunction
 
 from conftest import constant_mixture_spec, constant_single_spec, zero_rate_spec
@@ -128,11 +128,11 @@ def test_sweep_bytes_independent_of_seed_runs(sweep, monkeypatch, tmp_path,
                                               sol_affine, spec_affine):
     # jobs of many seeds, thinned as one engine batch, against one seed a job
     plan = small_plan(spec_affine, n_values=(40, 160, 3000), seeds=5)
-    assert [len(harness._seed_runs(a, 5)) for a in harness._assignments(plan)] \
+    assert [len(srp._seed_runs(a, 5)) for a in harness._assignments(plan)] \
         == [1, 1, 2]
     outs = []
-    for runs in (harness._seed_runs, _one_seed_runs):
-        monkeypatch.setattr(harness, "_seed_runs", runs)
+    for runs in (srp._seed_runs, _one_seed_runs):
+        monkeypatch.setattr(srp, "_seed_runs", runs)
         path = tmp_path / f"{runs.__name__}.csv"
         sweep(plan, sol=sol_affine).to_csv(path)
         outs.append(path.read_bytes())
@@ -143,7 +143,7 @@ def test_sweep_bytes_independent_of_seed_runs(sweep, monkeypatch, tmp_path,
     (100, 20, 20), (1600, 20, 7), (1600, 7, 7), (20_000, 3, 1)])
 def test_seed_runs_fill_one_batch_window(spec_affine, n, seeds, per):
     # the affine spec's envelopes sum to 1.35 N
-    runs = harness._seed_runs(harness.assign_population(spec_affine, n), seeds)
+    runs = srp._seed_runs(harness.assign_population(spec_affine, n), seeds)
     assert [seed for run in runs for seed in run] == list(range(seeds))
     assert max(len(run) for run in runs) == per
 

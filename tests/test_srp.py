@@ -171,12 +171,15 @@ def test_log_save_load_keeps_every_byte(data):
         [constant_single_spec(), affine_two_class_spec()]))
     a = assign_population(spec, n, mode="seeded-random",
                           seed=data.draw(st.integers(0, 2 ** 16)))
-    numbers = st.floats(-1e300, 1e300, allow_subnormal=True)
+    # every float a log may hold: times in [0, horizon], positions in [0, 1]
+    horizon = data.draw(st.floats(0, 1e300, allow_subnormal=True))
     events = data.draw(st.lists(
-        st.tuples(numbers, st.integers(0, n - 1), numbers), max_size=20))
+        st.tuples(st.floats(0, horizon, allow_subnormal=True),
+                  st.integers(0, n - 1),
+                  st.floats(0, 1, allow_subnormal=True)), max_size=20))
     times, particles, pre = (list(c) for c in zip(*sorted(events))) \
         if events else ([], [], [])
-    log = EventLog(assignment=a, horizon=data.draw(numbers), times=times,
+    log = EventLog(assignment=a, horizon=horizon, times=times,
                    particles=particles, pre_positions=pre,
                    kind=data.draw(st.sampled_from(["original", "flow"])),
                    tie_count=data.draw(st.integers(0, 2 ** 40)))
@@ -200,6 +203,22 @@ def test_log_load_rejects_other_spec(tmp_path):
     log.save(path)
     with pytest.raises(ConfigError):
         EventLog.load(path, constant_single_spec())
+
+
+@pytest.mark.parametrize("field, at, value", [
+    ("times", 3, np.nan), ("times", -1, 1.5), ("particles", 0, 77),
+    ("particles", 0, -1), ("pre_positions", 0, 7.0)])
+def test_log_load_refuses_what_no_run_records(tmp_path, field, at, value):
+    # a log from outside the program, on a horizon of 1 and 50 particles
+    spec = load_spec(ROOT / "configs" / "affine_two_class.json")
+    path = tmp_path / "log.npz"
+    simulate(assign_population(spec, 50), seed=0).save(path)
+    with np.load(path) as d:
+        arrays = dict(d)
+    arrays[field][at] = value
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigError, match=field):
+        EventLog.load(path, spec)
 
 
 class Lying(ConstantField):
