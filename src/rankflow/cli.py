@@ -16,7 +16,7 @@ import os
 import sys
 
 
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError, _require_int
 from . import harness, srp, streams
 from .flow import FlowGrid, LimitSolution, solve_y_c
 from .harness import ExperimentPlan, SolverSettings
@@ -175,8 +175,7 @@ def cmd_tagged(args) -> int:
 
 
 def cmd_latp(args) -> int:
-    if args.grid < 1:
-        raise ConfigError("grid: must be >= 1")
+    _require_int("grid", args.grid, 1)
     report = harness.latp_validation(horizon=args.horizon, step=1.0 / args.grid,
                                      replicas=args.replicas, seed=args.seed)
     out = _out_dir(args)
@@ -203,11 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
                        "(env RANKFLOW_OUTDIR overrides)")
 
     def add_solver(p):
-        p.add_argument("--nz", type=int, default=20, help="flow z cells")
-        p.add_argument("--nt", type=int, default=200, help="flow time steps")
-        p.add_argument("--tol", type=float, default=1e-8,
+        solver = SolverSettings()
+        p.add_argument("--nz", type=int, default=solver.n_z,
+                       help="flow z cells")
+        p.add_argument("--nt", type=int, default=solver.n_t,
+                       help="flow time steps")
+        p.add_argument("--tol", type=float, default=solver.tol,
                        help="fixed-point residual tolerance")
-        p.add_argument("--max-iter", type=int, default=80)
+        p.add_argument("--max-iter", type=int, default=solver.max_iter)
 
     def add_plan(p, workers=True):
         p.add_argument("--n-values", type=int, nargs="+",

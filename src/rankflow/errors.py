@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that
+raise them: every entry point refuses a bad integer or number through
+``_require_int``, ``_number`` or ``_positive``, which never take a bool
+(Python's or numpy's) as a number, refuse NaN and infinities, and start
+their message with the argument's name.
+"""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -43,3 +53,35 @@ class EnvelopeBreach(RuntimeError):
         self.last = last
         self.time = time
         self.hazard = hazard
+
+
+def _finite(x) -> bool:
+    """Whether x is a real number, not a bool, and finite (an integer
+    beyond the float range is not)."""
+    try:
+        return (not isinstance(x, bool) and isinstance(x, numbers.Real)
+                and math.isfinite(x))
+    except OverflowError:
+        return False
+
+
+def _number(name: str, x, error=ConfigError) -> float:
+    """x as a float if it is a finite number, else ``error``."""
+    if not _finite(x):
+        raise error(f"{name}: must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _positive(name: str, x, error=ConfigError) -> float:
+    """x as a float if it is a finite number above 0, else ``error``."""
+    if not (_finite(x) and x > 0):
+        raise error(f"{name}: must be positive and finite, got {x!r}")
+    return float(x)
+
+
+def _require_int(name: str, value, least: int, error=ConfigError) -> None:
+    """An integer (a bool is none) of at least ``least``, else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name}: must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name}: must be >= {least}, got {value}")

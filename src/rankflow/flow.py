@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError
-from .intensity import ClassHazard, PopulationSpec, _number, _require_int
+from .errors import (ConfigError, ConvergenceError, DomainError, _number,
+                     _positive, _require_int)
+from .intensity import ClassHazard, PopulationSpec
 from .latp import (MAX_TABLE_ENTRIES, LatpIntensity, _bilinear,
                    _cumulative_trapezoid, _grid_cells,
                    _require_fine_step, _trapezoid_volterra, _triangle_value,
@@ -111,10 +112,7 @@ class FlowGrid:
                 f"boundary table must be ({n_tp},{n_tp}), got {bdry_values.shape}")
         if n_zp < 2 or n_tp < 2:
             raise ConfigError("flow grid needs at least 2 nodes per axis")
-        self.horizon = float(horizon)
-        if not 0 < self.horizon < np.inf:
-            raise ConfigError(
-                f"horizon: must be positive and finite, got {self.horizon}")
+        self.horizon = _positive("horizon", horizon)
         self.n_z = n_zp - 1
         self.n_t = n_tp - 1
         self.dt = self.horizon / self.n_t
@@ -230,6 +228,13 @@ def _thin_along_flow(flow: FlowGrid, hazard, cls, y0, times, owners, marks,
         envelope)
 
 
+def _start_point(name: str, z) -> None:
+    """Refuse with DomainError a start point z that is not a number in
+    [0, 1]: a cell outside the initial table would wrap around."""
+    if not 0.0 <= _number(name, z, DomainError) <= 1.0 + _TOL:
+        raise DomainError(f"{name} must lie in [0,1], got {z}")
+
+
 def tilde_w(flow: FlowGrid, field, z: float) -> LatpIntensity:
     """Rate field read along the flow: the hazard kernel of one particle.
 
@@ -239,8 +244,7 @@ def tilde_w(flow: FlowGrid, field, z: float) -> LatpIntensity:
     because the kernel is discontinuous at s = 0 whenever z > 0; the corner
     (0, 0) is one point, so it is read as the initial curve from 0.
     """
-    if not 0.0 <= z <= 1.0 + _TOL:
-        raise DomainError(f"z must lie in [0,1], got {z}")
+    _start_point("z", z)
     hazard = ClassHazard((field,))
     return LatpIntensity(
         lambda s, t: _hazard_along(flow, hazard, 0, z, s, t),
@@ -524,8 +528,7 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
                        max(c.field.sup_norm for c in spec.classes), ConfigError,
                        "n_t")
     _require_int("max_iter", max_iter, 1)
-    if not 0 < _number(tol, "tol"):
-        raise ConfigError(f"tol: must be positive and finite, got {tol}")
+    _positive("tol", tol)
     # the iteration's work tables are freed before the check
     flow, ev, history = _picard(spec, n_z, n_t, tol, max_iter)
     flow._check()
@@ -677,6 +680,7 @@ def tagged_limit_path(sol: LimitSolution, field, y_start: float,
     couples the two paths.  Between jumps the particle rides the limit flow
     from its last reset point; a jump resets it to the boundary curve.
     """
+    _start_point("y_start", y_start)
     times, marks = (np.asarray(x, dtype=float) for x in candidates)
     accepted = _thin_along_flow(
         sol.flow, ClassHazard((field,)), np.zeros(1, dtype=np.int64),

@@ -22,11 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _positive, _require_int
 from . import latp, srp, streams
 from .flow import FlowGrid, LimitSolution, PhiEvaluator, solve_y_c, tagged_limit_path
-from .intensity import (PopulationSpec, _require_int, assign_population,
-                        pin_particles)
+from .intensity import PopulationSpec, assign_population, pin_particles
 from .measure import (EvaluationLattice, LogEvaluator, TestFunction,
                       limit_values)
 
@@ -414,11 +413,8 @@ def latp_validation(omegas: dict | None = None, horizon: float = 1.0,
     _require_int("replicas", replicas, 1)
     # a lattice of one node has no pair with s < t to check
     _require_int("lattice_size", lattice_size, 2)
-    # NaN fails the comparisons
-    if isinstance(horizon, bool) or not 0 < horizon < math.inf:
-        raise ConfigError(f"horizon: must be positive and finite, got {horizon}")
-    if isinstance(step, bool) or not 0 < step < math.inf:
-        raise ConfigError(f"step: must be positive and finite, got {step}")
+    _positive("horizon", horizon)
+    _positive("step", step)
     streams.check_key("seed", seed)
     if omegas is None:
         omegas = shipped_omegas(horizon)

@@ -13,14 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _number, _positive, _require_int
 from .latp import _grid_cells
 from . import streams
 
@@ -29,32 +28,11 @@ _SUM_TOL = 1e-9
 _SWEEP_BLOCK = 4096  # slots per block of the stratified sweep
 
 
-def _number(x, name: str) -> float:
-    """x as a float; booleans, non-numbers, NaN/inf and integers beyond the
-    float range raise ConfigError."""
-    try:
-        ok = not isinstance(x, bool) and isinstance(x, numbers.Real) \
-            and math.isfinite(x)
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ConfigError(f"{name}: must be a finite number, got {x!r}")
-    return float(x)
-
-
-def _require_int(name: str, value, least: int) -> None:
-    """An integer (a bool is none) of at least ``least``, else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name}: must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{name}: must be >= {least}, got {value}")
-
-
 def _numbers(values, name: str) -> np.ndarray:
     """``values`` as a float array, each entry checked by ``_number``."""
     items = np.asarray(values, dtype=object)
     for x in items.flat:
-        _number(x, name)
+        _number(name, x)
     return items.astype(float)
 
 
@@ -90,9 +68,7 @@ class IntensityField:
     kind = "abstract"
 
     def __init__(self, horizon: float):
-        if _number(horizon, "horizon") <= 0:
-            raise ConfigError(f"horizon: must be positive, got {horizon}")
-        self.horizon = float(horizon)
+        self.horizon = _positive("horizon", horizon)
         self.sup_norm = 0.0
         self.y_deriv_bound = 0.0
 
@@ -134,7 +110,7 @@ class ConstantField(IntensityField):
 
     def __init__(self, value: float, horizon: float):
         super().__init__(horizon)
-        self.value = _number(value, "value")
+        self.value = _number("value", value)
         if value < 0:
             raise ConfigError(f"value: constant rate must be >= 0, got {value}")
         self._set_bounds(self.value, 0.0)
@@ -153,7 +129,7 @@ class AffineField(IntensityField):
 
     def __init__(self, base: float, slope: float, horizon: float):
         super().__init__(horizon)
-        self.base, self.slope = _number(base, "base"), _number(slope, "slope")
+        self.base, self.slope = _number("base", base), _number("slope", slope)
         if base < 0:
             raise ConfigError(f"base: affine field negative at y=0, got {base}")
         if base + slope < 0:
@@ -179,8 +155,8 @@ class ProductField(IntensityField):
 
     def __init__(self, y_base, y_slope, t_base, t_slope, horizon):
         super().__init__(horizon)
-        self.y_base, self.y_slope = _number(y_base, "y_base"), _number(y_slope, "y_slope")
-        self.t_base, self.t_slope = _number(t_base, "t_base"), _number(t_slope, "t_slope")
+        self.y_base, self.y_slope = _number("y_base", y_base), _number("y_slope", y_slope)
+        self.t_base, self.t_slope = _number("t_base", t_base), _number("t_slope", t_slope)
         if y_base < 0:
             raise ConfigError(f"y_base: spatial factor negative at y=0, got {y_base}")
         if y_base + y_slope < 0:
@@ -427,13 +403,12 @@ class PopulationSpec:
     horizon: float
 
     def __post_init__(self):
-        _number(self.horizon, "horizon")
+        _positive("horizon", self.horizon)
         if not self.classes:
             raise ConfigError("classes: at least one class required")
         wsum = 0.0
         for k, cls in enumerate(self.classes):
-            if not cls.weight > 0:
-                raise ConfigError(f"classes[{k}].weight: must be > 0, got {cls.weight}")
+            _positive(f"classes[{k}].weight", cls.weight)
             if abs(cls.field.horizon - self.horizon) > _DOMAIN_TOL:
                 raise ConfigError(f"classes[{k}].field: horizon mismatch")
             wsum += cls.weight
@@ -500,9 +475,7 @@ def spec_from_config(cfg: dict) -> PopulationSpec:
         raise ConfigError("spec: expected a JSON object")
     if "horizon" not in cfg:
         raise ConfigError("horizon: missing")
-    horizon = _number(cfg["horizon"], "horizon")
-    if horizon <= 0:
-        raise ConfigError(f"horizon: must be positive, got {horizon!r}")
+    horizon = _positive("horizon", cfg["horizon"])
     raw_classes = cfg.get("classes")
     if not isinstance(raw_classes, list) or not raw_classes:
         raise ConfigError("classes: expected a non-empty list")
@@ -513,9 +486,7 @@ def spec_from_config(cfg: dict) -> PopulationSpec:
             raise ConfigError(f"{where}: expected an object")
         if "weight" not in rc:
             raise ConfigError(f"{where}.weight: missing")
-        weight = _number(rc["weight"], f"{where}.weight")
-        if weight <= 0:
-            raise ConfigError(f"{where}.weight: must be > 0, got {weight!r}")
+        weight = _positive(f"{where}.weight", rc["weight"])
         fld = field_from_config(rc.get("field"), horizon, where=f"{where}.field")
         dens_cfg = rc.get("density")
         if dens_cfg is None:
@@ -605,8 +576,7 @@ def assign_population(spec: PopulationSpec, n: int, mode: str = "stratified",
     positions are drawn i.i.d. from the class densities, and slots are
     assigned by rank of the draws.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ConfigError(f"n: must be an integer >= 1, got {n!r}")
+    _require_int("n", n, 1)
     K = spec.n_classes
     if mode == "stratified":
         edges = np.arange(n + 1) / n
@@ -687,8 +657,10 @@ def pin_particles(assignment: PopulationAssignment, pins) -> PopulationAssignmen
         raise ConfigError(f"cannot pin {len(pins)} particles out of {n}")
     taken = np.zeros(n, dtype=bool)
     for i, (k, y_target) in enumerate(pins):
-        if not 0 <= k < assignment.spec.n_classes:
+        _require_int(f"pin {i}: class", k, 0)
+        if k >= assignment.spec.n_classes:
             raise ConfigError(f"pin {i}: no class {k}")
+        _number(f"pin {i}: target", y_target)
         cand = np.flatnonzero((ci == k) & ~taken)
         if len(cand) == 0:
             raise ConfigError(f"pin {i}: class {k} exhausted")

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EnvelopeBreach
+from .errors import (ConfigError, DomainError, EnvelopeBreach, _number,
+                     _positive, _require_int)
 from . import streams
 
 # default thinning envelope margin over the declared sup-norm; guards
@@ -51,13 +52,11 @@ class LatpIntensity:
 
     def __init__(self, fn, horizon: float, sup_norm: float, s0_limit=None,
                  label: str = ""):
-        if not 0 < horizon < np.inf:
-            raise ConfigError(f"horizon must be positive and finite, got {horizon}")
-        if sup_norm < 0:
-            raise ConfigError(f"sup_norm must be >= 0, got {sup_norm}")
+        self.horizon = _positive("horizon", horizon)
+        self.sup_norm = _number("sup_norm", sup_norm)
+        if self.sup_norm < 0:
+            raise ConfigError(f"sup_norm: must be >= 0, got {sup_norm!r}")
         self._fn = fn
-        self.horizon = float(horizon)
-        self.sup_norm = float(sup_norm)
         self._s0_limit = s0_limit
         self.label = label or "omega"
 
@@ -293,9 +292,7 @@ def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
     order is the one the replica loop would hit first; it is raised with
     the scalar sampler's message, prefixed by the replica.
     """
-    if (isinstance(replicas, bool)
-            or not isinstance(replicas, (int, np.integer)) or replicas < 0):
-        raise ConfigError("replicas: must be an integer >= 0")
+    _require_int("replicas", replicas, 0)
     # checked up front: zero replicas draw nothing
     streams.check_key("seed", seed)
     horizon = omega.horizon
@@ -551,14 +548,6 @@ def survival_solve(omega: LatpIntensity, grid: np.ndarray) -> SurvivalTable:
                          label=omega.label)
 
 
-def _check_time(name: str, x) -> None:
-    """Refuse with DomainError a time that is not one finite real number:
-    NaN fails every comparison, and a bool would be read as 0 or 1."""
-    a = np.asarray(x)
-    if a.ndim or a.dtype.kind not in "iuf" or not np.isfinite(a):
-        raise DomainError(f"{name}: must be a finite number, got {x!r}")
-
-
 def survival_series(omega: LatpIntensity, s: float, t,
                     kmax: int = 25, step: float = 2.5e-3):
     """Truncated series for P(N(t) = N(s)): a float for one end time t, an
@@ -572,7 +561,7 @@ def survival_series(omega: LatpIntensity, s: float, t,
     exposure from s on, so every value has the bits of a call with that t
     alone.
     """
-    _check_time("s", s)
+    _number("s", s, DomainError)
     if np.ndim(t) == 0:
         ends = [("t", t)]
     elif np.ndim(t) == 1:
@@ -580,18 +569,13 @@ def survival_series(omega: LatpIntensity, s: float, t,
     else:
         raise DomainError("t: must be a number or a one-dimensional sequence")
     for name, x in ends:
-        _check_time(name, x)
+        _number(name, x, DomainError)
         if s > x + 1e-12:
             raise DomainError(f"{name}: need s <= t, got ({s}, {x})")
         if s < -1e-12 or x > omega.horizon + 1e-9:
             raise DomainError(f"{name}: ({s}, {x}) outside [0, {omega.horizon}]")
-    if isinstance(kmax, bool) or not isinstance(kmax, (int, np.integer)):
-        raise DomainError(f"kmax: must be an integer, got {kmax!r}")
-    if kmax < 0:
-        raise DomainError(f"kmax: must be >= 0, got {kmax}")
-    # NaN fails the comparison
-    if isinstance(step, (bool, np.bool_)) or not 0 < step < np.inf:
-        raise DomainError(f"step: must be positive and finite, got {step!r}")
+    _require_int("kmax", kmax, 0, DomainError)
+    _positive("step", step, DomainError)
     # an end time below s by rounding starts its series there
     blocks = {}
     out = np.empty(len(ends))

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _number
 from .flow import BoundaryPoint, _admissible, _h_vector, boundary, initial
 from .intensity import PopulationSpec
 from .latp import _stable_argsort
@@ -57,7 +57,7 @@ class TestFunction:
 
     @staticmethod
     def norm_capped(cap: float) -> "TestFunction":
-        return TestFunction("norm_capped", (float(cap),))
+        return TestFunction("norm_capped", (_number("cap", cap),))
 
     def per_class(self, spec: PopulationSpec) -> np.ndarray:
         K = spec.n_classes

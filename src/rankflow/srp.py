@@ -38,8 +38,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EnvelopeBreach
-from .intensity import PopulationAssignment, _require_int
+from .errors import ConfigError, DomainError, EnvelopeBreach, _require_int
+from .intensity import PopulationAssignment
 from .flow import FlowGrid, _thin_along_flow
 from .latp import _breach_bound, _stable_argsort
 from . import streams

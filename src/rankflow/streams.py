@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _require_int
 
 # Stream kinds.  Values are part of the reproducibility contract: changing
 # them changes every seeded output.
@@ -462,9 +462,7 @@ def replica_candidates(seed: int, kind: int, count: int, rate: float,
     one reused Philox.  A zero rate draws nothing and derives no key, but
     checks the key words all the same.
     """
-    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
-            or count < 0):
-        raise ConfigError("count: must be an integer >= 0")
+    _require_int("count", count, 0)
     seed, kind = check_key("seed", seed), check_key("kind", kind)
     if count:
         check_key("index", start)

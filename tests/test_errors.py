@@ -1,0 +1,146 @@
+"""Argument refusal: every entry point refuses a bool, NaN, an infinity, a
+string or None where it takes an integer or a number, with the argument's
+name at the start of the message.  ``-k refuse`` selects these tests."""
+
+import argparse
+import math
+import re
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from rankflow import (ConfigError, ConstantField, DomainError, FlowGrid,
+                      LatpIntensity, TestFunction, assign_population,
+                      pin_particles, sample_replicas, solve_y_c,
+                      spec_from_config, survival_series, tagged_limit_path,
+                      tilde_w)
+from rankflow import cli, streams
+from rankflow.harness import ExperimentPlan, latp_validation, tagged_compare
+from rankflow.latp import constant_intensity
+
+from conftest import constant_single_spec
+
+SPEC = constant_single_spec()
+OMEGA = constant_intensity(2.0, 1.0)
+FLOW = FlowGrid.identity(1.0, 10, 50)
+FIELD = ConstantField(1.0, 1.0)
+NO_CANDIDATES = (np.empty(0), np.empty(0))
+
+
+def _kernel(s, t):
+    return 5.0 + 0 * s + 0 * t
+
+
+def _spec_config(horizon):
+    return {"horizon": horizon, "classes": [
+        {"weight": 1.0, "field": {"kind": "constant", "value": 1.0}}]}
+
+
+def _latp_args(grid):
+    return argparse.Namespace(grid=grid, horizon=1.0, replicas=10, seed=0,
+                              out="out")
+
+
+# entry point: (exception class, argument name, call with the argument)
+ENTRY_POINTS = {
+    "assign_population.n": (
+        ConfigError, "n", lambda x: assign_population(SPEC, x)),
+    "replica_candidates.count": (
+        ConfigError, "count",
+        lambda x: streams.replica_candidates(0, streams.LATP, x, 1.0, 1.0)),
+    "sample_replicas.replicas": (
+        ConfigError, "replicas", lambda x: sample_replicas(OMEGA, 0, x)),
+    "survival_series.kmax": (
+        DomainError, "kmax", lambda x: survival_series(OMEGA, 0.2, 0.5, kmax=x)),
+    "cmd_latp.grid": (
+        ConfigError, "grid", lambda x: cli.cmd_latp(_latp_args(x))),
+    "IntensityField.horizon": (
+        ConfigError, "horizon", lambda x: ConstantField(1.0, x)),
+    "spec_from_config.horizon": (
+        ConfigError, "horizon", lambda x: spec_from_config(_spec_config(x))),
+    "FlowGrid.horizon": (
+        ConfigError, "horizon",
+        lambda x: FlowGrid(x, FLOW.init_values, FLOW.bdry_values)),
+    "solve_y_c.tol": (
+        ConfigError, "tol", lambda x: solve_y_c(SPEC, n_z=10, n_t=50, tol=x)),
+    "LatpIntensity.horizon": (
+        ConfigError, "horizon", lambda x: LatpIntensity(_kernel, x, 5.0)),
+    "survival_series.step": (
+        DomainError, "step", lambda x: survival_series(OMEGA, 0.2, 0.5, step=x)),
+    "latp_validation.horizon": (
+        ConfigError, "horizon",
+        lambda x: latp_validation(horizon=x, step=1 / 20, replicas=10)),
+    "latp_validation.step": (
+        ConfigError, "step", lambda x: latp_validation(step=x, replicas=10)),
+    "survival_series.s": (
+        DomainError, "s", lambda x: survival_series(OMEGA, x, 0.5)),
+    "survival_series.t": (
+        DomainError, "t", lambda x: survival_series(OMEGA, 0.2, x)),
+    "LatpIntensity.sup_norm": (
+        ConfigError, "sup_norm", lambda x: LatpIntensity(_kernel, 1.0, x)),
+    "TestFunction.norm_capped": (
+        ConfigError, "cap", lambda x: TestFunction.norm_capped(x)),
+    "pin_particles.class": (
+        ConfigError, "pin 0: class",
+        lambda x: pin_particles(assign_population(SPEC, 10), [(x, 0.3)])),
+    "pin_particles.target": (
+        ConfigError, "pin 0: target",
+        lambda x: pin_particles(assign_population(SPEC, 10), [(0, x)])),
+    "tagged_limit_path.y_start": (
+        DomainError, "y_start",
+        lambda x: tagged_limit_path(SimpleNamespace(flow=FLOW), FIELD, x,
+                                    NO_CANDIDATES)),
+    "tilde_w.z": (DomainError, "z", lambda x: tilde_w(FLOW, FIELD, x)),
+}
+
+BAD_VALUES = {"true": True, "np-true": np.True_, "nan": math.nan,
+              "inf": math.inf, "str": "1", "none": None}
+
+
+@pytest.mark.parametrize("value", list(BAD_VALUES.values()),
+                         ids=list(BAD_VALUES))
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_entry_point_refuses_a_bad_argument(entry, value):
+    # FlowGrid and LatpIntensity once ran horizon=True as 1.0, and
+    # latp_validation ran horizon=np.True_
+    error, name, call = ENTRY_POINTS[entry]
+    with pytest.raises(error, match=f"^{re.escape(name)}: "):
+        call(value)
+
+
+@pytest.mark.parametrize("sup_norm", [math.nan, math.inf, True, -1.0])
+def test_latp_intensity_refuses_a_bad_sup_norm(sup_norm):
+    # a NaN bound once passed: survival_solve skipped its fine-step check
+    # (h * nan >= 1 is False) and derivative_bound_check read every excess
+    # as 0.0 where a bound of 1.0 reads dt_excess 3.88
+    with pytest.raises(ConfigError, match="^sup_norm: "):
+        LatpIntensity(_kernel, 1.0, sup_norm)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, True, "1"])
+def test_norm_capped_refuses_a_non_finite_cap(cap):
+    # a NaN cap once gave the uncapped norms under the label h=min(norm,nan)
+    with pytest.raises(ConfigError, match="^cap: "):
+        TestFunction.norm_capped(cap)
+
+
+def test_tagged_start_points_outside_the_unit_interval_are_refused(
+        sol_mixture, spec_mixture):
+    # y_start=-0.3 once read the initial table's wrapped-around row 8, so
+    # the path stood at 0.8 at t = 0; 1.5 raised EnvelopeBreach and NaN a
+    # bare IndexError
+    plan = ExperimentPlan(spec=spec_mixture, n_values=(20, 40), seeds=2)
+    with pytest.raises(DomainError, match=r"^y_start must lie in \[0,1\]"):
+        tagged_compare(plan, pins=[(0, -0.3)], sol=sol_mixture)
+    fld = spec_mixture.classes[0].field
+    cand = streams.tagged_candidates(0, 0, fld.sup_norm, 1.0)
+    for y in (-0.3, 1.5, math.nan):
+        with pytest.raises(DomainError, match="^y_start"):
+            tagged_limit_path(sol_mixture, fld, y, cand)
+    # a bool class once pinned class 1, and a NaN target the class's first
+    # particle
+    base = assign_population(spec_mixture, 20)
+    for pin in ((True, 0.3), (0, math.nan)):
+        with pytest.raises(ConfigError, match="^pin 0: "):
+            pin_particles(base, [pin])

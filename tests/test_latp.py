@@ -524,13 +524,19 @@ def test_sample_replicas_keeps_arrival_sequence_invariant(monkeypatch):
         sample_replicas(constant_intensity(1.0, 1.0), 0, 3)
 
 
-@pytest.mark.parametrize("replicas", [-1, True, False, 2.0, None, "2",
-                                      np.float64(2.0)],
-                         ids=["neg", "true", "false", "float", "none", "str",
-                              "np-float"])
-def test_sample_replicas_refuses_a_bad_replica_count(replicas):
-    with pytest.raises(ConfigError, match="replicas: must be an integer >= 0"):
+@pytest.mark.parametrize("replicas, message", [
+    (-1, "replicas: must be >= 0, got -1"),
+    (True, "replicas: must be an integer, got True"),
+    (False, "replicas: must be an integer, got False"),
+    (2.0, "replicas: must be an integer, got 2.0"),
+    (None, "replicas: must be an integer, got None"),
+    ("2", "replicas: must be an integer, got '2'"),
+    (np.float64(2.0), f"replicas: must be an integer, got {np.float64(2.0)!r}"),
+], ids=["neg", "true", "false", "float", "none", "str", "np-float"])
+def test_sample_replicas_refuses_a_bad_replica_count(replicas, message):
+    with pytest.raises(ConfigError) as exc:
         sample_replicas(constant_intensity(2.0, 1.0), 0, replicas)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 32, 1.5, True, None])
