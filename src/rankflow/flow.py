@@ -44,10 +44,10 @@ class BoundaryPoint:
     def __post_init__(self):
         if self.kind not in ("initial", "boundary"):
             raise ConfigError(f"unknown boundary point kind {self.kind!r}")
-        if not np.isfinite(self.coord):
-            raise ConfigError(f"{self.kind} coordinate must be finite, got {self.coord}")
-        if self.coord < -_TOL:
-            raise ConfigError(f"negative coordinate {self.coord}")
+        coord = _number("coord", self.coord)
+        if coord < -_TOL:
+            raise ConfigError(f"coord: negative coordinate {coord}")
+        object.__setattr__(self, "coord", coord)
 
     @property
     def y0(self) -> float:
@@ -62,11 +62,11 @@ class BoundaryPoint:
 
 
 def initial(z: float) -> BoundaryPoint:
-    return BoundaryPoint("initial", float(z))
+    return BoundaryPoint("initial", z)
 
 
 def boundary(t0: float) -> BoundaryPoint:
-    return BoundaryPoint("boundary", float(t0))
+    return BoundaryPoint("boundary", t0)
 
 
 def _require_grid(n_z: int, n_t: int) -> None:

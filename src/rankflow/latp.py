@@ -116,6 +116,9 @@ def flow_pullback_affine(base: float, slope: float, z: float,
     discontinuous at s = 0 whenever z > 0; the s->0+ limit is supplied as
     the renewal kernel row.
     """
+    for name, x in (("base", base), ("slope", slope), ("z", z),
+                    ("horizon", horizon)):
+        _number(name, x)
     if base < 0 or slope < 0:
         raise ConfigError("flow pullback requires base, slope >= 0")
     if not 0.0 <= z <= 1.0:

@@ -21,13 +21,12 @@ move-to-front walk at zero tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, _number
+from .errors import ConfigError, DomainError, _finite, _number
 from .flow import BoundaryPoint, _admissible, _h_vector, boundary, initial
 from .intensity import PopulationSpec
 from .latp import _stable_argsort
@@ -92,8 +91,8 @@ class EvaluationLattice:
 
     def __post_init__(self):
         for k, t in enumerate(self.times):
-            # the tolerance of pairs(); written so that NaN fails it
-            if not -1e-12 <= t < math.inf:
+            # the tolerance of pairs()
+            if not (_finite(t) and t >= -1e-12):
                 raise ConfigError(f"times[{k}]: must be finite and >= 0, got {t}")
 
     @staticmethod
@@ -287,8 +286,9 @@ class LogEvaluator:
         """``positions_at(t)[particles]`` for every t in ts, in one query.
 
         Each (particle, t) pair is a rejected candidate placed after the
-        events at or before t, so one move-to-front rank pass over the log
-        reads all of them.  Returns shape (len(ts), len(particles)).
+        events at or before t, so one move-to-front rank pass, which ranks
+        these candidates alone, reads all of them.  Returns shape
+        (len(ts), len(particles)).
         """
         particles = np.asarray(particles, dtype=np.int64)
         after = np.searchsorted(self.log.times, np.asarray(ts, dtype=float),
@@ -300,9 +300,11 @@ class LogEvaluator:
         order = _stable_argsort(keys, 2 * n_ev + 1)
         ids = np.concatenate((self.log.particles,
                               np.tile(particles, len(after))))[order]
-        ranks = np.empty(len(keys), dtype=np.int64)
-        ranks[order] = _mtf_ranks(self.slots0, ids, order < n_ev)
-        return ranks[n_ev:].reshape(len(after), len(particles)) / self.n
+        queries = np.flatnonzero(order >= n_ev)
+        ranks = np.empty(len(queries), dtype=np.int64)
+        ranks[order[queries] - n_ev] = _mtf_ranks(self.slots0, ids,
+                                                  order < n_ev, queries)
+        return ranks.reshape(len(after), len(particles)) / self.n
 
     def mu(self, h, y: float, t: float) -> float:
         """Integral of h over the empirical measure on W x [y, 1] at t."""

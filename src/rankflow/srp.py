@@ -18,16 +18,17 @@ gives from the window before.  The engines run seeds as one batch
 (``_run_seeds``), and a lone seed is a batch of one: the runs' streams are
 laid one after another, each run's particles under ids of their own, and a
 window holds the parts that fall in it of consecutive runs, which each
-round ranks in one count, each run from its own first changed candidate.
-Runs that fit ``_PACK`` candidates together share a window whole, and a
-longer run is cut into windows of ``_window(N)``.  The flow-driven model
-reads the hazard along a prescribed flow from the particle's last
-reset point; given the flow, each particle is an independent last-arrival
-process, so ``flow._thin_along_flow`` thins all of them at once and the
-pre-jump positions are the ranks of the accepted jumps.  A coupled run
-feeds both models the identical marked candidates and records each
-particle's first decoupling time.  ``RankIndex`` walks the same ranks one
-move at a time.
+round ranks in one count, each run from its own first changed candidate
+and on trace keys of its own, so the count walks the bit levels of one
+run.  Runs that fit ``_window(N)`` candidates together share a window
+whole, and a longer run is cut into windows of that width.  The
+flow-driven model reads the hazard along a prescribed flow from the
+particle's last reset point; given the flow, each particle is an
+independent last-arrival process, so ``flow._thin_along_flow`` thins all
+of them at once and the pre-jump positions are the ranks of the accepted
+jumps.  A coupled run feeds both models the identical marked candidates
+and records each particle's first decoupling time.  ``RankIndex`` walks
+the same ranks one move at a time.
 """
 
 from __future__ import annotations
@@ -280,16 +281,19 @@ def _check_flow(flow, horizon):
         raise DomainError("flow horizon shorter than the simulation horizon")
 
 
-def _count_below(values, ends, bounds, levels=None):
-    """#{k < ends[q] : values[k] < bounds[q]} for every query q.
+def _count_below(values, starts, ends, bounds, levels=None):
+    """#{starts[q] <= k < ends[q] : values[k] < bounds[q]} for every query q.
 
     A wavelet matrix over the nonnegative ``values``: level b stably moves
     the values with bit b clear in front of those with it set, and each
     query range [lo, hi) follows its values down.  The queries walk every
-    level as it is built, so only one level is held at a time.  With
-    ``levels``, only the top ``levels`` levels are walked, and each query
-    adds half of the values left in its range, those whose top bits are its
-    bound's: a coarse count, off by at most half of that bucket.
+    level as it is built, so only one level is held at a time, and the
+    levels are those of the largest value or bound: ``_mtf_ranks`` keeps
+    each run's keys below its own N' + A, so a batch walks no more levels
+    than its longest run.  With ``levels``, only the top ``levels`` levels
+    are walked, and each query adds half of the values left in its range,
+    those whose top bits are its bound's: a coarse count, off by at most
+    half of that bucket.
 
     Each level fills one table of 2(m + 1) entries for the m values from
     one prefix sum of its bits: entry i holds the zeros before i, and entry
@@ -308,9 +312,9 @@ def _count_below(values, ends, bounds, levels=None):
     table = np.zeros(2 * (m + 1), dtype=np.int64)
     zeros, ones = table[:m + 1], table[m + 1:]
     index = np.arange(m + 1)
-    span = np.zeros((2, q), dtype=np.int64)
-    span[1] = ends
-    size, kept, one = span[1].copy(), np.empty_like(count), np.empty_like(count)
+    span = np.array((starts, ends), dtype=np.int64)
+    size = span[1] - span[0]
+    kept, one = np.empty_like(count), np.empty_like(count)
     bit, flag = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
     values, spare = values.copy(), np.empty_like(values)
     top = int(max(values.max(), bounds.max())).bit_length()
@@ -358,26 +362,23 @@ def _firsts(keys):
 def _by_particle(ids, n, sizes=None):
     """``ids`` of a batch grouped by particle: their stable argsort
     ``order``, the sorted ids, for each sorted position the position its
-    particle's run starts at, and ``(base, first)``, the batch's systems.
+    particle's run starts at, and ``(size, first)``, the batch's systems.
 
-    The ids are those of len(sizes) independent systems of n / len(sizes)
-    particles each, laid one after another: system s holds the next
-    ``sizes[s]`` candidates, and its particle i has the id s * n /
-    len(sizes) + i.  Without ``sizes``, all of them are one system of n
-    particles.  Sorting by particle keeps each system's candidates at the
-    same positions, so ``(base, first)`` serves both orders: for each
-    position, its system's (s + 1) n / len(sizes), which ``_mtf_ranks``
-    reads in place of N, and the position of its system's first candidate.
+    The ids are those of len(sizes) independent systems of ``size`` = n /
+    len(sizes) particles each, laid one after another: system s holds the
+    next ``sizes[s]`` candidates, and its particle i has the id s * size +
+    i.  Without ``sizes``, all of them are one system of n particles.
+    Sorting by particle keeps each system's candidates at the same
+    positions, so ``first``, for each position the position of its
+    system's first candidate, serves both orders.
     """
     order = _stable_argsort(ids, n)
     sorted_ids = ids[order]
     group = np.maximum.accumulate(np.where(_firsts(sorted_ids),
                                            np.arange(len(ids)), 0))
     sizes = np.asarray([len(ids)] if sizes is None else sizes, dtype=np.int64)
-    k = len(sizes)
-    systems = ((n // k * np.arange(1, k + 1)).repeat(sizes),
-               (sizes.cumsum() - sizes).repeat(sizes))
-    return order, sorted_ids, group, systems
+    return order, sorted_ids, group, (n // len(sizes),
+                                      (sizes.cumsum() - sizes).repeat(sizes))
 
 
 def _mtf_ranks(slots, ids, accepted, start=0, grouped=None, levels=None):
@@ -400,18 +401,18 @@ def _mtf_ranks(slots, ids, accepted, start=0, grouped=None, levels=None):
     ``ids`` and ``slots`` may be those of the systems of a batch, grouped
     by ``_by_particle(ids, N, sizes)`` and passed as ``grouped``, which
     also saves the grouping across calls; without it, they are one system.
-    The systems are ranked in one count.  Their traces are laid one after
-    another: the N' virtual moves of system s follow every move of the
-    systems before it, among them their A_s accepted ones, so they start
-    at s N' + A_s, and its accepted moves keep their index x in the whole
-    stream, after its ``base`` (s + 1) N'.  A query of system s then also
-    counts those A_s accepted moves, all below its ``last``, and with N
-    read as ``base`` the formula holds as it stands.
+    The systems are ranked in one count, each on a trace of its own: its
+    N' virtual moves, then its accepted ones, the k-th at N' + k.  With
+    A_s accepted candidates in the systems before it, its k-th is the
+    batch's (A_s + k)-th, so each query of system s counts the range
+    [A_s, x) of the batch's accepted keys, and with N read as N' the
+    formula holds as it stands.  No key exceeds its own system's N' + A,
+    so the count walks the bit levels of one system, not of the batch.
     """
     n, m = len(slots), len(ids)
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    order, sorted_ids, group, (base, first) = (
+    order, sorted_ids, group, (size, first) = (
         _by_particle(ids, n) if grouped is None else grouped)
     at = slice(start, None) if isinstance(start, (int, np.integer)) else start
     accepted = np.asarray(accepted, dtype=bool)
@@ -422,15 +423,14 @@ def _mtf_ranks(slots, ids, accepted, start=0, grouped=None, levels=None):
     before[0] = -1
     np.maximum.accumulate(np.where(accepted[order], np.arange(m), -1)[:-1],
                           out=before[1:])
-    virtual = base - 1 - slots[sorted_ids]
-    # system s's virtual moves follow the A_s accepted moves before it
-    virtual += x[first]
+    # the accepted candidates of the systems before each position's own
+    starts = x[first]
     last = np.empty(m, dtype=np.int64)
-    last[order] = np.where(before >= group, base + x[order[before]], virtual)
-    del virtual  # not held through the count
+    last[order] = np.where(before >= group, size + x[order[before]] - starts,
+                           size - 1 - slots[sorted_ids])
     bounds = last[at]
-    count = _count_below(last[accepted], x[at], bounds, levels)
-    return base[at] + count - bounds - 1
+    count = _count_below(last[accepted], starts[at], x[at], bounds, levels)
+    return size + count - bounds - 1
 
 
 def _reset_ranks(slots, movers):
@@ -487,26 +487,23 @@ def _window(n):
     paid once: at N = 1600, windows of N/8 took 15 ms against 6 ms, and at
     N = 100 6 ms against 2 ms.
 
-    The runs of a batch share windows of whole runs, at most ``_PACK``
-    candidates in the original pass.  Process ms per seed over seeds 0-19,
-    medians of 15 interleaved passes: on the affine spec, one seed at a
-    time took 1.08, 1.72 and 3.87 ms at N = 100, 400 and 1600, and windows
-    of whole runs up to 2^11, 2^12, 2^13 and 2^14 candidates took 0.38,
-    0.31, 0.31 and 0.32 ms at N = 100, 1.21, 0.99, 0.94 and 0.92 ms at 400,
-    and 3.78, 3.77, 3.71 and 3.93 ms at 1600, where a run alone has 2.1k
-    candidates, 2^13 packs three runs and 2^14 seven.  On the constant
-    mixture, one seed at a time took 0.49, 0.74 and 1.46 ms, and the four
-    widths 0.19, 0.16, 0.16 and 0.16 ms, 0.49, 0.40, 0.42 and 0.42 ms, and
-    1.43, 1.42, 1.49 and 1.56 ms.  A packed window's rounds run until its
-    slowest run settles, and its count walks more bit levels, so whole
-    runs share no more than 2^12 candidates there; the flow pass, which
-    has no rounds, packs them up to the full width.
+    The runs of a batch share windows of whole runs up to the full width
+    in both passes; each run is ranked on keys of its own (``_mtf_ranks``),
+    so a packed window's count walks the bit levels of one run.  Process
+    ms per seed of the original pass over seeds 0-19 on the affine spec,
+    medians of 9 passes in each of two runs per tree, trees alternating:
+    one seed at a time took 0.53-0.54, 0.87-0.91 and 2.1-2.2 ms at N =
+    100, 400 and 1600, and windows of whole runs up to 2^12 and 2^14
+    candidates 0.097-0.099 and 0.093-0.099 ms at N = 100, 0.39-0.40 and
+    0.41-0.51 ms at 400, and 2.15-2.24 and 1.89-1.91 ms at 1600, where a
+    run has 2.1k candidates and 2^14 packs seven.  On one trace over the
+    whole batch, each run's keys after every move of the runs before it,
+    the two widths took 0.13-0.18 and 0.13-0.17, 0.49 and 0.50, and
+    2.10-2.38 and 2.26-2.33 ms.  A packed window's rounds run until its
+    slowest run settles, which at N = 400 costs less than N = 1600 gains.
     """
     return max(n // 16, 1 << 14)
 
-
-# widest window of several whole runs in ``_original_pass`` (``_window``)
-_PACK = 1 << 12
 
 # bit levels of the predictor's coarse rank count
 _COARSE_LEVELS = 6
@@ -582,11 +579,11 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
     after another: run s holds ``sizes[s]`` candidates under particle ids
     of its own (``_owners``), and without ``sizes`` the stream is one run.
     A window holds the parts in it of consecutive runs, whole runs while
-    they fit ``_PACK`` candidates together and windows of ``_window(N)``
-    candidates of a longer one, and each round ranks its unsettled
-    candidates in one count: each run repeats from its own first changed
-    candidate, and a settled run drops out.  The breach raised is then the
-    lowest run's earliest, as in a loop over the runs.
+    they fit ``_window(N)`` candidates together and windows of that width
+    of a longer one, and each round ranks its unsettled candidates in one
+    count: each run repeats from its own first changed candidate, and a
+    settled run drops out.  The breach raised is then the lowest run's
+    earliest, as in a loop over the runs.
     """
     rate = assignment.spec.class_hazard
     n = assignment.n
@@ -645,7 +642,7 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
     sizes = [m] if sizes is None else list(sizes)
     edges = [0, *accumulate(sizes)]
     width = _window(n)
-    for first, stop in _groups(sizes, min(width, _PACK)):
+    for first, stop in _groups(sizes, width):
         lo, hi = edges[first], edges[stop]
         slots = _tiled(assignment.slots, stop - first)
         for w_lo in range(lo, hi, width):

@@ -10,14 +10,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rankflow import (ConfigError, ConstantField, DomainError, FlowGrid,
-                      LatpIntensity, TestFunction, assign_population,
+from rankflow import (ConfigError, ConstantField, DomainError,
+                      EvaluationLattice, FlowGrid, LatpIntensity,
+                      TestFunction, assign_population, boundary, initial,
                       pin_particles, sample_replicas, solve_y_c,
                       spec_from_config, survival_series, tagged_limit_path,
                       tilde_w)
 from rankflow import cli, streams
 from rankflow.harness import ExperimentPlan, latp_validation, tagged_compare
-from rankflow.latp import constant_intensity
+from rankflow.latp import constant_intensity, flow_pullback_affine
 
 from conftest import constant_single_spec
 
@@ -92,6 +93,20 @@ ENTRY_POINTS = {
         lambda x: tagged_limit_path(SimpleNamespace(flow=FLOW), FIELD, x,
                                     NO_CANDIDATES)),
     "tilde_w.z": (DomainError, "z", lambda x: tilde_w(FLOW, FIELD, x)),
+    "initial.z": (ConfigError, "coord", initial),
+    "boundary.t0": (ConfigError, "coord", boundary),
+    "EvaluationLattice.times": (
+        ConfigError, "times[1]",
+        lambda x: EvaluationLattice(gammas=(initial(0.3),), times=(0.5, x))),
+    "flow_pullback_affine.base": (
+        ConfigError, "base", lambda x: flow_pullback_affine(x, 0.9, 0.3, 1.0)),
+    "flow_pullback_affine.slope": (
+        ConfigError, "slope", lambda x: flow_pullback_affine(0.6, x, 0.3, 1.0)),
+    "flow_pullback_affine.z": (
+        ConfigError, "z", lambda x: flow_pullback_affine(0.6, 0.9, x, 1.0)),
+    "flow_pullback_affine.horizon": (
+        ConfigError, "horizon",
+        lambda x: flow_pullback_affine(0.6, 0.9, 0.3, x)),
 }
 
 BAD_VALUES = {"true": True, "np-true": np.True_, "nan": math.nan,
@@ -103,7 +118,9 @@ BAD_VALUES = {"true": True, "np-true": np.True_, "nan": math.nan,
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 def test_entry_point_refuses_a_bad_argument(entry, value):
     # FlowGrid and LatpIntensity once ran horizon=True as 1.0, and
-    # latp_validation ran horizon=np.True_
+    # latp_validation ran horizon=np.True_; initial(True) built (i:1),
+    # EvaluationLattice kept the time True, and flow_pullback_affine built
+    # a kernel labelled z=True
     error, name, call = ENTRY_POINTS[entry]
     with pytest.raises(error, match=f"^{re.escape(name)}: "):
         call(value)

@@ -311,6 +311,19 @@ def test_positions_of_reads_a_long_log(affine_log):
     assert ev.positions_of(np.arange(ev.n), ts).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [40, 1600])
+def test_positions_of_reads_the_tagged_particles_of_a_log(spec_affine, n):
+    # the tagged sweep's call: few particles at many times, ties included,
+    # in an unsorted order
+    log = simulate(assign_population(spec_affine, n), seed=5, tagged=2)
+    ev = LogEvaluator(log)
+    ts = np.r_[np.linspace(0.0, log.horizon, 101)[::-1], log.times[:5]]
+    got = ev.positions_of([1, 0, 1], ts)
+    for t, row in zip(ts, got):
+        want = ev.positions_at(float(t))[[1, 0, 1]]
+        assert row.tobytes() == want.tobytes()
+
+
 def test_phi_monotone_in_t(affine_log, lattice):
     ev = LogEvaluator(affine_log)
     for g in lattice.gammas:

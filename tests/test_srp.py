@@ -390,24 +390,31 @@ def test_count_below_coarse_levels_split_the_bound_bucket(data):
     values = np.array(data.draw(st.lists(st.integers(0, high), max_size=80)),
                       dtype=np.int64)
     q = data.draw(st.integers(0, 30))
-    ends = np.array(data.draw(st.lists(st.integers(0, len(values)),
-                                       min_size=q, max_size=q)), dtype=np.int64)
+    ranges = data.draw(st.lists(st.tuples(st.integers(0, len(values)),
+                                          st.integers(0, len(values))),
+                                min_size=q, max_size=q))
+    # the ranges of a batch's runs start anywhere, a lone run's at 0
+    if data.draw(st.booleans()):
+        ranges = [(0, hi) for _, hi in ranges]
+    starts = np.array([min(r) for r in ranges], dtype=np.int64)
+    ends = np.array([max(r) for r in ranges], dtype=np.int64)
     bounds = np.array(data.draw(st.lists(st.integers(0, high + high // 5),
                                          min_size=q, max_size=q)),
                       dtype=np.int64)
     levels = data.draw(st.integers(1, 14) | st.none())
-    inputs = [a.copy() for a in (values, ends, bounds)]
-    got = srp._count_below(values, ends, bounds, levels)
+    inputs = [a.copy() for a in (values, starts, ends, bounds)]
+    got = srp._count_below(values, starts, ends, bounds, levels)
     # _mtf_ranks passes a view of an array it reads again as the bounds
-    for a, b in zip((values, ends, bounds), inputs):
+    for a, b in zip((values, starts, ends, bounds), inputs):
         assert np.array_equal(a, b)
-    # on the top bits alone: the values below the bound's bucket, plus half
-    # of those in it, rounded down; exact when no bits are left below
+    # on the top bits alone: the values in the range below the bound's
+    # bucket, plus half of those in it, rounded down; exact when no bits
+    # are left below
     top = int(max(values.max(initial=0), bounds.max(initial=0))).bit_length()
     shift = 0 if levels is None else max(top - levels, 0)
     want = []
-    for e, b in zip(ends.tolist(), bounds.tolist()):
-        head, bucket = values[:e] >> shift, b >> shift
+    for lo, hi, b in zip(starts.tolist(), ends.tolist(), bounds.tolist()):
+        head, bucket = values[lo:hi] >> shift, b >> shift
         half = int(np.sum(head == bucket)) // 2 if shift else 0
         want.append(int(np.sum(head < bucket)) + half)
     assert got.dtype == np.int64 and got.tolist() == want
@@ -797,6 +804,17 @@ def test_batch_runs_across_windows_equal_one_seed_runs(engine, monkeypatch):
     _assert_batch_equals_one_seed_runs(a, seeds, engine)
 
 
+@pytest.mark.parametrize("engine", ["original", "flow", "coupled"])
+def test_batch_whole_runs_share_the_full_window(engine):
+    # at N = 1600 a run has about 2.1k candidates, so seven whole runs share
+    # one window of _window(N), and each run's count walks its own levels
+    a = assign_population(BATCH_SPECS["affine"], 1600)
+    seeds = list(range(7))
+    sizes = [len(srp._candidates(a, 1.0, seed, 0)[0]) for seed in seeds]
+    assert srp._groups(sizes, srp._window(a.n)) == [(0, 7)]
+    _assert_batch_equals_one_seed_runs(a, seeds, engine)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_batch_mtf_ranks_equal_per_system_calls(data):
@@ -875,7 +893,6 @@ def test_batch_pass_breach_is_the_lowest_run_first(engine, monkeypatch):
     sizes = [len(run[0]) for run in runs]
     for width in (600, 1 << 14):
         monkeypatch.setattr(srp, "_window", lambda n: width)
-        monkeypatch.setattr(srp, "_PACK", width)
         with pytest.raises(EnvelopeBreach) as got:
             one_pass(a, times, ids, marks, sizes)
         assert str(got.value) == str(want.value)
