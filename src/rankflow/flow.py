@@ -18,11 +18,12 @@ from __future__ import annotations
 import logging
 import zipfile
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import (ConfigError, ConvergenceError, DomainError, _number,
-                     _positive, _require_int)
+from .errors import (ConfigError, ConvergenceError, DomainError,
+                     EnvelopeBreach, _number, _positive, _require_int)
 from .intensity import ClassHazard, PopulationSpec
 from .latp import (MAX_TABLE_ENTRIES, LatpIntensity, _bilinear,
                    _cumulative_trapezoid, _grid_cells,
@@ -662,13 +663,48 @@ class TaggedPath:
     jump_times: np.ndarray
 
     def sample(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        resets = np.concatenate([[0.0], self.jump_times])
-        last = resets[np.searchsorted(self.jump_times, ts, side="right")]
-        return np.asarray(self.flow._eval_from(self.y_start, last, ts))
+        return _sample_paths(self.flow, self.y_start, [self.jump_times], ts)[0]
 
     def jump_count(self) -> int:
         return len(self.jump_times)
+
+
+def _limit_jumps(flow: FlowGrid, field, y_start: float, candidates) -> list:
+    """The jump times of the tagged limit paths of ``field`` from y_start
+    along ``flow``, one per marked candidate stream ``(times, marks)`` of
+    ``candidates``, in their order.
+
+    The paths do not interact, so one ``_thin_along_flow`` call thins them
+    all, path o being its owner o.  A breach is the lowest path's earliest,
+    named as the call for that path alone names it.
+    """
+    _start_point("y_start", y_start)
+    drawn = [[np.asarray(x, dtype=float) for x in c] for c in candidates]
+    sizes = [len(times) for times, _ in drawn]
+    times, marks = (np.concatenate([d[j] for d in drawn]) for j in range(2))
+    try:
+        accepted = _thin_along_flow(
+            flow, ClassHazard((field,)), np.zeros(len(drawn), dtype=np.int64),
+            np.full(len(drawn), float(y_start)), times,
+            np.arange(len(drawn)).repeat(sizes), marks, field.sup_norm)
+    except EnvelopeBreach as exc:
+        raise EnvelopeBreach(f"particle 0: hazard {exc.hazard} above envelope "
+                             f"{float(field.sup_norm)} at t={exc.time}",
+                             owner=0, last=exc.last, time=exc.time,
+                             hazard=exc.hazard) from None
+    edges = [0, *accumulate(sizes)]
+    return [times[lo:hi][accepted[lo:hi]] for lo, hi in zip(edges, edges[1:])]
+
+
+def _sample_paths(flow: FlowGrid, y_start: float, jumps, ts) -> np.ndarray:
+    """The positions at ts of the limit paths from y_start with the jump
+    times ``jumps[o]``, one row per path, from one flow read: each rides
+    the flow from its last reset at or before t, 0 before its first
+    jump."""
+    ts = np.asarray(ts, dtype=float)
+    last = np.array([np.concatenate(([0.0], j))[np.searchsorted(j, ts, side="right")]
+                     for j in jumps]).reshape(len(jumps), *ts.shape)
+    return np.asarray(flow._eval_from(y_start, last, ts))
 
 
 def tagged_limit_path(sol: LimitSolution, field, y_start: float,
@@ -678,13 +714,8 @@ def tagged_limit_path(sol: LimitSolution, field, y_start: float,
     ``candidates = (times, marks)`` must be the particle's own stream with
     marks uniform on [0, sup_norm); sharing it with the finite-N engine
     couples the two paths.  Between jumps the particle rides the limit flow
-    from its last reset point; a jump resets it to the boundary curve.
+    from its last reset point; a jump resets it to the boundary curve.  It
+    is the path of a batch of one (``_limit_jumps``).
     """
-    _start_point("y_start", y_start)
-    times, marks = (np.asarray(x, dtype=float) for x in candidates)
-    accepted = _thin_along_flow(
-        sol.flow, ClassHazard((field,)), np.zeros(1, dtype=np.int64),
-        np.array([y_start]), times, np.zeros(len(times), dtype=np.int64),
-        marks, field.sup_norm)
-    return TaggedPath(flow=sol.flow, y_start=float(y_start),
-                      jump_times=times[accepted])
+    jumps, = _limit_jumps(sol.flow, field, y_start, [candidates])
+    return TaggedPath(flow=sol.flow, y_start=float(y_start), jump_times=jumps)

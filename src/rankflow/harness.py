@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import ConfigError, _positive, _require_int
 from . import latp, srp, streams
-from .flow import FlowGrid, LimitSolution, PhiEvaluator, solve_y_c, tagged_limit_path
+from .flow import (FlowGrid, LimitSolution, PhiEvaluator, _limit_jumps,
+                   _sample_paths, solve_y_c)
 from .intensity import PopulationSpec, assign_population, pin_particles
-from .measure import (EvaluationLattice, LogEvaluator, TestFunction,
-                      limit_values)
+from .measure import EvaluationLattice, TestFunction, _LogBatch, limit_values
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,8 @@ class SweepReport:
 
 def _distance_worker(args):
     """One (N, run of seeds) job: simulate, then lattice sups against limit
-    values, one record per seed.
+    values, one record per seed, from the counts of all the job's logs
+    read as one batch.
 
     ``flow`` is None for the original model; otherwise the runs are
     flow-driven and each empirical curve is also compared to theta.
@@ -172,8 +173,7 @@ def _distance_worker(args):
     logs = srp._run_seeds(assignment, seeds,
                           "original" if flow is None else "flow", flow=flow)
     records = []
-    for seed, log in zip(seeds, logs):
-        counts = LogEvaluator(log).lattice_counts(lattice)
+    for seed, counts in zip(seeds, _LogBatch(logs).lattice_counts(lattice)):
         values = {label: float(np.max(np.abs(counts.phi(hv) - lim)))
                   for label, hv, lim in zip(labels, h_vecs, limit)}
         if flow is not None:
@@ -324,14 +324,17 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
     L = len(pins)
     horizon = spec.horizon
     ts = np.linspace(0.0, horizon, 101)
-    # a limit path depends on (seed, pin) and not on N: (values at ts, jumps)
+    # a limit path depends on (seed, pin) and not on N, and each pin's
+    # paths are thinned together: (values at ts, jumps)
     paths = {}
-    for seed in range(plan.seeds):
-        for i, (k, y_star) in enumerate(pins):
-            fld = spec.classes[k].field
-            cand = streams.tagged_candidates(seed, i, fld.sup_norm, horizon)
-            path = tagged_limit_path(sol, fld, y_star, cand)
-            paths[seed, i] = (path.sample(ts), path.jump_count())
+    for i, (k, y_star) in enumerate(pins):
+        fld = spec.classes[k].field
+        cands = [streams.tagged_candidates(seed, i, fld.sup_norm, horizon)
+                 for seed in range(plan.seeds)]
+        jumps = _limit_jumps(sol.flow, fld, y_star, cands)
+        values = _sample_paths(sol.flow, y_star, jumps, ts)
+        for seed, (path_jumps, path_values) in enumerate(zip(jumps, values)):
+            paths[seed, i] = (path_values, len(path_jumps))
     rows = []
     for n in plan.n_values:
         assignment = pin_particles(
@@ -341,11 +344,11 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
                               "pinned classes not in place")
         for seeds in srp._seed_runs(assignment, plan.seeds):
             logs = srp._run_seeds(assignment, seeds, "original", tagged=L)
-            for seed, log in zip(seeds, logs):
-                empirical = LogEvaluator(log).positions_of(np.arange(L), ts)
+            empirical = _LogBatch(logs).positions_of(np.arange(L), ts)
+            for seed, positions in zip(seeds, empirical):
                 for i in range(L):
                     limit_vals, jumps = paths[seed, i]
-                    sup = float(np.max(np.abs(empirical[:, i] - limit_vals)))
+                    sup = float(np.max(np.abs(positions[:, i] - limit_vals)))
                     rows.append((i, n, seed, sup, jumps))
     corr, corr_se = float("nan"), float("nan")
     if L >= 2 and plan.seeds >= 3:

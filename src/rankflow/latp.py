@@ -672,16 +672,29 @@ class DerivativeReport:
 
 def derivative_bound_check(table: SurvivalTable,
                            omega: LatpIntensity) -> DerivativeReport:
+    """The four excesses of ``DerivativeReport`` over the rows p[i, i:] and
+    columns p[:j+1, j] of the upper triangle.
+
+    With h > 0 and a constant c, rounding is monotone, so a line's largest
+    dt / h is its largest dt over h, and its largest -dt / h - c is
+    -(its least dt / h) - c, bit for bit: the rows are read by one max and
+    one min of dt, and the columns by one min of ds / h and one max of
+    ds / h - sup * p.
+    """
     p = table.p
     h = table.step
     sup = omega.sup_norm
     (dt, in_dt), (ds, in_ds) = _upper_diffs(p)
-    dt, ds = dt / h, ds / h
-    # rows p[i, i:] and columns p[:j+1, j] of the upper triangle
-    return DerivativeReport(dt_sign=_line_max(dt, in_dt, 1),
-                            dt_excess=_line_max(-dt - sup, in_dt, 1),
-                            ds_sign=_line_max(-ds, in_ds, 0),
-                            ds_excess=_line_max(ds - sup * p[:-1], in_ds, 0),
+    dt_hi = np.max(dt, axis=1, where=in_dt, initial=-np.inf)
+    dt_lo = np.min(dt, axis=1, where=in_dt, initial=np.inf)
+    # ds is a fresh array of differences, so it is rescaled in place
+    np.divide(ds, h, out=ds)
+    ds_lo = np.min(ds, axis=0, where=in_ds, initial=np.inf)
+    ds -= sup * p[:-1]
+    return DerivativeReport(dt_sign=_top(dt_hi / h),
+                            dt_excess=_top(-(dt_lo / h) - sup),
+                            ds_sign=_top(-ds_lo),
+                            ds_excess=_line_max(ds, in_ds, 0),
                             step=h)
 
 
@@ -704,11 +717,15 @@ def _upper_diffs(p, upper=None):
 
 
 def _line_max(d, inside, axis):
-    """max(0, the largest maximum of a line of d over ``inside``).
+    """max(0, the largest maximum of a line of d over ``inside``)."""
+    return _top(np.max(d, axis=axis, where=inside, initial=-np.inf))
+
+
+def _top(lines):
+    """max(0, the largest of the line maxima ``lines``).
 
     A line holding a NaN has a NaN maximum, which the builtin max of a
     line-by-line loop skips; so it is skipped here.
     """
-    lines = np.max(d, axis=axis, where=inside, initial=-np.inf)
     return max(0.0, float(np.max(lines, where=~np.isnan(lines),
                                  initial=-np.inf)))

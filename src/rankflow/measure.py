@@ -1,28 +1,34 @@
 """Offline evaluation of empirical objects from event logs.
 
-Everything here is a pure function of an EventLog: the empirical
-characteristic curves, the spatial distribution functions, empirical-measure
-queries, and sup-distances to limit objects.  One counting routine,
-``LogEvaluator.lattice_counts``, serves every curve and distribution-function
-query: at each (gamma, t) pair of a lattice it counts, per class, the
-downstream particles with no jump in (t0, t] and those that jumped.  It reads
-the whole lattice from one pass over the log's events.  With G the sorted
-times of the lattice (every t0 and t), an event at tau whose particle's
-previous event is at p (-inf for none) is that particle's first jump after
+Everything here is a pure function of an EventLog, or of the logs of one
+batch of runs of an assignment, each of which it reads as if alone: the
+empirical characteristic curves, the spatial distribution functions,
+empirical-measure queries, and sup-distances to limit objects.  One
+counting routine, ``_LogBatch.lattice_counts``, serves every curve and
+distribution-function query: at each (gamma, t) pair of a lattice it
+counts, per run and class, the downstream particles with no jump in
+(t0, t] and those that jumped.  It reads the whole lattice for every log
+of a batch from one pass over their events.  With G the sorted times of
+the lattice (every t0 and t), an event at tau whose particle's previous
+event is at p (-inf for none) is that particle's first jump after
 t0 = G[j] exactly when p <= t0 < tau, and it has happened by t = G[m] when
 tau <= t.  With a and b the numbers of grid times below p and below tau,
-that is a <= j < b <= m, so prefix sums of an (a, b, class) histogram count
-every boundary gamma, and prefix sums of a (b, slot cut, class) histogram
-of the first jumps after 0 count every initial one.  Positions come from
-the reset-point identity Y_i(t) = Y_C(gamma_i(t), t), ``srp._reset_ranks``,
-read in event order, and ``flow_identity_gap`` checks them against a
-move-to-front walk at zero tolerance.
+that is a <= j < b <= m, so prefix sums of a (run, a, b, class) histogram
+count every boundary gamma, and prefix sums of a (run, b, slot cut, class)
+histogram of the first jumps after 0 count every initial one.  Positions
+come from the reset-point identity Y_i(t) = Y_C(gamma_i(t), t),
+``srp._reset_ranks``, read in event order, and ``flow_identity_gap``
+checks them against a move-to-front walk at zero tolerance; the positions
+of a few particles at many times, in every log of a batch, are one
+move-to-front rank count (``_LogBatch.positions_of``).  A lone log is a
+batch of one (``LogEvaluator``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,7 +36,8 @@ from .errors import ConfigError, DomainError, _finite, _number
 from .flow import BoundaryPoint, _admissible, _h_vector, boundary, initial
 from .intensity import PopulationSpec
 from .latp import _stable_argsort
-from .srp import EventLog, RankIndex, _mtf_ranks, _reset_ranks
+from .srp import (EventLog, RankIndex, _by_particle, _mtf_ranks, _owners,
+                  _reset_ranks, _tiled)
 
 
 @dataclass(frozen=True)
@@ -181,10 +188,165 @@ class LatticeCounts:
         return SupDistance(float(gap[p]), str(g), t)
 
 
+def _log_times(name: str, ts, horizon: float) -> np.ndarray:
+    """ts, a time or an array of times, as floats if each is a number in
+    [0, horizon] up to the tolerance of ``mu``; else DomainError."""
+    arr = np.asarray(ts)
+    # a bool, None or a string is no time
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name}: must be a number or numbers, got {ts!r}")
+    arr = arr.astype(float)
+    # written so that NaN fails
+    inside = (arr >= -1e-12) & (arr <= horizon + 1e-9)
+    if not inside.all():
+        raise DomainError(f"{name}: time {float(arr[~inside][0])} outside "
+                          f"[0, {horizon}]")
+    return arr
+
+
+def _particle_ids(particles, n: int) -> np.ndarray:
+    """particles as int64 ids if each is an integer in 0..n-1 (a bool is
+    none); else ConfigError.  An empty list is no particle."""
+    arr = np.asarray(particles)
+    if not arr.size:
+        return np.empty(0, dtype=np.int64)
+    if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n:
+        raise ConfigError(f"particles: must be integers in 0..{n - 1}, "
+                          f"got {particles!r}")
+    return arr.astype(np.int64)
+
+
+class _LogBatch:
+    """The logs of one batch of runs of an assignment, as ``srp._run_seeds``
+    returns them, read together.
+
+    Run s holds the next ``sizes[s]`` events of the batch, its particle i
+    under the id s * N + i (``srp._owners``), so the runs share no
+    particle.  One sort of these ids links every event to its particle's
+    previous event (-1 for none) and next event (the batch's event count
+    for none), and ``lattice_counts`` and ``positions_of`` read every run
+    in one pass each.  A lone log is a batch of one (``LogEvaluator``).
+    """
+
+    def __init__(self, logs):
+        log = logs[0]
+        for k, other in enumerate(logs):
+            if (other.assignment is not log.assignment
+                    or other.horizon != log.horizon):
+                raise ConfigError(f"logs[{k}]: the logs of a batch must share "
+                                  f"one assignment and horizon")
+        self.n = log.n
+        self.horizon = log.horizon
+        self.spec = log.assignment.spec
+        self.slots0 = log.assignment.slots
+        self.classes = log.assignment.class_index
+        self.sizes = [other.n_events for other in logs]
+        self.edges = [0, *accumulate(self.sizes)]
+        if len(logs) == 1:
+            self.times, self.particles = log.times, log.particles
+        else:
+            self.times = np.concatenate([other.times for other in logs])
+            self.particles = np.concatenate([other.particles for other in logs])
+        self.owners = _owners(self.particles, self.n, self.sizes)
+        m = len(self.owners)
+        order = _stable_argsort(self.owners, len(logs) * self.n)
+        same = np.flatnonzero(self.owners[order[1:]] == self.owners[order[:-1]])
+        self.prev_event = np.full(m, -1)
+        self.next_event = np.full(m, m)
+        self.prev_event[order[same + 1]] = order[same]
+        self.next_event[order[same]] = order[same + 1]
+
+    def lattice_counts(self, lattice: EvaluationLattice) -> list:
+        """Every run's ``LatticeCounts``, in run order, from one pass over
+        the batch's events.
+
+        At every lattice pair each run counts alive[p, k], its downstream
+        class-k particles with no jump in (t0, t], and jumped[p], its
+        downstream particles with one.  b counts the lattice grid times
+        below each event, and an event's a is its particle's previous
+        event's b (0 for none), so the event is its particle's first jump
+        after t0 = G[j], and has happened by t = G[m], exactly when a <= j
+        < b <= m.  A boundary gamma (y0 = 0) counts every particle: with c
+        the (a, b, class) histogram summed over a <= j and b <= m, its
+        jumps are c[j, m] - c[j, j].  An initial gamma (t0 = 0 = G[j0])
+        counts the particles at or after its slot cut: the (b, slot bin,
+        class) histogram of the events with a <= j0 < b, summed over b <= m
+        and over the bins at or after the cut's.  A particle's slot bin is
+        the number of the lattice's distinct cuts at or below its initial
+        slot.  Both histograms have a leading run axis, and the counts are
+        exact integers, so each run's are those of its log alone.
+        """
+        if max(lattice.times, default=0.0) > self.horizon + 1e-9:
+            raise DomainError(f"lattice time {max(lattice.times)} past the "
+                              f"log's horizon {self.horizon}")
+        ix = lattice._index
+        K = self.spec.n_classes
+        S = len(self.sizes)
+        size = len(ix.grid) + 1
+        run = np.arange(S).repeat(self.sizes)
+        particles = self.particles
+        b = np.searchsorted(ix.grid, self.times)
+        a = np.append(b, 0)[self.prev_event]  # a prev_event of -1 reads the 0
+        cls = self.classes[particles]
+        c = np.bincount(((run * size + a) * size + b) * K + cls,
+                        minlength=S * size * size * K)
+        c = c.reshape(S, size, size, K).cumsum(1).cumsum(2)
+        cuts, col = np.unique(_slot_threshold(ix.y0, self.n), return_inverse=True)
+        bins = np.searchsorted(cuts, self.slots0, side="right")
+        n_bins = len(cuts) + 1
+        first = np.flatnonzero((a <= ix.j0) & (ix.j0 < b))
+        f = np.bincount(((run[first] * size + b[first]) * n_bins
+                         + bins[particles[first]]) * K + cls[first],
+                        minlength=S * size * n_bins * K)
+        f = f.reshape(S, size, n_bins, K)[:, :, ::-1].cumsum(2)[:, :, ::-1].cumsum(1)
+        # a boundary gamma's cut is slot 0, so its down[col + 1] is every particle
+        down = np.bincount(bins * K + self.classes, minlength=n_bins * K)
+        down = down.reshape(n_bins, K)[::-1].cumsum(0)[::-1]
+        gone = np.where(ix.initial[:, None], f[:, ix.m, col + 1],
+                        c[:, ix.j, ix.m_clamped] - c[:, ix.j, ix.j])
+        alive = down[col + 1] - gone
+        jumped = gone.sum(axis=2)
+        return [LatticeCounts(index=ix, n=self.n, alive=alive[s],
+                              jumped=jumped[s]) for s in range(S)]
+
+    def positions_of(self, particles, ts) -> np.ndarray:
+        """Every run's ``positions_at(t)[particles]`` for every t in ts, in
+        one rank count: shape (runs, len(ts), len(particles)).
+
+        Each (run, t, particle) is a rejected candidate of the run placed
+        after the run's events at or before t, so one move-to-front rank
+        pass (``srp._mtf_ranks``), which takes the runs as its systems and
+        ranks these candidates alone, reads all of them.  The batch's
+        event k sorts at 2k + 1 and a query after its first x events at
+        2x.  A run's queries after all of its events tie with the next
+        run's queries before any of its events, and the stable sort keeps
+        them in run order, so every run's candidates stay together.
+        """
+        particles = _particle_ids(particles, self.n)
+        ts = _log_times("ts", ts, self.horizon)
+        S, E = len(self.sizes), len(self.times)
+        q = len(ts) * len(particles)
+        # per run and t: the events of the runs before it, and its own up to t
+        after = np.concatenate([
+            lo + np.searchsorted(self.times[lo:hi], ts, side="right")
+            for lo, hi in zip(self.edges, self.edges[1:])])
+        keys = np.concatenate((2 * np.arange(E) + 1,
+                               np.repeat(2 * after, len(particles))))
+        order = _stable_argsort(keys, 2 * E + 1)
+        queried = (np.arange(S) * self.n).repeat(q) + np.tile(particles, S * len(ts))
+        ids = np.concatenate((self.owners, queried))[order]
+        queries = np.flatnonzero(order >= E)
+        ranks = np.empty(len(queries), dtype=np.int64)
+        ranks[order[queries] - E] = _mtf_ranks(
+            _tiled(self.slots0, S), ids, order < E, queries,
+            _by_particle(ids, S * self.n, np.add(self.sizes, q)))
+        return ranks.reshape(S, len(ts), len(particles)) / self.n
+
+
 class LogEvaluator:
-    """Counting queries on one event log, through links that give every
-    event the index of its particle's previous event (-1 for none) and
-    next event (n_events for none)."""
+    """Counting queries on one event log, read as a batch of one
+    (``_LogBatch``), whose links give every event the index of its
+    particle's next event (n_events for none)."""
 
     def __init__(self, log: EventLog):
         self.log = log
@@ -192,57 +354,12 @@ class LogEvaluator:
         self.spec = log.assignment.spec
         self.slots0 = log.assignment.slots
         self.classes = log.assignment.class_index
-        order = _stable_argsort(log.particles, self.n)
-        same = np.flatnonzero(log.particles[order[1:]] == log.particles[order[:-1]])
-        self.prev_event = np.full(log.n_events, -1)
-        self.next_event = np.full(log.n_events, log.n_events)
-        self.prev_event[order[same + 1]] = order[same]
-        self.next_event[order[same]] = order[same + 1]
+        self._batch = _LogBatch([log])
 
     def lattice_counts(self, lattice: EvaluationLattice) -> LatticeCounts:
-        """The one counting routine behind every curve and phi query.
-
-        At every lattice pair it returns alive[p, k], the downstream
-        class-k particles with no jump in (t0, t], and jumped[p], the
-        downstream particles with one, from one pass over the events.  b
-        counts the lattice grid times below each event, and an event's a
-        is its particle's previous event's b (0 for none), so the event is
-        its particle's first jump after t0 = G[j], and has happened by
-        t = G[m], exactly when a <= j < b <= m.  A boundary gamma (y0 = 0)
-        counts every particle: with c the (a, b, class) histogram summed
-        over a <= j and b <= m, its jumps are c[j, m] - c[j, j].  An
-        initial gamma (t0 = 0 = G[j0]) counts the particles at or after its
-        slot cut: the (b, slot bin, class) histogram of the events with
-        a <= j0 < b, summed over b <= m and over the bins at or after the
-        cut's.  A particle's slot bin is the number of the lattice's
-        distinct cuts at or below its initial slot.
-        """
-        if max(lattice.times, default=0.0) > self.log.horizon + 1e-9:
-            raise DomainError(f"lattice time {max(lattice.times)} past the "
-                              f"log's horizon {self.log.horizon}")
-        ix = lattice._index
-        K = self.spec.n_classes
-        size = len(ix.grid) + 1
-        particles = self.log.particles
-        b = np.searchsorted(ix.grid, self.log.times)
-        a = np.append(b, 0)[self.prev_event]  # a prev_event of -1 reads the 0
-        cls = self.classes[particles]
-        c = np.bincount((a * size + b) * K + cls, minlength=size * size * K)
-        c = c.reshape(size, size, K).cumsum(0).cumsum(1)
-        cuts, col = np.unique(_slot_threshold(ix.y0, self.n), return_inverse=True)
-        bins = np.searchsorted(cuts, self.slots0, side="right")
-        n_bins = len(cuts) + 1
-        first = np.flatnonzero((a <= ix.j0) & (ix.j0 < b))
-        f = np.bincount((b[first] * n_bins + bins[particles[first]]) * K + cls[first],
-                        minlength=size * n_bins * K)
-        f = f.reshape(size, n_bins, K)[:, ::-1].cumsum(1)[:, ::-1].cumsum(0)
-        # a boundary gamma's cut is slot 0, so its down[col + 1] is every particle
-        down = np.bincount(bins * K + self.classes, minlength=n_bins * K)
-        down = down.reshape(n_bins, K)[::-1].cumsum(0)[::-1]
-        gone = np.where(ix.initial[:, None], f[ix.m, col + 1],
-                        c[ix.j, ix.m_clamped] - c[ix.j, ix.j])
-        return LatticeCounts(index=ix, n=self.n, alive=down[col + 1] - gone,
-                             jumped=gone.sum(axis=1))
+        """The one counting routine behind every curve and phi query: this
+        log's ``_LogBatch.lattice_counts``."""
+        return self._batch.lattice_counts(lattice)[0]
 
     # -- point queries -------------------------------------------------------
 
@@ -264,7 +381,7 @@ class LogEvaluator:
         first, read in event order, so exact time ties need no care.
         """
         idx = int(np.searchsorted(self.log.times, t, side="right"))
-        last = np.flatnonzero(self.next_event[:idx] >= idx)
+        last = np.flatnonzero(self._batch.next_event[:idx] >= idx)
         return _reset_ranks(self.slots0, self.log.particles[last[::-1]])
 
     def _tail_counts(self, t: float, cuts) -> np.ndarray:
@@ -280,38 +397,18 @@ class LogEvaluator:
 
     def positions_at(self, t: float) -> np.ndarray:
         """Positions at t, right-continuous, in any order of queries."""
-        return self._ranks_at(t) / self.n
+        return self._ranks_at(float(_log_times("t", t, self.log.horizon))) / self.n
 
     def positions_of(self, particles, ts) -> np.ndarray:
-        """``positions_at(t)[particles]`` for every t in ts, in one query.
-
-        Each (particle, t) pair is a rejected candidate placed after the
-        events at or before t, so one move-to-front rank pass, which ranks
-        these candidates alone, reads all of them.  Returns shape
-        (len(ts), len(particles)).
-        """
-        particles = np.asarray(particles, dtype=np.int64)
-        after = np.searchsorted(self.log.times, np.asarray(ts, dtype=float),
-                                side="right")
-        n_ev = self.log.n_events
-        # event k sorts at 2k + 1, a query after x events at 2x
-        keys = np.concatenate((2 * np.arange(n_ev) + 1,
-                               np.repeat(2 * after, len(particles))))
-        order = _stable_argsort(keys, 2 * n_ev + 1)
-        ids = np.concatenate((self.log.particles,
-                              np.tile(particles, len(after))))[order]
-        queries = np.flatnonzero(order >= n_ev)
-        ranks = np.empty(len(queries), dtype=np.int64)
-        ranks[order[queries] - n_ev] = _mtf_ranks(self.slots0, ids,
-                                                  order < n_ev, queries)
-        return ranks.reshape(len(after), len(particles)) / self.n
+        """``positions_at(t)[particles]`` for every t in ts, in one query
+        (``_LogBatch.positions_of``): shape (len(ts), len(particles))."""
+        return self._batch.positions_of(particles, ts)[0]
 
     def mu(self, h, y: float, t: float) -> float:
         """Integral of h over the empirical measure on W x [y, 1] at t."""
         if not -1e-12 <= y <= 1 + 1e-12:
             raise DomainError(f"y={y} outside [0,1]")
-        if not -1e-12 <= t <= self.log.horizon + 1e-9:
-            raise DomainError(f"t={t} outside [0,{self.log.horizon}]")
+        t = float(_log_times("t", t, self.log.horizon))
         tail = self._tail_counts(t, [_slot_threshold(y, self.n)])[0]
         return float(tail @ _h_vector(h, self.spec)) / self.n
 

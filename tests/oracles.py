@@ -3,11 +3,13 @@
 import numpy as np
 
 from rankflow import ConfigError, EnvelopeBreach, RankIndex
-from rankflow.flow import OdeFormReport, boundary, initial
+from rankflow.flow import OdeFormReport, _thin_along_flow, boundary, initial
+from rankflow.intensity import ClassHazard
 from rankflow.latp import (DerivativeReport, _bilinear, _cumulative_trapezoid,
                            _grid_cells, _line_max, _trapezoid_weights,
                            _upper_diffs)
 from rankflow.measure import _slot_threshold
+from rankflow.srp import _mtf_ranks
 
 
 class NaiveRankIndex:
@@ -106,6 +108,21 @@ def loop_derivative_bound_check(table, omega):
         ds_excess = max(ds_excess, float((d - sup * col[:-1]).max(initial=-np.inf)))
     return DerivativeReport(dt_sign=dt_sign, dt_excess=dt_excess,
                             ds_sign=ds_sign, ds_excess=ds_excess, step=h)
+
+
+def allocating_derivative_bound_check(table, omega):
+    """``latp.derivative_bound_check`` with a fresh full table for every
+    excess, each read by ``_line_max``."""
+    p = table.p
+    h = table.step
+    sup = omega.sup_norm
+    (dt, in_dt), (ds, in_ds) = _upper_diffs(p)
+    dt, ds = dt / h, ds / h
+    return DerivativeReport(dt_sign=_line_max(dt, in_dt, 1),
+                            dt_excess=_line_max(-dt - sup, in_dt, 1),
+                            ds_sign=_line_max(-ds, in_ds, 0),
+                            ds_excess=_line_max(ds - sup * p[:-1], in_ds, 0),
+                            step=h)
 
 
 def allocating_cumulative_trapezoid(vals, h):
@@ -391,6 +408,84 @@ def first_jump_counts(evaluator, gamma, ts):
         alive[:, k] = len(f) - gone
         jumped += gone
     return alive, jumped
+
+
+def one_log_links(log):
+    """For every event of one log, the index of its particle's previous
+    event (-1 for none), by a stable sort of the log's particles alone."""
+    order = np.argsort(log.particles, kind="stable")
+    same = np.flatnonzero(log.particles[order[1:]] == log.particles[order[:-1]])
+    prev_event = np.full(log.n_events, -1)
+    prev_event[order[same + 1]] = order[same]
+    return prev_event
+
+
+def one_log_lattice_counts(log, lattice):
+    """``LogEvaluator.lattice_counts`` of one log read alone: (alive,
+    jumped) from the (a, b, class) and (b, slot bin, class) histograms of
+    its own events, with no run axis."""
+    ix = lattice._index
+    n = log.n
+    classes = log.assignment.class_index
+    K = log.assignment.spec.n_classes
+    size = len(ix.grid) + 1
+    particles = log.particles
+    b = np.searchsorted(ix.grid, log.times)
+    a = np.append(b, 0)[one_log_links(log)]
+    cls = classes[particles]
+    c = np.bincount((a * size + b) * K + cls, minlength=size * size * K)
+    c = c.reshape(size, size, K).cumsum(0).cumsum(1)
+    cuts, col = np.unique(_slot_threshold(ix.y0, n), return_inverse=True)
+    bins = np.searchsorted(cuts, log.assignment.slots, side="right")
+    n_bins = len(cuts) + 1
+    first = np.flatnonzero((a <= ix.j0) & (ix.j0 < b))
+    f = np.bincount((b[first] * n_bins + bins[particles[first]]) * K + cls[first],
+                    minlength=size * n_bins * K)
+    f = f.reshape(size, n_bins, K)[:, ::-1].cumsum(1)[:, ::-1].cumsum(0)
+    down = np.bincount(bins * K + classes, minlength=n_bins * K)
+    down = down.reshape(n_bins, K)[::-1].cumsum(0)[::-1]
+    gone = np.where(ix.initial[:, None], f[ix.m, col + 1],
+                    c[ix.j, ix.m_clamped] - c[ix.j, ix.j])
+    return down[col + 1] - gone, gone.sum(axis=1)
+
+
+def one_log_positions_of(log, particles, ts):
+    """``LogEvaluator.positions_of`` of one log read alone: its events and
+    the (t, particle) queries in one stream of one system, ranked by one
+    ``srp._mtf_ranks`` call."""
+    particles = np.asarray(particles, dtype=np.int64)
+    after = np.searchsorted(log.times, np.asarray(ts, dtype=float), side="right")
+    n_ev = log.n_events
+    # event k sorts at 2k + 1, a query after x events at 2x
+    keys = np.concatenate((2 * np.arange(n_ev) + 1,
+                           np.repeat(2 * after, len(particles))))
+    order = np.argsort(keys, kind="stable")
+    ids = np.concatenate((log.particles, np.tile(particles, len(after))))[order]
+    queries = np.flatnonzero(order >= n_ev)
+    ranks = np.empty(len(queries), dtype=np.int64)
+    ranks[order[queries] - n_ev] = _mtf_ranks(log.assignment.slots, ids,
+                                              order < n_ev, queries)
+    return ranks.reshape(len(after), len(particles)) / log.n
+
+
+def one_limit_path_jumps(flow, field, y_start, candidates):
+    """The jump times of one tagged limit path, thinned alone: one owner
+    in one ``flow._thin_along_flow`` call."""
+    times, marks = (np.asarray(x, dtype=float) for x in candidates)
+    accepted = _thin_along_flow(
+        flow, ClassHazard((field,)), np.zeros(1, dtype=np.int64),
+        np.array([y_start]), times, np.zeros(len(times), dtype=np.int64),
+        marks, field.sup_norm)
+    return times[accepted]
+
+
+def one_path_values(flow, y_start, jump_times, ts):
+    """``TaggedPath.sample`` of one path read alone: the flow from its last
+    reset at or before each t."""
+    ts = np.asarray(ts, dtype=float)
+    resets = np.concatenate([[0.0], jump_times])
+    last = resets[np.searchsorted(jump_times, ts, side="right")]
+    return np.asarray(flow._eval_from(y_start, last, ts))
 
 
 def char_curve(evaluator, gamma, t):

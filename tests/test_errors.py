@@ -12,10 +12,10 @@ import pytest
 
 from rankflow import (ConfigError, ConstantField, DomainError,
                       EvaluationLattice, FlowGrid, LatpIntensity,
-                      TestFunction, assign_population, boundary, initial,
-                      pin_particles, sample_replicas, solve_y_c,
-                      spec_from_config, survival_series, tagged_limit_path,
-                      tilde_w)
+                      LogEvaluator, TestFunction, assign_population,
+                      boundary, initial, pin_particles, sample_replicas,
+                      simulate, solve_y_c, spec_from_config,
+                      survival_series, tagged_limit_path, tilde_w)
 from rankflow import cli, streams
 from rankflow.harness import ExperimentPlan, latp_validation, tagged_compare
 from rankflow.latp import constant_intensity, flow_pullback_affine
@@ -27,6 +27,7 @@ OMEGA = constant_intensity(2.0, 1.0)
 FLOW = FlowGrid.identity(1.0, 10, 50)
 FIELD = ConstantField(1.0, 1.0)
 NO_CANDIDATES = (np.empty(0), np.empty(0))
+EVALUATOR = LogEvaluator(simulate(assign_population(SPEC, 50), seed=1))
 
 
 def _kernel(s, t):
@@ -107,6 +108,14 @@ ENTRY_POINTS = {
     "flow_pullback_affine.horizon": (
         ConfigError, "horizon",
         lambda x: flow_pullback_affine(0.6, 0.9, 0.3, x)),
+    "LogEvaluator.positions_at.t": (
+        DomainError, "t", lambda x: EVALUATOR.positions_at(x)),
+    "LogEvaluator.positions_of.ts": (
+        DomainError, "ts", lambda x: EVALUATOR.positions_of([0], [x])),
+    "LogEvaluator.positions_of.particles": (
+        ConfigError, "particles", lambda x: EVALUATOR.positions_of([x], [0.5])),
+    "LogEvaluator.mu.t": (
+        DomainError, "t", lambda x: EVALUATOR.mu(TestFunction.ones(), 0.3, x)),
 }
 
 BAD_VALUES = {"true": True, "np-true": np.True_, "nan": math.nan,
@@ -161,3 +170,31 @@ def test_tagged_start_points_outside_the_unit_interval_are_refused(
     for pin in ((True, 0.3), (0, math.nan)):
         with pytest.raises(ConfigError, match="^pin 0: "):
             pin_particles(base, [pin])
+
+
+def test_position_queries_refuse_times_outside_the_horizon():
+    # positions_at(nan) and (5.0) once read the positions at the horizon,
+    # and (-1.0) the initial slots
+    for t in (math.nan, 5.0, -1.0, 1.0 + 1e-6, -1e-9):
+        with pytest.raises(DomainError, match="^t: "):
+            EVALUATOR.positions_at(t)
+        with pytest.raises(DomainError, match="^ts: "):
+            EVALUATOR.positions_of([0, 1], [0.5, t])
+    # the tolerance of mu and lattice_counts
+    ends = EVALUATOR.positions_of([0, 1], [-1e-13, 1.0 + 1e-10])
+    assert ends.tobytes() == EVALUATOR.positions_of([0, 1], [0.0, 1.0]).tobytes()
+    assert (EVALUATOR.positions_at(1.0 + 1e-10).tobytes()
+            == EVALUATOR.positions_at(1.0).tobytes())
+
+
+@pytest.mark.parametrize("particles", [[-1], [1.5], [True], [50], [0, 50],
+                                       np.array([3, -2]), [None]])
+def test_position_queries_refuse_a_particle_outside_the_log(particles):
+    # [-1] once read particle N-1, [1.5] and [True] particle 1, and [50] a
+    # bare IndexError
+    with pytest.raises(ConfigError, match="^particles: "):
+        EVALUATOR.positions_of(particles, [0.5])
+
+
+def test_position_queries_take_no_particle():
+    assert EVALUATOR.positions_of([], [0.2, 0.5]).shape == (2, 0)

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rankflow import (ConfigError, ConvergenceError, DomainError, FlowGrid,
-                      PhiEvaluator, boundary, initial, solve_y_c, tagged_limit_path, tilde_w, verify_ode_form)
+from rankflow import (ConfigError, ConvergenceError, DomainError,
+                      EnvelopeBreach, FlowGrid, PhiEvaluator, boundary, initial, solve_y_c, tagged_limit_path, tilde_w, verify_ode_form)
 from rankflow.flow import LimitSolution, _field_rows, _project, _require_grid
 from rankflow.latp import (MAX_TABLE_ENTRIES, _cumulative_trapezoid,
                            _grid_cells)
@@ -23,6 +24,7 @@ from rankflow import flow as flow_module, streams
 from conftest import (affine_two_class_spec, constant_mixture_spec,
                       constant_single_spec, uniform_single_class)
 from oracles import (loop_boundary, loop_initial, loop_project,
+                     one_limit_path_jumps, one_path_values,
                      loop_verify_ode_form)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -741,6 +743,49 @@ def test_tagged_path_constant_rate_jump_counts(sol_const1, spec_const1):
         counts.append(tagged_limit_path(sol_const1, fld, 0.2, cand).jump_count())
     mean = float(np.mean(counts))
     assert abs(mean - 1.0) <= 3 * math.sqrt(1.0 / reps)
+
+
+@pytest.mark.parametrize("pin", [0, 1])
+def test_batch_limit_paths_equal_one_path_at_a_time(sol_affine, spec_affine,
+                                                    pin):
+    # the tagged sweep thins the paths of all seeds of a pin in one call;
+    # a stream with no candidates sits among the others
+    fld = spec_affine.classes[pin].field
+    cands = [streams.tagged_candidates(seed, pin, fld.sup_norm, 1.0)
+             for seed in range(8)]
+    cands.insert(3, (np.empty(0), np.empty(0)))
+    got = flow_module._limit_jumps(sol_affine.flow, fld, 0.45, cands)
+    assert len(got) == len(cands)
+    for jumps, cand in zip(got, cands):
+        want = one_limit_path_jumps(sol_affine.flow, fld, 0.45, cand)
+        assert jumps.tobytes() == want.tobytes()
+    assert sum(len(j) for j in got) > 0  # not vacuous
+    # and their positions at the tagged sweep's times, at a jump time and at
+    # the horizon, from one flow read
+    ts = np.r_[np.linspace(0.0, 1.0, 101), got[0][:1]]
+    values = flow_module._sample_paths(sol_affine.flow, 0.45, got, ts)
+    assert values.shape == (len(cands), len(ts))
+    for row, jumps in zip(values, got):
+        want = one_path_values(sol_affine.flow, 0.45, jumps, ts)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_batch_limit_paths_raise_the_lowest_paths_breach(sol_affine):
+    # above its envelope after t = 0.5; path 0 has no candidate there, so
+    # path 1's earliest breach is raised, as its own call raises it
+    lying = SimpleNamespace(
+        sup_norm=5.0, _values=lambda y, t: np.where(t > 0.5, 6.0, 1.0))
+    cands = [streams.tagged_candidates(seed, 0, 5.0, 1.0) for seed in range(4)]
+    early = cands[0][0] <= 0.5
+    cands[0] = (cands[0][0][early], cands[0][1][early])
+    assert cands[1][0].max() > 0.5
+    flow = sol_affine.flow
+    with pytest.raises(EnvelopeBreach) as alone:
+        one_limit_path_jumps(flow, lying, 0.3, cands[1])
+    with pytest.raises(EnvelopeBreach) as batch:
+        flow_module._limit_jumps(flow, lying, 0.3, cands)
+    assert str(batch.value) == str(alone.value)
+    assert (batch.value.owner, batch.value.time) == (0, alone.value.time)
 
 
 def test_tagged_path_stays_in_unit_interval(sol_affine, spec_affine):

@@ -8,7 +8,7 @@ from rankflow.cli import _write_json
 from rankflow.harness import (ExperimentPlan, SolverSettings, convergence_sweep,
                               coupling_sweep, flow_driven_sweep,
                               latp_validation, tagged_compare)
-from rankflow import harness, latp, srp
+from rankflow import flow, harness, latp, srp
 from rankflow.measure import EvaluationLattice, TestFunction
 
 from conftest import constant_mixture_spec, constant_single_spec, zero_rate_spec
@@ -180,18 +180,19 @@ def test_sweeps_assign_each_population_once(monkeypatch, sol_affine,
 
 def test_tagged_compare_solves_each_limit_path_once(monkeypatch, sol_affine,
                                                    spec_affine):
-    # a limit path depends on (seed, pin) and not on N
+    # a limit path depends on (seed, pin) and not on N: one thinning call
+    # per pin, whose owners are the pin's paths, one per seed
     calls = []
-    solve = harness.tagged_limit_path
+    thin = flow._thin_along_flow
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counting(flow_, hazard, cls, y0, *args):
+        calls.append(y0.tolist())
+        return thin(flow_, hazard, cls, y0, *args)
 
-    monkeypatch.setattr(harness, "tagged_limit_path", counting)
+    monkeypatch.setattr(flow, "_thin_along_flow", counting)
     plan = small_plan(spec_affine, n_values=(30, 60, 90), seeds=3)
     tagged_compare(plan, pins=[(0, 0.3), (1, 0.7)], sol=sol_affine)
-    assert len(calls) == 3 * 2
+    assert calls == [[0.3] * 3, [0.7] * 3]
 
 
 def test_flow_driven_sweep_reads_the_solutions_evaluator(monkeypatch,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (allocating_cumulative_trapezoid,
+                     allocating_derivative_bound_check,
                      allocating_trapezoid_volterra, check_regularity,
                      full_survival_series, loop_derivative_bound_check,
                      loop_regularity_moduli, loop_survival_table_check,
@@ -897,6 +898,23 @@ def test_derivative_bound_check_matches_loop_on_shipped_kernels():
             loop_derivative_bound_check(tab, om)
 
 
+def _report_bytes(report):
+    return np.array(dataclasses.astuple(report)).tobytes()
+
+
+def test_derivative_bound_check_keeps_the_bytes_of_its_allocating_body():
+    # the maxima read by monotone rounding, on the shipped kernels and on a
+    # table holding a NaN, whose row and column are skipped
+    cases = [(survival_solve(om, GRID), om) for om in shipped_omegas(1.0).values()]
+    table, om = cases[2]
+    p = table.p.copy()
+    p[3, 7] = np.nan
+    cases.append((SimpleNamespace(p=p, grid=GRID, step=table.step), om))
+    for table, om in cases:
+        assert _report_bytes(derivative_bound_check(table, om)) == \
+            _report_bytes(allocating_derivative_bound_check(table, om))
+
+
 def _raised(fn, *args):
     try:
         fn(*args)
@@ -938,6 +956,8 @@ def test_table_checks_match_loops_on_random_tables(data):
     omega = SimpleNamespace(sup_norm=sup)
     assert derivative_bound_check(table, omega) == \
         loop_derivative_bound_check(table, omega)
+    assert _report_bytes(derivative_bound_check(table, omega)) == \
+        _report_bytes(allocating_derivative_bound_check(table, omega))
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,13 +12,15 @@ from rankflow import (ConfigError, DomainError, EvaluationLattice,
                       assign_population, boundary, initial, load_spec,
                       simulate, simulate_flow_driven, solve_y_c,
                       spec_from_config, sup_distance)
-from rankflow.measure import limit_values
+from rankflow import srp
+from rankflow.measure import _LogBatch, limit_values
 
 from conftest import (STEEP_SPECS, affine_two_class_spec,
                       constant_mixture_spec, constant_single_spec,
                       zero_rate_spec)
 from oracles import (NaiveRankIndex, char_curve, first_jump_counts,
-                     floor_tail_count, scalar_phi)
+                     floor_tail_count, one_log_lattice_counts,
+                     one_log_positions_of, scalar_phi)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -192,7 +194,13 @@ def tie_log(events, n=5, mode="stratified", seed=None):
     """An EventLog of the unit constant spec with the given (time, particle)s
     and their true pre-jump positions."""
     spec = load_spec(Path(__file__).parents[1] / "configs" / "constant_unit.json")
-    assignment = assign_population(spec, n, mode=mode, seed=seed)
+    return log_of(assign_population(spec, n, mode=mode, seed=seed), events)
+
+
+def log_of(assignment, events):
+    """An EventLog of ``assignment`` with the given (time, particle)s and
+    their true pre-jump positions."""
+    n = assignment.n
     times, particles = zip(*events) if events else ((), ())
     index = NaiveRankIndex(assignment.slots)
     pre = []
@@ -322,6 +330,110 @@ def test_positions_of_reads_the_tagged_particles_of_a_log(spec_affine, n):
     for t, row in zip(ts, got):
         want = ev.positions_at(float(t))[[1, 0, 1]]
         assert row.tobytes() == want.tobytes()
+
+
+def batch_of(data, n, grid):
+    """The logs of a batch of one to four runs of one seeded-random
+    assignment of the unit constant spec: each run's events drawn on
+    ``grid``, so exact ties are common, and often none."""
+    spec = load_spec(ROOT / "configs" / "constant_unit.json")
+    assignment = assign_population(spec, n, mode="seeded-random",
+                                   seed=data.draw(st.integers(0, 2 ** 16)))
+    event = st.tuples(st.sampled_from(grid), st.integers(0, n - 1))
+    runs = data.draw(st.lists(st.lists(event, max_size=12), min_size=1,
+                              max_size=4))
+    return [log_of(assignment, sorted(run, key=lambda e: e[0])) for run in runs]
+
+
+def assert_counts_are_each_logs(logs, lattice):
+    got = _LogBatch(logs).lattice_counts(lattice)
+    assert len(got) == len(logs)
+    for counts, log in zip(got, logs):
+        alive, jumped = one_log_lattice_counts(log, lattice)
+        assert counts.alive.dtype == counts.jumped.dtype == np.int64
+        assert counts.alive.shape == alive.shape
+        assert counts.alive.tobytes() == alive.tobytes()
+        assert counts.jumped.tobytes() == jumped.tobytes()
+
+
+def assert_positions_are_each_logs(logs, particles, ts):
+    got = _LogBatch(logs).positions_of(particles, ts)
+    assert got.shape == (len(logs), len(ts), len(particles))
+    for positions, log in zip(got, logs):
+        want = one_log_positions_of(log, particles, ts)
+        assert positions.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_batch_counts_equal_each_log_read_alone(data):
+    regular = EvaluationLattice.regular(1.0)
+    starts = [g.t0 for g in regular.gammas]  # 0.0 and every boundary t0
+    n = data.draw(st.integers(1, 8))
+    grid = starts + data.draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    logs = batch_of(data, n, grid)
+    # times at event times and at the horizon, t0s on event times, and a t
+    # 1e-13 below a t0
+    zs = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                            max_size=3))
+    t0s = data.draw(st.lists(st.sampled_from(grid), max_size=3))
+    times = data.draw(st.lists(st.sampled_from(grid + [1.0]), min_size=1,
+                               max_size=5))
+    drawn = EvaluationLattice(
+        gammas=tuple([initial(z) for z in zs] + [boundary(t0) for t0 in t0s]),
+        times=tuple(times + [t0 - 1e-13 for t0 in t0s[:1]]))
+    for lattice in (regular, drawn):
+        assert_counts_are_each_logs(logs, lattice)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_batch_positions_equal_each_log_read_alone(data):
+    n = data.draw(st.integers(1, 8))
+    grid = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    logs = batch_of(data, n, grid)
+    particles = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    # event times and the horizon, in the order drawn
+    queries = data.draw(st.lists(st.sampled_from(grid + [0.0, 1.0]),
+                                 max_size=6))
+    assert_positions_are_each_logs(logs, particles, queries)
+
+
+@pytest.mark.parametrize("runs", [
+    [[(0.2, 1), (0.5, 0), (0.5, 3)], [], [(0.5, 2), (0.5, 2), (1.0, 0)]],
+    [[], [(0.3, 4)]],
+    [[(0.3, 4)], []],
+    [[], []],
+], ids=["middle", "first", "last", "all"])
+def test_batch_reads_runs_with_no_events(runs):
+    spec = load_spec(ROOT / "configs" / "constant_unit.json")
+    assignment = assign_population(spec, 5)
+    logs = [log_of(assignment, run) for run in runs]
+    assert_counts_are_each_logs(logs, EvaluationLattice.regular(1.0))
+    assert_positions_are_each_logs(logs, [3, 0, 3], [1.0, 0.0, 0.5, 0.3, 0.2])
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_batch_reads_the_logs_of_a_sweep_job(spec_affine, lattice, n):
+    # a job's seeds as the sweeps run them: one engine batch, then one read
+    assignment = assign_population(spec_affine, n)
+    for tagged in (0, 2):
+        logs = srp._run_seeds(assignment, range(6), "original", tagged=tagged)
+        assert_counts_are_each_logs(logs, lattice)
+        ts = np.r_[np.linspace(0.0, 1.0, 101), logs[0].times[:5]]
+        assert_positions_are_each_logs(logs, [0, 1], ts)
+    # and a batch of one is what LogEvaluator reads
+    ev = LogEvaluator(logs[2])
+    alive, jumped = one_log_lattice_counts(logs[2], lattice)
+    assert ev.lattice_counts(lattice).alive.tobytes() == alive.tobytes()
+    assert ev.positions_of([1, 0], ts).tobytes() == \
+        one_log_positions_of(logs[2], [1, 0], ts).tobytes()
+
+
+def test_batch_refuses_logs_of_different_assignments(affine_log):
+    other = simulate(assign_population(affine_two_class_spec(), 40), seed=13)
+    with pytest.raises(ConfigError, match=r"^logs\[1\]: "):
+        _LogBatch([affine_log, other])
 
 
 def test_phi_monotone_in_t(affine_log, lattice):
