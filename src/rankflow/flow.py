@@ -215,18 +215,66 @@ def _hazard_along(flow: FlowGrid, hazard, cls, y0, last, t):
     return hazard(cls, flow._eval_from(y0, last, t), t)
 
 
-def _thin_along_flow(flow: FlowGrid, hazard, cls, y0, times, owners, marks,
-                     envelope) -> np.ndarray:
-    """Thin the marked candidates of particles that read their hazard along
-    the flow: owner o reads class cls[o] of ``hazard``, a ``ClassHazard``,
-    from its initial position y0[o].  Given the flow, each is a
-    last-arrival process with kernel ``tilde_w(flow, field, y0[o])`` of its
-    class's field, so one ``thin_last_arrival`` call thins them all;
-    returns its accepted mask."""
-    return thin_last_arrival(
-        times, owners, marks, len(y0),
-        lambda o, last, t: _hazard_along(flow, hazard, cls[o], y0[o], last, t),
-        envelope)
+# -- batches of runs: run s holds the next sizes[s] entries of its batch,
+# and its particle i is the owner s * N + i, so the runs share no owner
+
+
+def _edges(sizes) -> list:
+    """Where each run starts in its batch, and where the last one ends."""
+    return [0, *accumulate(sizes)]
+
+
+def _laid(parts):
+    """The runs' arrays ``parts`` laid end to end."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _cut(values, sizes) -> list:
+    """A batch array cut back into its runs."""
+    edges = _edges(sizes)
+    return [values[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+def _owners(ids, n, sizes):
+    """The run-local ``ids`` of a batch of runs of n particles as owners."""
+    if len(sizes) == 1:
+        return ids
+    return ids + n * np.arange(len(sizes)).repeat(sizes)
+
+
+def _tiled(values, k):
+    """Per-particle ``values`` repeated for the k runs of a batch."""
+    return values if k == 1 else np.tile(values, k)
+
+
+def _thin_along_flow(flow: FlowGrid, hazard, cls, y0, envelope, times, ids,
+                     marks, sizes) -> np.ndarray:
+    """Thin a batch of runs of particles that read their hazard along the
+    flow; returns the accepted mask in stream order.
+
+    A run's particle i reads class cls[i] of ``hazard``, a ``ClassHazard``,
+    from its initial position y0[i] under the envelope envelope[i], and run
+    s holds the next ``sizes[s]`` candidates, under ``ids`` of its own.
+    Given the flow, each particle of each run is a last-arrival process
+    with kernel ``tilde_w(flow, field, y0[i])``, so one ``thin_last_arrival``
+    call thins the batch, run s's particle i being its owner s * N + i.  A
+    breach is the lowest run's earliest, named as the run's particle
+    owner % N, as a call for that run alone names it.
+    """
+    n, k = len(y0), len(sizes)
+    cls, y0, envelope = (_tiled(np.asarray(x), k) for x in (cls, y0, envelope))
+    try:
+        return thin_last_arrival(
+            times, _owners(ids, n, sizes), marks, k * n,
+            lambda o, last, t: _hazard_along(flow, hazard, cls[o], y0[o],
+                                             last, t),
+            envelope)
+    except EnvelopeBreach as exc:
+        i = exc.owner % n
+        raise EnvelopeBreach(f"particle {i}: hazard {exc.hazard} above "
+                             f"envelope {float(envelope[i])} at t={exc.time}",
+                             owner=i, last=exc.last, time=exc.time,
+                             hazard=exc.hazard) from None
 
 
 def _start_point(name: str, z) -> None:
@@ -674,26 +722,18 @@ def _limit_jumps(flow: FlowGrid, field, y_start: float, candidates) -> list:
     along ``flow``, one per marked candidate stream ``(times, marks)`` of
     ``candidates``, in their order.
 
-    The paths do not interact, so one ``_thin_along_flow`` call thins them
-    all, path o being its owner o.  A breach is the lowest path's earliest,
-    named as the call for that path alone names it.
+    Each path is a run of one particle, so one ``_thin_along_flow`` call
+    thins them all, and a breach is the lowest path's earliest.
     """
     _start_point("y_start", y_start)
     drawn = [[np.asarray(x, dtype=float) for x in c] for c in candidates]
     sizes = [len(times) for times, _ in drawn]
-    times, marks = (np.concatenate([d[j] for d in drawn]) for j in range(2))
-    try:
-        accepted = _thin_along_flow(
-            flow, ClassHazard((field,)), np.zeros(len(drawn), dtype=np.int64),
-            np.full(len(drawn), float(y_start)), times,
-            np.arange(len(drawn)).repeat(sizes), marks, field.sup_norm)
-    except EnvelopeBreach as exc:
-        raise EnvelopeBreach(f"particle 0: hazard {exc.hazard} above envelope "
-                             f"{float(field.sup_norm)} at t={exc.time}",
-                             owner=0, last=exc.last, time=exc.time,
-                             hazard=exc.hazard) from None
-    edges = [0, *accumulate(sizes)]
-    return [times[lo:hi][accepted[lo:hi]] for lo, hi in zip(edges, edges[1:])]
+    times, marks = (_laid([d[j] for d in drawn]) for j in range(2))
+    accepted = _thin_along_flow(
+        flow, ClassHazard((field,)), np.zeros(1, dtype=np.int64),
+        np.array([float(y_start)]), np.array([float(field.sup_norm)]), times,
+        np.zeros(len(times), dtype=np.int64), marks, sizes)
+    return [d[0][a] for d, a in zip(drawn, _cut(accepted, sizes))]
 
 
 def _sample_paths(flow: FlowGrid, y_start: float, jumps, ts) -> np.ndarray:

@@ -28,16 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, _finite, _number
-from .flow import BoundaryPoint, _admissible, _h_vector, boundary, initial
+from .flow import (BoundaryPoint, _admissible, _edges, _h_vector, _laid,
+                   _owners, _tiled, boundary, initial)
 from .intensity import PopulationSpec
 from .latp import _stable_argsort
-from .srp import (EventLog, RankIndex, _by_particle, _mtf_ranks, _owners,
-                  _reset_ranks, _tiled)
+from .srp import EventLog, RankIndex, _by_particle, _mtf_ranks, _reset_ranks
 
 
 @dataclass(frozen=True)
@@ -152,6 +151,25 @@ def _slot_threshold(y, n: int):
                       .astype(np.int64))
 
 
+def _class_tails(slots, classes, cuts, n_classes: int):
+    """Per particle its key bin * K + class, and per bin the class counts
+    at or after it, from one histogram: returns (keys, tails).
+
+    ``slots`` is every particle's slot, and ``cuts`` are sorted, distinct
+    and nonnegative.  A particle's bin, the number of cuts at or below its
+    slot, is a cumsum of the cut marks read at the slot (a cut at or past N
+    marks slot N, which no particle reads), in the smallest integer type of
+    the keys, which makes the read cheap.  ``tails[j + 1, k]`` counts the
+    class-k particles at slot cuts[j] or later.
+    """
+    n, size = len(slots), (len(cuts) + 1) * n_classes
+    mark = np.zeros(n + 1, dtype=np.min_scalar_type(size))
+    mark[np.minimum(cuts, n)] = n_classes
+    keys = np.cumsum(mark, out=mark)[slots] + classes
+    tails = np.bincount(keys, minlength=size).reshape(-1, n_classes)
+    return keys, tails[::-1].cumsum(0)[::-1]
+
+
 @dataclass(frozen=True)
 class SupDistance:
     value: float
@@ -220,12 +238,12 @@ class _LogBatch:
     """The logs of one batch of runs of an assignment, as ``srp._run_seeds``
     returns them, read together.
 
-    Run s holds the next ``sizes[s]`` events of the batch, its particle i
-    under the id s * N + i (``srp._owners``), so the runs share no
-    particle.  One sort of these ids links every event to its particle's
-    previous event (-1 for none) and next event (the batch's event count
-    for none), and ``lattice_counts`` and ``positions_of`` read every run
-    in one pass each.  A lone log is a batch of one (``LogEvaluator``).
+    The logs are laid out as ``flow`` lays out a batch of runs, run s's
+    particle i as the owner s * N + i (``flow._owners``).  One sort of the
+    owners links every event to its particle's previous event (-1 for
+    none) and next event (the batch's event count for none), and
+    ``lattice_counts`` and ``positions_of`` read every run in one pass
+    each.  A lone log is a batch of one (``LogEvaluator``).
     """
 
     def __init__(self, logs):
@@ -241,12 +259,9 @@ class _LogBatch:
         self.slots0 = log.assignment.slots
         self.classes = log.assignment.class_index
         self.sizes = [other.n_events for other in logs]
-        self.edges = [0, *accumulate(self.sizes)]
-        if len(logs) == 1:
-            self.times, self.particles = log.times, log.particles
-        else:
-            self.times = np.concatenate([other.times for other in logs])
-            self.particles = np.concatenate([other.particles for other in logs])
+        self.edges = _edges(self.sizes)
+        self.times = _laid([other.times for other in logs])
+        self.particles = _laid([other.particles for other in logs])
         self.owners = _owners(self.particles, self.n, self.sizes)
         m = len(self.owners)
         order = _stable_argsort(self.owners, len(logs) * self.n)
@@ -292,16 +307,14 @@ class _LogBatch:
                         minlength=S * size * size * K)
         c = c.reshape(S, size, size, K).cumsum(1).cumsum(2)
         cuts, col = np.unique(_slot_threshold(ix.y0, self.n), return_inverse=True)
-        bins = np.searchsorted(cuts, self.slots0, side="right")
+        keys, down = _class_tails(self.slots0, self.classes, cuts, K)
         n_bins = len(cuts) + 1
         first = np.flatnonzero((a <= ix.j0) & (ix.j0 < b))
-        f = np.bincount(((run[first] * size + b[first]) * n_bins
-                         + bins[particles[first]]) * K + cls[first],
+        f = np.bincount((run[first] * size + b[first]) * n_bins * K
+                        + keys[particles[first]],
                         minlength=S * size * n_bins * K)
         f = f.reshape(S, size, n_bins, K)[:, :, ::-1].cumsum(2)[:, :, ::-1].cumsum(1)
         # a boundary gamma's cut is slot 0, so its down[col + 1] is every particle
-        down = np.bincount(bins * K + self.classes, minlength=n_bins * K)
-        down = down.reshape(n_bins, K)[::-1].cumsum(0)[::-1]
         gone = np.where(ix.initial[:, None], f[:, ix.m, col + 1],
                         c[:, ix.j, ix.m_clamped] - c[:, ix.j, ix.j])
         alive = down[col + 1] - gone
@@ -333,7 +346,7 @@ class _LogBatch:
         keys = np.concatenate((2 * np.arange(E) + 1,
                                np.repeat(2 * after, len(particles))))
         order = _stable_argsort(keys, 2 * E + 1)
-        queried = (np.arange(S) * self.n).repeat(q) + np.tile(particles, S * len(ts))
+        queried = _owners(np.tile(particles, S * len(ts)), self.n, [q] * S)
         ids = np.concatenate((self.owners, queried))[order]
         queries = np.flatnonzero(order >= E)
         ranks = np.empty(len(queries), dtype=np.int64)
@@ -350,11 +363,9 @@ class LogEvaluator:
 
     def __init__(self, log: EventLog):
         self.log = log
-        self.n = log.n
-        self.spec = log.assignment.spec
-        self.slots0 = log.assignment.slots
-        self.classes = log.assignment.class_index
         self._batch = _LogBatch([log])
+        self.n, self.spec = self._batch.n, self._batch.spec
+        self.slots0, self.classes = self._batch.slots0, self._batch.classes
 
     def lattice_counts(self, lattice: EvaluationLattice) -> LatticeCounts:
         """The one counting routine behind every curve and phi query: this
@@ -386,14 +397,11 @@ class LogEvaluator:
 
     def _tail_counts(self, t: float, cuts) -> np.ndarray:
         """tail[q, k]: the class-k particles at slot ``cuts[q]`` or later at
-        t, from one ``_ranks_at(t)``."""
-        slot_class = np.empty(self.n, dtype=np.int64)
-        slot_class[self._ranks_at(t)] = self.classes
-        tail = np.empty((len(cuts), self.spec.n_classes), dtype=np.int64)
-        for k in range(self.spec.n_classes):
-            slots = np.flatnonzero(slot_class == k)
-            tail[:, k] = len(slots) - np.searchsorted(slots, cuts)
-        return tail
+        t, from one ``_ranks_at(t)`` and one ``_class_tails`` histogram."""
+        cuts, col = np.unique(cuts, return_inverse=True)
+        _, tails = _class_tails(self._ranks_at(t), self.classes, cuts,
+                                self.spec.n_classes)
+        return tails[col + 1]
 
     def positions_at(self, t: float) -> np.ndarray:
         """Positions at t, right-continuous, in any order of queries."""

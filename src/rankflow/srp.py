@@ -16,32 +16,33 @@ windows of consecutive candidates, each ranked from every particle's rank
 at the window's start, which the reset-point identity (``_reset_ranks``)
 gives from the window before.  The engines run seeds as one batch
 (``_run_seeds``), and a lone seed is a batch of one: the runs' streams are
-laid one after another, each run's particles under ids of their own, and a
-window holds the parts that fall in it of consecutive runs, which each
-round ranks in one count, each run from its own first changed candidate
-and on trace keys of its own, so the count walks the bit levels of one
-run.  Runs that fit ``_window(N)`` candidates together share a window
-whole, and a longer run is cut into windows of that width.  The
-flow-driven model reads the hazard along a prescribed flow from the
-particle's last reset point; given the flow, each particle is an
-independent last-arrival process, so ``flow._thin_along_flow`` thins all
-of them at once and the pre-jump positions are the ranks of the accepted
-jumps.  A coupled run feeds both models the identical marked candidates
-and records each particle's first decoupling time.  ``RankIndex`` walks
-the same ranks one move at a time.
+laid end to end, each run's particles as owners of their own, in the
+batch layout of ``flow`` (``flow._owners``).  A window holds the parts
+that fall in it of consecutive runs, which each round ranks in one count,
+each run from its own first changed candidate and on trace keys of its
+own, so the count walks the bit levels of one run.  Runs that fit
+``_window(N)`` candidates together share a window whole, and a longer run
+is cut into windows of that width.  The flow-driven model reads the
+hazard along a prescribed flow from the particle's last reset point;
+given the flow, each particle of each run is an independent last-arrival
+process, so one ``flow._thin_along_flow`` call thins a whole batch, and
+one rank count gives the pre-jump positions of its accepted jumps.  A
+coupled run feeds both models the identical marked candidates and records
+each particle's first decoupling time.  ``RankIndex`` walks the same ranks
+one move at a time.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, EnvelopeBreach, _require_int
 from .intensity import PopulationAssignment
-from .flow import FlowGrid, _thin_along_flow
+from .flow import (FlowGrid, _cut, _edges, _laid, _owners, _thin_along_flow,
+                   _tiled)
 from .latp import _breach_bound, _stable_argsort
 from . import streams
 
@@ -265,11 +266,9 @@ def _candidates(assignment: PopulationAssignment, horizon: float, seed: int,
         # times is the identity
         times, ids, marks = parts[0]
     else:
-        times = np.concatenate([p[0] for p in parts])
+        times, ids, marks = map(np.concatenate, zip(*parts))
         order = np.argsort(times, kind="stable")
-        times = times[order]
-        ids = np.concatenate([p[1] for p in parts])[order]
-        marks = np.concatenate([p[2] for p in parts])[order]
+        times, ids, marks = times[order], ids[order], marks[order]
     tie_count = int(np.count_nonzero(times[1:] == times[:-1]))
     if tie_count:
         log.warning("candidate stream has %d exact time ties", tie_count)
@@ -364,10 +363,9 @@ def _by_particle(ids, n, sizes=None):
     ``order``, the sorted ids, for each sorted position the position its
     particle's run starts at, and ``(size, first)``, the batch's systems.
 
-    The ids are those of len(sizes) independent systems of ``size`` = n /
-    len(sizes) particles each, laid one after another: system s holds the
-    next ``sizes[s]`` candidates, and its particle i has the id s * size +
-    i.  Without ``sizes``, all of them are one system of n particles.
+    The ids are the owners of len(sizes) runs of ``size`` = n / len(sizes)
+    particles each, in ``flow``'s batch layout (``flow._owners``), and the
+    runs are the systems; without ``sizes``, all of them are one system.
     Sorting by particle keeps each system's candidates at the same
     positions, so ``first``, for each position the position of its
     system's first candidate, serves both orders.
@@ -376,9 +374,9 @@ def _by_particle(ids, n, sizes=None):
     sorted_ids = ids[order]
     group = np.maximum.accumulate(np.where(_firsts(sorted_ids),
                                            np.arange(len(ids)), 0))
-    sizes = np.asarray([len(ids)] if sizes is None else sizes, dtype=np.int64)
+    sizes = [len(ids)] if sizes is None else sizes
     return order, sorted_ids, group, (n // len(sizes),
-                                      (sizes.cumsum() - sizes).repeat(sizes))
+                                      np.repeat(_edges(sizes)[:-1], sizes))
 
 
 def _mtf_ranks(slots, ids, accepted, start=0, grouped=None, levels=None):
@@ -468,8 +466,7 @@ def _next_slots(slots, ids, accepted, grouped):
 
 
 def _window(n):
-    """Candidates per window of ``_original_pass`` for N particles, and
-    per thinning call of ``_flow_pass``.
+    """Candidates per window of ``_original_pass`` for N particles.
 
     A window costs its prediction and rounds plus O(N) for the next
     window's slots, so the width grows with N.  Process seconds of the
@@ -481,26 +478,22 @@ def _window(n):
     2.25 s on the affine spec (one N/16 reading of 2.78 s, taken beside
     another job, left out), and on the steep spec N/32 took 9.4-10.0 s
     against 7.0-8.7 s for N/16 in three interleaved scans (N/8: 8.6 s).  At
-    2^19, N/32, N/16 and N/8 took 0.80, 0.79 and 0.79 s.  Before the
-    predictor, N/32 beat N/8 at 2^19 to 2^20 by 1-30%.  The floor also
+    2^19, N/32, N/16 and N/8 took 0.80, 0.79 and 0.79 s.  The floor also
     keeps small streams in one window, where a round's fixed numpy cost is
     paid once: at N = 1600, windows of N/8 took 15 ms against 6 ms, and at
     N = 100 6 ms against 2 ms.
 
-    The runs of a batch share windows of whole runs up to the full width
-    in both passes; each run is ranked on keys of its own (``_mtf_ranks``),
-    so a packed window's count walks the bit levels of one run.  Process
-    ms per seed of the original pass over seeds 0-19 on the affine spec,
-    medians of 9 passes in each of two runs per tree, trees alternating:
-    one seed at a time took 0.53-0.54, 0.87-0.91 and 2.1-2.2 ms at N =
-    100, 400 and 1600, and windows of whole runs up to 2^12 and 2^14
-    candidates 0.097-0.099 and 0.093-0.099 ms at N = 100, 0.39-0.40 and
-    0.41-0.51 ms at 400, and 2.15-2.24 and 1.89-1.91 ms at 1600, where a
-    run has 2.1k candidates and 2^14 packs seven.  On one trace over the
-    whole batch, each run's keys after every move of the runs before it,
-    the two widths took 0.13-0.18 and 0.13-0.17, 0.49 and 0.50, and
-    2.10-2.38 and 2.26-2.33 ms.  A packed window's rounds run until its
-    slowest run settles, which at N = 400 costs less than N = 1600 gains.
+    The runs of a batch share windows of whole runs up to the full width;
+    each run is ranked on keys of its own (``_mtf_ranks``), so a packed
+    window's count walks the bit levels of one run.  Process ms per seed
+    of the pass over seeds 0-19 on the affine spec, medians of 9 passes in
+    each of two runs per tree, trees alternating: one seed at a time took
+    0.53-0.54, 0.87-0.91 and 2.1-2.2 ms at N = 100, 400 and 1600, and
+    windows of whole runs up to 2^12 and 2^14 candidates 0.097-0.099 and
+    0.093-0.099 ms at N = 100, 0.39-0.40 and 0.41-0.51 ms at 400, and
+    2.15-2.24 and 1.89-1.91 ms at 1600, where a run has 2.1k candidates and
+    2^14 packs seven.  A packed window's rounds run until its slowest run
+    settles, which at N = 400 costs less than N = 1600 gains.
     """
     return max(n // 16, 1 << 14)
 
@@ -541,20 +534,6 @@ def _seed_runs(assignment, seeds: int) -> list:
     expected = float(assignment.sup_norms().sum()) * assignment.spec.horizon
     per = max(1, int(_window(assignment.n) // expected)) if expected else seeds
     return [range(lo, min(lo + per, seeds)) for lo in range(0, seeds, per)]
-
-
-def _tiled(values, k):
-    """``values`` repeated for the k systems of a batch."""
-    return values if k == 1 else np.tile(values, k)
-
-
-def _owners(ids, n, sizes):
-    """The particle ``ids`` of a batch of runs, ``sizes[s]`` candidates
-    each, under ids of their own: run s's particle i is s * n + i, so the
-    ids of one run are its own."""
-    if len(sizes) == 1:
-        return ids
-    return ids + n * np.arange(len(sizes)).repeat(sizes)
 
 
 def _original_pass(assignment, times, ids, marks, sizes=None):
@@ -640,18 +619,16 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
         return grouped
 
     sizes = [m] if sizes is None else list(sizes)
-    edges = [0, *accumulate(sizes)]
+    edges = _edges(sizes)
     width = _window(n)
     for first, stop in _groups(sizes, width):
         lo, hi = edges[first], edges[stop]
         slots = _tiled(assignment.slots, stop - first)
         for w_lo in range(lo, hi, width):
             w = slice(w_lo, min(w_lo + width, hi))
-            # the parts of the group's runs in the window: the whole runs
-            # of a group that fits, or a window of one longer run
-            parts = [min(b, w.stop) - max(a, w.start) for a, b in
-                     zip(edges[first:stop], edges[first + 1:stop + 1])]
-            grouped = settle(slots, w, parts)
+            # the whole runs of a group that fits, or a window of one run
+            grouped = settle(slots, w, sizes[first:stop] if stop - first > 1
+                             else [w.stop - w.start])
             if w.stop < hi:
                 slots = _next_slots(slots, ids[w], accepted[w], grouped)
     log.debug("original pass: %d rounds in %d windows over %d candidates, "
@@ -662,44 +639,23 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
 def _flow_pass(assignment, flow, times, ids, marks, sizes=None):
     """Thin the stream along the flow; same returns as ``_original_pass``.
 
-    Given the flow, the particles ignore each other, so
-    ``flow._thin_along_flow`` thins them all at once.  The pre-jump
-    positions are then the move-to-front ranks of the accepted jumps.  The
-    runs of a batch (``sizes`` as in ``_original_pass``) are thinned and
-    ranked together while they fit ``_window(N)`` candidates, each run's
-    particles being distinct owners (``_owners``).
+    Given the flow, the particles ignore each other, so one
+    ``flow._thin_along_flow`` call thins every run of the batch (``sizes``
+    as in ``_original_pass``) at once, and its breach is the lowest run's
+    earliest.  The pre-jump positions are then the move-to-front ranks of
+    the accepted jumps, every run ranked in one count (``_mtf_ranks``).
     """
-    n = assignment.n
-    m = len(times)
-    sizes = [m] if sizes is None else list(sizes)
-    edges = [0, *accumulate(sizes)]
-    hazard = assignment.spec.class_hazard
-    accepted = np.zeros(m, dtype=bool)
-    pre = []
-    for first, stop in _groups(sizes, _window(n)):
-        k = stop - first
-        w = slice(edges[first], edges[stop])
-        owners = _owners(ids[w], n, sizes[first:stop])
-        try:
-            accepted[w] = _thin_along_flow(
-                flow, hazard, _tiled(assignment.class_index, k),
-                _tiled(assignment.position, k), times[w], owners, marks[w],
-                _tiled(assignment.sup_norms(), k))
-        except EnvelopeBreach as exc:
-            i = exc.owner % n
-            # the breach of run s's particle i, as one run's pass names it
-            raise EnvelopeBreach(
-                f"particle {i}: hazard {exc.hazard} above envelope "
-                f"{float(assignment.sup_norms()[i])} at t={exc.time}",
-                owner=i, last=exc.last, time=exc.time,
-                hazard=exc.hazard) from None
-        jumpers = owners[accepted[w]]
-        grouped = _by_particle(jumpers, k * n,
-                               np.bincount(jumpers // n, minlength=k))
-        pre.append(_mtf_ranks(_tiled(assignment.slots, k), jumpers,
-                              np.ones(len(jumpers), dtype=bool),
-                              grouped=grouped) * (1.0 / n))
-    return accepted, pre[0] if len(pre) == 1 else np.concatenate(pre)
+    sizes = [len(times)] if sizes is None else list(sizes)
+    n, k = assignment.n, len(sizes)
+    accepted = _thin_along_flow(
+        flow, assignment.spec.class_hazard, assignment.class_index,
+        assignment.position, assignment.sup_norms(), times, ids, marks, sizes)
+    jumpers = _owners(ids, n, sizes)[accepted]
+    grouped = _by_particle(jumpers, k * n,
+                           np.bincount(jumpers // n, minlength=k))
+    pre = _mtf_ranks(_tiled(assignment.slots, k), jumpers,
+                     np.ones(len(jumpers), dtype=bool), grouped=grouped)
+    return accepted, pre * (1.0 / n)
 
 
 def _run_seeds(assignment: PopulationAssignment, seeds, engine: str,
@@ -722,11 +678,7 @@ def _run_seeds(assignment: PopulationAssignment, seeds, engine: str,
     if not drawn:
         return []
     sizes = [len(d[0]) for d in drawn]
-    if len(drawn) == 1:
-        times, ids, marks, _ = drawn[0]
-    else:
-        times, ids, marks = (np.concatenate([d[j] for d in drawn])
-                             for j in range(3))
+    times, ids, marks = (_laid([d[j] for d in drawn]) for j in range(3))
     try:
         passes = {}
         if engine != "flow":
@@ -743,27 +695,25 @@ def _run_seeds(assignment: PopulationAssignment, seeds, engine: str,
             for seed in seeds:
                 _run_seeds(assignment, [seed], engine, flow, tagged)
         raise
-    edges = [0, *accumulate(sizes)]
-    runs = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
     logs = {}
     for kind, (acc, pre) in passes.items():
+        acc = _cut(acc, sizes)
         # each run's accepted candidates follow those of the runs before it
-        cuts = [0, *accumulate(np.count_nonzero(acc[w]) for w in runs)]
+        pre = _cut(pre, [np.count_nonzero(a) for a in acc])
         logs[kind] = [EventLog(
-            assignment=assignment, horizon=horizon, times=times[w][acc[w]],
-            particles=ids[w][acc[w]], pre_positions=pre[lo:hi], kind=kind,
-            tie_count=d[3])
-            for w, lo, hi, d in zip(runs, cuts, cuts[1:], drawn)]
+            assignment=assignment, horizon=horizon, times=d[0][a],
+            particles=d[1][a], pre_positions=p, kind=kind, tie_count=d[3])
+            for d, a, p in zip(drawn, acc, pre)]
     if engine != "coupled":
         return logs[engine]
-    out = []
-    for w, orig, flow_driven in zip(runs, logs["original"], logs["flow"]):
-        differ = passes["original"][0][w] != passes["flow"][0][w]
-        sigma = np.full(assignment.n, np.inf)
-        np.minimum.at(sigma, ids[w][differ], times[w][differ])
-        out.append((orig, flow_driven,
-                    CouplingRecord(sigma=sigma, horizon=horizon)))
-    return out
+    # each particle's first candidate on which the two passes differ
+    differ = passes["original"][0] != passes["flow"][0]
+    n, k = assignment.n, len(sizes)
+    sigma = np.full(k * n, np.inf)
+    np.minimum.at(sigma, _owners(ids, n, sizes)[differ], times[differ])
+    return [(orig, flow_driven, CouplingRecord(sigma=s, horizon=horizon))
+            for orig, flow_driven, s in zip(logs["original"], logs["flow"],
+                                            _cut(sigma, [n] * k))]
 
 
 def simulate(assignment: PopulationAssignment, seed: int = 0,

@@ -474,8 +474,8 @@ def one_limit_path_jumps(flow, field, y_start, candidates):
     times, marks = (np.asarray(x, dtype=float) for x in candidates)
     accepted = _thin_along_flow(
         flow, ClassHazard((field,)), np.zeros(1, dtype=np.int64),
-        np.array([y_start]), times, np.zeros(len(times), dtype=np.int64),
-        marks, field.sup_norm)
+        np.array([y_start]), np.array([field.sup_norm]), times,
+        np.zeros(len(times), dtype=np.int64), marks, [len(times)])
     return times[accepted]
 
 

@@ -1,9 +1,10 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria, one test per criterion, and two for the first.
 
 Each test prints a single [criterion k] PASS line (run pytest with -s to see
 them live).  Tolerances are pinned here, not calibrated elsewhere:
 
-  1 exact combinatorial identities, zero tolerance
+  1 exact combinatorial identities and the pathwise coupling bound, zero
+    tolerance
   2 closed-form limit flows within 10 (dt^2 + tol)
   3 point-process three-way agreement (series / Volterra / Monte Carlo)
   4 hydrodynamic convergence: decreasing sup distances, slope <= -0.3
@@ -20,11 +21,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import constant_mixture_spec, zero_rate_spec
+from conftest import STEEP_SPECS, constant_mixture_spec, zero_rate_spec
 from oracles import NaiveRankIndex
 from rankflow import (FlowGrid, LogEvaluator, RankIndex,
                       TestFunction, assign_population, initial, simulate,
-                      simulate_coupled, simulate_flow_driven, solve_y_c)
+                      simulate_coupled, simulate_flow_driven, solve_y_c,
+                      spec_from_config)
 from rankflow.harness import (ExperimentPlan, convergence_sweep,
                               coupling_sweep, flow_driven_sweep,
                               latp_validation, tagged_compare)
@@ -58,6 +60,38 @@ def test_criterion_1_exact_identities(spec_affine, lattice):
     report(1, time.time() - start, 60,
            f"curve/phi and reset-point identities exact on {runs} runs, "
            f"N up to 100000, zero tolerance")
+
+
+def test_criterion_1_pathwise_coupling_bound(spec_affine, sol_affine, lattice):
+    # a coupled particle's rank counts the particles that jumped after its
+    # last jump, and before its first the non-jumpers ahead of it too;
+    # coupled particles count the same in both models, and each decoupled
+    # one moves the count by at most one
+    start = time.time()
+    sols = {"affine": sol_affine}
+    for name, cfg in STEEP_SPECS.items():
+        sols[name] = solve_y_c(spec_from_config(cfg), n_z=20, n_t=200)
+    times = sorted({*lattice.times, 1.0})
+    checks = attained = 0
+    for name, sol in sols.items():
+        for n in (10, 100, 1000, 10_000):
+            assignment = assign_population(sol.spec, n)
+            for seed in range(5):
+                orig, fl, rec = simulate_coupled(assignment, sol.flow, seed=seed)
+                ev_orig, ev_flow = LogEvaluator(orig), LogEvaluator(fl)
+                for t in times:
+                    coupled = rec.sigma > t
+                    bound = n - int(np.count_nonzero(coupled))
+                    gap = np.rint(np.abs(ev_orig.positions_at(t)
+                                         - ev_flow.positions_at(t)) * n)
+                    worst = int(np.max(gap[coupled], initial=0))
+                    assert worst <= bound, (name, n, seed, t, worst, bound)
+                    checks += 1
+                    attained += bound > 0 and worst == bound
+    assert attained > 0  # the bound is sharp on these runs
+    report(1, time.time() - start, 60,
+           f"|rank_orig - rank_flow| <= #decoupled at {checks} (run, time) "
+           f"pairs on {len(sols)} specs, attained at {attained}")
 
 
 def test_criterion_2_closed_form_limit(sol_const1, sol_mixture, spec_mixture):

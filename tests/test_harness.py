@@ -181,18 +181,20 @@ def test_sweeps_assign_each_population_once(monkeypatch, sol_affine,
 def test_tagged_compare_solves_each_limit_path_once(monkeypatch, sol_affine,
                                                    spec_affine):
     # a limit path depends on (seed, pin) and not on N: one thinning call
-    # per pin, whose owners are the pin's paths, one per seed
+    # per pin, whose runs are the pin's paths, one particle each, one per
+    # seed
     calls = []
     thin = flow._thin_along_flow
 
-    def counting(flow_, hazard, cls, y0, *args):
-        calls.append(y0.tolist())
-        return thin(flow_, hazard, cls, y0, *args)
+    def counting(*args):
+        y0, sizes = args[3], args[-1]
+        calls.append((y0.tolist(), len(sizes)))
+        return thin(*args)
 
     monkeypatch.setattr(flow, "_thin_along_flow", counting)
     plan = small_plan(spec_affine, n_values=(30, 60, 90), seeds=3)
     tagged_compare(plan, pins=[(0, 0.3), (1, 0.7)], sol=sol_affine)
-    assert calls == [[0.3] * 3, [0.7] * 3]
+    assert calls == [([0.3], 3), ([0.7], 3)]
 
 
 def test_flow_driven_sweep_reads_the_solutions_evaluator(monkeypatch,

@@ -13,7 +13,7 @@ from rankflow import (ConfigError, DomainError, EvaluationLattice,
                       simulate, simulate_flow_driven, solve_y_c,
                       spec_from_config, sup_distance)
 from rankflow import srp
-from rankflow.measure import _LogBatch, limit_values
+from rankflow.measure import _class_tails, _LogBatch, limit_values
 
 from conftest import (STEEP_SPECS, affine_two_class_spec,
                       constant_mixture_spec, constant_single_spec,
@@ -139,6 +139,37 @@ def test_phi_constant_in_time_for_zero_rates():
 
 def test_identity_holds_exactly_everywhere(affine_log, lattice):
     assert LogEvaluator(affine_log).identity_gap(lattice) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_class_tails_equal_a_brute_force_count(data):
+    # repeated cuts, unsorted, and cuts at or past N, which count nothing
+    n = data.draw(st.integers(1, 30))
+    k = data.draw(st.integers(1, 4))
+    slots = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    classes = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                          max_size=n)), dtype=np.int64)
+    cuts = np.array(data.draw(st.lists(st.integers(0, n + 2), max_size=12)),
+                    dtype=np.int64)
+    distinct = np.unique(cuts)
+    keys, tails = _class_tails(slots, classes, distinct, k)
+    bins = [np.count_nonzero(distinct <= r) for r in slots]
+    assert np.array_equal(keys, np.multiply(bins, k) + classes)
+    want = np.array([[np.count_nonzero((slots >= c) & (classes == j))
+                      for j in range(k)] for c in cuts], dtype=np.int64)
+    assert np.array_equal(tails[np.searchsorted(distinct, cuts) + 1],
+                          want.reshape(len(cuts), k))
+    # at time 0 of a log, the initial slots and classes
+    spec = constant_mixture_spec(rates=(1.0,) * k, weights=(1.0 / k,) * k)
+    log = EventLog(assignment=assign_population(spec, n), horizon=1.0,
+                   times=[], particles=[], pre_positions=[])
+    ev = LogEvaluator(log)
+    slots0, classes0 = log.assignment.slots, log.assignment.class_index
+    want = np.array([[np.count_nonzero((slots0 >= c) & (classes0 == j))
+                      for j in range(k)] for c in cuts], dtype=np.int64)
+    assert np.array_equal(ev._tail_counts(0.0, cuts),
+                          want.reshape(len(cuts), k))
 
 
 def test_identity_gap_sees_a_particle_counted_as_jumped(affine_log, lattice,

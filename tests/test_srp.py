@@ -879,10 +879,24 @@ def test_batch_breach_is_the_seed_loop_first(field, n, seeds, engine):
     assert str(got.value) == want
 
 
+def _flow_thinning_calls(monkeypatch):
+    """The run sizes of every ``_thin_along_flow`` call of the engines."""
+    calls = []
+    thin = srp._thin_along_flow
+
+    def counting(*args):
+        calls.append(list(args[-1]))
+        return thin(*args)
+
+    monkeypatch.setattr(srp, "_thin_along_flow", counting)
+    return calls
+
+
 @pytest.mark.parametrize("engine", ["original", "flow"])
 def test_batch_pass_breach_is_the_lowest_run_first(engine, monkeypatch):
-    # seed 2 breaches later in time than seeds 0 and 1, and the first two
-    # runs share a window when the window holds 600 candidates
+    # seed 2 breaches later in time than seeds 0 and 1; the original pass
+    # windows the runs apart at a width of 600 candidates and packs them
+    # at 2^14, and the flow pass thins all three in one call at any width
     a = assign_population(uniform_single_class(LyingSpike()), 200)
     runs = [srp._candidates(a, 1.0, seed, 0)[:3] for seed in (2, 0, 1)]
     one_pass = (srp._original_pass if engine == "original" else
@@ -891,11 +905,31 @@ def test_batch_pass_breach_is_the_lowest_run_first(engine, monkeypatch):
         one_pass(a, *runs[0])
     times, ids, marks = (np.concatenate(parts) for parts in zip(*runs))
     sizes = [len(run[0]) for run in runs]
+    assert sum(sizes) > 600
+    calls = _flow_thinning_calls(monkeypatch)
     for width in (600, 1 << 14):
         monkeypatch.setattr(srp, "_window", lambda n: width)
+        calls.clear()
         with pytest.raises(EnvelopeBreach) as got:
             one_pass(a, times, ids, marks, sizes)
         assert str(got.value) == str(want.value)
+        assert calls == ([sizes] if engine == "flow" else [])
+
+
+@pytest.mark.parametrize("engine", ["flow", "coupled"])
+def test_flow_pass_thins_a_batch_in_one_call(engine, monkeypatch):
+    # twelve runs of about 2.1k candidates exceed _window(1600) = 2^14
+    # together, and the flow pass still thins them in one call, each run
+    # with the bytes of its one-seed run
+    a = assign_population(BATCH_SPECS["affine"], 1600)
+    seeds = list(range(12))
+    sizes = [len(srp._candidates(a, 1.0, seed, 0)[0]) for seed in seeds]
+    assert sum(sizes) > srp._window(a.n)
+    calls = _flow_thinning_calls(monkeypatch)
+    got = srp._run_seeds(a, seeds, engine, flow=IDENTITY_FLOW)
+    assert calls == [sizes]
+    for seed, run in zip(seeds, got):
+        assert _run_bytes(run) == _run_bytes(_one_seed_run(a, seed, engine))
 
 
 @pytest.mark.parametrize("tagged", [True, False, 1.0, np.float64(2.0), "1"])
