@@ -18,7 +18,6 @@ from __future__ import annotations
 import logging
 import zipfile
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -26,9 +25,9 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
                      EnvelopeBreach, _number, _positive, _require_int)
 from .intensity import ClassHazard, PopulationSpec
 from .latp import (MAX_TABLE_ENTRIES, LatpIntensity, _bilinear,
-                   _cumulative_trapezoid, _grid_cells,
-                   _require_fine_step, _trapezoid_volterra, _triangle_value,
-                   _upper_diffs, thin_last_arrival)
+                   _cumulative_trapezoid, _cut, _grid_cells, _laid, _owners,
+                   _require_fine_step, _strips, _tiled, _trapezoid_volterra,
+                   _triangle_value, _upper_strips, thin_last_arrival)
 
 log = logging.getLogger(__name__)
 
@@ -142,12 +141,16 @@ class FlowGrid:
             raise ConfigError("corner rows (0,0) disagree")
         if np.any(np.diff(iv, axis=1) < -tol):
             raise ConfigError("flow not non-decreasing in t (initial rows)")
-        (dt, in_dt), (ds, in_ds) = _upper_diffs(bv)
-        if np.min(dt, where=in_dt, initial=np.inf) < -tol:
+        # the boundary differences' extremes, read strip by strip
+        dt_lo, ds_hi = np.inf, -np.inf
+        for _, _, (dt, in_dt), (ds, in_ds) in _upper_strips(bv):
+            dt_lo = np.minimum(dt_lo, np.min(dt, where=in_dt, initial=np.inf))
+            ds_hi = np.maximum(ds_hi, np.max(ds, where=in_ds, initial=-np.inf))
+        if dt_lo < -tol:
             raise ConfigError("flow not non-decreasing in t (boundary rows)")
         if np.any(np.diff(iv, axis=0) < -tol):
             raise ConfigError("flow not non-decreasing in z across initial rows")
-        if np.max(ds, where=in_ds, initial=-np.inf) > tol:
+        if ds_hi > tol:
             raise ConfigError("flow not monotone across boundary rows")
 
     # -- strict evaluation ------------------------------------------------
@@ -213,38 +216,6 @@ def _hazard_along(flow: FlowGrid, hazard, cls, y0, last, t):
     particle's last reset, the initial curve from y0 before its first jump
     (``last == 0``), the boundary curve started at ``last`` after it."""
     return hazard(cls, flow._eval_from(y0, last, t), t)
-
-
-# -- batches of runs: run s holds the next sizes[s] entries of its batch,
-# and its particle i is the owner s * N + i, so the runs share no owner
-
-
-def _edges(sizes) -> list:
-    """Where each run starts in its batch, and where the last one ends."""
-    return [0, *accumulate(sizes)]
-
-
-def _laid(parts):
-    """The runs' arrays ``parts`` laid end to end."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _cut(values, sizes) -> list:
-    """A batch array cut back into its runs."""
-    edges = _edges(sizes)
-    return [values[lo:hi] for lo, hi in zip(edges, edges[1:])]
-
-
-def _owners(ids, n, sizes):
-    """The run-local ``ids`` of a batch of runs of n particles as owners."""
-    if len(sizes) == 1:
-        return ids
-    return ids + n * np.arange(len(sizes)).repeat(sizes)
-
-
-def _tiled(values, k):
-    """Per-particle ``values`` repeated for the k runs of a batch."""
-    return values if k == 1 else np.tile(values, k)
 
 
 def _thin_along_flow(flow: FlowGrid, hazard, cls, y0, envelope, times, ids,
@@ -313,18 +284,13 @@ def _h_vector(h, spec: PopulationSpec) -> np.ndarray:
     return arr
 
 
-# bytes of one row strip of the boundary field read, so that its
-# temporaries stay in cache and none of them is a whole fresh table
-_FIELD_STRIP_BYTES = 1 << 18
-
-
 def _field_rows(field, y, t, out):
     """``field._values(y, t)`` of a table ``y`` whose rows share the times
-    ``t``, read one row strip at a time into ``out``, which it returns: an
-    elementwise read, so with the bits of one whole-table call."""
-    step = max(1, _FIELD_STRIP_BYTES // (8 * y.shape[1]))
-    for r0 in range(0, len(y), step):
-        out[r0:r0 + step] = field._values(y[r0:r0 + step], t)
+    ``t``, read one row strip (``latp._strips``) at a time into ``out``,
+    which it returns: an elementwise read, so with the bits of one
+    whole-table call."""
+    for lo, hi in _strips(*y.shape):
+        out[lo:hi] = field._values(y[lo:hi], t)
     return out
 
 
@@ -655,49 +621,74 @@ def verify_ode_form(sol: LimitSolution) -> OdeFormReport:
     phi along the gamma grid.  The residual is second order in dt: at
     n_z = 20 and a 1e-12 tolerance, each doubling of n_t from 100 to 800
     cuts it by 3.98-4.0 on the shipped mixture and affine specs.
+
+    The grid gammas run in ascending order, initial z = 1 .. 0, then
+    boundary t0 = dt .. horizon, and are read one row strip
+    (``latp._strips``) at a time: each strip's running flux sum continues
+    from the last row of the strip before, and its worst residual is the
+    first in row order, as in one whole-table pass.
     """
     flow = sol.flow
-    n_z, h = flow.n_z, flow.dt
-    # grid gammas in ascending order: initial z = 1 .. 0, then boundary
-    # t0 = dt .. horizon; row q is admissible from time node j0[q] on
-    j0 = np.concatenate([np.zeros(n_z + 1, dtype=int), np.arange(1, flow.n_t + 1)])
-    adm = np.arange(flow.n_t + 1) >= j0[:, None]
-    yvals = np.concatenate([flow.init_values[::-1], flow.bdry_values[1:]])
-    integrand = _flux_integrand(sol, yvals, adm)
-
-    # a zero step before t0 starts each row's integral at t0
+    n_z, h, n_tp = flow.n_z, flow.dt, flow.n_t + 1
+    # row q is admissible from time node j0[q] on
+    j0 = np.concatenate([np.zeros(n_z + 1, dtype=int), np.arange(1, n_tp)])
     y0 = np.concatenate([flow.z_nodes[::-1], np.zeros(flow.n_t)])
-    rhs = _cumulative_trapezoid(integrand, np.where(adm[:, :-1], h, 0.0))
-    np.add(y0[:, None], rhs, out=rhs)
-    resid = np.abs(np.subtract(yvals, rhs, out=rhs), out=rhs)
-    resid[~adm] = 0.0
-    q, j = np.unravel_index(np.argmax(resid), resid.shape)
-    worst = float(resid[q, j])
+    running = np.zeros(n_tp)
+    worst = []
+    for lo, hi in _strips(len(j0), n_tp):
+        # the rows from the one before the strip, whose cells feed it
+        top = max(lo - 1, 0)
+        adm = np.arange(n_tp) >= j0[top:hi, None]
+        yvals = _ordered_rows(flow.init_values, flow.bdry_values, top, hi)
+        integrand = _flux_integrand(sol, yvals, adm, top, running)
+        running = integrand[-1].copy()
+        integrand, adm, yvals = (x[lo - top:] for x in (integrand, adm, yvals))
+        # a zero step before t0 starts each row's integral at t0
+        rhs = _cumulative_trapezoid(integrand, np.where(adm[:, :-1], h, 0.0))
+        np.add(y0[lo:hi, None], rhs, out=rhs)
+        resid = np.abs(np.subtract(yvals, rhs, out=rhs), out=rhs)
+        resid[~adm] = 0.0
+        k = int(np.argmax(resid))
+        worst.append((resid.flat[k], lo + k // n_tp, k % n_tp))
+    value, q, j = worst[int(np.argmax([w[0] for w in worst]))]
     arg = ("", 0.0)
-    if worst > 0:
+    if value > 0:
         gamma = (initial(flow.z_nodes[n_z - q]) if q <= n_z
                  else boundary((q - n_z) * h))
         arg = (str(gamma), float(flow.t_nodes[j]))
-    return OdeFormReport(max_residual=worst, argmax_gamma=arg[0],
+    return OdeFormReport(max_residual=float(value), argmax_gamma=arg[0],
                          argmax_t=arg[1], n_z=n_z, n_t=flow.n_t)
 
 
-def _flux_integrand(sol: LimitSolution, yvals, adm):
+def _ordered_rows(init, bdry, lo, hi):
+    """Rows lo .. hi - 1 of a flow's or phi's tables stacked in ascending
+    gamma order: the initial rows reversed, then the boundary rows but the
+    corner."""
+    n = len(init)
+    return np.concatenate([init[::-1][lo:hi],
+                           bdry[1 + max(lo - n, 0):1 + max(hi - n, 0)]])
+
+
+def _flux_integrand(sol: LimitSolution, yvals, adm, top, running):
     """I[q, j] = flux through [y_C(gamma_q, t_j), 1] on the ordered grid
-    rows ``yvals``, admissible where ``adm``: a running sum over the cells
-    between rows q' <= q.  Each column's inadmissible rows come last, so
-    the fields are read on the cells below admissible rows only, and the
-    sum over the admissible rows never reaches the rest."""
-    init_phi, bdry_phi = sol.evaluator.init_phi, sol.evaluator.bdry_phi
+    rows ``yvals`` from row ``top`` on, admissible where ``adm``: a running
+    sum over the cells between rows q' <= q, which starts from
+    ``running``, the sum at row ``top`` (0 at row 0).  Each column's
+    inadmissible rows come last, so the fields are read on the cells below
+    admissible rows only, and the sum over the admissible rows never
+    reaches the rest."""
+    ev = sol.evaluator
     cells = adm[1:]
     mids = np.clip(0.5 * (yvals[1:][cells] + yvals[:-1][cells]), 0.0, 1.0)
     tt = np.broadcast_to(sol.flow.t_nodes, cells.shape)[cells]
     flux = np.zeros(len(mids))
     for k, cls in enumerate(sol.spec.classes):
-        phi_rows = np.concatenate([init_phi[k, ::-1], bdry_phi[k, 1:]])
+        phi_rows = _ordered_rows(ev.init_phi[k], ev.bdry_phi[k], top,
+                                 top + len(yvals))
         dm = np.clip(phi_rows[1:][cells] - phi_rows[:-1][cells], 0.0, None)
         flux += cls.field._values(mids, tt) * dm
     integrand = np.zeros(yvals.shape)
+    integrand[0] = running
     integrand[1:][cells] = flux
     return np.cumsum(integrand, axis=0, out=integrand)
 

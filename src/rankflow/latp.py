@@ -15,7 +15,10 @@ no-arrival probability p(s, t) = P(N(t) = N(s)) are provided:
 
 ``thin_last_arrival`` thins many independent such processes that share one
 merged candidate stream: the flow-driven particles, the tagged limit paths
-and the batched replicas of ``sample_replicas`` are sampled with it.
+and the batched replicas of ``sample_replicas`` are sampled with it.  Such
+batches of runs are laid out by the helpers here (``_owners`` and its
+neighbours), which ``flow``, ``srp`` and ``measure`` share.  Every pass
+over a grid table runs in row strips (``_strips``) or in place.
 """
 
 from __future__ import annotations
@@ -38,6 +41,52 @@ REPLICA_CHUNK = 65_536
 
 # the most float64 entries of one grid table (128 MiB), checked up front
 MAX_TABLE_ENTRIES = 4096 ** 2
+
+# bytes of one row strip of a pass over a grid table, so that the pass's
+# temporaries stay in cache and none of them is a whole fresh table: a
+# fresh table costs more in page faults than the arithmetic written in it
+_STRIP_BYTES = 1 << 18
+
+
+def _strips(n_rows: int, row_len: int) -> list:
+    """The row ranges (lo, hi) of an n_rows x row_len float64 table, in
+    order, each at most ``_STRIP_BYTES`` and at least one row."""
+    step = max(1, _STRIP_BYTES // (8 * max(row_len, 1)))
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+# -- batches of runs: run s holds the next sizes[s] entries of its batch,
+# and its particle i is the owner s * N + i, so the runs share no owner
+
+
+def _edges(sizes) -> np.ndarray:
+    """Where each run starts in its batch, and where the last one ends."""
+    edges = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, dtype=np.int64, out=edges[1:])
+    return edges
+
+
+def _laid(parts):
+    """The runs' arrays ``parts`` laid end to end."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _cut(values, sizes) -> list:
+    """A batch array cut back into its runs."""
+    edges = _edges(sizes)
+    return [values[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+def _owners(ids, n, sizes):
+    """The run-local ``ids`` of a batch of runs of n particles as owners."""
+    if len(sizes) == 1:
+        return ids
+    return ids + n * np.arange(len(sizes)).repeat(sizes)
+
+
+def _tiled(values, k):
+    """Per-particle ``values`` repeated for the k runs of a batch."""
+    return values if k == 1 else np.tile(values, k)
 
 
 class LatpIntensity:
@@ -252,9 +301,10 @@ def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
     envelope = np.broadcast_to(np.asarray(envelope, dtype=float), (n_owners,))
     breach_at = _breach_bound(envelope)
     accepted = np.zeros(len(times), dtype=bool)
-    # round of each candidate: its position among its owner's candidates
+    # round of each candidate: its position among its owner's candidates,
+    # each owner's candidates being a run of the owner-sorted stream
     counts = np.bincount(owners, minlength=n_owners)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
+    first = np.repeat(_edges(counts)[:-1], counts)
     rounds = np.empty(len(times), dtype=np.int64)
     rounds[_stable_argsort(owners, n_owners)] = np.arange(len(times)) - first
     by_round = _stable_argsort(rounds, int(counts.max(initial=0)))
@@ -293,7 +343,8 @@ def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
     are the owners of one ``thin_last_arrival`` call per chunk of
     ``REPLICA_CHUNK``, in replica order, so the earliest breach in stream
     order is the one the replica loop would hit first; it is raised with
-    the scalar sampler's message, prefixed by the replica.
+    the scalar sampler's message, prefixed by the replica.  A chunk is a
+    batch of runs of one particle, one run per replica.
     """
     _require_int("replicas", replicas, 0)
     # checked up front: zero replicas draw nothing
@@ -301,12 +352,12 @@ def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
     horizon = omega.horizon
     envelope = ENVELOPE_MARGIN * omega.sup_norm
     fn = omega._fn
-    parts, counts = [np.empty(0)], [np.zeros(1, dtype=np.int64)]
+    parts, counts = [np.empty(0)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, replicas, REPLICA_CHUNK):
         n = min(REPLICA_CHUNK, replicas - lo)
         times, marks, per = streams.replica_candidates(
             seed, streams.LATP, n, envelope, horizon, start=lo)
-        owners = np.repeat(np.arange(n), per)
+        owners = _owners(np.zeros(len(times), dtype=np.int64), 1, per)
         try:
             accepted = thin_last_arrival(times, owners, marks, n,
                                          lambda o, last, t: fn(last, t),
@@ -326,7 +377,7 @@ def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
             raise ConfigError(_NOT_INCREASING)
         parts.append(times)
         counts.append(np.bincount(owners, minlength=n))
-    return np.concatenate(parts), np.cumsum(np.concatenate(counts))
+    return np.concatenate(parts), _edges(np.concatenate(counts))
 
 
 @dataclass(frozen=True)
@@ -350,10 +401,15 @@ class SurvivalTable:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         p = self.p
-        upper = _upper_mask(len(self.grid))
-        # a NaN on or above the diagonal makes both extremes NaN
-        hi = np.max(p, where=upper, initial=-np.inf)
-        lo = np.min(p, where=upper, initial=np.inf)
+        # the extremes of the upper triangle and of its differences, read
+        # strip by strip; a NaN on or above the diagonal makes hi NaN
+        hi = dt_hi = -np.inf
+        lo = ds_lo = np.inf
+        for rows, upper, (dt, in_dt), (ds, in_ds) in _upper_strips(p):
+            hi = np.maximum(hi, np.max(p[rows], where=upper, initial=-np.inf))
+            lo = np.minimum(lo, np.min(p[rows], where=upper, initial=np.inf))
+            dt_hi = np.maximum(dt_hi, np.max(dt, where=in_dt, initial=-np.inf))
+            ds_lo = np.minimum(ds_lo, np.min(ds, where=in_ds, initial=np.inf))
         if np.isnan(hi):
             raise ConfigError("survival table has NaN on or above the diagonal")
         if lo < -1e-12 or hi > 1 + 1e-12:
@@ -361,10 +417,9 @@ class SurvivalTable:
         if np.any(np.diag(p) != 1.0):
             raise ConfigError("survival table diagonal must be exactly 1")
         slack = 1e-9
-        (dt, in_dt), (ds, in_ds) = _upper_diffs(p, upper)
-        if np.max(dt, where=in_dt, initial=-np.inf) > slack:
+        if dt_hi > slack:
             raise ConfigError("survival table increases in t")
-        if np.min(ds, where=in_ds, initial=np.inf) < -slack:
+        if ds_lo < -slack:
             raise ConfigError("survival table decreases in the start time")
 
     @property
@@ -454,12 +509,13 @@ def _hazard_rows(omega: LatpIntensity, starts: np.ndarray, times=None):
     after an arrival at each start s_v (row 0 the s->0+ limit: ``starts``
     begins at node 0) and each time t_j (the starts by default), and
     ``w0[j]`` = omega(0, t_j) before the first arrival.  One broadcast
-    kernel call writes ``w``, which keeps its full shape when the kernel
-    ignores an argument."""
+    kernel call per row strip (``_strips``) writes ``w``, which keeps its
+    full shape when the kernel ignores an argument: the kernel is
+    elementwise, so a strip has the bits of one whole-table call."""
     times = starts if times is None else times
     w = np.empty((len(starts), len(times)))
-    w[...] = omega._fn(np.minimum(starts[:, None], times[None, :]),
-                       times[None, :])
+    for lo, hi in _strips(len(starts), len(times)):
+        w[lo:hi] = omega._fn(np.minimum(starts[lo:hi, None], times), times)
     w0 = np.asarray(omega._fn(np.zeros(len(times)), times), dtype=float)
     w[0] = omega.kernel_s0(times)
     return w, w0
@@ -545,7 +601,8 @@ def survival_solve(omega: LatpIntensity, grid: np.ndarray) -> SurvivalTable:
 
     w, w0 = _hazard_rows(omega, grid)
     e0 = np.exp(-_cumulative_trapezoid(w0, h))
-    f, p = _trapezoid_volterra(w, w0 * e0, e0, h)
+    # the hazard rows are read once, so the kernel is written over them
+    f, p = _trapezoid_volterra(w, w0 * e0, e0, h, work=(None, w))
     p[np.tri(m + 1, k=-1, dtype=bool)] = np.nan
     return SurvivalTable(grid=grid, p=p, f=f, sup_norm=omega.sup_norm,
                          label=omega.label)
@@ -592,7 +649,15 @@ def survival_series(omega: LatpIntensity, s: float, t,
 
 def _series_from(omega: LatpIntensity, s, kmax: int, step: float):
     """The series from start time s: builds its [0, s] block and returns
-    the function of an end time t >= s that continues it to t."""
+    the function of an end time t >= s that continues it to t.
+
+    The block lives in two tables: the hazard rows, overwritten row strip
+    by row strip with the kernel K(v, u_j) = w e^{-Omega(v, u_j)}, and the
+    trapezoid weights, overwritten with the step matrix once their last
+    row, the weights of every tail, is kept.  Each strip's exposures are
+    a strip temporary; every pass is elementwise or along a row, so the
+    bits are those of whole-table passes.
+    """
     n1 = max(1, int(np.ceil(s / step))) if s > 0 else 0
     inner = np.linspace(0.0, s, n1 + 1)
     # the series reads the hazard rows of the nodes of [0, s] only, and the
@@ -603,14 +668,22 @@ def _series_from(omega: LatpIntensity, s, kmax: int, step: float):
     w, w0 = _hazard_rows(omega, starts, inner)
     dg = np.diff(inner)
     # exposures from node 0, and to s, which each t continues from
-    cum = _cumulative_trapezoid(w, dg)
     cum0 = _cumulative_trapezoid(w0, dg)
-    at_s, at_s0, diag = cum[:, -1].copy(), cum0[-1], cum.diagonal().copy()
+    at_s0 = cum0[-1]
     gs = []
     if nx:
+        at_s, diag = np.empty(nx), np.empty(nx)
+        for lo, hi in _strips(nx, nx):
+            cum = _cumulative_trapezoid(w[lo:hi], dg)
+            at_s[lo:hi] = cum[:, -1]
+            diag[lo:hi] = cum.diagonal(lo)
+            np.subtract(cum, diag[lo:hi, None], out=cum)
+            kern = np.exp(np.negative(cum, out=cum), out=cum)
+            np.multiply(w[lo:hi], kern, out=w[lo:hi])
         tw = _trapezoid_weights(nx, s / n1)
-        kern = w * np.exp(-(cum - diag[:, None]))
-        step_mat = tw * kern.T  # A[j, v] = weight * K(v, u_j)
+        # the weights of int_0^s g(u) e^{-Omega(u, t)} du
+        tail_weights = tw[-1].copy()
+        step_mat = np.multiply(tw, w.T, out=tw)  # A[j, v] = weight * K(v, u_j)
         g = w0 * np.exp(-cum0)  # first-arrival density g_1
         gs.append(g)
         for _ in range(2, kmax + 1):
@@ -625,9 +698,11 @@ def _series_from(omega: LatpIntensity, s, kmax: int, step: float):
         # k = 0: no arrival up to t
         total = float(np.exp(-_cumulative_trapezoid(w0t, dgt, start=at_s0)[-1]))
         if nx:
-            # weights of int_0^s g(u) e^{-Omega(u, t)} du: the last row of tw
-            expo = _cumulative_trapezoid(wt, dgt, start=at_s)[:, -1] - diag
-            tail = tw[-1] * np.exp(-expo)
+            expo = np.empty(nx)
+            for lo, hi in _strips(nx, len(nodes)):
+                expo[lo:hi] = _cumulative_trapezoid(
+                    wt[lo:hi], dgt, start=at_s[lo:hi])[:, -1]
+            tail = tail_weights * np.exp(-(expo - diag))
             for g in gs:
                 total += float(np.dot(tail, g))
         # a NaN in any hazard the series reads reaches the sum
@@ -641,8 +716,12 @@ def _series_from(omega: LatpIntensity, s, kmax: int, step: float):
 
 def _trapezoid_weights(nx: int, h: float) -> np.ndarray:
     """Row j holds the trapezoid weights of int_0^{u_j} dv on nodes u_v = v h:
-    h / 2 at v = 0 and v = j, h in between, 0 for v > j (row 0 is zero)."""
-    tw = np.tril(np.full((nx, nx), h))
+    h / 2 at v = 0 and v = j, h in between, 0 for v > j (row 0 is zero).
+    Written one row strip at a time into its one table."""
+    tw = np.empty((nx, nx))
+    cols = np.arange(nx)
+    for lo, hi in _strips(nx, nx):
+        tw[lo:hi] = np.where(cols <= np.arange(lo, hi)[:, None], h, 0.0)
     half = 0.5 * h
     tw[1:, 0] = half
     np.fill_diagonal(tw, half)
@@ -679,46 +758,53 @@ def derivative_bound_check(table: SurvivalTable,
     dt / h is its largest dt over h, and its largest -dt / h - c is
     -(its least dt / h) - c, bit for bit: the rows are read by one max and
     one min of dt, and the columns by one min of ds / h and one max of
-    ds / h - sup * p.
+    ds / h - sup * p.  The differences are read strip by strip
+    (``_upper_strips``); a column's extremes over its strips are those of
+    the whole column, a NaN kept by ``np.minimum`` and ``np.maximum``.
     """
     p = table.p
     h = table.step
     sup = omega.sup_norm
-    (dt, in_dt), (ds, in_ds) = _upper_diffs(p)
-    dt_hi = np.max(dt, axis=1, where=in_dt, initial=-np.inf)
-    dt_lo = np.min(dt, axis=1, where=in_dt, initial=np.inf)
-    # ds is a fresh array of differences, so it is rescaled in place
-    np.divide(ds, h, out=ds)
-    ds_lo = np.min(ds, axis=0, where=in_ds, initial=np.inf)
-    ds -= sup * p[:-1]
+    m = len(p)
+    dt_hi, dt_lo = np.empty(m), np.empty(m)
+    ds_lo, ds_hi = np.full(m, np.inf), np.full(m, -np.inf)
+    for rows, _, (dt, in_dt), (ds, in_ds) in _upper_strips(p):
+        np.max(dt, axis=1, where=in_dt, initial=-np.inf, out=dt_hi[rows])
+        np.min(dt, axis=1, where=in_dt, initial=np.inf, out=dt_lo[rows])
+        # ds is a fresh strip of differences, so it is rescaled in place
+        np.divide(ds, h, out=ds)
+        np.minimum(ds_lo, np.min(ds, axis=0, where=in_ds, initial=np.inf),
+                   out=ds_lo)
+        ds -= sup * p[rows.start:rows.start + len(ds)]
+        np.maximum(ds_hi, np.max(ds, axis=0, where=in_ds, initial=-np.inf),
+                   out=ds_hi)
     return DerivativeReport(dt_sign=_top(dt_hi / h),
                             dt_excess=_top(-(dt_lo / h) - sup),
                             ds_sign=_top(-ds_lo),
-                            ds_excess=_line_max(ds, in_ds, 0),
+                            ds_excess=_top(ds_hi),
                             step=h)
 
 
-def _upper_mask(m: int) -> np.ndarray:
-    """The mask of an m x m table's upper triangle, diagonal included."""
-    return np.less_equal.outer(np.arange(m), np.arange(m))
+def _upper_strips(p):
+    """The upper triangle of the square table p and its differences along
+    t and along s, one row strip (``_strips``) at a time.
 
-
-def _upper_diffs(p, upper=None):
-    """Differences of p along t and along s, each with its upper-triangle mask.
-
-    ``dt[i, j] = p[i, j+1] - p[i, j]`` counts for j >= i, and
-    ``ds[i, j] = p[i+1, j] - p[i, j]`` for j > i.  The masks are views of
-    ``upper``, p's ``_upper_mask`` (built if not given).
+    Yields ``(rows, upper, (dt, in_dt), (ds, in_ds))`` per strip: the
+    strip's row slice, its upper-triangle mask (diagonal included),
+    ``dt[r, j] = p[i, j+1] - p[i, j]``, which counts for j >= i, and
+    ``ds[r, j] = p[i+1, j] - p[i, j]``, which counts for j > i, for its
+    rows i = rows.start + r; ds reads one row past the strip and has no
+    row for the last row of p.  ``in_dt`` and ``in_ds`` are views of one
+    mask of the strip's rows and the row after it.
     """
-    if upper is None:
-        upper = _upper_mask(len(p))
-    return ((np.diff(p, axis=1), upper[:, :-1]),
-            (np.diff(p, axis=0), upper[1:, :]))
-
-
-def _line_max(d, inside, axis):
-    """max(0, the largest maximum of a line of d over ``inside``)."""
-    return _top(np.max(d, axis=axis, where=inside, initial=-np.inf))
+    m = len(p)
+    cols = np.arange(m)
+    for lo, hi in _strips(m, m):
+        below = min(hi + 1, m)
+        mask = np.less_equal.outer(np.arange(lo, below), cols)
+        yield (slice(lo, hi), mask[:hi - lo],
+               (np.diff(p[lo:hi], axis=1), mask[:hi - lo, :-1]),
+               (np.diff(p[lo:below], axis=0), mask[1:]))
 
 
 def _top(lines):

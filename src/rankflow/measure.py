@@ -32,10 +32,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, _finite, _number
-from .flow import (BoundaryPoint, _admissible, _edges, _h_vector, _laid,
-                   _owners, _tiled, boundary, initial)
+from .flow import BoundaryPoint, _admissible, _h_vector, boundary, initial
 from .intensity import PopulationSpec
-from .latp import _stable_argsort
+from .latp import _edges, _laid, _owners, _stable_argsort, _tiled
 from .srp import EventLog, RankIndex, _by_particle, _mtf_ranks, _reset_ranks
 
 
@@ -238,8 +237,8 @@ class _LogBatch:
     """The logs of one batch of runs of an assignment, as ``srp._run_seeds``
     returns them, read together.
 
-    The logs are laid out as ``flow`` lays out a batch of runs, run s's
-    particle i as the owner s * N + i (``flow._owners``).  One sort of the
+    The logs are laid out as ``latp`` lays out a batch of runs, run s's
+    particle i as the owner s * N + i (``latp._owners``).  One sort of the
     owners links every event to its particle's previous event (-1 for
     none) and next event (the batch's event count for none), and
     ``lattice_counts`` and ``positions_of`` read every run in one pass

@@ -17,7 +17,7 @@ at the window's start, which the reset-point identity (``_reset_ranks``)
 gives from the window before.  The engines run seeds as one batch
 (``_run_seeds``), and a lone seed is a batch of one: the runs' streams are
 laid end to end, each run's particles as owners of their own, in the
-batch layout of ``flow`` (``flow._owners``).  A window holds the parts
+batch layout of ``latp`` (``latp._owners``).  A window holds the parts
 that fall in it of consecutive runs, which each round ranks in one count,
 each run from its own first changed candidate and on trace keys of its
 own, so the count walks the bit levels of one run.  Runs that fit
@@ -41,9 +41,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, EnvelopeBreach, _require_int
 from .intensity import PopulationAssignment
-from .flow import (FlowGrid, _cut, _edges, _laid, _owners, _thin_along_flow,
-                   _tiled)
-from .latp import _breach_bound, _stable_argsort
+from .flow import FlowGrid, _thin_along_flow
+from .latp import (_breach_bound, _cut, _edges, _laid, _owners,
+                   _stable_argsort, _tiled)
 from . import streams
 
 log = logging.getLogger(__name__)
@@ -364,7 +364,7 @@ def _by_particle(ids, n, sizes=None):
     particle's run starts at, and ``(size, first)``, the batch's systems.
 
     The ids are the owners of len(sizes) runs of ``size`` = n / len(sizes)
-    particles each, in ``flow``'s batch layout (``flow._owners``), and the
+    particles each, in ``latp``'s batch layout (``latp._owners``), and the
     runs are the systems; without ``sizes``, all of them are one system.
     Sorting by particle keeps each system's candidates at the same
     positions, so ``first``, for each position the position of its

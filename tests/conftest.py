@@ -4,11 +4,30 @@ The spec builders are plain functions too, for tests that need a variant;
 ``configs/`` holds the same example populations as files.
 """
 
+import contextlib
+from unittest import mock
+
 import pytest
 
 from rankflow import (AffineField, ConstantField, EvaluationLattice,
-                      Histogram, PopulationClass, PopulationSpec, solve_y_c,
-                      spec_from_config)
+                      Histogram, PopulationClass, PopulationSpec, latp,
+                      solve_y_c, spec_from_config)
+
+# rows per strip of the grid passes under test: one, three, and the
+# default size of ``latp._strips``
+STRIP_ROWS = (1, 3, None)
+
+
+@contextlib.contextmanager
+def strips_of(rows, row_len):
+    """Make ``latp._strips`` cut a table of ``row_len`` columns into strips
+    of ``rows`` rows (tables of other widths get other sizes); None keeps
+    the default.  A context manager, so hypothesis tests can use it."""
+    if rows is None:
+        yield
+        return
+    with mock.patch.object(latp, "_STRIP_BYTES", 8 * rows * row_len):
+        yield
 
 
 def uniform_single_class(field):

@@ -6,8 +6,7 @@ from rankflow import ConfigError, EnvelopeBreach, RankIndex
 from rankflow.flow import OdeFormReport, _thin_along_flow, boundary, initial
 from rankflow.intensity import ClassHazard
 from rankflow.latp import (DerivativeReport, _bilinear, _cumulative_trapezoid,
-                           _grid_cells, _line_max, _trapezoid_weights,
-                           _upper_diffs)
+                           _grid_cells, _top, _trapezoid_weights)
 from rankflow.measure import _slot_threshold
 from rankflow.srp import _mtf_ranks
 
@@ -69,6 +68,40 @@ def sequential_original_pass(assignment, times, ids, marks):
     return accepted, np.asarray(pre)
 
 
+def upper_diffs(p):
+    """Differences of p along t and along s as whole tables, each with its
+    upper-triangle mask: ``dt[i, j] = p[i, j+1] - p[i, j]`` counts for
+    j >= i, and ``ds[i, j] = p[i+1, j] - p[i, j]`` for j > i."""
+    upper = np.less_equal.outer(np.arange(len(p)), np.arange(len(p)))
+    return ((np.diff(p, axis=1), upper[:, :-1]),
+            (np.diff(p, axis=0), upper[1:, :]))
+
+
+def line_max(d, inside, axis):
+    """max(0, the largest maximum of a line of d over ``inside``)."""
+    return _top(np.max(d, axis=axis, where=inside, initial=-np.inf))
+
+
+def whole_survival_table_check(p):
+    """``SurvivalTable``'s checks of p as whole-table passes: the masked
+    extremes of p and of its two full difference tables."""
+    upper = np.less_equal.outer(np.arange(len(p)), np.arange(len(p)))
+    hi = np.max(p, where=upper, initial=-np.inf)
+    lo = np.min(p, where=upper, initial=np.inf)
+    if np.isnan(hi):
+        raise ConfigError("survival table has NaN on or above the diagonal")
+    if lo < -1e-12 or hi > 1 + 1e-12:
+        raise ConfigError("survival table escapes [0,1]")
+    if np.any(np.diag(p) != 1.0):
+        raise ConfigError("survival table diagonal must be exactly 1")
+    slack = 1e-9
+    (dt, in_dt), (ds, in_ds) = upper_diffs(p)
+    if np.max(dt, where=in_dt, initial=-np.inf) > slack:
+        raise ConfigError("survival table increases in t")
+    if np.min(ds, where=in_ds, initial=np.inf) < -slack:
+        raise ConfigError("survival table decreases in the start time")
+
+
 def loop_survival_table_check(p):
     """``SurvivalTable``'s NaN and monotonicity checks, one row and column
     at a time."""
@@ -112,16 +145,16 @@ def loop_derivative_bound_check(table, omega):
 
 def allocating_derivative_bound_check(table, omega):
     """``latp.derivative_bound_check`` with a fresh full table for every
-    excess, each read by ``_line_max``."""
+    excess, each read by ``line_max``."""
     p = table.p
     h = table.step
     sup = omega.sup_norm
-    (dt, in_dt), (ds, in_ds) = _upper_diffs(p)
+    (dt, in_dt), (ds, in_ds) = upper_diffs(p)
     dt, ds = dt / h, ds / h
-    return DerivativeReport(dt_sign=_line_max(dt, in_dt, 1),
-                            dt_excess=_line_max(-dt - sup, in_dt, 1),
-                            ds_sign=_line_max(-ds, in_ds, 0),
-                            ds_excess=_line_max(ds - sup * p[:-1], in_ds, 0),
+    return DerivativeReport(dt_sign=line_max(dt, in_dt, 1),
+                            dt_excess=line_max(-dt - sup, in_dt, 1),
+                            ds_sign=line_max(-ds, in_ds, 0),
+                            ds_excess=line_max(ds - sup * p[:-1], in_ds, 0),
                             step=h)
 
 
@@ -171,6 +204,60 @@ def meshgrid_hazard_rows(omega, grid, n_rows=None):
     w0 = np.asarray(omega._fn(np.zeros(len(grid)), grid), dtype=float)
     w[0] = omega.kernel_s0(grid)
     return w, w0
+
+
+def broadcast_hazard_rows(omega, starts, times=None):
+    """``latp._hazard_rows`` as one broadcast kernel call over the whole
+    table."""
+    times = starts if times is None else times
+    w = np.empty((len(starts), len(times)))
+    w[...] = omega._fn(np.minimum(starts[:, None], times[None, :]),
+                       times[None, :])
+    w0 = np.asarray(omega._fn(np.zeros(len(times)), times), dtype=float)
+    w[0] = omega.kernel_s0(times)
+    return w, w0
+
+
+def whole_table_series_from(omega, s, kmax, step):
+    """``latp._series_from`` with a fresh whole table for every pass of its
+    [0, s] block and of each end time's continuation."""
+    n1 = max(1, int(np.ceil(s / step))) if s > 0 else 0
+    inner = np.linspace(0.0, s, n1 + 1)
+    nx = n1 + 1 if kmax and n1 else 0
+    starts = inner[:max(nx, 1)]
+    w, w0 = broadcast_hazard_rows(omega, starts, inner)
+    dg = np.diff(inner)
+    cum = _cumulative_trapezoid(w, dg)
+    cum0 = _cumulative_trapezoid(w0, dg)
+    at_s, at_s0, diag = cum[:, -1].copy(), cum0[-1], cum.diagonal().copy()
+    gs = []
+    if nx:
+        tw = loop_trapezoid_weights(nx, s / n1)
+        kern = w * np.exp(-(cum - diag[:, None]))
+        step_mat = tw * kern.T  # A[j, v] = weight * K(v, u_j)
+        g = w0 * np.exp(-cum0)  # first-arrival density g_1
+        gs.append(g)
+        for _ in range(2, kmax + 1):
+            g = step_mat @ g
+            gs.append(g)
+
+    def value(t):
+        n2 = max(1, int(np.ceil((t - s) / step))) if t > s + 1e-12 else 0
+        nodes = np.linspace(s, t, n2 + 1)
+        wt, w0t = broadcast_hazard_rows(omega, starts, nodes)
+        dgt = np.diff(nodes)
+        total = float(np.exp(-_cumulative_trapezoid(w0t, dgt, start=at_s0)[-1]))
+        if nx:
+            expo = _cumulative_trapezoid(wt, dgt, start=at_s)[:, -1] - diag
+            tail = tw[-1] * np.exp(-expo)
+            for g in gs:
+                total += float(np.dot(tail, g))
+        if not np.isfinite(total):
+            raise ConfigError(f"{omega.label}: survival series at ({s}, {t}) "
+                              f"is {total}, not finite")
+        return total
+
+    return value
 
 
 def full_survival_series(omega, s, t, kmax=25, step=2.5e-3):
@@ -231,11 +318,11 @@ def check_regularity(omega, n=200):
     tri = vals[np.triu_indices(n + 1)]
     if np.any(tri < -1e-12):
         raise ConfigError(f"{omega.label}: negative hazard on the domain")
-    (dt, in_dt), (ds, in_ds) = _upper_diffs(vals)
+    (dt, in_dt), (ds, in_ds) = upper_diffs(vals)
     # the s-modulus skips the s = 0 row
     return (float(tri.max(initial=0.0) - omega.sup_norm),
-            _line_max(np.abs(ds[1:]), in_ds[1:], 0),
-            _line_max(np.abs(dt), in_dt, 1))
+            line_max(np.abs(ds[1:]), in_ds[1:], 0),
+            line_max(np.abs(dt), in_dt, 1))
 
 
 def loop_regularity_moduli(vals):

@@ -1,3 +1,4 @@
+import functools
 import io
 import logging
 import math
@@ -21,8 +22,9 @@ from rankflow.intensity import (AffineField, ConstantField, ProductField,
                                 TableField, load_spec)
 from rankflow import flow as flow_module, streams
 
-from conftest import (affine_two_class_spec, constant_mixture_spec,
-                      constant_single_spec, uniform_single_class)
+from conftest import (STRIP_ROWS, affine_two_class_spec,
+                      constant_mixture_spec, constant_single_spec, strips_of,
+                      uniform_single_class, zero_rate_spec)
 from oracles import (loop_boundary, loop_initial, loop_project,
                      one_limit_path_jumps, one_path_values,
                      loop_verify_ode_form)
@@ -607,9 +609,11 @@ def boundary_field_reads(draw):
 @given(boundary_field_reads())
 def test_strip_field_read_matches_whole_table_read(case):
     field, bdry, t_nodes = case
-    got = _field_rows(field, bdry, t_nodes, np.full(bdry.shape, np.nan))
     want = np.broadcast_to(field._values(bdry, t_nodes), bdry.shape)
-    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    for rows in STRIP_ROWS:
+        with strips_of(rows, len(t_nodes)):
+            got = _field_rows(field, bdry, t_nodes, np.full(bdry.shape, np.nan))
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_solution_cache_round_trip(tmp_path, sol_const1, spec_const1, spec_affine):
@@ -684,6 +688,48 @@ def test_ode_form_residual_is_second_order(config):
 def test_ode_form_matches_loop(config, n_z, n_t):
     sol = solve_y_c(load_spec(ROOT / config), n_z=n_z, n_t=n_t)
     assert verify_ode_form(sol) == loop_verify_ode_form(sol)
+
+
+@functools.cache
+def solved_at(config, n_z, n_t):
+    return solve_y_c(load_spec(ROOT / config), n_z=n_z, n_t=n_t)
+
+
+@pytest.mark.parametrize("rows", STRIP_ROWS)
+@pytest.mark.parametrize("config, n_z, n_t", [
+    ("configs/affine_two_class.json", 20, 400),
+    ("bench/table_two_class.json", 20, 400),
+    ("configs/constant_mixture.json", 10, 50),
+])
+def test_strip_ode_form_matches_loop(config, n_z, n_t, rows):
+    # the running flux sum carried from strip to strip, and the worst
+    # residual the first of its strips in row order
+    sol = solved_at(config, n_z, n_t)
+    with strips_of(rows, n_t + 1):
+        assert verify_ode_form(sol) == loop_verify_ode_form(sol)
+
+
+@pytest.mark.parametrize("rows", STRIP_ROWS)
+def test_strip_ode_form_worst_is_the_first_of_ties(rows):
+    # with no flux the residual is |y - y0|: 0.25 exactly on every
+    # initial row from z = 0.75 down after t = 0, so the worst is the
+    # first of them in gamma order, z = 0.75 at the first time step
+    spec = zero_rate_spec()
+    n_z, n_t = 8, 16
+    z = np.arange(n_z + 1) / n_z
+    init = np.repeat(z[:, None], n_t + 1, axis=1)
+    init[:, 1:] = np.minimum(1.0, z + 0.25)[:, None]
+    bdry = np.zeros((n_t + 1, n_t + 1))
+    bdry[0] = init[0]
+    grid = FlowGrid(1.0, init, bdry)
+    sol = LimitSolution(spec=spec, flow=grid,
+                        evaluator=PhiEvaluator(grid, spec), residual=0.0,
+                        residual_history=[0.0], iterations=1)
+    with strips_of(rows, n_t + 1):
+        report = verify_ode_form(sol)
+    assert (report.max_residual, report.argmax_gamma, report.argmax_t) == \
+        (0.25, "(i:0.75)", 1 / 16)
+    assert report == loop_verify_ode_form(sol)
 
 
 def test_evaluator_tables_match_direct_volterra(sol_affine, spec_affine):

@@ -12,17 +12,20 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import (allocating_cumulative_trapezoid,
                      allocating_derivative_bound_check,
-                     allocating_trapezoid_volterra, check_regularity,
-                     full_survival_series, loop_derivative_bound_check,
-                     loop_regularity_moduli, loop_survival_table_check,
-                     loop_trapezoid_weights, meshgrid_hazard_rows)
-from conftest import affine_two_class_spec
+                     allocating_trapezoid_volterra, broadcast_hazard_rows,
+                     check_regularity, full_survival_series,
+                     loop_derivative_bound_check, loop_regularity_moduli,
+                     loop_survival_table_check, loop_trapezoid_weights,
+                     meshgrid_hazard_rows, whole_survival_table_check,
+                     whole_table_series_from)
+from conftest import STRIP_ROWS, affine_two_class_spec, strips_of
 
 from rankflow import (ArrivalSequence, ConfigError, DomainError,
                       EnvelopeBreach, LatpIntensity, derivative_bound_check,
                       latp, sample_arrivals, solve_y_c, spec_from_config,
                       streams, survival_series, survival_solve,
                       thin_last_arrival, tilde_w)
+from rankflow import flow, harness
 from rankflow.harness import shipped_omegas
 from rankflow.latp import (ENVELOPE_MARGIN, constant_intensity,
                            SurvivalTable, _hazard_rows, _trapezoid_volterra,
@@ -1243,14 +1246,191 @@ def test_hazard_rows_match_meshgrid_tables(label):
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 9])
-def test_table_checks_diff_masks_are_views_of_the_upper_mask(m):
+def test_table_checks_diff_masks_are_views_of_the_upper_mask(m, monkeypatch):
+    # strips of 2 rows: each strip's masks are views of one mask of its
+    # rows and the row after, and the strips laid end to end are the whole
+    # tables
+    monkeypatch.setattr(latp, "_STRIP_BYTES", 16 * m)
     p = np.arange(m * m, dtype=float).reshape(m, m)
-    upper = latp._upper_mask(m)
-    assert upper.tobytes() == np.triu(np.ones((m, m), dtype=bool)).tobytes()
-    (dt, in_dt), (ds, in_ds) = latp._upper_diffs(p, upper)
+    parts = list(latp._upper_strips(p))
+    assert len(parts) == (m + 1) // 2
     k = max(m - 1, 0)
-    assert in_dt.base is upper and in_ds.base is upper
-    assert in_dt.tolist() == np.triu(np.ones((m, k), dtype=bool)).tolist()
-    assert in_ds.tolist() == np.triu(np.ones((k, m), dtype=bool), k=1).tolist()
-    assert dt.tobytes() == np.diff(p, axis=1).tobytes()
-    assert ds.tobytes() == np.diff(p, axis=0).tobytes()
+    whole = {"rows": [], "upper": [], "dt": [], "in_dt": [], "ds": [],
+             "in_ds": []}
+    for rows, upper, (dt, in_dt), (ds, in_ds) in parts:
+        assert in_dt.base is upper.base is in_ds.base
+        assert rows.stop - rows.start <= 2
+        for key, x in zip(whole, (np.arange(m)[rows], upper, dt, in_dt, ds,
+                                  in_ds)):
+            whole[key].append(x)
+    if not parts:
+        return
+    cat = {key: np.concatenate(x) for key, x in whole.items()}
+    assert cat["rows"].tolist() == list(range(m))
+    assert cat["upper"].tolist() == np.triu(np.ones((m, m), dtype=bool)).tolist()
+    assert cat["in_dt"].tolist() == np.triu(np.ones((m, k), dtype=bool)).tolist()
+    assert cat["in_ds"].tolist() == np.triu(np.ones((k, m), dtype=bool), k=1).tolist()
+    assert cat["dt"].tobytes() == np.diff(p, axis=1).tobytes()
+    assert cat["ds"].tobytes() == np.diff(p, axis=0).tobytes()
+
+
+# -- the grid passes in row strips keep the bits of whole-table passes
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the message of the ConfigError it raises."""
+    try:
+        return fn(*args)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@st.composite
+def strip_kernels(draw):
+    """Hazard kernels a + b s e^{-c t}, NaN for t past a drawn time in
+    some of them, and the s->0+ row of a flow pullback in others."""
+    a, b, c = (draw(st.floats(0.0, 2.0)) for _ in range(3))
+    nan_after = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+
+    def fn(s, t):
+        v = a + b * s * np.exp(-c * t)
+        return v if nan_after is None else np.where(t > nan_after, np.nan, v)
+
+    s0 = (lambda t: a + b * (1.0 - np.exp(-t))) if draw(st.booleans()) else None
+    return LatpIntensity(fn, 1.0, sup_norm=a + b, s0_limit=s0,
+                         label=f"strip[{a},{b},{c},{nan_after}]")
+
+
+@pytest.mark.parametrize("rows", STRIP_ROWS)
+@settings(max_examples=60, deadline=None)
+@given(om=strip_kernels(), m=st.integers(1, 60),
+       kmax=st.sampled_from([0, 1, 4, 25]), data=st.data())
+def test_strip_hazard_rows_and_series_match_whole_tables(rows, om, m, kmax,
+                                                         data):
+    grid = np.linspace(0.0, 1.0, m + 1)
+    n_rows = data.draw(st.integers(1, m + 1), label="n_rows")
+    i = data.draw(st.integers(0, m), label="start node")
+    s = data.draw(st.one_of(st.just(float(grid[i])), st.floats(0.0, 1.0)),
+                  label="s")
+    ts = data.draw(st.lists(st.floats(s, 1.0), min_size=1, max_size=3),
+                   label="ts")
+    with strips_of(rows, m + 1):
+        got = _hazard_rows(om, grid[:n_rows], grid)
+        for a, b in zip(got, broadcast_hazard_rows(om, grid[:n_rows], grid)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for t in ts:
+            want = _outcome(whole_table_series_from(om, s, kmax, 1 / m), t)
+            one = _outcome(survival_series, om, s, t, kmax, 1 / m)
+            assert np.float64(one).tobytes() == np.float64(want).tobytes() \
+                if isinstance(want, float) else one == want
+
+
+def _strip_table(data, m):
+    """A table that passes or fails each of ``SurvivalTable``'s checks:
+    p[i, j] = q[i+1] ... q[j] on and above the diagonal, then up to three
+    entries each made NaN, moved outside [0, 1], moved off 1 on the
+    diagonal or moved by a drawn amount; below the diagonal NaN or any
+    number."""
+    q = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m,
+                                    max_size=m)))
+    below = data.draw(st.sampled_from([np.nan, 0.25, -7.0]))
+    p = np.full((m, m), below)
+    for i in range(m):
+        p[i, i:] = np.cumprod(np.r_[1.0, q[i + 1:]])
+    for change in data.draw(st.lists(st.sampled_from(
+            ["nan", "escape", "diagonal", "move"]), max_size=3)):
+        i, j = sorted(data.draw(st.tuples(st.integers(0, m - 1),
+                                          st.integers(0, m - 1))))
+        if change == "nan":
+            p[i, j] = np.nan
+        elif change == "escape":
+            p[i, j] = data.draw(st.sampled_from([-1e-6, 1.0 + 1e-6]))
+        elif change == "diagonal":
+            p[j, j] = 1.0 - 1e-3
+        elif i < j:
+            p[i, j] = min(1.0, max(0.0, p[i, j] + data.draw(
+                st.floats(-1e-2, 1e-2))))
+    return p
+
+
+@pytest.mark.parametrize("rows", STRIP_ROWS)
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 60), data=st.data())
+def test_strip_table_checks_match_whole_tables(rows, m, data):
+    p = _strip_table(data, m)
+    grid = np.linspace(0.0, 1.0, m)
+    table = SimpleNamespace(p=p, grid=grid, step=1.0 / max(m - 1, 1))
+    omega = SimpleNamespace(sup_norm=data.draw(st.floats(0.0, 5.0)))
+    with strips_of(rows, m):
+        got = _outcome(SurvivalTable, grid, p, np.zeros(m), 1.0)
+        assert (got if isinstance(got, str) else None) == \
+            _outcome(whole_survival_table_check, p)
+        assert _report_bytes(derivative_bound_check(table, omega)) == \
+            _report_bytes(allocating_derivative_bound_check(table, omega))
+
+
+@pytest.mark.parametrize("rows", STRIP_ROWS)
+@pytest.mark.parametrize("label", sorted(shipped_omegas(1.0)))
+def test_strip_passes_keep_the_bytes_of_the_shipped_kernels(label, rows):
+    om = shipped_omegas(1.0)[label]
+    grid = np.linspace(0.0, 1.0, 401)
+    h = 1 / 400
+    w, w0 = meshgrid_hazard_rows(om, grid)
+    e0 = np.exp(-latp._cumulative_trapezoid(w0, h))
+    f, p = allocating_trapezoid_volterra(w, w0 * e0, e0, h)
+    p[np.tri(401, k=-1, dtype=bool)] = np.nan
+    idx = np.linspace(0, 400, 5, dtype=int)
+    with strips_of(rows, 401):
+        for a, b in zip(_hazard_rows(om, grid), (w, w0)):
+            assert a.tobytes() == b.tobytes()
+        table = survival_solve(om, grid)
+        assert table.f.tobytes() == f.tobytes()
+        assert table.p.tobytes() == p.tobytes()
+        assert _report_bytes(derivative_bound_check(table, om)) == \
+            _report_bytes(allocating_derivative_bound_check(table, om))
+        # a column holding a NaN is skipped whole, though its other strips
+        # hold the largest excesses
+        holed = p.copy()
+        holed[300, 350] = np.nan
+        holed[10, 350] += 0.5
+        holed = SimpleNamespace(p=holed, grid=grid, step=h)
+        assert _report_bytes(derivative_bound_check(holed, om)) == \
+            _report_bytes(allocating_derivative_bound_check(holed, om))
+        # a table the checks refuse, with the message of the whole tables
+        broken = p.copy()
+        broken[200, 300] = 0.5 * broken[200, 299]
+        want = _outcome(whole_survival_table_check, broken)
+        assert want is not None
+        assert _outcome(SurvivalTable, grid, broken, f, 1.0) == want
+        for i in idx:
+            ends = grid[idx[idx >= i]]
+            want = [whole_table_series_from(om, grid[i], 25, h)(t) for t in ends]
+            got = survival_series(om, grid[i], ends, kmax=25, step=h)
+            assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_strip_policy_no_call_reads_more_than_one_strip(monkeypatch):
+    # every kernel call of latp_validation and every field read of
+    # verify_ode_form at 20x400 sees at most one strip's entries; the
+    # whole-table passes made calls of 401 x 401 entries
+    entries = latp._STRIP_BYTES // 8
+    sizes = {"kernel": [], "field": []}
+    omegas = {}
+    for label, om in shipped_omegas(1.0).items():
+        def kernel(s, t, fn=om._fn):
+            sizes["kernel"].append(np.broadcast(np.asarray(s),
+                                                np.asarray(t)).size)
+            return fn(s, t)
+        om._fn = kernel
+        omegas[label] = om
+    harness.latp_validation(omegas, step=1 / 400, replicas=200)
+    sol = solve_y_c(affine_two_class_spec(), n_z=20, n_t=400)
+    for cls in {type(c.field) for c in sol.spec.classes}:
+        def values(self, y, t, read=cls._values):
+            sizes["field"].append(np.broadcast(np.asarray(y),
+                                               np.asarray(t)).size)
+            return read(self, y, t)
+        monkeypatch.setattr(cls, "_values", values)
+    flow.verify_ode_form(sol)
+    for calls in sizes.values():
+        assert 401 * 3 < max(calls) <= entries
