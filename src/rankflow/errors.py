@@ -41,9 +41,11 @@ class EnvelopeBreach(RuntimeError):
     This is an invariant breach (the declared sup-norm was wrong), never a
     recoverable condition.
 
-    Attributes, set when ``latp.thin_last_arrival`` raises it and None
-    otherwise: ``owner`` (the breaching process), ``last`` (its last
-    arrival time), ``time`` and ``hazard`` (where and what the hazard was).
+    Attributes, set by every engine and sampler that raises it: ``owner``
+    (the breaching particle of a run, or the replica of a sampler),
+    ``last`` (its last arrival time, or None in the original engine, whose
+    hazard reads a rank and not a last arrival), ``time`` and ``hazard``
+    (where and what the hazard was).
     """
 
     def __init__(self, message, owner=None, last=None, time=None,

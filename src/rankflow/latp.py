@@ -273,7 +273,8 @@ def sample_arrivals(omega: LatpIntensity, seed: int,
         if not a <= breach:
             raise EnvelopeBreach(
                 f"{omega.label}: hazard {a} above envelope {envelope} at "
-                f"(s={tau_star}, t={u})")
+                f"(s={tau_star}, t={u})", owner=replica, last=tau_star,
+                time=u, hazard=a)
         if xi < a:
             accepted.append(u)
             tau_star = u

@@ -613,9 +613,10 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
         breach = np.flatnonzero(hazard > _breach_bound(w_sups))
         if len(breach):
             c = breach[0]
+            i, a, t = int(w_ids[c]), float(hazard[c]), float(w_times[c])
             raise EnvelopeBreach(
-                f"particle {int(w_ids[c])}: hazard {float(hazard[c])} above "
-                f"envelope {float(w_sups[c])} at t={float(w_times[c])}")
+                f"particle {i}: hazard {a} above envelope "
+                f"{float(w_sups[c])} at t={t}", owner=i, time=t, hazard=a)
         return grouped
 
     sizes = [m] if sizes is None else list(sizes)

@@ -10,9 +10,14 @@ models consume identical candidate marks.
 No stream function below builds a ``SeedSequence``, a ``Philox`` and a
 ``Generator`` per stream; ``substream`` still builds them and is the
 reference that each reproduces byte for byte.  All of them derive a
-stream's Philox key with ``_key_words``, the mixing that
-``numpy.random.SeedSequence`` documents, on Python ints or on uint32
-arrays.  They then draw in one of two ways:
+stream's Philox key with ``_key_words``: the loop of 20 hashes and 12
+mixes that ``numpy.random.SeedSequence`` runs on its pool of four words,
+one body for a Python int index or a uint32 array of them, with no memo.
+A scalar key costs about 10 us, a block of 1024 about 140 us and 10 000
+keys about 500 us (2-vCPU x86-64 host, numpy 2.4).  Scalar keys are few:
+a benchmark round derives 400 in the experiments workload, 5 in the
+particles workload and none in the limit workload, whose 30 720 keys come
+as 30 blocks.  The streams then draw in one of two ways:
 
 * re-keying one module-level generator at counter 0 with an empty
   buffer, the state of a fresh ``substream``.  ``stream_candidates`` draws
@@ -73,96 +78,37 @@ def _hash_constants(const: int, mult: int, calls: int):
     return out
 
 
-# the pool's 16 hashes: the four entropy words (seed, kind, index, 0), then
-# one per (source, destination) pair of the pool mix, in loop order; and the
-# four hashes of the pool words out
 _HASH_MIX = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _HASH_OUT = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
-
-
-def _hashmix(value, call: int):
-    """SeedSequence's mixing hash number ``call`` of ``value``."""
-    xor, mult = _HASH_MIX[call]
-    value = (value ^ xor) * mult & _MASK
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of pool word x with the hashed word y."""
-    value = (_MIX_L * x - _MIX_R * y) & _MASK
-    return value ^ value >> 16
-
-
-@lru_cache(maxsize=64)
-def _pool_head(seed: int, kind: int):
-    """The part of SeedSequence's pool mix that depends only on (seed, kind).
-
-    The pool holds the hashes of seed, kind, index and 0.  Its first six
-    mixes, sources 0 and 1, reach the index word only through two hashed
-    values, so pool words 0, 1 and 3 after them, and those two values,
-    depend on (seed, kind) alone.  Returned premultiplied as the key mix
-    uses them: ``_MIX_L`` times each pool word and ``_MIX_R`` times each
-    hashed value, masked to 32 bits.
-    """
-    p0, p1, p3 = _hashmix(seed, 0), _hashmix(kind, 1), _hashmix(0, 3)
-    p1 = _mix(p1, _hashmix(p0, 4))
-    h5 = _hashmix(p0, 5)  # mixed into the index word
-    p3 = _mix(p3, _hashmix(p0, 6))
-    p0 = _mix(p0, _hashmix(p1, 7))
-    h8 = _hashmix(p1, 8)  # mixed into the index word
-    p3 = _mix(p3, _hashmix(p1, 9))
-    return (_MIX_L * p0 & _MASK, _MIX_L * p1 & _MASK, _MIX_L * p3 & _MASK,
-            _MIX_R * h5 & _MASK, _MIX_R * h8 & _MASK)
-
-
-_X2, _M2 = _HASH_MIX[2]
-(_X10, _M10), (_X11, _M11), (_X12, _M12), \
-    (_X13, _M13), (_X14, _M14), (_X15, _M15) = _HASH_MIX[10:]
-(_Y0, _N0), (_Y1, _N1), (_Y2, _N2), (_Y3, _N3) = _HASH_OUT
+# the pool's 20 hashes in order, each as (source, destination, xor,
+# multiplier): the entropy words (seed, kind, index, 0) hashed in place;
+# for each (source, destination) pair of the pool mix, in loop order, a
+# hash of the source mixed into the destination; the pool hashed out
+_IN_PLACE = [(w, w) for w in range(4)]
+_STEPS = [(src, dst, *const) for (src, dst), const in zip(
+    _IN_PLACE + [(s, d) for s in range(4) for d in range(4) if s != d]
+    + _IN_PLACE, _HASH_MIX + _HASH_OUT)]
 
 
 def _key_words(seed: int, kind: int, index):
     """The four uint32 words of ``SeedSequence((seed, kind, index))
     .generate_state(4)``, for an int ``index`` or a uint32 array of them.
 
-    The (seed, kind) part of the pool mix comes from ``_pool_head``; the
-    rest is SeedSequence's mixing of the index word into the pool and the
-    hashes out, written out in full: a call per hash costs about half as
-    much again per key.
+    SeedSequence's ``mix_entropy`` and ``generate_state`` as one loop over
+    ``_STEPS``: each step hashes a pool word and, between two words, mixes
+    the hash into the other.
     """
-    l0, l1, l3, r5, r8 = _pool_head(seed, kind)
-    v = (index ^ _X2) * _M2 & _MASK
-    p2 = v ^ v >> 16
-    v = (_MIX_L * p2 - r5) & _MASK
-    p2 = v ^ v >> 16
-    v = (_MIX_L * p2 - r8) & _MASK
-    p2 = v ^ v >> 16
-    # source 2 into pool words 0, 1 and 3
-    v = (p2 ^ _X10) * _M10 & _MASK
-    v = (l0 - _MIX_R * (v ^ v >> 16)) & _MASK
-    p0 = v ^ v >> 16
-    v = (p2 ^ _X11) * _M11 & _MASK
-    v = (l1 - _MIX_R * (v ^ v >> 16)) & _MASK
-    p1 = v ^ v >> 16
-    v = (p2 ^ _X12) * _M12 & _MASK
-    v = (l3 - _MIX_R * (v ^ v >> 16)) & _MASK
-    p3 = v ^ v >> 16
-    # source 3 into pool words 0, 1 and 2
-    v = (p3 ^ _X13) * _M13 & _MASK
-    v = (_MIX_L * p0 - _MIX_R * (v ^ v >> 16)) & _MASK
-    p0 = v ^ v >> 16
-    v = (p3 ^ _X14) * _M14 & _MASK
-    v = (_MIX_L * p1 - _MIX_R * (v ^ v >> 16)) & _MASK
-    p1 = v ^ v >> 16
-    v = (p3 ^ _X15) * _M15 & _MASK
-    v = (_MIX_L * p2 - _MIX_R * (v ^ v >> 16)) & _MASK
-    p2 = v ^ v >> 16
-    # hashed out
-    w0 = (p0 ^ _Y0) * _N0 & _MASK
-    w1 = (p1 ^ _Y1) * _N1 & _MASK
-    w2 = (p2 ^ _Y2) * _N2 & _MASK
-    w3 = (p3 ^ _Y3) * _N3 & _MASK
-    return w0 ^ w0 >> 16, w1 ^ w1 >> 16, w2 ^ w2 >> 16, w3 ^ w3 >> 16
+    pool = [seed, kind, index, 0]
+    for src, dst, xor, mult in _STEPS:
+        v = (pool[src] ^ xor) * mult & _MASK
+        v ^= v >> 16
+        if src != dst:
+            # each product masked apart: no int of 2**32 or more meets an array
+            v = (_MIX_L * pool[dst] & _MASK) - (_MIX_R * v & _MASK) & _MASK
+            v ^= v >> 16
+        pool[dst] = v
+    return tuple(pool)
+
 
 # One Philox re-keyed per stream by ``_rekeyed``.  No caller ever holds it
 # past its own draws, so no stream sees another's state; it is not shared
@@ -251,7 +197,7 @@ KEY_BLOCK = 1024
 def _key_block(seed: int, kind: int, block: int) -> np.ndarray:
     """``philox_keys`` of indices ``block * KEY_BLOCK`` up to the next
     block's first, or to the last index.  A block costs about as much as
-    a few dozen ``_key`` calls and holds 16 KB; four of them serve a walk
+    fifteen ``_key`` calls and holds 16 KB; four of them serve a walk
     of consecutive replicas, in either direction, without holding many
     keys past it.  The words must be checked first: the cache takes True
     for 1 and 1.0 for 1.

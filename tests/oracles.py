@@ -1,5 +1,7 @@
 """Reference implementations and scans that the tests check the package with."""
 
+import itertools
+
 import numpy as np
 
 from rankflow import ConfigError, EnvelopeBreach, RankIndex
@@ -66,6 +68,51 @@ def sequential_original_pass(assignment, times, ids, marks):
             pre.append(y)
             index.move_to_front(i)
     return accepted, np.asarray(pre)
+
+
+def forward_law(assignment, horizon, offset=0.0):
+    """The exact law at ``horizon`` of the original engine's rank vector,
+    from the assignment's slots: an RK4 solve, in 500 steps, of the
+    forward equation dP/dt = P Q(t) over the N! rank vectors.  Moving the
+    particle of class k at rank r to the front has rate w_k(r/N, t), read
+    through the class field's ``_values`` in whole arrays; ``offset``
+    reads it at (r + offset)/N instead.  Returns ``(states, p)``: row s of ``states`` holds
+    the rank of each particle, and p[s] its probability."""
+    n = assignment.n
+    states = np.array(list(itertools.permutations(range(n))))
+    index = {s: q for q, s in enumerate(map(tuple, states.tolist()))}
+    # moved[s, i]: the state after particle i of state s moves to the front
+    moved = np.empty(states.shape, dtype=np.int64)
+    for q, ranks in enumerate(states):
+        for i, r in enumerate(ranks):
+            after = np.where(ranks < r, ranks + 1, ranks)
+            after[i] = 0
+            moved[q, i] = index[tuple(after.tolist())]
+    y = (states + offset) / n
+    cls = assignment.class_index
+    fields = [c.field for c in assignment.spec.classes]
+
+    def drift(p, t):
+        rates = np.empty(y.shape)
+        for k, fld in enumerate(fields):
+            rates[:, cls == k] = fld._values(y[:, cls == k], t)
+        flux = p[:, None] * rates
+        return (np.bincount(moved.ravel(), flux.ravel(), minlength=len(p))
+                - flux.sum(axis=1))
+
+    p = np.zeros(len(states))
+    p[index[tuple(assignment.slots.tolist())]] = 1.0
+    steps = 500
+    h = horizon / steps
+    for j in range(steps):
+        t = j * h
+        k1 = drift(p, t)
+        k2 = drift(p + h / 2 * k1, t + h / 2)
+        k3 = drift(p + h / 2 * k2, t + h / 2)
+        k4 = drift(p + h * k3, t + h)
+        p = p + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert abs(p.sum() - 1.0) <= 1e-12, "the forward solve lost mass"
+    return states, p
 
 
 def upper_diffs(p):

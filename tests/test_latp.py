@@ -215,10 +215,7 @@ KEY_WORD = st.one_of(st.sampled_from([0, KEY_WORD_MAX]),
 @given(seed=KEY_WORD, kind=KEY_WORD,
        indices=st.lists(KEY_WORD, min_size=1, max_size=4))
 def test_key_words_match_seed_sequence(seed, kind, indices):
-    # one routine on Python ints and on uint32 arrays, the (seed, kind)
-    # half read from its memo or computed afresh
-    if indices[0] % 2:
-        streams._pool_head.cache_clear()
+    # one routine on Python ints and on uint32 arrays
     batch = streams._key_words(seed, kind, np.array(indices, dtype=np.uint32))
     assert all(w.dtype == np.uint32 for w in batch)
     for q, index in enumerate(indices):
@@ -592,6 +589,11 @@ def test_sample_arrivals_breach_text(monkeypatch):
     envelope = ENVELOPE_MARGIN * 1.5
     assert str(exc.value) == (f"lying: hazard 1.8 above envelope {envelope} "
                               "at (s=0.2, t=0.5)")
+    # the breach record names the replica and its last arrival
+    with pytest.raises(EnvelopeBreach) as exc:
+        sample_arrivals(lying, 0, replica=7)
+    e = exc.value
+    assert (e.owner, e.last, e.time, e.hazard) == (7, 0.2, 0.5, 1.8)
 
 
 def test_arrival_sequence_must_increase():

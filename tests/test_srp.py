@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from conftest import (STEEP_SPECS, affine_two_class_spec,
                       constant_mixture_spec, constant_single_spec,
                       uniform_single_class, zero_rate_spec)
-from oracles import NaiveRankIndex, sequential_original_pass
+from oracles import NaiveRankIndex, forward_law, sequential_original_pass
 from rankflow import (ConfigError, DomainError, EnvelopeBreach, EventLog,
                       FlowGrid,
                       RankIndex, assign_population, simulate,
                       simulate_coupled, simulate_flow_driven, spec_from_config,
                       srp, streams, tagged_limit_path)
 from rankflow.intensity import ConstantField, TableField, load_spec
+from rankflow.measure import _LogBatch
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -235,20 +236,78 @@ def _tagged_engine(a, flow, seed):
 
 # every candidate breaches, so each engine reports its first candidate
 FIRST_OF_STREAM = "particle 26: hazard 2.0 above envelope 0.5 at t=0.03609107425258373"
+# its breach record (owner, last, time, hazard); the original engine's
+# hazard reads a rank, so it names no last arrival, and the coupled engine
+# breaches in its original pass first
+FIRST_RECORD = 26, 0.0, 0.03609107425258373, 2.0
+RANK_RECORD = 26, None, 0.03609107425258373, 2.0
 
 
-@pytest.mark.parametrize("engine, message", [
-    (lambda a, fl, seed: simulate(a, seed=seed), FIRST_OF_STREAM),
-    (simulate_flow_driven, FIRST_OF_STREAM),
-    (simulate_coupled, FIRST_OF_STREAM),
+@pytest.mark.parametrize("engine, message, record", [
+    (lambda a, fl, seed: simulate(a, seed=seed), FIRST_OF_STREAM, RANK_RECORD),
+    (simulate_flow_driven, FIRST_OF_STREAM, FIRST_RECORD),
+    (simulate_coupled, FIRST_OF_STREAM, RANK_RECORD),
     (_tagged_engine,
-     "particle 0: hazard 2.0 above envelope 0.5 at t=0.02603265450550385"),
+     "particle 0: hazard 2.0 above envelope 0.5 at t=0.02603265450550385",
+     (0, 0.0, 0.02603265450550385, 2.0)),
 ], ids=["original", "flow_driven", "coupled", "tagged_limit_path"])
-def test_envelope_breach_is_hard_fault(engine, message):
+def test_envelope_breach_is_hard_fault(engine, message, record):
     a = assign_population(uniform_single_class(Lying()), 50)
     with pytest.raises(EnvelopeBreach) as exc:
         engine(a, FlowGrid.identity(1.0, 10, 50), seed=0)
     assert str(exc.value) == message
+    e = exc.value
+    assert (e.owner, e.last, e.time, e.hazard) == record
+
+
+def _merged_z(counts, expected):
+    """z = (chi2 - dof) / sqrt(2 dof) of ``counts`` against ``expected``,
+    the cells of least expected count merged until each expects 5."""
+    order = np.argsort(expected, kind="stable")
+    cells, e_run, o_run = [], 0.0, 0
+    for e, o in zip(expected[order], counts[order]):
+        e_run, o_run = e_run + e, o_run + o
+        if e_run >= 5:
+            cells.append((e_run, o_run))
+            e_run, o_run = 0.0, 0
+    e, o = np.array(cells).T
+    e[-1], o[-1] = e[-1] + e_run, o[-1] + o_run
+    dof = len(cells) - 1
+    return (((o - e) ** 2 / e).sum() - dof) / math.sqrt(2 * dof)
+
+
+# the specs of the exact-law test, and how many slots off the law must be
+# read for the power check to refuse it: the table spec's rates change by
+# at most 0.4 across the ranks, so at half a slot off its z is 5 to 8
+LAW_SPECS = {
+    "affine": (affine_two_class_spec, 0.5),
+    "steep": (lambda: spec_from_config(STEEP_SPECS["affine_0_5_5_0"]), 0.5),
+    "table": (None, 1.0),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", sorted(LAW_SPECS))
+def test_original_engine_matches_its_forward_law(name, n, request):
+    # the final rank vectors of 20 000 seeded runs against the exact law
+    # of the model at N = 3 and 4, where every rate reads position and
+    # one reads time; the seeds are fixed, so the test is deterministic
+    build, off_slots = LAW_SPECS[name]
+    spec = build() if build else request.getfixturevalue("spec_table")
+    a = assign_population(spec, n)
+    runs = 20_000
+    logs = srp._run_seeds(a, range(runs), "original")
+    final = _LogBatch(logs).positions_of(np.arange(n), [spec.horizon])[:, 0]
+    digits = n ** np.arange(n)
+    drawn = np.bincount(np.rint(final * n).astype(np.int64) @ digits,
+                        minlength=n ** n)
+    states, law = forward_law(a, spec.horizon)
+    counts = drawn[states @ digits]
+    assert counts.sum() == runs
+    assert abs(_merged_z(counts, runs * law)) <= 4
+    # power: the same counts refuse a law that reads the rates off
+    _, off = forward_law(a, spec.horizon, offset=off_slots)
+    assert _merged_z(counts, runs * off) > 10
 
 
 def test_flow_driven_position_independent_matches_original_bitwise():
