@@ -24,6 +24,7 @@ over a grid table runs in row strips (``_strips``) or in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,9 +36,10 @@ from . import streams
 # against interpolation wobble in tabulated kernels
 ENVELOPE_MARGIN = 1.05
 
-# replicas per thinning pass of sample_replicas; bounds its memory at any
-# replica count
+# replicas per thinning pass of sample_replicas, which bounds its memory at
+# any replica count, and per small-mean block of ``_replica_block``
 REPLICA_CHUNK = 65_536
+REPLICA_BLOCK = 1024
 
 # the most float64 entries of one grid table (128 MiB), checked up front
 MAX_TABLE_ENTRIES = 4096 ** 2
@@ -251,6 +253,22 @@ def _stable_argsort(keys, bound: int) -> np.ndarray:
     return np.argsort(unique)
 
 
+@lru_cache(maxsize=4)
+def _replica_block(seed, block, size, envelope, horizon):
+    """``streams.replica_candidates`` of LATP replicas ``lo = block * size``
+    on, to the next block or the last index, as read-only ``(times, marks,
+    edges)``: replica lo + q's are ``times[edges[q]:edges[q + 1]]``.  Check
+    the key words first: the cache takes True and 1.0 for 1."""
+    lo = block * size
+    times, marks, counts = streams.replica_candidates(
+        seed, streams.LATP, min(size, streams.KEY_WORDS - lo), envelope,
+        horizon, start=lo)
+    edges = _edges(counts)
+    for a in (times, marks, edges):
+        a.flags.writeable = False  # shared by every call of the cache
+    return times, marks, edges
+
+
 def sample_arrivals(omega: LatpIntensity, seed: int,
                     replica: int = 0) -> ArrivalSequence:
     """Exact thinning sample of replica ``replica``'s path under ``seed``.
@@ -258,11 +276,19 @@ def sample_arrivals(omega: LatpIntensity, seed: int,
     Candidates arrive at the envelope rate ENVELOPE_MARGIN * sup_norm with
     marks uniform on [0, envelope); a candidate at u is accepted iff its
     mark falls below omega(tau*, u) for the current last arrival tau*.  An
-    acceptance evaluation above the envelope is a hard fault.
+    acceptance evaluation above the envelope is a hard fault.  The draws
+    are those of ``sample_replicas``, read from a cached ``_replica_block``.
     """
     envelope = ENVELOPE_MARGIN * omega.sup_norm
-    times, marks = streams.candidate_lists(seed, streams.LATP, replica,
-                                           envelope, omega.horizon)
+    seed = streams.check_key("seed", seed)
+    # a large mean draws stream by stream anyway: one replica, one block
+    size = (REPLICA_BLOCK if envelope * omega.horizon < streams.POISSON_MULT_MAX
+            else 1)
+    block, row = divmod(streams.check_key("index", replica), size)
+    times, marks, edges = _replica_block(seed, block, size, envelope,
+                                         omega.horizon)
+    lo, hi = edges[row:row + 2].tolist()
+    times, marks = times[lo:hi].tolist(), marks[lo:hi].tolist()
     accepted = []
     tau_star = 0.0
     breach = _breach_bound(envelope)

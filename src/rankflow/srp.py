@@ -610,7 +610,8 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
             latest = np.maximum.accumulate(np.where(changed, at, -1))
             at = at[1:][latest[:-1] >= starts[at[1:]]]
         w_sups = sups[w_ids]
-        breach = np.flatnonzero(hazard > _breach_bound(w_sups))
+        # NaN fails the comparison, and so breaches
+        breach = np.flatnonzero(~(hazard <= _breach_bound(w_sups)))
         if len(breach):
             c = breach[0]
             i, a, t = int(w_ids[c]), float(hazard[c]), float(w_times[c])

@@ -16,28 +16,26 @@ one body for a Python int index or a uint32 array of them, with no memo.
 A scalar key costs about 10 us, a block of 1024 about 140 us and 10 000
 keys about 500 us (2-vCPU x86-64 host, numpy 2.4).  Scalar keys are few:
 a benchmark round derives 400 in the experiments workload, 5 in the
-particles workload and none in the limit workload, whose 30 720 keys come
-as 30 blocks.  The streams then draw in one of two ways:
+particles workload and none in the limit workload; the limit workload's
+30 720 come as 30 blocks and the experiments workload's 30 000 as 3.  The
+streams then draw in one of two ways:
 
 * re-keying one module-level generator at counter 0 with an empty
-  buffer, the state of a fresh ``substream``.  ``stream_candidates`` draws
-  one substream so, and ``candidate_lists`` draws the same candidates as
-  lists of Python floats for the scalar sampler, which walks replicas in
-  index runs: it reads its key as a row of a block of 1024 consecutive
-  keys, derived at once and held in a small cache;
+  buffer, the state of a fresh ``substream``, as ``stream_candidates`` does;
 * computing Philox4x64-10 counter blocks of many streams at once on uint64
-  arrays (``_philox_block``).  ``replica_candidates`` draws many
-  consecutive substreams so when their mean count is below
-  ``POISSON_MULT_MAX``, where numpy's Poisson count is the number of
-  running products of the stream's leading uniforms above exp(-mean); from
-  it on, it re-keys the generator per stream.  Its bytes therefore depend
-  on numpy's Philox and on its Poisson algorithm for small means.
+  arrays (``_philox_block``), as ``replica_candidates`` does for many
+  consecutive substreams of a mean count below ``POISSON_MULT_MAX``, where
+  numpy's Poisson count is the number of running products of the stream's
+  leading uniforms above exp(-mean); from it on, it re-keys the generator
+  per stream.  Its bytes therefore depend on numpy's Philox and on its
+  Poisson algorithm for small means.  Every LATP replica is drawn there:
+  by ``latp.sample_replicas``, and a cached block at a time by
+  ``latp.sample_arrivals``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -177,35 +175,10 @@ def candidate_batch(rng: np.random.Generator, rate: float, horizon: float):
     return times, marks
 
 
-def _checked_key(seed, kind, index):
-    """The three words of a stream key, each checked by ``check_key``."""
-    return (check_key("seed", seed), check_key("kind", kind),
-            check_key("index", index))
-
-
 def _key(seed: int, kind: int, index: int):
     """Philox key of ``substream(seed, kind, index)``, two Python ints."""
     w0, w1, w2, w3 = _key_words(seed, kind, index)
     return [w0 | w1 << 32, w2 | w3 << 32]
-
-
-# keys per block of ``_key_block``
-KEY_BLOCK = 1024
-
-
-@lru_cache(maxsize=4)
-def _key_block(seed: int, kind: int, block: int) -> np.ndarray:
-    """``philox_keys`` of indices ``block * KEY_BLOCK`` up to the next
-    block's first, or to the last index.  A block costs about as much as
-    fifteen ``_key`` calls and holds 16 KB; four of them serve a walk
-    of consecutive replicas, in either direction, without holding many
-    keys past it.  The words must be checked first: the cache takes True
-    for 1 and 1.0 for 1.
-    """
-    lo = block * KEY_BLOCK
-    keys = philox_keys(seed, kind, np.arange(lo, min(lo + KEY_BLOCK, KEY_WORDS)))
-    keys.flags.writeable = False  # shared by every caller of the cache
-    return keys
 
 
 def stream_candidates(seed: int, kind: int, index: int, rate: float,
@@ -213,11 +186,12 @@ def stream_candidates(seed: int, kind: int, index: int, rate: float,
     """``candidate_batch(substream(seed, kind, index), rate, horizon)``.
 
     Byte-equal to it, but re-keys the shared generator with the key from
-    ``_key_words`` instead of building one.  With ``picks`` it also returns the next n uniforms of the stream,
-    which choose each candidate's particle in a merged stream.  A zero rate
-    or horizon draws nothing and derives no key.
+    ``_key_words``.  With ``picks`` it also returns the next n uniforms,
+    which choose each candidate's particle in a merged stream.  A zero
+    rate or horizon draws nothing and derives no key.
     """
-    key = _checked_key(seed, kind, index)
+    key = (check_key("seed", seed), check_key("kind", kind),
+           check_key("index", index))
     if rate <= 0.0 or horizon <= 0.0:
         return tuple(np.empty(0) for _ in range(3 if picks else 2))
     rng = _rekeyed(_key(*key))
@@ -225,27 +199,6 @@ def stream_candidates(seed: int, kind: int, index: int, rate: float,
     if picks:
         return times, marks, rng.random(len(times))
     return times, marks
-
-
-def candidate_lists(seed: int, kind: int, index: int, rate: float,
-                    horizon: float):
-    """``stream_candidates(seed, kind, index, rate, horizon)`` as two lists
-    of Python floats, for a scalar loop over a short stream.
-
-    One draw of 2n uniforms gives the doubles of ``candidate_batch``'s two
-    draws of n, and sorting and IEEE products are exact, so the values are
-    the same bits; no numpy array is built around them.  The key is a row
-    of ``_key_block``.
-    """
-    seed, kind, index = _checked_key(seed, kind, index)
-    if rate <= 0.0 or horizon <= 0.0:
-        return [], []
-    block, row = divmod(index, KEY_BLOCK)
-    rng = _rekeyed(_key_block(seed, kind, block)[row])
-    n = int(rng.poisson(_mean_count(rate, horizon)))
-    draws = rng.random(2 * n).tolist()
-    times = sorted(draws[:n])
-    return [u * horizon for u in times], [u * rate for u in draws[n:]]
 
 
 def tagged_candidates(seed: int, index: int, rate: float, horizon: float):

@@ -60,7 +60,8 @@ def sequential_original_pass(assignment, times, ids, marks):
                                        marks.tolist())):
         y = index.rank(i) * inv_n
         a = float(values[cls[i]](y, t))
-        if a > sups[i] * (1 + 1e-9) + 1e-12:
+        # written so that a NaN hazard is a breach
+        if not a <= sups[i] * (1 + 1e-9) + 1e-12:
             raise EnvelopeBreach(
                 f"particle {i}: hazard {a} above envelope {sups[i]} at t={t}")
         if xi < a:

@@ -14,9 +14,13 @@ them live).  Tolerances are pinned here, not calibrated elsewhere:
   8 engine oracles (CTMC occupancy, order-statistic index, reproducibility)
 """
 
+import copy
+import functools
 import io
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +30,13 @@ from oracles import NaiveRankIndex
 from rankflow import (FlowGrid, LogEvaluator, RankIndex,
                       TestFunction, assign_population, initial, simulate,
                       simulate_coupled, simulate_flow_driven, solve_y_c,
-                      spec_from_config)
+                      spec_from_config, srp)
 from rankflow.harness import (ExperimentPlan, convergence_sweep,
                               coupling_sweep, flow_driven_sweep,
                               latp_validation, tagged_compare)
+from rankflow.measure import EvaluationLattice, _LogBatch, limit_values
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def report(k, elapsed, budget, detail):
@@ -92,6 +99,78 @@ def test_criterion_1_pathwise_coupling_bound(spec_affine, sol_affine, lattice):
     report(1, time.time() - start, 60,
            f"|rank_orig - rank_flow| <= #decoupled at {checks} (run, time) "
            f"pairs on {len(sols)} specs, attained at {attained}")
+
+
+# the specs of the identification gate, as configs whose affine fields
+# the families below move
+IDENT_SPECS = {
+    "affine": json.loads((ROOT / "configs" / "affine_two_class.json").read_text()),
+    "steep": STEEP_SPECS["affine_0_5_5_0"],
+}
+
+
+def _scaled(field, eps):
+    field["base"] *= 1 + eps
+    field["slope"] *= 1 + eps
+
+
+def _tilted(field, eps):
+    field["slope"] += eps
+    field["base"] -= eps / 2
+
+
+# each family and its eps grid, 33 points: a tilt is identified about 4x
+# more weakly than a scale, and at [-0.08, 0.08] 3 of 40 seeds' argmins
+# sat on an edge; the steep tilt is not formed, as class 0 would be
+# negative at y = 0 for eps > 0
+IDENT_FAMILIES = {
+    "scale": (_scaled, np.linspace(-0.08, 0.08, 33)),
+    "tilt": (_tilted, np.linspace(-0.24, 0.24, 33)),
+}
+
+
+@functools.cache
+def _phi_of_seeds(name):
+    # phi^N(h = 1) at the regular lattice's pairs, one row per seed, from
+    # one batch of 40 runs of the original engine at N = 2**14
+    spec = spec_from_config(IDENT_SPECS[name])
+    logs = srp._run_seeds(assign_population(spec, 2 ** 14), range(40),
+                          "original")
+    hv = TestFunction.ones().per_class(spec)
+    counts = _LogBatch(logs).lattice_counts(EvaluationLattice.regular(1.0))
+    return np.array([c.phi(hv) for c in counts])
+
+
+@pytest.mark.parametrize("name, family", [
+    ("affine", "scale"), ("affine", "tilt"), ("steep", "scale")])
+def test_rates_are_identified_from_the_logs(name, family):
+    # each seed's eps_hat is the argmin over eps of the mean square gap
+    # between its phi^N and the limit y_C^eps of the spec moved by eps,
+    # refined by a parabola through the argmin and its neighbours; logs
+    # that converge to y_C give a mean eps_hat within 4 SE of 0
+    start = time.time()
+    move, grid = IDENT_FAMILIES[family]
+    lattice = EvaluationLattice.regular(1.0)
+    limits = []
+    for eps in grid.tolist():
+        cfg = copy.deepcopy(IDENT_SPECS[name])
+        for c in cfg["classes"]:
+            move(c["field"], eps)
+        sol = solve_y_c(spec_from_config(cfg), n_z=20, n_t=200)
+        limits.append(limit_values(lattice, sol, [TestFunction.ones()])[0][0])
+    emp = _phi_of_seeds(name)
+    mse = ((emp[:, None, :] - np.array(limits)[None]) ** 2).mean(axis=2)
+    k = np.argmin(mse, axis=1)
+    assert np.all((k > 0) & (k < len(grid) - 1)), k
+    seeds = np.arange(len(k))
+    lo, mid, hi = mse[seeds, k - 1], mse[seeds, k], mse[seeds, k + 1]
+    eps_hat = grid[k] + (grid[1] - grid[0]) * (lo - hi) / (2 * (lo - 2 * mid + hi))
+    mean, sd = eps_hat.mean(), eps_hat.std(ddof=1)
+    se = sd / math.sqrt(len(eps_hat))
+    assert abs(mean) <= 4 * se, (mean, se)
+    print(f"[identification] {name} {family}: mean eps_hat {mean:+.5f} "
+          f"+- {se:.5f}, sqrt(N) sd {math.sqrt(2 ** 14) * sd:.3f} "
+          f"({time.time() - start:.1f}s)")
 
 
 def test_criterion_2_closed_form_limit(sol_const1, sol_mixture, spec_mixture):

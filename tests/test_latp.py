@@ -304,11 +304,6 @@ def test_stream_candidates_match_substream(seed, kind, index, rate, horizon):
     assert picks.tobytes() == rng.random(len(want[0])).tobytes()
     if rate == 0.0:
         assert len(times) == len(marks) == len(picks) == 0
-    # the scalar sampler's lists hold the same floats
-    lists = streams.candidate_lists(seed, kind, index, rate, horizon)
-    for g, w in zip(lists, want):
-        assert all(type(x) is float for x in g)
-        assert np.array(g, dtype=float).tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("label", ["rate0"] + sorted(shipped_omegas(1.0)))
@@ -428,22 +423,60 @@ def test_replica_candidates_one_stream_wraps_without_warning(lam):
     assert got[1].tobytes() == want[1].tobytes()
 
 
-def test_key_blocks_match_seed_sequence():
-    # interleaved (seed, kind) pairs and blocks, more than the cache holds,
-    # so that blocks are evicted and derived again
-    assert streams._key_block.cache_info().maxsize <= 4
-    indices = [0, 1023, 1024, 2047, KEY_WORD_MAX]
+@pytest.mark.parametrize("size", [latp.REPLICA_BLOCK, 1000])
+def test_replica_blocks_match_substream(size):
+    # every row of a block is its replica's substream drawn alone; blocks of
+    # interleaved seeds and rates, more than the cache holds, are evicted and
+    # drawn again; a block size that does not divide 2**32 stops the last
+    # block at the last index
+    assert latp._replica_block.cache_info().maxsize <= 4
+    last = KEY_WORD_MAX // size
     for _ in range(2):
-        for index in indices:
-            for seed, kind in ((0, streams.LATP), (KEY_WORD_MAX, 0), (5, 1)):
-                block, row = divmod(index, streams.KEY_BLOCK)
-                keys = streams._key_block(seed, kind, block)
-                want = np.random.SeedSequence((seed, kind, index)).generate_state(2, np.uint64)
-                assert keys.dtype == np.uint64 and not keys.flags.writeable
-                assert np.array_equal(keys[row], want)
-    # the last block stops at the last index
-    assert len(streams._key_block(0, 0, KEY_WORD_MAX // streams.KEY_BLOCK)) == \
-        KEY_WORD_MAX % streams.KEY_BLOCK + 1
+        for block in (0, 1, last):
+            for seed, rate in ((0, 2.1), (KEY_WORD_MAX, 50.0), (5, 0.0)):
+                times, marks, edges = latp._replica_block(seed, block, size,
+                                                          rate, 0.7)
+                lo = block * size
+                assert len(edges) - 1 == min(size, KEY_WORD_MAX + 1 - lo)
+                for a in (times, marks, edges):
+                    assert not a.flags.writeable
+                for q in range(len(edges) - 1):
+                    want = streams.candidate_batch(
+                        streams.substream(seed, streams.LATP, lo + q), rate, 0.7)
+                    got = slice(edges[q], edges[q + 1])
+                    assert times[got].tobytes() == want[0].tobytes()
+                    assert marks[got].tobytes() == want[1].tobytes()
+    assert lo + len(edges) - 1 == KEY_WORD_MAX + 1
+
+
+@pytest.mark.parametrize("rate, size", [
+    (2.0, latp.REPLICA_BLOCK),
+    (streams.POISSON_MULT_MAX / ENVELOPE_MARGIN, 1), (2000.0, 1)])
+def test_replica_blocks_hold_one_replica_from_the_poisson_threshold(
+        rate, size, monkeypatch):
+    # from a mean count of POISSON_MULT_MAX on the streams are drawn one at
+    # a time anyway, so a block holds one replica and no other replica's
+    # many candidates; each replica's arrivals are its substream's thinned
+    # either way, in the first, last and inner rows of a block
+    drawn_counts = []
+
+    def counted(seed, kind, count, *args, **kw):
+        drawn_counts.append(count)
+        return replica_candidates(seed, kind, count, *args, **kw)
+
+    replica_candidates = streams.replica_candidates
+    omega = constant_intensity(rate, 1.0)
+    envelope = ENVELOPE_MARGIN * omega.sup_norm
+    replicas = (0, 1023, 1500, KEY_WORD_MAX)
+    latp._replica_block.cache_clear()
+    monkeypatch.setattr(streams, "replica_candidates", counted)
+    got = [sample_arrivals(omega, 3, r).times for r in replicas]
+    latp._replica_block.cache_clear()
+    assert drawn_counts == [size] * len({r // size for r in replicas})
+    for r, times in zip(replicas, got):
+        want, marks = streams.candidate_batch(
+            streams.substream(3, streams.LATP, r), envelope, 1.0)
+        assert times.tobytes() == want[marks < rate].tobytes()
 
 
 @pytest.mark.parametrize("key", [dict(seed=True), dict(seed=1.0),
@@ -453,7 +486,7 @@ def test_sample_arrivals_refuses_keys_equal_to_a_cached_block(key):
     # the cache would take True and 1.0 for 1: the words are checked first
     omega = shipped_omegas(1.0)["const2"]
     sample_arrivals(omega, seed=1, replica=1)
-    assert streams._key_block.cache_info().currsize >= 1
+    assert latp._replica_block.cache_info().currsize >= 1
     with pytest.raises(ConfigError, match="must be an integer in"):
         sample_arrivals(omega, **key)
 
@@ -466,7 +499,7 @@ def test_sample_arrivals_any_walk_order_gives_the_same_bytes():
     shuffled = list(replicas)
     np.random.default_rng(0).shuffle(shuffled)
     for order in (replicas[::-1], shuffled):
-        streams._key_block.cache_clear()
+        latp._replica_block.cache_clear()
         for r in order:
             assert sample_arrivals(omega, 11, r).times.tobytes() == forward[r]
 
@@ -556,10 +589,11 @@ def test_sample_replicas_accepts_a_numpy_replica_count():
 
 
 def drawn(times):
-    # candidate_lists returning these times, each with mark 0
-    def lists(seed, kind, index, rate, horizon):
-        return list(times), [0.0] * len(times)
-    return lists
+    # a _replica_block whose every replica has these times, each with mark 0
+    def block(seed, block, size, envelope, horizon):
+        return (np.array(times * size), np.zeros(len(times) * size),
+                np.arange(size + 1) * len(times))
+    return block
 
 
 @pytest.mark.parametrize("times", [[0.3, 0.3], [0.3, math.nan], [0.0, 0.5]],
@@ -569,7 +603,7 @@ def test_sample_arrivals_keeps_arrival_sequence_invariant(times, monkeypatch):
     def batch(seed, kind, count, rate, horizon, start=0):
         return np.array(times), np.zeros(len(times)), np.array([len(times)])
 
-    monkeypatch.setattr(streams, "candidate_lists", drawn(times))
+    monkeypatch.setattr(latp, "_replica_block", drawn(times))
     monkeypatch.setattr(streams, "replica_candidates", batch)
     with pytest.raises(ConfigError) as exc:
         sample_arrivals(constant_intensity(1.0, 1.0), 0)
@@ -581,7 +615,7 @@ def test_sample_arrivals_keeps_arrival_sequence_invariant(times, monkeypatch):
 
 def test_sample_arrivals_breach_text(monkeypatch):
     # the hazard breaches the envelope after the arrival at 0.2
-    monkeypatch.setattr(streams, "candidate_lists", drawn([0.2, 0.5]))
+    monkeypatch.setattr(latp, "_replica_block", drawn([0.2, 0.5]))
     lying = LatpIntensity(lambda s, t: 1.0 + 4.0 * s + 0.0 * t, 1.0,
                           sup_norm=1.5, label="lying")
     with pytest.raises(EnvelopeBreach) as exc:
@@ -632,8 +666,8 @@ def test_sample_arrivals_reads_a_nan_hazard_as_a_breach():
     envelope = ENVELOPE_MARGIN * omega.sup_norm
     # the first replica with a candidate after t = 0.5
     first = next(r for r in range(100)
-                 if max(streams.candidate_lists(9, streams.LATP, r, envelope,
-                                                1.0)[0], default=0.0) > 0.5)
+                 if max(streams.stream_candidates(9, streams.LATP, r, envelope,
+                                                  1.0)[0], default=0.0) > 0.5)
     for r in range(first):
         sample_arrivals(omega, seed=9, replica=r)
     with pytest.raises(EnvelopeBreach, match="hazard nan above envelope") as exc:

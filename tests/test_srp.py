@@ -17,7 +17,8 @@ from rankflow import (ConfigError, DomainError, EnvelopeBreach, EventLog,
                       RankIndex, assign_population, simulate,
                       simulate_coupled, simulate_flow_driven, spec_from_config,
                       srp, streams, tagged_limit_path)
-from rankflow.intensity import ConstantField, TableField, load_spec
+from rankflow.intensity import (ConstantField, IntensityField, TableField,
+                                load_spec)
 from rankflow.measure import _LogBatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -260,6 +261,49 @@ def test_envelope_breach_is_hard_fault(engine, message, record):
     assert (e.owner, e.last, e.time, e.hazard) == record
 
 
+class NanAbove(IntensityField):
+    """A rate of 1 up to y = 0.5 and NaN above it."""
+
+    kind = "nan_above"
+
+    def __init__(self):
+        super().__init__(1.0)
+        self._set_bounds(1.0, 0.0)
+
+    def _values(self, y, t):
+        return np.asarray(np.where(y > 0.5, np.nan, 1.0) + 0.0 * t)
+
+    def params(self):
+        return {}
+
+
+NAN_AT = 0.010124802107260966
+
+
+@pytest.mark.parametrize("engine, last", [
+    (lambda a, fl, seed: simulate(a, seed=seed), None),
+    (simulate_flow_driven, 0.0),
+    (simulate_coupled, None),
+], ids=["original", "flow_driven", "coupled"])
+def test_nan_hazard_is_a_breach_in_every_engine(engine, last):
+    # a NaN hazard fails every comparison: each engine reports its first,
+    # particle 132's first candidate, instead of thinning it away; the
+    # coupled engine meets it in its original pass first
+    a = assign_population(uniform_single_class(NanAbove()), 200)
+    with pytest.raises(EnvelopeBreach) as exc:
+        engine(a, FlowGrid.identity(1.0, 10, 50), seed=1)
+    assert str(exc.value) == \
+        f"particle 132: hazard nan above envelope 1.0 at t={NAN_AT}"
+    e = exc.value
+    assert (e.owner, e.last, e.time) == (132, last, NAN_AT)
+    assert math.isnan(e.hazard)
+    # the sequential reference breaches at the same candidate
+    times, ids, marks, _ = srp._candidates(a, 1.0, 1, 0)
+    with pytest.raises(EnvelopeBreach) as loop:
+        sequential_original_pass(a, times, ids, marks)
+    assert str(loop.value) == str(exc.value)
+
+
 def _merged_z(counts, expected):
     """z = (chi2 - dof) / sqrt(2 dof) of ``counts`` against ``expected``,
     the cells of least expected count merged until each expects 5."""
@@ -276,6 +320,13 @@ def _merged_z(counts, expected):
     return (((o - e) ** 2 / e).sum() - dof) / math.sqrt(2 * dof)
 
 
+# two classes whose rates each read both position and time
+PRODUCT_LAW_SPEC = {"horizon": 1.0, "classes": [
+    {"weight": 0.5, "field": {"kind": "product", "y_base": 0.2, "y_slope": 1.8,
+                              "t_base": 0.5, "t_slope": 1.5}},
+    {"weight": 0.5, "field": {"kind": "product", "y_base": 2.0, "y_slope": -1.8,
+                              "t_base": 1.5, "t_slope": -1.0}}]}
+
 # the specs of the exact-law test, and how many slots off the law must be
 # read for the power check to refuse it: the table spec's rates change by
 # at most 0.4 across the ranks, so at half a slot off its z is 5 to 8
@@ -283,15 +334,16 @@ LAW_SPECS = {
     "affine": (affine_two_class_spec, 0.5),
     "steep": (lambda: spec_from_config(STEEP_SPECS["affine_0_5_5_0"]), 0.5),
     "table": (None, 1.0),
+    "product": (lambda: spec_from_config(PRODUCT_LAW_SPEC), 0.5),
 }
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("name", sorted(LAW_SPECS))
 def test_original_engine_matches_its_forward_law(name, n, request):
     # the final rank vectors of 20 000 seeded runs against the exact law
-    # of the model at N = 3 and 4, where every rate reads position and
-    # one reads time; the seeds are fixed, so the test is deterministic
+    # of the model at N = 2, 3 and 4, where every rate reads position and
+    # two read time; the seeds are fixed, so the test is deterministic
     build, off_slots = LAW_SPECS[name]
     spec = build() if build else request.getfixturevalue("spec_table")
     a = assign_population(spec, n)
