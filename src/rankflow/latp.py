@@ -5,7 +5,8 @@ last arrival time (0 before the first arrival).  It is Poisson exactly when
 omega ignores its first argument.  Three independent evaluations of the
 no-arrival probability p(s, t) = P(N(t) = N(s)) are provided:
 
-  * exact path sampling by thinning (``sample_arrivals``),
+  * exact path sampling by thinning (``sample_arrivals``, one replica's
+    row of a block thinned as ``sample_replicas`` thins it),
   * a renewal Volterra solve for the arrival-rate density (``survival_solve``),
   * the explicit series over arrival configurations (``survival_series``),
     kept as a test oracle; each term reuses the previous term's inner
@@ -15,10 +16,10 @@ no-arrival probability p(s, t) = P(N(t) = N(s)) are provided:
 
 ``thin_last_arrival`` thins many independent such processes that share one
 merged candidate stream: the flow-driven particles, the tagged limit paths
-and the batched replicas of ``sample_replicas`` are sampled with it.  Such
-batches of runs are laid out by the helpers here (``_owners`` and its
-neighbours), which ``flow``, ``srp`` and ``measure`` share.  Every pass
-over a grid table runs in row strips (``_strips``) or in place.
+and every LATP replica are sampled with it.  Such batches of runs are laid
+out by the helpers here (``_owners`` and its neighbours), which ``flow``,
+``srp`` and ``measure`` share.  Every pass over a grid table runs in row
+strips (``_strips``) or in place.
 """
 
 from __future__ import annotations
@@ -133,9 +134,6 @@ def constant_intensity(c: float, horizon: float) -> LatpIntensity:
     value = float(c)
 
     def fn(s, t):
-        # the scalar sampler calls it on Python floats
-        if isinstance(s, (int, float)) and isinstance(t, (int, float)):
-            return value
         return np.full(np.broadcast_shapes(np.shape(s), np.shape(t)), value)
 
     return LatpIntensity(fn, horizon, sup_norm=value, label=f"const[{c}]")
@@ -211,19 +209,23 @@ class ArrivalSequence:
     horizon: float
 
     def __post_init__(self):
+        horizon = _positive("horizon", self.horizon)
         # a copy, so the caller's array stays writable, and a 0-d input
         # stays 0-d for the dimension check
         t = np.array(self.times, dtype=float)
         if t.ndim != 1:
             raise ConfigError("times must be one-dimensional")
-        _check_arrivals(t.tolist(), self.horizon)
+        _check_arrivals(t.tolist(), horizon)
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
+        object.__setattr__(self, "horizon", horizon)
 
     def count(self, t: float) -> int:
-        return int(np.searchsorted(self.times, t, side="right"))
+        return int(np.searchsorted(self.times, _number("t", t, DomainError),
+                                   side="right"))
 
     def no_arrival_in(self, s: float, t: float) -> bool:
+        _number("s", s, DomainError)
         return self.count(t) == self.count(s)
 
 
@@ -254,19 +256,17 @@ def _stable_argsort(keys, bound: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _replica_block(seed, block, size, envelope, horizon):
-    """``streams.replica_candidates`` of LATP replicas ``lo = block * size``
-    on, to the next block or the last index, as read-only ``(times, marks,
-    edges)``: replica lo + q's are ``times[edges[q]:edges[q + 1]]``.  Check
-    the key words first: the cache takes True and 1.0 for 1."""
+def _replica_block(omega, seed, block, size):
+    """``_thinned`` replicas ``lo = block * size`` on, to the next block or
+    the last index, as read-only ``(times, edges)``: replica lo + q's
+    arrivals are ``times[edges[q]:edges[q + 1]]``.  Check the key words
+    first: the cache takes True and 1.0 for 1.  A breach is not cached."""
     lo = block * size
-    times, marks, counts = streams.replica_candidates(
-        seed, streams.LATP, min(size, streams.KEY_WORDS - lo), envelope,
-        horizon, start=lo)
+    times, counts = _thinned(omega, seed, lo, min(size, streams.KEY_WORDS - lo))
     edges = _edges(counts)
-    for a in (times, marks, edges):
+    for a in (times, edges):
         a.flags.writeable = False  # shared by every call of the cache
-    return times, marks, edges
+    return times, edges
 
 
 def sample_arrivals(omega: LatpIntensity, seed: int,
@@ -276,35 +276,31 @@ def sample_arrivals(omega: LatpIntensity, seed: int,
     Candidates arrive at the envelope rate ENVELOPE_MARGIN * sup_norm with
     marks uniform on [0, envelope); a candidate at u is accepted iff its
     mark falls below omega(tau*, u) for the current last arrival tau*.  An
-    acceptance evaluation above the envelope is a hard fault.  The draws
-    are those of ``sample_replicas``, read from a cached ``_replica_block``.
+    acceptance evaluation above the envelope is a hard fault.  The path is
+    a row of a cached ``_replica_block``, thinned as ``sample_replicas``
+    thins it.
     """
-    envelope = ENVELOPE_MARGIN * omega.sup_norm
     seed = streams.check_key("seed", seed)
+    replica = streams.check_key("index", replica)
     # a large mean draws stream by stream anyway: one replica, one block
-    size = (REPLICA_BLOCK if envelope * omega.horizon < streams.POISSON_MULT_MAX
-            else 1)
-    block, row = divmod(streams.check_key("index", replica), size)
-    times, marks, edges = _replica_block(seed, block, size, envelope,
-                                         omega.horizon)
-    lo, hi = edges[row:row + 2].tolist()
-    times, marks = times[lo:hi].tolist(), marks[lo:hi].tolist()
-    accepted = []
-    tau_star = 0.0
-    breach = _breach_bound(envelope)
-    fn = omega._fn
-    for u, xi in zip(times, marks):
-        a = float(fn(tau_star, u))
-        # written so that a NaN hazard is a breach
-        if not a <= breach:
-            raise EnvelopeBreach(
-                f"{omega.label}: hazard {a} above envelope {envelope} at "
-                f"(s={tau_star}, t={u})", owner=replica, last=tau_star,
-                time=u, hazard=a)
-        if xi < a:
-            accepted.append(u)
-            tau_star = u
-    return ArrivalSequence(times=accepted, horizon=omega.horizon)
+    size = (REPLICA_BLOCK if ENVELOPE_MARGIN * omega.sup_norm * omega.horizon
+            < streams.POISSON_MULT_MAX else 1)
+    try:
+        try:
+            times, edges = _replica_block(omega, seed, replica // size, size)
+        except EnvelopeBreach as exc:
+            if exc.owner == replica:
+                raise
+            # another replica of the block breached: this one is read alone
+            size = 1
+            times, edges = _replica_block(omega, seed, replica, size)
+    except EnvelopeBreach as exc:
+        # the replica's own breach, worded as for one path
+        raise EnvelopeBreach(exc.args[0].partition(": ")[2],
+                             owner=exc.owner, last=exc.last, time=exc.time,
+                             hazard=exc.hazard) from None
+    lo, hi = edges[replica % size:replica % size + 2].tolist()
+    return ArrivalSequence(times=times[lo:hi], horizon=omega.horizon)
 
 
 def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
@@ -361,50 +357,49 @@ def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
     return accepted
 
 
-def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
-    """Paths of replicas 0, ..., replicas - 1 in one thinning pass per chunk.
+def _thinned(omega: LatpIntensity, seed: int, lo: int, n: int):
+    """Arrival times of replicas lo, ..., lo + n - 1, laid end to end, and
+    each one's count.  The replicas are the owners of one
+    ``thin_last_arrival`` call, so the earliest breach in stream order is
+    the one a loop over them would hit first; it is raised with the message
+    of ``sample_arrivals``, prefixed by the replica."""
+    horizon = omega.horizon
+    envelope = ENVELOPE_MARGIN * omega.sup_norm
+    times, marks, per = streams.replica_candidates(
+        seed, streams.LATP, n, envelope, horizon, start=lo)
+    owners = _owners(np.zeros(len(times), dtype=np.int64), 1, per)
+    try:
+        accepted = thin_last_arrival(times, owners, marks, n,
+                                     lambda o, last, t: omega._fn(last, t),
+                                     envelope)
+    except EnvelopeBreach as exc:
+        raise EnvelopeBreach(
+            f"replica {lo + exc.owner}: {omega.label}: hazard {exc.hazard} "
+            f"above envelope {envelope} at (s={exc.last}, t={exc.time})",
+            owner=lo + exc.owner, last=exc.last, time=exc.time,
+            hazard=exc.hazard) from None
+    times, owners = times[accepted], owners[accepted]
+    # ArrivalSequence's invariant, per replica, refusing NaN as it does
+    same = owners[1:] == owners[:-1]
+    if len(times) and not (times.min() > 0
+                           and np.all(np.diff(times)[same] > 0)
+                           and times.max() <= horizon + 1e-12):
+        raise ConfigError(_NOT_INCREASING)
+    return times, np.bincount(owners, minlength=n)
 
-    Returns ``(times, offsets)``: replica r's arrival times are
-    ``times[offsets[r]:offsets[r + 1]]``, byte-equal to
-    ``sample_arrivals(omega, seed=seed, replica=r).times``.  The replicas
-    are the owners of one ``thin_last_arrival`` call per chunk of
-    ``REPLICA_CHUNK``, in replica order, so the earliest breach in stream
-    order is the one the replica loop would hit first; it is raised with
-    the scalar sampler's message, prefixed by the replica.  A chunk is a
-    batch of runs of one particle, one run per replica.
-    """
+
+def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
+    """Paths of replicas 0, ..., replicas - 1, one ``_thinned`` pass per
+    chunk of ``REPLICA_CHUNK``, as ``(times, offsets)``: replica r's
+    arrival times are ``times[offsets[r]:offsets[r + 1]]``, byte-equal to
+    ``sample_arrivals(omega, seed=seed, replica=r).times``."""
     _require_int("replicas", replicas, 0)
     # checked up front: zero replicas draw nothing
     streams.check_key("seed", seed)
-    horizon = omega.horizon
-    envelope = ENVELOPE_MARGIN * omega.sup_norm
-    fn = omega._fn
-    parts, counts = [np.empty(0)], [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, replicas, REPLICA_CHUNK):
-        n = min(REPLICA_CHUNK, replicas - lo)
-        times, marks, per = streams.replica_candidates(
-            seed, streams.LATP, n, envelope, horizon, start=lo)
-        owners = _owners(np.zeros(len(times), dtype=np.int64), 1, per)
-        try:
-            accepted = thin_last_arrival(times, owners, marks, n,
-                                         lambda o, last, t: fn(last, t),
-                                         envelope)
-        except EnvelopeBreach as exc:
-            raise EnvelopeBreach(
-                f"replica {lo + exc.owner}: {omega.label}: hazard {exc.hazard} "
-                f"above envelope {envelope} at (s={exc.last}, t={exc.time})",
-                owner=lo + exc.owner, last=exc.last, time=exc.time,
-                hazard=exc.hazard) from None
-        times, owners = times[accepted], owners[accepted]
-        # ArrivalSequence's invariant, per replica, refusing NaN as it does
-        same = owners[1:] == owners[:-1]
-        if len(times) and not (times.min() > 0
-                               and np.all(np.diff(times)[same] > 0)
-                               and times.max() <= horizon + 1e-12):
-            raise ConfigError(_NOT_INCREASING)
-        parts.append(times)
-        counts.append(np.bincount(owners, minlength=n))
-    return np.concatenate(parts), _edges(np.concatenate(counts))
+    chunks = [_thinned(omega, seed, lo, min(REPLICA_CHUNK, replicas - lo))
+              for lo in range(0, replicas, REPLICA_CHUNK)]
+    times, counts = zip((np.empty(0), np.zeros(0, dtype=np.int64)), *chunks)
+    return np.concatenate(times), _edges(np.concatenate(counts))
 
 
 @dataclass(frozen=True)

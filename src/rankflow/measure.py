@@ -413,8 +413,8 @@ class LogEvaluator:
 
     def mu(self, h, y: float, t: float) -> float:
         """Integral of h over the empirical measure on W x [y, 1] at t."""
-        if not -1e-12 <= y <= 1 + 1e-12:
-            raise DomainError(f"y={y} outside [0,1]")
+        if not -1e-12 <= _number("y", y, DomainError) <= 1 + 1e-12:
+            raise DomainError(f"y: {y} outside [0,1]")
         t = float(_log_times("t", t, self.log.horizon))
         tail = self._tail_counts(t, [_slot_threshold(y, self.n)])[0]
         return float(tail @ _h_vector(h, self.spec)) / self.n

@@ -28,9 +28,9 @@ streams then draw in one of two ways:
   numpy's Poisson count is the number of running products of the stream's
   leading uniforms above exp(-mean); from it on, it re-keys the generator
   per stream.  Its bytes therefore depend on numpy's Philox and on its
-  Poisson algorithm for small means.  Every LATP replica is drawn there:
-  by ``latp.sample_replicas``, and a cached block at a time by
-  ``latp.sample_arrivals``.
+  Poisson algorithm for small means.  Every LATP replica is drawn there,
+  by ``latp.sample_replicas`` a chunk at a time, and by
+  ``latp.sample_arrivals`` a cached block at a time.
 """
 
 from __future__ import annotations

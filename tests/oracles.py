@@ -4,11 +4,13 @@ import itertools
 
 import numpy as np
 
-from rankflow import ConfigError, EnvelopeBreach, RankIndex
+from rankflow import (ArrivalSequence, ConfigError, EnvelopeBreach,
+                      RankIndex, streams)
 from rankflow.flow import OdeFormReport, _thin_along_flow, boundary, initial
 from rankflow.intensity import ClassHazard
-from rankflow.latp import (DerivativeReport, _bilinear, _cumulative_trapezoid,
-                           _grid_cells, _top, _trapezoid_weights)
+from rankflow.latp import (ENVELOPE_MARGIN, DerivativeReport, _bilinear,
+                           _breach_bound, _cumulative_trapezoid, _grid_cells,
+                           _top, _trapezoid_weights)
 from rankflow.measure import _slot_threshold
 from rankflow.srp import _mtf_ranks
 
@@ -601,6 +603,31 @@ def one_log_positions_of(log, particles, ts):
     ranks[order[queries] - n_ev] = _mtf_ranks(log.assignment.slots, ids,
                                               order < n_ev, queries)
     return ranks.reshape(len(after), len(particles)) / log.n
+
+
+def scalar_sample_arrivals(omega, seed, replica=0):
+    """``latp.sample_arrivals`` as a loop over one replica's candidates in
+    Python floats, drawn from its own ``substream``: a candidate at u is
+    accepted iff its mark falls below omega(tau*, u) for the last arrival
+    tau*, and a hazard above the envelope, or NaN, is a breach."""
+    envelope = ENVELOPE_MARGIN * omega.sup_norm
+    times, marks = streams.candidate_batch(
+        streams.substream(seed, streams.LATP, replica), envelope,
+        omega.horizon)
+    accepted = []
+    tau_star = 0.0
+    breach = _breach_bound(envelope)
+    for u, xi in zip(times.tolist(), marks.tolist()):
+        a = float(omega._fn(tau_star, u))
+        if not a <= breach:
+            raise EnvelopeBreach(
+                f"{omega.label}: hazard {a} above envelope {envelope} at "
+                f"(s={tau_star}, t={u})", owner=replica, last=tau_star,
+                time=u, hazard=a)
+        if xi < a:
+            accepted.append(u)
+            tau_star = u
+    return ArrivalSequence(times=accepted, horizon=omega.horizon)
 
 
 def one_limit_path_jumps(flow, field, y_start, candidates):

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rankflow import (ConfigError, ConstantField, DomainError,
-                      EvaluationLattice, FlowGrid, LatpIntensity,
+from rankflow import (ArrivalSequence, ConfigError, ConstantField,
+                      DomainError, EvaluationLattice, FlowGrid, LatpIntensity,
                       LogEvaluator, TestFunction, assign_population,
                       boundary, initial, pin_particles, sample_replicas,
                       simulate, solve_y_c, spec_from_config,
@@ -116,6 +116,14 @@ ENTRY_POINTS = {
         ConfigError, "particles", lambda x: EVALUATOR.positions_of([x], [0.5])),
     "LogEvaluator.mu.t": (
         DomainError, "t", lambda x: EVALUATOR.mu(TestFunction.ones(), 0.3, x)),
+    "LogEvaluator.mu.y": (
+        DomainError, "y", lambda x: EVALUATOR.mu(TestFunction.ones(), x, 0.5)),
+    "ArrivalSequence.horizon": (
+        ConfigError, "horizon",
+        lambda x: ArrivalSequence(times=[0.1], horizon=x)),
+    "ArrivalSequence.count.t": (
+        DomainError, "t",
+        lambda x: ArrivalSequence(times=[0.1], horizon=1.0).count(x)),
 }
 
 BAD_VALUES = {"true": True, "np-true": np.True_, "nan": math.nan,

@@ -16,8 +16,8 @@ from oracles import (allocating_cumulative_trapezoid,
                      check_regularity, full_survival_series,
                      loop_derivative_bound_check, loop_regularity_moduli,
                      loop_survival_table_check, loop_trapezoid_weights,
-                     meshgrid_hazard_rows, whole_survival_table_check,
-                     whole_table_series_from)
+                     meshgrid_hazard_rows, scalar_sample_arrivals,
+                     whole_survival_table_check, whole_table_series_from)
 from conftest import STRIP_ROWS, affine_two_class_spec, strips_of
 
 from rankflow import (ArrivalSequence, ConfigError, DomainError,
@@ -90,7 +90,7 @@ def test_sample_envelope_breach_is_hard_fault():
 ], ids=["one_plus_s", "flow_affine", "elapsed"])
 def test_thin_last_arrival_matches_sample_arrivals(omega):
     # the replicas' candidate streams, merged in time, thin to exactly the
-    # paths the scalar sampler draws from the same streams
+    # paths the scalar oracle draws from the same streams
     reps, seed = 40, 3
     envelope = ENVELOPE_MARGIN * omega.sup_norm
     batches = [streams.candidate_batch(streams.substream(seed, streams.LATP, r),
@@ -104,7 +104,7 @@ def test_thin_last_arrival_matches_sample_arrivals(omega):
                                  lambda o, last, t: omega._fn(last, t),
                                  envelope)
     for r in range(reps):
-        want = sample_arrivals(omega, seed=seed, replica=r).times
+        want = scalar_sample_arrivals(omega, seed=seed, replica=r).times
         assert np.array_equal(times[accepted & (owners == r)], want)
 
 
@@ -424,28 +424,30 @@ def test_replica_candidates_one_stream_wraps_without_warning(lam):
 
 
 @pytest.mark.parametrize("size", [latp.REPLICA_BLOCK, 1000])
-def test_replica_blocks_match_substream(size):
-    # every row of a block is its replica's substream drawn alone; blocks of
-    # interleaved seeds and rates, more than the cache holds, are evicted and
-    # drawn again; a block size that does not divide 2**32 stops the last
-    # block at the last index
+def test_replica_blocks_match_the_scalar_oracle(size):
+    # every row of a block is its replica's path thinned alone from its own
+    # substream; blocks of interleaved seeds and kernels, more than the
+    # cache holds, are evicted and thinned again; a block size that does
+    # not divide 2**32 stops the last block at the last index
     assert latp._replica_block.cache_info().maxsize <= 4
     last = KEY_WORD_MAX // size
+    kernels = (shipped_omegas(0.7)["one_plus_s"], constant_intensity(50.0, 0.7),
+               zero_intensity(0.7))
+    paths = {}
     for _ in range(2):
         for block in (0, 1, last):
-            for seed, rate in ((0, 2.1), (KEY_WORD_MAX, 50.0), (5, 0.0)):
-                times, marks, edges = latp._replica_block(seed, block, size,
-                                                          rate, 0.7)
+            for seed, omega in zip((0, KEY_WORD_MAX, 5), kernels):
+                times, edges = latp._replica_block(omega, seed, block, size)
                 lo = block * size
                 assert len(edges) - 1 == min(size, KEY_WORD_MAX + 1 - lo)
-                for a in (times, marks, edges):
+                for a in (times, edges):
                     assert not a.flags.writeable
                 for q in range(len(edges) - 1):
-                    want = streams.candidate_batch(
-                        streams.substream(seed, streams.LATP, lo + q), rate, 0.7)
-                    got = slice(edges[q], edges[q + 1])
-                    assert times[got].tobytes() == want[0].tobytes()
-                    assert marks[got].tobytes() == want[1].tobytes()
+                    key = seed, lo + q
+                    if key not in paths:
+                        paths[key] = scalar_sample_arrivals(
+                            omega, seed, lo + q).times.tobytes()
+                    assert times[edges[q]:edges[q + 1]].tobytes() == paths[key]
     assert lo + len(edges) - 1 == KEY_WORD_MAX + 1
 
 
@@ -522,8 +524,20 @@ def test_sample_replicas_matches_sample_arrivals(label, chunk, monkeypatch):
     assert len(offsets) == reps + 1 and offsets[0] == 0
     assert offsets[-1] == len(times)
     for r in range(reps):
-        want = sample_arrivals(omega, seed=seed, replica=r).times
+        want = scalar_sample_arrivals(omega, seed=seed, replica=r).times
         assert times[offsets[r]:offsets[r + 1]].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("label", sorted(SAMPLER_KERNELS))
+def test_sample_arrivals_matches_the_scalar_oracle(label):
+    # a replica's path, a row of its thinned block, has the bytes of the
+    # scalar loop over its own substream: in the first, inner and last rows
+    # of the first blocks, and in the last block
+    omega = SAMPLER_KERNELS[label]
+    for r in list(range(300)) + [1023, 1024, 1500, KEY_WORD_MAX]:
+        want = scalar_sample_arrivals(omega, seed=4, replica=r).times
+        got = sample_arrivals(omega, seed=4, replica=r).times
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("chunk", [latp.REPLICA_CHUNK, 7])
@@ -536,7 +550,7 @@ def test_sample_replicas_breach_is_the_replica_loop_first(chunk, monkeypatch):
     first = None
     for r in range(200):
         try:
-            sample_arrivals(lying, seed=2, replica=r)
+            scalar_sample_arrivals(lying, seed=2, replica=r)
         except EnvelopeBreach as exc:
             first = r, str(exc)
             break
@@ -588,23 +602,25 @@ def test_sample_replicas_accepts_a_numpy_replica_count():
     assert len(offsets) == 6 and times.tobytes() == want.tobytes()
 
 
-def drawn(times):
-    # a _replica_block whose every replica has these times, each with mark 0
-    def block(seed, block, size, envelope, horizon):
-        return (np.array(times * size), np.zeros(len(times) * size),
-                np.arange(size + 1) * len(times))
-    return block
+@pytest.fixture
+def drawn(monkeypatch):
+    # drawn(times) makes every replica's candidates these times, each with
+    # mark 0; no block cached before or after the test is read
+    def draw(times):
+        def batch(seed, kind, count, rate, horizon, start=0):
+            return (np.array(times * count), np.zeros(len(times) * count),
+                    np.full(count, len(times)))
+        monkeypatch.setattr(streams, "replica_candidates", batch)
+    latp._replica_block.cache_clear()
+    yield draw
+    latp._replica_block.cache_clear()
 
 
 @pytest.mark.parametrize("times", [[0.3, 0.3], [0.3, math.nan], [0.0, 0.5]],
                          ids=["tied", "nan", "zero"])
-def test_sample_arrivals_keeps_arrival_sequence_invariant(times, monkeypatch):
+def test_sample_arrivals_keeps_arrival_sequence_invariant(times, drawn):
     # the twin of the sample_replicas refusals: every candidate is accepted
-    def batch(seed, kind, count, rate, horizon, start=0):
-        return np.array(times), np.zeros(len(times)), np.array([len(times)])
-
-    monkeypatch.setattr(latp, "_replica_block", drawn(times))
-    monkeypatch.setattr(streams, "replica_candidates", batch)
+    drawn(times)
     with pytest.raises(ConfigError) as exc:
         sample_arrivals(constant_intensity(1.0, 1.0), 0)
     assert str(exc.value) == "times must be strictly increasing in (0, horizon]"
@@ -613,9 +629,9 @@ def test_sample_arrivals_keeps_arrival_sequence_invariant(times, monkeypatch):
     assert str(batched.value) == str(exc.value)
 
 
-def test_sample_arrivals_breach_text(monkeypatch):
+def test_sample_arrivals_breach_text(drawn):
     # the hazard breaches the envelope after the arrival at 0.2
-    monkeypatch.setattr(latp, "_replica_block", drawn([0.2, 0.5]))
+    drawn([0.2, 0.5])
     lying = LatpIntensity(lambda s, t: 1.0 + 4.0 * s + 0.0 * t, 1.0,
                           sup_norm=1.5, label="lying")
     with pytest.raises(EnvelopeBreach) as exc:
@@ -628,6 +644,39 @@ def test_sample_arrivals_breach_text(monkeypatch):
         sample_arrivals(lying, 0, replica=7)
     e = exc.value
     assert (e.owner, e.last, e.time, e.hazard) == (7, 0.2, 0.5, 1.8)
+
+
+def test_a_breach_in_a_block_leaves_its_other_replicas_their_paths():
+    # the hazard rises above its sup-norm only after an arrival past 0.97:
+    # of seed 2's first block, replica 627 alone breaches.  Each other
+    # replica of the block, before and after it, still gets its own path,
+    # and 627 the breach of the scalar loop
+    omega = LatpIntensity(lambda s, t: np.where(s > 0.97, 3.0, 1.0) + 0.0 * t,
+                          1.0, sup_norm=1.0, label="late-lie")
+    breached = []
+    for r in range(latp.REPLICA_BLOCK):
+        try:
+            scalar_sample_arrivals(omega, seed=2, replica=r)
+        except EnvelopeBreach:
+            breached.append(r)
+    assert breached == [627]
+    latp._replica_block.cache_clear()
+    for r in (0, 1, 626, 628, latp.REPLICA_BLOCK - 1, 0):
+        want = scalar_sample_arrivals(omega, seed=2, replica=r).times
+        got = sample_arrivals(omega, seed=2, replica=r).times
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(EnvelopeBreach) as want:
+        scalar_sample_arrivals(omega, seed=2, replica=627)
+    with pytest.raises(EnvelopeBreach) as got:
+        sample_arrivals(omega, seed=2, replica=627)
+    assert str(got.value) == str(want.value) == (
+        "late-lie: hazard 3.0 above envelope 1.05 at "
+        f"(s={want.value.last}, t={want.value.time})")
+    assert ((got.value.owner, got.value.last, got.value.time,
+             got.value.hazard) == (627, want.value.last, want.value.time, 3.0))
+    with pytest.raises(EnvelopeBreach) as batched:
+        sample_replicas(omega, 2, latp.REPLICA_BLOCK)
+    assert str(batched.value) == f"replica 627: {want.value}"
 
 
 def test_arrival_sequence_must_increase():
@@ -669,7 +718,7 @@ def test_sample_arrivals_reads_a_nan_hazard_as_a_breach():
                  if max(streams.stream_candidates(9, streams.LATP, r, envelope,
                                                   1.0)[0], default=0.0) > 0.5)
     for r in range(first):
-        sample_arrivals(omega, seed=9, replica=r)
+        scalar_sample_arrivals(omega, seed=9, replica=r)
     with pytest.raises(EnvelopeBreach, match="hazard nan above envelope") as exc:
         sample_arrivals(omega, seed=9, replica=first)
     with pytest.raises(EnvelopeBreach) as batched:
@@ -731,6 +780,16 @@ def test_arrival_sequence_accepts_increasing_times():
         ArrivalSequence(times=np.zeros((1, 1)), horizon=1.0)
 
 
+def test_arrival_sequence_refuses_a_bad_query_time():
+    # count(nan) once counted every arrival, and a bool was read as 0 or 1
+    seq = ArrivalSequence(times=[0.1, 0.5], horizon=1.0)
+    for s, t, name in ((0.2, math.nan, "t"), (0.2, True, "t"),
+                       (math.nan, 0.5, "s"), (np.True_, 0.5, "s")):
+        with pytest.raises(DomainError, match=f"^{name}: "):
+            seq.no_arrival_in(s, t)
+    assert (seq.count(0.5), seq.no_arrival_in(0.2, 0.4)) == (2, True)
+
+
 def test_arrival_sequence_refuses_a_scalar():
     with pytest.raises(ConfigError, match="one-dimensional"):
         ArrivalSequence(times=0.5, horizon=1.0)
@@ -745,10 +804,12 @@ def test_arrival_sequence_leaves_the_callers_array_alone():
 
 
 def test_constant_kernel_is_a_float_on_scalars_and_broadcasts_on_arrays():
-    fn = constant_intensity(2, 1.0)._fn
+    omega = constant_intensity(2, 1.0)
+    fn = omega._fn
     for s, t in ((0.25, 0.5), (0, 1), (np.float64(0.1), 0.7)):
-        out = fn(s, t)
+        out = omega(s, t)
         assert type(out) is float and out == 2.0
+        assert fn(s, t).shape == () and fn(s, t) == 2.0
     out = fn(np.zeros(3), np.zeros((2, 1)))
     assert out.shape == (2, 3) and out.dtype == float and np.all(out == 2.0)
     assert fn(0.0, np.linspace(0, 1, 4)).shape == (4,)
