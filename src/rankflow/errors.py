@@ -60,6 +60,9 @@ class EnvelopeBreach(RuntimeError):
 def _finite(x) -> bool:
     """Whether x is a real number, not a bool, and finite (an integer
     beyond the float range is not)."""
+    # a Python float, the common case, skips the ABC check
+    if type(x) is float:
+        return math.isfinite(x)
     try:
         return (not isinstance(x, bool) and isinstance(x, numbers.Real)
                 and math.isfinite(x))

@@ -553,9 +553,16 @@ def solve_y_c(spec: PopulationSpec, n_z: int = 20, n_t: int = 200,
 
 
 def _picard(spec: PopulationSpec, n_z: int, n_t: int, tol: float,
-            max_iter: int):
+            max_iter: int, forcing=None):
     """``solve_y_c``'s iteration: the fixed-point flow, its evaluator and
-    the residual history."""
+    the residual history.
+
+    ``forcing``, a pair (e_init, e_bdry) of tables of the flow's two
+    shapes, moves the fixed point to theta = Phi(theta) + e, with Phi the
+    Picard map: e is added to each update before damping.  Such a fixed
+    point need not be an admissible flow, so forced iterates are not
+    projected; they only keep the zero padding below the boundary diagonal.
+    """
     # every (n_t+1)^2 table of the iteration is allocated once, because
     # each fresh table costs the solver its page faults: the updates come
     # in two pairs of flow tables, each written over the iterate before
@@ -576,6 +583,9 @@ def _picard(spec: PopulationSpec, n_z: int, n_t: int, tol: float,
         upd_init, upd_bdry = ev.phi_grid(out=pairs[(it - 1) % 2])
         np.subtract(1.0, upd_init, out=upd_init)
         np.subtract(1.0, upd_bdry, out=upd_bdry)
+        if forcing is not None:
+            upd_init += forcing[0]
+            upd_bdry += forcing[1]
         res = _residual(flow, upd_init, upd_bdry, upper, work)
         history.append(res)
         log.debug("picard iteration %d: residual %.3e (alpha=%.2f)", it, res, alpha)
@@ -593,9 +603,12 @@ def _picard(spec: PopulationSpec, n_z: int, n_t: int, tol: float,
         upd_init += (1 - alpha) * flow.init_values
         np.multiply(alpha, upd_bdry, out=upd_bdry)
         upd_bdry += np.multiply(1 - alpha, flow.bdry_values, out=work)
-        moved = _project(upd_init, upd_bdry, work)
-        if moved > 1e-10:
-            log.info("isotonic projection active: moved %.3e", moved)
+        if forcing is None:
+            moved = _project(upd_init, upd_bdry, work)
+            if moved > 1e-10:
+                log.info("isotonic projection active: moved %.3e", moved)
+        else:
+            upd_bdry *= upper
         flow = FlowGrid(spec.horizon, upd_init.view(), upd_bdry.view(),
                         check=False)
     raise ConvergenceError(

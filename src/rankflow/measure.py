@@ -34,8 +34,9 @@ import numpy as np
 from .errors import ConfigError, DomainError, _finite, _number
 from .flow import BoundaryPoint, _admissible, _h_vector, boundary, initial
 from .intensity import PopulationSpec
-from .latp import _edges, _laid, _owners, _stable_argsort, _tiled
+from .latp import _edges, _laid, _owners, _tiled
 from .srp import EventLog, RankIndex, _by_particle, _mtf_ranks, _reset_ranks
+from .streams import _stable_argsort
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,9 @@ import numpy as np
 from .errors import ConfigError, DomainError, EnvelopeBreach, _require_int
 from .intensity import PopulationAssignment
 from .flow import FlowGrid, _thin_along_flow
-from .latp import (_breach_bound, _cut, _edges, _laid, _owners,
-                   _stable_argsort, _tiled)
+from .latp import _breach_bound, _cut, _edges, _laid, _owners, _tiled
 from . import streams
+from .streams import _stable_argsort
 
 log = logging.getLogger(__name__)
 

@@ -28,9 +28,9 @@ import pytest
 from conftest import STEEP_SPECS, constant_mixture_spec, zero_rate_spec
 from oracles import NaiveRankIndex
 from rankflow import (FlowGrid, LogEvaluator, RankIndex,
-                      TestFunction, assign_population, initial, simulate,
-                      simulate_coupled, simulate_flow_driven, solve_y_c,
-                      spec_from_config, srp)
+                      TestFunction, assign_population, boundary, flow,
+                      initial, simulate, simulate_coupled,
+                      simulate_flow_driven, solve_y_c, spec_from_config, srp)
 from rankflow.harness import (ExperimentPlan, convergence_sweep,
                               coupling_sweep, flow_driven_sweep,
                               latp_validation, tagged_compare)
@@ -171,6 +171,48 @@ def test_rates_are_identified_from_the_logs(name, family):
     print(f"[identification] {name} {family}: mean eps_hat {mean:+.5f} "
           f"+- {se:.5f}, sqrt(N) sd {math.sqrt(2 ** 14) * sd:.3f} "
           f"({time.time() - start:.1f}s)")
+
+
+def test_forced_fixed_point_predicts_the_original_engine():
+    # the original run is the flow-driven run on the same candidates pushed
+    # through the fixed-point map: with e = Y_flow - y_C at the grid nodes,
+    # theta* = Phi(theta*) + e, and on the steep spec sqrt(N)(Y_orig -
+    # theta*) is well below sqrt(N)(Y_orig - Y_flow); the lattice is every
+    # grid pair
+    start = time.time()
+    n, n_t, seeds = 2 ** 14, 100, 40
+    spec = spec_from_config(STEEP_SPECS["affine_0_5_5_0"])
+    fl = solve_y_c(spec, n_z=20, n_t=n_t).flow
+    t_nodes = fl.t_nodes.tolist()
+    lattice = EvaluationLattice(
+        gammas=tuple([initial(z) for z in fl.z_nodes.tolist()]
+                     + [boundary(t) for t in t_nodes[1:]]),
+        times=tuple(t_nodes))
+    # each boundary node (0, t_l) at t_j, j >= l >= 1, in pairs() order
+    rows, cols = (ix[n_t + 1:] for ix in np.triu_indices(n_t + 1))
+    y_c = np.concatenate([fl.init_values.ravel(), fl.bdry_values[rows, cols]])
+    runs = srp._run_seeds(assign_population(spec, n), range(seeds),
+                          "coupled", flow=fl)
+    orig, driven = (_LogBatch([r[k] for r in runs]).lattice_counts(lattice)
+                    for k in (0, 1))
+    to_theta, to_flow = [], []
+    for c_orig, c_flow in zip(orig, driven):
+        y_orig, y_flow = c_orig.curve(), c_flow.curve()
+        e = y_flow - y_c
+        e_init = e[:fl.init_values.size].reshape(fl.init_values.shape)
+        e_bdry = np.zeros_like(fl.bdry_values)
+        e_bdry[rows, cols] = e[fl.init_values.size:]
+        e_bdry[0] = e_init[0]
+        theta, _, _ = flow._picard(spec, 20, n_t, 1e-12, 80,
+                                   forcing=(e_init, e_bdry))
+        forced = np.concatenate([theta.init_values.ravel(),
+                                 theta.bdry_values[rows, cols]])
+        to_theta.append(math.sqrt(n) * np.sqrt(np.mean((y_orig - forced) ** 2)))
+        to_flow.append(math.sqrt(n) * np.sqrt(np.mean((y_orig - y_flow) ** 2)))
+    got, ref = np.mean(to_theta), np.mean(to_flow)
+    assert got < 0.75 * ref, (got, ref)
+    print(f"[forced fixed point] steep: sqrt(N) RMS Y_orig - theta* {got:.4f} "
+          f"against Y_orig - Y_flow {ref:.4f} ({time.time() - start:.1f}s)")
 
 
 def test_criterion_2_closed_form_limit(sol_const1, sol_mixture, spec_mixture):

@@ -135,7 +135,7 @@ SORT_BOUNDS = [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 20]
 
 
 def _assert_stable_argsort(keys, bound):
-    got = latp._stable_argsort(keys, bound)
+    got = streams._stable_argsort(keys, bound)
     assert got.dtype == np.intp
     assert np.array_equal(got, np.argsort(keys, kind="stable"))
 
@@ -168,7 +168,53 @@ def test_stable_argsort_keeps_ties_in_place(data, bound):
 
 def test_stable_argsort_refuses_keys_that_would_overflow():
     with pytest.raises(AssertionError, match="overflow"):
-        latp._stable_argsort(np.zeros(4, dtype=np.int64), 1 << 62)
+        streams._stable_argsort(np.zeros(4, dtype=np.int64), 1 << 62)
+
+
+# owner counts of the replica sort: a radix chunk and the unique-key
+# fallback past 2^16
+RADIX_OWNERS = [1, 7, 1 << 16, (1 << 16) + 1, 70_000]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_owners=st.sampled_from(RADIX_OWNERS))
+def test_radix_owner_sort_is_lexsort(data, n_owners):
+    # a few distinct values tie often, within an owner and across owners;
+    # owners drawn from a few leave most owners empty
+    owner_pool = data.draw(st.lists(st.integers(0, n_owners - 1), min_size=1,
+                                    max_size=5)) + [n_owners - 1]
+    value_pool = data.draw(st.lists(
+        st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6))
+    m = data.draw(st.integers(0, 400))
+    owners = np.array(data.draw(st.lists(st.sampled_from(owner_pool),
+                                         min_size=m, max_size=m)),
+                      dtype=np.int64)
+    if data.draw(st.booleans()):
+        owners.sort()  # as replica_candidates lays them out
+    values = np.array(data.draw(st.lists(st.sampled_from(value_pool),
+                                         min_size=m, max_size=m)), dtype=float)
+    got = streams._by_owner_then_value(owners, values, n_owners)
+    want = np.lexsort((values, owners))
+    assert np.array_equal(np.sort(got), np.arange(m))
+    # tied entries may swap, and hold the same bytes
+    assert owners[got].tobytes() == owners[want].tobytes()
+    assert values[got].tobytes() == values[want].tobytes()
+
+
+def test_replica_candidates_past_one_radix_chunk_match_candidate_batch():
+    # 70 000 streams sort their owners by unique keys, not by radix
+    seed, rate, count = 12, 2.1, 70_000
+    times, marks, counts = streams.replica_candidates(
+        seed, streams.LATP, count, rate, 1.0)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    assert offsets[-1] == len(times) == len(marks)
+    sampled = np.random.default_rng(3).choice(count, 40, replace=False)
+    for q in [0, 1, 65_535, 65_536, 65_537, *sampled.tolist(), count - 1]:
+        want_t, want_m = streams.candidate_batch(
+            streams.substream(seed, streams.LATP, q), rate, 1.0)
+        got = slice(offsets[q], offsets[q + 1])
+        assert times[got].tobytes() == want_t.tobytes()
+        assert marks[got].tobytes() == want_m.tobytes()
 
 
 @pytest.mark.parametrize("call", [
@@ -627,6 +673,32 @@ def test_sample_arrivals_keeps_arrival_sequence_invariant(times, drawn):
     with pytest.raises(ConfigError) as batched:
         sample_replicas(constant_intensity(1.0, 1.0), 0, 1)
     assert str(batched.value) == str(exc.value)
+
+
+def _bases(a):
+    """a and the arrays whose memory it views, in turn."""
+    while isinstance(a, np.ndarray):
+        yield a
+        a = a.base
+
+
+@pytest.mark.parametrize("seed", [0, KEY_WORD_MAX])
+@pytest.mark.parametrize("label", sorted(shipped_omegas(1.0)))
+def test_sample_arrivals_hands_out_a_checked_row(label, seed):
+    # a replica's sequence is its checked block row itself: what the public
+    # constructor makes of a copy of it, read-only, and over read-only
+    # memory only, in the first block and the last
+    omega = shipped_omegas(1.0)[label]
+    size = latp.REPLICA_BLOCK
+    for r in (0, 1, size - 1, KEY_WORD_MAX + 1 - size, KEY_WORD_MAX):
+        got = sample_arrivals(omega, seed, r)
+        want = ArrivalSequence(times=got.times.copy(), horizon=omega.horizon)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.times.dtype == want.times.dtype and got.times.ndim == 1
+        assert type(got.horizon) is float and got.horizon == want.horizon
+        assert not any(a.flags.writeable for a in _bases(got.times))
+        with pytest.raises(ValueError):
+            got.times.flags.writeable = True
 
 
 def test_sample_arrivals_breach_text(drawn):
