@@ -512,9 +512,10 @@ def load_spec(path) -> PopulationSpec:
     return spec_from_config(cfg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationAssignment:
-    """Deterministic N-particle discretization of a population spec."""
+    """Deterministic N-particle discretization of a population spec,
+    compared and hashed by identity."""
 
     spec: PopulationSpec
     class_index: np.ndarray

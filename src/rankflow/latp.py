@@ -8,8 +8,9 @@ no-arrival probability p(s, t) = P(N(t) = N(s)) are provided:
   * exact path sampling by thinning (``sample_arrivals``, one replica's
     row of a block thinned and checked as ``sample_replicas`` thins and
     checks it, handed out as a read-only view with no copy and no second
-    check: about 1.5 us a cached call, against 4.1 us when
-    ``ArrivalSequence`` copied and walked the row again),
+    check: about 1.1-1.3 us a cached call, against 4.1 us when
+    ``ArrivalSequence`` copied and walked the row again, and 2.2-2.7 us
+    a call in a walk over replicas that draws and thins each block once),
   * a renewal Volterra solve for the arrival-rate density (``survival_solve``),
   * the explicit series over arrival configurations (``survival_series``),
     kept as a test oracle; each term reuses the previous term's inner
@@ -205,9 +206,10 @@ def _check_arrivals(times: list, horizon: float) -> None:
         raise ConfigError(_NOT_INCREASING)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrivalSequence:
-    """Strictly increasing arrival times in (0, horizon]."""
+    """Strictly increasing arrival times in (0, horizon].  Compared and
+    hashed by identity: the generated ``==`` would compare arrays."""
 
     times: np.ndarray
     horizon: float
@@ -230,8 +232,11 @@ class ArrivalSequence:
         ``_thinned`` has checked, and ``horizon``, a float that
         ``LatpIntensity`` has: no copy and no second check."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "times", times)
-        object.__setattr__(seq, "horizon", horizon)
+        # written into the instance dict, past the frozen __setattr__:
+        # cheaper than object.__setattr__ and than dict.update
+        fields = seq.__dict__
+        fields["times"] = times
+        fields["horizon"] = horizon
         return seq
 
     def count(self, t: float) -> int:
@@ -293,9 +298,10 @@ def sample_arrivals(omega: LatpIntensity, seed: int,
         raise EnvelopeBreach(exc.args[0].partition(": ")[2],
                              owner=exc.owner, last=exc.last, time=exc.time,
                              hazard=exc.hazard) from None
-    lo, hi = edges[replica % size:replica % size + 2].tolist()
+    q = replica % size
     # the row was checked once, in ``_thinned``
-    return ArrivalSequence._checked_row(times[lo:hi], omega.horizon)
+    return ArrivalSequence._checked_row(times[edges.item(q):edges.item(q + 1)],
+                                        omega.horizon)
 
 
 def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
@@ -399,9 +405,10 @@ def sample_replicas(omega: LatpIntensity, seed: int, replicas: int):
     return np.concatenate(times), _edges(np.concatenate(counts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurvivalTable:
-    """No-arrival probabilities p[i, j] ~= P(N(t_j) = N(t_i)) on a grid.
+    """No-arrival probabilities p[i, j] ~= P(N(t_j) = N(t_i)) on a grid,
+    compared and hashed by identity.
 
     Entries below the diagonal are NaN.  The diagonal is exactly 1, rows are
     non-increasing in j and columns non-decreasing in i as computed (up to

@@ -33,8 +33,19 @@ streams then draw in one of two ways:
   ``latp.sample_arrivals`` a cached block at a time.  It sorts each
   stream's times with one ``argsort`` of all of them and a stable radix
   regroup by stream (``_by_owner_then_value``): on a 10 000-stream block
-  the sort takes about 0.45 ms against 3.6 ms for ``np.lexsort``, and
-  the whole call about 9.4 ms against 13 ms.
+  the sort takes about 0.45 ms against 3.6 ms for ``np.lexsort``.
+
+``_bulk_draws`` makes one Philox pass per counter block over the streams
+still counting, then one pass over every stream's later blocks, a
+(stream, counter) lane each.  At mean 2.1 a block of 1024 streams takes
+four passes (1024, 161, 1 and 1016 lanes at seed 7) where one pass per
+block over every stream still drawing took seven over the same 2202
+lanes.  A pass runs both products of a round as one (2, L) array, in
+179 ufunc calls against 379, and writes all ten rounds into the same
+seven arrays.  A 1024-lane pass takes about 0.25-0.29 ms, the 1024-stream
+draw 1.0-1.2 ms against 2.2-2.3 ms, and a 10 000-stream
+``replica_candidates`` call 7.2-7.4 ms against 8.9-9.1 ms (process time,
+best of 7-20 in each of three processes a side).
 """
 
 from __future__ import annotations
@@ -234,13 +245,20 @@ def philox_keys(seed: int, kind: int, indices) -> np.ndarray:
                      w2 | (w3 << np.uint64(32))], axis=1)
 
 
-# Philox4x64-10 (Salmon et al., SC 2011, as numpy.random.Philox runs it):
-# the round multipliers, each as itself and as its 32-bit halves, and the
-# key bumps between rounds
-_PHILOX_M = tuple((m, np.uint64(m), np.uint64(m & _MASK), np.uint64(m >> 32))
-                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
-_PHILOX_W = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+# Philox4x64-10 (Salmon et al., SC 2011, as numpy.random.Philox runs it).
+# A round multiplies counter words 0 and 2 by its two multipliers as one
+# (2, L) array, and its result swaps the two: so in even rounds the rows
+# hold words (0, 2) and (1, 3), in odd rounds words (2, 0) and (3, 1), and
+# the multipliers, each as itself and as its 32-bit halves, come as (2, 1)
+# columns in either order.  The keys are held as rows (k1, k0), bumped
+# between rounds by the column _PHILOX_W
 _LOW32, _SHIFT32 = np.uint64(_MASK), np.uint64(32)
+_ROUND_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                    dtype=np.uint64)
+_PHILOX_M = [(m, m & _LOW32, m >> _SHIFT32)
+             for m in (_ROUND_M, _ROUND_M[::-1].copy())]
+_PHILOX_W = np.array([[0xBB67AE8584CAA73B], [0x9E3779B97F4A7C15]],
+                     dtype=np.uint64)
 # a double from a word: its top 53 bits times 2**-53, as numpy's random()
 _SHIFT11, _TO_DOUBLE = np.uint64(11), 2.0 ** -53
 
@@ -251,46 +269,59 @@ _SHIFT11, _TO_DOUBLE = np.uint64(11), 2.0 ** -53
 POISSON_MULT_MAX = 10.0
 
 
-def _mulhilo(m, x):
-    """High and low words of the 128-bit products of the multiplier ``m``,
-    a ``_PHILOX_M`` entry, with each word of the uint64 array ``x``; the
-    high word is built from the four 32-bit partial products."""
-    _, m64, m_lo, m_hi = m
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    ll, hl = x_lo * m_lo, x_hi * m_lo
-    lh, hi = x_lo * m_hi, x_hi * m_hi
-    mid = ll >> _SHIFT32
-    mid += hl & _LOW32
-    mid += lh & _LOW32
-    hi += hl >> _SHIFT32
-    hi += lh >> _SHIFT32
-    hi += mid >> _SHIFT32
-    return hi, x * m64
+def _philox_block(keys: np.ndarray, counters):
+    """The four words of Philox4x64-10 block ``counters[l]`` of key
+    ``keys[l]``, in every lane l.
 
-
-def _philox_block(keys: np.ndarray, counter: int):
-    """The four words of Philox4x64-10 block ``counter`` of every key.
-
-    ``keys`` holds one key per row (``philox_keys`` rows); the counter is
-    (counter, 0, 0, 0) in every lane, so the first round, whose products
-    are the same in every lane, runs on Python ints.  A fresh generator's
+    ``keys`` holds one key per row (``philox_keys`` rows) and
+    ``counters`` one counter per lane, a uint64 array, or one for all; the
+    counter of lane l is (counters[l], 0, 0, 0).  A fresh generator's
     first block has counter 1: numpy bumps the counter before it draws.
-    Returns four uint64 arrays, the block's words in the order numpy
-    hands them out.  Array arithmetic on uint64 wraps without a warning.
+    Returns four uint64 arrays, the block's words in the order numpy hands
+    them out.  Every round writes into the same seven (2, L) arrays, which
+    makes a 10 000-lane pass 0.94-0.98 ms against 1.00-1.05 ms with a
+    fresh array per operation.  Array arithmetic on uint64 wraps without
+    a warning.
     """
-    k0, k1 = keys[:, 0], keys[:, 1]
-    hi, lo = divmod(_PHILOX_M[0][0] * counter, 1 << 64)
-    x0, x1, x2, x3 = k0, 0, k1 ^ np.uint64(hi), lo
-    for _ in range(9):
-        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        hi1 ^= x1
-        hi1 ^= k0
-        hi0 ^= x3
-        hi0 ^= k1
-        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
-    return x0, x1, x2, x3
+    a, b, lo, x_lo, hi, t, cross = np.zeros((7, 2, len(keys)), dtype=np.uint64)
+    a[0] = counters
+    k = keys[:, ::-1].T.copy()
+    for r in range(10):
+        if r:
+            k += _PHILOX_W
+        m, m_lo, m_hi = _PHILOX_M[r % 2]
+        # the 128-bit products a * m: the low words, and the high words
+        # from the 32-bit halves, summed so that no partial sum wraps
+        np.multiply(a, m, out=lo)
+        np.bitwise_and(a, _LOW32, out=x_lo)
+        np.right_shift(a, _SHIFT32, out=hi)
+        np.multiply(x_lo, m_lo, out=t)
+        t >>= _SHIFT32
+        np.multiply(hi, m_lo, out=cross)
+        t += cross
+        x_lo *= m_hi
+        np.bitwise_and(t, _LOW32, out=cross)
+        x_lo += cross
+        t >>= _SHIFT32
+        hi *= m_hi
+        hi += t
+        x_lo >>= _SHIFT32
+        hi += x_lo
+        # words 0 and 2 become hi1 ^ x1 ^ k0 and hi0 ^ x3 ^ k1, words 1
+        # and 3 lo1 and lo0: the rows swap
+        hi ^= b[::-1]
+        hi ^= k if r % 2 == 0 else k[::-1]
+        a, hi = hi, a
+        b, lo = lo, b
+    return a[0], b[0], a[1], b[1]
+
+
+def _block_doubles(keys: np.ndarray, counters) -> np.ndarray:
+    """The four doubles numpy's ``random()`` reads from ``_philox_block
+    (keys, counters)``, one row per lane."""
+    u = np.stack(_philox_block(keys, counters), axis=1)
+    u >>= _SHIFT11
+    return u * _TO_DOUBLE
 
 
 def _bulk_draws(keys: np.ndarray, lam: float):
@@ -298,12 +329,14 @@ def _bulk_draws(keys: np.ndarray, lam: float):
     keyed by the rows of ``keys``, and the 2n uniforms each stream draws
     after its count: ``(n, doubles, first)``, stream q's uniforms being
     ``doubles[first[q]:first[q] + 2 * n[q]]``.  The count reads n + 1
-    doubles, so a stream hands out 3n + 1 in all.
+    doubles, so a stream hands out 3n + 1 in all, in its counter blocks
+    1 to ceil((3n + 1) / 4).
 
-    Round b draws counter block b for each stream that still needs
-    doubles: those whose running product is still above exp(-lam), and
-    those whose 3n + 1 doubles reach past block b - 1.  Those streams are
-    the ones that need a block at all, so nothing is padded.
+    Pass b draws block b of the streams still counting, those whose
+    running product is still above exp(-lam); a stream's count thus ends
+    in its block ceil((n + 1) / 4).  One more pass draws every stream's
+    later blocks at once, one (stream, counter) lane each.  Nothing is
+    padded.
     """
     count = len(keys)
     # libm's exp, which numpy's C sampler calls; np.exp may differ in the
@@ -312,29 +345,32 @@ def _bulk_draws(keys: np.ndarray, lam: float):
     n = np.zeros(count, dtype=np.int64)
     prod = np.ones(count)
     rows = np.arange(count)
-    open_ = np.ones(count, dtype=bool)  # still counting, along ``rows``
     drawn, owners = [], []
     block = 0
     while len(rows):
         block += 1
-        words = _philox_block(keys[rows], block)
-        u = np.stack([w >> _SHIFT11 for w in words], axis=1) * _TO_DOUBLE
+        u = _block_doubles(keys[rows], block)
         drawn.append(u)
         owners.append(rows)
-        if open_.any():
-            at = rows[open_]
-            # the running products of numpy's loop, prod *= u in order
-            run = np.multiply.accumulate(
-                np.concatenate([prod[at, None], u[open_]], axis=1), axis=1)
-            n[at] += np.count_nonzero(run[:, 1:] > floor, axis=1)
-            prod[at] = run[:, -1]
-            open_[open_] = run[:, -1] > floor
-        more = open_ | (3 * n[rows] + 1 > 4 * block)
-        rows, open_ = rows[more], open_[more]
+        # the running products of numpy's loop, prod *= u in order
+        run = np.multiply.accumulate(
+            np.concatenate([prod[rows, None], u], axis=1), axis=1)
+        n[rows] += np.count_nonzero(run[:, 1:] > floor, axis=1)
+        prod[rows] = run[:, -1]
+        rows = rows[run[:, -1] > floor]
+    counted = (n + 4) // 4
+    blocks = (3 * n + 4) // 4
+    rest = blocks - counted
+    lanes = np.repeat(np.arange(count), rest)
+    if len(lanes):
+        # each stream's lanes in a run, its blocks counted + 1 on in order
+        counters = np.repeat(counted + 1 - (np.cumsum(rest) - rest), rest)
+        counters += np.arange(len(lanes))
+        drawn.append(_block_doubles(keys[lanes], counters))
+        owners.append(lanes)
     owners = np.concatenate(owners)
-    # stream-major: each stream's blocks in counter order
-    doubles = np.concatenate(drawn)[np.argsort(owners, kind="stable")].ravel()
-    blocks = np.bincount(owners, minlength=count)
+    # stream-major: each stream's lanes already come in counter order
+    doubles = np.concatenate(drawn)[_stable_argsort(owners, count)].ravel()
     return n, doubles, 4 * (np.cumsum(blocks) - blocks) + n + 1
 
 

@@ -251,6 +251,16 @@ def test_assignment_average_tracks_m_w():
     assert abs(a.sup_norms().mean() - spec.m_w) <= max(2.0, 0.7) / 100
 
 
+def test_assignments_compare_by_identity():
+    # the generated == and hash would read the numpy fields and raise
+    spec = affine_two_class_spec()
+    a, b = (assign_population(spec, 8, mode="stratified") for _ in range(2))
+    assert a == a and not a != a
+    assert not a == b and a != b
+    assert hash(a) == hash(a) and isinstance(hash(b), int)
+    assert len({a, b}) == 2
+
+
 def test_stratified_uniform_in_order():
     spec = uniform_single_class(ConstantField(1.0, 1.0))
     a = assign_population(spec, 4, mode="stratified")

@@ -442,6 +442,62 @@ def test_philox_block_matches_numpy(counter):
         assert [int(w[q]) for w in words] == want.tolist()
 
 
+def test_philox_block_matches_numpy_per_lane():
+    # every key at every counter, mixed in one call: lane l draws block
+    # counters[l] of keys[l]
+    counters = [1, 2, 7, 1000, 2 ** 40, 2 ** 64 - 1]
+    keys = np.repeat(PHILOX_KEYS, len(counters), axis=0)
+    lanes = np.random.default_rng(0).permutation(len(keys))
+    keys = keys[lanes]
+    c = np.tile(np.array(counters, dtype=np.uint64), len(PHILOX_KEYS))[lanes]
+    words = streams._philox_block(keys, c)
+    assert all(w.dtype == np.uint64 and w.shape == (len(keys),) for w in words)
+    for q, (key, counter) in enumerate(zip(keys, c.tolist())):
+        want = np.random.Philox(key=key, counter=counter - 1).random_raw(4)
+        assert [int(w[q]) for w in words] == want.tolist()
+
+
+def test_bulk_draws_count_then_draw_the_rest_in_one_pass(monkeypatch):
+    # a pass per counter block while any stream still counts, then one
+    # pass for every stream's later blocks: each stream's blocks 1 to
+    # ceil((3n + 1) / 4), each drawn once
+    calls = []
+
+    def counted(keys, counters):
+        calls.append((keys, np.broadcast_to(counters, len(keys)).copy()))
+        return philox_block(keys, counters)
+
+    philox_block = streams._philox_block
+    monkeypatch.setattr(streams, "_philox_block", counted)
+    keys = streams.philox_keys(1, streams.LATP, np.arange(1024))
+    n, doubles, first = streams._bulk_draws(keys, 2.1)
+    counting = (int(n.max()) + 4) // 4
+    assert counting >= 3 and len(calls) <= counting + 1
+    lanes = {(k.tobytes(), c) for ks, cs in calls
+             for k, c in zip(ks, cs.tolist())}
+    assert len(lanes) == sum(len(ks) for ks, _ in calls)
+    assert lanes == {(keys[q].tobytes(), c) for q in range(len(keys))
+                     for c in range(1, (3 * int(n[q]) + 4) // 4 + 1)}
+
+
+@pytest.mark.parametrize("lam", [1e-3, 2.1, 9.99])
+def test_replica_candidates_of_2048_streams_match_candidate_batch(lam):
+    # sampled streams, and the one of the largest count, most of whose
+    # blocks come from the pass after the count
+    seed, count = 21, 2048
+    times, marks, counts = streams.replica_candidates(
+        seed, streams.LATP, count, lam, 1.0)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    assert offsets[-1] == len(times) == len(marks)
+    sampled = np.random.default_rng(4).choice(count, 60, replace=False)
+    for q in [0, count - 1, int(np.argmax(counts)), *sampled.tolist()]:
+        want_t, want_m = streams.candidate_batch(
+            streams.substream(seed, streams.LATP, q), lam, 1.0)
+        got = slice(offsets[q], offsets[q + 1])
+        assert times[got].tobytes() == want_t.tobytes()
+        assert marks[got].tobytes() == want_m.tobytes()
+
+
 def test_replica_candidates_loop_only_from_the_poisson_threshold(monkeypatch):
     # below POISSON_MULT_MAX no stream re-keys the shared generator
     def rekeyed(key):
@@ -842,6 +898,20 @@ def test_survival_table_refuses_nan_on_or_above_the_diagonal(at):
 def test_latp_intensity_refuses_horizon(horizon):
     with pytest.raises(ConfigError, match="positive and finite"):
         constant_intensity(1.0, horizon)
+
+
+def test_arrival_sequences_and_survival_tables_compare_by_identity():
+    # the generated == and hash would read the numpy fields and raise
+    grid = np.linspace(0.0, 1.0, 11)
+    pairs = [
+        [ArrivalSequence(times=np.array([0.2, 0.5]), horizon=1.0)
+         for _ in range(2)],
+        [survival_solve(constant_intensity(1.0, 1.0), grid) for _ in range(2)]]
+    for a, b in pairs:
+        assert a == a and not a != a
+        assert not a == b and a != b
+        assert hash(a) == hash(a) and isinstance(hash(b), int)
+        assert len({a, b}) == 2
 
 
 def test_arrival_sequence_accepts_increasing_times():
