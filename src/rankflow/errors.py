@@ -2,7 +2,9 @@
 raise them: every entry point refuses a bad integer or number through
 ``_require_int``, ``_number`` or ``_positive``, which never take a bool
 (Python's or numpy's) as a number, refuse NaN and infinities, and start
-their message with the argument's name.
+their message with the argument's name.  ``_real_array`` refuses entries
+that are not numbers, and leaves NaN and the infinities to the caller's
+range test.
 """
 
 import math
@@ -75,6 +77,15 @@ def _number(name: str, x, error=ConfigError) -> float:
     if not _finite(x):
         raise error(f"{name}: must be a finite number, got {x!r}")
     return float(x)
+
+
+def _real_array(name: str, x, error=ConfigError) -> np.ndarray:
+    """x as a float array if its entries are integers or floats (a bool, a
+    string or None is none), else ``error``."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise error(f"{name}: must be numbers, got {x!r}")
+    return a.astype(float, copy=False)
 
 
 def _positive(name: str, x, error=ConfigError) -> float:

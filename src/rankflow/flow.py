@@ -156,7 +156,8 @@ class FlowGrid:
     # -- strict evaluation ------------------------------------------------
 
     def theta(self, gamma: BoundaryPoint, t: float) -> float:
-        return float(self._thetas(gamma.y0, gamma.t0, t))
+        return float(self._thetas(gamma.y0, gamma.t0,
+                                  _number("t", t, DomainError)))
 
     def _thetas(self, y0, t0, t):
         """theta at every pair given by its y0, t0 and t, if admissible."""
@@ -381,6 +382,7 @@ class PhiEvaluator:
     # -- values at pairs ----------------------------------------------------
 
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
+        t = _number("t", t, DomainError)
         return float(self._phis(_h_vector(h, self.spec)[None],
                                 [gamma.kind == "initial"], [gamma.y0],
                                 [gamma.t0], [t])[0, 0])

@@ -19,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, _number, _positive, _require_int
+from .errors import (ConfigError, DomainError, _number, _positive,
+                     _real_array, _require_int)
 from .latp import _grid_cells
 from . import streams
 
@@ -36,23 +37,30 @@ def _numbers(values, name: str) -> np.ndarray:
     return items.astype(float)
 
 
-def _flat_bilinear(flat, at, width, a, mu):
-    """``latp._bilinear`` of a table stored row after row in ``flat``, each
-    row ``width`` long: ``at`` is the flat index of node (r, j), and is
-    overwritten.  The same products and sums, on nodes read by ``take``."""
+def _table_read(flat, off, ny, nt, dy, dt, y, t):
+    """The bilinear read at (y, t) of tables stored transposed, row after
+    row, in ``flat``: a table has ny nodes of step dy in y and nt of step
+    dt in t, from flat index ``off``, and each of these may be one per
+    entry.  Linear along a row of the transposed table first, in y, then
+    across the two rows, in t: ``latp._bilinear``'s products and sums, on
+    nodes read by ``take``."""
+    r, a = _grid_cells(t, dt, nt - 1)
+    j, mu = _grid_cells(y, dy, ny - 1)
+    at = off + r * ny + j
     lo = flat.take(at) * (1 - mu) + flat.take(at + 1) * mu
-    at += width
+    at += ny
     hi = flat.take(at) * (1 - mu) + flat.take(at + 1) * mu
     return lo * (1 - a) + hi * a
 
 
 def _check_domain(y, t, horizon):
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(y < -_DOMAIN_TOL) or np.any(y > 1.0 + _DOMAIN_TOL):
-        raise DomainError(f"position outside [0,1]: {y!r}")
-    if np.any(t < -_DOMAIN_TOL) or np.any(t > horizon + _DOMAIN_TOL):
-        raise DomainError(f"time outside [0,{horizon}]: {t!r}")
+    """y and t as float arrays, if numbers in [0, 1] and [0, horizon];
+    written so that NaN, which fails every comparison, is refused."""
+    y, t = _real_array("y", y, DomainError), _real_array("t", t, DomainError)
+    if not np.all((y >= -_DOMAIN_TOL) & (y <= 1.0 + _DOMAIN_TOL)):
+        raise DomainError(f"y: position outside [0,1]: {y!r}")
+    if not np.all((t >= -_DOMAIN_TOL) & (t <= horizon + _DOMAIN_TOL)):
+        raise DomainError(f"t: time outside [0,{horizon}]: {t!r}")
     return y, t
 
 
@@ -60,12 +68,15 @@ class IntensityField:
     """Base class for rate fields w(y, t).
 
     Subclasses set exact ``sup_norm`` and ``y_deriv_bound`` at construction,
-    through ``_set_bounds``, and implement ``_values`` (vectorized,
-    unvalidated).  Calls validate the domain and return nonnegative rates;
-    evaluation is pure, so repeated calls are bit-stable.
+    through ``_set_bounds``, and either a row ``_row = (yb, ys, tb, ts)``,
+    read by the one rate formula ``(yb + ys*y) * (tb + ts*t)``, or their own
+    ``_values`` (vectorized, unvalidated).  Calls validate the domain and
+    return nonnegative rates; evaluation is pure, so repeated calls are
+    bit-stable.
     """
 
     kind = "abstract"
+    _row = None
 
     def __init__(self, horizon: float):
         self.horizon = _positive("horizon", horizon)
@@ -90,7 +101,8 @@ class IntensityField:
         return out
 
     def _values(self, y, t) -> np.ndarray:
-        raise NotImplementedError
+        yb, ys, tb, ts = self._row
+        return np.asarray((yb + ys * y) * (tb + ts * t))
 
     def params(self) -> dict:
         raise NotImplementedError
@@ -114,9 +126,8 @@ class ConstantField(IntensityField):
         if value < 0:
             raise ConfigError(f"value: constant rate must be >= 0, got {value}")
         self._set_bounds(self.value, 0.0)
-
-    def _values(self, y, t):
-        return np.full(np.broadcast_shapes(np.shape(y), np.shape(t)), self.value)
+        # -0.0 * y is -0.0, the additive identity, for y >= 0
+        self._row = (self.value, -0.0, 1.0, 0.0)
 
     def params(self):
         return {"value": self.value}
@@ -136,9 +147,9 @@ class AffineField(IntensityField):
             raise ConfigError(
                 f"slope: affine field negative at y=1: base={base}, slope={slope}")
         self._set_bounds(max(self.base, self.base + self.slope), abs(self.slope))
-
-    def _values(self, y, t):
-        return np.asarray(self.base + self.slope * y + 0.0 * t)
+        # base + 0.0 turns a -0.0 base into 0.0, as adding 0.0 * t to
+        # base + slope*y would
+        self._row = (self.base + 0.0, self.slope, 1.0, 0.0)
 
     def params(self):
         return {"base": self.base, "slope": self.slope}
@@ -170,10 +181,7 @@ class ProductField(IntensityField):
         fy = max(self.y_base, self.y_base + self.y_slope)
         ft = max(self.t_base, self.t_base + self.t_slope * horizon)
         self._set_bounds(fy * ft, abs(self.y_slope) * ft)
-
-    def _values(self, y, t):
-        return np.asarray(
-            (self.y_base + self.y_slope * y) * (self.t_base + self.t_slope * t))
+        self._row = (self.y_base, self.y_slope, self.t_base, self.t_slope)
 
     def params(self):
         return {"y_base": self.y_base, "y_slope": self.y_slope,
@@ -208,12 +216,8 @@ class TableField(IntensityField):
                          float(np.abs(np.diff(vals, axis=0)).max()) / self._dy)
 
     def _values(self, y, t):
-        # interpolated along a row of the transposed table first: in y,
-        # then in t
-        ny, nt = self.values.shape
-        r, a = _grid_cells(t, self._dt, nt - 1)
-        j, mu = _grid_cells(y, self._dy, ny - 1)
-        return np.asarray(_flat_bilinear(self._flat, r * ny + j, ny, a, mu))
+        return np.asarray(_table_read(self._flat, 0, *self.values.shape,
+                                      self._dy, self._dt, y, t))
 
     def params(self):
         return {"values": self.values.tolist()}
@@ -227,15 +231,13 @@ class ClassHazard:
     gathering each class's parameters, with no pass per class.
 
     One field is read at y and t as they come, of any shape, by its own
-    ``_values``.  Otherwise constant, affine and product classes are
-    ``(yb + ys*y) * (tb + ts*t)`` at their class's row, and table classes
-    are ``_bilinear`` reads of one flat stack of the transposed tables at
+    ``_values``.  Otherwise every class with a row ``_row`` is read by the
+    fields' one rate formula at its class's row, and table classes by the
+    one flat read, ``_table_read``, of a stack of the transposed tables at
     their class's offset, steps and sizes; a spec with both kinds adds the
     two parts.  Each part is -0.0, the additive identity, on the other
-    part's classes, and the rows keep ``_values``' rounding: a constant is
-    ``(value, -0.0, 1, 0)``, and an affine class ``(base + 0.0, slope, 1,
-    0)``, which rounds as ``base + slope*y + 0.0*t``.  So for y and t that
-    are not negative the bytes are those of each field's ``_values``.
+    part's classes, so for y and t that are not negative the bytes are
+    those of each field's ``_values``.
     """
 
     def __init__(self, fields):
@@ -247,12 +249,8 @@ class ClassHazard:
             if isinstance(fld, TableField):
                 rows.append((-0.0, -0.0, 1.0, 0.0))
                 tables.append((k, fld))
-            elif isinstance(fld, ProductField):
-                rows.append((fld.y_base, fld.y_slope, fld.t_base, fld.t_slope))
-            elif isinstance(fld, AffineField):
-                rows.append((fld.base + 0.0, fld.slope, 1.0, 0.0))
-            elif isinstance(fld, ConstantField):
-                rows.append((fld.value, -0.0, 1.0, 0.0))
+            elif fld._row is not None:
+                rows.append(fld._row)
             else:
                 raise ConfigError(f"classes[{k}].field: no gathered form for "
                                   f"kind {fld.kind!r}")
@@ -287,12 +285,8 @@ class ClassHazard:
                 tb, ts = self._time
                 out *= tb[cls] + ts[cls] * t
         if self._table is not None:
-            flat, off, ny, nt, dy, dt = self._table
-            width = ny[cls]
-            r, a = _grid_cells(t, dt[cls], nt[cls] - 1)
-            j, mu = _grid_cells(y, dy[cls], width - 1)
-            part = _flat_bilinear(flat, off[cls] + r * width + j, width, a,
-                                  mu)
+            flat, *per_class = self._table
+            part = _table_read(flat, *(x[cls] for x in per_class), y, t)
             out = part if out is None else out + part
         return out
 

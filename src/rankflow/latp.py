@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (ConfigError, DomainError, EnvelopeBreach, _number,
-                     _positive, _require_int)
+                     _positive, _real_array, _require_int)
 from . import streams
 from .streams import _stable_argsort
 
@@ -118,10 +118,14 @@ class LatpIntensity:
         self.label = label or "omega"
 
     def __call__(self, s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if np.any(s < -1e-12) or np.any(t > self.horizon + 1e-12) or np.any(s > t + 1e-12):
-            raise DomainError(f"({s!r}, {t!r}) outside 0 <= s <= t <= {self.horizon}")
+        # written so that NaN, which fails every comparison, is refused
+        s = _real_array("s", s, DomainError)
+        t = _real_array("t", t, DomainError)
+        if not np.all((s >= -1e-12) & (s <= self.horizon + 1e-12)):
+            raise DomainError(f"s: {s!r} outside [0, {self.horizon}]")
+        if not np.all((s <= t + 1e-12) & (t <= self.horizon + 1e-12)):
+            raise DomainError(
+                f"t: ({s!r}, {t!r}) outside 0 <= s <= t <= {self.horizon}")
         out = np.asarray(self._fn(s, t), dtype=float)
         if out.ndim == 0:
             return float(out)
@@ -190,20 +194,16 @@ def flow_pullback_affine(base: float, slope: float, z: float,
                          label=f"flow-affine[{base}+{slope}y,z={z}]")
 
 
-_NOT_INCREASING = "times must be strictly increasing in (0, horizon]"
-
-
-def _check_arrivals(times: list, horizon: float) -> None:
-    """Refuse arrival times, a list of floats, that are not strictly
-    increasing in (0, horizon] with ConfigError.  Written so that NaN,
-    which fails every comparison, is refused."""
-    last = 0.0
-    for u in times:
-        if not last < u:
-            raise ConfigError(_NOT_INCREASING)
-        last = u
-    if not last <= horizon + 1e-12:
-        raise ConfigError(_NOT_INCREASING)
+def _check_arrivals(times: np.ndarray, horizon: float, same=True) -> None:
+    """Refuse with ConfigError arrival times, paths laid end to end, that
+    are not strictly increasing in (0, horizon] along each path; ``same``
+    marks the neighbours ``times[c], times[c + 1]`` that share a path (all
+    of them by default).  Written so that NaN, which fails every
+    comparison, is refused."""
+    if len(times) and not (times.min() > 0
+                           and np.all(np.diff(times) > 0, where=same)
+                           and times.max() <= horizon + 1e-12):
+        raise ConfigError("times must be strictly increasing in (0, horizon]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +221,7 @@ class ArrivalSequence:
         t = np.array(self.times, dtype=float)
         if t.ndim != 1:
             raise ConfigError("times must be one-dimensional")
-        _check_arrivals(t.tolist(), horizon)
+        _check_arrivals(t, horizon)
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "horizon", horizon)
@@ -380,14 +380,9 @@ def _thinned(omega: LatpIntensity, seed: int, lo: int, n: int):
             owner=lo + exc.owner, last=exc.last, time=exc.time,
             hazard=exc.hazard) from None
     times, owners = times[accepted], owners[accepted]
-    # ArrivalSequence's invariant, per replica, refusing NaN as it does:
-    # the one check of every replica's path, which sample_arrivals hands
-    # out as it is
-    same = owners[1:] == owners[:-1]
-    if len(times) and not (times.min() > 0
-                           and np.all(np.diff(times)[same] > 0)
-                           and times.max() <= horizon + 1e-12):
-        raise ConfigError(_NOT_INCREASING)
+    # ArrivalSequence's invariant, per replica: the one check of every
+    # replica's path, which sample_arrivals hands out as it is
+    _check_arrivals(times, horizon, owners[1:] == owners[:-1])
     return times, np.bincount(owners, minlength=n)
 
 

@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, _finite, _number
+from .errors import (ConfigError, DomainError, _finite, _number,
+                     _require_int)
 from .flow import BoundaryPoint, _admissible, _h_vector, boundary, initial
 from .intensity import PopulationSpec
 from .latp import _edges, _laid, _owners, _tiled
@@ -58,6 +59,7 @@ class TestFunction:
 
     @staticmethod
     def indicator(class_k: int) -> "TestFunction":
+        _require_int("class_k", class_k, 0)
         return TestFunction("indicator", (int(class_k),))
 
     @staticmethod
@@ -380,6 +382,7 @@ class LogEvaluator:
         return self.lattice_counts(EvaluationLattice(gammas=(gamma,), times=(t,)))
 
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
+        t = _number("t", t, DomainError)
         alive = self._point_counts(gamma, t).alive[0]
         return float(alive @ _h_vector(h, self.spec)) / self.n
 

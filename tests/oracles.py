@@ -4,8 +4,8 @@ import itertools
 
 import numpy as np
 
-from rankflow import (ArrivalSequence, ConfigError, EnvelopeBreach,
-                      RankIndex, streams)
+from rankflow import (AffineField, ArrivalSequence, ConfigError,
+                      ConstantField, EnvelopeBreach, RankIndex, streams)
 from rankflow.flow import OdeFormReport, _thin_along_flow, boundary, initial
 from rankflow.intensity import ClassHazard
 from rankflow.latp import (ENVELOPE_MARGIN, DerivativeReport, _bilinear,
@@ -391,6 +391,19 @@ def loop_regularity_moduli(vals):
         if len(col) > 1:
             ds_mod = max(ds_mod, float(np.max(np.abs(np.diff(col)))))
     return ds_mod, dt_mod
+
+
+def row_field_formula(field, y, t):
+    """The rate of a constant, affine or product field, each kind in a
+    formula of its own, and not as the row ``field._row`` read by the
+    fields' one formula ``(yb + ys*y) * (tb + ts*t)``."""
+    if isinstance(field, ConstantField):
+        return np.full(np.broadcast_shapes(np.shape(y), np.shape(t)),
+                       field.value)
+    if isinstance(field, AffineField):
+        return np.asarray(field.base + field.slope * y + 0.0 * t)
+    return np.asarray((field.y_base + field.y_slope * y)
+                      * (field.t_base + field.t_slope * t))
 
 
 def table_values(field, y, t):

@@ -1,10 +1,10 @@
-"""Acceptance criteria, one test per criterion, and two for the first.
+"""Acceptance criteria, one test per criterion, and three for the first.
 
 Each test prints a single [criterion k] PASS line (run pytest with -s to see
 them live).  Tolerances are pinned here, not calibrated elsewhere:
 
   1 exact combinatorial identities and the pathwise coupling bound, zero
-    tolerance
+    tolerance, and the coupling's compensator, |z| <= 4
   2 closed-form limit flows within 10 (dt^2 + tol)
   3 point-process three-way agreement (series / Volterra / Monte Carlo)
   4 hydrodynamic convergence: decreasing sup distances, slope <= -0.3
@@ -99,6 +99,71 @@ def test_criterion_1_pathwise_coupling_bound(spec_affine, sol_affine, lattice):
     report(1, time.time() - start, 60,
            f"|rank_orig - rank_flow| <= #decoupled at {checks} (run, time) "
            f"pairs on {len(sols)} specs, attained at {attained}")
+
+
+def _split_and_compensator(assignment, fl, seed):
+    """The particles of a coupled run of ``seed`` that split, and the sum,
+    over each particle's candidates up to and including its first split,
+    of |h_orig - h_flow| / envelope: the chance that the candidate splits
+    the pair, both hazards read from the state before it."""
+    n, rate = assignment.n, assignment.spec.class_hazard
+    times, ids, marks, _ = srp._candidates(assignment, assignment.spec.horizon,
+                                           seed, 0)
+    acc_orig, _ = srp._original_pass(assignment, times, ids, marks)
+    acc_flow, _ = srp._flow_pass(assignment, fl, times, ids, marks)
+    cls = assignment.class_index[ids]
+    ranks = srp._mtf_ranks(assignment.slots, ids, acc_orig)
+    h_orig = rate(cls, ranks * (1.0 / n), times)
+    # each candidate's particle's last reset under the flow mask: the
+    # latest accepted candidate before it in its particle's run, else 0
+    m = len(times)
+    order, _, group, _ = srp._by_particle(ids, n)
+    before = np.full(m, -1)
+    np.maximum.accumulate(np.where(acc_flow[order], np.arange(m), -1)[:-1],
+                          out=before[1:])
+    own = before >= group
+    last = np.zeros(m)
+    last[order[own]] = times[order[before[own]]]
+    h_flow = flow._hazard_along(fl, rate, cls, assignment.position[ids], last,
+                                times)
+    first = np.full(n, m)
+    differ = np.flatnonzero(acc_orig != acc_flow)
+    np.minimum.at(first, ids[differ], differ)
+    live = np.arange(m) <= first[ids]
+    ratio = np.abs(h_orig - h_flow) / assignment.sup_norms()[ids]
+    return int(np.count_nonzero(first < m)), float(ratio[live].sum())
+
+
+def test_criterion_1_coupling_compensator(sol_affine):
+    # the number of split pairs minus its compensator is a mean-zero
+    # martingale: while a pair is coupled its candidate splits it with
+    # chance |h_orig - h_flow| / envelope; the z of the mean over 200
+    # seeds stays within 4, and a compensator 25% too large reads |z| > 8
+    start = time.time()
+    seeds = range(200)
+    steep = spec_from_config(STEEP_SPECS["affine_0_5_5_0"])
+    cases = {"affine": (sol_affine, 2 ** 12),
+             "steep": (solve_y_c(steep, n_z=20, n_t=200), 2 ** 10)}
+    details = []
+    for name, (sol, n) in cases.items():
+        assignment = assign_population(sol.spec, n)
+        records = [rec for _, _, rec in srp._run_seeds(
+            assignment, seeds, "coupled", flow=sol.flow)]
+        splits, comp = np.array(
+            [_split_and_compensator(assignment, sol.flow, s) for s in seeds]).T
+        assert splits.tolist() == [int(np.count_nonzero(r.sigma <= r.horizon))
+                                   for r in records]
+        z = {}
+        for scale in (1.0, 1.25):
+            gap = splits - scale * comp
+            z[scale] = gap.mean() / (gap.std(ddof=1) / math.sqrt(len(gap)))
+        assert abs(z[1.0]) <= 4.0, (name, z)
+        assert abs(z[1.25]) > 8.0, (name, z)
+        details.append(f"{name} N={n}: z {z[1.0]:+.2f}, x1.25 {z[1.25]:+.1f}, "
+                       f"mean splits {splits.mean():.1f}")
+    report(1, time.time() - start, 60,
+           f"coupling compensator over {len(seeds)} seeds: "
+           + "; ".join(details))
 
 
 # the specs of the identification gate, as configs whose affine fields

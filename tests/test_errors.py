@@ -28,6 +28,7 @@ FLOW = FlowGrid.identity(1.0, 10, 50)
 FIELD = ConstantField(1.0, 1.0)
 NO_CANDIDATES = (np.empty(0), np.empty(0))
 EVALUATOR = LogEvaluator(simulate(assign_population(SPEC, 50), seed=1))
+SOLUTION = solve_y_c(SPEC, n_z=10, n_t=50)
 
 
 def _kernel(s, t):
@@ -124,6 +125,21 @@ ENTRY_POINTS = {
     "ArrivalSequence.count.t": (
         DomainError, "t",
         lambda x: ArrivalSequence(times=[0.1], horizon=1.0).count(x)),
+    "FlowGrid.theta.t": (
+        DomainError, "t", lambda x: FLOW.theta(initial(0.3), x)),
+    "PhiEvaluator.phi.t": (
+        DomainError, "t",
+        lambda x: SOLUTION.evaluator.phi(None, initial(0.3), x)),
+    "LimitSolution.phi.t": (
+        DomainError, "t", lambda x: SOLUTION.phi(None, initial(0.3), x)),
+    "LogEvaluator.phi.t": (
+        DomainError, "t", lambda x: EVALUATOR.phi(None, initial(0.3), x)),
+    "IntensityField.call.y": (DomainError, "y", lambda x: FIELD(x, 0.5)),
+    "IntensityField.call.t": (DomainError, "t", lambda x: FIELD(0.3, x)),
+    "LatpIntensity.call.s": (DomainError, "s", lambda x: OMEGA(x, 0.5)),
+    "LatpIntensity.call.t": (DomainError, "t", lambda x: OMEGA(0.2, x)),
+    "TestFunction.indicator": (
+        ConfigError, "class_k", TestFunction.indicator),
 }
 
 BAD_VALUES = {"true": True, "np-true": np.True_, "nan": math.nan,

@@ -14,8 +14,8 @@ from rankflow.intensity import (ClassHazard, IntensityField,
 
 from conftest import (affine_two_class_spec, constant_mixture_spec,
                       uniform_single_class)
-from oracles import (class_hazard_loop, initial_tail, scalar_mass,
-                     stratified_quota_loop, table_values)
+from oracles import (class_hazard_loop, initial_tail, row_field_formula,
+                     scalar_mass, stratified_quota_loop, table_values)
 
 ALL_FIELDS = [
     ConstantField(2.0, 1.0),
@@ -605,6 +605,39 @@ def test_class_hazard_is_the_mask_loop(data):
     want = class_hazard_loop(fields, cls, y, t)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _row_field_queries(draw):
+    """A constant, affine or product field and (y, t) queries in [0, 1] x
+    [0, horizon], scalar or array, or an array y against a column t."""
+    horizon = draw(st.sampled_from([1.0, 2.5]))
+    field = draw(_gathered_field(horizon).filter(
+        lambda f: not isinstance(f, TableField)))
+    ys = _grid_points(draw, [field], 1.0, 0)
+    ts = _grid_points(draw, [field], horizon, 1)
+    shape = draw(st.sampled_from(["scalar", "array", "column"]))
+    if shape == "scalar":
+        return field, float(ys(1)[0]), float(ts(1)[0])
+    size = draw(st.integers(1, 8))
+    t = ts(size) if shape == "array" else ts(3)[:, None]
+    return field, ys(size), t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_field_queries())
+@example((ConstantField(-0.0, 1.0), np.array([0.0, 0.4]), 0.5))
+@example((ConstantField(0.0, 1.0), 0.0, 0.0))
+@example((AffineField(-0.0, -0.0, 1.0), np.array([0.0, 1.0]), 0.0))
+@example((AffineField(0.0, -0.0, 1.0), 0.3, 1.0))
+@example((ProductField(-0.0, -0.0, -0.0, -0.0, 1.0), 0.0, 0.0))
+def test_rate_rows_are_each_fields_formula(case):
+    # each row reads as its kind's own formula, to the byte, signed zeros
+    # included: a constant's row pads with ys = -0.0, and an affine row
+    # takes base + 0.0, as the formula's + 0.0*t makes a -0.0 sum 0.0
+    field, y, t = case
+    got, want = field._values(y, t), row_field_formula(field, y, t)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_class_hazard_of_one_field_is_its_values():
