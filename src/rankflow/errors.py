@@ -3,8 +3,9 @@ raise them: every entry point refuses a bad integer or number through
 ``_require_int``, ``_number`` or ``_positive``, which never take a bool
 (Python's or numpy's) as a number, refuse NaN and infinities, and start
 their message with the argument's name.  ``_real_array`` refuses entries
-that are not numbers, and leaves NaN and the infinities to the caller's
-range test.
+that are not numbers, a bool inside a list included, and leaves NaN and
+the infinities to the caller's range test; ``_array`` is its check for
+any numpy kinds.
 """
 
 import math
@@ -79,13 +80,32 @@ def _number(name: str, x, error=ConfigError) -> float:
     return float(x)
 
 
+def _holds_bool(x) -> bool:
+    """Whether the list or tuple x holds a bool, Python's or numpy's, at
+    any depth."""
+    return any(isinstance(v, (bool, np.bool_))
+               or (isinstance(v, np.ndarray) and v.dtype.kind == "b")
+               or (isinstance(v, (list, tuple)) and _holds_bool(v))
+               for v in x)
+
+
+def _array(name: str, x, kinds: str, what: str,
+           error=ConfigError) -> np.ndarray:
+    """x as an array if its numpy dtype kind is one of ``kinds``, else
+    ``error``, saying that x must be ``what``.  A list or tuple that holds
+    a bool is refused too, as numpy reads the bool as 0 or 1 among
+    numbers; an ndarray is read by its dtype alone."""
+    a = np.asarray(x)
+    if a.dtype.kind not in kinds or (isinstance(x, (list, tuple))
+                                     and _holds_bool(x)):
+        raise error(f"{name}: must be {what}, got {x!r}")
+    return a
+
+
 def _real_array(name: str, x, error=ConfigError) -> np.ndarray:
     """x as a float array if its entries are integers or floats (a bool, a
-    string or None is none), else ``error``."""
-    a = np.asarray(x)
-    if a.dtype.kind not in "iuf":
-        raise error(f"{name}: must be numbers, got {x!r}")
-    return a.astype(float, copy=False)
+    string or None is none, also inside a list), else ``error``."""
+    return _array(name, x, "iuf", "numbers", error).astype(float, copy=False)
 
 
 def _positive(name: str, x, error=ConfigError) -> float:

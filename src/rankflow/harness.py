@@ -5,6 +5,11 @@ distance between empirical and limit distribution functions with a log-log
 slope fit, flow-driven sweeps including the uniqueness check against a
 non-fixed-point flow, coupling decay, tagged-particle convergence under
 shared noise, and cross-method validation of the point-process solvers.
+Three routines measure the steps of the claim's proof, one number or row
+per seed: ``identify_rates`` (can the logs tell y_C from a nearby limit?),
+``forced_fixed_point`` (theta*, which maps the flow-driven run onto the
+original one) and ``coupling_compensator`` (the coupling's splits and
+their compensator).
 
 Every report is a pure function of (plan, seeds): rows are emitted in
 deterministic order and all aggregates are recomputed from the rows.  A
@@ -22,12 +27,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, _positive, _require_int
+from .errors import ConfigError, _positive, _real_array, _require_int
 from . import latp, srp, streams
-from .flow import (FlowGrid, LimitSolution, PhiEvaluator, _limit_jumps,
-                   _sample_paths, solve_y_c)
-from .intensity import PopulationSpec, assign_population, pin_particles
-from .measure import EvaluationLattice, TestFunction, _LogBatch, limit_values
+from .flow import (FlowGrid, LimitSolution, PhiEvaluator, _hazard_along,
+                   _limit_jumps, _picard, _sample_paths, solve_y_c)
+from .intensity import (PopulationSpec, assign_population, pin_particles,
+                        spec_from_config)
+from .measure import (EvaluationLattice, TestFunction, _LogBatch, grid_tables,
+                      grid_vector, limit_values)
 
 
 @dataclass(frozen=True)
@@ -359,6 +366,172 @@ def tagged_compare(plan: ExperimentPlan, pins=None,
             corr_se = 1.0 / math.sqrt(len(a))
     return TaggedReport(n_values=list(plan.n_values), pins=list(pins),
                         rows=rows, correlation=corr, correlation_se=corr_se)
+
+
+# -- evidence of the claim ---------------------------------------------------
+
+
+def _moved_spec(spec: PopulationSpec, family: str, eps: float) -> PopulationSpec:
+    """``spec`` moved by eps within ``family``: "scale" multiplies every
+    class's rate by 1 + eps (a constant's value, an affine field's base and
+    slope, a product field's spatial factor, a table's values); "tilt" adds
+    eps to an affine field's slope and takes eps / 2 from its base, and a
+    class of another kind is a ConfigError."""
+    cfg = spec.to_config()
+    for k, c in enumerate(cfg["classes"]):
+        field = c["field"]
+        if family == "scale" and field["kind"] == "table":
+            field["values"] = (np.array(field["values"]) * (1 + eps)).tolist()
+        elif family == "scale":
+            for key in {"constant": ("value",), "affine": ("base", "slope"),
+                        "product": ("y_base", "y_slope")}[field["kind"]]:
+                field[key] *= 1 + eps
+        elif field["kind"] == "affine":
+            field["slope"] += eps
+            field["base"] -= eps / 2
+        else:
+            raise ConfigError(f"classes[{k}].field: the tilt family moves "
+                              f"affine fields only, got {field['kind']!r}")
+    return spec_from_config(cfg)
+
+
+def identify_rates(spec: PopulationSpec, n: int, seeds: int, family: str,
+                   grid) -> np.ndarray:
+    """Each seed's eps_hat: where within the one-parameter ``family`` of
+    specs around ``spec`` the original engine's logs place their rates.
+
+    The runs of seeds 0..seeds-1 at N = n give phi^N(h = 1) at the pairs of
+    the regular lattice.  Each eps of ``grid``, evenly spaced and
+    increasing, moves the spec (``_moved_spec``: "scale" or "tilt", the
+    latter for affine fields only) to a limit y_C^eps, solved by
+    ``solve_y_c`` at its default sizes.  A seed's eps_hat is the argmin
+    over the grid of the mean square gap between its phi^N and phi of
+    y_C^eps, refined by the parabola through the argmin and its two
+    neighbours; logs that converge to y_C give eps_hat near 0.
+    ConfigError if an argmin sits on the grid's edge, where no parabola is
+    formed.
+    """
+    _require_int("n", n, 1)
+    _require_int("seeds", seeds, 1)
+    if family not in ("scale", "tilt"):
+        raise ConfigError(f"family: must be 'scale' or 'tilt', got {family!r}")
+    grid = _real_array("grid", grid)
+    step = np.diff(grid) if grid.ndim == 1 and len(grid) >= 3 else [0.0]
+    # written so that NaN fails
+    if not (step[0] > 0 and np.allclose(step, step[0])):
+        raise ConfigError(f"grid: must be at least 3 evenly spaced, "
+                          f"increasing values, got {grid!r}")
+    lattice = EvaluationLattice.regular(spec.horizon)
+    limits = []
+    for eps in grid.tolist():
+        sol = solve_y_c(_moved_spec(spec, family, eps))
+        limits.append(limit_values(lattice, sol, [TestFunction.ones()])[0][0])
+    logs = srp._run_seeds(assign_population(spec, n), range(seeds), "original")
+    hv = TestFunction.ones().per_class(spec)
+    emp = np.array([c.phi(hv) for c in _LogBatch(logs).lattice_counts(lattice)])
+    mse = ((emp[:, None, :] - np.array(limits)[None]) ** 2).mean(axis=2)
+    k = np.argmin(mse, axis=1)
+    edge = np.flatnonzero((k == 0) | (k == len(grid) - 1))
+    if len(edge):
+        raise ConfigError(f"grid: seed {edge[0]}'s argmin sits on the grid's "
+                          f"edge, eps = {float(grid[k[edge[0]]])}")
+    rows = np.arange(len(k))
+    lo, mid, hi = mse[rows, k - 1], mse[rows, k], mse[rows, k + 1]
+    return grid[k] + (grid[1] - grid[0]) * (lo - hi) / (2 * (lo - 2 * mid + hi))
+
+
+@dataclass(frozen=True, eq=False)
+class ForcedFixedPoint:
+    """Values at the node pairs of a flow's grid (``EvaluationLattice.grid``,
+    packed as by ``measure.grid_vector``), one row per seed: ``original``
+    and ``driven`` are Y^N of the original and flow-driven runs of a
+    coupled batch, ``theta`` the fixed point theta* that each seed's
+    forcing moves the limit to, and ``y_c`` the limit's one row.  Compared
+    by identity: the generated ``==`` would compare arrays."""
+
+    y_c: np.ndarray
+    original: np.ndarray
+    driven: np.ndarray
+    theta: np.ndarray
+
+
+def forced_fixed_point(sol: LimitSolution, n: int, seeds: int) -> ForcedFixedPoint:
+    """theta* for each seed of a coupled batch at N = n against ``sol``.
+
+    The original run is the flow-driven run on the same candidates pushed
+    through the fixed-point map: with e = Y_flow - y_C at the grid nodes,
+    theta* = Phi(theta*) + e, the fixed point of ``flow._picard`` forced by
+    e and solved to a residual of 1e-12, predicts Y_orig well beyond Y_flow
+    does.
+    """
+    _require_int("n", n, 1)
+    _require_int("seeds", seeds, 1)
+    fl = sol.flow
+    lattice = EvaluationLattice.grid(fl)
+    runs = srp._run_seeds(assign_population(sol.spec, n), range(seeds),
+                          "coupled", flow=fl)
+    original, driven = (
+        np.array([c.curve() for c in
+                  _LogBatch([r[k] for r in runs]).lattice_counts(lattice)])
+        for k in (0, 1))
+    y_c = grid_vector(fl)
+    theta = np.array([
+        grid_vector(_picard(sol.spec, fl.n_z, fl.n_t, 1e-12, 80,
+                            forcing=grid_tables(e, fl))[0])
+        for e in driven - y_c])
+    return ForcedFixedPoint(y_c=y_c, original=original, driven=driven,
+                            theta=theta)
+
+
+def _split_and_compensator(assignment, fl, seed):
+    """The particles of a coupled run of ``seed`` that split, and the sum,
+    over each particle's candidates up to and including its first split,
+    of |h_orig - h_flow| / envelope: the chance that the candidate splits
+    the pair, both hazards read from the state before it."""
+    n, rate = assignment.n, assignment.spec.class_hazard
+    times, ids, marks, _ = srp._candidates(assignment, assignment.spec.horizon,
+                                           seed, 0)
+    acc_orig, _ = srp._original_pass(assignment, times, ids, marks)
+    acc_flow, _ = srp._flow_pass(assignment, fl, times, ids, marks)
+    cls = assignment.class_index[ids]
+    ranks = srp._mtf_ranks(assignment.slots, ids, acc_orig)
+    h_orig = rate(cls, ranks * (1.0 / n), times)
+    # each candidate's particle's last reset under the flow mask: the
+    # latest accepted candidate before it in its particle's run, else 0
+    m = len(times)
+    order, _, group, _ = srp._by_particle(ids, n)
+    before = np.full(m, -1)
+    np.maximum.accumulate(np.where(acc_flow[order], np.arange(m), -1)[:-1],
+                          out=before[1:])
+    own = before >= group
+    last = np.zeros(m)
+    last[order[own]] = times[order[before[own]]]
+    h_flow = _hazard_along(fl, rate, cls, assignment.position[ids], last, times)
+    first = np.full(n, m)
+    differ = np.flatnonzero(acc_orig != acc_flow)
+    np.minimum.at(first, ids[differ], differ)
+    live = np.arange(m) <= first[ids]
+    ratio = np.abs(h_orig - h_flow) / assignment.sup_norms()[ids]
+    return int(np.count_nonzero(first < m)), float(ratio[live].sum())
+
+
+def coupling_compensator(sol: LimitSolution, n: int, seeds: int):
+    """Each seed's split count and compensator in a coupled run at N = n
+    against ``sol``: two arrays, in seed order.
+
+    While a pair is coupled, its candidate splits it with chance
+    |h_orig - h_flow| / envelope, so the split count minus the sum of these
+    chances up to each particle's first split is a mean-zero martingale.
+    Each seed's stream is redrawn and thinned under both masks, the
+    original hazard read at the move-to-front rank and the flow's from the
+    particle's last reset under the flow mask.
+    """
+    _require_int("n", n, 1)
+    _require_int("seeds", seeds, 1)
+    assignment = assign_population(sol.spec, n)
+    splits, comp = zip(*[_split_and_compensator(assignment, sol.flow, seed)
+                         for seed in range(seeds)])
+    return np.array(splits), np.array(comp)
 
 
 # -- point-process validation ------------------------------------------------

@@ -218,7 +218,7 @@ class ArrivalSequence:
         horizon = _positive("horizon", self.horizon)
         # a copy, so the caller's array stays writable, and a 0-d input
         # stays 0-d for the dimension check
-        t = np.array(self.times, dtype=float)
+        t = np.array(_real_array("times", self.times), dtype=float)
         if t.ndim != 1:
             raise ConfigError("times must be one-dimensional")
         _check_arrivals(t, horizon)

@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, _finite, _number,
-                     _require_int)
+from .errors import (ConfigError, DomainError, _array, _finite, _number,
+                     _real_array, _require_int)
 from .flow import BoundaryPoint, _admissible, _h_vector, boundary, initial
 from .intensity import PopulationSpec
 from .latp import _edges, _laid, _owners, _tiled
@@ -112,6 +112,17 @@ class EvaluationLattice:
         times = tuple(k * horizon / 20 for k in range(21))
         return EvaluationLattice(gammas=tuple(gammas), times=times)
 
+    @staticmethod
+    def grid(flow) -> "EvaluationLattice":
+        """Every node pair of ``flow``'s grid, the pairs of ``grid_vector``:
+        each initial point z_j at every time node, then each boundary point
+        (0, t_l), l >= 1, at the time nodes t_m, m >= l."""
+        t_nodes = flow.t_nodes.tolist()
+        return EvaluationLattice(
+            gammas=tuple([initial(z) for z in flow.z_nodes.tolist()]
+                         + [boundary(t) for t in t_nodes[1:]]),
+            times=tuple(t_nodes))
+
     def pairs(self):
         for g in self.gammas:
             for t in self.times:
@@ -121,6 +132,39 @@ class EvaluationLattice:
     @cached_property
     def _index(self) -> "_PairIndex":
         return _PairIndex(list(self.pairs()))
+
+
+def _boundary_nodes(n_t: int):
+    """The boundary table's nodes (l, m) with 1 <= l <= m <= n_t, row by
+    row: the pairs of the grid lattice's boundary points."""
+    rows, cols = np.triu_indices(n_t + 1)
+    return rows[n_t + 1:], cols[n_t + 1:]
+
+
+def grid_vector(flow) -> np.ndarray:
+    """``flow``'s node values at the pairs of ``EvaluationLattice.grid``,
+    in ``pairs()`` order: the initial table row by row, then the boundary
+    table on and above its diagonal, rows 1 to n_t."""
+    rows, cols = _boundary_nodes(flow.n_t)
+    return np.concatenate([flow.init_values.ravel(),
+                           flow.bdry_values[rows, cols]])
+
+
+def grid_tables(vector, flow):
+    """``grid_vector``'s inverse: the tables (init, bdry) of ``flow``'s
+    shapes that hold ``vector``, the boundary table zero below its diagonal
+    and its row 0, the corner, equal to the initial row of z = 0."""
+    vector = np.asarray(vector, dtype=float)
+    init_size = flow.init_values.size
+    rows, cols = _boundary_nodes(flow.n_t)
+    if vector.shape != (init_size + len(rows),):
+        raise ConfigError(f"vector: must hold the {init_size + len(rows)} "
+                          f"grid pairs, got shape {vector.shape}")
+    init = vector[:init_size].reshape(flow.init_values.shape)
+    bdry = np.zeros_like(flow.bdry_values)
+    bdry[rows, cols] = vector[init_size:]
+    bdry[0] = init[0]
+    return init, bdry
 
 
 class _PairIndex:
@@ -211,11 +255,7 @@ class LatticeCounts:
 def _log_times(name: str, ts, horizon: float) -> np.ndarray:
     """ts, a time or an array of times, as floats if each is a number in
     [0, horizon] up to the tolerance of ``mu``; else DomainError."""
-    arr = np.asarray(ts)
-    # a bool, None or a string is no time
-    if arr.dtype.kind not in "iuf":
-        raise DomainError(f"{name}: must be a number or numbers, got {ts!r}")
-    arr = arr.astype(float)
+    arr = _real_array(name, ts, DomainError)
     # written so that NaN fails
     inside = (arr >= -1e-12) & (arr <= horizon + 1e-9)
     if not inside.all():
@@ -227,12 +267,12 @@ def _log_times(name: str, ts, horizon: float) -> np.ndarray:
 def _particle_ids(particles, n: int) -> np.ndarray:
     """particles as int64 ids if each is an integer in 0..n-1 (a bool is
     none); else ConfigError.  An empty list is no particle."""
-    arr = np.asarray(particles)
-    if not arr.size:
+    if not np.size(particles):
         return np.empty(0, dtype=np.int64)
-    if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n:
-        raise ConfigError(f"particles: must be integers in 0..{n - 1}, "
-                          f"got {particles!r}")
+    what = f"integers in 0..{n - 1}"
+    arr = _array("particles", particles, "iu", what)
+    if arr.min() < 0 or arr.max() >= n:
+        raise ConfigError(f"particles: must be {what}, got {particles!r}")
     return arr.astype(np.int64)
 
 

@@ -73,6 +73,13 @@ STEEP_SPECS = {
 }
 
 
+# one class with w = 20y, where the rank feedback shows: the original
+# engine's fluctuations exceed the flow-driven engine's by about 25%, where
+# on the specs above they agree to about 1%
+RANK_FEEDBACK_SPEC = {"horizon": 1.0, "classes": [
+    {"weight": 1.0, "field": {"kind": "affine", "base": 0.0, "slope": 20.0}}]}
+
+
 @pytest.fixture(scope="session")
 def spec_const1():
     return constant_single_spec(1.0)

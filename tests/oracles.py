@@ -1,17 +1,20 @@
 """Reference implementations and scans that the tests check the package with."""
 
+import copy
 import itertools
 
 import numpy as np
 
 from rankflow import (AffineField, ArrivalSequence, ConfigError,
-                      ConstantField, EnvelopeBreach, RankIndex, streams)
+                      ConstantField, EnvelopeBreach, EvaluationLattice,
+                      RankIndex, TestFunction, assign_population, flow,
+                      solve_y_c, spec_from_config, srp, streams)
 from rankflow.flow import OdeFormReport, _thin_along_flow, boundary, initial
 from rankflow.intensity import ClassHazard
 from rankflow.latp import (ENVELOPE_MARGIN, DerivativeReport, _bilinear,
                            _breach_bound, _cumulative_trapezoid, _grid_cells,
                            _top, _trapezoid_weights)
-from rankflow.measure import _slot_threshold
+from rankflow.measure import _LogBatch, _slot_threshold, limit_values
 from rankflow.srp import _mtf_ranks
 
 
@@ -756,3 +759,118 @@ def loop_verify_ode_form(sol) -> OdeFormReport:
             arg = (str(gamma), float(flow.t_nodes[j0 + i]))
     return OdeFormReport(max_residual=worst, argmax_gamma=arg[0],
                          argmax_t=arg[1], n_z=flow.n_z, n_t=flow.n_t)
+
+
+# -- the evidence routines' inline references ---------------------------------
+# What the acceptance tests computed inline before ``harness`` had
+# ``identify_rates``, ``forced_fixed_point`` and ``coupling_compensator``;
+# each returns its routine's per-seed output.
+
+
+def split_and_compensator(assignment, fl, seed):
+    """The particles of a coupled run of ``seed`` that split, and the sum,
+    over each particle's candidates up to and including its first split,
+    of |h_orig - h_flow| / envelope: the chance that the candidate splits
+    the pair, both hazards read from the state before it."""
+    n, rate = assignment.n, assignment.spec.class_hazard
+    times, ids, marks, _ = srp._candidates(assignment, assignment.spec.horizon,
+                                           seed, 0)
+    acc_orig, _ = srp._original_pass(assignment, times, ids, marks)
+    acc_flow, _ = srp._flow_pass(assignment, fl, times, ids, marks)
+    cls = assignment.class_index[ids]
+    ranks = srp._mtf_ranks(assignment.slots, ids, acc_orig)
+    h_orig = rate(cls, ranks * (1.0 / n), times)
+    # each candidate's particle's last reset under the flow mask: the
+    # latest accepted candidate before it in its particle's run, else 0
+    m = len(times)
+    order, _, group, _ = srp._by_particle(ids, n)
+    before = np.full(m, -1)
+    np.maximum.accumulate(np.where(acc_flow[order], np.arange(m), -1)[:-1],
+                          out=before[1:])
+    own = before >= group
+    last = np.zeros(m)
+    last[order[own]] = times[order[before[own]]]
+    h_flow = flow._hazard_along(fl, rate, cls, assignment.position[ids], last,
+                                times)
+    first = np.full(n, m)
+    differ = np.flatnonzero(acc_orig != acc_flow)
+    np.minimum.at(first, ids[differ], differ)
+    live = np.arange(m) <= first[ids]
+    ratio = np.abs(h_orig - h_flow) / assignment.sup_norms()[ids]
+    return int(np.count_nonzero(first < m)), float(ratio[live].sum())
+
+
+def _scaled(field, eps):
+    field["base"] *= 1 + eps
+    field["slope"] *= 1 + eps
+
+
+def _tilted(field, eps):
+    field["slope"] += eps
+    field["base"] -= eps / 2
+
+
+def config_eps_hat(cfg, n, seeds, family, grid):
+    """Each seed's eps_hat for a config of affine fields, moved by eps as
+    a dict: the argmin over eps of the mean square gap between its phi^N
+    and the limit y_C^eps of the spec moved by eps, refined by a parabola
+    through the argmin and its neighbours."""
+    move = {"scale": _scaled, "tilt": _tilted}[family]
+    lattice = EvaluationLattice.regular(1.0)
+    limits = []
+    for eps in grid.tolist():
+        moved = copy.deepcopy(cfg)
+        for c in moved["classes"]:
+            move(c["field"], eps)
+        sol = solve_y_c(spec_from_config(moved), n_z=20, n_t=200)
+        limits.append(limit_values(lattice, sol, [TestFunction.ones()])[0][0])
+    # phi^N(h = 1) at the regular lattice's pairs, one row per seed, from
+    # one batch of runs of the original engine
+    spec = spec_from_config(cfg)
+    logs = srp._run_seeds(assign_population(spec, n), range(seeds),
+                          "original")
+    hv = TestFunction.ones().per_class(spec)
+    counts = _LogBatch(logs).lattice_counts(EvaluationLattice.regular(1.0))
+    emp = np.array([c.phi(hv) for c in counts])
+    mse = ((emp[:, None, :] - np.array(limits)[None]) ** 2).mean(axis=2)
+    k = np.argmin(mse, axis=1)
+    assert np.all((k > 0) & (k < len(grid) - 1)), k
+    seeds = np.arange(len(k))
+    lo, mid, hi = mse[seeds, k - 1], mse[seeds, k], mse[seeds, k + 1]
+    return grid[k] + (grid[1] - grid[0]) * (lo - hi) / (2 * (lo - 2 * mid + hi))
+
+
+def triu_forced_fixed_point(spec, n, n_t, seeds):
+    """(y_C, Y_orig, Y_flow, theta*) at every grid pair of the 20 x n_t
+    limit of ``spec``, the last three one row per seed of a coupled batch,
+    with the lattice of every grid pair built, and the pairs packed into
+    the flow's tables and back, by hand with ``np.triu_indices``."""
+    fl = solve_y_c(spec, n_z=20, n_t=n_t).flow
+    t_nodes = fl.t_nodes.tolist()
+    lattice = EvaluationLattice(
+        gammas=tuple([initial(z) for z in fl.z_nodes.tolist()]
+                     + [boundary(t) for t in t_nodes[1:]]),
+        times=tuple(t_nodes))
+    # each boundary node (0, t_l) at t_j, j >= l >= 1, in pairs() order
+    rows, cols = (ix[n_t + 1:] for ix in np.triu_indices(n_t + 1))
+    y_c = np.concatenate([fl.init_values.ravel(), fl.bdry_values[rows, cols]])
+    runs = srp._run_seeds(assign_population(spec, n), range(seeds),
+                          "coupled", flow=fl)
+    orig, driven = (_LogBatch([r[k] for r in runs]).lattice_counts(lattice)
+                    for k in (0, 1))
+    y_origs, y_flows, thetas = [], [], []
+    for c_orig, c_flow in zip(orig, driven):
+        y_orig, y_flow = c_orig.curve(), c_flow.curve()
+        e = y_flow - y_c
+        e_init = e[:fl.init_values.size].reshape(fl.init_values.shape)
+        e_bdry = np.zeros_like(fl.bdry_values)
+        e_bdry[rows, cols] = e[fl.init_values.size:]
+        e_bdry[0] = e_init[0]
+        theta, _, _ = flow._picard(spec, 20, n_t, 1e-12, 80,
+                                   forcing=(e_init, e_bdry))
+        forced = np.concatenate([theta.init_values.ravel(),
+                                 theta.bdry_values[rows, cols]])
+        y_origs.append(y_orig)
+        y_flows.append(y_flow)
+        thetas.append(forced)
+    return y_c, np.array(y_origs), np.array(y_flows), np.array(thetas)

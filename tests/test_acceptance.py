@@ -12,9 +12,25 @@ them live).  Tolerances are pinned here, not calibrated elsewhere:
   6 coupling decay
   7 tagged particles under shared streams
   8 engine oracles (CTMC occupancy, order-statistic index, reproducibility)
+
+Beside the criteria, three gates measure the steps of the claim's proof,
+each through its ``rankflow.harness`` routine:
+
+  identification   each seed's eps_hat (``identify_rates``): a mean within
+                   4 SE of 0, for a scale and a tilt of the affine spec and
+                   a scale of the steep one
+  forced fixed     theta* (``forced_fixed_point``): closer to the original
+    point          run than the flow-driven run is, on the steep spec; on
+                   w = 20y, the original engine's variance within 10% of
+                   theta*'s and above 1.15x the flow-driven engine's
+  compensator      the coupling's splits minus their compensator
+                   (``coupling_compensator``, criterion 1): |z| <= 4
+
+Each routine's per-seed output on a gate's own seeds equals, byte for
+byte, the gate's former inline computation, kept in ``tests/oracles.py``
+(the ``*_is_its_oracle_on_the_gate_seeds`` tests).
 """
 
-import copy
 import functools
 import io
 import json
@@ -25,16 +41,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import STEEP_SPECS, constant_mixture_spec, zero_rate_spec
-from oracles import NaiveRankIndex
-from rankflow import (FlowGrid, LogEvaluator, RankIndex,
-                      TestFunction, assign_population, boundary, flow,
-                      initial, simulate, simulate_coupled,
-                      simulate_flow_driven, solve_y_c, spec_from_config, srp)
+from conftest import (RANK_FEEDBACK_SPEC, STEEP_SPECS, affine_two_class_spec,
+                      constant_mixture_spec, zero_rate_spec)
+from oracles import (NaiveRankIndex, config_eps_hat, split_and_compensator,
+                     triu_forced_fixed_point)
+from rankflow import (EvaluationLattice, FlowGrid, LogEvaluator, RankIndex,
+                      TestFunction, assign_population, initial, simulate,
+                      simulate_coupled, simulate_flow_driven, solve_y_c,
+                      spec_from_config, srp)
 from rankflow.harness import (ExperimentPlan, convergence_sweep,
-                              coupling_sweep, flow_driven_sweep,
-                              latp_validation, tagged_compare)
-from rankflow.measure import EvaluationLattice, _LogBatch, limit_values
+                              coupling_compensator, coupling_sweep,
+                              flow_driven_sweep, forced_fixed_point,
+                              identify_rates, latp_validation, tagged_compare)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,56 +119,33 @@ def test_criterion_1_pathwise_coupling_bound(spec_affine, sol_affine, lattice):
            f"pairs on {len(sols)} specs, attained at {attained}")
 
 
-def _split_and_compensator(assignment, fl, seed):
-    """The particles of a coupled run of ``seed`` that split, and the sum,
-    over each particle's candidates up to and including its first split,
-    of |h_orig - h_flow| / envelope: the chance that the candidate splits
-    the pair, both hazards read from the state before it."""
-    n, rate = assignment.n, assignment.spec.class_hazard
-    times, ids, marks, _ = srp._candidates(assignment, assignment.spec.horizon,
-                                           seed, 0)
-    acc_orig, _ = srp._original_pass(assignment, times, ids, marks)
-    acc_flow, _ = srp._flow_pass(assignment, fl, times, ids, marks)
-    cls = assignment.class_index[ids]
-    ranks = srp._mtf_ranks(assignment.slots, ids, acc_orig)
-    h_orig = rate(cls, ranks * (1.0 / n), times)
-    # each candidate's particle's last reset under the flow mask: the
-    # latest accepted candidate before it in its particle's run, else 0
-    m = len(times)
-    order, _, group, _ = srp._by_particle(ids, n)
-    before = np.full(m, -1)
-    np.maximum.accumulate(np.where(acc_flow[order], np.arange(m), -1)[:-1],
-                          out=before[1:])
-    own = before >= group
-    last = np.zeros(m)
-    last[order[own]] = times[order[before[own]]]
-    h_flow = flow._hazard_along(fl, rate, cls, assignment.position[ids], last,
-                                times)
-    first = np.full(n, m)
-    differ = np.flatnonzero(acc_orig != acc_flow)
-    np.minimum.at(first, ids[differ], differ)
-    live = np.arange(m) <= first[ids]
-    ratio = np.abs(h_orig - h_flow) / assignment.sup_norms()[ids]
-    return int(np.count_nonzero(first < m)), float(ratio[live].sum())
+# the compensator gate's specs and sizes, and each one's (solution, N,
+# splits, compensator) over its 200 seeds, shared with the oracle test
+COMPENSATOR_CASES = {
+    "affine": (affine_two_class_spec(), 2 ** 12),
+    "steep": (spec_from_config(STEEP_SPECS["affine_0_5_5_0"]), 2 ** 10),
+}
 
 
-def test_criterion_1_coupling_compensator(sol_affine):
+@functools.cache
+def _compensator(name):
+    spec, n = COMPENSATOR_CASES[name]
+    sol = solve_y_c(spec, n_z=20, n_t=200)
+    return (sol, n, *coupling_compensator(sol, n, 200))
+
+
+def test_criterion_1_coupling_compensator():
     # the number of split pairs minus its compensator is a mean-zero
     # martingale: while a pair is coupled its candidate splits it with
     # chance |h_orig - h_flow| / envelope; the z of the mean over 200
     # seeds stays within 4, and a compensator 25% too large reads |z| > 8
     start = time.time()
-    seeds = range(200)
-    steep = spec_from_config(STEEP_SPECS["affine_0_5_5_0"])
-    cases = {"affine": (sol_affine, 2 ** 12),
-             "steep": (solve_y_c(steep, n_z=20, n_t=200), 2 ** 10)}
     details = []
-    for name, (sol, n) in cases.items():
-        assignment = assign_population(sol.spec, n)
+    for name in COMPENSATOR_CASES:
+        sol, n, splits, comp = _compensator(name)
         records = [rec for _, _, rec in srp._run_seeds(
-            assignment, seeds, "coupled", flow=sol.flow)]
-        splits, comp = np.array(
-            [_split_and_compensator(assignment, sol.flow, s) for s in seeds]).T
+            assign_population(sol.spec, n), range(len(splits)), "coupled",
+            flow=sol.flow)]
         assert splits.tolist() == [int(np.count_nonzero(r.sigma <= r.horizon))
                                    for r in records]
         z = {}
@@ -162,80 +157,74 @@ def test_criterion_1_coupling_compensator(sol_affine):
         details.append(f"{name} N={n}: z {z[1.0]:+.2f}, x1.25 {z[1.25]:+.1f}, "
                        f"mean splits {splits.mean():.1f}")
     report(1, time.time() - start, 60,
-           f"coupling compensator over {len(seeds)} seeds: "
+           f"coupling compensator over {len(splits)} seeds: "
            + "; ".join(details))
 
 
-# the specs of the identification gate, as configs whose affine fields
-# the families below move
+@pytest.mark.parametrize("name", list(COMPENSATOR_CASES))
+def test_coupling_compensator_is_its_oracle_on_the_gate_seeds(name):
+    sol, n, splits, comp = _compensator(name)
+    assignment = assign_population(sol.spec, n)
+    want = [split_and_compensator(assignment, sol.flow, seed)
+            for seed in range(len(splits))]
+    assert splits.tolist() == [s for s, _ in want]
+    assert comp.tobytes() == np.array([c for _, c in want]).tobytes()
+
+
+# the specs of the identification gate
 IDENT_SPECS = {
     "affine": json.loads((ROOT / "configs" / "affine_two_class.json").read_text()),
     "steep": STEEP_SPECS["affine_0_5_5_0"],
 }
 
-
-def _scaled(field, eps):
-    field["base"] *= 1 + eps
-    field["slope"] *= 1 + eps
-
-
-def _tilted(field, eps):
-    field["slope"] += eps
-    field["base"] -= eps / 2
-
-
-# each family and its eps grid, 33 points: a tilt is identified about 4x
-# more weakly than a scale, and at [-0.08, 0.08] 3 of 40 seeds' argmins
-# sat on an edge; the steep tilt is not formed, as class 0 would be
-# negative at y = 0 for eps > 0
-IDENT_FAMILIES = {
-    "scale": (_scaled, np.linspace(-0.08, 0.08, 33)),
-    "tilt": (_tilted, np.linspace(-0.24, 0.24, 33)),
+# each family's eps grid, 33 points: a tilt is identified about 4x more
+# weakly than a scale, and at [-0.08, 0.08] 3 of 40 seeds' argmins sat on
+# an edge; the steep tilt is not formed, as class 0 would be negative at
+# y = 0 for eps > 0
+IDENT_GRIDS = {
+    "scale": np.linspace(-0.08, 0.08, 33),
+    "tilt": np.linspace(-0.24, 0.24, 33),
 }
+IDENT_CASES = [("affine", "scale"), ("affine", "tilt"), ("steep", "scale")]
 
 
 @functools.cache
-def _phi_of_seeds(name):
-    # phi^N(h = 1) at the regular lattice's pairs, one row per seed, from
-    # one batch of 40 runs of the original engine at N = 2**14
-    spec = spec_from_config(IDENT_SPECS[name])
-    logs = srp._run_seeds(assign_population(spec, 2 ** 14), range(40),
-                          "original")
-    hv = TestFunction.ones().per_class(spec)
-    counts = _LogBatch(logs).lattice_counts(EvaluationLattice.regular(1.0))
-    return np.array([c.phi(hv) for c in counts])
+def _eps_hat(name, family):
+    # each seed's eps_hat from 40 runs of the original engine at N = 2**14
+    return identify_rates(spec_from_config(IDENT_SPECS[name]), 2 ** 14, 40,
+                          family, IDENT_GRIDS[family])
 
 
-@pytest.mark.parametrize("name, family", [
-    ("affine", "scale"), ("affine", "tilt"), ("steep", "scale")])
+@pytest.mark.parametrize("name, family", IDENT_CASES)
 def test_rates_are_identified_from_the_logs(name, family):
-    # each seed's eps_hat is the argmin over eps of the mean square gap
-    # between its phi^N and the limit y_C^eps of the spec moved by eps,
-    # refined by a parabola through the argmin and its neighbours; logs
-    # that converge to y_C give a mean eps_hat within 4 SE of 0
+    # each seed's eps_hat (harness.identify_rates) is the argmin over eps
+    # of the mean square gap between its phi^N and the limit y_C^eps of the
+    # spec moved by eps, refined by a parabola through the argmin and its
+    # neighbours; logs that converge to y_C give a mean eps_hat within 4 SE
+    # of 0
     start = time.time()
-    move, grid = IDENT_FAMILIES[family]
-    lattice = EvaluationLattice.regular(1.0)
-    limits = []
-    for eps in grid.tolist():
-        cfg = copy.deepcopy(IDENT_SPECS[name])
-        for c in cfg["classes"]:
-            move(c["field"], eps)
-        sol = solve_y_c(spec_from_config(cfg), n_z=20, n_t=200)
-        limits.append(limit_values(lattice, sol, [TestFunction.ones()])[0][0])
-    emp = _phi_of_seeds(name)
-    mse = ((emp[:, None, :] - np.array(limits)[None]) ** 2).mean(axis=2)
-    k = np.argmin(mse, axis=1)
-    assert np.all((k > 0) & (k < len(grid) - 1)), k
-    seeds = np.arange(len(k))
-    lo, mid, hi = mse[seeds, k - 1], mse[seeds, k], mse[seeds, k + 1]
-    eps_hat = grid[k] + (grid[1] - grid[0]) * (lo - hi) / (2 * (lo - 2 * mid + hi))
+    eps_hat = _eps_hat(name, family)
     mean, sd = eps_hat.mean(), eps_hat.std(ddof=1)
     se = sd / math.sqrt(len(eps_hat))
     assert abs(mean) <= 4 * se, (mean, se)
     print(f"[identification] {name} {family}: mean eps_hat {mean:+.5f} "
           f"+- {se:.5f}, sqrt(N) sd {math.sqrt(2 ** 14) * sd:.3f} "
           f"({time.time() - start:.1f}s)")
+
+
+@pytest.mark.parametrize("name, family", IDENT_CASES)
+def test_identify_rates_is_its_oracle_on_the_gate_seeds(name, family):
+    want = config_eps_hat(IDENT_SPECS[name], 2 ** 14, 40, family,
+                          IDENT_GRIDS[family])
+    assert _eps_hat(name, family).tobytes() == want.tobytes()
+
+
+@functools.cache
+def _forced_steep():
+    # the steep spec's coupled batch of 40 seeds at N = 2**14 on the
+    # 20 x 100 grid
+    spec = spec_from_config(STEEP_SPECS["affine_0_5_5_0"])
+    return forced_fixed_point(solve_y_c(spec, n_z=20, n_t=100), 2 ** 14, 40)
 
 
 def test_forced_fixed_point_predicts_the_original_engine():
@@ -245,39 +234,43 @@ def test_forced_fixed_point_predicts_the_original_engine():
     # theta*) is well below sqrt(N)(Y_orig - Y_flow); the lattice is every
     # grid pair
     start = time.time()
-    n, n_t, seeds = 2 ** 14, 100, 40
-    spec = spec_from_config(STEEP_SPECS["affine_0_5_5_0"])
-    fl = solve_y_c(spec, n_z=20, n_t=n_t).flow
-    t_nodes = fl.t_nodes.tolist()
-    lattice = EvaluationLattice(
-        gammas=tuple([initial(z) for z in fl.z_nodes.tolist()]
-                     + [boundary(t) for t in t_nodes[1:]]),
-        times=tuple(t_nodes))
-    # each boundary node (0, t_l) at t_j, j >= l >= 1, in pairs() order
-    rows, cols = (ix[n_t + 1:] for ix in np.triu_indices(n_t + 1))
-    y_c = np.concatenate([fl.init_values.ravel(), fl.bdry_values[rows, cols]])
-    runs = srp._run_seeds(assign_population(spec, n), range(seeds),
-                          "coupled", flow=fl)
-    orig, driven = (_LogBatch([r[k] for r in runs]).lattice_counts(lattice)
-                    for k in (0, 1))
-    to_theta, to_flow = [], []
-    for c_orig, c_flow in zip(orig, driven):
-        y_orig, y_flow = c_orig.curve(), c_flow.curve()
-        e = y_flow - y_c
-        e_init = e[:fl.init_values.size].reshape(fl.init_values.shape)
-        e_bdry = np.zeros_like(fl.bdry_values)
-        e_bdry[rows, cols] = e[fl.init_values.size:]
-        e_bdry[0] = e_init[0]
-        theta, _, _ = flow._picard(spec, 20, n_t, 1e-12, 80,
-                                   forcing=(e_init, e_bdry))
-        forced = np.concatenate([theta.init_values.ravel(),
-                                 theta.bdry_values[rows, cols]])
-        to_theta.append(math.sqrt(n) * np.sqrt(np.mean((y_orig - forced) ** 2)))
-        to_flow.append(math.sqrt(n) * np.sqrt(np.mean((y_orig - y_flow) ** 2)))
+    fp = _forced_steep()
+    to_theta, to_flow = (
+        math.sqrt(2 ** 14) * np.sqrt(np.mean((fp.original - y) ** 2, axis=1))
+        for y in (fp.theta, fp.driven))
     got, ref = np.mean(to_theta), np.mean(to_flow)
     assert got < 0.75 * ref, (got, ref)
     print(f"[forced fixed point] steep: sqrt(N) RMS Y_orig - theta* {got:.4f} "
           f"against Y_orig - Y_flow {ref:.4f} ({time.time() - start:.1f}s)")
+
+
+def test_forced_fixed_point_is_its_oracle_on_the_gate_seeds():
+    fp = _forced_steep()
+    want = triu_forced_fixed_point(
+        spec_from_config(STEEP_SPECS["affine_0_5_5_0"]), 2 ** 14, 100, 40)
+    got = (fp.y_c, fp.original, fp.driven, fp.theta)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def test_forced_fixed_point_predicts_the_rank_feedback():
+    # on one class with w = 20y the rank feedback shows: the original
+    # engine's N x variance over 40 seeds at N = 2**12, averaged over the
+    # 7171 pairs of the 20 x 100 grid, lies 25% above the flow-driven
+    # (auxiliary) engine's, and theta*, which reads only the auxiliary
+    # run, predicts it within 10%
+    start = time.time()
+    n = 2 ** 12
+    sol = solve_y_c(spec_from_config(RANK_FEEDBACK_SPEC), n_z=20, n_t=100)
+    fp = forced_fixed_point(sol, n, 40)
+    pairs = list(EvaluationLattice.grid(sol.flow).pairs())
+    assert fp.theta.shape == (40, len(pairs)) == (40, 7171)
+    orig, theta, aux = (n * float(np.var(y, axis=0, ddof=1).mean())
+                        for y in (fp.original, fp.theta, fp.driven))
+    assert abs(orig - theta) <= 0.10 * theta, (orig, theta)
+    assert orig > 1.15 * aux, (orig, aux)
+    print(f"[forced fixed point] w = 20y: mean N var original {orig:.4f}, "
+          f"theta* {theta:.4f}, auxiliary {aux:.4f} "
+          f"({time.time() - start:.1f}s)")
 
 
 def test_criterion_2_closed_form_limit(sol_const1, sol_mixture, spec_mixture):

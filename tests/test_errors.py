@@ -17,7 +17,9 @@ from rankflow import (ArrivalSequence, ConfigError, ConstantField,
                       simulate, solve_y_c, spec_from_config,
                       survival_series, tagged_limit_path, tilde_w)
 from rankflow import cli, streams
-from rankflow.harness import ExperimentPlan, latp_validation, tagged_compare
+from rankflow.harness import (ExperimentPlan, coupling_compensator,
+                              forced_fixed_point, identify_rates,
+                              latp_validation, tagged_compare)
 from rankflow.latp import constant_intensity, flow_pullback_affine
 
 from conftest import constant_single_spec
@@ -140,6 +142,20 @@ ENTRY_POINTS = {
     "LatpIntensity.call.t": (DomainError, "t", lambda x: OMEGA(0.2, x)),
     "TestFunction.indicator": (
         ConfigError, "class_k", TestFunction.indicator),
+    "identify_rates.n": (
+        ConfigError, "n",
+        lambda x: identify_rates(SPEC, x, 2, "scale", [-0.1, 0.0, 0.1])),
+    "identify_rates.seeds": (
+        ConfigError, "seeds",
+        lambda x: identify_rates(SPEC, 10, x, "scale", [-0.1, 0.0, 0.1])),
+    "forced_fixed_point.n": (
+        ConfigError, "n", lambda x: forced_fixed_point(SOLUTION, x, 2)),
+    "forced_fixed_point.seeds": (
+        ConfigError, "seeds", lambda x: forced_fixed_point(SOLUTION, 10, x)),
+    "coupling_compensator.n": (
+        ConfigError, "n", lambda x: coupling_compensator(SOLUTION, x, 2)),
+    "coupling_compensator.seeds": (
+        ConfigError, "seeds", lambda x: coupling_compensator(SOLUTION, 10, x)),
 }
 
 BAD_VALUES = {"true": True, "np-true": np.True_, "nan": math.nan,
@@ -157,6 +173,41 @@ def test_entry_point_refuses_a_bad_argument(entry, value):
     error, name, call = ENTRY_POINTS[entry]
     with pytest.raises(error, match=f"^{re.escape(name)}: "):
         call(value)
+
+
+# entry point that takes an array: (exception class, argument name, call
+# with the argument, an entry the call takes)
+ARRAY_ENTRY_POINTS = {
+    "IntensityField.call.y": (DomainError, "y", lambda x: FIELD(x, 0.5), 0.3),
+    "IntensityField.call.t": (DomainError, "t", lambda x: FIELD(0.3, x), 0.5),
+    "LatpIntensity.call.s": (DomainError, "s", lambda x: OMEGA(x, 1.0), 0.2),
+    "LatpIntensity.call.t": (DomainError, "t", lambda x: OMEGA(0.2, x), 0.5),
+    "LogEvaluator.positions_of.ts": (
+        DomainError, "ts", lambda x: EVALUATOR.positions_of([1], x), 0.2),
+    "LogEvaluator.positions_of.particles": (
+        ConfigError, "particles", lambda x: EVALUATOR.positions_of(x, [0.5]),
+        0),
+    "ArrivalSequence.times": (
+        ConfigError, "times", lambda x: ArrivalSequence(times=x, horizon=1.0),
+        0.5),
+}
+
+# a bool among numbers, which numpy reads as 1
+BOOL_ENTRIES = {"list": lambda ok: [ok, True], "tuple": lambda ok: (ok, True),
+                "np-true": lambda ok: [ok, np.True_],
+                "nested": lambda ok: [[ok], [True]]}
+
+
+@pytest.mark.parametrize("where", list(BOOL_ENTRIES))
+@pytest.mark.parametrize("entry", list(ARRAY_ENTRY_POINTS))
+def test_array_entry_point_refuses_a_bool_among_numbers(entry, where):
+    # ConstantField(1.0, 1.0)([0.3, True], 0.5) once returned [1., 1.],
+    # positions_of([0, True], [0.5]) read particle 1, and positions_of([1],
+    # [0.2, True]) the time 1.0
+    error, name, call, ok = ARRAY_ENTRY_POINTS[entry]
+    call([ok])
+    with pytest.raises(error, match=f"^{re.escape(name)}: must be "):
+        call(BOOL_ENTRIES[where](ok))
 
 
 @pytest.mark.parametrize("sup_norm", [math.nan, math.inf, True, -1.0])

@@ -1,17 +1,27 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankflow import ConfigError, FlowGrid
+from rankflow import (ConfigError, FlowGrid, ProductField, assign_population,
+                      load_spec, solve_y_c, spec_from_config)
 from rankflow.cli import _write_json
 from rankflow.harness import (ExperimentPlan, SolverSettings, convergence_sweep,
-                              coupling_sweep, flow_driven_sweep,
-                              latp_validation, tagged_compare)
+                              coupling_compensator, coupling_sweep,
+                              flow_driven_sweep, forced_fixed_point,
+                              identify_rates, latp_validation, tagged_compare)
 from rankflow import flow, harness, latp, srp
 from rankflow.measure import EvaluationLattice, TestFunction
 
-from conftest import constant_mixture_spec, constant_single_spec, zero_rate_spec
+from conftest import (RANK_FEEDBACK_SPEC, STEEP_SPECS, constant_mixture_spec,
+                      constant_single_spec, uniform_single_class,
+                      zero_rate_spec)
+from oracles import (config_eps_hat, split_and_compensator,
+                     triu_forced_fixed_point)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_plan(spec, n_values=(50, 200), seeds=4, workers=1):
@@ -388,3 +398,88 @@ def test_latp_validation_refuses_bad_settings(arg, value, message):
     kwargs = {"step": 1 / 20, "replicas": 10} | {arg: value}
     with pytest.raises(ConfigError, match=f"^{message}"):
         latp_validation({"zero": latp.zero_intensity(1.0)}, **kwargs)
+
+
+# -- the evidence routines against their inline references ----------------
+
+# the small byte tests' configs, and eps grids wide enough that no seed's
+# argmin sits on an edge at N = 2**10
+SMALL_IDENT = {
+    "affine": json.loads((ROOT / "configs" / "affine_two_class.json").read_text()),
+    "steep": STEEP_SPECS["affine_0_5_5_0"],
+}
+SMALL_GRIDS = {"scale": np.linspace(-0.4, 0.4, 9),
+               "tilt": np.linspace(-0.8, 0.8, 9)}
+
+
+@pytest.mark.parametrize("name, family", [
+    ("affine", "scale"), ("affine", "tilt"), ("steep", "scale")])
+def test_identify_rates_is_its_oracle(name, family):
+    got = identify_rates(spec_from_config(SMALL_IDENT[name]), 2 ** 10, 4,
+                         family, SMALL_GRIDS[family])
+    want = config_eps_hat(SMALL_IDENT[name], 2 ** 10, 4, family,
+                          SMALL_GRIDS[family])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [STEEP_SPECS["affine_0_5_5_0"],
+                                 RANK_FEEDBACK_SPEC], ids=["steep", "w20y"])
+def test_forced_fixed_point_is_its_oracle(cfg):
+    spec = spec_from_config(cfg)
+    fp = forced_fixed_point(solve_y_c(spec, n_z=20, n_t=50), 2 ** 10, 4)
+    want = triu_forced_fixed_point(spec, 2 ** 10, 50, 4)
+    got = (fp.y_c, fp.original, fp.driven, fp.theta)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("cfg", [
+    SMALL_IDENT["affine"], *STEEP_SPECS.values()],
+    ids=["affine", *STEEP_SPECS])
+def test_coupling_compensator_is_its_oracle(cfg):
+    sol = solve_y_c(spec_from_config(cfg), n_z=20, n_t=200)
+    splits, comp = coupling_compensator(sol, 2 ** 10, 4)
+    assignment = assign_population(sol.spec, 2 ** 10)
+    want = [split_and_compensator(assignment, sol.flow, seed)
+            for seed in range(4)]
+    assert splits.tolist() == [s for s, _ in want]
+    assert comp.tobytes() == np.array([c for _, c in want]).tobytes()
+
+
+@pytest.mark.parametrize("path", sorted(
+    [p for p in (ROOT / "configs").glob("*.json") if p.stem != "zero_rate"]
+    + [ROOT / "bench" / "table_two_class.json"]), ids=lambda p: p.stem)
+def test_identify_rates_scales_every_field_kind(path):
+    eps_hat = identify_rates(load_spec(path), 2 ** 10, 4, "scale",
+                             SMALL_GRIDS["scale"])
+    assert eps_hat.shape == (4,) and np.all(np.abs(eps_hat) < 0.4)
+
+
+def test_identify_rates_scales_a_product_field():
+    # a product field scales its spatial factor, so its rate by 1 + eps
+    spec = uniform_single_class(ProductField(0.5, 1.0, 1.0, 0.5, 1.0))
+    moved = harness._moved_spec(spec, "scale", 0.25)
+    assert moved.classes[0].field(0.3, 0.6) == 1.25 * spec.classes[0].field(0.3, 0.6)
+    eps_hat = identify_rates(spec, 2 ** 10, 4, "scale", SMALL_GRIDS["scale"])
+    assert np.all(np.abs(eps_hat) < 0.4)
+
+
+def test_identify_rates_refuses_what_it_cannot_measure():
+    # the tilt moves affine fields only, and names the first other class
+    with pytest.raises(ConfigError, match=r"^classes\[0\]\.field: the tilt "
+                                          r"family moves affine fields only, "
+                                          r"got 'constant'"):
+        identify_rates(constant_mixture_spec(), 2 ** 8, 2, "tilt",
+                       SMALL_GRIDS["tilt"])
+    with pytest.raises(ConfigError, match="^family: "):
+        identify_rates(constant_mixture_spec(), 2 ** 8, 2, "shift",
+                       SMALL_GRIDS["scale"])
+    for grid in ([0.0, 0.1], [0.1, 0.0, -0.1], [0.0, 0.1, 0.3],
+                 [[0.0, 0.1, 0.2]], [0.0, math.nan, 0.2]):
+        with pytest.raises(ConfigError, match="^grid: must be at least 3"):
+            identify_rates(constant_mixture_spec(), 2 ** 8, 2, "scale", grid)
+    # a zero rate does not move under a scale: every eps fits alike, and
+    # the argmin sits on the grid's first eps
+    with pytest.raises(ConfigError, match="^grid: seed 0's argmin sits on "
+                                          "the grid's edge"):
+        identify_rates(zero_rate_spec(), 2 ** 8, 2, "scale",
+                       SMALL_GRIDS["scale"])

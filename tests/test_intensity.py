@@ -552,6 +552,7 @@ def test_spec_file_errors_carry_field_path(tmp_path):
 # signed zeros and small numbers, where the rounding of the two reads could
 # part, besides plain draws
 _PARAMS = st.sampled_from([0.0, -0.0, 1.0, 0.5, 3e-17]) | st.floats(0.0, 5.0)
+_ZEROS = st.sampled_from([-0.0, 0.0])
 
 
 @st.composite
@@ -566,11 +567,18 @@ def _gathered_field(draw, horizon):
         values = draw(st.lists(_PARAMS, min_size=ny * nt, max_size=ny * nt)
                       | st.just([-0.0] * (ny * nt)))
         return TableField(np.reshape(values, (ny, nt)), horizon)
-    base = draw(_PARAMS)
-    slope = draw(st.sampled_from([-0.0, 0.0, -base]) | st.floats(-base, 5.0))
+    if draw(st.booleans()):
+        # a zero row half the time, of one sign, as a row that reads -0.0
+        # where its formula reads 0.0 shows only at a -0.0 base and a -0.0
+        # slope; the draws below give the mixed signs
+        base = slope = draw(_ZEROS)
+    else:
+        base = draw(_PARAMS)
+        slope = draw(st.sampled_from([-0.0, 0.0, -base])
+                     | st.floats(-base, 5.0))
     if kind == "affine":
         return AffineField(base, slope, horizon)
-    t_base = draw(_PARAMS)
+    t_base = draw(_ZEROS | _PARAMS)
     t_slope = draw(st.sampled_from([-0.0, 0.0, -t_base / horizon])
                    | st.floats(-t_base / horizon, 5.0))
     assume(t_base + t_slope * horizon >= 0)

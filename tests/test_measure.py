@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankflow import (ConfigError, DomainError, EvaluationLattice,
-                      EventLog, LogEvaluator, RankIndex, TestFunction,
+                      EventLog, FlowGrid, LogEvaluator, RankIndex, TestFunction,
                       assign_population, boundary, initial, load_spec,
                       simulate, simulate_flow_driven, solve_y_c,
                       spec_from_config, sup_distance)
 from rankflow import srp
-from rankflow.measure import _class_tails, _LogBatch, limit_values
+from rankflow.measure import (_class_tails, _LogBatch, grid_tables,
+                              grid_vector, limit_values)
 
 from conftest import (STEEP_SPECS, affine_two_class_spec,
                       constant_mixture_spec, constant_single_spec,
@@ -675,3 +676,40 @@ def test_test_function_vectors():
     assert np.max(np.abs(capped)) == 1.3
     with pytest.raises(ConfigError):
         TestFunction.indicator(5).per_class(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_z=st.integers(1, 6), n_t=st.integers(1, 9), data=st.data())
+def test_grid_packing_round_trips(n_z, n_t, data):
+    # a vector at the grid lattice's pairs lands, pair by pair, on the
+    # flow-table node of its gamma and t, and packs back to its bytes; the
+    # boundary table is zero below its diagonal, and its corner row is the
+    # initial row of z = 0
+    fl = FlowGrid.identity(2.5, n_z, n_t)
+    pairs = list(EvaluationLattice.grid(fl).pairs())
+    vector = np.array(data.draw(st.lists(
+        st.floats(-1.0, 1.0) | st.sampled_from([-0.0, 0.0]),
+        min_size=len(pairs), max_size=len(pairs))))
+    init, bdry = grid_tables(vector, fl)
+    assert init.shape == fl.init_values.shape
+    assert bdry.shape == fl.bdry_values.shape
+    for p, (g, t) in enumerate(pairs):
+        m = round(t / fl.dt)
+        if g.kind == "initial":
+            node = init[round(g.y0 * n_z), m]
+        else:
+            node = bdry[round(g.t0 / fl.dt), m]
+        assert node.tobytes() == vector[p].tobytes()
+    assert not np.any(bdry[np.tri(n_t + 1, k=-1, dtype=bool)])
+    assert bdry[0].tobytes() == init[0].tobytes()
+    packed = grid_vector(FlowGrid(2.5, init, bdry, check=False))
+    assert packed.tobytes() == vector.tobytes()
+
+
+def test_grid_packing_refuses_a_vector_of_another_grid():
+    fl = FlowGrid.identity(1.0, 4, 5)
+    size = len(grid_vector(fl))
+    assert size == 5 * 6 + 5 * 6 // 2
+    for bad in (np.zeros(size - 1), np.zeros((1, size))):
+        with pytest.raises(ConfigError, match="^vector: must hold the 45 "):
+            grid_tables(bad, fl)
