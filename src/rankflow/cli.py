@@ -83,17 +83,17 @@ def cmd_simulate(args) -> int:
     spec = load_spec(args.config)
     assignment = assign_population(spec, args.n, mode=args.assign,
                                    seed=args.seed)
-    if args.mode == "original":
+    if args.flow is None:
         log = srp.simulate(assignment, seed=args.seed)
     else:
         flow = _load_flow(args, spec)
         log = srp.simulate_flow_driven(assignment, flow, seed=args.seed)
     out = _out_dir(args)
-    base = os.path.join(out, f"log_{args.mode}_n{args.n}_seed{args.seed}")
+    base = os.path.join(out, f"log_{log.kind}_n{args.n}_seed{args.seed}")
     log.save(base + ".npz")
     log.to_csv(base + ".csv")
     _write_json(base + ".json", {
-        "n": args.n, "seed": args.seed, "mode": args.mode,
+        "n": args.n, "seed": args.seed, "mode": log.kind,
         "events": log.n_events, "ties": log.tie_count,
         "spec_hash": spec.fingerprint()})
     print(f"{log.n_events} events -> {base}.npz")
@@ -233,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base seed")
     add_solver(p)
     p.add_argument("--n", type=int, required=True, help="particle count")
-    p.add_argument("--mode", choices=("original", "flow"), default="original")
-    p.add_argument("--flow", default="solve",
-                   help="'solve', 'identity', or a y_c.npz cache path")
+    p.add_argument("--flow", default=None,
+                   help="run flow-driven against this flow "
+                        "('identity', 'solve', or cache path); default original model")
     p.add_argument("--assign", choices=("stratified", "seeded-random"),
                    default="stratified")
     p.set_defaults(fn=cmd_simulate)

@@ -5,11 +5,13 @@ raise them: every entry point refuses a bad integer or number through
 their message with the argument's name.  ``_real_array`` refuses entries
 that are not numbers, a bool inside a list included, and leaves NaN and
 the infinities to the caller's range test; ``_array`` is its check for
-any numpy kinds.
+any numpy kinds.  ``_read_npz`` reads a file that ``np.savez`` wrote and
+refuses any other with a ConfigError that names the path.
 """
 
 import math
 import numbers
+import zipfile
 
 import numpy as np
 
@@ -121,3 +123,26 @@ def _require_int(name: str, value, least: int, error=ConfigError) -> None:
         raise error(f"{name}: must be an integer, got {value!r}")
     if value < least:
         raise error(f"{name}: must be >= {least}, got {value}")
+
+
+def _read_npz(path, what: str, keys) -> dict:
+    """The arrays ``keys`` of the ``np.savez`` archive at ``path``, read
+    whole; ConfigError, saying the path is not ``what`` (such as "a
+    solve cache"), for a file that numpy does not read as an archive or one
+    without every key."""
+    try:
+        data = np.load(path)
+    except (EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: not {what}: {exc}") from exc
+    except ValueError as exc:
+        # numpy's message advises loading the file unsafely
+        raise ConfigError(f"{path}: not {what}: neither an npz archive nor "
+                          f"a plain npy array, and pickled data is not "
+                          f"read") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path}: not {what}: one bare array")
+    with data:
+        missing = [k for k in keys if k not in data.files]
+        if missing:
+            raise ConfigError(f"{path}: not {what}: no {missing[0]!r} in it")
+        return {k: data[k] for k in keys}

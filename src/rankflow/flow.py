@@ -16,13 +16,13 @@ here by damped Picard iteration on a grid.
 from __future__ import annotations
 
 import logging
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, DomainError,
-                     EnvelopeBreach, _number, _positive, _require_int)
+                     EnvelopeBreach, _number, _positive, _read_npz,
+                     _require_int)
 from .intensity import ClassHazard, PopulationSpec
 from .latp import (MAX_TABLE_ENTRIES, LatpIntensity, _bilinear,
                    _cumulative_trapezoid, _cut, _grid_cells, _laid, _owners,
@@ -497,29 +497,19 @@ class LimitSolution:
     @staticmethod
     def load(path, spec: PopulationSpec) -> "LimitSolution":
         """Read a ``save`` cache; ConfigError names a file that is not one."""
-        try:
-            data = np.load(path)
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise ConfigError(f"{path}: not a solve cache: {exc}") from exc
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ConfigError(f"{path}: not a solve cache: one bare array")
-        with data:
-            missing = [k for k in _CACHE_KEYS if k not in data.files]
-            if missing:
-                raise ConfigError(
-                    f"{path}: not a solve cache: no {missing[0]!r} in it")
-            stored = bytes(data["spec_hash"]).decode()
-            if stored != spec.fingerprint():
-                raise ConfigError(
-                    f"cache was solved for spec {stored}, not {spec.fingerprint()}")
-            flow = FlowGrid(float(data["horizon"]), data["init_values"],
-                            data["bdry_values"])
-            history = [float(r) for r in data["residual_history"]]
-            return LimitSolution(spec=spec, flow=flow,
-                                 evaluator=PhiEvaluator(flow, spec),
-                                 residual=float(data["residual"]),
-                                 residual_history=history,
-                                 iterations=len(history))
+        data = _read_npz(path, "a solve cache", _CACHE_KEYS)
+        stored = bytes(data["spec_hash"]).decode()
+        if stored != spec.fingerprint():
+            raise ConfigError(
+                f"cache was solved for spec {stored}, not {spec.fingerprint()}")
+        flow = FlowGrid(float(data["horizon"]), data["init_values"],
+                        data["bdry_values"])
+        history = [float(r) for r in data["residual_history"]]
+        return LimitSolution(spec=spec, flow=flow,
+                             evaluator=PhiEvaluator(flow, spec),
+                             residual=float(data["residual"]),
+                             residual_history=history,
+                             iterations=len(history))
 
 
 def _residual(flow: FlowGrid, upd_init, upd_bdry, upper, work) -> float:

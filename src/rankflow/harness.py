@@ -15,7 +15,12 @@ Every report is a pure function of (plan, seeds): rows are emitted in
 deterministic order and all aggregates are recomputed from the rows.  A
 sweep's job is one N and a run of seeds, which the engines thin as one
 batch; it returns one record (N, seed, {label: value}) per seed, and each
-label becomes one SweepMetric.
+label becomes one SweepMetric.  The sweeps, ``tagged_compare``,
+``identify_rates`` and ``forced_fixed_point`` take their seeds in the runs
+of ``srp._seed_runs``, read each run's logs as one batch
+(``measure._LogBatch``) and keep only each seed's values before the next
+run, and ``coupling_compensator`` redraws one seed at a time: no routine
+holds more than one engine batch of candidates or logs.
 """
 
 from __future__ import annotations
@@ -400,7 +405,8 @@ def identify_rates(spec: PopulationSpec, n: int, seeds: int, family: str,
     """Each seed's eps_hat: where within the one-parameter ``family`` of
     specs around ``spec`` the original engine's logs place their rates.
 
-    The runs of seeds 0..seeds-1 at N = n give phi^N(h = 1) at the pairs of
+    The runs of seeds 0..seeds-1 at N = n, thinned and read one
+    ``srp._seed_runs`` batch at a time, give phi^N(h = 1) at the pairs of
     the regular lattice.  Each eps of ``grid``, evenly spaced and
     increasing, moves the spec (``_moved_spec``: "scale" or "tilt", the
     latter for affine fields only) to a limit y_C^eps, solved by
@@ -426,9 +432,14 @@ def identify_rates(spec: PopulationSpec, n: int, seeds: int, family: str,
     for eps in grid.tolist():
         sol = solve_y_c(_moved_spec(spec, family, eps))
         limits.append(limit_values(lattice, sol, [TestFunction.ones()])[0][0])
-    logs = srp._run_seeds(assign_population(spec, n), range(seeds), "original")
+    assignment = assign_population(spec, n)
     hv = TestFunction.ones().per_class(spec)
-    emp = np.array([c.phi(hv) for c in _LogBatch(logs).lattice_counts(lattice)])
+    emp = []
+    for run in srp._seed_runs(assignment, seeds):
+        counts = _LogBatch(srp._run_seeds(assignment, run, "original")
+                           ).lattice_counts(lattice)
+        emp.extend(c.phi(hv) for c in counts)
+    emp = np.array(emp)
     mse = ((emp[:, None, :] - np.array(limits)[None]) ** 2).mean(axis=2)
     k = np.argmin(mse, axis=1)
     edge = np.flatnonzero((k == 0) | (k == len(grid) - 1))
@@ -444,8 +455,8 @@ def identify_rates(spec: PopulationSpec, n: int, seeds: int, family: str,
 class ForcedFixedPoint:
     """Values at the node pairs of a flow's grid (``EvaluationLattice.grid``,
     packed as by ``measure.grid_vector``), one row per seed: ``original``
-    and ``driven`` are Y^N of the original and flow-driven runs of a
-    coupled batch, ``theta`` the fixed point theta* that each seed's
+    and ``driven`` are Y^N of the original and flow-driven sides of each
+    seed's coupled run, ``theta`` the fixed point theta* that each seed's
     forcing moves the limit to, and ``y_c`` the limit's one row.  Compared
     by identity: the generated ``==`` would compare arrays."""
 
@@ -456,10 +467,12 @@ class ForcedFixedPoint:
 
 
 def forced_fixed_point(sol: LimitSolution, n: int, seeds: int) -> ForcedFixedPoint:
-    """theta* for each seed of a coupled batch at N = n against ``sol``.
+    """theta* for each seed of a coupled run at N = n against ``sol``.
 
-    The original run is the flow-driven run on the same candidates pushed
-    through the fixed-point map: with e = Y_flow - y_C at the grid nodes,
+    The seeds run one ``srp._seed_runs`` batch at a time, and each side of
+    a batch's coupled runs is read as one batch of logs.  The original run
+    is the flow-driven run on the same candidates pushed through the
+    fixed-point map: with e = Y_flow - y_C at the grid nodes,
     theta* = Phi(theta*) + e, the fixed point of ``flow._picard`` forced by
     e and solved to a residual of 1e-12, predicts Y_orig well beyond Y_flow
     does.
@@ -468,12 +481,14 @@ def forced_fixed_point(sol: LimitSolution, n: int, seeds: int) -> ForcedFixedPoi
     _require_int("seeds", seeds, 1)
     fl = sol.flow
     lattice = EvaluationLattice.grid(fl)
-    runs = srp._run_seeds(assign_population(sol.spec, n), range(seeds),
-                          "coupled", flow=fl)
-    original, driven = (
-        np.array([c.curve() for c in
-                  _LogBatch([r[k] for r in runs]).lattice_counts(lattice)])
-        for k in (0, 1))
+    assignment = assign_population(sol.spec, n)
+    original, driven = [], []
+    for run in srp._seed_runs(assignment, seeds):
+        runs = srp._run_seeds(assignment, run, "coupled", flow=fl)
+        for k, curves in enumerate((original, driven)):
+            curves.extend(c.curve() for c in
+                          _LogBatch([r[k] for r in runs]).lattice_counts(lattice))
+    original, driven = np.array(original), np.array(driven)
     y_c = grid_vector(fl)
     theta = np.array([
         grid_vector(_picard(sol.spec, fl.n_z, fl.n_t, 1e-12, 80,

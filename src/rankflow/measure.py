@@ -379,6 +379,9 @@ class _LogBatch:
         """
         particles = _particle_ids(particles, self.n)
         ts = _log_times("ts", ts, self.horizon)
+        if ts.ndim != 1:
+            raise DomainError(f"ts: must be one-dimensional, got {ts.ndim} "
+                              f"dimensions")
         S, E = len(self.sizes), len(self.times)
         q = len(ts) * len(particles)
         # per run and t: the events of the runs before it, and its own up to t
@@ -448,7 +451,9 @@ class LogEvaluator:
 
     def positions_at(self, t: float) -> np.ndarray:
         """Positions at t, right-continuous, in any order of queries."""
-        return self._ranks_at(float(_log_times("t", t, self.log.horizon))) / self.n
+        t = float(_log_times("t", _number("t", t, DomainError),
+                             self.log.horizon))
+        return self._ranks_at(t) / self.n
 
     def positions_of(self, particles, ts) -> np.ndarray:
         """``positions_at(t)[particles]`` for every t in ts, in one query
@@ -459,7 +464,8 @@ class LogEvaluator:
         """Integral of h over the empirical measure on W x [y, 1] at t."""
         if not -1e-12 <= _number("y", y, DomainError) <= 1 + 1e-12:
             raise DomainError(f"y: {y} outside [0,1]")
-        t = float(_log_times("t", t, self.log.horizon))
+        t = float(_log_times("t", _number("t", t, DomainError),
+                             self.log.horizon))
         tail = self._tail_counts(t, [_slot_threshold(y, self.n)])[0]
         return float(tail @ _h_vector(h, self.spec)) / self.n
 

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EnvelopeBreach, _require_int
+from .errors import (ConfigError, DomainError, EnvelopeBreach, _read_npz,
+                     _require_int)
 from .intensity import PopulationAssignment
 from .flow import FlowGrid, _thin_along_flow
 from .latp import _breach_bound, _cut, _edges, _laid, _owners, _tiled
@@ -182,17 +183,21 @@ class EventLog:
 
     @staticmethod
     def load(path, spec) -> "EventLog":
-        with np.load(path) as d:
-            if int(d["format_version"]) != LOG_FORMAT_VERSION:
-                raise ConfigError(f"unsupported log format {d['format_version']}")
-            if str(d["spec_hash"]) != spec.fingerprint():
-                raise ConfigError("log was produced under a different spec")
-            assignment = PopulationAssignment(
-                spec=spec, class_index=d["class_index"], position=d["position"])
-            return EventLog(assignment=assignment, horizon=float(d["horizon"]),
-                            times=d["times"], particles=d["particles"],
-                            pre_positions=d["pre_positions"],
-                            kind=str(d["kind"]), tie_count=int(d["tie_count"]))
+        """Read a ``save`` log; ConfigError names a file that is not one."""
+        d = _read_npz(path, "an event log", (
+            "format_version", "kind", "horizon", "tie_count", "times",
+            "particles", "pre_positions", "class_index", "position",
+            "spec_hash"))
+        if int(d["format_version"]) != LOG_FORMAT_VERSION:
+            raise ConfigError(f"unsupported log format {d['format_version']}")
+        if str(d["spec_hash"]) != spec.fingerprint():
+            raise ConfigError("log was produced under a different spec")
+        assignment = PopulationAssignment(
+            spec=spec, class_index=d["class_index"], position=d["position"])
+        return EventLog(assignment=assignment, horizon=float(d["horizon"]),
+                        times=d["times"], particles=d["particles"],
+                        pre_positions=d["pre_positions"],
+                        kind=str(d["kind"]), tie_count=int(d["tie_count"]))
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from rankflow import (EventLog, FlowGrid, assign_population, load_spec,
+                      simulate_flow_driven)
 from rankflow.cli import (EXIT_ASSERTION, EXIT_INVALID, EXIT_NO_CONVERGENCE,
                           EXIT_OK, main)
 
@@ -119,10 +121,38 @@ def test_simulate_deterministic_bytes(tmp_path):
 
 def test_simulate_flow_driven_mode(tmp_path):
     code = run(["simulate", "--config", f"{CONFIGS}/constant_mixture.json",
-                "--out", str(tmp_path), "--n", "20", "--mode", "flow",
+                "--out", str(tmp_path), "--n", "20",
                 "--flow", "identity", "--nz", "10", "--nt", "50"])
     assert code == EXIT_OK
     assert (tmp_path / "log_flow_n20_seed0.npz").exists()
+
+
+def test_simulate_flow_picks_the_flow_driven_engine(tmp_path):
+    # --flow without the former --mode flow once ran the original model and
+    # wrote log_original_n20_seed1
+    config = f"{CONFIGS}/affine_two_class.json"
+    assert run(["simulate", "--config", config, "--out", str(tmp_path),
+                "--n", "20", "--seed", "1", "--flow", "identity",
+                "--nz", "10", "--nt", "50"]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"log_flow_n20_seed1.{ext}" for ext in ("csv", "json", "npz")]
+    summary = json.loads((tmp_path / "log_flow_n20_seed1.json").read_text())
+    assert summary["mode"] == "flow"
+    spec = load_spec(config)
+    want = simulate_flow_driven(assign_population(spec, 20),
+                                FlowGrid.identity(spec.horizon, 10, 50), seed=1)
+    got = EventLog.load(tmp_path / "log_flow_n20_seed1.npz", spec)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.particles.tobytes() == want.particles.tobytes()
+
+
+def test_simulate_has_no_mode_option(tmp_path, capsys):
+    # --flow picks the engine, as it does for sweep
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", f"{CONFIGS}/constant_unit.json",
+              "--out", str(tmp_path), "--n", "5", "--mode", "flow"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
 def test_simulate_refuses_nan_flow_cache(tmp_path, capsys):
@@ -134,14 +164,14 @@ def test_simulate_refuses_nan_flow_cache(tmp_path, capsys):
     np.savez(tmp_path / "nan.npz", **data)
     capsys.readouterr()
     code = run(["simulate", "--config", f"{CONFIGS}/constant_unit.json",
-                "--out", str(tmp_path), "--n", "20", "--mode", "flow",
+                "--out", str(tmp_path), "--n", "20",
                 "--flow", str(tmp_path / "nan.npz")])
     assert code == EXIT_INVALID
     assert capsys.readouterr().err.startswith("error: boundary table: ")
 
 
 @pytest.mark.parametrize("command", [
-    ["simulate", "--n", "20", "--mode", "flow"],
+    ["simulate", "--n", "20"],
     ["sweep", "--n-values", "10", "--seeds", "2"],
 ], ids=["simulate", "sweep"])
 def test_flow_cache_refuses_nan_horizon(command, tmp_path, capsys):
@@ -195,7 +225,7 @@ def test_simulate_refuses_a_flow_file_that_is_not_a_solve_cache(
     else:
         path.write_bytes(b"PK\x03\x04 not a zip")
     capsys.readouterr()
-    code = run(["simulate"] + common + ["--mode", "flow", "--flow", str(path)])
+    code = run(["simulate"] + common + ["--flow", str(path)])
     assert code == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: not a solve cache: ")
@@ -381,7 +411,7 @@ def test_solve_refuses_bad_settings(option, value, name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["simulate", "--n", "10", "--mode", "flow"],
+    ["simulate", "--n", "10"],
     ["sweep", "--n-values", "10", "--seeds", "2"],
 ])
 def test_identity_flow_refuses_negative_grid(command, tmp_path, capsys):
@@ -426,7 +456,7 @@ def test_latp_refuses_grid_below_one(grid, tmp_path, capsys):
      "error: n_t: 4096 makes a table of 16785409 entries, above the "
      "16777216 allowed"),
     (["simulate", "--config", f"{CONFIGS}/zero_rate.json", "--n", "5",
-      "--mode", "flow", "--flow", "identity", "--nt", "4096"],
+      "--flow", "identity", "--nt", "4096"],
      "error: n_t: 4096 makes a table "),
     (["latp", "--grid", "4096", "--replicas", "10"],
      "error: step: 4097 grid nodes make a table above 16777216 entries"),

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from rankflow import (ArrivalSequence, ConfigError, ConstantField,
-                      DomainError, EvaluationLattice, FlowGrid, LatpIntensity,
-                      LogEvaluator, TestFunction, assign_population,
+                      DomainError, EvaluationLattice, EventLog, FlowGrid,
+                      LatpIntensity, LimitSolution, LogEvaluator,
+                      TestFunction, assign_population,
                       boundary, initial, pin_particles, sample_replicas,
                       simulate, solve_y_c, spec_from_config,
                       survival_series, tagged_limit_path, tilde_w)
@@ -273,3 +274,43 @@ def test_position_queries_refuse_a_particle_outside_the_log(particles):
 
 def test_position_queries_take_no_particle():
     assert EVALUATOR.positions_of([], [0.2, 0.5]).shape == (2, 0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: EVALUATOR.positions_at([0.3]), "t"),
+    (lambda: EVALUATOR.mu(TestFunction.ones(), 0.3, [0.5]), "t"),
+    (lambda: EVALUATOR.positions_of([0, 1], 0.5), "ts"),
+    (lambda: EVALUATOR.positions_of([0, 1], [[0.5, 0.6]]), "ts"),
+], ids=["positions_at", "mu", "positions_of-scalar", "positions_of-2d"])
+def test_time_queries_refuse_times_of_the_wrong_shape(call, name):
+    # positions_at([0.3]) and mu(h, 0.3, [0.5]) once raised a bare
+    # TypeError, positions_of([0, 1], 0.5) "len() of unsized object", and
+    # a 2-D ts a bare IndexError
+    with pytest.raises(DomainError, match=f"^{name}: "):
+        call()
+
+
+@pytest.mark.parametrize("loader, what, other", [
+    (EventLog.load, "an event log", "text"),
+    (EventLog.load, "an event log", "npy"),
+    (EventLog.load, "an event log", "solve_cache"),
+    (LimitSolution.load, "a solve cache", "text"),
+], ids=["log-text", "log-npy", "log-solve_cache", "cache-text"])
+def test_loaders_refuse_a_file_that_they_did_not_write(loader, what, other,
+                                                       tmp_path):
+    # EventLog.load once raised a bare ValueError on a text file, a
+    # TypeError on an .npy array and a KeyError on a solve cache; both
+    # loaders quoted numpy's advice to load a text file with allow_pickle
+    path = tmp_path / "file"
+    if other == "text":
+        path.write_text("time,particle,pre_position\n")
+    elif other == "npy":
+        path = tmp_path / "file.npy"
+        np.save(path, np.zeros(3))
+    else:
+        path = tmp_path / "y_c.npz"
+        SOLUTION.save(path)
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(str(path))}: not {what}: ") as exc:
+        loader(path, SPEC)
+    assert "allow_pickle" not in str(exc.value)

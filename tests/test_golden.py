@@ -48,11 +48,11 @@ RUNS = {
     "solve-table": ["solve", "--config", TABLE] + SOLVER,
     "simulate": ["simulate", "--config", AFFINE, "--n", "200", "--seed", "3"],
     "simulate-flow": ["simulate", "--config", AFFINE, "--n", "200", "--seed",
-                      "3", "--mode", "flow"] + SOLVER,
+                      "3", "--flow", "solve"] + SOLVER,
     "simulate-table": ["simulate", "--config", TABLE, "--n", "200", "--seed",
                        "3"],
     "simulate-table-flow": ["simulate", "--config", TABLE, "--n", "200",
-                            "--seed", "3", "--mode", "flow"] + SOLVER,
+                            "--seed", "3", "--flow", "solve"] + SOLVER,
     "sweep": ["sweep", "--config", AFFINE, "--class-indicator", "0"]
              + SOLVER + PLAN,
     "sweep-flow": ["sweep", "--config", AFFINE, "--flow", "solve"]

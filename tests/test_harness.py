@@ -432,6 +432,28 @@ def test_forced_fixed_point_is_its_oracle(cfg):
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
+def test_evidence_routines_run_one_seed_batch_at_a_time(monkeypatch):
+    # identify_rates and forced_fixed_point once ran all their seeds as one
+    # engine batch and read every log at once
+    spec = spec_from_config(SMALL_IDENT["affine"])
+    runs = [list(run) for run in
+            srp._seed_runs(assign_population(spec, 2 ** 10), 20)]
+    assert runs == [list(range(11)), list(range(11, 20))]
+    calls = []
+    run_seeds = srp._run_seeds
+
+    def recording(assignment, seeds, *args, **kwargs):
+        calls.append(list(seeds))
+        return run_seeds(assignment, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(srp, "_run_seeds", recording)
+    identify_rates(spec, 2 ** 10, 20, "scale", SMALL_GRIDS["scale"])
+    assert calls == runs
+    calls.clear()
+    forced_fixed_point(solve_y_c(spec, n_z=20, n_t=50), 2 ** 10, 20)
+    assert calls == runs
+
+
 @pytest.mark.parametrize("cfg", [
     SMALL_IDENT["affine"], *STEEP_SPECS.values()],
     ids=["affine", *STEEP_SPECS])
