@@ -69,6 +69,14 @@ def boundary(t0: float) -> BoundaryPoint:
     return BoundaryPoint("boundary", t0)
 
 
+def _boundary_point(gamma) -> BoundaryPoint:
+    """gamma if it is a ``BoundaryPoint``, else DomainError."""
+    if not isinstance(gamma, BoundaryPoint):
+        raise DomainError(f"gamma: must be a BoundaryPoint, initial(z) or "
+                          f"boundary(t0), got {gamma!r}")
+    return gamma
+
+
 def _require_grid(n_z: int, n_t: int) -> None:
     _require_int("n_t", n_t, 1)
     _require_int("n_z", n_z, 1)
@@ -156,8 +164,9 @@ class FlowGrid:
     # -- strict evaluation ------------------------------------------------
 
     def theta(self, gamma: BoundaryPoint, t: float) -> float:
-        return float(self._thetas(gamma.y0, gamma.t0,
-                                  _number("t", t, DomainError)))
+        t = _number("t", t, DomainError)
+        gamma = _boundary_point(gamma)
+        return float(self._thetas(gamma.y0, gamma.t0, t))
 
     def _thetas(self, y0, t0, t):
         """theta at every pair given by its y0, t0 and t, if admissible."""
@@ -383,6 +392,7 @@ class PhiEvaluator:
 
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
         t = _number("t", t, DomainError)
+        gamma = _boundary_point(gamma)
         return float(self._phis(_h_vector(h, self.spec)[None],
                                 [gamma.kind == "initial"], [gamma.y0],
                                 [gamma.t0], [t])[0, 0])

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, _array, _finite, _number,
                      _real_array, _require_int)
-from .flow import BoundaryPoint, _admissible, _h_vector, boundary, initial
+from .flow import (BoundaryPoint, _admissible, _boundary_point, _h_vector,
+                   boundary, initial)
 from .intensity import PopulationSpec
 from .latp import _edges, _laid, _owners, _tiled
 from .srp import EventLog, RankIndex, _by_particle, _mtf_ranks, _reset_ranks
@@ -265,11 +266,14 @@ def _log_times(name: str, ts, horizon: float) -> np.ndarray:
 
 
 def _particle_ids(particles, n: int) -> np.ndarray:
-    """particles as int64 ids if each is an integer in 0..n-1 (a bool is
-    none); else ConfigError.  An empty list is no particle."""
+    """particles as int64 ids if they are one list of integers in 0..n-1 (a
+    bool is none); else ConfigError.  An empty list is no particle."""
+    what = f"integers in 0..{n - 1}"
+    if np.ndim(particles) != 1:
+        raise ConfigError(f"particles: must be a one-dimensional list of "
+                          f"{what}, got {particles!r}")
     if not np.size(particles):
         return np.empty(0, dtype=np.int64)
-    what = f"integers in 0..{n - 1}"
     arr = _array("particles", particles, "iu", what)
     if arr.min() < 0 or arr.max() >= n:
         raise ConfigError(f"particles: must be {what}, got {particles!r}")
@@ -426,7 +430,7 @@ class LogEvaluator:
 
     def phi(self, h, gamma: BoundaryPoint, t: float) -> float:
         t = _number("t", t, DomainError)
-        alive = self._point_counts(gamma, t).alive[0]
+        alive = self._point_counts(_boundary_point(gamma), t).alive[0]
         return float(alive @ _h_vector(h, self.spec)) / self.n
 
     # -- positions -------------------------------------------------------------

@@ -285,6 +285,25 @@ def _check_flow(flow, horizon):
         raise DomainError("flow horizon shorter than the simulation horizon")
 
 
+def _lane(top: int):
+    """The integer dtype of the move-to-front rank path for values up to
+    ``top``: int32 when ``top`` is below 2^31, else int64.
+
+    Each function of the path bounds what it holds by sizes it knows:
+    ``_count_below`` by its largest value or bound and its table positions
+    up to 2(m + 1), ``_mtf_ranks`` by N + m, above its keys (below N' + A)
+    and running counts, ``_by_particle`` by the batch's length, and the
+    slots of ``_original_pass`` and ``_flow_pass`` by N, which
+    ``_reset_ranks`` stays within.  The arithmetic is exact in either
+    width, so every result keeps its bytes, and int32, which holds for
+    every N that fits in memory, halves the bytes each pass streams.  The
+    stable ``order``, each system's ``first`` and the movers of
+    ``_next_slots`` stay intp: numpy converts any other index array to intp
+    on every gather, which cost more than the narrow lane saved there.
+    """
+    return np.int32 if top < 1 << 31 else np.int64
+
+
 def _count_below(values, starts, ends, bounds, levels=None):
     """#{starts[q] <= k < ends[q] : values[k] < bounds[q]} for every query q.
 
@@ -297,7 +316,9 @@ def _count_below(values, starts, ends, bounds, levels=None):
     than its longest run.  With ``levels``, only the top ``levels`` levels
     are walked, and each query adds half of the values left in its range,
     those whose top bits are its bound's: a coarse count, off by at most
-    half of that bucket.
+    half of that bucket.  The walk runs in the lane (``_lane``) of its
+    largest value, bound or table position, and the counts return as
+    int64.
 
     Each level fills one table of 2(m + 1) entries for the m values from
     one prefix sum of its bits: entry i holds the zeros before i, and entry
@@ -310,24 +331,27 @@ def _count_below(values, starts, ends, bounds, levels=None):
     masked-multiply walk this one replaced.
     """
     q, m = len(ends), len(values)
-    count = np.zeros(q, dtype=np.int64)
     if not m or not q:
-        return count
-    table = np.zeros(2 * (m + 1), dtype=np.int64)
+        return np.zeros(q, dtype=np.int64)
+    top = int(max(values.max(), bounds.max()))
+    lane = _lane(max(top, 2 * (m + 1)))
+    count = np.zeros(q, dtype=lane)
+    table = np.zeros(2 * (m + 1), dtype=lane)
     zeros, ones = table[:m + 1], table[m + 1:]
-    index = np.arange(m + 1)
-    span = np.array((starts, ends), dtype=np.int64)
+    index = np.arange(m + 1, dtype=lane)
+    span = np.array((starts, ends), dtype=lane)
     size = span[1] - span[0]
     kept, one = np.empty_like(count), np.empty_like(count)
-    bit, flag = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
-    values, spare = values.copy(), np.empty_like(values)
-    top = int(max(values.max(), bounds.max())).bit_length()
+    bit, flag = np.empty(m, dtype=lane), np.empty(m, dtype=bool)
+    values, spare = values.astype(lane), np.empty(m, dtype=lane)
+    bounds = bounds.astype(lane, copy=False)
+    top = top.bit_length()
     stop = 0 if levels is None else max(top - levels, 0)
     for b in reversed(range(stop, top)):
         np.right_shift(values, b, out=bit)
         np.bitwise_and(bit, 1, out=bit)
         ones[0] = 0
-        np.cumsum(bit, out=ones[1:])
+        np.cumsum(bit, dtype=lane, out=ones[1:])
         n0 = m - int(ones[-1])
         np.subtract(index, ones, out=zeros)
         ones += n0
@@ -350,7 +374,7 @@ def _count_below(values, starts, ends, bounds, levels=None):
             values, spare = spare, values
     if stop:
         count += size >> 1
-    return count
+    return count.astype(np.int64, copy=False)
 
 
 def _firsts(keys):
@@ -377,8 +401,8 @@ def _by_particle(ids, n, sizes=None):
     """
     order = _stable_argsort(ids, n)
     sorted_ids = ids[order]
-    group = np.maximum.accumulate(np.where(_firsts(sorted_ids),
-                                           np.arange(len(ids)), 0))
+    group = np.maximum.accumulate(np.where(
+        _firsts(sorted_ids), np.arange(len(ids), dtype=_lane(len(ids))), 0))
     sizes = [len(ids)] if sizes is None else sizes
     return order, sorted_ids, group, (n // len(sizes),
                                       np.repeat(_edges(sizes)[:-1], sizes))
@@ -418,17 +442,19 @@ def _mtf_ranks(slots, ids, accepted, start=0, grouped=None, levels=None):
     order, sorted_ids, group, (size, first) = (
         _by_particle(ids, n) if grouped is None else grouped)
     at = slice(start, None) if isinstance(start, (int, np.integer)) else start
+    lane = _lane(n + m)
     accepted = np.asarray(accepted, dtype=bool)
-    x = np.cumsum(accepted) - accepted
+    x = np.cumsum(accepted, dtype=lane) - accepted
     # per particle in stream order, the latest accepted candidate before c
     # is a running maximum of accepted positions that stays in c's group
-    before = np.empty(m, dtype=np.int64)
+    before = np.empty(m, dtype=lane)
     before[0] = -1
-    np.maximum.accumulate(np.where(accepted[order], np.arange(m), -1)[:-1],
-                          out=before[1:])
+    np.maximum.accumulate(
+        np.where(accepted[order], np.arange(m, dtype=lane), -1)[:-1],
+        out=before[1:])
     # the accepted candidates of the systems before each position's own
     starts = x[first]
-    last = np.empty(m, dtype=np.int64)
+    last = np.empty(m, dtype=lane)
     last[order] = np.where(before >= group, size + x[order[before]] - starts,
                            size - 1 - slots[sorted_ids])
     bounds = last[at]
@@ -441,11 +467,12 @@ def _reset_ranks(slots, movers):
     first, have moved to the front from ranks ``slots``: the reset-point
     identity.  The k movers take ranks 0..k-1, and the rest keep their old
     order behind them, at their old slot plus the movers slotted behind
-    them (at larger slots)."""
-    above = np.zeros(len(slots) + 1, dtype=np.int64)
+    them (at larger slots).  The ranks take the dtype of ``slots``, and
+    no value on the way exceeds N."""
+    above = np.zeros(len(slots) + 1, dtype=slots.dtype)
     above[slots[movers] + 1] = 1
-    np.cumsum(above, out=above)
-    ranks = slots + len(movers) - above[slots]
+    np.cumsum(above, dtype=slots.dtype, out=above)
+    ranks = slots - above[slots] + len(movers)
     ranks[movers] = np.arange(len(movers))
     return ranks
 
@@ -631,6 +658,7 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
     for first, stop in _groups(sizes, width):
         lo, hi = edges[first], edges[stop]
         slots = _tiled(assignment.slots, stop - first)
+        slots = slots.astype(_lane(len(slots)), copy=False)
         for w_lo in range(lo, hi, width):
             w = slice(w_lo, min(w_lo + width, hi))
             # the whole runs of a group that fits, or a window of one run
@@ -660,7 +688,8 @@ def _flow_pass(assignment, flow, times, ids, marks, sizes=None):
     jumpers = _owners(ids, n, sizes)[accepted]
     grouped = _by_particle(jumpers, k * n,
                            np.bincount(jumpers // n, minlength=k))
-    pre = _mtf_ranks(_tiled(assignment.slots, k), jumpers,
+    slots = _tiled(assignment.slots, k)
+    pre = _mtf_ranks(slots.astype(_lane(len(slots)), copy=False), jumpers,
                      np.ones(len(jumpers), dtype=bool), grouped=grouped)
     return accepted, pre * (1.0 / n)
 

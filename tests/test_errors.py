@@ -22,6 +22,7 @@ from rankflow.harness import (ExperimentPlan, coupling_compensator,
                               forced_fixed_point, identify_rates,
                               latp_validation, tagged_compare)
 from rankflow.latp import constant_intensity, flow_pullback_affine
+from rankflow.measure import _LogBatch
 
 from conftest import constant_single_spec
 
@@ -288,6 +289,36 @@ def test_time_queries_refuse_times_of_the_wrong_shape(call, name):
     # a 2-D ts a bare IndexError
     with pytest.raises(DomainError, match=f"^{name}: "):
         call()
+
+
+@pytest.mark.parametrize("reader", ["evaluator", "batch"])
+@pytest.mark.parametrize("particles", [0, np.int64(0), [[0, 1]], [[]],
+                                       np.array([[0], [1]])],
+                         ids=["int", "np-int", "2d", "2d-empty", "2d-array"])
+def test_position_queries_refuse_particles_of_the_wrong_shape(reader,
+                                                              particles):
+    # positions_of(0, [0.5]) once raised a bare TypeError, "len() of
+    # unsized object", and positions_of([[0, 1]], [0.5]) numpy's ValueError
+    # about concatenating arrays of different dimensions
+    read = EVALUATOR if reader == "evaluator" else _LogBatch([EVALUATOR.log])
+    with pytest.raises(ConfigError, match="^particles: must be "):
+        read.positions_of(particles, [0.5])
+
+
+@pytest.mark.parametrize("gamma", [None, [0.3], 0.3, (0.3, 0.0)],
+                         ids=["none", "list", "float", "tuple"])
+@pytest.mark.parametrize("reader", ["log", "limit", "solution", "theta"])
+def test_point_queries_refuse_a_gamma_that_is_no_boundary_point(reader,
+                                                                 gamma):
+    # phi(ones, None, 0.5) and phi(ones, [0.3], 0.5) once raised a bare
+    # AttributeError, from reading gamma.y0 or gamma.kind
+    h = TestFunction.ones()
+    query = {"log": lambda: EVALUATOR.phi(h, gamma, 0.5),
+             "limit": lambda: SOLUTION.evaluator.phi(h, gamma, 0.5),
+             "solution": lambda: SOLUTION.phi(h, gamma, 0.5),
+             "theta": lambda: FLOW.theta(gamma, 0.5)}[reader]
+    with pytest.raises(DomainError, match="^gamma: must be a BoundaryPoint"):
+        query()
 
 
 @pytest.mark.parametrize("loader, what, other", [

@@ -570,9 +570,15 @@ def test_count_below_coarse_levels_split_the_bound_bucket(data):
     # _mtf_ranks passes a view of an array it reads again as the bounds
     for a, b in zip((values, starts, ends, bounds), inputs):
         assert np.array_equal(a, b)
-    # on the top bits alone: the values in the range below the bound's
-    # bucket, plus half of those in it, rounded down; exact when no bits
-    # are left below
+    assert got.dtype == np.int64
+    assert got.tolist() == _brute_count_below(values, starts, ends, bounds,
+                                              levels)
+
+
+def _brute_count_below(values, starts, ends, bounds, levels):
+    """``_count_below`` query by query, on the top bits alone: the values
+    in the range below the bound's bucket, plus half of those in it,
+    rounded down; exact when no bits are left below."""
     top = int(max(values.max(initial=0), bounds.max(initial=0))).bit_length()
     shift = 0 if levels is None else max(top - levels, 0)
     want = []
@@ -580,7 +586,40 @@ def test_count_below_coarse_levels_split_the_bound_bucket(data):
         head, bucket = values[lo:hi] >> shift, b >> shift
         half = int(np.sum(head == bucket)) // 2 if shift else 0
         want.append(int(np.sum(head < bucket)) + half)
-    assert got.dtype == np.int64 and got.tolist() == want
+    return want
+
+
+INT32_MAX = (1 << 31) - 1
+
+
+def test_lane_is_int32_up_to_its_largest_value():
+    assert srp._lane(INT32_MAX) is np.int32
+    assert srp._lane(INT32_MAX + 1) is np.int64
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_count_below_straddling_the_int32_lane_is_the_brute_force_count(data):
+    # a few values near 2^31 - 1: up to it the count walks int32 lanes,
+    # past it int64 ones; past 2^32, an int32 lane would drop the top bits
+    high = data.draw(st.sampled_from([INT32_MAX, INT32_MAX + 40,
+                                      (1 << 32) + 40]))
+    near = st.integers(high - 80, high) | st.integers(0, 40)
+    values = np.array(data.draw(st.lists(near, min_size=1, max_size=12)),
+                      dtype=np.int64)
+    q = data.draw(st.integers(1, 12))
+    ranges = data.draw(st.lists(st.tuples(st.integers(0, len(values)),
+                                          st.integers(0, len(values))),
+                                min_size=q, max_size=q))
+    starts = np.array([min(r) for r in ranges], dtype=np.int64)
+    ends = np.array([max(r) for r in ranges], dtype=np.int64)
+    bounds = np.array(data.draw(st.lists(near, min_size=q, max_size=q)),
+                      dtype=np.int64)
+    for levels in (None, data.draw(st.integers(1, 33))):
+        got = srp._count_below(values, starts, ends, bounds, levels)
+        assert got.dtype == np.int64
+        assert got.tolist() == _brute_count_below(values, starts, ends,
+                                                  bounds, levels)
 
 
 @pytest.mark.parametrize("n, m, top, share", [
@@ -1005,6 +1044,84 @@ def test_batch_mtf_ranks_equal_per_system_calls(data):
         st.booleans(), min_size=len(ids), max_size=len(ids))), dtype=bool))
     assert np.array_equal(srp._mtf_ranks(slots, ids, accepted, at, grouped),
                           want[at])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mtf_and_reset_ranks_equal_on_int32_and_int64_lanes(data):
+    # a batch of one to four runs of n particles; a run alone is the batch
+    # of one, and the reset-point identity takes one run's slots
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, 4))
+    runs = []
+    for _ in range(k):
+        top = data.draw(st.integers(0, n - 1))
+        ids = np.array(data.draw(st.lists(st.integers(0, top), max_size=60)),
+                       dtype=np.int64)
+        accepted = np.array(data.draw(st.lists(
+            st.booleans(), min_size=len(ids), max_size=len(ids))), dtype=bool)
+        runs.append((np.array(data.draw(st.permutations(range(n))),
+                              dtype=np.int64), ids, accepted))
+    slots = np.concatenate([r[0] for r in runs])
+    ids = np.concatenate([r[1] + n * j for j, r in enumerate(runs)])
+    accepted = np.concatenate([r[2] for r in runs])
+    grouped = srp._by_particle(ids, k * n, [len(r[1]) for r in runs])
+
+    def lanes():
+        """(mtf ranks, next slots and reset ranks of each run) from int64
+        and int32 slots."""
+        out = []
+        for dtype in (np.int64, np.int32):
+            got = [srp._mtf_ranks(slots.astype(dtype), ids, accepted,
+                                  grouped=grouped)]
+            for run_slots, run_ids, run_acc in runs:
+                s = run_slots.astype(dtype)
+                nxt = srp._next_slots(s, run_ids, run_acc,
+                                      srp._by_particle(run_ids, n))
+                movers = np.unique(run_ids[run_acc])
+                reset = srp._reset_ranks(s, movers)
+                assert nxt.dtype == reset.dtype == dtype
+                got += [nxt, reset]
+            assert got[0].dtype == np.int64
+            out.append(got)
+        return out
+
+    narrow = lanes()
+    # the whole path on int64 lanes, as before the lanes were chosen
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(srp, "_lane", lambda top: np.int64)
+        wide = lanes()
+    for got in narrow + wide:
+        assert all(np.array_equal(a, b) for a, b in zip(got, wide[0]))
+
+
+@pytest.mark.parametrize("engine", ["original", "flow", "coupled"])
+def test_engine_arrays_keep_dtypes_and_bytes_on_either_lane(engine):
+    a = assign_population(affine_two_class_spec(), 300)
+    seeds = [0, 1, 2]
+
+    def arrays():
+        """Every array of the runs of ``seeds``, one run alone and in a
+        batch."""
+        runs = [_one_seed_run(a, seeds[0], engine)]
+        runs += srp._run_seeds(a, seeds, engine, IDENTITY_FLOW)
+        out = []
+        for run in runs:
+            for log in run[:2] if engine == "coupled" else [run]:
+                out += [log.times, log.particles, log.pre_positions]
+            if engine == "coupled":
+                out.append(run[2].sigma)
+        return out
+
+    narrow = arrays()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(srp, "_lane", lambda top: np.int64)
+        wide = arrays()
+    # times, particles and positions per log, then sigma per coupled run
+    want = [np.float64, np.int64, np.float64] * 2 + [np.float64]
+    dtypes = [x.dtype for x in narrow]
+    assert dtypes == (want if engine == "coupled" else want[:3]) * 4
+    assert [x.tobytes() for x in narrow] == [x.tobytes() for x in wide]
 
 
 class LyingFront(TableField):
