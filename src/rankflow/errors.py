@@ -2,11 +2,11 @@
 raise them: every entry point refuses a bad integer or number through
 ``_require_int``, ``_number`` or ``_positive``, which never take a bool
 (Python's or numpy's) as a number, refuse NaN and infinities, and start
-their message with the argument's name.  ``_real_array`` refuses entries
-that are not numbers, a bool inside a list included, and leaves NaN and
-the infinities to the caller's range test; ``_array`` is its check for
-any numpy kinds.  ``_read_npz`` reads a file that ``np.savez`` wrote and
-refuses any other with a ConfigError that names the path.
+their message with the argument's name.  ``_real_array`` refuses ragged
+lists and entries that are not numbers, a bool inside a list included,
+and leaves NaN and the infinities to the caller's range test; ``_array``
+is its check for any numpy kinds.  ``_read_npz`` refuses a file that
+``np.savez`` did not write with a ConfigError that names the path.
 """
 
 import math
@@ -96,8 +96,12 @@ def _array(name: str, x, kinds: str, what: str,
     """x as an array if its numpy dtype kind is one of ``kinds``, else
     ``error``, saying that x must be ``what``.  A list or tuple that holds
     a bool is refused too, as numpy reads the bool as 0 or 1 among
-    numbers; an ndarray is read by its dtype alone."""
-    a = np.asarray(x)
+    numbers, and so is a ragged one, of which numpy makes no array; an
+    ndarray is read by its dtype alone."""
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        raise error(f"{name}: must be {what}, got a ragged list {x!r}") from None
     if a.dtype.kind not in kinds or (isinstance(x, (list, tuple))
                                      and _holds_bool(x)):
         raise error(f"{name}: must be {what}, got {x!r}")

@@ -26,8 +26,8 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
 from .intensity import ClassHazard, PopulationSpec
 from .latp import (MAX_TABLE_ENTRIES, LatpIntensity, _bilinear,
                    _cumulative_trapezoid, _cut, _grid_cells, _laid, _owners,
-                   _require_fine_step, _strips, _tiled, _trapezoid_volterra,
-                   _triangle_value, _upper_strips, thin_last_arrival)
+                   _require_fine_step, _strips, _thin_last_arrival, _tiled,
+                   _trapezoid_volterra, _triangle_value, _upper_strips)
 
 log = logging.getLogger(__name__)
 
@@ -229,9 +229,9 @@ def _hazard_along(flow: FlowGrid, hazard, cls, y0, last, t):
 
 
 def _thin_along_flow(flow: FlowGrid, hazard, cls, y0, envelope, times, ids,
-                     marks, sizes) -> np.ndarray:
+                     marks, sizes):
     """Thin a batch of runs of particles that read their hazard along the
-    flow; returns the accepted mask in stream order.
+    flow; returns the accepted mask and the hazards read, in stream order.
 
     A run's particle i reads class cls[i] of ``hazard``, a ``ClassHazard``,
     from its initial position y0[i] under the envelope envelope[i], and run
@@ -245,7 +245,7 @@ def _thin_along_flow(flow: FlowGrid, hazard, cls, y0, envelope, times, ids,
     n, k = len(y0), len(sizes)
     cls, y0, envelope = (_tiled(np.asarray(x), k) for x in (cls, y0, envelope))
     try:
-        return thin_last_arrival(
+        return _thin_last_arrival(
             times, _owners(ids, n, sizes), marks, k * n,
             lambda o, last, t: _hazard_along(flow, hazard, cls[o], y0[o],
                                              last, t),
@@ -735,7 +735,7 @@ def _limit_jumps(flow: FlowGrid, field, y_start: float, candidates) -> list:
     drawn = [[np.asarray(x, dtype=float) for x in c] for c in candidates]
     sizes = [len(times) for times, _ in drawn]
     times, marks = (_laid([d[j] for d in drawn]) for j in range(2))
-    accepted = _thin_along_flow(
+    accepted, _ = _thin_along_flow(
         flow, ClassHazard((field,)), np.zeros(1, dtype=np.int64),
         np.array([float(y_start)]), np.array([float(field.sup_norm)]), times,
         np.zeros(len(times), dtype=np.int64), marks, sizes)

@@ -15,12 +15,12 @@ Every report is a pure function of (plan, seeds): rows are emitted in
 deterministic order and all aggregates are recomputed from the rows.  A
 sweep's job is one N and a run of seeds, which the engines thin as one
 batch; it returns one record (N, seed, {label: value}) per seed, and each
-label becomes one SweepMetric.  The sweeps, ``tagged_compare``,
-``identify_rates`` and ``forced_fixed_point`` take their seeds in the runs
-of ``srp._seed_runs``, read each run's logs as one batch
-(``measure._LogBatch``) and keep only each seed's values before the next
-run, and ``coupling_compensator`` redraws one seed at a time: no routine
-holds more than one engine batch of candidates or logs.
+label becomes one SweepMetric.  The sweeps, ``tagged_compare`` and the
+three evidence routines take their seeds in the runs of
+``srp._seed_runs`` and keep only each seed's values before the next run,
+read from the run's logs as one batch (``measure._LogBatch``) or, in
+``coupling_compensator``, from each coupled run's record: no routine holds
+more than one engine batch of candidates or logs.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import ConfigError, _positive, _real_array, _require_int
 from . import latp, srp, streams
-from .flow import (FlowGrid, LimitSolution, PhiEvaluator, _hazard_along,
-                   _limit_jumps, _picard, _sample_paths, solve_y_c)
+from .flow import (FlowGrid, LimitSolution, PhiEvaluator, _limit_jumps,
+                   _picard, _sample_paths, solve_y_c)
 from .intensity import (PopulationSpec, assign_population, pin_particles,
                         spec_from_config)
 from .measure import (EvaluationLattice, TestFunction, _LogBatch, grid_tables,
@@ -498,38 +498,6 @@ def forced_fixed_point(sol: LimitSolution, n: int, seeds: int) -> ForcedFixedPoi
                             theta=theta)
 
 
-def _split_and_compensator(assignment, fl, seed):
-    """The particles of a coupled run of ``seed`` that split, and the sum,
-    over each particle's candidates up to and including its first split,
-    of |h_orig - h_flow| / envelope: the chance that the candidate splits
-    the pair, both hazards read from the state before it."""
-    n, rate = assignment.n, assignment.spec.class_hazard
-    times, ids, marks, _ = srp._candidates(assignment, assignment.spec.horizon,
-                                           seed, 0)
-    acc_orig, _ = srp._original_pass(assignment, times, ids, marks)
-    acc_flow, _ = srp._flow_pass(assignment, fl, times, ids, marks)
-    cls = assignment.class_index[ids]
-    ranks = srp._mtf_ranks(assignment.slots, ids, acc_orig)
-    h_orig = rate(cls, ranks * (1.0 / n), times)
-    # each candidate's particle's last reset under the flow mask: the
-    # latest accepted candidate before it in its particle's run, else 0
-    m = len(times)
-    order, _, group, _ = srp._by_particle(ids, n)
-    before = np.full(m, -1)
-    np.maximum.accumulate(np.where(acc_flow[order], np.arange(m), -1)[:-1],
-                          out=before[1:])
-    own = before >= group
-    last = np.zeros(m)
-    last[order[own]] = times[order[before[own]]]
-    h_flow = _hazard_along(fl, rate, cls, assignment.position[ids], last, times)
-    first = np.full(n, m)
-    differ = np.flatnonzero(acc_orig != acc_flow)
-    np.minimum.at(first, ids[differ], differ)
-    live = np.arange(m) <= first[ids]
-    ratio = np.abs(h_orig - h_flow) / assignment.sup_norms()[ids]
-    return int(np.count_nonzero(first < m)), float(ratio[live].sum())
-
-
 def coupling_compensator(sol: LimitSolution, n: int, seeds: int):
     """Each seed's split count and compensator in a coupled run at N = n
     against ``sol``: two arrays, in seed order.
@@ -537,15 +505,18 @@ def coupling_compensator(sol: LimitSolution, n: int, seeds: int):
     While a pair is coupled, its candidate splits it with chance
     |h_orig - h_flow| / envelope, so the split count minus the sum of these
     chances up to each particle's first split is a mean-zero martingale.
-    Each seed's stream is redrawn and thinned under both masks, the
-    original hazard read at the move-to-front rank and the flow's from the
-    particle's last reset under the flow mask.
+    The seeds run one ``srp._seed_runs`` batch at a time, and each coupled
+    run's ``srp.CouplingRecord`` gives both: the split pairs are its finite
+    ``sigma``, and its ``compensator`` sums the hazards the engine read.
     """
     _require_int("n", n, 1)
     _require_int("seeds", seeds, 1)
     assignment = assign_population(sol.spec, n)
-    splits, comp = zip(*[_split_and_compensator(assignment, sol.flow, seed)
-                         for seed in range(seeds)])
+    records = (rec for run in srp._seed_runs(assignment, seeds)
+               for _, _, rec in srp._run_seeds(assignment, run, "coupled",
+                                               flow=sol.flow))
+    splits, comp = zip(*[(int(np.count_nonzero(np.isfinite(r.sigma))),
+                          r.compensator) for r in records])
     return np.array(splits), np.array(comp)
 
 

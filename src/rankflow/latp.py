@@ -319,20 +319,33 @@ def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
     EnvelopeBreach names the earliest breaching candidate in stream order.
     Returns the accepted mask in stream order.
     """
+    return _thin_last_arrival(times, owners, marks, n_owners, hazard,
+                              envelope)[0]
+
+
+def _by_round(owners, n_owners: int):
+    """The candidates in round order, and each round's size: a candidate's
+    round is its position among its owner's candidates.  Its arrays go
+    before ``_thin_last_arrival`` allocates the hazards it returns."""
+    counts = np.bincount(owners, minlength=n_owners)
+    first = np.repeat(_edges(counts)[:-1], counts)
+    rounds = np.empty(len(owners), dtype=np.int64)
+    rounds[_stable_argsort(owners, n_owners)] = np.arange(len(owners)) - first
+    return (_stable_argsort(rounds, int(counts.max(initial=0))),
+            np.bincount(rounds))
+
+
+def _thin_last_arrival(times, owners, marks, n_owners: int, hazard, envelope):
+    """``thin_last_arrival``'s accepted mask, and the hazard each candidate
+    read, both in stream order."""
     times = np.asarray(times, dtype=float)
     owners = np.asarray(owners, dtype=np.int64)
     marks = np.asarray(marks, dtype=float)
     envelope = np.broadcast_to(np.asarray(envelope, dtype=float), (n_owners,))
     breach_at = _breach_bound(envelope)
     accepted = np.zeros(len(times), dtype=bool)
-    # round of each candidate: its position among its owner's candidates,
-    # each owner's candidates being a run of the owner-sorted stream
-    counts = np.bincount(owners, minlength=n_owners)
-    first = np.repeat(_edges(counts)[:-1], counts)
-    rounds = np.empty(len(times), dtype=np.int64)
-    rounds[_stable_argsort(owners, n_owners)] = np.arange(len(times)) - first
-    by_round = _stable_argsort(rounds, int(counts.max(initial=0)))
-    sizes = np.bincount(rounds)
+    by_round, sizes = _by_round(owners, n_owners)
+    hazards = np.empty(len(times))
     ends = np.cumsum(sizes)
     last = np.zeros(n_owners)
     breach = []
@@ -341,6 +354,7 @@ def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
         o, t = owners[c], times[c]
         s = last[o]
         a = np.asarray(hazard(o, s, t), dtype=float)
+        hazards[c] = a
         # NaN fails the comparison, and so breaches
         over = np.logical_not(a <= breach_at[o])
         if over.any():
@@ -355,7 +369,7 @@ def thin_last_arrival(times, owners, marks, n_owners: int, hazard,
         raise EnvelopeBreach(f"particle {i}: hazard {a} above envelope "
                              f"{float(envelope[i])} at t={t}",
                              owner=i, last=s, time=t, hazard=a)
-    return accepted
+    return accepted, hazards
 
 
 def _thinned(omega: LatpIntensity, seed: int, lo: int, n: int):

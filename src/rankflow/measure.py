@@ -268,14 +268,11 @@ def _log_times(name: str, ts, horizon: float) -> np.ndarray:
 def _particle_ids(particles, n: int) -> np.ndarray:
     """particles as int64 ids if they are one list of integers in 0..n-1 (a
     bool is none); else ConfigError.  An empty list is no particle."""
-    what = f"integers in 0..{n - 1}"
-    if np.ndim(particles) != 1:
-        raise ConfigError(f"particles: must be a one-dimensional list of "
-                          f"{what}, got {particles!r}")
-    if not np.size(particles):
-        return np.empty(0, dtype=np.int64)
-    arr = _array("particles", particles, "iu", what)
-    if arr.min() < 0 or arr.max() >= n:
+    what = f"a one-dimensional list of integers in 0..{n - 1}"
+    # numpy reads an empty list as floats
+    arr = _array("particles", particles, "iuf", what)
+    if arr.ndim != 1 or (arr.size and (arr.dtype.kind == "f" or arr.min() < 0
+                                       or arr.max() >= n)):
         raise ConfigError(f"particles: must be {what}, got {particles!r}")
     return arr.astype(np.int64)
 

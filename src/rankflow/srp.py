@@ -28,8 +28,9 @@ given the flow, each particle of each run is an independent last-arrival
 process, so one ``flow._thin_along_flow`` call thins a whole batch, and
 one rank count gives the pre-jump positions of its accepted jumps.  A
 coupled run feeds both models the identical marked candidates and records
-each particle's first decoupling time.  ``RankIndex`` walks the same ranks
-one move at a time.
+each particle's first decoupling time, and the splits' compensator from
+the hazards both passes read.  ``RankIndex`` walks the same ranks one move
+at a time.
 """
 
 from __future__ import annotations
@@ -208,10 +209,15 @@ class EventLog:
 
 @dataclass(frozen=True)
 class CouplingRecord:
-    """First time each particle pair (original, flow-driven) disagrees."""
+    """First time each particle pair (original, flow-driven) disagrees, inf
+    if never, and the compensator of the split count: the sum, over each
+    pair's candidates up to and including its first split, in stream order,
+    of |h_orig - h_flow| / envelope, the chance that the candidate splits
+    the pair, each hazard read by its own pass."""
 
     sigma: np.ndarray
     horizon: float
+    compensator: float
 
     def __post_init__(self):
         s = np.ascontiguousarray(self.sigma, dtype=float)
@@ -278,11 +284,6 @@ def _candidates(assignment: PopulationAssignment, horizon: float, seed: int,
     if tie_count:
         log.warning("candidate stream has %d exact time ties", tie_count)
     return times, ids, marks, tie_count
-
-
-def _check_flow(flow, horizon):
-    if flow.horizon < horizon - 1e-12:
-        raise DomainError("flow horizon shorter than the simulation horizon")
 
 
 def _lane(top: int):
@@ -571,8 +572,9 @@ def _seed_runs(assignment, seeds: int) -> list:
 def _original_pass(assignment, times, ids, marks, sizes=None):
     """Thin the stream at the true positions, which couple through rank.
 
-    Returns the accepted mask in stream order and the pre-jump positions of
-    the accepted candidates.  Decision c depends only on the decisions
+    Returns the accepted mask in stream order, the pre-jump positions of
+    the accepted candidates, and the hazard each candidate read at its
+    exact rank, in stream order.  Decision c depends only on the decisions
     before it, so the stream is thinned in windows of consecutive
     candidates, each in exact rounds: guess the window's mask, rank every
     candidate of the window under the guess, recompute the mask, and repeat
@@ -602,7 +604,8 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
     sups = assignment.sup_norms()
     m = len(times)
     accepted = np.zeros(m, dtype=bool)
-    ranks = np.empty(m, dtype=np.int64)
+    hazards = np.empty(m)
+    pre = [np.empty(0)]  # an empty stream has no window
     counts = [0, 0, 0]  # rounds, windows, predicted
 
     def settle(slots, w, parts):
@@ -610,15 +613,15 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
         ``parts`` candidates each, from their tiled ``slots``; returns its
         ``_by_particle`` grouping."""
         w_times, w_ids, w_marks = times[w], ids[w], marks[w]
-        w_acc, w_ranks = accepted[w], ranks[w]
+        w_acc, hazard = accepted[w], hazards[w]
         w_cls = assignment.class_index[w_ids]
         gids = _owners(w_ids, n, parts)
         grouped = _by_particle(gids, len(slots), parts)
         # where each candidate's run starts in the window
         starts = grouped[3][1]
         at = np.arange(len(w_ids))
-        w_ranks[:] = slots[gids]
-        hazard = rate(w_cls, w_ranks * inv_n, w_times)
+        w_ranks = slots[gids]
+        hazard[:] = rate(w_cls, w_ranks * inv_n, w_times)
         w_acc[:] = w_marks < hazard
         counts[1] += 1
         if assignment.spec.position_dependent:
@@ -650,6 +653,7 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
             raise EnvelopeBreach(
                 f"particle {i}: hazard {a} above envelope "
                 f"{float(w_sups[c])} at t={t}", owner=i, time=t, hazard=a)
+        pre.append(w_ranks[w_acc] * inv_n)
         return grouped
 
     sizes = [m] if sizes is None else list(sizes)
@@ -668,11 +672,12 @@ def _original_pass(assignment, times, ids, marks, sizes=None):
                 slots = _next_slots(slots, ids[w], accepted[w], grouped)
     log.debug("original pass: %d rounds in %d windows over %d candidates, "
               "%d predicted", counts[0], counts[1], m, counts[2])
-    return accepted, ranks[accepted] * inv_n
+    return accepted, np.concatenate(pre), hazards
 
 
 def _flow_pass(assignment, flow, times, ids, marks, sizes=None):
-    """Thin the stream along the flow; same returns as ``_original_pass``.
+    """Thin the stream along the flow; same returns as ``_original_pass``,
+    but each hazard read along the flow from the particle's last reset.
 
     Given the flow, the particles ignore each other, so one
     ``flow._thin_along_flow`` call thins every run of the batch (``sizes``
@@ -682,7 +687,7 @@ def _flow_pass(assignment, flow, times, ids, marks, sizes=None):
     """
     sizes = [len(times)] if sizes is None else list(sizes)
     n, k = assignment.n, len(sizes)
-    accepted = _thin_along_flow(
+    accepted, hazards = _thin_along_flow(
         flow, assignment.spec.class_hazard, assignment.class_index,
         assignment.position, assignment.sup_norms(), times, ids, marks, sizes)
     jumpers = _owners(ids, n, sizes)[accepted]
@@ -691,7 +696,7 @@ def _flow_pass(assignment, flow, times, ids, marks, sizes=None):
     slots = _tiled(assignment.slots, k)
     pre = _mtf_ranks(slots.astype(_lane(len(slots)), copy=False), jumpers,
                      np.ones(len(jumpers), dtype=bool), grouped=grouped)
-    return accepted, pre * (1.0 / n)
+    return accepted, pre * (1.0 / n), hazards
 
 
 def _run_seeds(assignment: PopulationAssignment, seeds, engine: str,
@@ -708,8 +713,8 @@ def _run_seeds(assignment: PopulationAssignment, seeds, engine: str,
     """
     seeds = [streams.check_key("seed", seed) for seed in seeds]
     horizon = assignment.spec.horizon
-    if flow is not None:
-        _check_flow(flow, horizon)
+    if flow is not None and flow.horizon < horizon - 1e-12:
+        raise DomainError("flow horizon shorter than the simulation horizon")
     drawn = [_candidates(assignment, horizon, seed, tagged) for seed in seeds]
     if not drawn:
         return []
@@ -732,7 +737,7 @@ def _run_seeds(assignment: PopulationAssignment, seeds, engine: str,
                 _run_seeds(assignment, [seed], engine, flow, tagged)
         raise
     logs = {}
-    for kind, (acc, pre) in passes.items():
+    for kind, (acc, pre, _) in passes.items():
         acc = _cut(acc, sizes)
         # each run's accepted candidates follow those of the runs before it
         pre = _cut(pre, [np.count_nonzero(a) for a in acc])
@@ -742,14 +747,22 @@ def _run_seeds(assignment: PopulationAssignment, seeds, engine: str,
             for d, a, p in zip(drawn, acc, pre)]
     if engine != "coupled":
         return logs[engine]
-    # each particle's first candidate on which the two passes differ
-    differ = passes["original"][0] != passes["flow"][0]
-    n, k = assignment.n, len(sizes)
-    sigma = np.full(k * n, np.inf)
-    np.minimum.at(sigma, _owners(ids, n, sizes)[differ], times[differ])
-    return [(orig, flow_driven, CouplingRecord(sigma=s, horizon=horizon))
-            for orig, flow_driven, s in zip(logs["original"], logs["flow"],
-                                            _cut(sigma, [n] * k))]
+    (acc_orig, _, h_orig), (acc_flow, _, h_flow) = passes.values()
+    # each particle's first candidate on which the two passes differ; up to
+    # it, a candidate splits the pair with chance |h_orig - h_flow| / envelope
+    n, k, m = assignment.n, len(sizes), len(times)
+    owners = _owners(ids, n, sizes)
+    differ = np.flatnonzero(acc_orig != acc_flow)
+    first = np.full(k * n, m)
+    np.minimum.at(first, owners[differ], differ)
+    sigma = np.append(times, np.inf)[first]
+    live = np.arange(m) <= first[owners]
+    chance = _cut(np.abs(h_orig - h_flow) / assignment.sup_norms()[ids], sizes)
+    return [(orig, flow_driven, CouplingRecord(
+                sigma=s, horizon=horizon, compensator=float(c[l].sum())))
+            for orig, flow_driven, s, c, l in zip(
+                logs["original"], logs["flow"], _cut(sigma, [n] * k), chance,
+                _cut(live, sizes))]
 
 
 def simulate(assignment: PopulationAssignment, seed: int = 0,

@@ -650,7 +650,7 @@ def one_limit_path_jumps(flow, field, y_start, candidates):
     """The jump times of one tagged limit path, thinned alone: one owner
     in one ``flow._thin_along_flow`` call."""
     times, marks = (np.asarray(x, dtype=float) for x in candidates)
-    accepted = _thin_along_flow(
+    accepted, _ = _thin_along_flow(
         flow, ClassHazard((field,)), np.zeros(1, dtype=np.int64),
         np.array([y_start]), np.array([field.sup_norm]), times,
         np.zeros(len(times), dtype=np.int64), marks, [len(times)])
@@ -775,8 +775,8 @@ def split_and_compensator(assignment, fl, seed):
     n, rate = assignment.n, assignment.spec.class_hazard
     times, ids, marks, _ = srp._candidates(assignment, assignment.spec.horizon,
                                            seed, 0)
-    acc_orig, _ = srp._original_pass(assignment, times, ids, marks)
-    acc_flow, _ = srp._flow_pass(assignment, fl, times, ids, marks)
+    acc_orig, _, _ = srp._original_pass(assignment, times, ids, marks)
+    acc_flow, _, _ = srp._flow_pass(assignment, fl, times, ids, marks)
     cls = assignment.class_index[ids]
     ranks = srp._mtf_ranks(assignment.slots, ids, acc_orig)
     h_orig = rate(cls, ranks * (1.0 / n), times)

@@ -305,6 +305,23 @@ def test_position_queries_refuse_particles_of_the_wrong_shape(reader,
         read.positions_of(particles, [0.5])
 
 
+@pytest.mark.parametrize("call, error, name", [
+    (lambda: EVALUATOR.positions_of([[0], [1, 2]], [0.5]),
+     ConfigError, "particles"),
+    (lambda: EVALUATOR.positions_of([0], [[0.5], [0.6, 0.7]]),
+     DomainError, "ts"),
+    (lambda: FIELD([[0.3], [0.1, 0.2]], 0.5), DomainError, "y"),
+    (lambda: FIELD(0.3, [[0.3], [0.1, 0.2]]), DomainError, "t"),
+    (lambda: OMEGA([[0.1], [0.1, 0.2]], 0.5), DomainError, "s"),
+    (lambda: ArrivalSequence(times=[[0.1], [0.2, 0.3]], horizon=1.0),
+     ConfigError, "times"),
+], ids=["particles", "ts", "field-y", "field-t", "omega-s", "arrivals"])
+def test_array_arguments_refuse_a_ragged_list(call, error, name):
+    # each once raised numpy's bare ValueError about an inhomogeneous shape
+    with pytest.raises(error, match=f"^{name}: must be .*, got a ragged list"):
+        call()
+
+
 @pytest.mark.parametrize("gamma", [None, [0.3], 0.3, (0.3, 0.0)],
                          ids=["none", "list", "float", "tuple"])
 @pytest.mark.parametrize("reader", ["log", "limit", "solution", "theta"])

@@ -434,8 +434,10 @@ def test_forced_fixed_point_is_its_oracle(cfg):
 
 def test_evidence_routines_run_one_seed_batch_at_a_time(monkeypatch):
     # identify_rates and forced_fixed_point once ran all their seeds as one
-    # engine batch and read every log at once
+    # engine batch and read every log at once, and coupling_compensator
+    # redrew and thinned each seed alone, outside the engine batches
     spec = spec_from_config(SMALL_IDENT["affine"])
+    sol = solve_y_c(spec, n_z=20, n_t=50)
     runs = [list(run) for run in
             srp._seed_runs(assign_population(spec, 2 ** 10), 20)]
     assert runs == [list(range(11)), list(range(11, 20))]
@@ -450,7 +452,10 @@ def test_evidence_routines_run_one_seed_batch_at_a_time(monkeypatch):
     identify_rates(spec, 2 ** 10, 20, "scale", SMALL_GRIDS["scale"])
     assert calls == runs
     calls.clear()
-    forced_fixed_point(solve_y_c(spec, n_z=20, n_t=50), 2 ** 10, 20)
+    forced_fixed_point(sol, 2 ** 10, 20)
+    assert calls == runs
+    calls.clear()
+    coupling_compensator(sol, 2 ** 10, 20)
     assert calls == runs
 
 

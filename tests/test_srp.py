@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import (STEEP_SPECS, affine_two_class_spec,
                       constant_mixture_spec, constant_single_spec,
                       uniform_single_class, zero_rate_spec)
-from oracles import NaiveRankIndex, forward_law, sequential_original_pass
+from oracles import (NaiveRankIndex, forward_law, sequential_original_pass,
+                     split_and_compensator)
 from rankflow import (ConfigError, DomainError, EnvelopeBreach, EventLog,
                       FlowGrid,
                       RankIndex, assign_population, simulate,
@@ -981,7 +982,7 @@ def test_batch_passes_with_a_run_longer_than_the_window(name, monkeypatch):
              lambda run: srp._original_pass(a, *run)),
             (lambda *s: srp._flow_pass(a, IDENTITY_FLOW, times, ids, marks, *s),
              lambda run: srp._flow_pass(a, IDENTITY_FLOW, *run))):
-        accepted, pre = batch_pass(LENGTHS)
+        accepted, pre, _ = batch_pass(LENGTHS)
         shares = np.r_[0, np.cumsum(accepted)][edges]
         for s, run in enumerate(runs):
             want = one_pass(run)
@@ -1004,6 +1005,36 @@ def test_batch_runs_across_windows_equal_one_seed_runs(engine, monkeypatch):
     assert sizes == [11, 9, 22, 13, 20]
     assert srp._groups(sizes, 21) == [(0, 2), (2, 3), (3, 4), (4, 5)]
     _assert_batch_equals_one_seed_runs(a, seeds, engine)
+
+
+def test_batch_coupling_records_carry_the_compensator_of_one_seed_runs(
+        monkeypatch):
+    # the windows of test_batch_runs_across_windows_equal_one_seed_runs:
+    # seeds 1 and 3 share one, and seed 2 crosses two
+    monkeypatch.setattr(srp, "_window", lambda n: 21)
+    a = assign_population(BATCH_SPECS["affine_0_5_5_0"], 4)
+    seeds = [1, 3, 2, 10, 0]
+    got = srp._run_seeds(a, seeds, "coupled", flow=IDENTITY_FLOW)
+    splits = 0
+    for seed, (_, _, rec) in zip(seeds, got):
+        alone = simulate_coupled(a, IDENTITY_FLOW, seed=seed)[2]
+        count, comp = split_and_compensator(a, IDENTITY_FLOW, seed)
+        assert int(np.count_nonzero(np.isfinite(rec.sigma))) == count
+        assert (np.float64(rec.compensator).tobytes()
+                == np.float64(alone.compensator).tobytes()
+                == np.float64(comp).tobytes())
+        splits += count
+    assert splits > 0
+
+
+def test_batch_coupling_compensator_is_zero_on_constant_rates():
+    # a constant rate reads the same hazard at every position, so no pair
+    # splits and no candidate has a chance to split one
+    a = assign_population(load_spec(ROOT / "configs" / "constant_mixture.json"),
+                          200)
+    sol = solve_y_c(a.spec, n_z=20, n_t=50)
+    for _, _, rec in srp._run_seeds(a, range(6), "coupled", flow=sol.flow):
+        assert rec.compensator == 0.0 and np.isinf(rec.sigma).all()
 
 
 @pytest.mark.parametrize("engine", ["original", "flow", "coupled"])
